@@ -196,22 +196,36 @@ pub struct Checkpoint {
     pub map: BTreeMap<String, String>,
 }
 
-/// Serialize `cp` to the on-disk checkpoint format:
+/// Serialize a snapshot, given as its entries in key order, to the
+/// on-disk checkpoint format:
 ///
 /// ```text
 /// KVCP <epoch> <next_txid> <payload_len> ;\n
 /// S <key> <value> ;\n        (payload, one line per entry)
 /// KVEND <epoch> <fnv64-hex> ;\n
 /// ```
-pub fn encode_checkpoint(cp: &Checkpoint) -> Vec<u8> {
+///
+/// The one encoder: the store streams borrowed index entries through it
+/// without first building a [`Checkpoint`].
+pub fn encode_checkpoint_entries<'a>(
+    epoch: u64,
+    next_txid: u64,
+    entries: impl Iterator<Item = (&'a str, &'a str)>,
+) -> Vec<u8> {
     let mut payload = String::new();
-    for (k, v) in &cp.map {
-        payload.push_str(&format!("S {k} {v} ;\n"));
+    for (k, v) in entries {
+        payload.extend(["S ", k, " ", v, " ;\n"]);
     }
-    let mut out = format!("KVCP {} {} {} ;\n", cp.epoch, cp.next_txid, payload.len());
+    let mut out = format!("KVCP {epoch} {next_txid} {} ;\n", payload.len());
     out.push_str(&payload);
-    out.push_str(&format!("KVEND {} {:016x} ;\n", cp.epoch, fnv64(payload.as_bytes())));
+    out.push_str(&format!("KVEND {epoch} {:016x} ;\n", fnv64(payload.as_bytes())));
     out.into_bytes()
+}
+
+/// [`encode_checkpoint_entries`] over a decoded [`Checkpoint`].
+pub fn encode_checkpoint(cp: &Checkpoint) -> Vec<u8> {
+    let entries = cp.map.iter().map(|(k, v)| (k.as_str(), v.as_str()));
+    encode_checkpoint_entries(cp.epoch, cp.next_txid, entries)
 }
 
 /// Decode and validate a checkpoint image. `None` for anything torn:

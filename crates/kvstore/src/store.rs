@@ -37,7 +37,9 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use crate::page::{decode_checkpoint, encode_checkpoint, BufferPool, Checkpoint, PoolStats};
+use crate::page::{
+    decode_checkpoint, encode_checkpoint_entries, fnv64, BufferPool, Checkpoint, PoolStats,
+};
 use txfix_stm::chaos::splitmix64;
 use txfix_stm::{EscalationPolicy, EscalationRung, TVar, Txn, TxnBuilder};
 use txfix_txlock::TxMutex;
@@ -154,6 +156,12 @@ struct CkptState {
     pools: [BufferPool; 2],
 }
 
+/// One hash bucket of a shard's index. Readers share the committed map
+/// through its `Arc` and never copy it; a writer's copy-on-write clones
+/// tree nodes and bumps entry refcounts, not strings. `String` appears
+/// only at the API boundary.
+type Bucket = BTreeMap<Arc<str>, Arc<str>>;
+
 struct Shard {
     wal: Wal,
     /// Next WAL txid — allocated *inside* the write transaction, so txid
@@ -161,7 +169,7 @@ struct Shard {
     next_txid: TVar<u64>,
     /// History version: bumped by every write commit, observed by reads.
     version: TVar<u64>,
-    buckets: Vec<TVar<BTreeMap<String, String>>>,
+    buckets: Vec<TVar<Bucket>>,
     /// Dev-mode coarse lock (unused by tm/hybrid).
     dev: TxMutex<()>,
     ckpt: TxMutex<CkptState>,
@@ -173,8 +181,28 @@ pub struct KvStore {
     shards: Vec<Shard>,
 }
 
-fn fnv64(bytes: &[u8]) -> u64 {
-    crate::page::fnv64(bytes)
+impl Shard {
+    /// The committed bucket maps as of `txn`'s snapshot, shared not copied.
+    fn read_buckets(&self, txn: &mut Txn) -> txfix_stm::StmResult<Vec<Arc<Bucket>>> {
+        self.buckets.iter().map(|b| b.read_arc(txn)).collect()
+    }
+}
+
+/// Every entry of `buckets` in key order. Each bucket is sorted and a key
+/// lives in exactly one of them, so a k-way merge of the borrowed maps is
+/// the whole job; the fan-out is small (default 4), so picking the least
+/// head is a linear pass.
+fn merged(buckets: &[Arc<Bucket>]) -> impl Iterator<Item = (&str, &str)> {
+    let mut heads: Vec<_> = buckets.iter().map(|b| b.iter().peekable()).collect();
+    std::iter::from_fn(move || {
+        let least = heads
+            .iter_mut()
+            .enumerate()
+            .filter_map(|(i, h)| h.peek().map(|&(k, _)| (i, k)))
+            .min_by_key(|&(_, k)| k)?
+            .0;
+        heads[least].next().map(|(k, v)| (&**k, &**v))
+    })
 }
 
 impl KvStore {
@@ -230,11 +258,10 @@ impl KvStore {
                     }
                 }
                 let next_txid = base.next_txid.max(rec.next_txid);
-                let mut buckets: Vec<BTreeMap<String, String>> =
-                    vec![BTreeMap::new(); cfg.buckets_per_shard];
+                let mut buckets = vec![Bucket::new(); cfg.buckets_per_shard];
                 for (k, v) in map {
                     let b = bucket_of(&k, cfg.buckets_per_shard);
-                    buckets[b].insert(k, v);
+                    buckets[b].insert(k.into(), v.into());
                 }
                 Shard {
                     wal,
@@ -323,11 +350,14 @@ impl KvStore {
                     WalOp::Put(k, _) | WalOp::Delete(k) => k,
                 };
                 let b = bucket_of(key, buckets);
-                let mut m = shard.buckets[b].read(txn)?;
-                displaced.push(match op {
-                    WalOp::Put(k, v) => m.insert(k.clone(), v.clone()),
-                    WalOp::Delete(k) => m.remove(k),
-                });
+                // Copy-on-write: the committed map stays as concurrent
+                // readers hold it; this txn publishes a new one.
+                let mut m = Bucket::clone(&*shard.buckets[b].read_arc(txn)?);
+                let old = match op {
+                    WalOp::Put(k, v) => m.insert(k.as_str().into(), v.as_str().into()),
+                    WalOp::Delete(k) => m.remove(k.as_str()),
+                };
+                displaced.push(old.map(|v| v.to_string()));
                 shard.buckets[b].write(txn, m)?;
             }
             let version = shard.version.read(txn)? + 1;
@@ -343,8 +373,8 @@ impl KvStore {
         let buckets = self.cfg.buckets_per_shard;
         self.run_op(self.shard_of(key), "kv_get", false, |shard, txn| {
             let version = shard.version.read(txn)?;
-            let m = shard.buckets[bucket_of(key, buckets)].read(txn)?;
-            Ok((m.get(key).cloned(), version))
+            let m = shard.buckets[bucket_of(key, buckets)].read_arc(txn)?;
+            Ok((m.get(key).map(|v| v.to_string()), version))
         })
     }
 
@@ -398,11 +428,10 @@ impl KvStore {
         assert!(shard_idx < self.cfg.shards);
         self.run_op(shard_idx, "kv_scan", false, |shard, txn| {
             let version = shard.version.read(txn)?;
-            let mut out = BTreeMap::new();
-            for b in &shard.buckets {
-                out.extend(b.read(txn)?);
-            }
-            Ok((out.into_iter().collect::<Vec<_>>(), version))
+            let snap = shard.read_buckets(txn)?;
+            let mut rows = Vec::with_capacity(snap.iter().map(|b| b.len()).sum());
+            rows.extend(merged(&snap).map(|(k, v)| (k.to_string(), v.to_string())));
+            Ok((rows, version))
         })
     }
 
@@ -423,20 +452,16 @@ impl KvStore {
 
     fn ckpt_inner(&self, shard_idx: usize, truncate: bool) {
         let shard = &self.shards[shard_idx];
-        let ((map, next_txid), _) = Txn::build().site("kv_ckpt").run(|txn| {
-            let mut map = BTreeMap::new();
-            for b in &shard.buckets {
-                map.extend(b.read(txn)?);
-            }
-            Ok((map, shard.next_txid.read(txn)?))
-        });
+        let ((snap, next_txid), _) = Txn::build()
+            .site("kv_ckpt")
+            .run(|txn| Ok((shard.read_buckets(txn)?, shard.next_txid.read(txn)?)));
         let mut ck = shard.ckpt.lock().expect("checkpoint lock cycle");
         ck.epoch += 1;
-        let cp = Checkpoint { epoch: ck.epoch, next_txid, map };
+        let image = encode_checkpoint_entries(ck.epoch, next_txid, merged(&snap));
         let target = 1 - ck.active;
         let pool = &mut ck.pools[target];
         pool.discard();
-        pool.write_at(0, &encode_checkpoint(&cp));
+        pool.write_at(0, &image);
         // Page-by-page write-back (each page crosses KV_POOL_FLUSH), then
         // the fsync that commits the checkpoint.
         pool.flush();
@@ -451,11 +476,8 @@ impl KvStore {
     /// Current shard contents, read non-transactionally. Only meaningful
     /// at quiescence (tests, recovery assertions).
     pub fn shard_snapshot(&self, shard_idx: usize) -> BTreeMap<String, String> {
-        let mut out = BTreeMap::new();
-        for b in &self.shards[shard_idx].buckets {
-            out.extend(b.load());
-        }
-        out
+        let snap: Vec<_> = self.shards[shard_idx].buckets.iter().map(TVar::load_arc).collect();
+        merged(&snap).map(|(k, v)| (k.to_string(), v.to_string())).collect()
     }
 
     /// Current shard history version (non-transactional; quiescence only).
@@ -497,11 +519,107 @@ fn bucket_of(key: &str, buckets: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::page::encode_checkpoint;
+    use proptest::prelude::*;
 
     fn store(mode: Mode, shards: usize) -> (Arc<SimFs>, KvStore) {
         let fs = SimFs::new();
         let kv = KvStore::open(&fs, KvConfig::new(mode, shards));
         (fs, kv)
+    }
+
+    /// A one-shard store with `buckets` hash buckets.
+    fn one_shard(buckets: usize) -> KvStore {
+        let cfg = KvConfig { buckets_per_shard: buckets, ..KvConfig::new(Mode::Tm, 1) };
+        KvStore::open(&SimFs::new(), cfg)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The streamed encoder over any bucket split of a map writes the
+        /// bytes `encode_checkpoint` writes for the map itself.
+        #[test]
+        fn streamed_checkpoint_of_a_bucket_split_equals_the_whole_map_image(
+            entries in proptest::collection::hash_map("[A-Za-z0-9_]{1,6}", "[A-Za-z0-9_]{1,5}", 0..48),
+            epoch in 1u64..1000,
+            next_txid in 1u64..1000,
+        ) {
+            let map: BTreeMap<String, String> = entries.into_iter().collect();
+            let whole = encode_checkpoint(&Checkpoint { epoch, next_txid, map: map.clone() });
+            for n in [1, 4, 7] {
+                let mut split = vec![Bucket::new(); n];
+                for (k, v) in &map {
+                    split[bucket_of(k, n)].insert(k.as_str().into(), v.as_str().into());
+                }
+                let split: Vec<Arc<Bucket>> = split.into_iter().map(Arc::new).collect();
+                let streamed = encode_checkpoint_entries(epoch, next_txid, merged(&split));
+                prop_assert_eq!(&streamed, &whole, "{} buckets", n);
+                prop_assert_eq!(
+                    decode_checkpoint(&streamed),
+                    Some(Checkpoint { epoch, next_txid, map: map.clone() })
+                );
+            }
+        }
+
+        /// `scan` (and `shard_snapshot`) is the key-ordered union of the
+        /// shard's buckets, whatever the fan-out.
+        #[test]
+        fn scan_is_the_ordered_union_of_the_buckets(
+            entries in proptest::collection::hash_map("[A-Za-z0-9_]{1,6}", "[A-Za-z0-9_]{1,5}", 0..32),
+        ) {
+            for n in [1, 4, 7] {
+                let kv = one_shard(n);
+                for (k, v) in &entries {
+                    kv.put(k, v).unwrap();
+                }
+                let mut union = BTreeMap::new();
+                for b in &kv.shards[0].buckets {
+                    union.extend(b.load_arc().iter().map(|(k, v)| (k.to_string(), v.to_string())));
+                }
+                prop_assert_eq!(union.len(), entries.len());
+                prop_assert_eq!(kv.scan(0).unwrap().value, Vec::from_iter(union.clone()), "{} buckets", n);
+                prop_assert_eq!(kv.shard_snapshot(0), union);
+            }
+        }
+    }
+
+    #[test]
+    fn copy_on_write_never_mutates_a_bucket_a_reader_holds() {
+        use std::sync::mpsc::channel;
+        let kv = &one_shard(1);
+        kv.put("a", "1").unwrap();
+        kv.put("b", "2").unwrap();
+        let bucket = &kv.shards[0].buckets[0];
+        let (reader_holds, wait_for_reader) = channel();
+        let (writer_done, wait_for_writer) = channel();
+        let mut held: Option<Arc<Bucket>> = None;
+        std::thread::scope(|s| {
+            s.spawn(move || {
+                wait_for_reader.recv().unwrap();
+                kv.put("a", "9").unwrap();
+                kv.delete("b").unwrap();
+                writer_done.send(()).unwrap();
+            });
+            // The first attempt takes the committed bucket and keeps it
+            // across both commits; later attempts (if validation retries
+            // the txn) just pass through.
+            Txn::build().site("test_hold").run(|txn| {
+                let m = bucket.read_arc(txn)?;
+                if held.is_none() {
+                    held = Some(m);
+                    reader_holds.send(()).unwrap();
+                    wait_for_writer.recv().unwrap();
+                }
+                Ok(())
+            });
+        });
+        let held = held.unwrap();
+        let rows: Vec<(&str, &str)> = held.iter().map(|(k, v)| (&**k, &**v)).collect();
+        assert_eq!(rows, [("a", "1"), ("b", "2")], "the held snapshot moved");
+        assert!(!Arc::ptr_eq(&held, &bucket.load_arc()));
+        assert_eq!(kv.get("a").unwrap().value, Some("9".to_string()));
+        assert_eq!(kv.get("b").unwrap().value, None);
     }
 
     #[test]

@@ -239,7 +239,12 @@ impl<T: Send + Sync + 'static> TVar<T> {
 }
 
 impl<T: Clone + Send + Sync + 'static> TVar<T> {
-    /// Read the current value inside a transaction.
+    /// Read an owned copy of the current value inside a transaction.
+    ///
+    /// This **deep-clones `T`** on every call — a whole map, if `T` is a
+    /// map. It is the right call for word-sized values; for anything
+    /// bigger use [`read_arc`](TVar::read_arc), which shares the committed
+    /// value (same read set, same validation) and clones nothing.
     ///
     /// # Errors
     ///
@@ -250,17 +255,19 @@ impl<T: Clone + Send + Sync + 'static> TVar<T> {
     }
 
     /// Apply `f` to the current value and write the result back, all within
-    /// the transaction.
+    /// the transaction. Costs one clone of `T`: `f` needs an owned value
+    /// and the committed one stays shared with concurrent readers.
     ///
     /// # Errors
     ///
     /// Returns [`Abort`] on conflict or capacity overflow.
     pub fn modify(&self, txn: &mut crate::Txn, f: impl FnOnce(T) -> T) -> StmResult<()> {
-        let v = self.read(txn)?;
+        let v = T::clone(&*self.read_arc(txn)?);
         self.write(txn, f(v))
     }
 
-    /// Non-transactional atomic read returning an owned copy.
+    /// Non-transactional atomic read returning an owned copy (one clone of
+    /// `T`; [`load_arc`](TVar::load_arc) clones nothing).
     pub fn load(&self) -> T {
         (*self.load_arc()).clone()
     }
@@ -353,6 +360,52 @@ mod tests {
         });
         let (a, b) = v.load();
         assert_eq!(a, b);
+    }
+
+    /// A payload that counts its own `clone` calls: how many copies of `T`
+    /// an API makes.
+    struct Counted(Arc<AtomicU64>);
+
+    impl Clone for Counted {
+        fn clone(&self) -> Self {
+            self.0.fetch_add(1, Ordering::SeqCst);
+            Counted(self.0.clone())
+        }
+    }
+
+    #[test]
+    fn arc_reads_never_clone_the_value_and_owned_reads_clone_it_once() {
+        let clones = Arc::new(AtomicU64::new(0));
+        let count = || clones.load(Ordering::SeqCst);
+        let v = TVar::new(Counted(clones.clone()));
+
+        // Outside a transaction.
+        let _shared = v.load_arc();
+        assert_eq!(count(), 0, "load_arc cloned T");
+        let _owned = v.load();
+        assert_eq!(count(), 1, "load must clone T exactly once");
+
+        // Inside one, on the committed value and then on this
+        // transaction's own buffered write.
+        crate::atomic(|txn| {
+            for phase in ["committed", "read-after-write"] {
+                let before = count();
+                let _shared = v.read_arc(txn)?;
+                let _again = v.read_arc(txn)?;
+                assert_eq!(count(), before, "read_arc cloned T ({phase})");
+                let _owned = v.read(txn)?;
+                assert_eq!(count(), before + 1, "read must clone T exactly once ({phase})");
+                v.write(txn, Counted(clones.clone()))?;
+                assert_eq!(count(), before + 1, "write cloned T ({phase})");
+            }
+            let before = count();
+            v.modify(txn, |c| c)?;
+            assert_eq!(count(), before + 1, "modify must clone T exactly once");
+            Ok(())
+        });
+        let before = count();
+        let _shared = v.load_arc();
+        assert_eq!(count(), before, "load_arc cloned T after a commit");
     }
 
     #[test]
