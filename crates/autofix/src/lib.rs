@@ -75,10 +75,25 @@ fn verify_dynamic(summary: &ScenarioSummary, cfg: &ExploreConfig) -> VerifyStats
         step_limited: ex.step_limited,
         exhausted: ex.exhausted,
         failure: ex.failure.map(|o| match o.result {
-            RunResult::Bug(m) => m,
+            RunResult::Bug(m) => without_thread_tokens(&m),
             other => format!("unexpected schedule outcome: {other:?}"),
         }),
     }
+}
+
+/// Drop every `thread#N -> ` from a deadlock-cycle message. `N` is
+/// `txlock`'s process-global first-use counter, so it depends on how the
+/// host happened to start the scenario's threads; the locks of the cycle,
+/// in wait-for order, are what the schedule determines.
+fn without_thread_tokens(message: &str) -> String {
+    let mut out = String::new();
+    let mut rest = message;
+    while let Some(at) = rest.find("thread#") {
+        out.push_str(&rest[..at]);
+        let after = rest[at + "thread#".len()..].trim_start_matches(|c: char| c.is_ascii_digit());
+        rest = after.strip_prefix(" -> ").unwrap_or(after);
+    }
+    out + rest
 }
 
 /// Run the full infer → verify → compare loop for one corpus scenario.
@@ -155,4 +170,20 @@ pub fn autofix_corpus(
         seed: cfg.seed,
         entries,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::without_thread_tokens;
+
+    #[test]
+    fn deadlock_cycles_render_without_process_global_thread_tokens() {
+        assert_eq!(
+            without_thread_tokens(
+                "panic: deadlock detected: thread#12 -> lock \"a\" ; thread#7 -> lock \"b\""
+            ),
+            "panic: deadlock detected: lock \"a\" ; lock \"b\""
+        );
+        assert_eq!(without_thread_tokens("lost update on x"), "lost update on x");
+    }
 }

@@ -26,7 +26,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 use txfix_core::json::{Json, ToJson};
-use txfix_stm::chaos::{splitmix64, FaultPlan, InjectionPoint, Trigger};
+use txfix_stm::chaos::{splitmix64, FaultPlan};
 use txfix_stm::{obs, EscalationPolicy, TVar, Txn, TxnBuilder};
 use txfix_txlock::TxMutex;
 use txfix_xcall::{AsyncIo, SimFs, SimPipe, XFile, XPipe};
@@ -44,39 +44,10 @@ pub const SCENARIOS: &[&str] = &[
 /// The two fix variants every scenario provides.
 pub const VARIANTS: &[&str] = &["dev", "tm"];
 
-/// Named fault schedules, in report order. Each maps to a [`FaultPlan`]
-/// via [`plan_for`].
+/// The fault schedules the corpus sweep runs, in report order: names
+/// from the shared [`txfix_stm::chaos::SCHEDULES`] table.
 pub const SCHEDULES: &[&str] =
     &["baseline", "txn_faults", "commit_faults", "lock_faults", "io_faults"];
-
-/// The [`FaultPlan`] a named schedule arms under `seed`.
-///
-/// # Panics
-///
-/// Panics on a schedule name not in [`SCHEDULES`].
-pub fn plan_for(schedule: &str, seed: u64) -> FaultPlan {
-    let plan = FaultPlan::new(seed);
-    match schedule {
-        // Control: chaos layer armed but no point fires, so any invariant
-        // break here is the workload's own bug.
-        "baseline" => plan,
-        "txn_faults" => plan
-            .with(InjectionPoint::TxnBegin, Trigger::PerMille(50))
-            .with(InjectionPoint::TxnRead, Trigger::PerMille(15)),
-        "commit_faults" => plan
-            .with(InjectionPoint::TxnPreCommit, Trigger::EveryNth(7))
-            .with(InjectionPoint::TxnWriteback, Trigger::PerMille(30)),
-        "lock_faults" => plan
-            .with(InjectionPoint::LockAcquire, Trigger::PerMille(30))
-            .with(InjectionPoint::LockDelay, Trigger::PerMille(80))
-            .with(InjectionPoint::LockRevoke, Trigger::PerMille(30)),
-        "io_faults" => plan
-            .with(InjectionPoint::XcallFile, Trigger::PerMille(40))
-            .with(InjectionPoint::XcallPipe, Trigger::PerMille(60))
-            .with(InjectionPoint::XcallAsync, Trigger::PerMille(40)),
-        other => panic!("unknown chaos schedule {other:?} (see chaos::SCHEDULES)"),
-    }
-}
 
 /// Configuration for one chaos invocation.
 #[derive(Clone, Debug)]
@@ -191,7 +162,8 @@ pub fn run_cell(
         other => panic!("unknown variant {other:?} (want dev|tm)"),
     };
     let cell_seed = mix(cfg.seed, &[scenario, schedule, variant]);
-    let plan = plan_for(schedule, cell_seed);
+    let plan = FaultPlan::named(schedule, cell_seed)
+        .unwrap_or_else(|| panic!("unknown chaos schedule {schedule:?} (see chaos::SCHEDULES)"));
     let _armed = txfix_stm::chaos::scoped(&plan);
     let cell = Cell {
         threads: cfg.threads.max(1),
@@ -715,7 +687,7 @@ mod tests {
     #[test]
     fn every_schedule_maps_to_a_plan() {
         for &schedule in SCHEDULES {
-            let plan = plan_for(schedule, 7);
+            let plan = FaultPlan::named(schedule, 7).expect(schedule);
             assert_eq!(plan.is_empty(), schedule == "baseline", "{schedule}");
         }
     }

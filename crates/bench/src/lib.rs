@@ -27,5 +27,5 @@ pub use cases::{
     apache_i_comparison, apache_ii_comparison, mozilla_i_comparison, mysql_i_comparison,
     CaseComparison, Measurement, Scale,
 };
-pub use chaos::{chaos_report, plan_for, run_chaos, ChaosConfig, ChaosRun};
+pub use chaos::{chaos_report, run_chaos, ChaosConfig, ChaosRun};
 pub use stress::{run_stress, stress_report, StressConfig, StressRun, SCENARIOS};

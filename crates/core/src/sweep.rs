@@ -102,6 +102,63 @@ pub trait SweepRunner {
     fn execute(&mut self, args: &SweepArgs) -> Result<SweepOutput, String>;
 }
 
+/// The value of a flag that takes one positive number.
+///
+/// # Errors
+///
+/// `"<flag> takes a positive integer"` (`number` for a fractional `T`)
+/// when the value is missing, malformed or not above zero.
+pub fn positive<T>(flag: &str, value: Option<&str>) -> Result<T, String>
+where
+    T: std::str::FromStr + PartialOrd + Default,
+{
+    match value.and_then(|s| s.parse::<T>().ok()) {
+        Some(n) if n > T::default() => Ok(n),
+        _ => {
+            // Only a fractional `T` parses "0.5".
+            let kind = if "0.5".parse::<T>().is_ok() { "number" } else { "integer" };
+            Err(format!("{flag} takes a positive {kind}"))
+        }
+    }
+}
+
+/// The value of a flag that takes a comma-separated list of positive
+/// integers.
+///
+/// # Errors
+///
+/// `"<flag> takes a comma-separated list, e.g. <example>"`.
+pub fn positive_list(flag: &str, value: Option<&str>, example: &str) -> Result<Vec<usize>, String> {
+    let parsed: Option<Vec<usize>> = value
+        .and_then(|list| list.split(',').map(|t| positive(flag, Some(t.trim())).ok()).collect());
+    match parsed {
+        Some(list) if !list.is_empty() => Ok(list),
+        _ => Err(format!("{flag} takes a comma-separated list, e.g. {example}")),
+    }
+}
+
+/// Look every key of a positional selection up in the sweep's fixed
+/// `universe`, by `name`.
+///
+/// # Errors
+///
+/// ``"no <noun> `<key>` (available: …)"`` for the first key not in it.
+pub fn select_from<T: Copy>(
+    noun: &str,
+    universe: &[T],
+    name: impl Fn(T) -> &'static str,
+    keys: &[String],
+) -> Result<Vec<T>, String> {
+    keys.iter()
+        .map(|k| {
+            universe.iter().copied().find(|&u| name(u) == k).ok_or_else(|| {
+                let available: Vec<&str> = universe.iter().map(|&u| name(u)).collect();
+                format!("no {noun} `{k}` (available: {})", available.join(", "))
+            })
+        })
+        .collect()
+}
+
 fn parse_seed(s: &str) -> Option<u64> {
     if let Some(hex) = s.strip_prefix("0x").or_else(|| s.strip_prefix("0X")) {
         u64::from_str_radix(hex, 16).ok()
@@ -261,13 +318,10 @@ mod tests {
         }
         fn flag(&mut self, flag: &str, value: Option<&str>) -> Result<Flag, String> {
             match flag {
-                "--secs" => match value.and_then(|v| v.parse::<f64>().ok()) {
-                    Some(s) if s > 0.0 => {
-                        self.secs = Some(s);
-                        Ok(Flag::SeenWithValue)
-                    }
-                    _ => Err("--secs takes a positive number".into()),
-                },
+                "--secs" => {
+                    self.secs = Some(positive(flag, value)?);
+                    Ok(Flag::SeenWithValue)
+                }
                 "--bare" => Ok(Flag::Seen),
                 _ => Ok(Flag::Unknown),
             }
@@ -309,6 +363,32 @@ mod tests {
         assert!(parse_sweep_args(&mut d, &strs(&["--nope"])).is_err());
         assert!(parse_sweep_args(&mut d, &strs(&["--secs", "-1"])).is_err());
         assert!(parse_sweep_args(&mut d, &strs(&["--seed", "zzz"])).is_err());
+    }
+
+    #[test]
+    fn value_helpers_accept_good_input_and_name_the_flag_otherwise() {
+        assert_eq!(positive::<u64>("--ops", Some("12")), Ok(12));
+        assert_eq!(positive::<f64>("--secs", Some("0.5")), Ok(0.5));
+        for bad in [None, Some("0"), Some("x")] {
+            assert_eq!(
+                positive::<u64>("--ops", bad).unwrap_err(),
+                "--ops takes a positive integer"
+            );
+        }
+        assert_eq!(
+            positive::<f64>("--secs", Some("-1")).unwrap_err(),
+            "--secs takes a positive number"
+        );
+        assert_eq!(positive_list("--shards", Some("2, 4"), "2,4"), Ok(vec![2, 4]));
+        for bad in [None, Some(""), Some("2,0"), Some("2,x")] {
+            assert_eq!(
+                positive_list("--shards", bad, "2,4").unwrap_err(),
+                "--shards takes a comma-separated list, e.g. 2,4"
+            );
+        }
+        let pick = |keys: &[&str]| select_from("fruit", &["fig", "plum"], |s| s, &strs(keys));
+        assert_eq!(pick(&["plum", "fig"]), Ok(vec!["plum", "fig"]));
+        assert_eq!(pick(&["fig", "kiwi"]).unwrap_err(), "no fruit `kiwi` (available: fig, plum)");
     }
 
     #[test]

@@ -14,8 +14,8 @@
 //!   escalation ladder on read-only ops).
 //! * [`model`] — the deterministic-scheduler harness and BTreeMap-oracle
 //!   history checker behind the differential tests.
-//! * [`crash`] — the store-level crash-recovery sweep
-//!   (`txfix crash kvstore`).
+//! * [`crash`] — the store as a subject of the crash-sweep engine in
+//!   `txfix_wal::checker` (`txfix crash kvstore`).
 
 #![warn(missing_docs)]
 

@@ -9,27 +9,27 @@
 
 use std::sync::Mutex;
 use txfix_core::json::ToJson;
-use txfix_kvstore::crash::{run_kv_crash_check, KvCrashConfig, Schedule};
-use txfix_kvstore::Mode;
+use txfix_kvstore::{KvStore, Mode};
+use txfix_wal::checker::{run_crash_sweep, CrashConfig, CrashReport, Schedule};
 
 static GATE: Mutex<()> = Mutex::new(());
 
-fn reduced(mode: Mode, schedule: Schedule, seed: u64) -> KvCrashConfig {
-    KvCrashConfig {
+fn reduced(mode: Mode, schedule: Schedule, seed: u64) -> CrashReport {
+    run_crash_sweep::<KvStore>(&CrashConfig {
+        seed,
         images_per_point: 1,
-        modes: vec![mode],
+        cells: vec![mode],
         schedules: vec![schedule],
-        ..KvCrashConfig::full(seed)
-    }
+    })
 }
 
 #[test]
 fn every_mode_recovers_cleanly_at_every_crash_point() {
     let _g = GATE.lock().unwrap();
     for mode in Mode::ALL {
-        let report = run_kv_crash_check(&reduced(mode, Schedule::Clean, 11));
+        let report = reduced(mode, Schedule::Clean, 11);
         assert!(report.ok, "{} verdict:\n{}", mode.name(), report.table());
-        let m = &report.modes[0];
+        let m = &report.cells[0];
         for s in &m.schedules {
             assert!(s.flagged.is_empty(), "{} flagged at {:?}", mode.name(), s.flagged);
             assert!(s.runs > 0, "sweep must actually visit crash points");
@@ -40,17 +40,16 @@ fn every_mode_recovers_cleanly_at_every_crash_point() {
 #[test]
 fn recovery_survives_an_xcall_fault_backdrop() {
     let _g = GATE.lock().unwrap();
-    let report = run_kv_crash_check(&reduced(Mode::Tm, Schedule::XcallFaults, 12));
+    let report = reduced(Mode::Tm, Schedule::XcallFaults, 12);
     assert!(report.ok, "verdict:\n{}", report.table());
 }
 
 #[test]
 fn the_kv_crash_report_is_deterministic_per_seed() {
     let _g = GATE.lock().unwrap();
-    let cfg = reduced(Mode::Hybrid, Schedule::Clean, 13);
-    let a = run_kv_crash_check(&cfg).to_json();
-    let b = run_kv_crash_check(&cfg).to_json();
+    let a = reduced(Mode::Hybrid, Schedule::Clean, 13).to_json();
+    let b = reduced(Mode::Hybrid, Schedule::Clean, 13).to_json();
     assert_eq!(a, b);
-    let c = run_kv_crash_check(&reduced(Mode::Hybrid, Schedule::Clean, 14)).to_json();
+    let c = reduced(Mode::Hybrid, Schedule::Clean, 14).to_json();
     assert_ne!(a, c, "a different seed must draw different crash images");
 }

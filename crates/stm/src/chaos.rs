@@ -200,7 +200,55 @@ impl FaultPlan {
     pub fn is_empty(&self) -> bool {
         self.rules.iter().all(|r| r.is_none())
     }
+
+    /// The plan the [`SCHEDULES`] row called `name` arms under `seed`, or
+    /// `None` for a name the table does not hold.
+    pub fn named(name: &str, seed: u64) -> Option<FaultPlan> {
+        let (_, rules) = SCHEDULES.iter().find(|(n, _)| *n == name)?;
+        Some(rules.iter().fold(FaultPlan::new(seed), |plan, &(point, t)| plan.with(point, t)))
+    }
 }
+
+/// Every named fault schedule a sweep can run against, keyed by the stable
+/// name its report carries: the corpus chaos sweep runs the first five, the
+/// crash engine composes its crash points with `xcall_faults`.
+pub const SCHEDULES: &[(&str, &[(InjectionPoint, Trigger)])] = &[
+    // Control: chaos layer armed but no point fires, so any invariant
+    // break here is the workload's own bug.
+    ("baseline", &[]),
+    (
+        "txn_faults",
+        &[
+            (InjectionPoint::TxnBegin, Trigger::PerMille(50)),
+            (InjectionPoint::TxnRead, Trigger::PerMille(15)),
+        ],
+    ),
+    (
+        "commit_faults",
+        &[
+            (InjectionPoint::TxnPreCommit, Trigger::EveryNth(7)),
+            (InjectionPoint::TxnWriteback, Trigger::PerMille(30)),
+        ],
+    ),
+    (
+        "lock_faults",
+        &[
+            (InjectionPoint::LockAcquire, Trigger::PerMille(30)),
+            (InjectionPoint::LockDelay, Trigger::PerMille(80)),
+            (InjectionPoint::LockRevoke, Trigger::PerMille(30)),
+        ],
+    ),
+    (
+        "io_faults",
+        &[
+            (InjectionPoint::XcallFile, Trigger::PerMille(40)),
+            (InjectionPoint::XcallPipe, Trigger::PerMille(60)),
+            (InjectionPoint::XcallAsync, Trigger::PerMille(40)),
+        ],
+    ),
+    // Transactions restart mid-protocol while crash points are armed.
+    ("xcall_faults", &[(InjectionPoint::XcallFile, Trigger::EveryNth(7))]),
+];
 
 // ---- the arming tables ----------------------------------------------------
 //
@@ -439,6 +487,19 @@ mod tests {
         assert_eq!(plan.rule(InjectionPoint::XcallPipe), Some(Trigger::PerMille(50)));
         assert_eq!(plan.rule(InjectionPoint::TxnRead), None);
         assert!(FaultPlan::new(0).is_empty());
+    }
+
+    #[test]
+    fn named_schedules_resolve_through_the_table() {
+        for &(name, rules) in SCHEDULES {
+            let plan = FaultPlan::named(name, 7).expect(name);
+            assert_eq!(plan.seed(), 7);
+            assert_eq!(plan.is_empty(), name == "baseline", "{name}");
+            for &(point, trigger) in rules {
+                assert_eq!(plan.rule(point), Some(trigger), "{name}");
+            }
+        }
+        assert_eq!(FaultPlan::named("nope", 7), None);
     }
 
     #[test]

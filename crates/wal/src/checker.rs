@@ -1,13 +1,21 @@
-//! The crash-recovery checker behind `txfix crash`.
+//! The crash-recovery sweep engine behind `txfix crash`, and its first
+//! subject.
 //!
-//! For each WAL variant × fault schedule, the checker first runs a fixed
-//! scripted workload against [`DurableKv`] in crash-point *record* mode
-//! to learn the crash-point universe — every `(label, hit-count)` the
-//! run passes through. Then, for every `(label, hit, image-seed)` triple
-//! it reruns the workload with that crash point armed: the firing hit
-//! freezes the simulated durable world, the filesystem takes a seeded
-//! crash image ([`SimFs::crash`]), the world thaws, recovery replays the
-//! log, and three invariants are checked against the workload oracle:
+//! [`run_crash_sweep`] is the one checker. For each cell of a
+//! [`CrashSubject`] × fault [`Schedule`] it runs the subject's scripted
+//! workload in crash-point *record* mode to learn every `(label,
+//! hit-count)` the run crosses, then reruns it once per `(label, hit,
+//! image)` with that crash point armed: the firing hit freezes the
+//! simulated durable world, the filesystem takes a seeded crash image
+//! ([`SimFs::crash`]), the world thaws, and the subject recovers and
+//! checks its invariants against what the workload knows it did.
+//! Everything derives from the run seed through `splitmix64`, so reports
+//! are bit-for-bit reproducible.
+//!
+//! [`DurableKv`] is the subject defined here (`txfix-kvstore` has the
+//! other). [`WalVariant::Fixed`] must be clean at every crash point and
+//! [`WalVariant::CommitBeforeFsync`] flagged at its planted window,
+//! [`AFTER_COMMIT_WRITE`], by three invariants on the replayed log:
 //!
 //! * **durability** — every batch acknowledged before the crash has a
 //!   durable commit marker;
@@ -15,29 +23,56 @@
 //!   complete, intact put set (all-or-nothing);
 //! * **no resurrection** — no cancelled batch has a durable commit
 //!   marker.
-//!
-//! The correct protocol ([`WalVariant::Fixed`]) must be clean at every
-//! crash point; the buggy one ([`WalVariant::CommitBeforeFsync`]) must
-//! be flagged at its planted window, [`AFTER_COMMIT_WRITE`]. Everything
-//! is derived from the run seed through `splitmix64`, so reports are
-//! bit-for-bit reproducible.
 
-use crate::redo::{recover_and_compact, Recovery, WalVariant, AFTER_COMMIT_WRITE};
+use crate::redo::{recover_and_compact, WalVariant, AFTER_COMMIT_WRITE};
 use crate::DurableKv;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use txfix_core::json::{Json, ToJson};
-use txfix_stm::chaos::{self, splitmix64, FaultPlan, InjectionPoint, Trigger};
+use txfix_stm::chaos::{self, splitmix64, FaultPlan, Trigger};
 use txfix_xcall::{crashpoint, SimFs, BLOCK_BYTES};
-
-/// Report schema identifier.
-pub const SCHEMA: &str = "txfix-crash-v1";
 
 /// Default run seed (matches the other seeded sweeps).
 pub const DEFAULT_SEED: u64 = 0xC0FFEE;
 
-/// Where the workload keeps its log inside the simulated filesystem.
+/// Where the [`DurableKv`] workload keeps its log.
 pub const WAL_PATH: &str = "wal/kv.log";
+
+// ---- the engine -----------------------------------------------------------
+
+/// One thing whose crash recovery the engine can sweep.
+pub trait CrashSubject {
+    /// One row of the sweep: a protocol variant, a concurrency mode.
+    type Cell: Copy;
+    /// What the workload knows it did: the oracle recovery is checked by.
+    type Facts;
+
+    /// Report schema identifier.
+    const SCHEMA: &'static str;
+    /// The report's JSON keys for the row list and for a row's name.
+    const KEYS: (&'static str, &'static str);
+    /// An extra report header field, if the subject has one.
+    const HEADER: Option<(&'static str, u64)> = None;
+
+    /// Stable report name of `cell`.
+    fn cell_name(cell: Self::Cell) -> &'static str;
+
+    /// The crash-point label `cell`'s planted bug must be flagged at;
+    /// `None` when `cell` must be clean at every crash point.
+    fn planted_window(_cell: Self::Cell) -> Option<&'static str> {
+        None
+    }
+
+    /// Run the scripted workload on a fresh filesystem, ending at the
+    /// subject's quiesce crash point. Must be deterministic: the same
+    /// cell (and fault plan) crosses the same crash-point sequence every
+    /// run, which is what makes `(label, hit)` a replayable coordinate.
+    fn run(cell: Self::Cell) -> (Arc<SimFs>, Self::Facts);
+
+    /// Recover from the crashed `fs` and return every invariant the
+    /// recovered state violates (empty = clean).
+    fn recover_and_check(cell: Self::Cell, fs: &Arc<SimFs>, facts: &Self::Facts) -> Vec<String>;
+}
 
 /// Which concurrent-fault backdrop the workload runs against.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -45,8 +80,7 @@ pub enum Schedule {
     /// No injected faults: the crash is the only adversity.
     Clean,
     /// `chaos` faults at the file x-calls: transactions restart mid-
-    /// protocol while crash points are armed, composing crash-during-
-    /// fault with fault-during-crash-window.
+    /// protocol while crash points are armed.
     XcallFaults,
 }
 
@@ -61,35 +95,257 @@ impl Schedule {
             Schedule::XcallFaults => "xcall_faults",
         }
     }
+
+    /// The schedule's row of [`chaos::SCHEDULES`] as a plan. `clean` is
+    /// deliberately not a row: the chaos layer stays disarmed.
+    fn plan(self, seed: u64) -> Option<FaultPlan> {
+        FaultPlan::named(self.name(), splitmix64(seed ^ 0xFA01_7AB1E))
+    }
 }
 
 /// What to sweep.
-pub struct CrashConfig {
+pub struct CrashConfig<C> {
     /// Run seed; every trigger coin and crash image derives from it.
     pub seed: u64,
-    /// Crash images drawn per `(label, hit)` — more draws, more distinct
-    /// flush subsets explored.
+    /// Crash images (seeded flush subsets) drawn per `(label, hit)`.
     pub images_per_point: u64,
-    /// WAL variants to drive.
-    pub variants: Vec<WalVariant>,
+    /// The subject's cells to drive.
+    pub cells: Vec<C>,
     /// Fault backdrops to compose with.
     pub schedules: Vec<Schedule>,
 }
 
-impl CrashConfig {
-    /// The full matrix under `seed`: both variants, both schedules, two
-    /// images per point.
-    pub fn full(seed: u64) -> CrashConfig {
-        CrashConfig {
-            seed,
-            images_per_point: 2,
-            variants: WalVariant::ALL.to_vec(),
-            schedules: Schedule::ALL.to_vec(),
-        }
+impl<C> CrashConfig<C> {
+    /// `cells` under `seed` against both schedules, two images per point.
+    pub fn full(seed: u64, cells: Vec<C>) -> CrashConfig<C> {
+        CrashConfig { seed, images_per_point: 2, cells, schedules: Schedule::ALL.to_vec() }
     }
 }
 
-// ---- the workload and its oracle ------------------------------------------
+/// One `(hit, image)` draw that violated an invariant.
+pub struct Failure {
+    /// Which hit ordinal of the label crashed.
+    pub hit: u64,
+    /// Which crash-image draw.
+    pub image: u64,
+    /// The invariant violations recovery exhibited.
+    pub violations: Vec<String>,
+}
+
+/// All draws for one crash-point label.
+pub struct PointOutcome {
+    /// The crash-point label.
+    pub label: String,
+    /// Hits in the record pass (= crash instants swept).
+    pub hits: u64,
+    /// The draws that violated an invariant (empty = clean label).
+    pub failures: Vec<Failure>,
+}
+
+/// One cell × schedule of the sweep.
+pub struct ScheduleOutcome {
+    /// The fault backdrop.
+    pub schedule: Schedule,
+    /// Total armed crash runs executed.
+    pub runs: u64,
+    /// Per-label outcomes, in first-seen order.
+    pub points: Vec<PointOutcome>,
+    /// Labels with at least one failing draw.
+    pub flagged: Vec<String>,
+    /// Clean everywhere, or flagged at the cell's planted window.
+    pub ok: bool,
+}
+
+/// One cell's outcomes across the schedules.
+pub struct CellOutcome {
+    /// The cell's report name.
+    pub name: &'static str,
+    /// The cell's [`CrashSubject::planted_window`].
+    pub planted: Option<&'static str>,
+    /// One outcome per schedule.
+    pub schedules: Vec<ScheduleOutcome>,
+    /// All schedules met their verdict.
+    pub ok: bool,
+}
+
+/// A crash-sweep report, labelled by the subject that produced it.
+pub struct CrashReport {
+    /// [`CrashSubject::SCHEMA`].
+    pub schema: &'static str,
+    /// [`CrashSubject::KEYS`].
+    pub keys: (&'static str, &'static str),
+    /// [`CrashSubject::HEADER`].
+    pub header: Option<(&'static str, u64)>,
+    /// Run seed.
+    pub seed: u64,
+    /// Crash images drawn per `(label, hit)`.
+    pub images_per_point: u64,
+    /// Per-cell outcomes.
+    pub cells: Vec<CellOutcome>,
+    /// Every cell met its verdict.
+    pub ok: bool,
+}
+
+impl ToJson for CrashReport {
+    fn to_json_value(&self) -> Json {
+        let failure = |f: &Failure| {
+            Json::obj([
+                ("hit", Json::int(f.hit)),
+                ("image", Json::int(f.image)),
+                ("violations", Json::strings(&f.violations)),
+            ])
+        };
+        let point = |p: &PointOutcome| {
+            Json::obj([
+                ("label", Json::str(&p.label)),
+                ("hits", Json::int(p.hits)),
+                ("failures", Json::list(p.failures.iter().map(failure))),
+            ])
+        };
+        let schedule = |s: &ScheduleOutcome| {
+            Json::obj([
+                ("schedule", Json::str(s.schedule.name())),
+                ("runs", Json::int(s.runs)),
+                ("points", Json::list(s.points.iter().map(point))),
+                ("flagged", Json::strings(&s.flagged)),
+                ("ok", Json::Bool(s.ok)),
+            ])
+        };
+        let cell = |c: &CellOutcome| {
+            Json::obj([
+                (self.keys.1, Json::str(c.name)),
+                ("expected_clean", Json::Bool(c.planted.is_none())),
+                ("schedules", Json::list(c.schedules.iter().map(schedule))),
+                ("ok", Json::Bool(c.ok)),
+            ])
+        };
+        let mut fields = vec![
+            ("schema", Json::str(self.schema)),
+            ("seed", Json::int(self.seed)),
+            ("block_bytes", Json::int(BLOCK_BYTES as u64)),
+            ("images_per_point", Json::int(self.images_per_point)),
+            (self.keys.0, Json::list(self.cells.iter().map(cell))),
+            ("ok", Json::Bool(self.ok)),
+        ];
+        fields.extend(self.header.map(|(key, n)| (key, Json::int(n))));
+        Json::obj(fields)
+    }
+}
+
+impl CrashReport {
+    /// Human-readable table, one row per cell × schedule.
+    pub fn table(&self) -> String {
+        let names = self.cells.iter().map(|c| c.name.len());
+        let width = names.chain([self.keys.1.len()]).max().unwrap_or(0) + 1;
+        let mut out = format!(
+            "{:<width$} {:<13} {:>6} {:>6} {:>8}  {}\n",
+            self.keys.1, "schedule", "points", "runs", "failures", "verdict"
+        );
+        for c in &self.cells {
+            for s in &c.schedules {
+                let failures: usize = s.points.iter().map(|p| p.failures.len()).sum();
+                let verdict = match (c.planted, s.ok) {
+                    (None, true) => "ok (clean at every crash point)".to_owned(),
+                    (Some(window), true) => format!("ok (flagged at {window})"),
+                    (None, false) => format!("FAIL (flagged: {})", s.flagged.join(", ")),
+                    (Some(_), false) => "FAIL (planted bug not flagged)".to_owned(),
+                };
+                let (schedule, points) = (s.schedule.name(), s.points.len());
+                out.push_str(&format!(
+                    "{:<width$} {schedule:<13} {points:>6} {:>6} {failures:>8}  {verdict}\n",
+                    c.name, s.runs
+                ));
+            }
+        }
+        out.push_str(&format!("\ncrash sweep: {}", if self.ok { "ok" } else { "FAILED" }));
+        out
+    }
+}
+
+fn run_armed<S: CrashSubject>(
+    cell: S::Cell,
+    plan: Option<&FaultPlan>,
+    label: &str,
+    hit: u64,
+    seed: u64,
+    image: u64,
+) -> Vec<String> {
+    let _chaos = plan.map(chaos::scoped);
+    let session = crashpoint::arm(label, seed, Trigger::Nth(hit));
+    let (fs, facts) = S::run(cell);
+    let fired = crashpoint::fired();
+    // Which unflushed blocks the kernel happened to write back before
+    // this crash: a fresh coin per (seed, label, hit, image).
+    let image_seed = splitmix64(
+        seed ^ crashpoint::label_hash(label) ^ hit.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ image,
+    );
+    fs.crash(image_seed);
+    drop(session); // thaw: recovery is post-crash code and runs unfrozen
+    let mut violations = S::recover_and_check(cell, &fs, &facts);
+    if fired.is_none() {
+        violations.push(format!(
+            "harness: crash point {label} hit {hit} did not fire (nondeterministic workload?)"
+        ));
+    }
+    violations
+}
+
+/// Run the crash-recovery sweep of subject `S`. Takes process-global
+/// crash-point and chaos state; callers must not run it concurrently
+/// with other armed harnesses.
+pub fn run_crash_sweep<S: CrashSubject>(cfg: &CrashConfig<S::Cell>) -> CrashReport {
+    let mut cells = Vec::new();
+    for &cell in &cfg.cells {
+        let planted = S::planted_window(cell);
+        let mut schedules = Vec::new();
+        for &schedule in &cfg.schedules {
+            let plan = schedule.plan(cfg.seed);
+            // Record pass: learn the crash-point universe of this cell.
+            let universe = {
+                let _chaos = plan.as_ref().map(chaos::scoped);
+                let _session = crashpoint::record();
+                let _ = S::run(cell);
+                crashpoint::recording()
+            };
+            let mut runs = 0u64;
+            let mut points = Vec::new();
+            for (label, hits) in universe {
+                let mut failures = Vec::new();
+                for hit in 1..=hits {
+                    for image in 0..cfg.images_per_point {
+                        runs += 1;
+                        let violations =
+                            run_armed::<S>(cell, plan.as_ref(), &label, hit, cfg.seed, image);
+                        if !violations.is_empty() {
+                            failures.push(Failure { hit, image, violations });
+                        }
+                    }
+                }
+                points.push(PointOutcome { label, hits, failures });
+            }
+            let flagged: Vec<String> =
+                points.iter().filter(|p| !p.failures.is_empty()).map(|p| p.label.clone()).collect();
+            let ok = match planted {
+                None => flagged.is_empty(),
+                Some(window) => flagged.iter().any(|l| l == window),
+            };
+            schedules.push(ScheduleOutcome { schedule, runs, points, flagged, ok });
+        }
+        let ok = schedules.iter().all(|s| s.ok);
+        cells.push(CellOutcome { name: S::cell_name(cell), planted, schedules, ok });
+    }
+    CrashReport {
+        schema: S::SCHEMA,
+        keys: S::KEYS,
+        header: S::HEADER,
+        seed: cfg.seed,
+        images_per_point: cfg.images_per_point,
+        ok: cells.iter().all(|c| c.ok),
+        cells,
+    }
+}
+
+// ---- the DurableKv subject ------------------------------------------------
 
 /// One scripted batch: `(cancel?, puts)`. Values are long enough that a
 /// batch's records plus its commit marker always span several
@@ -108,323 +364,80 @@ const SCRIPT: &[(bool, &[(&str, &str)])] = &[
     (false, &[("epsilon", "e7_kkkkkkkkkkkk"), ("gamma", "g7_kkkkkkkkkkkk")]),
 ];
 
-/// What the workload knows it did — the ground truth recovery is checked
-/// against.
-struct TxnFact {
+/// One scripted [`DurableKv`] batch as the workload saw it.
+pub struct TxnFact {
     txid: u64,
     puts: Vec<(String, String)>,
     cancelled: bool,
-    /// The batch was acknowledged (committed) *before* the crash froze
-    /// the world. Acks issued after the freeze belong to a process that
-    /// is already dead and claim nothing.
+    /// Acknowledged *before* the crash froze the world: later acks belong
+    /// to a process that is already dead and claim nothing.
     acked: bool,
 }
 
-fn run_script(kv: &DurableKv) -> Vec<TxnFact> {
-    SCRIPT
-        .iter()
-        .map(|&(cancelled, pairs)| {
-            let puts: Vec<(String, String)> =
-                pairs.iter().map(|&(k, v)| (k.to_owned(), v.to_owned())).collect();
-            if cancelled {
-                let txid = kv.put_many_cancelled(&puts);
-                TxnFact { txid, puts, cancelled: true, acked: false }
+impl CrashSubject for DurableKv {
+    type Cell = WalVariant;
+    type Facts = Vec<TxnFact>;
+
+    const SCHEMA: &'static str = "txfix-crash-v1";
+    const KEYS: (&'static str, &'static str) = ("variants", "variant");
+
+    fn cell_name(variant: WalVariant) -> &'static str {
+        variant.name()
+    }
+
+    fn planted_window(variant: WalVariant) -> Option<&'static str> {
+        (variant == WalVariant::CommitBeforeFsync).then_some(AFTER_COMMIT_WRITE)
+    }
+
+    fn run(variant: WalVariant) -> (Arc<SimFs>, Vec<TxnFact>) {
+        let fs = SimFs::new();
+        let kv = DurableKv::open(&fs, WAL_PATH, variant);
+        let facts = Vec::from_iter(SCRIPT.iter().map(|&(cancelled, pairs)| {
+            let puts: Vec<_> = pairs.iter().map(|&(k, v)| (k.to_owned(), v.to_owned())).collect();
+            let (txid, acked) = if cancelled {
+                (kv.put_many_cancelled(&puts), false)
             } else {
-                match kv.put_many(&puts) {
-                    Ok(txid) => {
-                        TxnFact { txid, puts, cancelled: false, acked: !crashpoint::is_frozen() }
-                    }
-                    Err(_) => TxnFact { txid: 0, puts, cancelled: false, acked: false },
-                }
+                kv.put_many(&puts).map_or((0, false), |txid| (txid, !crashpoint::is_frozen()))
+            };
+            TxnFact { txid, puts, cancelled, acked }
+        }));
+        // A terminal label, so the sweep also proves that the quiescent log
+        // (everything synced and acknowledged) recovers the full map.
+        crashpoint::crash_point("wal_quiesce");
+        (fs, facts)
+    }
+
+    fn recover_and_check(_: WalVariant, fs: &Arc<SimFs>, facts: &Vec<TxnFact>) -> Vec<String> {
+        let file = fs.open(WAL_PATH).expect("workload always creates its log");
+        let rec = recover_and_compact(&file);
+        let mut violations = Vec::new();
+        let by_txid: BTreeMap<u64, &TxnFact> = facts.iter().map(|f| (f.txid, f)).collect();
+        for f in facts {
+            let (txid, durable) = (f.txid, rec.committed.contains(&f.txid));
+            if f.cancelled && durable {
+                violations.push(format!(
+                    "resurrection: cancelled txn {txid} has a durable commit marker"
+                ));
             }
-        })
-        .collect()
-}
-
-fn execute_workload(variant: WalVariant) -> (Arc<SimFs>, Vec<TxnFact>) {
-    let fs = SimFs::new();
-    let kv = DurableKv::open(&fs, WAL_PATH, variant);
-    let facts = run_script(&kv);
-    // A terminal label so "crash at quiescence" is part of the sweep:
-    // with everything synced and acknowledged, recovery must reproduce
-    // the full map.
-    crashpoint::crash_point("wal_quiesce");
-    (fs, facts)
-}
-
-fn plan_for(schedule: Schedule, seed: u64) -> Option<FaultPlan> {
-    match schedule {
-        Schedule::Clean => None,
-        Schedule::XcallFaults => Some(
-            FaultPlan::new(splitmix64(seed ^ 0xFA01_7AB1E))
-                .with(InjectionPoint::XcallFile, Trigger::EveryNth(7)),
-        ),
-    }
-}
-
-fn check(facts: &[TxnFact], rec: &Recovery) -> Vec<String> {
-    let mut violations = Vec::new();
-    let by_txid: BTreeMap<u64, &TxnFact> = facts.iter().map(|f| (f.txid, f)).collect();
-    for f in facts {
-        if f.cancelled && rec.committed.contains(&f.txid) {
-            violations.push(format!(
-                "resurrection: cancelled txn {} has a durable commit marker",
-                f.txid
-            ));
-        }
-        if !f.cancelled && f.acked && !rec.committed.contains(&f.txid) {
-            violations
-                .push(format!("durability: acknowledged txn {} lost its commit marker", f.txid));
-        }
-    }
-    for &txid in &rec.committed {
-        match by_txid.get(&txid) {
-            None => violations.push(format!("atomicity: unknown txn {txid} committed")),
-            Some(f) => {
-                let got = rec.records.get(&txid).cloned().unwrap_or_default();
-                if got != f.puts {
-                    violations.push(format!(
-                        "atomicity: committed txn {txid} is torn ({} of {} puts recovered intact)",
-                        got.iter().filter(|p| f.puts.contains(p)).count(),
-                        f.puts.len()
-                    ));
-                }
+            if !f.cancelled && f.acked && !durable {
+                violations
+                    .push(format!("durability: acknowledged txn {txid} lost its commit marker"));
             }
         }
-    }
-    violations
-}
-
-fn run_armed(
-    variant: WalVariant,
-    plan: Option<&FaultPlan>,
-    label: &str,
-    hit: u64,
-    seed: u64,
-    image: u64,
-) -> Vec<String> {
-    let _chaos = plan.map(chaos::scoped);
-    let session = crashpoint::arm(label, seed, Trigger::Nth(hit));
-    let (fs, facts) = execute_workload(variant);
-    let fired = crashpoint::fired();
-    // Which unflushed blocks the kernel happened to write back before
-    // this crash: a fresh coin per (seed, label, hit, image).
-    let image_seed = splitmix64(
-        seed ^ crashpoint::label_hash(label) ^ hit.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ image,
-    );
-    fs.crash(image_seed);
-    drop(session); // thaw: recovery is post-crash code and runs unfrozen
-    let file = fs.open(WAL_PATH).expect("workload always creates its log");
-    let rec = recover_and_compact(&file);
-    let mut violations = check(&facts, &rec);
-    if fired.is_none() {
-        violations.push(format!(
-            "harness: crash point {label} hit {hit} did not fire (nondeterministic workload?)"
-        ));
-    }
-    violations
-}
-
-// ---- report ---------------------------------------------------------------
-
-/// One `(hit, image)` draw that violated an invariant.
-pub struct Failure {
-    /// Which hit ordinal of the label crashed.
-    pub hit: u64,
-    /// Which crash-image draw.
-    pub image: u64,
-    /// The invariant violations recovery exhibited.
-    pub violations: Vec<String>,
-}
-
-/// All draws for one crash-point label.
-pub struct PointOutcome {
-    /// The crash-point label.
-    pub label: String,
-    /// Hits the label received in the record pass (= crash instants
-    /// swept).
-    pub hits: u64,
-    /// The draws that violated an invariant (empty = clean label).
-    pub failures: Vec<Failure>,
-}
-
-/// One variant × schedule cell of the sweep.
-pub struct ScheduleOutcome {
-    /// The fault backdrop.
-    pub schedule: Schedule,
-    /// Total armed crash runs executed.
-    pub runs: u64,
-    /// Per-label outcomes, in first-seen order.
-    pub points: Vec<PointOutcome>,
-    /// Labels with at least one failing draw.
-    pub flagged: Vec<String>,
-    /// Verdict: a fixed WAL must be clean everywhere; the buggy WAL must
-    /// be flagged at [`AFTER_COMMIT_WRITE`].
-    pub ok: bool,
-}
-
-/// One WAL variant's outcomes across the schedules.
-pub struct VariantOutcome {
-    /// The protocol driven.
-    pub variant: WalVariant,
-    /// Whether this variant is supposed to survive every crash point.
-    pub expected_clean: bool,
-    /// One outcome per schedule.
-    pub schedules: Vec<ScheduleOutcome>,
-    /// All schedules met their verdict.
-    pub ok: bool,
-}
-
-/// The `txfix-crash-v1` report.
-pub struct CrashReport {
-    /// Run seed.
-    pub seed: u64,
-    /// Crash images drawn per `(label, hit)`.
-    pub images_per_point: u64,
-    /// Per-variant outcomes.
-    pub variants: Vec<VariantOutcome>,
-    /// Every variant met its verdict.
-    pub ok: bool,
-}
-
-impl ToJson for CrashReport {
-    fn to_json_value(&self) -> Json {
-        Json::obj([
-            ("schema", Json::str(SCHEMA)),
-            ("seed", Json::int(self.seed)),
-            ("block_bytes", Json::int(BLOCK_BYTES as u64)),
-            ("images_per_point", Json::int(self.images_per_point)),
-            (
-                "variants",
-                Json::list(self.variants.iter().map(|v| {
-                    Json::obj([
-                        ("variant", Json::str(v.variant.name())),
-                        ("expected_clean", Json::Bool(v.expected_clean)),
-                        (
-                            "schedules",
-                            Json::list(v.schedules.iter().map(|s| {
-                                Json::obj([
-                                    ("schedule", Json::str(s.schedule.name())),
-                                    ("runs", Json::int(s.runs)),
-                                    (
-                                        "points",
-                                        Json::list(s.points.iter().map(|p| {
-                                            Json::obj([
-                                                ("label", Json::str(&p.label)),
-                                                ("hits", Json::int(p.hits)),
-                                                (
-                                                    "failures",
-                                                    Json::list(p.failures.iter().map(|f| {
-                                                        Json::obj([
-                                                            ("hit", Json::int(f.hit)),
-                                                            ("image", Json::int(f.image)),
-                                                            (
-                                                                "violations",
-                                                                Json::strings(&f.violations),
-                                                            ),
-                                                        ])
-                                                    })),
-                                                ),
-                                            ])
-                                        })),
-                                    ),
-                                    ("flagged", Json::strings(&s.flagged)),
-                                    ("ok", Json::Bool(s.ok)),
-                                ])
-                            })),
-                        ),
-                        ("ok", Json::Bool(v.ok)),
-                    ])
-                })),
-            ),
-            ("ok", Json::Bool(self.ok)),
-        ])
-    }
-}
-
-impl CrashReport {
-    /// Human-readable table, one row per variant × schedule.
-    pub fn table(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!(
-            "{:<20} {:<13} {:>6} {:>6} {:>8}  {}\n",
-            "variant", "schedule", "points", "runs", "failures", "verdict"
-        ));
-        for v in &self.variants {
-            for s in &v.schedules {
-                let failures: usize = s.points.iter().map(|p| p.failures.len()).sum();
-                let verdict = match (v.expected_clean, s.ok) {
-                    (true, true) => "ok (clean at every crash point)".to_owned(),
-                    (false, true) => format!("ok (flagged at {})", AFTER_COMMIT_WRITE),
-                    (true, false) => format!("FAIL (flagged: {})", s.flagged.join(", ")),
-                    (false, false) => "FAIL (planted bug not flagged)".to_owned(),
-                };
-                out.push_str(&format!(
-                    "{:<20} {:<13} {:>6} {:>6} {:>8}  {}\n",
-                    v.variant.name(),
-                    s.schedule.name(),
-                    s.points.len(),
-                    s.runs,
-                    failures,
-                    verdict
+        for &txid in &rec.committed {
+            let Some(f) = by_txid.get(&txid) else {
+                violations.push(format!("atomicity: unknown txn {txid} committed"));
+                continue;
+            };
+            let got = rec.records.get(&txid).cloned().unwrap_or_default();
+            if got != f.puts {
+                let intact = got.iter().filter(|p| f.puts.contains(p)).count();
+                violations.push(format!(
+                    "atomicity: committed txn {txid} is torn ({intact} of {} puts recovered intact)",
+                    f.puts.len()
                 ));
             }
         }
-        out.push_str(&format!("\ncrash sweep: {}", if self.ok { "ok" } else { "FAILED" }));
-        out
+        violations
     }
-}
-
-/// Run the crash-recovery sweep. Takes process-global crash-point and
-/// chaos state; callers must not run it concurrently with other armed
-/// harnesses.
-pub fn run_crash_check(cfg: &CrashConfig) -> CrashReport {
-    let mut variants = Vec::new();
-    for &variant in &cfg.variants {
-        let mut schedules = Vec::new();
-        for &schedule in &cfg.schedules {
-            let plan = plan_for(schedule, cfg.seed);
-            // Record pass: learn the crash-point universe of this cell.
-            let universe = {
-                let _chaos = plan.as_ref().map(chaos::scoped);
-                let session = crashpoint::record();
-                let _ = execute_workload(variant);
-                let u = crashpoint::recording();
-                drop(session);
-                u
-            };
-            let mut points = Vec::new();
-            let mut runs = 0u64;
-            for (label, hits) in &universe {
-                let mut failures = Vec::new();
-                for hit in 1..=*hits {
-                    for image in 0..cfg.images_per_point {
-                        runs += 1;
-                        let violations =
-                            run_armed(variant, plan.as_ref(), label, hit, cfg.seed, image);
-                        if !violations.is_empty() {
-                            failures.push(Failure { hit, image, violations });
-                        }
-                    }
-                }
-                points.push(PointOutcome { label: label.clone(), hits: *hits, failures });
-            }
-            let flagged: Vec<String> =
-                points.iter().filter(|p| !p.failures.is_empty()).map(|p| p.label.clone()).collect();
-            let ok = match variant {
-                WalVariant::Fixed => flagged.is_empty(),
-                WalVariant::CommitBeforeFsync => flagged.iter().any(|l| l == AFTER_COMMIT_WRITE),
-            };
-            schedules.push(ScheduleOutcome { schedule, runs, points, flagged, ok });
-        }
-        let ok = schedules.iter().all(|s| s.ok);
-        variants.push(VariantOutcome {
-            variant,
-            expected_clean: variant == WalVariant::Fixed,
-            schedules,
-            ok,
-        });
-    }
-    let ok = variants.iter().all(|v| v.ok);
-    CrashReport { seed: cfg.seed, images_per_point: cfg.images_per_point, variants, ok }
 }

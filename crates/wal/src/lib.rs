@@ -16,10 +16,11 @@
 //!   transaction.
 //! * [`DurableKv`] — a small durable KV map on top of the log, the test
 //!   subject the crash sweep drives.
-//! * [`checker`] — the recovery checker behind `txfix crash`: for every
-//!   crash point × hit × image seed it freezes the world, takes a seeded
-//!   crash image, recovers, and asserts atomicity, durability and
-//!   no-resurrection.
+//! * [`checker`] — the crash-sweep engine behind `txfix crash`, generic
+//!   over a [`checker::CrashSubject`]: for every crash point × hit ×
+//!   image seed it freezes the world, takes a seeded crash image, and has
+//!   the subject recover and check its invariants (for [`DurableKv`]:
+//!   atomicity, durability and no-resurrection).
 //!
 //! ## Record format
 //!

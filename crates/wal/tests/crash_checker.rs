@@ -5,30 +5,38 @@
 //! The crash-point registry and chaos layer are process-global, so every
 //! test here serializes on [`GATE`].
 
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use txfix_core::json::ToJson;
 use txfix_stm::chaos::Trigger;
-use txfix_wal::checker::{run_crash_check, CrashConfig, Schedule, WAL_PATH};
+use txfix_wal::checker::{
+    run_crash_sweep, CrashConfig, CrashReport, CrashSubject, Schedule, WAL_PATH,
+};
 use txfix_wal::{DurableKv, WalVariant, AFTER_COMMIT_WRITE};
 use txfix_xcall::{crashpoint, SimFs, BLOCK_BYTES};
 
 static GATE: Mutex<()> = Mutex::new(());
 
+fn sweep(cfg: &CrashConfig<WalVariant>) -> CrashReport {
+    run_crash_sweep::<DurableKv>(cfg)
+}
+
 #[test]
 fn fixed_wal_is_clean_and_buggy_wal_is_flagged_at_the_planted_window() {
     let _g = GATE.lock().unwrap();
-    let report = run_crash_check(&CrashConfig::full(7));
+    let report = sweep(&CrashConfig::full(7, WalVariant::ALL.to_vec()));
     assert!(report.ok, "sweep verdict:\n{}", report.table());
-    for v in &report.variants {
+    assert_eq!(report.cells.len(), 2);
+    for v in &report.cells {
         for s in &v.schedules {
-            match v.variant {
-                WalVariant::Fixed => assert!(
+            match v.planted {
+                None => assert!(
                     s.flagged.is_empty(),
-                    "fixed WAL flagged under {}: {:?}",
+                    "{} WAL flagged under {}: {:?}",
+                    v.name,
                     s.schedule.name(),
                     s.flagged
                 ),
-                WalVariant::CommitBeforeFsync => assert!(
+                Some(_) => assert!(
                     s.flagged.iter().any(|l| l == AFTER_COMMIT_WRITE),
                     "buggy WAL not flagged at {} under {}",
                     AFTER_COMMIT_WRITE,
@@ -45,14 +53,96 @@ fn crash_report_is_bit_for_bit_deterministic_per_seed() {
     let cfg = CrashConfig {
         seed: 11,
         images_per_point: 2,
-        variants: vec![WalVariant::Fixed, WalVariant::CommitBeforeFsync],
+        cells: vec![WalVariant::Fixed, WalVariant::CommitBeforeFsync],
         schedules: vec![Schedule::Clean, Schedule::XcallFaults],
     };
-    let a = run_crash_check(&cfg).to_json();
-    let b = run_crash_check(&cfg).to_json();
+    let a = sweep(&cfg).to_json();
+    let b = sweep(&cfg).to_json();
     assert_eq!(a, b);
-    let other = run_crash_check(&CrashConfig { seed: 12, ..CrashConfig::full(12) }).to_json();
+    let other = sweep(&CrashConfig::full(12, WalVariant::ALL.to_vec())).to_json();
     assert_ne!(a, other, "the seed must steer the crash images");
+}
+
+/// A fake subject with a planted bug of its own: it acknowledges its one
+/// record *before* syncing it, with a crash point in the window. Its
+/// `flaky` cell also crosses a label the armed runs then skip.
+struct AckBeforeSync;
+
+const ACK_WINDOW: &str = "fake_acked_unsynced";
+const RECORD: [u8; 4 * BLOCK_BYTES] = [b'r'; 4 * BLOCK_BYTES];
+
+impl CrashSubject for AckBeforeSync {
+    type Cell = bool;
+    type Facts = bool;
+
+    const SCHEMA: &'static str = "fake-crash-v1";
+    const KEYS: (&'static str, &'static str) = ("cells", "cell");
+
+    fn cell_name(flaky: bool) -> &'static str {
+        ["steady", "flaky"][usize::from(flaky)]
+    }
+
+    fn planted_window(_: bool) -> Option<&'static str> {
+        Some(ACK_WINDOW)
+    }
+
+    fn run(flaky: bool) -> (Arc<SimFs>, bool) {
+        let fs = SimFs::new();
+        let file = fs.open_or_create("fake.log");
+        file.append(&RECORD);
+        let acked = !crashpoint::is_frozen();
+        crashpoint::crash_point(ACK_WINDOW);
+        if flaky && !crashpoint::recording().is_empty() {
+            crashpoint::crash_point("fake_record_pass_only");
+        }
+        file.sync_all();
+        crashpoint::crash_point("fake_quiesce");
+        (fs, acked)
+    }
+
+    fn recover_and_check(_: bool, fs: &Arc<SimFs>, acked: &bool) -> Vec<String> {
+        let survived = fs.open("fake.log").is_ok_and(|f| f.read_all() == RECORD);
+        if *acked && !survived {
+            vec!["durability: acknowledged record lost".to_owned()]
+        } else {
+            Vec::new()
+        }
+    }
+}
+
+/// The engine on its own, away from both real subjects: it flags exactly
+/// the labels inside the fake's ack→sync window, counts its runs,
+/// reproduces per seed, and reports an armed run that never fired.
+#[test]
+fn engine_sweeps_a_fake_subject() {
+    let _g = GATE.lock().unwrap();
+    let cfg = |seed| CrashConfig {
+        seed,
+        images_per_point: 3,
+        cells: vec![false, true],
+        schedules: vec![Schedule::Clean],
+    };
+    let report = run_crash_sweep::<AckBeforeSync>(&cfg(5));
+    assert!(report.ok, "the planted window must be flagged:\n{}", report.table());
+    for cell in &report.cells {
+        let s = &cell.schedules[0];
+        assert_eq!(s.runs, s.points.iter().map(|p| p.hits).sum::<u64>() * 3, "{}", cell.name);
+    }
+    let steady = &report.cells[0].schedules[0];
+    assert_eq!(steady.flagged, [ACK_WINDOW, "simos_file_sync"]);
+    let flaky = &report.cells[1].schedules[0];
+    assert_eq!(flaky.flagged, [ACK_WINDOW, "fake_record_pass_only", "simos_file_sync"]);
+    let skipped = &flaky.points.iter().find(|p| p.label == "fake_record_pass_only").unwrap();
+    assert_eq!(skipped.failures.len(), 3, "every armed draw of the skipped label is reported");
+    for f in &skipped.failures {
+        assert_eq!(f.violations.len(), 1);
+        assert!(f.violations[0].starts_with("harness: crash point fake_record_pass_only hit 1"));
+        assert!(f.violations[0].contains("did not fire"));
+    }
+    let doc = report.to_json();
+    assert!(doc.contains(r#""schema":"fake-crash-v1""#) && doc.contains(r#""cell":"steady""#));
+    assert_eq!(doc, run_crash_sweep::<AckBeforeSync>(&cfg(5)).to_json());
+    assert_ne!(doc, run_crash_sweep::<AckBeforeSync>(&cfg(6)).to_json());
 }
 
 /// Satellite invariant: at *every* crash point of the fixed workload,
@@ -91,7 +181,7 @@ fn crash_image_is_a_legal_flush_subset_at_every_crash_point() {
     }
 }
 
-fn run_fixed_workload() -> std::sync::Arc<SimFs> {
+fn run_fixed_workload() -> Arc<SimFs> {
     let fs = SimFs::new();
     let kv = DurableKv::open(&fs, WAL_PATH, WalVariant::Fixed);
     let puts = |pairs: &[(&str, &str)]| -> Vec<(String, String)> {

@@ -30,6 +30,7 @@ use txfix::recipes::sweep::{self, Flag, SweepArgs, SweepExit, SweepOutput, Sweep
 use txfix::recipes::{
     analyze, preference, table1, table2, table3, tm_difficulty, Analysis, CorpusSummary, Preference,
 };
+use txfix::wal::checker::{run_crash_sweep, CrashConfig, CrashReport, CrashSubject, DEFAULT_SEED};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -448,38 +449,18 @@ impl SweepRunner for StressSweep {
     fn flag(&mut self, flag: &str, value: Option<&str>) -> Result<Flag, String> {
         use txfix::stm::ClockMode;
         match flag {
-            "--secs" => match value.and_then(|s| s.parse::<f64>().ok()) {
-                Some(s) if s > 0.0 => {
-                    self.cfg.secs = s;
-                    Ok(Flag::SeenWithValue)
-                }
-                _ => Err("--secs takes a positive number".into()),
-            },
-            "--threads" => {
-                let parsed: Option<Vec<usize>> = value
-                    .map(|list| list.split(',').map(|t| t.trim().parse::<usize>().ok()).collect())
-                    .unwrap_or(None);
-                match parsed {
-                    Some(t) if !t.is_empty() && t.iter().all(|&n| n > 0) => {
-                        self.cfg.threads = t;
-                        Ok(Flag::SeenWithValue)
-                    }
-                    _ => Err("--threads takes a comma-separated list, e.g. 1,2,4,8".into()),
-                }
-            }
+            "--secs" => self.cfg.secs = sweep::positive(flag, value)?,
+            "--threads" => self.cfg.threads = sweep::positive_list(flag, value, "1,2,4,8")?,
             "--clock" => {
-                match value {
-                    Some("both") => self.cfg.clocks = vec![ClockMode::Gv1, ClockMode::Gv5],
-                    Some(name) => match ClockMode::parse(name) {
-                        Some(c) => self.cfg.clocks = vec![c],
-                        None => return Err("--clock takes gv1|gv5|both".into()),
-                    },
+                self.cfg.clocks = match value {
+                    Some("both") => vec![ClockMode::Gv1, ClockMode::Gv5],
+                    Some(name) => vec![ClockMode::parse(name).ok_or("--clock takes gv1|gv5|both")?],
                     None => return Err("--clock takes gv1|gv5|both".into()),
                 }
-                Ok(Flag::SeenWithValue)
             }
-            _ => Ok(Flag::Unknown),
+            _ => return Ok(Flag::Unknown),
         }
+        Ok(Flag::SeenWithValue)
     }
 
     fn select(&mut self, args: &SweepArgs) -> Result<(), String> {
@@ -490,25 +471,14 @@ impl SweepRunner for StressSweep {
         if args.keys.is_empty() {
             return Err("stress needs a scenario key or --all, e.g. `txfix stress --all`".into());
         }
-        let mut selected = Vec::new();
-        for k in &args.keys {
-            let Some(&k) = stress::SCENARIOS.iter().find(|&&s| s == k) else {
-                return Err(format!(
-                    "no stress scenario `{k}` (available: {})",
-                    stress::SCENARIOS.join(", ")
-                ));
-            };
-            selected.push(k);
-        }
-        self.cfg.scenarios = selected;
+        self.cfg.scenarios =
+            sweep::select_from("stress scenario", stress::SCENARIOS, |s| s, &args.keys)?;
         Ok(())
     }
 
     fn execute(&mut self, args: &SweepArgs) -> Result<SweepOutput, String> {
         use txfix::bench::stress;
-        if let Some(s) = args.seed {
-            self.cfg.seed = s;
-        }
+        self.cfg.seed = args.seed.unwrap_or(self.cfg.seed);
         let runs = stress::run_stress(&self.cfg);
         let rendered = stress::stress_report(&self.cfg, &runs).to_json();
         let mut table = format!(
@@ -560,69 +530,28 @@ impl SweepRunner for KvSweep {
         use txfix::bench::workload::Mix;
         use txfix::stm::ClockMode;
         match flag {
-            "--shards" => {
-                let parsed: Option<Vec<usize>> = value
-                    .map(|list| list.split(',').map(|t| t.trim().parse::<usize>().ok()).collect())
-                    .unwrap_or(None);
-                match parsed {
-                    Some(s) if !s.is_empty() && s.iter().all(|&n| n > 0) => {
-                        self.cfg.shard_counts = s;
-                        Ok(Flag::SeenWithValue)
-                    }
-                    _ => Err("--shards takes a comma-separated list, e.g. 2,4".into()),
-                }
+            "--shards" => self.cfg.shard_counts = sweep::positive_list(flag, value, "2,4")?,
+            "--theta" => {
+                self.cfg.workload.theta = value
+                    .and_then(|s| s.parse::<f64>().ok())
+                    .filter(|t| (0.0..=8.0).contains(t))
+                    .ok_or("--theta takes a skew in 0..=8, e.g. 0.9")?
             }
-            "--theta" => match value.and_then(|s| s.parse::<f64>().ok()) {
-                Some(t) if (0.0..=8.0).contains(&t) => {
-                    self.cfg.workload.theta = t;
-                    Ok(Flag::SeenWithValue)
-                }
-                _ => Err("--theta takes a skew in 0..=8, e.g. 0.9".into()),
-            },
-            "--mix" => match value.and_then(Mix::parse) {
-                Some(m) => {
-                    self.cfg.workload.mix = m;
-                    Ok(Flag::SeenWithValue)
-                }
-                None => Err("--mix takes get:put:delete:scan weights, e.g. 80:15:3:2".into()),
-            },
-            "--clock" => match value.and_then(ClockMode::parse) {
-                Some(c) => {
-                    self.cfg.clock = c;
-                    Ok(Flag::SeenWithValue)
-                }
-                None => Err("--clock takes gv1|gv5".into()),
-            },
-            "--threads" => match value.and_then(|s| s.parse::<usize>().ok()) {
-                Some(n) if n > 0 => {
-                    self.cfg.threads = n;
-                    Ok(Flag::SeenWithValue)
-                }
-                _ => Err("--threads takes a positive integer".into()),
-            },
-            "--ops" => match value.and_then(|s| s.parse::<u64>().ok()) {
-                Some(n) if n > 0 => {
-                    self.cfg.ops_per_thread = n;
-                    Ok(Flag::SeenWithValue)
-                }
-                _ => Err("--ops takes a positive integer".into()),
-            },
-            "--keys" => match value.and_then(|s| s.parse::<u64>().ok()) {
-                Some(n) if n > 0 => {
-                    self.cfg.workload.keys = n;
-                    Ok(Flag::SeenWithValue)
-                }
-                _ => Err("--keys takes a positive integer".into()),
-            },
-            "--users" => match value.and_then(|s| s.parse::<u64>().ok()) {
-                Some(n) if n > 0 => {
-                    self.cfg.workload.users = n;
-                    Ok(Flag::SeenWithValue)
-                }
-                _ => Err("--users takes a positive integer".into()),
-            },
-            _ => Ok(Flag::Unknown),
+            "--mix" => {
+                self.cfg.workload.mix = value
+                    .and_then(Mix::parse)
+                    .ok_or("--mix takes get:put:delete:scan weights, e.g. 80:15:3:2")?
+            }
+            "--clock" => {
+                self.cfg.clock = value.and_then(ClockMode::parse).ok_or("--clock takes gv1|gv5")?
+            }
+            "--threads" => self.cfg.threads = sweep::positive(flag, value)?,
+            "--ops" => self.cfg.ops_per_thread = sweep::positive(flag, value)?,
+            "--keys" => self.cfg.workload.keys = sweep::positive(flag, value)?,
+            "--users" => self.cfg.workload.users = sweep::positive(flag, value)?,
+            _ => return Ok(Flag::Unknown),
         }
+        Ok(Flag::SeenWithValue)
     }
 
     fn select(&mut self, args: &SweepArgs) -> Result<(), String> {
@@ -634,23 +563,13 @@ impl SweepRunner for KvSweep {
         if args.keys.is_empty() {
             return Err("kv needs a mode or --all, e.g. `txfix kv --all`".into());
         }
-        for k in &args.keys {
-            let Some(m) = Mode::parse(k) else {
-                return Err(format!(
-                    "no kv mode `{k}` (available: {})",
-                    Mode::ALL.map(Mode::name).join(", ")
-                ));
-            };
-            self.cfg.modes.push(m);
-        }
+        self.cfg.modes = sweep::select_from("kv mode", &Mode::ALL, Mode::name, &args.keys)?;
         Ok(())
     }
 
     fn execute(&mut self, args: &SweepArgs) -> Result<SweepOutput, String> {
         use txfix::bench::kv;
-        if let Some(s) = args.seed {
-            self.cfg.seed = s;
-        }
+        self.cfg.seed = args.seed.unwrap_or(self.cfg.seed);
         let cells = kv::run_kv_bench(&self.cfg);
         let report = kv::kv_report(&self.cfg, cells);
         Ok(SweepOutput {
@@ -678,22 +597,11 @@ impl SweepRunner for ChaosSweep {
 
     fn flag(&mut self, flag: &str, value: Option<&str>) -> Result<Flag, String> {
         match flag {
-            "--threads" => match value.and_then(|s| s.parse::<usize>().ok()) {
-                Some(t) if t > 0 => {
-                    self.cfg.threads = t;
-                    Ok(Flag::SeenWithValue)
-                }
-                _ => Err("--threads takes a positive integer".into()),
-            },
-            "--ops" => match value.and_then(|s| s.parse::<u64>().ok()) {
-                Some(n) if n > 0 => {
-                    self.cfg.ops_per_thread = n;
-                    Ok(Flag::SeenWithValue)
-                }
-                _ => Err("--ops takes a positive integer".into()),
-            },
-            _ => Ok(Flag::Unknown),
+            "--threads" => self.cfg.threads = sweep::positive(flag, value)?,
+            "--ops" => self.cfg.ops_per_thread = sweep::positive(flag, value)?,
+            _ => return Ok(Flag::Unknown),
         }
+        Ok(Flag::SeenWithValue)
     }
 
     fn select(&mut self, args: &SweepArgs) -> Result<(), String> {
@@ -704,25 +612,14 @@ impl SweepRunner for ChaosSweep {
         if args.keys.is_empty() {
             return Err("chaos needs a scenario key or --all, e.g. `txfix chaos --all`".into());
         }
-        let mut selected = Vec::new();
-        for k in &args.keys {
-            let Some(&k) = chaos::SCENARIOS.iter().find(|&&s| s == k) else {
-                return Err(format!(
-                    "no chaos scenario `{k}` (available: {})",
-                    chaos::SCENARIOS.join(", ")
-                ));
-            };
-            selected.push(k);
-        }
-        self.cfg.scenarios = selected;
+        self.cfg.scenarios =
+            sweep::select_from("chaos scenario", chaos::SCENARIOS, |s| s, &args.keys)?;
         Ok(())
     }
 
     fn execute(&mut self, args: &SweepArgs) -> Result<SweepOutput, String> {
         use txfix::bench::chaos;
-        if let Some(s) = args.seed {
-            self.cfg.seed = s;
-        }
+        self.cfg.seed = args.seed.unwrap_or(self.cfg.seed);
         let runs = chaos::run_chaos(&self.cfg);
         let rendered = chaos::chaos_report(&self.cfg, &runs).to_json();
         let mut table = format!(
@@ -746,6 +643,11 @@ impl SweepRunner for ChaosSweep {
     }
 }
 
+/// `--strategy`, as `explore` and `autofix` both take it.
+fn strategy_flag(value: Option<&str>) -> Result<txfix::explore::Strategy, String> {
+    value.and_then(txfix::explore::Strategy::parse).ok_or_else(|| "--strategy takes dfs|pct".into())
+}
+
 #[derive(Default)]
 struct ExploreSweep {
     cfg: txfix::explore::ExploreConfig,
@@ -764,29 +666,15 @@ impl SweepRunner for ExploreSweep {
     fn flag(&mut self, flag: &str, value: Option<&str>) -> Result<Flag, String> {
         use txfix::explore;
         match flag {
-            "--variant" => match value.and_then(explore::variant_parse) {
-                Some(v) => {
-                    self.variants = Some(vec![v]);
-                    Ok(Flag::SeenWithValue)
-                }
-                None => Err("--variant takes buggy|dev|tm".into()),
-            },
-            "--strategy" => match value.and_then(explore::Strategy::parse) {
-                Some(s) => {
-                    self.cfg.strategy = s;
-                    Ok(Flag::SeenWithValue)
-                }
-                None => Err("--strategy takes dfs|pct".into()),
-            },
-            "--budget" => match value.and_then(|s| s.parse::<u64>().ok()) {
-                Some(n) if n > 0 => {
-                    self.cfg.budget = n;
-                    Ok(Flag::SeenWithValue)
-                }
-                _ => Err("--budget takes a positive integer".into()),
-            },
-            _ => Ok(Flag::Unknown),
+            "--variant" => {
+                let v = value.and_then(explore::variant_parse);
+                self.variants = Some(vec![v.ok_or("--variant takes buggy|dev|tm")?])
+            }
+            "--strategy" => self.cfg.strategy = strategy_flag(value)?,
+            "--budget" => self.cfg.budget = sweep::positive(flag, value)?,
+            _ => return Ok(Flag::Unknown),
         }
+        Ok(Flag::SeenWithValue)
     }
 
     fn select(&mut self, args: &SweepArgs) -> Result<(), String> {
@@ -802,9 +690,7 @@ impl SweepRunner for ExploreSweep {
 
     fn execute(&mut self, args: &SweepArgs) -> Result<SweepOutput, String> {
         use txfix::explore;
-        if let Some(s) = args.seed {
-            self.cfg.seed = s;
-        }
+        self.cfg.seed = args.seed.unwrap_or(self.cfg.seed);
         let variants = self.variants.clone().unwrap_or_else(|| Variant::ALL.to_vec());
         let selection: Option<&[String]> = if args.all { None } else { Some(args.keys.as_slice()) };
         let report = explore::explore_corpus(selection, &variants, &self.cfg)?;
@@ -867,24 +753,12 @@ impl SweepRunner for AutofixSweep {
     }
 
     fn flag(&mut self, flag: &str, value: Option<&str>) -> Result<Flag, String> {
-        use txfix::explore;
         match flag {
-            "--strategy" => match value.and_then(explore::Strategy::parse) {
-                Some(s) => {
-                    self.cfg.strategy = s;
-                    Ok(Flag::SeenWithValue)
-                }
-                None => Err("--strategy takes dfs|pct".into()),
-            },
-            "--budget" => match value.and_then(|s| s.parse::<u64>().ok()) {
-                Some(n) if n > 0 => {
-                    self.cfg.budget = n;
-                    Ok(Flag::SeenWithValue)
-                }
-                _ => Err("--budget takes a positive integer".into()),
-            },
-            _ => Ok(Flag::Unknown),
+            "--strategy" => self.cfg.strategy = strategy_flag(value)?,
+            "--budget" => self.cfg.budget = sweep::positive(flag, value)?,
+            _ => return Ok(Flag::Unknown),
         }
+        Ok(Flag::SeenWithValue)
     }
 
     fn select(&mut self, args: &SweepArgs) -> Result<(), String> {
@@ -896,9 +770,7 @@ impl SweepRunner for AutofixSweep {
 
     fn execute(&mut self, args: &SweepArgs) -> Result<SweepOutput, String> {
         use txfix::autofix;
-        if let Some(s) = args.seed {
-            self.cfg.seed = s;
-        }
+        self.cfg.seed = args.seed.unwrap_or(self.cfg.seed);
         let selection: Option<&[String]> = if args.all { None } else { Some(args.keys.as_slice()) };
         let report = autofix::autofix_corpus(selection, &self.cfg)?;
         let rendered = report.to_json();
@@ -950,23 +822,31 @@ impl SweepRunner for AutofixSweep {
     }
 }
 
+/// One subject's crash sweep over chosen cells: `(seed, images per
+/// point) -> report`.
+type CrashRun = Box<dyn Fn(u64, u64) -> CrashReport>;
+
+fn crash_run<S: CrashSubject>(cells: Vec<S::Cell>) -> CrashRun
+where
+    S::Cell: 'static,
+{
+    Box::new(move |seed, images_per_point| {
+        let cfg = CrashConfig { images_per_point, ..CrashConfig::full(seed, cells.clone()) };
+        run_crash_sweep::<S>(&cfg)
+    })
+}
+
 struct CrashSweep {
-    cfg: txfix::wal::checker::CrashConfig,
-    /// `txfix crash kvstore` redirects the sweep at the KV store subject
-    /// (its own artifact; `--all` stays WAL-only so CRASH_stm.json keeps
-    /// its meaning).
-    kvstore: bool,
+    images: u64,
+    artifact: &'static str,
+    /// Bound by `select` to the chosen subject and cells.
+    run: CrashRun,
 }
 
 impl Default for CrashSweep {
     fn default() -> CrashSweep {
-        use txfix::wal::checker::{CrashConfig, DEFAULT_SEED};
-        // `select` fills in the swept variants; everything else starts at
-        // the full-matrix defaults.
-        CrashSweep {
-            cfg: CrashConfig { variants: Vec::new(), ..CrashConfig::full(DEFAULT_SEED) },
-            kvstore: false,
-        }
+        let run = crash_run::<txfix::wal::DurableKv>(Vec::new());
+        CrashSweep { images: 2, artifact: "CRASH_stm.json", run }
     }
 }
 
@@ -976,72 +856,47 @@ impl SweepRunner for CrashSweep {
     }
 
     fn artifact(&self) -> Option<&'static str> {
-        Some(if self.kvstore { "CRASH_kv.json" } else { "CRASH_stm.json" })
+        Some(self.artifact)
     }
 
     fn flag(&mut self, flag: &str, value: Option<&str>) -> Result<Flag, String> {
         match flag {
-            "--images" => match value.and_then(|s| s.parse::<u64>().ok()) {
-                Some(n) if n > 0 => {
-                    self.cfg.images_per_point = n;
-                    Ok(Flag::SeenWithValue)
-                }
-                _ => Err("--images takes a positive integer".into()),
-            },
-            _ => Ok(Flag::Unknown),
+            "--images" => self.images = sweep::positive(flag, value)?,
+            _ => return Ok(Flag::Unknown),
         }
+        Ok(Flag::SeenWithValue)
     }
 
     fn select(&mut self, args: &SweepArgs) -> Result<(), String> {
-        use txfix::wal::WalVariant;
+        use txfix::kvstore::{KvStore, Mode};
+        use txfix::wal::{DurableKv, WalVariant};
         if args.all {
-            self.cfg.variants = WalVariant::ALL.to_vec();
+            self.run = crash_run::<DurableKv>(WalVariant::ALL.to_vec());
             return Ok(());
         }
         if args.keys.is_empty() {
             return Err("crash needs a WAL variant, `kvstore`, or --all".into());
         }
-        if args.keys.iter().any(|k| k == "kvstore") {
-            if args.keys.len() > 1 {
-                return Err("`kvstore` is its own crash subject; don't mix it with WAL \
-                            variants"
-                    .into());
-            }
-            self.kvstore = true;
-            return Ok(());
-        }
-        for k in &args.keys {
-            let Some(v) = WalVariant::parse(k) else {
-                return Err(format!(
-                    "no crash subject `{k}` (available: {}, kvstore)",
-                    WalVariant::ALL.map(WalVariant::name).join(", ")
-                ));
-            };
-            self.cfg.variants.push(v);
+        // `None` stands for the `kvstore` subject.
+        let subjects: Vec<Option<WalVariant>> =
+            WalVariant::ALL.into_iter().map(Some).chain([None]).collect();
+        let name = |s: Option<WalVariant>| s.map_or("kvstore", WalVariant::name);
+        let picked = sweep::select_from("crash subject", &subjects, name, &args.keys)?;
+        if picked == [None] {
+            // Its own subject and artifact; `--all` stays WAL-only so
+            // CRASH_stm.json keeps its meaning.
+            self.artifact = "CRASH_kv.json";
+            self.run = crash_run::<KvStore>(Mode::ALL.to_vec());
+        } else if picked.contains(&None) {
+            return Err("`kvstore` is its own crash subject; don't mix it with WAL variants".into());
+        } else {
+            self.run = crash_run::<DurableKv>(picked.into_iter().flatten().collect());
         }
         Ok(())
     }
 
     fn execute(&mut self, args: &SweepArgs) -> Result<SweepOutput, String> {
-        use txfix::wal::checker;
-        if self.kvstore {
-            use txfix::kvstore::crash::{run_kv_crash_check, KvCrashConfig, DEFAULT_SEED};
-            let cfg = KvCrashConfig {
-                images_per_point: self.cfg.images_per_point,
-                ..KvCrashConfig::full(args.seed.unwrap_or(DEFAULT_SEED))
-            };
-            let report = run_kv_crash_check(&cfg);
-            return Ok(SweepOutput {
-                rendered: report.to_json(),
-                table: report.table(),
-                ok: report.ok,
-                failure: "kv crash sweep: recovery invariants not met at some crash point",
-            });
-        }
-        if let Some(s) = args.seed {
-            self.cfg.seed = s;
-        }
-        let report = checker::run_crash_check(&self.cfg);
+        let report = (self.run)(args.seed.unwrap_or(DEFAULT_SEED), self.images);
         Ok(SweepOutput {
             rendered: report.to_json(),
             table: report.table(),
@@ -1215,23 +1070,13 @@ impl SweepRunner for CanarySweep {
         if args.keys.is_empty() {
             return Err("canary needs a canary name or --all, e.g. `txfix canary --all`".into());
         }
-        for k in &args.keys {
-            let Some(c) = Canary::parse(k) else {
-                return Err(format!(
-                    "no canary `{k}` (available: {})",
-                    Canary::ALL.map(Canary::name).join(", ")
-                ));
-            };
-            self.swept.push(c);
-        }
+        self.swept = sweep::select_from("canary", &Canary::ALL, Canary::name, &args.keys)?;
         Ok(())
     }
 
     fn execute(&mut self, args: &SweepArgs) -> Result<SweepOutput, String> {
         use txfix::canary;
-        if let Some(s) = args.seed {
-            self.seed = s;
-        }
+        self.seed = args.seed.unwrap_or(self.seed);
         let report = canary::run_canaries(&self.swept, self.seed);
         let rendered = report.to_json();
         let mut table = format!("{:26} {:12} {:8} caught by", "canary", "class", "caught");

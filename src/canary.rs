@@ -18,7 +18,7 @@
 //! - **chaos**: deterministic single-threaded micro-probes with value
 //!   oracles, for mutations whose damage is visible without concurrency;
 //! - **crash**: the crash-recovery checker
-//!   ([`txfix_wal::checker::run_crash_check`]), for mutations whose
+//!   ([`txfix_wal::checker::run_crash_sweep`]), for mutations whose
 //!   damage is only visible in what survives a simulated crash — a
 //!   skipped fsync leaves every pre-crash observation intact.
 //!
@@ -329,18 +329,18 @@ fn chaos_probe(
 /// pretend-success fsync turns "records durable before the marker" into
 /// a lie the seeded crash images expose.
 fn crash_probe(c: Canary, seed: u64) -> LayerProbe {
-    use txfix_wal::checker::{run_crash_check, CrashConfig, Schedule};
-    use txfix_wal::WalVariant;
+    use txfix_wal::checker::{run_crash_sweep, CrashConfig, Schedule};
+    use txfix_wal::{DurableKv, WalVariant};
     let _armed = canary::scoped(c, seed, Trigger::EveryNth(1));
-    let report = run_crash_check(&CrashConfig {
+    let report = run_crash_sweep::<DurableKv>(&CrashConfig {
         seed,
         images_per_point: 2,
-        variants: vec![WalVariant::Fixed],
+        cells: vec![WalVariant::Fixed],
         schedules: vec![Schedule::Clean],
     });
     let mut flagged = Vec::new();
     let mut evidence = None;
-    for v in &report.variants {
+    for v in &report.cells {
         for s in &v.schedules {
             flagged.extend(s.flagged.iter().cloned());
             evidence = evidence.or_else(|| {

@@ -35,7 +35,8 @@ pub use txfix_txlock as txlock;
 pub use txfix_xcall as xcall;
 
 /// Write-ahead logging over transactional files, the durable KV test
-/// subject, and the crash-recovery checker (`txfix crash`).
+/// subject, and the crash-sweep engine every `CrashSubject` runs under
+/// (`txfix crash`).
 pub use txfix_wal as wal;
 
 /// The bounded-capacity hardware-TM model with hybrid fallback.
@@ -48,7 +49,7 @@ pub use txfix_tmsync as tmsync;
 /// The sharded transactional KV store: hash-index buckets and a
 /// buffer-pool page layer over simos files, durability through the redo
 /// log, and per-shard concurrency in dev-lock / TM / hybrid modes
-/// (`txfix kv`, `txfix crash kvstore`).
+/// (`txfix kv`); as a `CrashSubject` it is `txfix crash kvstore`.
 pub use txfix_kvstore as kvstore;
 
 /// The paper's contribution: the four fix recipes, the bug model, the

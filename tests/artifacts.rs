@@ -1,10 +1,11 @@
 //! Schema regression tests over the committed result artifacts.
 //!
 //! Every sweep (`txfix stress/chaos/explore/autofix/crash/canary`) writes its
-//! canonical report to the repo root, and CI regenerates and compares
-//! them; these tests pin the *committed* copies — if a schema drifts or
-//! a committed artifact records a failing sweep, `cargo test` says so
-//! before any consumer trips over it.
+//! canonical report to the repo root. CI regenerates each one, compares
+//! it with the committed copy (`ci/determinism-check.sh`) and then runs
+//! these tests over what the sweeps just wrote; in a plain `cargo test`
+//! they pin the *committed* copies — if a schema drifts or an artifact
+//! records a failing sweep, this says so before any consumer trips.
 
 use txfix::recipes::json::{get, Json};
 
@@ -40,7 +41,12 @@ fn bench_artifact_matches_stress_schema() {
         .collect();
     assert_eq!(clocks, ["gv1", "gv5"], "committed sweep must cover both clocks");
     let runs = get(obj, "runs").unwrap().array("runs").unwrap();
-    assert!(!runs.is_empty(), "stress artifact records no runs");
+    let threads = get(obj, "threads").unwrap().array("threads").unwrap();
+    assert_eq!(
+        runs.len(),
+        6 * 2 * clocks.len() * threads.len(),
+        "6 scenarios x dev/tm x every clock x every thread count"
+    );
     for r in runs {
         let run = r.object("run").unwrap();
         for field in ["scenario", "variant", "clock"] {
@@ -57,7 +63,8 @@ fn chaos_artifact_passed_its_sweep() {
     let doc = load("CHAOS_stm.json");
     let obj = check_schema("CHAOS_stm.json", &doc, "txfix-chaos-v1");
     assert!(get(obj, "passed").unwrap().bool("passed").unwrap(), "committed chaos sweep failed");
-    assert!(!get(obj, "runs").unwrap().array("runs").unwrap().is_empty());
+    let runs = get(obj, "runs").unwrap().array("runs").unwrap();
+    assert_eq!(runs.len(), 6 * 5 * 2, "6 scenarios x 5 schedules x dev/tm");
 }
 
 #[test]
@@ -65,7 +72,8 @@ fn explore_artifact_met_its_expectations() {
     let doc = load("EXPLORE_stm.json");
     let obj = check_schema("EXPLORE_stm.json", &doc, "txfix-explore-v1");
     assert!(get(obj, "ok").unwrap().bool("ok").unwrap(), "committed exploration failed");
-    assert!(!get(obj, "entries").unwrap().array("entries").unwrap().is_empty());
+    let entries = get(obj, "entries").unwrap().array("entries").unwrap();
+    assert_eq!(entries.len(), 10 * 3, "10 scheduled scenarios x buggy/dev/tm");
 }
 
 #[test]
@@ -74,11 +82,14 @@ fn autofix_artifact_verified_every_fix() {
     let obj = check_schema("AUTOFIX_stm.json", &doc, "txfix-autofix-v1");
     assert!(get(obj, "ok").unwrap().bool("ok").unwrap(), "committed autofix sweep failed");
     let entries = get(obj, "entries").unwrap().array("entries").unwrap();
-    assert!(!entries.is_empty());
+    assert_eq!(entries.len(), 18, "one entry per corpus scenario");
     for e in entries {
         let entry = e.object("entry").unwrap();
         let key = get(entry, "key").unwrap().string("key").unwrap();
         assert!(get(entry, "ok").unwrap().bool("ok").unwrap(), "unverified fix for {key}");
+        assert!(get(entry, "static_clean").unwrap().bool("static_clean").unwrap(), "{key}");
+        let patched = get(entry, "patched").unwrap().object("patched").unwrap();
+        assert_eq!(get(patched, "failure").unwrap(), &Json::Null, "{key}: patch broke");
     }
 }
 
