@@ -240,19 +240,19 @@ impl KvStore {
                 }
                 // Redo: committed WAL transactions the checkpoint does not
                 // already cover, in txid order.
-                let rec = recover(wal.file().file());
+                let mut rec = recover(wal.file().file());
                 let mut map = base.map;
                 for txid in &rec.committed {
                     if *txid < base.next_txid {
                         continue;
                     }
-                    for op in rec.ops.get(txid).into_iter().flatten() {
+                    for op in rec.ops.remove(txid).into_iter().flatten() {
                         match op {
                             WalOp::Put(k, v) => {
-                                map.insert(k.clone(), v.clone());
+                                map.insert(k, v);
                             }
                             WalOp::Delete(k) => {
-                                map.remove(k);
+                                map.remove(&k);
                             }
                         }
                     }

@@ -429,7 +429,7 @@ impl CrashSubject for DurableKv {
                 violations.push(format!("atomicity: unknown txn {txid} committed"));
                 continue;
             };
-            let got = rec.records.get(&txid).cloned().unwrap_or_default();
+            let got = rec.puts(txid);
             if got != f.puts {
                 let intact = got.iter().filter(|p| f.puts.contains(p)).count();
                 violations.push(format!(

@@ -102,6 +102,6 @@ mod tests {
         assert_eq!(kv.get("a").as_deref(), Some("a1"));
         let rec = recover(kv.wal().file().file());
         assert!(!rec.committed.contains(&cancelled));
-        assert!(!rec.records.contains_key(&cancelled), "no record bytes at all");
+        assert!(!rec.ops.contains_key(&cancelled), "no record bytes at all");
     }
 }

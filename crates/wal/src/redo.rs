@@ -133,17 +133,28 @@ pub struct Recovery {
     pub map: BTreeMap<String, String>,
     /// Transaction ids with a durable, well-formed commit marker.
     pub committed: BTreeSet<u64>,
-    /// Put records seen per transaction id, in log order (including
-    /// transactions without a commit marker — the checker compares the
-    /// committed ones against the workload oracle).
-    pub records: BTreeMap<u64, Vec<(String, String)>>,
     /// Every well-formed record (puts *and* deletes) per transaction id,
-    /// in log order — the replay source for delete-aware consumers.
+    /// in log order, including transactions without a commit marker —
+    /// the replay source for delete-aware consumers.
     pub ops: BTreeMap<u64, Vec<WalOp>>,
     /// Non-empty lines that failed to parse — crash holes, torn tails.
     pub skipped_lines: usize,
     /// One past the highest txid seen in any well-formed record.
     pub next_txid: u64,
+}
+
+impl Recovery {
+    /// The put records seen for `txid`, in log order, whether or not its
+    /// commit marker survived — the checker compares the committed ones
+    /// against the workload oracle.
+    pub fn puts(&self, txid: u64) -> Vec<(String, String)> {
+        let ops = self.ops.get(&txid).into_iter().flatten();
+        ops.filter_map(|op| match op {
+            WalOp::Put(k, v) => Some((k.clone(), v.clone())),
+            WalOp::Delete(_) => None,
+        })
+        .collect()
+    }
 }
 
 fn parse_line(line: &[u8], out: &mut Recovery) -> Option<()> {
@@ -152,7 +163,6 @@ fn parse_line(line: &[u8], out: &mut Recovery) -> Option<()> {
     match tokens.as_slice() {
         ["P", txid, key, value, ";"] if token_ok(key) && token_ok(value) => {
             let txid: u64 = txid.parse().ok()?;
-            out.records.entry(txid).or_default().push(((*key).to_owned(), (*value).to_owned()));
             out.ops
                 .entry(txid)
                 .or_default()
@@ -289,7 +299,7 @@ mod tests {
         let rec = recover(wal.file().file());
         assert_eq!(rec.committed, BTreeSet::from([1]));
         assert!(!rec.map.contains_key("b"));
-        assert_eq!(rec.records[&2], vec![("b".to_owned(), "b2".to_owned())]);
+        assert_eq!(rec.puts(2), vec![("b".to_owned(), "b2".to_owned())]);
     }
 
     #[test]

@@ -252,15 +252,6 @@ impl XFile {
         })
     }
 
-    /// The file length this transaction observes (committed + pending).
-    ///
-    /// # Errors
-    ///
-    /// Propagates lock conflicts/preemption as [`Abort`](txfix_stm::Abort).
-    pub fn x_len(&self, txn: &mut Txn) -> StmResult<usize> {
-        self.x_read_all(txn).map(|v| v.len())
-    }
-
     /// Chaos hook shared by the file x-calls: a synthetic I/O failure that
     /// aborts the transaction, driving the undo hook and the isolation-lock
     /// release. Irrevocable transactions are exempt (they cannot abort).

@@ -22,6 +22,17 @@
 //! write back any unflushed block at any time, so a crash may persist an
 //! arbitrary subset of them, and the seed makes that subset reproducible.
 //! Pipe and socket buffers are volatile and do not survive.
+//!
+//! Every mutation keeps one invariant — the **clean-block invariant**:
+//! a cached byte in a block that is *not* in the dirty set also exists in
+//! the durable image, with the same value. The two images can therefore
+//! differ only inside dirty blocks and in a durable tail past the end of
+//! the cache (an unsynced truncation). That is what lets every operation
+//! cost what it touches: `sync_all` copies the dirty blocks and is
+//! O(dirty blocks), not O(file size); `append`, `write_at` and
+//! [`SimFile::read_at`] are O(bytes moved); `truncate` only drops the
+//! marks past the cut. Only `read_all`, the snapshots and a crash itself
+//! copy a whole file.
 
 use crate::crashpoint;
 use parking_lot::{Condvar, Mutex};
@@ -62,6 +73,15 @@ impl fmt::Display for OsError {
 impl std::error::Error for OsError {}
 
 /// Page-cache vs durable split of one file's bytes.
+///
+/// Invariant (clean blocks): for every block `b` not in `dirty` and every
+/// offset `i` of `b` with `i < cached.len()`, `i < durable.len()` and
+/// `cached[i] == durable[i]`; and every block in `dirty` starts below
+/// `cached.len()`. Writes keep it by marking what they touch (growth
+/// included), `sync_all` and `crash` by making the images equal and
+/// clearing the set, `truncate` by dropping the marks past the new end —
+/// shrinking `cached` only shrinks the set of offsets the first half
+/// speaks about.
 struct FileState {
     /// What reads observe: every write lands here immediately.
     cached: Vec<u8>,
@@ -69,6 +89,11 @@ struct FileState {
     durable: Vec<u8>,
     /// Cache blocks not yet flushed; a crash keeps a seeded subset.
     dirty: BTreeSet<usize>,
+}
+
+/// The bytes of block `b` that exist in a cache of `cached_len` bytes.
+fn block_span(b: usize, cached_len: usize) -> std::ops::Range<usize> {
+    b * BLOCK_BYTES..((b + 1) * BLOCK_BYTES).min(cached_len)
 }
 
 impl FileState {
@@ -93,15 +118,11 @@ impl FileState {
             if coin & 1 != 0 {
                 continue; // this block never reached the disk
             }
-            let start = b * BLOCK_BYTES;
-            let end = ((b + 1) * BLOCK_BYTES).min(self.cached.len());
-            if start >= end {
-                continue;
+            let span = block_span(b, self.cached.len());
+            if img.len() < span.end {
+                img.resize(span.end, 0);
             }
-            if img.len() < end {
-                img.resize(end, 0);
-            }
-            img[start..end].copy_from_slice(&self.cached[start..end]);
+            img[span.clone()].copy_from_slice(&self.cached[span]);
         }
         img
     }
@@ -175,6 +196,19 @@ impl SimFile {
         self.state.lock().cached.clone()
     }
 
+    /// `pread(2)`: copy the cached bytes at `offset..` into the front of
+    /// `buf` and return how many there were — fewer than `buf.len()` when
+    /// the range straddles the end of the file, `0` at or past it. The
+    /// rest of `buf` is left untouched. Reads are not mutations, so they
+    /// are still served after a crash point has frozen the world.
+    pub fn read_at(&self, offset: usize, buf: &mut [u8]) -> usize {
+        let st = self.state.lock();
+        let from = offset.min(st.cached.len());
+        let n = buf.len().min(st.cached.len() - from);
+        buf[..n].copy_from_slice(&st.cached[from..from + n]);
+        n
+    }
+
     /// Current length in bytes (page cache).
     pub fn len(&self) -> usize {
         self.state.lock().cached.len()
@@ -187,30 +221,42 @@ impl SimFile {
 
     /// Truncate to `len` bytes (no-op if already shorter). Used by x-call
     /// compensation to undo appends. Like data writes, an unsynced
-    /// truncation is not durable: the discarded tail's blocks stay dirty,
-    /// and a crash may resurrect them from the durable image.
+    /// truncation is not durable: the durable image keeps its tail until
+    /// the next `sync_all`, and a crash resurrects it. The dirty marks
+    /// wholly past the new end are dropped — they no longer name any
+    /// cached byte, and a write that grows the file back over them marks
+    /// them again; the block the cut falls in keeps the mark it had,
+    /// since its surviving bytes did not change.
     pub fn truncate(&self, len: usize) {
         crashpoint::crash_point("simos_file_truncate");
         if crashpoint::is_frozen() {
             return;
         }
         let mut st = self.state.lock();
-        let old = st.cached.len();
-        if len < old {
+        if len < st.cached.len() {
             st.cached.truncate(len);
-            st.mark_dirty(len, old);
+            st.dirty.split_off(&len.div_ceil(BLOCK_BYTES));
         }
     }
 
-    /// `fsync(2)`: promote the page cache to the durable image.
+    /// `fsync(2)`: promote the page cache to the durable image. Costs
+    /// O(dirty blocks): the durable image takes the cache's length (so an
+    /// unsynced truncation becomes durable) and then only the dirty
+    /// blocks are copied — by the clean-block invariant every other
+    /// block already matches.
     pub fn sync_all(&self) {
         crashpoint::crash_point("simos_file_sync");
         if crashpoint::is_frozen() {
             return;
         }
         let mut st = self.state.lock();
-        st.durable = st.cached.clone();
-        st.dirty.clear();
+        let FileState { cached, durable, dirty } = &mut *st;
+        durable.resize(cached.len(), 0);
+        for &b in dirty.iter() {
+            let span = block_span(b, cached.len());
+            durable[span.clone()].copy_from_slice(&cached[span]);
+        }
+        dirty.clear();
     }
 
     /// Snapshot of the durable (crash-surviving) image.
@@ -518,6 +564,63 @@ mod tests {
         let f = fs.open_or_create("f");
         f.write_at(3, b"xy");
         assert_eq!(f.read_all(), vec![0, 0, 0, b'x', b'y']);
+    }
+
+    #[test]
+    fn read_at_is_a_ranged_short_counting_read() {
+        let fs = SimFs::new();
+        let f = fs.open_or_create("f");
+        f.append(b"0123456789");
+        // Inside the file: the whole buffer is filled.
+        let mut buf = [b'.'; 4];
+        assert_eq!(f.read_at(3, &mut buf), 4);
+        assert_eq!(&buf, b"3456");
+        // Straddling EOF: a short count, and the rest of `buf` untouched.
+        let mut buf = [b'.'; 4];
+        assert_eq!(f.read_at(8, &mut buf), 2);
+        assert_eq!(&buf, b"89..");
+        // At and wholly past EOF: nothing.
+        let mut buf = [b'.'; 4];
+        assert_eq!(f.read_at(10, &mut buf), 0);
+        assert_eq!(f.read_at(1000, &mut buf), 0);
+        assert_eq!(&buf, b"....");
+        assert_eq!(f.read_at(0, &mut []), 0);
+    }
+
+    #[test]
+    fn unsynced_truncate_keeps_the_durable_tail_and_no_mark_past_the_cut() {
+        let fs = SimFs::new();
+        let f = fs.open_or_create("f");
+        let old: Vec<u8> = (0..5 * BLOCK_BYTES as u8).collect();
+        f.append(&old);
+        f.sync_all();
+        f.write_at(BLOCK_BYTES, b"dirty");
+        f.write_at(3 * BLOCK_BYTES, b"dirty");
+        assert_eq!(f.dirty_blocks(), vec![1, 3]);
+        // A cut inside block 1: that block keeps its mark, the marks past
+        // the cut go, and every crash resurrects the durable tail.
+        f.truncate(BLOCK_BYTES + 9);
+        assert_eq!(f.dirty_blocks(), vec![1]);
+        assert_eq!(f.durable_snapshot(), old);
+        for seed in 0..8 {
+            let img = f.crash_image(seed);
+            assert_eq!(img.len(), old.len(), "an unsynced truncation is not durable");
+            assert_eq!(img[BLOCK_BYTES + 9..], old[BLOCK_BYTES + 9..]);
+        }
+        // Growing back over the dropped marks re-marks them.
+        f.append(&[b'n'; BLOCK_BYTES]);
+        assert_eq!(f.dirty_blocks(), vec![1, 2]);
+        // fsync makes the shorter file durable: length first, then blocks.
+        f.sync_all();
+        assert_eq!(f.len(), 2 * BLOCK_BYTES + 9);
+        assert_eq!(f.durable_snapshot(), f.read_all());
+        // Cutting a clean file dirties nothing, wherever the cut falls.
+        f.truncate(BLOCK_BYTES + 1);
+        f.truncate(BLOCK_BYTES);
+        assert!(f.dirty_blocks().is_empty());
+        assert_eq!(f.crash_image(1), f.durable_snapshot());
+        f.sync_all();
+        assert_eq!(f.durable_snapshot(), &old[..BLOCK_BYTES]);
     }
 
     #[test]

@@ -79,3 +79,20 @@ fn aborted_truncate_compensation_is_frozen_too() {
     assert_eq!(f.read_all(), b"keep-me!", "the synced image survives any seed");
     drop(session);
 }
+
+#[test]
+fn ranged_reads_are_still_served_while_frozen() {
+    let _g = GATE.lock().unwrap();
+    let fs = SimFs::new();
+    let f = fs.open_or_create("r");
+    f.append(b"before");
+    let session = crashpoint::arm("simos_file_append", 0, Trigger::Nth(1));
+    f.append(b" after"); // the crash instant: dropped, world frozen
+    assert!(crashpoint::is_frozen());
+    // Reads are not mutations: recovery-side code that runs before the
+    // thaw (and the dead workload itself) still sees the cache as it was.
+    let mut buf = [0u8; 16];
+    let n = f.read_at(0, &mut buf);
+    assert_eq!(&buf[..n], b"before");
+    drop(session);
+}
