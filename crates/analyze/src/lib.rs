@@ -38,8 +38,10 @@ pub use report::{Finding, Report};
 pub use txfix_core::Hazard;
 
 use parking_lot::Mutex;
+use txfix_core::json::ToJson;
+use txfix_core::sweep::{Flag, SweepArgs, SweepOutput, SweepRunner, Universe};
 use txfix_core::{Analysis, Recipe};
-use txfix_corpus::{bug_by_scenario, scenario_by_key, Variant};
+use txfix_corpus::{bug_by_scenario, keys, scenario_by_key, Variant};
 use txfix_stm::trace::{self, TraceEvent};
 use txfix_txlock::lockdep;
 
@@ -205,16 +207,50 @@ pub fn analyze_scenario(key: &str, variant: Variant) -> Option<Report> {
     }
     Some(Report {
         scenario: key.to_string(),
-        variant: match variant {
-            Variant::Buggy => "buggy",
-            Variant::DevFix => "dev",
-            Variant::TmFix => "tm",
-        }
-        .to_string(),
+        variant: variant.name().to_string(),
         outcome,
         events: events.len(),
         findings,
     })
+}
+
+/// `txfix analyze`: run one scenario variant (default: buggy) under the
+/// trace recorder and report what the passes detect.
+#[derive(Default)]
+pub struct AnalyzeSweep {
+    variant: Option<Variant>,
+}
+
+impl SweepRunner for AnalyzeSweep {
+    fn usage(&self) -> &'static str {
+        "\x20 analyze <key> [--variant buggy|dev|tm] [--json]\n\
+         \x20                              run a variant (default: buggy) under the trace\n\
+         \x20                              recorder and report detected bugs with suggested\n\
+         \x20                              fix recipes; exits nonzero on findings"
+    }
+
+    fn universe(&self) -> Option<Universe> {
+        Some(Universe::new("scenario", keys::ALL).one())
+    }
+
+    fn flag(&mut self, flag: &str, value: Option<&str>) -> Result<Flag, String> {
+        if flag != "--variant" {
+            return Ok(Flag::Unknown);
+        }
+        self.variant = Some(value.and_then(Variant::parse).ok_or("--variant takes buggy|dev|tm")?);
+        Ok(Flag::SeenWithValue)
+    }
+
+    fn execute(&mut self, args: &SweepArgs) -> Result<SweepOutput, String> {
+        let report = analyze_scenario(&args.keys[0], self.variant.unwrap_or(Variant::Buggy))
+            .expect("the frame checked the key");
+        Ok(SweepOutput {
+            rendered: report.to_json(),
+            table: report.table(),
+            ok: !report.has_findings(),
+            failure: "",
+        })
+    }
 }
 
 #[cfg(test)]

@@ -6,9 +6,10 @@
 //! [`Report::from_json`] parses it back. Round-tripping is covered by
 //! tests.
 
+use std::fmt::Write as _;
 use txfix_core::json::{get, Json, ToJson};
 use txfix_core::{hazard_from_json, Hazard, Recipe};
-use txfix_corpus::Outcome;
+use txfix_corpus::{bug_by_scenario, Outcome};
 
 /// One detected bug, with the recipe the paper's decision procedure
 /// suggests for it. The kind is the workspace-wide
@@ -45,6 +46,30 @@ impl Report {
     /// Whether the analysis found anything.
     pub fn has_findings(&self) -> bool {
         !self.findings.is_empty()
+    }
+
+    /// Human-readable rendering: a header naming the scenario's corpus
+    /// bug, the run's outcome, then every finding.
+    pub fn table(&self) -> String {
+        let bug_id =
+            bug_by_scenario(&self.scenario).map(|b| format!(" [{}]", b.id)).unwrap_or_default();
+        let mut out = format!(
+            "scenario {}{bug_id} — {} variant: {} events recorded",
+            self.scenario, self.variant, self.events
+        );
+        match &self.outcome {
+            Outcome::Correct => out.push_str("\n  run outcome: clean"),
+            Outcome::BugObserved(msg) => {
+                let _ = write!(out, "\n  run outcome: BUG: {msg}");
+            }
+        }
+        if self.findings.is_empty() {
+            out.push_str("\n  no findings");
+        }
+        for f in &self.findings {
+            let _ = write!(out, "\n  FINDING: {}\n    {}", f.kind, f.explanation);
+        }
+        out
     }
 
     /// Parse a report back from [`ToJson::to_json`] output.

@@ -33,6 +33,8 @@ pub mod report;
 use std::collections::BTreeSet;
 
 use report::{AutofixEntry, AutofixReport, VerifyStats, Widening};
+use txfix_core::json::ToJson;
+use txfix_core::sweep::{Flag, SweepArgs, SweepOutput, SweepRunner, Universe};
 use txfix_corpus::{keys, summary_for, Variant};
 use txfix_explore::runner::RunResult;
 use txfix_explore::{explore_build, ExploreConfig};
@@ -139,29 +141,18 @@ pub fn autofix_scenario(key: &str, cfg: &ExploreConfig) -> Result<AutofixEntry, 
     })
 }
 
-/// Autofix the whole corpus (or the scenarios named in `keys`).
+/// Autofix the corpus scenarios whose key `selected` admits, in corpus
+/// order.
 ///
 /// # Errors
 ///
-/// If a requested key is not a corpus scenario.
+/// If a selected scenario has no registered summaries.
 pub fn autofix_corpus(
-    selected: Option<&[String]>,
+    selected: impl Fn(&str) -> bool,
     cfg: &ExploreConfig,
 ) -> Result<AutofixReport, String> {
-    let all: Vec<&str> = keys::ALL.to_vec();
-    let chosen: Vec<&str> = match selected {
-        None => all,
-        Some(ks) => {
-            for k in ks {
-                if !all.contains(&k.as_str()) {
-                    return Err(format!("no corpus scenario '{k}' (have: {})", all.join(", ")));
-                }
-            }
-            all.into_iter().filter(|k| ks.iter().any(|s| s == k)).collect()
-        }
-    };
     let mut entries = Vec::new();
-    for key in chosen {
+    for key in keys::ALL.into_iter().filter(|key| selected(key)) {
         entries.push(autofix_scenario(key, cfg)?);
     }
     Ok(AutofixReport {
@@ -170,6 +161,48 @@ pub fn autofix_corpus(
         seed: cfg.seed,
         entries,
     })
+}
+
+/// `txfix autofix`: infer, synthesize and verify a fix per selected
+/// scenario.
+#[derive(Default)]
+pub struct AutofixSweep {
+    cfg: ExploreConfig,
+}
+
+impl SweepRunner for AutofixSweep {
+    fn usage(&self) -> &'static str {
+        "\x20 autofix [<key>|--all] [--strategy dfs|pct] [--budget N] [--seed S]\n\
+         \x20                              infer atomic-region fixes from static findings,\n\
+         \x20                              synthesize the TM patch, and verify it both\n\
+         \x20                              statically and by schedule exploration; reports\n\
+         \x20                              widenings vs the hand-written TM variant; writes\n\
+         \x20                              AUTOFIX_stm.json; exits nonzero on any\n\
+         \x20                              unverified fix"
+    }
+
+    fn artifact(&self) -> Option<&'static str> {
+        Some("AUTOFIX_stm.json")
+    }
+
+    fn universe(&self) -> Option<Universe> {
+        Some(Universe::new("scenario", keys::ALL))
+    }
+
+    fn flag(&mut self, flag: &str, value: Option<&str>) -> Result<Flag, String> {
+        self.cfg.flag(flag, value)
+    }
+
+    fn execute(&mut self, args: &SweepArgs) -> Result<SweepOutput, String> {
+        self.cfg.seed = args.seed.unwrap_or(self.cfg.seed);
+        let report = autofix_corpus(|key| args.selects(key), &self.cfg)?;
+        Ok(SweepOutput {
+            rendered: report.to_json(),
+            table: report.table(),
+            ok: report.ok(),
+            failure: "some fixes failed verification",
+        })
+    }
 }
 
 #[cfg(test)]

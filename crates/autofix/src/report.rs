@@ -5,6 +5,7 @@
 //! --all` twice and byte-compares the JSON, so every field must be a
 //! pure function of `(corpus, strategy, seed, budget)`.
 
+use std::fmt::Write as _;
 use txfix_core::json::{Json, ToJson};
 use txfix_static::Region;
 
@@ -91,6 +92,51 @@ impl AutofixReport {
     /// True if every entry verified.
     pub fn ok(&self) -> bool {
         self.entries.iter().all(|e| e.ok())
+    }
+
+    /// Human-readable table: one verdict row per scenario, then its
+    /// inferred regions and any widenings against the hand-written fix.
+    pub fn table(&self) -> String {
+        let mut table =
+            format!("{:22} {:>6} {:>7} {:>8}  verdict", "scenario", "rounds", "static", "patched");
+        for e in &self.entries {
+            if let Some(err) = &e.error {
+                let _ = write!(
+                    table,
+                    "\n{:22} {:>6} {:>7} {:>8}  INFERENCE FAILED: {err}",
+                    e.key, "-", "-", "-"
+                );
+                continue;
+            }
+            let verdict = match (&e.patched.failure, &e.buggy.failure) {
+                (Some(f), _) => format!("PATCH BROKE: {f}"),
+                (None, Some(b)) => format!("verified (bug reproduced: {b})"),
+                (None, None) => "verified (no counterexample within budget)".to_string(),
+            };
+            let _ = write!(
+                table,
+                "\n{:22} {:>6} {:>7} {:>8}  {}",
+                e.key,
+                e.rounds,
+                if e.static_clean { "clean" } else { "DIRTY" },
+                format!("{}s", e.patched.schedules),
+                verdict
+            );
+            for (region, recipe) in e.regions.iter().zip(&e.recipes) {
+                let _ = write!(table, "\n{:24}fix: {region}  [{recipe}]", "");
+            }
+            for w in &e.widenings {
+                let _ = write!(
+                    table,
+                    "\n{:24}widened {}: inferred {{{}}} vs hand {{{}}}",
+                    "",
+                    w.path,
+                    w.inferred.join(", "),
+                    w.hand.join(", ")
+                );
+            }
+        }
+        table
     }
 }
 

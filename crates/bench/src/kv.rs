@@ -19,8 +19,9 @@
 //! recovered state must equal the pre-shutdown state (`recovered_ok`).
 
 use crate::pool;
-use crate::workload::{Workload, WorkloadCfg, WorkloadOp};
+use crate::workload::{Mix, Workload, WorkloadCfg, WorkloadOp};
 use txfix_core::json::{Json, ToJson};
+use txfix_core::sweep::{self, Flag, SweepArgs, SweepOutput, SweepRunner, Universe};
 use txfix_kvstore::model::run_workers;
 use txfix_kvstore::{KvConfig, KvStore, Mode};
 use txfix_stm::chaos::splitmix64;
@@ -339,5 +340,78 @@ impl KvReport {
         }
         out.push_str(&format!("\nkv bench: {}", if self.ok { "ok" } else { "FAILED" }));
         out
+    }
+}
+
+/// `txfix kv`: sweep the selected store modes across shard counts.
+pub struct KvSweep {
+    cfg: KvBenchConfig,
+}
+
+impl Default for KvSweep {
+    fn default() -> KvSweep {
+        KvSweep { cfg: KvBenchConfig::full(DEFAULT_SEED) }
+    }
+}
+
+impl SweepRunner for KvSweep {
+    fn usage(&self) -> &'static str {
+        "\x20 kv [dev|tm|hybrid|--all] [--shards 2,4] [--theta T] [--mix G:P:D:S]\n\
+         \x20    [--clock gv1|gv5] [--threads N] [--ops N]\n\
+         \x20    [--keys N] [--users N] [--seed S]\n\
+         \x20                              drive the sharded transactional KV store\n\
+         \x20                              (dev locks / TM / hybrid escalation) with the\n\
+         \x20                              open-loop Zipfian workload under the\n\
+         \x20                              deterministic scheduler; reports virtual-time\n\
+         \x20                              throughput, abort/escalation counts and latency\n\
+         \x20                              percentiles per mode x shard count, verifies\n\
+         \x20                              checkpoint+WAL recovery per cell, and writes\n\
+         \x20                              BENCH_kv.json; bit-for-bit reproducible per seed"
+    }
+
+    fn artifact(&self) -> Option<&'static str> {
+        Some("BENCH_kv.json")
+    }
+
+    fn universe(&self) -> Option<Universe> {
+        Some(Universe::new("kv mode", Mode::ALL.map(Mode::name)))
+    }
+
+    fn flag(&mut self, flag: &str, value: Option<&str>) -> Result<Flag, String> {
+        match flag {
+            "--shards" => self.cfg.shard_counts = sweep::positive_list(flag, value, "2,4")?,
+            "--theta" => {
+                self.cfg.workload.theta = value
+                    .and_then(|s| s.parse::<f64>().ok())
+                    .filter(|t| (0.0..=8.0).contains(t))
+                    .ok_or("--theta takes a skew in 0..=8, e.g. 0.9")?
+            }
+            "--mix" => {
+                self.cfg.workload.mix = value
+                    .and_then(Mix::parse)
+                    .ok_or("--mix takes get:put:delete:scan weights, e.g. 80:15:3:2")?
+            }
+            "--clock" => {
+                self.cfg.clock = value.and_then(ClockMode::parse).ok_or("--clock takes gv1|gv5")?
+            }
+            "--threads" => self.cfg.threads = sweep::positive(flag, value)?,
+            "--ops" => self.cfg.ops_per_thread = sweep::positive(flag, value)?,
+            "--keys" => self.cfg.workload.keys = sweep::positive(flag, value)?,
+            "--users" => self.cfg.workload.users = sweep::positive(flag, value)?,
+            _ => return Ok(Flag::Unknown),
+        }
+        Ok(Flag::SeenWithValue)
+    }
+
+    fn execute(&mut self, args: &SweepArgs) -> Result<SweepOutput, String> {
+        self.cfg.modes = args.pick(&Mode::ALL, Mode::name);
+        self.cfg.seed = args.seed.unwrap_or(self.cfg.seed);
+        let report = kv_report(&self.cfg, run_kv_bench(&self.cfg));
+        Ok(SweepOutput {
+            rendered: report.to_json(),
+            table: report.table(),
+            ok: report.ok,
+            failure: "kv sweep: a cell did not run clean or did not recover",
+        })
     }
 }

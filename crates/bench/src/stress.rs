@@ -20,11 +20,13 @@
 //! `dev` (developers' fix) and `tm` (TM fix) variant.
 
 use crate::pool;
+use std::fmt::Write as _;
 use txfix_apps::apache::buffered_log::make_record;
 use txfix_apps::apache::{LockedBufferedLog, LogWriter, TmBufferedLog};
 use txfix_apps::mysql::{MiniDb, MysqlVariant};
 use txfix_apps::spidermonkey::{ObjectStore, OwnershipMode, OwnershipStore, StmStore};
 use txfix_core::json::{Json, ToJson};
+use txfix_core::sweep::{self, Flag, SweepArgs, SweepOutput, SweepRunner, Universe};
 use txfix_stm::obs;
 use txfix_stm::{ClockMode, OverheadModel, TVar, Txn};
 use txfix_txlock::TxMutex;
@@ -148,6 +150,83 @@ pub fn stress_report(cfg: &StressConfig, runs: &[StressRun]) -> Json {
         ("scenarios", Json::strings(&cfg.scenarios)),
         ("runs", Json::list(runs.iter().map(ToJson::to_json_value))),
     ])
+}
+
+/// Human-readable table, one row per run.
+pub fn stress_table(runs: &[StressRun]) -> String {
+    let mut table = format!(
+        "{:22} {:4} {:5} {:>3}  {:>12}  {:>9}  {:>10}  {:>10}  {:>7}",
+        "scenario", "var", "clock", "thr", "ops/s", "aborts", "p50", "p99", "abort%"
+    );
+    for r in runs {
+        let _ = write!(
+            table,
+            "\n{:22} {:4} {:5} {:>3}  {:>12.0}  {:>9}  {:>8}ns  {:>8}ns  {:>6.2}%",
+            r.scenario,
+            r.variant,
+            r.clock,
+            r.threads,
+            r.ops_per_sec,
+            r.aborts,
+            r.p50_ns,
+            r.p99_ns,
+            r.abort_rate * 100.0
+        );
+    }
+    table
+}
+
+/// `txfix stress`: sustain load against the selected scenarios.
+#[derive(Default)]
+pub struct StressSweep {
+    cfg: StressConfig,
+}
+
+impl SweepRunner for StressSweep {
+    fn usage(&self) -> &'static str {
+        "\x20 stress [<key>|--all] [--secs N] [--threads 1,2,4,8] [--seed S]\n\
+         \x20        [--clock gv1|gv5|both]\n\
+         \x20                              sustain open-ended load against the dev and TM\n\
+         \x20                              fix variants under each version-clock scheme,\n\
+         \x20                              report throughput / abort rate / latency\n\
+         \x20                              percentiles, and write BENCH_stm.json"
+    }
+
+    fn artifact(&self) -> Option<&'static str> {
+        Some("BENCH_stm.json")
+    }
+
+    fn universe(&self) -> Option<Universe> {
+        Some(Universe::new("stress scenario", SCENARIOS.iter().copied()))
+    }
+
+    fn flag(&mut self, flag: &str, value: Option<&str>) -> Result<Flag, String> {
+        match flag {
+            "--secs" => self.cfg.secs = sweep::positive(flag, value)?,
+            "--threads" => self.cfg.threads = sweep::positive_list(flag, value, "1,2,4,8")?,
+            "--clock" => {
+                self.cfg.clocks = match value {
+                    Some("both") => vec![ClockMode::Gv1, ClockMode::Gv5],
+                    Some(name) => vec![ClockMode::parse(name).ok_or("--clock takes gv1|gv5|both")?],
+                    None => return Err("--clock takes gv1|gv5|both".into()),
+                }
+            }
+            _ => return Ok(Flag::Unknown),
+        }
+        Ok(Flag::SeenWithValue)
+    }
+
+    fn execute(&mut self, args: &SweepArgs) -> Result<SweepOutput, String> {
+        self.cfg.scenarios = args.pick(SCENARIOS, |s| s);
+        self.cfg.seed = args.seed.unwrap_or(self.cfg.seed);
+        let runs = run_stress(&self.cfg);
+        Ok(SweepOutput {
+            rendered: stress_report(&self.cfg, &runs).to_json(),
+            table: stress_table(&runs),
+            ok: true,
+            failure: "",
+        })
+    }
 }
 
 /// Run the full sweep: every configured clock scheme × scenario × thread

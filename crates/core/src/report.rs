@@ -1,11 +1,12 @@
 //! Table assembly: re-derive the paper's Tables 1–3 (and the headline
 //! aggregates) from a bug dataset.
 
-use crate::analysis::{analyze, Recipe};
+use crate::analysis::{analyze, Analysis, Recipe};
 use crate::bug::{App, BugKind, BugRecord, Difficulty, MissingSync};
 use crate::difficulty::{preference, tm_difficulty, Preference};
 use crate::json::{Json, ToJson};
 use std::fmt;
+use std::fmt::Write as _;
 
 /// A minimal aligned-text table for terminal reports.
 #[derive(Clone, Debug, Default)]
@@ -228,6 +229,40 @@ impl CorpusSummary {
     pub fn fixable(&self) -> u32 {
         self.deadlocks.fixable + self.atomicity.fixable
     }
+
+    /// The headline aggregates as aligned text (`txfix summary`).
+    pub fn table(&self) -> String {
+        let s = self;
+        format!(
+            "bugs examined:                 {}\n\
+             \x20 deadlocks:                   {} ({} fixable)\n\
+             \x20 atomicity violations:        {} ({} fixable)\n\
+             TM can fix:                    {} ({:.0}%)\n\
+             \x20 by recipes 1 and 2 alone:    {}\n\
+             \x20 only by recipe 3:            {}\n\
+             \x20 simplified by recipe 3:      {}\n\
+             \x20 simplified by recipe 4:      {}\n\
+             TM fix judged preferable:      {} ({} DL / {} AV)\n\
+             implemented & tested fixes:    {} ({} DL / {} AV)",
+            s.total,
+            s.deadlocks.total,
+            s.deadlocks.fixable,
+            s.atomicity.total,
+            s.atomicity.fixable,
+            s.fixable(),
+            100.0 * s.fixable() as f64 / s.total as f64,
+            s.fixed_by_simple_recipes,
+            s.fixed_only_by_recipe3,
+            s.simplified_by_recipe3,
+            s.simplified_by_recipe4,
+            s.tm_preferred,
+            s.tm_preferred_deadlock,
+            s.tm_preferred_atomicity,
+            s.implemented,
+            s.implemented_deadlock,
+            s.implemented_atomicity
+        )
+    }
 }
 
 impl ToJson for FixabilityCell {
@@ -379,6 +414,104 @@ pub fn table3(bugs: &[BugRecord]) -> TextTable {
         s.downcall_library.to_string(),
     ]);
     t
+}
+
+/// Tables 1–3, one after the other (`txfix tables`).
+pub fn tables(bugs: &[BugRecord]) -> String {
+    format!("{}\n{}\n{}", table1(bugs), table2(bugs), table3(bugs))
+}
+
+/// One line per bug with its verdict (`txfix bugs`), optionally narrowed
+/// by a `--fixable` / `--unfixable` / `--implemented` filter.
+///
+/// # Errors
+///
+/// A usage message for any other filter.
+pub fn bug_list(bugs: &[BugRecord], filter: Option<&str>) -> Result<String, String> {
+    let mut lines = Vec::new();
+    for b in bugs {
+        let a = analyze(b);
+        let keep = match filter {
+            Some("--fixable") => a.is_fixable(),
+            Some("--unfixable") => !a.is_fixable(),
+            Some("--implemented") => b.is_implemented(),
+            Some(other) => return Err(format!("unknown filter `{other}`")),
+            None => true,
+        };
+        if !keep {
+            continue;
+        }
+        let verdict = match &a {
+            Analysis::Fixable(p) => format!("fix: {}", p.primary),
+            Analysis::Unfixable(r) => format!("NOT FIXABLE: {r}"),
+        };
+        lines.push(format!(
+            "{:18} {:8} {:20} {}",
+            b.id,
+            b.app.to_string(),
+            b.kind.to_string(),
+            verdict
+        ));
+    }
+    Ok(lines.join("\n"))
+}
+
+/// The full analysis of one bug (`txfix show`).
+pub fn show(b: &BugRecord) -> String {
+    let mut out = format!("{} — {} {}\n  {}", b.id, b.app, b.kind, b.summary);
+    if b.synthetic_id {
+        out.push_str("\n  (id synthesized during dataset reconstruction; see DESIGN.md)");
+    }
+    let _ = write!(
+        out,
+        "\n  developers' fix: {} ({} LOC, {} attempt{})",
+        b.dev_fix.difficulty,
+        b.dev_fix.loc,
+        b.dev_fix.attempts,
+        if b.dev_fix.attempts == 1 { "" } else { "s" }
+    );
+    let a = analyze(b);
+    match &a {
+        Analysis::Fixable(plan) => {
+            let _ = write!(out, "\n  TM fix: {}", plan.primary);
+            if let Some(simpler) = plan.simplified_by {
+                let _ = write!(out, "\n    also simplified by {simpler}");
+            }
+            if let Some(d) = tm_difficulty(b, &a) {
+                let _ = write!(out, "\n    difficulty: {d}");
+            }
+            match preference(b, &a) {
+                Some(Preference::Tm) => {
+                    out.push_str("\n    judged SIMPLER than the developers' fix")
+                }
+                Some(Preference::Developers) => {
+                    out.push_str("\n    developers' fix judged as easy or easier")
+                }
+                None => {}
+            }
+        }
+        Analysis::Unfixable(r) => {
+            let _ = write!(out, "\n  TM cannot fix this bug: {r}");
+        }
+    }
+    let d = &b.chars.downcalls;
+    if d.any() {
+        let calls: Vec<&str> = [
+            (d.condvar, "condition variables"),
+            (d.retry, "retry"),
+            (d.io, "I/O"),
+            (d.long_action, "long actions"),
+            (d.library, "library calls"),
+        ]
+        .into_iter()
+        .filter_map(|(used, what)| used.then_some(what))
+        .collect();
+        let _ = write!(out, "\n  atomic blocks contain: {}", calls.join(", "));
+    }
+    if let Some(key) = b.scenario {
+        let _ = write!(out, "\n  executable reproduction: `txfix scenario {key}`");
+    }
+    out
 }
 
 #[cfg(test)]

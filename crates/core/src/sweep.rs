@@ -1,14 +1,28 @@
-//! The shared frame around every `txfix` sweep subcommand.
+//! The shared frame around every `txfix` verb that selects scenarios.
 //!
-//! Six CLI sweeps (`stress`, `chaos`, `explore`, `autofix`, `canary`,
-//! `list`) share the same life cycle: parse a scenario selection plus the
-//! common `--json` / `--seed` / `--out` flags, run, render either the JSON
-//! document or a human table, persist the document to a canonical artifact
-//! at the repo root plus a timestamped copy under `results/`, and exit
-//! nonzero when the sweep's own pass/fail verdict says so. Each command
-//! implements [`SweepRunner`] with just its command-specific parts —
-//! extra flags, selection validation, execution — and [`run_sweep`]
-//! supplies the frame once, instead of six hand-rolled copies of it.
+//! `stress`, `kv`, `chaos`, `explore`, `autofix`, `crash`, `canary`,
+//! `list`, `analyze`, `lint` and `scenario` share the same life cycle:
+//! parse a selection plus the common `--json` / `--seed` / `--out` flags,
+//! run, render either the JSON document or a human table, persist the
+//! document to a canonical artifact at the repo root plus a timestamped
+//! copy under `results/`, and exit nonzero when the verb's own pass/fail
+//! verdict says so. Each verb implements [`SweepRunner`] with just its
+//! own parts and [`run_sweep`] supplies the frame once:
+//!
+//! - [`SweepRunner::universe`] declares the verb's fixed key set (plus
+//!   the noun its error text uses). The frame owns the one selection
+//!   decision — `--all`, or a non-empty subset of the universe, or a
+//!   usage error naming it — and the runner reads the validated choice
+//!   back, typed, through [`SweepArgs::pick`].
+//! - [`SweepRunner::usage`] is the verb's block of `txfix help`; the
+//!   help text is assembled from the runners, so it cannot go stale.
+//! - [`SweepRunner::flag`] handles the verb's own flags and
+//!   [`SweepRunner::execute`] runs it. A runner without an artifact
+//!   (`list`, `analyze`, `lint`, `scenario`) only prints, and the frame
+//!   rejects `--out` and, unless it says otherwise, `--seed` for it.
+//!
+//! The verb's name is not the runner's business: the dispatch table that
+//! owns the runners (`txfix::cli`) owns the names.
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -23,12 +37,36 @@ pub enum Flag {
     SeenWithValue,
 }
 
+/// The fixed key set a verb selects from.
+#[derive(Clone, Debug)]
+pub struct Universe {
+    /// What one key is, for error text (`"stress scenario"`).
+    pub noun: &'static str,
+    /// Every selectable key, in `--all` order.
+    pub keys: Vec<&'static str>,
+    /// The verb runs exactly one key per invocation (so no `--all`).
+    pub one: bool,
+}
+
+impl Universe {
+    /// A universe any non-empty subset of which (or `--all`) may be
+    /// selected.
+    pub fn new(noun: &'static str, keys: impl IntoIterator<Item = &'static str>) -> Universe {
+        Universe { noun, keys: keys.into_iter().collect(), one: false }
+    }
+
+    /// Restrict selections to exactly one key.
+    pub fn one(self) -> Universe {
+        Universe { one: true, ..self }
+    }
+}
+
 /// The common options every sweep accepts, parsed by [`run_sweep`] and
 /// handed to [`SweepRunner::execute`].
 #[derive(Clone, Debug, Default)]
 pub struct SweepArgs {
-    /// Positional scenario/canary keys (empty when `--all` or for sweeps
-    /// without a selection).
+    /// Positional keys, already checked against the runner's
+    /// [`Universe`].
     pub keys: Vec<String>,
     /// `--all`: sweep the full matrix.
     pub all: bool,
@@ -40,6 +78,22 @@ pub struct SweepArgs {
     pub out: Option<PathBuf>,
 }
 
+impl SweepArgs {
+    /// Whether this selection names `key` (every key, under `--all`).
+    pub fn selects(&self, key: &str) -> bool {
+        self.all || self.keys.iter().any(|k| k == key)
+    }
+
+    /// The members of `universe` this selection names, looked up by
+    /// `name`: all of them under `--all`, else one per key in key order.
+    pub fn pick<T: Copy>(&self, universe: &[T], name: impl Fn(T) -> &'static str) -> Vec<T> {
+        if self.all {
+            return universe.to_vec();
+        }
+        self.keys.iter().filter_map(|k| universe.iter().copied().find(|&u| name(u) == k)).collect()
+    }
+}
+
 /// The product of one sweep execution.
 pub struct SweepOutput {
     /// The machine-readable report document (no trailing newline).
@@ -49,23 +103,32 @@ pub struct SweepOutput {
     /// The sweep's verdict; `false` exits nonzero after the artifact is
     /// written (a failing sweep still leaves its evidence on disk).
     pub ok: bool,
-    /// Message printed to stderr when `ok` is `false`.
+    /// Message printed to stderr when `ok` is `false` (nothing when
+    /// empty: the rendering already says what failed).
     pub failure: &'static str,
 }
 
 /// One `txfix` sweep subcommand behind the shared [`run_sweep`] frame.
 pub trait SweepRunner {
-    /// Subcommand name, for error messages (`"stress"`).
-    fn name(&self) -> &'static str;
+    /// The verb's block of `txfix help`, laid out as printed.
+    fn usage(&self) -> &'static str;
 
-    /// Canonical artifact file name (`"BENCH_stm.json"`), or `None` for
-    /// sweeps that only print (`list`).
-    fn artifact(&self) -> Option<&'static str>;
+    /// Canonical artifact file name (`"BENCH_stm.json"`); `None` for
+    /// verbs that only print (`list`, `analyze`, `lint`, `scenario`).
+    fn artifact(&self) -> Option<&'static str> {
+        None
+    }
 
-    /// Whether `--seed` is meaningful for this sweep (`list` says no, and
-    /// passing one becomes a usage error).
+    /// The keys this verb selects from; `None` when it takes no key set
+    /// (`list`) and the frame has nothing to check.
+    fn universe(&self) -> Option<Universe> {
+        None
+    }
+
+    /// Whether `--seed` is meaningful (passing one is a usage error
+    /// otherwise): by default, for the sweeps that write an artifact.
     fn takes_seed(&self) -> bool {
-        true
+        self.artifact().is_some()
     }
 
     /// Handle one command-specific flag. `value` is the argument after the
@@ -75,23 +138,8 @@ pub trait SweepRunner {
     ///
     /// A usage message when the flag is recognized but its value is
     /// missing or malformed.
-    fn flag(&mut self, flag: &str, value: Option<&str>) -> Result<Flag, String> {
-        let _ = value;
-        let _ = flag;
+    fn flag(&mut self, _flag: &str, _value: Option<&str>) -> Result<Flag, String> {
         Ok(Flag::Unknown)
-    }
-
-    /// Validate the scenario selection before anything runs. The default
-    /// accepts any selection; sweeps with a fixed key set reject unknown
-    /// keys here, and sweeps that need an explicit selection reject the
-    /// empty one.
-    ///
-    /// # Errors
-    ///
-    /// A usage message naming the valid selections.
-    fn select(&mut self, args: &SweepArgs) -> Result<(), String> {
-        let _ = args;
-        Ok(())
     }
 
     /// Run the sweep and produce its document and rendering.
@@ -137,26 +185,24 @@ pub fn positive_list(flag: &str, value: Option<&str>, example: &str) -> Result<V
     }
 }
 
-/// Look every key of a positional selection up in the sweep's fixed
-/// `universe`, by `name`.
-///
-/// # Errors
-///
-/// ``"no <noun> `<key>` (available: …)"`` for the first key not in it.
-pub fn select_from<T: Copy>(
-    noun: &str,
-    universe: &[T],
-    name: impl Fn(T) -> &'static str,
-    keys: &[String],
-) -> Result<Vec<T>, String> {
-    keys.iter()
-        .map(|k| {
-            universe.iter().copied().find(|&u| name(u) == k).ok_or_else(|| {
-                let available: Vec<&str> = universe.iter().map(|&u| name(u)).collect();
-                format!("no {noun} `{k}` (available: {})", available.join(", "))
-            })
-        })
-        .collect()
+/// The frame's one selection decision: `--all`, or a non-empty subset
+/// of the universe (exactly one key for a [`Universe::one`]), or a usage
+/// error naming the universe.
+fn check_selection(universe: Option<Universe>, args: &SweepArgs) -> Result<(), String> {
+    let Some(Universe { noun, keys, one }) = universe else {
+        return Ok(());
+    };
+    let available = keys.join(", ");
+    if let Some(k) = args.keys.iter().find(|k| !keys.contains(&k.as_str())) {
+        return Err(format!("no {noun} `{k}` (available: {available})"));
+    }
+    if one && (args.all || args.keys.len() != 1) {
+        return Err(format!("select exactly one {noun} (available: {available})"));
+    }
+    if !one && !args.all && args.keys.is_empty() {
+        return Err(format!("select a {noun} or --all (available: {available})"));
+    }
+    Ok(())
 }
 
 fn parse_seed(s: &str) -> Option<u64> {
@@ -168,11 +214,12 @@ fn parse_seed(s: &str) -> Option<u64> {
 }
 
 /// Parse `raw` into the common [`SweepArgs`], delegating unknown flags to
-/// the runner.
+/// the runner and checking the selection against its universe.
 ///
 /// # Errors
 ///
-/// A usage message for malformed or unknown options.
+/// A usage message for malformed or unknown options and for a selection
+/// the universe does not admit.
 pub fn parse_sweep_args(runner: &mut dyn SweepRunner, raw: &[String]) -> Result<SweepArgs, String> {
     let mut args = SweepArgs::default();
     let mut i = 0;
@@ -183,7 +230,7 @@ pub fn parse_sweep_args(runner: &mut dyn SweepRunner, raw: &[String]) -> Result<
             "--json" => args.json = true,
             "--seed" => {
                 if !runner.takes_seed() {
-                    return Err(format!("{} does not take --seed", runner.name()));
+                    return Err("this verb does not take --seed".into());
                 }
                 i += 1;
                 match raw.get(i).map(String::as_str).and_then(parse_seed) {
@@ -193,10 +240,7 @@ pub fn parse_sweep_args(runner: &mut dyn SweepRunner, raw: &[String]) -> Result<
             }
             "--out" => {
                 if runner.artifact().is_none() {
-                    return Err(format!(
-                        "{} writes no artifact, so --out is meaningless",
-                        runner.name()
-                    ));
+                    return Err("this verb writes no artifact, so --out is meaningless".into());
                 }
                 i += 1;
                 match raw.get(i) {
@@ -216,6 +260,7 @@ pub fn parse_sweep_args(runner: &mut dyn SweepRunner, raw: &[String]) -> Result<
         }
         i += 1;
     }
+    check_selection(runner.universe(), &args)?;
     Ok(args)
 }
 
@@ -241,28 +286,15 @@ pub fn write_artifact(canonical: &Path, rendered: &str) -> Result<PathBuf, Strin
     Ok(per_run)
 }
 
-/// Outcome of [`run_sweep`]: exit success, or a usage error carrying the
-/// message for the caller's usage printer.
-pub enum SweepExit {
-    /// The sweep ran; exit with this code.
-    Done(ExitCode),
-    /// Argument/selection error; print usage with this message.
-    Usage(String),
-}
-
 /// The shared frame: parse, select, execute, print, persist, exit.
-pub fn run_sweep(runner: &mut dyn SweepRunner, raw: &[String]) -> SweepExit {
-    let args = match parse_sweep_args(runner, raw) {
-        Ok(a) => a,
-        Err(e) => return SweepExit::Usage(e),
-    };
-    if let Err(e) = runner.select(&args) {
-        return SweepExit::Usage(e);
-    }
-    let out = match runner.execute(&args) {
-        Ok(o) => o,
-        Err(e) => return SweepExit::Usage(e),
-    };
+///
+/// # Errors
+///
+/// A usage message (bad arguments or selection) for the caller's usage
+/// printer; nothing has run.
+pub fn run_sweep(runner: &mut dyn SweepRunner, raw: &[String]) -> Result<ExitCode, String> {
+    let args = parse_sweep_args(runner, raw)?;
+    let out = runner.execute(&args)?;
     if args.json {
         println!("{}", out.rendered);
     } else if !out.table.is_empty() {
@@ -271,23 +303,23 @@ pub fn run_sweep(runner: &mut dyn SweepRunner, raw: &[String]) -> SweepExit {
     if let Some(name) = runner.artifact() {
         let canonical = args.out.clone().unwrap_or_else(|| PathBuf::from(name));
         match write_artifact(&canonical, &out.rendered) {
-            Ok(per_run) => {
-                if !args.json {
-                    println!("\nwrote {} and {}", canonical.display(), per_run.display());
-                }
+            Ok(per_run) if !args.json => {
+                println!("\nwrote {} and {}", canonical.display(), per_run.display())
             }
+            Ok(_) => {}
             Err(e) => {
                 eprintln!("error: {e}");
-                return SweepExit::Done(ExitCode::FAILURE);
+                return Ok(ExitCode::FAILURE);
             }
         }
     }
     if out.ok {
-        SweepExit::Done(ExitCode::SUCCESS)
-    } else {
-        eprintln!("error: {}", out.failure);
-        SweepExit::Done(ExitCode::FAILURE)
+        return Ok(ExitCode::SUCCESS);
     }
+    if !out.failure.is_empty() {
+        eprintln!("error: {}", out.failure);
+    }
+    Ok(ExitCode::FAILURE)
 }
 
 #[cfg(test)]
@@ -298,20 +330,24 @@ mod tests {
         secs: Option<f64>,
         artifact: Option<&'static str>,
         seedable: bool,
+        universe: Option<Universe>,
     }
 
     impl Dummy {
         fn new() -> Dummy {
-            Dummy { secs: None, artifact: Some("DUMMY.json"), seedable: true }
+            Dummy { secs: None, artifact: Some("DUMMY.json"), seedable: true, universe: None }
         }
     }
 
     impl SweepRunner for Dummy {
-        fn name(&self) -> &'static str {
-            "dummy"
+        fn usage(&self) -> &'static str {
+            "  dummy"
         }
         fn artifact(&self) -> Option<&'static str> {
             self.artifact
+        }
+        fn universe(&self) -> Option<Universe> {
+            self.universe.clone()
         }
         fn takes_seed(&self) -> bool {
             self.seedable
@@ -386,9 +422,29 @@ mod tests {
                 "--shards takes a comma-separated list, e.g. 2,4"
             );
         }
-        let pick = |keys: &[&str]| select_from("fruit", &["fig", "plum"], |s| s, &strs(keys));
-        assert_eq!(pick(&["plum", "fig"]), Ok(vec!["plum", "fig"]));
-        assert_eq!(pick(&["fig", "kiwi"]).unwrap_err(), "no fruit `kiwi` (available: fig, plum)");
+    }
+
+    #[test]
+    fn the_frame_owns_the_selection_decision() {
+        let mut d = Dummy::new();
+        assert_eq!(parse_sweep_args(&mut d, &strs(&["anything"])).unwrap().keys, ["anything"]);
+        d.universe = Some(Universe::new("fruit", ["fig", "plum"]));
+        let pick = |d: &mut Dummy, raw: &[&str]| {
+            parse_sweep_args(d, &strs(raw)).map(|args| args.pick(&["fig", "plum"], |s| s))
+        };
+        assert_eq!(pick(&mut d, &["plum", "fig"]), Ok(vec!["plum", "fig"]));
+        assert_eq!(pick(&mut d, &["--all"]), Ok(vec!["fig", "plum"]));
+        let offer = "(available: fig, plum)";
+        assert_eq!(pick(&mut d, &["fig", "kiwi"]).unwrap_err(), format!("no fruit `kiwi` {offer}"));
+        assert_eq!(pick(&mut d, &[]).unwrap_err(), format!("select a fruit or --all {offer}"));
+        d.universe = d.universe.map(Universe::one);
+        assert_eq!(pick(&mut d, &["plum"]), Ok(vec!["plum"]));
+        for wrong in [&[][..], &["--all"], &["fig", "plum"]] {
+            assert_eq!(
+                pick(&mut d, wrong).unwrap_err(),
+                format!("select exactly one fruit {offer}")
+            );
+        }
     }
 
     #[test]

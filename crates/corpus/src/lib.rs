@@ -24,10 +24,10 @@ pub mod summaries;
 
 pub use dataset::{all_bugs, bug_by_id, bug_by_scenario, keys};
 pub use scenarios::{
-    all_scenarios, scenario_by_key, scheduled_by_key, scheduled_scenarios, BugScenario, Outcome,
-    ScheduledRun, ScheduledScenario, Variant,
+    all_scenarios, scenario_by_key, scenario_listing, scheduled_by_key, scheduled_scenarios,
+    BugScenario, Outcome, ScenarioSweep, ScheduledRun, ScheduledScenario, Variant,
 };
-pub use summaries::summary_for;
+pub use summaries::{summary_for, LintSweep};
 
 #[cfg(test)]
 mod consistency {

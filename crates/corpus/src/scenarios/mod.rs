@@ -18,7 +18,10 @@ pub mod scheduled;
 
 pub use scheduled::{scheduled_by_key, scheduled_scenarios, ScheduledRun, ScheduledScenario};
 
+use crate::dataset::keys;
 use std::fmt;
+use std::fmt::Write as _;
+use txfix_core::sweep::{Flag, SweepArgs, SweepOutput, SweepRunner, Universe};
 
 /// Which implementation of the scenario to run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -34,6 +37,25 @@ pub enum Variant {
 impl Variant {
     /// All variants.
     pub const ALL: [Variant; 3] = [Variant::Buggy, Variant::DevFix, Variant::TmFix];
+
+    /// Short name for reports and the CLI (`buggy` / `dev` / `tm`).
+    pub fn name(self) -> &'static str {
+        match self {
+            Variant::Buggy => "buggy",
+            Variant::DevFix => "dev",
+            Variant::TmFix => "tm",
+        }
+    }
+
+    /// Inverse of [`name`](Variant::name): the value of `--variant`.
+    pub fn parse(s: &str) -> Option<Variant> {
+        match s {
+            "buggy" => Some(Variant::Buggy),
+            "dev" => Some(Variant::DevFix),
+            "tm" => Some(Variant::TmFix),
+            _ => None,
+        }
+    }
 }
 
 impl fmt::Display for Variant {
@@ -86,10 +108,57 @@ pub fn scenario_by_key(key: &str) -> Option<Box<dyn BugScenario>> {
     all_scenarios().into_iter().find(|s| s.key() == key)
 }
 
+/// One line per scenario, key then description (`txfix scenarios`).
+pub fn scenario_listing() -> String {
+    let lines: Vec<String> =
+        all_scenarios().iter().map(|s| format!("{:22} {}", s.key(), s.describe())).collect();
+    lines.join("\n")
+}
+
+/// `txfix scenario`: run one reproduction's variants and print what each
+/// run observed.
+#[derive(Default)]
+pub struct ScenarioSweep {
+    only: Option<Variant>,
+}
+
+impl SweepRunner for ScenarioSweep {
+    fn usage(&self) -> &'static str {
+        "\x20 scenario <key> [--variant buggy|dev|tm]\n\
+         \x20                              run a reproduction (default: all three variants)"
+    }
+
+    fn universe(&self) -> Option<Universe> {
+        Some(Universe::new("scenario", keys::ALL).one())
+    }
+
+    fn flag(&mut self, flag: &str, value: Option<&str>) -> Result<Flag, String> {
+        if flag != "--variant" {
+            return Ok(Flag::Unknown);
+        }
+        self.only = Some(value.and_then(Variant::parse).ok_or("--variant takes buggy|dev|tm")?);
+        Ok(Flag::SeenWithValue)
+    }
+
+    fn execute(&mut self, args: &SweepArgs) -> Result<SweepOutput, String> {
+        if args.json {
+            return Err("scenario has no JSON form".into());
+        }
+        let s = scenario_by_key(&args.keys[0]).expect("the frame checked the key");
+        let mut table = format!("{}: {}\n", s.key(), s.describe());
+        for v in self.only.map_or(Variant::ALL.to_vec(), |v| vec![v]) {
+            let _ = match s.run(v) {
+                Outcome::Correct => write!(table, "\n  {v:13} -> clean"),
+                Outcome::BugObserved(msg) => write!(table, "\n  {v:13} -> BUG: {msg}"),
+            };
+        }
+        Ok(SweepOutput { rendered: String::new(), table, ok: true, failure: "" })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dataset::keys;
 
     #[test]
     fn registry_covers_all_18_keys() {

@@ -16,8 +16,11 @@
 //! else. A model is *not* a trace — the passes consider every
 //! interleaving of the modeled paths.
 
+use crate::dataset::{bug_by_scenario, keys};
 use crate::scenarios::Variant;
-use txfix_static::{Path, ScenarioSummary, Summary};
+use txfix_core::json::{Json, ToJson};
+use txfix_core::sweep::{Flag, SweepArgs, SweepOutput, SweepRunner, Universe};
+use txfix_static::{lint_summary, LintReport, Path, ScenarioSummary, Summary};
 
 /// The registered summary for scenario `key`'s `variant`, or `None` for
 /// an unknown key. Every key in [`crate::keys::ALL`] has all three
@@ -47,18 +50,64 @@ pub fn summary_for(key: &str, variant: Variant) -> Option<ScenarioSummary> {
     })
 }
 
-fn label(v: Variant) -> &'static str {
-    match v {
-        Variant::Buggy => "buggy",
-        Variant::DevFix => "dev",
-        Variant::TmFix => "tm",
+/// `txfix lint`: run the static passes over the selected scenarios'
+/// summaries and verify the synthesized fix recipes. Lives here rather
+/// than in `txfix-static` because this crate is where the analyzer, the
+/// corpus keys and [`Variant`] meet (the summaries are written in the
+/// analyzer's IR, so the dependency points this way).
+#[derive(Default)]
+pub struct LintSweep {
+    only: Option<Variant>,
+}
+
+impl SweepRunner for LintSweep {
+    fn usage(&self) -> &'static str {
+        "\x20 lint [<key>|--all] [--variant buggy|dev|tm] [--json]\n\
+         \x20                              statically analyze critical-section summaries\n\
+         \x20                              (default: all three variants) and verify the\n\
+         \x20                              synthesized fix recipes; exits nonzero on findings"
+    }
+
+    fn universe(&self) -> Option<Universe> {
+        let modeled = keys::ALL.into_iter().filter(|k| summary_for(k, Variant::Buggy).is_some());
+        Some(Universe::new("scenario", modeled))
+    }
+
+    fn flag(&mut self, flag: &str, value: Option<&str>) -> Result<Flag, String> {
+        if flag != "--variant" {
+            return Ok(Flag::Unknown);
+        }
+        self.only = Some(value.and_then(Variant::parse).ok_or("--variant takes buggy|dev|tm")?);
+        Ok(Flag::SeenWithValue)
+    }
+
+    fn execute(&mut self, args: &SweepArgs) -> Result<SweepOutput, String> {
+        let mut reports: Vec<LintReport> = Vec::new();
+        let mut tables = Vec::new();
+        for key in args.pick(&keys::ALL, |k| k) {
+            let bug = bug_by_scenario(key);
+            let analysis = bug.as_ref().map(txfix_core::analyze);
+            for v in self.only.map_or(Variant::ALL.to_vec(), |v| vec![v]) {
+                let summary = summary_for(key, v).expect("every modeled key has all variants");
+                let report = lint_summary(&summary, analysis.as_ref())
+                    .map_err(|e| format!("summary for {key} is malformed: {e}"))?;
+                tables.push(report.table(bug.as_ref().map(|b| b.id)));
+                reports.push(report);
+            }
+        }
+        Ok(SweepOutput {
+            rendered: Json::list(reports.iter().map(ToJson::to_json_value)).to_json(),
+            table: tables.join("\n"),
+            ok: !reports.iter().any(LintReport::has_findings),
+            failure: "",
+        })
     }
 }
 
 /// Mozilla-I (§5.4.1): `js_SetSlotThreadSafe` and `ClaimTitle` nest the
 /// title and scope locks in opposite orders.
 fn mozilla_i(v: Variant) -> ScenarioSummary {
-    let s = Summary::new(crate::keys::MOZILLA_I, label(v));
+    let s = Summary::new(crate::keys::MOZILLA_I, v.name());
     match v {
         Variant::Buggy => s
             .path(
@@ -105,7 +154,7 @@ fn mozilla_i(v: Variant) -> ScenarioSummary {
 
 /// Mozilla#54743: the cache and atom-table locks close an AB-BA cycle.
 fn dl_cache_atomtable(v: Variant) -> ScenarioSummary {
-    let s = Summary::new(crate::keys::DL_CACHE_ATOMTABLE, label(v));
+    let s = Summary::new(crate::keys::DL_CACHE_ATOMTABLE, v.name());
     match v {
         Variant::Buggy => s
             .path(
@@ -166,7 +215,7 @@ fn dl_cache_atomtable(v: Variant) -> ScenarioSummary {
 
 /// Mozilla#60303: three locks acquired in a rotating order.
 fn dl_three_lock_cycle(v: Variant) -> ScenarioSummary {
-    let s = Summary::new(crate::keys::DL_THREE_LOCK_CYCLE, label(v));
+    let s = Summary::new(crate::keys::DL_THREE_LOCK_CYCLE, v.name());
     let nested = |name: &str, first: &str, d1: &str, second: &str, d2: &str| {
         Path::new(name)
             .acquire(first)
@@ -200,7 +249,7 @@ fn dl_three_lock_cycle(v: Variant) -> ScenarioSummary {
 /// by *dropping* the nested acquisition — introducing a deliberate,
 /// benign race.
 fn dl_intentional_race(v: Variant) -> ScenarioSummary {
-    let s = Summary::new(crate::keys::DL_INTENTIONAL_RACE, label(v));
+    let s = Summary::new(crate::keys::DL_INTENTIONAL_RACE, v.name());
     match v {
         Variant::Buggy => s
             .path(
@@ -265,7 +314,7 @@ fn dl_intentional_race(v: Variant) -> ScenarioSummary {
 /// variable while holding the timeout mutex, which every worker needs
 /// before it can notify — a lock-and-wait cycle no lock graph sees.
 fn apache_i(v: Variant) -> ScenarioSummary {
-    let s = Summary::new(crate::keys::APACHE_I, label(v));
+    let s = Summary::new(crate::keys::APACHE_I, v.name());
     let worker = || {
         Path::new("worker")
             .acquire("apache1.queue_lock")
@@ -328,7 +377,7 @@ fn apache_i(v: Variant) -> ScenarioSummary {
 
 /// Apache#11600: two local mutexes acquired in both orders.
 fn dl_local_lock_order(v: Variant) -> ScenarioSummary {
-    let s = Summary::new(crate::keys::DL_LOCAL_LOCK_ORDER, label(v));
+    let s = Summary::new(crate::keys::DL_LOCAL_LOCK_ORDER, v.name());
     match v {
         Variant::Buggy => s
             .path(
@@ -390,7 +439,7 @@ fn dl_local_lock_order(v: Variant) -> ScenarioSummary {
 /// MySQL#3155: two table locks taken in statement order, which differs
 /// between concurrent statements.
 fn dl_mysql_table_pair(v: Variant) -> ScenarioSummary {
-    let s = Summary::new(crate::keys::DL_MYSQL_TABLE_PAIR, label(v));
+    let s = Summary::new(crate::keys::DL_MYSQL_TABLE_PAIR, v.name());
     match v {
         Variant::Buggy => s
             .path(
@@ -463,7 +512,7 @@ fn dl_mysql_table_pair(v: Variant) -> ScenarioSummary {
 /// wrong (unrelated) lock, so the "protected" sections never exclude
 /// each other.
 fn av_wrong_lock(v: Variant) -> ScenarioSummary {
-    let s = Summary::new(crate::keys::AV_WRONG_LOCK, label(v));
+    let s = Summary::new(crate::keys::AV_WRONG_LOCK, v.name());
     let right = |lock: &str| {
         Path::new("evictor")
             .acquire(lock)
@@ -502,7 +551,7 @@ fn av_wrong_lock(v: Variant) -> ScenarioSummary {
 /// Mozilla#90994-style: check-then-decrement of a reference count with
 /// no synchronization at all.
 fn av_refcount_race(v: Variant) -> ScenarioSummary {
-    let s = Summary::new(crate::keys::AV_REFCOUNT_RACE, label(v));
+    let s = Summary::new(crate::keys::AV_REFCOUNT_RACE, v.name());
     let bare = |name: &str| Path::new(name).read("m.refcount").write("m.refcount");
     match v {
         Variant::Buggy => s.path(bare("releaser")).path(bare("adopter")),
@@ -532,7 +581,7 @@ fn av_refcount_race(v: Variant) -> ScenarioSummary {
 /// Mozilla#52271-style: unsynchronized check-then-initialize of a lazy
 /// singleton.
 fn av_lazy_init(v: Variant) -> ScenarioSummary {
-    let s = Summary::new(crate::keys::AV_LAZY_INIT, label(v));
+    let s = Summary::new(crate::keys::AV_LAZY_INIT, v.name());
     let bare = |name: &str| Path::new(name).read("m52271.initialized").write("m52271.initialized");
     let locked = |name: &str| {
         Path::new(name)
@@ -567,7 +616,7 @@ fn av_lazy_init(v: Variant) -> ScenarioSummary {
 /// variable *before* it has published the item — a waiter that checks
 /// its predicate in between goes back to sleep forever.
 fn av_cv_partial(v: Variant) -> ScenarioSummary {
-    let s = Summary::new(crate::keys::AV_CV_PARTIAL, label(v));
+    let s = Summary::new(crate::keys::AV_CV_PARTIAL, v.name());
     let consumer = || {
         Path::new("consumer")
             .acquire("m91106.monitor")
@@ -610,7 +659,7 @@ fn av_cv_partial(v: Variant) -> ScenarioSummary {
 
 /// Apache#25520: worker scoreboard slots updated with no lock.
 fn av_scoreboard(v: Variant) -> ScenarioSummary {
-    let s = Summary::new(crate::keys::AV_SCOREBOARD, label(v));
+    let s = Summary::new(crate::keys::AV_SCOREBOARD, v.name());
     let bare = |name: &str| Path::new(name).read("a25520.slot").write("a25520.slot");
     let locked = |name: &str| {
         Path::new(name)
@@ -645,7 +694,7 @@ fn av_scoreboard(v: Variant) -> ScenarioSummary {
 /// bytes, and bumps the cursor — two writers interleaving tear both the
 /// cursor and the buffer/cursor invariant.
 fn apache_ii(v: Variant) -> ScenarioSummary {
-    let s = Summary::new(crate::keys::APACHE_II, label(v))
+    let s = Summary::new(crate::keys::APACHE_II, v.name())
         .group(&["apache2.log_buf", "apache2.log_cursor"]);
     let bare = |name: &str| {
         Path::new(name)
@@ -688,7 +737,7 @@ fn apache_ii(v: Variant) -> ScenarioSummary {
 /// Apache#31017: the request/byte counter pair must move together, but
 /// each update is its own unsynchronized store.
 fn av_pair_invariant(v: Variant) -> ScenarioSummary {
-    let s = Summary::new(crate::keys::AV_PAIR_INVARIANT, label(v))
+    let s = Summary::new(crate::keys::AV_PAIR_INVARIANT, v.name())
         .group(&["a31017.requests", "a31017.bytes"]);
     match v {
         Variant::Buggy => s
@@ -731,7 +780,7 @@ fn av_pair_invariant(v: Variant) -> ScenarioSummary {
 /// Apache#29850: read the shared sequence number, emit the log line,
 /// bump the sequence — all unsynchronized.
 fn av_log_sequence(v: Variant) -> ScenarioSummary {
-    let s = Summary::new(crate::keys::AV_LOG_SEQUENCE, label(v));
+    let s = Summary::new(crate::keys::AV_LOG_SEQUENCE, v.name());
     let bare =
         |name: &str| Path::new(name).read("a29850.seq").write("a29850.log").write("a29850.seq");
     let locked = |name: &str| {
@@ -769,7 +818,7 @@ fn av_log_sequence(v: Variant) -> ScenarioSummary {
 /// MySQL#12228: statistics counters updated without the status lock the
 /// rest of the server uses.
 fn av_stats_race(v: Variant) -> ScenarioSummary {
-    let s = Summary::new(crate::keys::AV_STATS_RACE, label(v));
+    let s = Summary::new(crate::keys::AV_STATS_RACE, v.name());
     let bare = |name: &str| Path::new(name).read("my12228.queries").write("my12228.queries");
     let locked = |name: &str| {
         Path::new(name)
@@ -804,7 +853,7 @@ fn av_stats_race(v: Variant) -> ScenarioSummary {
 /// binlog, so a concurrent insert can slip between table change and log
 /// record — the table/binlog invariant tears.
 fn mysql_i(v: Variant) -> ScenarioSummary {
-    let s = Summary::new(crate::keys::MYSQL_I, label(v)).group(&["mysql1.table", "mysql1.binlog"]);
+    let s = Summary::new(crate::keys::MYSQL_I, v.name()).group(&["mysql1.table", "mysql1.binlog"]);
     let insert = || {
         Path::new("insert")
             .acquire("mysql1.lock_open")
@@ -853,7 +902,7 @@ fn mysql_i(v: Variant) -> ScenarioSummary {
 /// version, write the value, bump the version, with no synchronization
 /// underneath.
 fn av_adhoc_retry(v: Variant) -> ScenarioSummary {
-    let s = Summary::new(crate::keys::AV_ADHOC_RETRY, label(v));
+    let s = Summary::new(crate::keys::AV_ADHOC_RETRY, v.name());
     let bare = |name: &str| {
         Path::new(name).read("my16582.version").write("my16582.value").write("my16582.version")
     };
@@ -899,7 +948,7 @@ mod tests {
                     summary_for(key, v).unwrap_or_else(|| panic!("no summary for {key} ({v:?})"));
                 s.validate().unwrap_or_else(|e| panic!("{key} ({v:?}): {e}"));
                 assert_eq!(s.key, key);
-                assert_eq!(s.variant, label(v));
+                assert_eq!(s.variant, v.name());
                 assert!(s.paths.len() >= 2, "{key} ({v:?}) models fewer than two paths");
             }
         }

@@ -28,6 +28,8 @@ pub mod runner;
 
 use report::{EntryReport, ExploreReport, FailureReport};
 use runner::{RunResult, ScheduleOutcome, DEFAULT_MAX_STEPS};
+use txfix_core::json::ToJson;
+use txfix_core::sweep::{self, Flag, SweepArgs, SweepOutput, SweepRunner, Universe};
 use txfix_corpus::{scheduled_scenarios, ScheduledScenario, Variant};
 use txfix_stm::sched::{self, format_trace};
 
@@ -86,22 +88,22 @@ impl Default for ExploreConfig {
     }
 }
 
-/// Short variant name for reports and the CLI (`buggy` / `dev` / `tm`).
-pub fn variant_short(v: Variant) -> &'static str {
-    match v {
-        Variant::Buggy => "buggy",
-        Variant::DevFix => "dev",
-        Variant::TmFix => "tm",
-    }
-}
-
-/// Parse a CLI variant name.
-pub fn variant_parse(s: &str) -> Option<Variant> {
-    match s {
-        "buggy" => Some(Variant::Buggy),
-        "dev" => Some(Variant::DevFix),
-        "tm" => Some(Variant::TmFix),
-        _ => None,
+impl ExploreConfig {
+    /// Handle the flags every exploration-driven sweep takes
+    /// (`--strategy`, `--budget`).
+    ///
+    /// # Errors
+    ///
+    /// A usage message when the value is missing or malformed.
+    pub fn flag(&mut self, flag: &str, value: Option<&str>) -> Result<Flag, String> {
+        match flag {
+            "--strategy" => {
+                self.strategy = value.and_then(Strategy::parse).ok_or("--strategy takes dfs|pct")?
+            }
+            "--budget" => self.budget = sweep::positive(flag, value)?,
+            _ => return Ok(Flag::Unknown),
+        }
+        Ok(Flag::SeenWithValue)
     }
 }
 
@@ -218,7 +220,7 @@ pub fn explore_variant(
         };
         EntryReport {
             key: scenario.key().to_string(),
-            variant: variant_short(variant).to_string(),
+            variant: variant.name().to_string(),
             schedules: ex.schedules,
             pruned: ex.pruned,
             step_limited: ex.step_limited,
@@ -246,38 +248,71 @@ pub fn replay(
     })
 }
 
-/// Sweep scenarios (all, or the ones named in `keys`) across the
-/// requested variants.
+/// Sweep the scheduled scenarios whose key `selected` admits, in corpus
+/// order, across the requested variants.
 pub fn explore_corpus(
-    keys: Option<&[String]>,
+    selected: impl Fn(&str) -> bool,
     variants: &[Variant],
     cfg: &ExploreConfig,
-) -> Result<ExploreReport, String> {
-    let scenarios = scheduled_scenarios();
-    let selected: Vec<_> = match keys {
-        None => scenarios,
-        Some(ks) => {
-            for k in ks {
-                if !scenarios.iter().any(|s| s.key() == k) {
-                    return Err(format!(
-                        "no scheduled scenario '{k}' (have: {})",
-                        scenarios.iter().map(|s| s.key()).collect::<Vec<_>>().join(", ")
-                    ));
-                }
-            }
-            scenarios.into_iter().filter(|s| ks.iter().any(|k| k == s.key())).collect()
-        }
-    };
+) -> ExploreReport {
     let mut entries = Vec::new();
-    for scenario in &selected {
+    for scenario in scheduled_scenarios().iter().filter(|s| selected(s.key())) {
         for &variant in variants {
             entries.push(explore_variant(scenario.as_ref(), variant, cfg));
         }
     }
-    Ok(ExploreReport {
+    ExploreReport {
         strategy: cfg.strategy.name().to_string(),
         budget: cfg.budget,
         seed: cfg.seed,
         entries,
-    })
+    }
+}
+
+/// `txfix explore`: model-check the selected scheduled scenarios.
+#[derive(Default)]
+pub struct ExploreSweep {
+    cfg: ExploreConfig,
+    only: Option<Variant>,
+}
+
+impl SweepRunner for ExploreSweep {
+    fn usage(&self) -> &'static str {
+        "\x20 explore [<key>|--all] [--variant buggy|dev|tm] [--strategy dfs|pct]\n\
+         \x20         [--budget N] [--seed S]\n\
+         \x20                              model-check scenario schedules under the\n\
+         \x20                              deterministic scheduler: every buggy variant\n\
+         \x20                              must break within budget (failing schedule\n\
+         \x20                              minimized and printed), every fixed variant\n\
+         \x20                              must survive all explored schedules; writes\n\
+         \x20                              EXPLORE_stm.json; exits nonzero on violations"
+    }
+
+    fn artifact(&self) -> Option<&'static str> {
+        Some("EXPLORE_stm.json")
+    }
+
+    fn universe(&self) -> Option<Universe> {
+        Some(Universe::new("scheduled scenario", scheduled_scenarios().iter().map(|s| s.key())))
+    }
+
+    fn flag(&mut self, flag: &str, value: Option<&str>) -> Result<Flag, String> {
+        if flag != "--variant" {
+            return self.cfg.flag(flag, value);
+        }
+        self.only = Some(value.and_then(Variant::parse).ok_or("--variant takes buggy|dev|tm")?);
+        Ok(Flag::SeenWithValue)
+    }
+
+    fn execute(&mut self, args: &SweepArgs) -> Result<SweepOutput, String> {
+        self.cfg.seed = args.seed.unwrap_or(self.cfg.seed);
+        let variants = self.only.map_or(Variant::ALL.to_vec(), |v| vec![v]);
+        let report = explore_corpus(|key| args.selects(key), &variants, &self.cfg);
+        Ok(SweepOutput {
+            rendered: report.to_json(),
+            table: report.table(),
+            ok: report.ok(),
+            failure: "exploration expectations not met",
+        })
+    }
 }

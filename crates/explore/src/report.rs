@@ -5,6 +5,7 @@
 //! to prove replayability, so every field must be a pure function of
 //! `(corpus, strategy, seed, budget)`.
 
+use std::fmt::Write as _;
 use txfix_core::json::{Json, ToJson};
 
 /// Format identifier.
@@ -66,6 +67,46 @@ impl ExploreReport {
     /// True if every entry met its expectation.
     pub fn ok(&self) -> bool {
         self.entries.iter().all(|e| e.ok)
+    }
+
+    /// Human-readable table, one row per (scenario, variant); an expected
+    /// failure is followed by the line that replays it.
+    pub fn table(&self) -> String {
+        let mut table = format!(
+            "{:18} {:5} {:>9} {:>7} {:>8}  verdict",
+            "scenario", "var", "schedules", "pruned", "exhaust"
+        );
+        for e in &self.entries {
+            let verdict = match (&e.failure, e.ok) {
+                (Some(f), true) => format!(
+                    "bug @ schedule {} (depth {}, {} preemptions): {}",
+                    f.found_after, f.depth, f.preemptions, f.message
+                ),
+                (Some(f), false) => {
+                    format!("FIXED VARIANT BROKE: {} [trace {}]", f.message, f.trace)
+                }
+                (None, true) => "clean".to_string(),
+                (None, false) => "NO BUG FOUND within budget".to_string(),
+            };
+            let _ = write!(
+                table,
+                "\n{:18} {:5} {:>9} {:>7} {:>8}  {}",
+                e.key,
+                e.variant,
+                e.schedules,
+                e.pruned,
+                if e.exhausted { "yes" } else { "no" },
+                verdict
+            );
+            if let (Some(f), true) = (&e.failure, e.ok) {
+                let _ = write!(
+                    table,
+                    "\n{:55}replay: --strategy {} --seed {} trace {}",
+                    "", self.strategy, self.seed, f.trace
+                );
+            }
+        }
+        table
     }
 }
 

@@ -11,6 +11,7 @@
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
+use txfix_stm::chaos::fnv64;
 use txfix_xcall::{crashpoint, SimFile};
 
 /// Bytes per buffer-pool page — a small multiple of the simos block size
@@ -170,17 +171,6 @@ impl BufferPool {
         self.frames.clear();
         self.hand = 0;
     }
-}
-
-/// FNV-1a over `bytes` — the checkpoint checksum. Plain integer
-/// arithmetic: deterministic on every platform.
-pub fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 /// A decoded, checksum-valid checkpoint image.

@@ -38,9 +38,9 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use crate::page::{
-    decode_checkpoint, encode_checkpoint_entries, fnv64, BufferPool, Checkpoint, PoolStats,
+    decode_checkpoint, encode_checkpoint_entries, BufferPool, Checkpoint, PoolStats,
 };
-use txfix_stm::chaos::splitmix64;
+use txfix_stm::chaos::{fnv64, splitmix64};
 use txfix_stm::{EscalationPolicy, EscalationRung, TVar, Txn, TxnBuilder};
 use txfix_txlock::TxMutex;
 use txfix_wal::{is_token, recover, Wal, WalOp, WalVariant};

@@ -3,6 +3,7 @@
 //! [`txfix_core::json`]).
 
 use crate::synth::Verification;
+use std::fmt::Write as _;
 use txfix_core::json::{get, Json, ToJson};
 use txfix_core::Recipe;
 
@@ -57,6 +58,34 @@ impl LintReport {
     /// Whether the passes found anything.
     pub fn has_findings(&self) -> bool {
         !self.findings.is_empty()
+    }
+
+    /// Human-readable rendering: a header (naming the corpus bug, when
+    /// the caller knows it), then every finding with its synthesized
+    /// fixes and their verification status.
+    pub fn table(&self, bug_id: Option<&str>) -> String {
+        let bug_id = bug_id.map(|id| format!(" [{id}]")).unwrap_or_default();
+        let mut out = format!(
+            "scenario {}{bug_id} — {} variant: {} paths modeled",
+            self.scenario, self.variant, self.paths
+        );
+        if self.findings.is_empty() {
+            out.push_str("\n  no findings");
+        }
+        for f in &self.findings {
+            let _ = write!(out, "\n  FINDING: {}\n    {}", f.hazard, f.explanation);
+            for fix in &f.fixes {
+                let status = if fix.verified { "statically verified" } else { "NOT verified" };
+                let _ = write!(out, "\n    fix: {} — {status}", fix.recipe);
+                for h in &fix.residual {
+                    let _ = write!(out, "\n      residual: {h}");
+                }
+                for h in &fix.introduced {
+                    let _ = write!(out, "\n      introduced: {h}");
+                }
+            }
+        }
+        out
     }
 
     /// Parse a report back from [`ToJson::to_json`] output.

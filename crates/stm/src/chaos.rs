@@ -45,7 +45,6 @@
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 use crate::obs;
-use crate::stats;
 
 /// A fixed place in the runtime where a fault can be injected.
 ///
@@ -293,6 +292,18 @@ pub fn splitmix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
+/// FNV-1a over `bytes`: the stable hash behind checkpoint checksums, key
+/// placement and crash-point label salts. Plain integer arithmetic:
+/// deterministic on every platform.
+pub fn fnv64(bytes: &[u8]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
 /// Install `plan` process-wide, zeroing the hit and injection counters.
 /// Installing an empty plan still arms the layer (hits are counted); use
 /// [`clear`] to disarm.
@@ -345,8 +356,8 @@ impl Drop for ChaosGuard {
 }
 
 /// Ask whether the fault armed at `point` fires now. Counts a hit against
-/// the point either way (when armed), bumps the injected counters and the
-/// current obs site's `faults_injected` when it fires. With no plan
+/// the point either way (when armed), bumps the point's injected counter
+/// and the current obs site's `faults_injected` when it fires. With no plan
 /// installed this is one relaxed load and `false`.
 #[inline]
 pub fn should_inject(point: InjectionPoint) -> bool {
@@ -379,7 +390,6 @@ fn should_inject_slow(point: InjectionPoint) -> bool {
         return false;
     }
     INJECTED[i].fetch_add(1, Ordering::Relaxed);
-    stats::bump_chaos_injected();
     obs::note_fault_injected();
     true
 }

@@ -93,7 +93,6 @@ mod overhead;
 mod runtime;
 pub mod sched;
 mod serial;
-mod stats;
 pub mod trace;
 mod tvar;
 mod txn;
@@ -106,11 +105,5 @@ pub use overhead::OverheadModel;
 pub use runtime::{
     atomic, atomic_relaxed, EscalationPolicy, EscalationRung, TxnBuilder, TxnReport,
 };
-pub use stats::{quiescent_stats, stats, StatsSnapshot};
 pub use tvar::{TVar, VarId};
 pub use txn::{KillHandle, TxResource, Txn, TxnKind, WritePolicy};
-
-/// Current value of the global version clock (diagnostic).
-pub fn clock_now() -> u64 {
-    clock::now()
-}

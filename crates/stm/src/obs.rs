@@ -1,16 +1,15 @@
 //! Per-site runtime observability: the metrics layer behind `txfix stress`.
 //!
-//! Process-global [`stats`](crate::stats) counters answer "how much did the
-//! whole runtime do"; this module answers "*which* atomic block paid for
-//! it". Every transaction can carry a [`SiteId`] — a static label interned
+//! The runtime's one counter registry: it answers "how much did the
+//! runtime do" and "*which* atomic block paid for it" from the same slots.
+//! Every transaction can carry a [`SiteId`] — a static label interned
 //! once per call site (`Txn::build().site("apache_i")`) — and the runtime
 //! attributes commits, aborts split by cause, attempt and latency
 //! histograms, backoff time, irrevocable entries, revocable-lock traffic
 //! and x-call counts to that site. A global registry holds one fixed slot
 //! of atomics per site, so recording is lock-free; [`snapshot`] copies the
 //! registry into a plain [`ObsSnapshot`] with counter-wise
-//! [`delta`](ObsSnapshot::delta) semantics, the same discipline
-//! [`StatsSnapshot`](crate::StatsSnapshot) uses.
+//! [`delta`](ObsSnapshot::delta) semantics.
 //!
 //! ## Cost when disabled
 //!
@@ -385,11 +384,10 @@ impl ObsSnapshot {
     }
 }
 
-/// Copy the registry. Like [`stats`](crate::stats), each counter is read
-/// with a separate relaxed load, so a snapshot taken while transactions are
-/// in flight can split one logical commit across two snapshots; use
-/// [`delta`](ObsSnapshot::delta) over quiescent boundaries (or pause load)
-/// for exact accounting.
+/// Copy the registry. Each counter is read with a separate relaxed load,
+/// so a snapshot taken while transactions are in flight can split one
+/// logical commit across two snapshots; use [`delta`](ObsSnapshot::delta)
+/// over quiescent boundaries (or pause load) for exact accounting.
 pub fn snapshot() -> ObsSnapshot {
     let n = registered_sites().min(MAX_SITES);
     ObsSnapshot { sites: (0..n).map(|i| SITES[i].snapshot(SiteId(i as u32))).collect() }

@@ -12,7 +12,6 @@ use crate::obs;
 use crate::obs::SiteId;
 use crate::overhead::OverheadModel;
 use crate::sched;
-use crate::stats;
 use crate::txn::{Txn, TxnKind, TxnOptions, WritePolicy};
 use std::time::{Duration, Instant};
 
@@ -215,12 +214,6 @@ impl TxnBuilder {
         self
     }
 
-    /// The builder's metrics site (the unattributed site unless
-    /// [`site`](TxnBuilder::site) was called).
-    pub fn site_id(&self) -> SiteId {
-        self.opts.site
-    }
-
     /// Execute `body` as a transaction, retrying until it commits, and
     /// return its result together with a [`TxnReport`].
     ///
@@ -330,7 +323,6 @@ pub(crate) fn atomic_report<T>(
             while rung < target {
                 rung = rung.next();
                 report.escalations += 1;
-                stats::bump_escalations();
                 obs::note_escalation(opts.site);
                 if rung == EscalationRung::StrongerBackoff {
                     backoff = Backoff::new(opts.backoff.escalated());
@@ -384,7 +376,6 @@ pub(crate) fn atomic_report<T>(
                 let ticket = wp.prepare();
                 match txn.commit() {
                     Ok(()) => {
-                        stats::bump_waits();
                         obs::note_wait(opts.site);
                         report.waits += 1;
                         // The commit succeeded, so contention pressure is
@@ -399,7 +390,6 @@ pub(crate) fn atomic_report<T>(
                 }
             }
             Err(Abort::Retry) => {
-                stats::bump_retries();
                 obs::note_retry_blocked(opts.site);
                 report.blocked_retries += 1;
                 let seen = notifier::global().epoch();
@@ -444,28 +434,21 @@ fn handle_abort(
 ) -> Result<(), TxnError> {
     match abort {
         Abort::Conflict(kind) => {
-            match kind {
-                ConflictKind::ReadValidation => stats::bump_conflicts_validation(),
-                ConflictKind::OrecBusy => stats::bump_conflicts_orec(),
-            }
             obs::note_conflict(site, kind);
             backoff_wait(backoff, site);
             Ok(())
         }
         Abort::Restart => {
-            stats::bump_explicit_restarts();
             obs::note_restart(site);
             Ok(())
         }
         Abort::Deadlock => {
-            stats::bump_deadlock_aborts();
             obs::note_deadlock(site);
             report.preemptions += 1;
             backoff_wait(backoff, site);
             Ok(())
         }
         Abort::Killed => {
-            stats::bump_kills();
             obs::note_killed(site);
             report.preemptions += 1;
             backoff_wait(backoff, site);
@@ -473,7 +456,6 @@ fn handle_abort(
         }
         Abort::Cancel => Err(TxnError::Cancelled),
         Abort::Capacity(kind) => {
-            stats::bump_capacity();
             obs::note_capacity(site);
             Err(TxnError::Capacity { kind, attempts: report.attempts })
         }

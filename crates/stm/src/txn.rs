@@ -28,7 +28,6 @@ use crate::obs::SiteId;
 use crate::overhead::{charge, OverheadModel};
 use crate::sched;
 use crate::serial;
-use crate::stats;
 use crate::trace;
 use crate::tvar::{VarInner, READ_SPIN};
 use std::any::Any;
@@ -339,11 +338,6 @@ impl Txn {
         self.was_irrevocable
     }
 
-    /// Number of distinct variables read so far.
-    pub fn read_set_len(&self) -> usize {
-        self.read_set.len()
-    }
-
     /// Number of distinct variables written so far.
     pub fn write_set_len(&self) -> usize {
         match self.policy {
@@ -612,7 +606,6 @@ impl Txn {
         self.rv = clock::now();
         self.irrevocable = Some(guard);
         self.was_irrevocable = true;
-        stats::bump_irrevocable();
         obs::note_irrevocable(self.site);
         Ok(())
     }
@@ -948,7 +941,6 @@ impl Txn {
         if wrote {
             notifier::global().notify();
         }
-        stats::bump_commits();
     }
 
     /// Roll back: release resources and run compensations. Safe to call at

@@ -7,7 +7,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use txfix_stm::{
-    atomic, atomic_relaxed, BackoffPolicy, CapacityKind, StmResult, TVar, Txn, TxnError,
+    atomic, atomic_relaxed, obs, BackoffPolicy, CapacityKind, StmResult, TVar, Txn, TxnError,
 };
 
 #[test]
@@ -459,19 +459,21 @@ fn wait_on_commits_before_blocking() {
 }
 
 #[test]
-fn stats_record_commits_and_conflicts() {
-    let before = txfix_stm::stats();
+fn obs_records_every_commit_of_a_contended_site() {
+    obs::enable();
+    let site = obs::intern("semantics_commit_probe");
+    let before = obs::snapshot();
     let v = TVar::new(0u64);
     std::thread::scope(|s| {
         for _ in 0..4 {
             let v = v.clone();
             s.spawn(move || {
                 for _ in 0..200 {
-                    atomic(|txn| v.modify(txn, |x| x + 1));
+                    Txn::build().site("semantics_commit_probe").run(|txn| v.modify(txn, |x| x + 1));
                 }
             });
         }
     });
-    let d = txfix_stm::stats().delta(&before);
-    assert!(d.commits >= 800);
+    let delta = obs::snapshot().delta(&before);
+    assert_eq!(delta.site(site).expect("site registered").commits, 800);
 }

@@ -45,7 +45,7 @@
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
-use txfix_stm::chaos::{splitmix64, Trigger};
+use txfix_stm::chaos::{fnv64, splitmix64, Trigger};
 
 /// Fast-path gate: is any crash session (record or armed) installed?
 static ACTIVE: AtomicBool = AtomicBool::new(false);
@@ -70,12 +70,7 @@ enum Mode {
 /// Stable 64-bit label hash (FNV-1a finished with `splitmix64`), used to
 /// salt per-label trigger coins and per-file crash-image coins.
 pub fn label_hash(label: &str) -> u64 {
-    let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-    for &b in label.as_bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    splitmix64(h)
+    splitmix64(fnv64(label.as_bytes()))
 }
 
 fn trigger_fires(trigger: Trigger, seed: u64, salt: u64, hit: u64) -> bool {

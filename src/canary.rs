@@ -34,15 +34,17 @@
 //! bit-for-bit reproducible across seeded runs (CI compares two).
 
 use txfix_core::json::{Json, ToJson};
+use txfix_core::sweep::{SweepArgs, SweepOutput, SweepRunner, Universe};
 use txfix_core::HazardClass;
 use txfix_corpus::{scheduled_by_key, Outcome, ScheduledRun, Variant};
-use txfix_explore::{explore_build, explore_variant, variant_short, ExploreConfig, Strategy};
+use txfix_explore::{explore_build, explore_variant, ExploreConfig, Strategy};
 use txfix_stm::canary::{self, Canary};
 use txfix_stm::chaos::Trigger;
 use txfix_stm::{atomic, TVar, Txn, TxnError};
 use txfix_txlock::TxMutex;
 use txfix_xcall::{SimFs, SimPipe, XFile, XPipe};
 
+use std::fmt::Write as _;
 use std::sync::Arc;
 
 /// What one detection layer saw for one armed canary.
@@ -97,6 +99,31 @@ impl CanaryReport {
     /// The sweep's verdict: every canary caught by at least one layer.
     pub fn ok(&self) -> bool {
         self.outcomes.iter().all(CanaryOutcome::caught)
+    }
+
+    /// Human-readable matrix: one row per canary, then one per probe.
+    pub fn table(&self) -> String {
+        let mut table = format!("{:26} {:12} {:8} caught by", "canary", "class", "caught");
+        for o in &self.outcomes {
+            let by = o.caught_by();
+            let _ = write!(
+                table,
+                "\n{:26} {:12} {:8} {}",
+                o.canary.name(),
+                class_name(o.expected),
+                if o.caught() { "yes" } else { "UNCAUGHT" },
+                if by.is_empty() { "-".to_string() } else { by.join(", ") }
+            );
+            for p in &o.probes {
+                let verdict = match (p.probed, p.caught) {
+                    (_, true) => "caught",
+                    (true, false) => "missed",
+                    (false, false) => "not probed",
+                };
+                let _ = write!(table, "\n{:28}{:8} {:10} {}", "", p.layer, verdict, p.evidence);
+            }
+        }
+        table
     }
 }
 
@@ -197,7 +224,7 @@ fn analyze_probe(c: Canary, seed: u64, key: &str, variant: Variant) -> LayerProb
             evidence: format!(
                 "{key}/{}: trace replay reports no {} finding — the mutated run leaves a \
                  well-formed trace",
-                variant_short(variant),
+                variant.name(),
                 class_name(expected)
             ),
         },
@@ -233,7 +260,7 @@ fn explore_probe(c: Canary, seed: u64, key: &str, variant: Variant) -> LayerProb
             evidence: format!(
                 "{key}/{}: every explored schedule survives ({} schedules, exhausted: {}) — \
                  the mutation does not perturb execution",
-                variant_short(variant),
+                variant.name(),
                 entry.schedules,
                 entry.exhausted
             ),
@@ -552,6 +579,35 @@ pub fn run_canary(c: Canary, seed: u64) -> CanaryOutcome {
 /// Sweep `selected` canaries (in the given order) with `seed`.
 pub fn run_canaries(selected: &[Canary], seed: u64) -> CanaryReport {
     CanaryReport { seed, outcomes: selected.iter().map(|&c| run_canary(c, seed)).collect() }
+}
+
+/// `txfix canary`: run the selected canaries through every layer.
+#[derive(Default)]
+pub struct CanarySweep;
+
+impl SweepRunner for CanarySweep {
+    fn usage(&self) -> &'static str {
+        crate::cli::CANARY_USAGE
+    }
+
+    fn artifact(&self) -> Option<&'static str> {
+        Some("CANARY_stm.json")
+    }
+
+    fn universe(&self) -> Option<Universe> {
+        Some(Universe::new("canary", Canary::ALL.map(Canary::name)))
+    }
+
+    fn execute(&mut self, args: &SweepArgs) -> Result<SweepOutput, String> {
+        let swept = args.pick(&Canary::ALL, Canary::name);
+        let report = run_canaries(&swept, args.seed.unwrap_or(0xC0FFEE));
+        Ok(SweepOutput {
+            rendered: report.to_json(),
+            table: report.table(),
+            ok: report.ok(),
+            failure: "some canaries went uncaught by every detection layer",
+        })
+    }
 }
 
 impl ToJson for LayerProbe {

@@ -85,6 +85,10 @@ pub use txfix_explore as explore;
 /// (`txfix autofix`).
 pub use txfix_autofix as autofix;
 
+/// The `txfix` dispatch table: one row per CLI verb, `help` and `list`
+/// derived from the rows, and the three runners that span crates.
+pub mod cli;
+
 /// The canary mutation sweep (`txfix canary`): arm one planted detector
 /// bug at a time and prove each detection layer catches what it claims.
 /// Only present when built with `--features canary`.
