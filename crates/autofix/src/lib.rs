@@ -35,7 +35,7 @@ use std::collections::BTreeSet;
 use report::{AutofixEntry, AutofixReport, VerifyStats, Widening};
 use txfix_core::json::ToJson;
 use txfix_core::sweep::{Flag, SweepArgs, SweepOutput, SweepRunner, Universe};
-use txfix_corpus::{keys, summary_for, Variant};
+use txfix_corpus::{keys, Scenario, Variant, SCENARIOS};
 use txfix_explore::runner::RunResult;
 use txfix_explore::{explore_build, ExploreConfig};
 use txfix_static::{check, footprint, Region, ScenarioSummary};
@@ -98,22 +98,17 @@ fn without_thread_tokens(message: &str) -> String {
     out + rest
 }
 
-/// Run the full infer → verify → compare loop for one corpus scenario.
-///
-/// # Errors
-///
-/// If `key` has no registered buggy/TM summaries. Inference failures do
-/// not error: they produce an entry with `error` set (and `ok() ==
+/// Run the full infer → verify → compare loop for one corpus row.
+/// Inference failures produce an entry with `error` set (and `ok() ==
 /// false`), so a sweep reports them instead of stopping.
-pub fn autofix_scenario(key: &str, cfg: &ExploreConfig) -> Result<AutofixEntry, String> {
-    let buggy = summary_for(key, Variant::Buggy)
-        .ok_or_else(|| format!("no summary registered for scenario '{key}'"))?;
-    let hand = summary_for(key, Variant::TmFix)
-        .ok_or_else(|| format!("no TM-fix summary registered for scenario '{key}'"))?;
+pub fn autofix_scenario(row: &Scenario, cfg: &ExploreConfig) -> AutofixEntry {
+    let key = row.key;
+    let buggy = (row.summary)(Variant::Buggy);
+    let hand = (row.summary)(Variant::TmFix);
     let inference = match infer(&buggy) {
         Ok(inf) => inf,
         Err(e) => {
-            return Ok(AutofixEntry {
+            return AutofixEntry {
                 key: key.to_string(),
                 regions: Vec::new(),
                 recipes: Vec::new(),
@@ -123,12 +118,12 @@ pub fn autofix_scenario(key: &str, cfg: &ExploreConfig) -> Result<AutofixEntry, 
                 buggy: VerifyStats::default(),
                 patched: VerifyStats::default(),
                 widenings: Vec::new(),
-            })
+            }
         }
     };
     let recipes = inference.regions.iter().map(|r: &Region| r.recipe().to_string()).collect();
     let static_clean = check(&inference.patched).is_empty();
-    Ok(AutofixEntry {
+    AutofixEntry {
         key: key.to_string(),
         recipes,
         rounds: inference.rounds,
@@ -138,29 +133,19 @@ pub fn autofix_scenario(key: &str, cfg: &ExploreConfig) -> Result<AutofixEntry, 
         patched: verify_dynamic(&inference.patched, cfg),
         widenings: widening(&inference.patched, &hand),
         regions: inference.regions,
-    })
+    }
 }
 
 /// Autofix the corpus scenarios whose key `selected` admits, in corpus
 /// order.
-///
-/// # Errors
-///
-/// If a selected scenario has no registered summaries.
-pub fn autofix_corpus(
-    selected: impl Fn(&str) -> bool,
-    cfg: &ExploreConfig,
-) -> Result<AutofixReport, String> {
-    let mut entries = Vec::new();
-    for key in keys::ALL.into_iter().filter(|key| selected(key)) {
-        entries.push(autofix_scenario(key, cfg)?);
-    }
-    Ok(AutofixReport {
+pub fn autofix_corpus(selected: impl Fn(&str) -> bool, cfg: &ExploreConfig) -> AutofixReport {
+    let rows = SCENARIOS.iter().filter(|row| selected(row.key));
+    AutofixReport {
         strategy: cfg.strategy.name().to_string(),
         budget: cfg.budget,
         seed: cfg.seed,
-        entries,
-    })
+        entries: rows.map(|row| autofix_scenario(row, cfg)).collect(),
+    }
 }
 
 /// `txfix autofix`: infer, synthesize and verify a fix per selected
@@ -195,7 +180,7 @@ impl SweepRunner for AutofixSweep {
 
     fn execute(&mut self, args: &SweepArgs) -> Result<SweepOutput, String> {
         self.cfg.seed = args.seed.unwrap_or(self.cfg.seed);
-        let report = autofix_corpus(|key| args.selects(key), &self.cfg)?;
+        let report = autofix_corpus(|key| args.selects(key), &self.cfg);
         Ok(SweepOutput {
             rendered: report.to_json(),
             table: report.table(),

@@ -22,12 +22,12 @@ fn main() {
     let s = CorpusSummary::compute(&bugs);
 
     if std::env::args().any(|a| a == "--json") {
-        let scenarios = Json::list(txfix_corpus::all_scenarios().iter().map(|sc| {
+        let scenarios = Json::list(txfix_corpus::SCENARIOS.iter().map(|sc| {
             Json::obj([
-                ("key", Json::str(sc.key())),
-                ("buggy", Json::Bool(sc.run(txfix_corpus::Variant::Buggy).is_bug())),
-                ("dev", Json::Bool(sc.run(txfix_corpus::Variant::DevFix).is_bug())),
-                ("tm", Json::Bool(sc.run(txfix_corpus::Variant::TmFix).is_bug())),
+                ("key", Json::str(sc.key)),
+                ("buggy", Json::Bool((sc.run)(txfix_corpus::Variant::Buggy).is_bug())),
+                ("dev", Json::Bool((sc.run)(txfix_corpus::Variant::DevFix).is_bug())),
+                ("tm", Json::Bool((sc.run)(txfix_corpus::Variant::TmFix).is_bug())),
             ])
         }));
         let cases = [
@@ -91,13 +91,13 @@ fn main() {
     );
 
     println!("\n== Scenario sweep: 18 implemented fixes ============================\n");
-    for sc in txfix_corpus::all_scenarios() {
-        let buggy = sc.run(txfix_corpus::Variant::Buggy);
-        let dev = sc.run(txfix_corpus::Variant::DevFix);
-        let tm = sc.run(txfix_corpus::Variant::TmFix);
+    for sc in txfix_corpus::SCENARIOS {
+        let buggy = (sc.run)(txfix_corpus::Variant::Buggy);
+        let dev = (sc.run)(txfix_corpus::Variant::DevFix);
+        let tm = (sc.run)(txfix_corpus::Variant::TmFix);
         println!(
             "  {:22} buggy: {:9} dev fix: {:8} tm fix: {:8}",
-            sc.key(),
+            sc.key,
             if buggy.is_bug() { "BUG SEEN" } else { "no bug?!" },
             if dev.is_bug() { "BROKEN?!" } else { "clean" },
             if tm.is_bug() { "BROKEN?!" } else { "clean" },

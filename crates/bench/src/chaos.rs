@@ -19,7 +19,7 @@
 //! exactly `ops_per_thread` operations), unlike the wall-clock stress
 //! driver, for the same reason. Per-worker implicit state (the
 //! backoff-jitter RNG) is pinned from the run seed via
-//! [`seed_backoff_rng`](txfix_stm::seed_backoff_rng).
+//! [`pool::pin_worker_rng`].
 
 use crate::pool;
 use std::fmt::Write as _;
@@ -28,23 +28,31 @@ use std::sync::Arc;
 use std::time::Duration;
 use txfix_core::json::{Json, ToJson};
 use txfix_core::sweep::{self, Flag, SweepArgs, SweepOutput, SweepRunner, Universe};
+use txfix_corpus::Variant;
 use txfix_stm::chaos::{splitmix64, FaultPlan};
 use txfix_stm::{obs, EscalationPolicy, TVar, Txn, TxnBuilder};
 use txfix_txlock::TxMutex;
 use txfix_xcall::{AsyncIo, SimFs, SimPipe, XFile, XPipe};
 
-/// Scenario keys the chaos harness can sweep, in report order.
-pub const SCENARIOS: &[&str] = &[
-    "av_stats_race",
-    "dl_local_lock_order",
-    "dl_cache_atomtable",
-    "apache_ii",
-    "pipe_handoff",
-    "async_once",
+/// A chaos kernel: drive one cell's workload under its armed fault plan
+/// — the TM fix when `tm`, else the developers' fix — recording
+/// violations in the cell's sink; returns total ops executed.
+type Kernel = fn(&Cell, bool) -> u64;
+
+/// The harness: every sweepable scenario key with its kernel, in report
+/// order (the row order of `CHAOS_stm.json`).
+const KERNELS: [(&str, Kernel); 6] = [
+    ("av_stats_race", av_stats_race),
+    ("dl_local_lock_order", dl_local_lock_order),
+    ("dl_cache_atomtable", dl_cache_atomtable),
+    ("apache_ii", apache_ii),
+    ("pipe_handoff", pipe_handoff),
+    ("async_once", async_once),
 ];
 
-/// The two fix variants every scenario provides.
-pub const VARIANTS: &[&str] = &["dev", "tm"];
+/// Scenario keys the chaos harness can sweep: the key column of the
+/// table.
+pub const SCENARIOS: [&str; 6] = pool::keys(&KERNELS);
 
 /// The fault schedules the corpus sweep runs, in report order: names
 /// from the shared [`txfix_stm::chaos::SCHEDULES`] table.
@@ -85,7 +93,7 @@ impl Default for ChaosConfig {
 pub struct ChaosRun {
     /// Scenario key.
     pub scenario: &'static str,
-    /// `dev` or `tm`.
+    /// `dev` or `tm` ([`Variant::name`]).
     pub variant: &'static str,
     /// Fault schedule name.
     pub schedule: &'static str,
@@ -170,7 +178,7 @@ impl SweepRunner for ChaosSweep {
     }
 
     fn universe(&self) -> Option<Universe> {
-        Some(Universe::new("chaos scenario", SCENARIOS.iter().copied()))
+        Some(Universe::new("chaos scenario", SCENARIOS))
     }
 
     fn flag(&mut self, flag: &str, value: Option<&str>) -> Result<Flag, String> {
@@ -183,7 +191,7 @@ impl SweepRunner for ChaosSweep {
     }
 
     fn execute(&mut self, args: &SweepArgs) -> Result<SweepOutput, String> {
-        self.cfg.scenarios = args.pick(SCENARIOS, |s| s);
+        self.cfg.scenarios = args.pick(&SCENARIOS, |s| s);
         self.cfg.seed = args.seed.unwrap_or(self.cfg.seed);
         let runs = run_chaos(&self.cfg);
         Ok(SweepOutput {
@@ -197,35 +205,34 @@ impl SweepRunner for ChaosSweep {
 
 /// Run the full sweep: every configured scenario × schedule × variant.
 /// Cells run sequentially (the fault plan is process-global).
+///
+/// # Panics
+///
+/// Panics on a configured scenario key not in [`SCENARIOS`] or schedule
+/// name not in [`SCHEDULES`].
 pub fn run_chaos(cfg: &ChaosConfig) -> Vec<ChaosRun> {
     obs::enable();
     let mut runs = Vec::new();
     for &scenario in &cfg.scenarios {
+        let row =
+            KERNELS.iter().find(|(key, _)| *key == scenario).expect("a key from chaos::SCENARIOS");
         for &schedule in &cfg.schedules {
-            for &variant in VARIANTS {
-                runs.push(run_cell(cfg, scenario, schedule, variant));
+            for tm in [false, true] {
+                runs.push(run_cell(cfg, *row, schedule, tm));
             }
         }
     }
     runs
 }
 
-/// Run one cell.
-///
-/// # Panics
-///
-/// Panics on unknown scenario/schedule/variant names.
-pub fn run_cell(
+/// Run one cell: arm the schedule's plan, run the row's kernel.
+fn run_cell(
     cfg: &ChaosConfig,
-    scenario: &'static str,
+    (scenario, kernel): (&'static str, Kernel),
     schedule: &'static str,
-    variant: &'static str,
+    tm: bool,
 ) -> ChaosRun {
-    let tm = match variant {
-        "dev" => false,
-        "tm" => true,
-        other => panic!("unknown variant {other:?} (want dev|tm)"),
-    };
+    let variant = if tm { Variant::TmFix } else { Variant::DevFix }.name();
     let cell_seed = mix(cfg.seed, &[scenario, schedule, variant]);
     let plan = FaultPlan::named(schedule, cell_seed)
         .unwrap_or_else(|| panic!("unknown chaos schedule {schedule:?} (see chaos::SCHEDULES)"));
@@ -236,21 +243,13 @@ pub fn run_cell(
         seed: cell_seed,
         sink: pool::ViolationSink::new(),
     };
-    let total_ops = match scenario {
-        "av_stats_race" => av_stats_race(&cell, tm),
-        "dl_local_lock_order" => dl_local_lock_order(&cell, tm),
-        "dl_cache_atomtable" => dl_cache_atomtable(&cell, tm),
-        "apache_ii" => apache_ii(&cell, tm),
-        "pipe_handoff" => pipe_handoff(&cell, tm),
-        "async_once" => async_once(&cell, tm),
-        other => panic!("unknown chaos scenario {other:?} (see chaos::SCENARIOS)"),
-    };
+    let ops = kernel(&cell, tm);
     ChaosRun {
         scenario,
         variant,
         schedule,
         threads: cfg.threads,
-        ops: total_ops,
+        ops,
         violations: cell.sink.into_violations(),
     }
 }
@@ -594,9 +593,7 @@ fn pipe_handoff(cell: &Cell, tm: bool) -> u64 {
             for t in 0..producers {
                 let (xp, produce, cell) = (&xp, &produce, &cell);
                 s.spawn(move || {
-                    txfix_stm::seed_backoff_rng(splitmix64(
-                        cell.seed ^ (t as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-                    ));
+                    pool::pin_worker_rng(cell.seed, t);
                     for i in 0..cell.ops {
                         let byte = [pipe_byte(t, i)];
                         if let Err(e) = produce.try_run(|txn| xp.x_write(txn, &byte)) {
@@ -609,9 +606,7 @@ fn pipe_handoff(cell: &Cell, tm: bool) -> u64 {
                 let (xp, consume, cell) = (&xp, &consume, &cell);
                 let (consumed_count, consumed_sum) = (&consumed_count, &consumed_sum);
                 s.spawn(move || {
-                    txfix_stm::seed_backoff_rng(splitmix64(
-                        cell.seed ^ ((producers + c) as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-                    ));
+                    pool::pin_worker_rng(cell.seed, producers + c);
                     while consumed_count.load() < expected_count {
                         let result = consume.try_run(|txn| {
                             match xp.x_try_read(txn, 16)? {
@@ -750,6 +745,21 @@ mod tests {
     }
 
     #[test]
+    fn scenarios_keep_the_artifact_row_order() {
+        assert_eq!(
+            SCENARIOS,
+            [
+                "av_stats_race",
+                "dl_local_lock_order",
+                "dl_cache_atomtable",
+                "apache_ii",
+                "pipe_handoff",
+                "async_once",
+            ]
+        );
+    }
+
+    #[test]
     fn every_schedule_maps_to_a_plan() {
         for &schedule in SCHEDULES {
             let plan = FaultPlan::named(schedule, 7).expect(schedule);
@@ -762,7 +772,7 @@ mod tests {
         let _g = GATE.lock();
         let cfg = small(0xFEED);
         let runs = run_chaos(&cfg);
-        assert_eq!(runs.len(), SCENARIOS.len() * SCHEDULES.len() * VARIANTS.len());
+        assert_eq!(runs.len(), SCENARIOS.len() * SCHEDULES.len() * 2);
         for run in &runs {
             assert!(
                 run.passed(),

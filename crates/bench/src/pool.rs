@@ -21,6 +21,18 @@ pub fn pin_worker_rng(seed: u64, worker: usize) {
     ));
 }
 
+/// The key column of a harness's `(key, kernel)` table: both harnesses
+/// derive their exported `SCENARIOS` list from the rows that run it.
+pub const fn keys<T, const N: usize>(rows: &[(&'static str, T); N]) -> [&'static str; N] {
+    let mut keys = [""; N];
+    let mut i = 0;
+    while i < N {
+        keys[i] = rows[i].0;
+        i += 1;
+    }
+    keys
+}
+
 /// Spawn `workers` scoped threads each executing `op(worker, i)` exactly
 /// `ops` times (the chaos harness's count-based shape: the total work is
 /// a function of the configuration, never of timing). Returns total ops.

@@ -16,8 +16,10 @@
 //! - brackets the run with [`txfix_stm::obs::snapshot`] deltas taken at
 //!   quiescence (workers joined), so commit/abort accounting is exact.
 //!
-//! Scenario keys mirror the corpus scenarios they stress; each has a
-//! `dev` (developers' fix) and `tm` (TM fix) variant.
+//! The harness is a table (`KERNELS`): one `(key, kernel)` row per
+//! stressed corpus scenario, each kernel running the `dev` (developers'
+//! fix) or `tm` (TM fix) side of one `Cell`; [`SCENARIOS`] is its key
+//! column.
 
 use crate::pool;
 use std::fmt::Write as _;
@@ -27,23 +29,28 @@ use txfix_apps::mysql::{MiniDb, MysqlVariant};
 use txfix_apps::spidermonkey::{ObjectStore, OwnershipMode, OwnershipStore, StmStore};
 use txfix_core::json::{Json, ToJson};
 use txfix_core::sweep::{self, Flag, SweepArgs, SweepOutput, SweepRunner, Universe};
+use txfix_corpus::Variant;
 use txfix_stm::obs;
 use txfix_stm::{ClockMode, OverheadModel, TVar, Txn};
 use txfix_txlock::TxMutex;
 use txfix_xcall::SimFs;
 
-/// Scenario keys the harness can stress, in report order.
-pub const SCENARIOS: &[&str] = &[
-    "av_stats_race",
-    "dl_local_lock_order",
-    "dl_cache_atomtable",
-    "apache_ii",
-    "mozilla_i",
-    "mysql_i",
+/// A load kernel: sustain one cell's variant of its scenario.
+type Kernel = fn(&Cell) -> StressRun;
+
+/// The harness: every stressable scenario key with its kernel, in
+/// report order (the row order of `BENCH_stm.json`).
+const KERNELS: [(&str, Kernel); 6] = [
+    ("av_stats_race", av_stats_race),
+    ("dl_local_lock_order", dl_local_lock_order),
+    ("dl_cache_atomtable", dl_cache_atomtable),
+    ("apache_ii", apache_ii),
+    ("mozilla_i", mozilla_i),
+    ("mysql_i", mysql_i),
 ];
 
-/// The two fix variants every scenario provides.
-pub const VARIANTS: &[&str] = &["dev", "tm"];
+/// Scenario keys the harness can stress: the key column of the table.
+pub const SCENARIOS: [&str; 6] = pool::keys(&KERNELS);
 
 /// Configuration for one harness invocation.
 #[derive(Clone, Debug)]
@@ -81,7 +88,7 @@ impl Default for StressConfig {
 pub struct StressRun {
     /// Scenario key.
     pub scenario: &'static str,
-    /// `dev` or `tm`.
+    /// `dev` or `tm` ([`Variant::name`]).
     pub variant: &'static str,
     /// Version-clock scheme the STM ran under (`gv1` or `gv5`); the
     /// lock-based `dev` variants record it too, for row symmetry.
@@ -197,7 +204,7 @@ impl SweepRunner for StressSweep {
     }
 
     fn universe(&self) -> Option<Universe> {
-        Some(Universe::new("stress scenario", SCENARIOS.iter().copied()))
+        Some(Universe::new("stress scenario", SCENARIOS))
     }
 
     fn flag(&mut self, flag: &str, value: Option<&str>) -> Result<Flag, String> {
@@ -217,7 +224,7 @@ impl SweepRunner for StressSweep {
     }
 
     fn execute(&mut self, args: &SweepArgs) -> Result<SweepOutput, String> {
-        self.cfg.scenarios = args.pick(SCENARIOS, |s| s);
+        self.cfg.scenarios = args.pick(&SCENARIOS, |s| s);
         self.cfg.seed = args.seed.unwrap_or(self.cfg.seed);
         let runs = run_stress(&self.cfg);
         Ok(SweepOutput {
@@ -232,15 +239,29 @@ impl SweepRunner for StressSweep {
 /// Run the full sweep: every configured clock scheme × scenario × thread
 /// count × variant. Restores the default (GV1, deterministic) clock
 /// scheme before returning, whatever the sweep ran under.
+///
+/// # Panics
+///
+/// Panics on a configured scenario key not in [`SCENARIOS`].
 pub fn run_stress(cfg: &StressConfig) -> Vec<StressRun> {
     obs::enable();
     let mut runs = Vec::new();
     for &clock in &cfg.clocks {
         txfix_stm::clock::set_mode(clock);
         for &scenario in &cfg.scenarios {
+            let (scenario, kernel) = *KERNELS
+                .iter()
+                .find(|(key, _)| *key == scenario)
+                .expect("a key from stress::SCENARIOS");
             for &threads in &cfg.threads {
-                for &variant in VARIANTS {
-                    runs.push(run_one(scenario, variant, threads, cfg.secs, cfg.seed));
+                for tm in [false, true] {
+                    runs.push(kernel(&Cell {
+                        scenario,
+                        tm,
+                        threads,
+                        secs: cfg.secs,
+                        seed: cfg.seed,
+                    }));
                 }
             }
         }
@@ -249,93 +270,64 @@ pub fn run_stress(cfg: &StressConfig) -> Vec<StressRun> {
     runs
 }
 
-/// Run one (scenario, variant, threads) cell.
-///
-/// # Panics
-///
-/// Panics on a scenario key not in [`SCENARIOS`].
-pub fn run_one(
+/// One (scenario, variant, threads) run, as its kernel sees it.
+struct Cell {
     scenario: &'static str,
-    variant: &'static str,
+    /// The TM fix (`true`) or the developers' fix.
+    tm: bool,
     threads: usize,
     secs: f64,
     seed: u64,
-) -> StressRun {
-    let tm = match variant {
-        "dev" => false,
-        "tm" => true,
-        other => panic!("unknown variant {other:?} (want dev|tm)"),
-    };
-    match scenario {
-        "av_stats_race" => av_stats_race(variant, tm, threads, secs, seed),
-        "dl_local_lock_order" => dl_local_lock_order(variant, tm, threads, secs, seed),
-        "dl_cache_atomtable" => dl_cache_atomtable(variant, tm, threads, secs, seed),
-        "apache_ii" => apache_ii(variant, tm, threads, secs, seed),
-        "mozilla_i" => mozilla_i(variant, tm, threads, secs, seed),
-        "mysql_i" => mysql_i(variant, tm, threads, secs, seed),
-        other => panic!("unknown stress scenario {other:?} (see stress::SCENARIOS)"),
-    }
 }
 
-/// The shared driver: run a deadline-bounded worker pool
-/// ([`pool::run_timed`]), then take a quiescent observability delta.
-fn drive(
-    scenario: &'static str,
-    variant: &'static str,
-    threads: usize,
-    secs: f64,
-    seed: u64,
-    op: impl Fn(usize, u64) + Sync,
-) -> StressRun {
-    let before = obs::snapshot();
-    let timed = pool::run_timed(threads, secs, seed, op);
-    // Workers are joined: the delta is over a quiescent boundary and exact.
-    let delta = obs::snapshot().delta(&before);
-    let (mut commits, mut aborts, mut revocations, mut xcalls) = (0u64, 0u64, 0u64, 0u64);
-    for site in &delta.sites {
-        commits += site.commits;
-        aborts += site.total_aborts();
-        revocations += site.lock_revocations;
-        xcalls += site.xcalls;
-    }
-    let ops = timed.ops;
-    StressRun {
-        scenario,
-        variant,
-        clock: txfix_stm::clock::mode().name(),
-        threads,
-        elapsed_secs: timed.elapsed_secs,
-        ops,
-        ops_per_sec: ops as f64 / timed.elapsed_secs,
-        p50_ns: timed.latency.percentile(0.50),
-        p99_ns: timed.latency.percentile(0.99),
-        commits,
-        aborts,
-        abort_rate: if commits + aborts == 0 {
-            0.0
-        } else {
-            aborts as f64 / (commits + aborts) as f64
-        },
-        lock_revocations: revocations,
-        xcalls,
+impl Cell {
+    /// The shared driver: run a deadline-bounded worker pool
+    /// ([`pool::run_timed`]), then take a quiescent observability delta.
+    fn drive(&self, op: impl Fn(usize, u64) + Sync) -> StressRun {
+        let before = obs::snapshot();
+        let timed = pool::run_timed(self.threads, self.secs, self.seed, op);
+        // Workers are joined: the delta is over a quiescent boundary and exact.
+        let delta = obs::snapshot().delta(&before);
+        let (mut commits, mut aborts, mut revocations, mut xcalls) = (0u64, 0u64, 0u64, 0u64);
+        for site in &delta.sites {
+            commits += site.commits;
+            aborts += site.total_aborts();
+            revocations += site.lock_revocations;
+            xcalls += site.xcalls;
+        }
+        let ops = timed.ops;
+        StressRun {
+            scenario: self.scenario,
+            variant: if self.tm { Variant::TmFix } else { Variant::DevFix }.name(),
+            clock: txfix_stm::clock::mode().name(),
+            threads: self.threads,
+            elapsed_secs: timed.elapsed_secs,
+            ops,
+            ops_per_sec: ops as f64 / timed.elapsed_secs,
+            p50_ns: timed.latency.percentile(0.50),
+            p99_ns: timed.latency.percentile(0.99),
+            commits,
+            aborts,
+            abort_rate: if commits + aborts == 0 {
+                0.0
+            } else {
+                aborts as f64 / (commits + aborts) as f64
+            },
+            lock_revocations: revocations,
+            xcalls,
+        }
     }
 }
 
 /// MySQL#791 shape: two statistics counters that must move together. The
 /// developers' fix guards them with one mutex; the TM fix wraps both
 /// updates in one atomic block (Recipe 2).
-fn av_stats_race(
-    variant: &'static str,
-    tm: bool,
-    threads: usize,
-    secs: f64,
-    seed: u64,
-) -> StressRun {
-    if tm {
+fn av_stats_race(cell: &Cell) -> StressRun {
+    if cell.tm {
         let key_cache = TVar::new(0u64);
         let total = TVar::new(0u64);
         let txn = Txn::build().site("stress_av_stats");
-        drive("av_stats_race", variant, threads, secs, seed, |_, _| {
+        cell.drive(|_, _| {
             txn.try_run(|t| {
                 key_cache.modify(t, |v| v + 1)?;
                 total.modify(t, |v| v + 1)
@@ -344,7 +336,7 @@ fn av_stats_race(
         })
     } else {
         let stats = parking_lot::Mutex::new((0u64, 0u64));
-        drive("av_stats_race", variant, threads, secs, seed, |_, _| {
+        cell.drive(|_, _| {
             let mut s = stats.lock();
             s.0 += 1;
             s.1 += 1;
@@ -355,13 +347,7 @@ fn av_stats_race(
 /// Local lock-order inversion: transfers between account pairs. The
 /// developers' fix imposes a global acquisition order; the TM fix
 /// replaces both locks with one atomic block (Recipe 1).
-fn dl_local_lock_order(
-    variant: &'static str,
-    tm: bool,
-    threads: usize,
-    secs: f64,
-    seed: u64,
-) -> StressRun {
+fn dl_local_lock_order(cell: &Cell) -> StressRun {
     const ACCOUNTS: usize = 8;
     let pick = |t: usize, i: u64| -> (usize, usize) {
         let src = (i as usize).wrapping_mul(7).wrapping_add(t) % ACCOUNTS;
@@ -372,10 +358,10 @@ fn dl_local_lock_order(
             (src, dst)
         }
     };
-    if tm {
+    if cell.tm {
         let accounts: Vec<TVar<i64>> = (0..ACCOUNTS).map(|_| TVar::new(1_000)).collect();
         let txn = Txn::build().site("stress_dl_local");
-        drive("dl_local_lock_order", variant, threads, secs, seed, |t, i| {
+        cell.drive(|t, i| {
             let (src, dst) = pick(t, i);
             txn.try_run(|txn| {
                 accounts[src].modify(txn, |v| v - 1)?;
@@ -386,7 +372,7 @@ fn dl_local_lock_order(
     } else {
         let accounts: Vec<parking_lot::Mutex<i64>> =
             (0..ACCOUNTS).map(|_| parking_lot::Mutex::new(1_000)).collect();
-        drive("dl_local_lock_order", variant, threads, secs, seed, |t, i| {
+        cell.drive(|t, i| {
             let (src, dst) = pick(t, i);
             // The fix: always acquire in index order.
             let (lo, hi) = (src.min(dst), src.max(dst));
@@ -404,18 +390,12 @@ fn dl_local_lock_order(
 /// but makes them revocable (Recipe 3) so the deadlock is preempted —
 /// workers deliberately acquire in opposite orders to exercise
 /// revocation under contention.
-fn dl_cache_atomtable(
-    variant: &'static str,
-    tm: bool,
-    threads: usize,
-    secs: f64,
-    seed: u64,
-) -> StressRun {
-    if tm {
+fn dl_cache_atomtable(cell: &Cell) -> StressRun {
+    if cell.tm {
         let cache = TxMutex::new("stress.cache", 0u64);
         let atoms = TxMutex::new("stress.atoms", 0u64);
         let txn = Txn::build().site("stress_dl_cache");
-        drive("dl_cache_atomtable", variant, threads, secs, seed, |t, _| {
+        cell.drive(|t, _| {
             let (first, second) = if t % 2 == 0 { (&cache, &atoms) } else { (&atoms, &cache) };
             txn.try_run(|txn| {
                 first.with_tx(txn, |v| *v += 1)?;
@@ -426,7 +406,7 @@ fn dl_cache_atomtable(
     } else {
         let cache = parking_lot::Mutex::new(0u64);
         let atoms = parking_lot::Mutex::new(0u64);
-        drive("dl_cache_atomtable", variant, threads, secs, seed, |_, _| {
+        cell.drive(|_, _| {
             // The fix: one global order, whatever the caller wanted.
             let mut c = cache.lock();
             let mut a = atoms.lock();
@@ -439,10 +419,10 @@ fn dl_cache_atomtable(
 /// Apache#25520 shape: every request appends one record to the buffered
 /// log. Developers' fix: a per-log lock. TM fix: atomic block with the
 /// file flush as a deferred x-call (Recipe 2).
-fn apache_ii(variant: &'static str, tm: bool, threads: usize, secs: f64, seed: u64) -> StressRun {
+fn apache_ii(cell: &Cell) -> StressRun {
     use txfix_apps::apache::buffered_log::RECORD_LEN;
     let fs = SimFs::new();
-    let log: Box<dyn LogWriter> = if tm {
+    let log: Box<dyn LogWriter> = if cell.tm {
         Box::new(TmBufferedLog::with_overhead(
             &fs,
             "stress.log",
@@ -452,7 +432,7 @@ fn apache_ii(variant: &'static str, tm: bool, threads: usize, secs: f64, seed: u
     } else {
         Box::new(LockedBufferedLog::new(&fs, "stress.log", 64 * RECORD_LEN))
     };
-    let run = drive("apache_ii", variant, threads, secs, seed, |t, i| {
+    let run = cell.drive(|t, i| {
         log.write_record(&make_record(t, i));
     });
     log.flush();
@@ -463,18 +443,19 @@ fn apache_ii(variant: &'static str, tm: bool, threads: usize, secs: f64, seed: u
 /// Developers' fix: the ownership protocol. TM fix: Recipe 1 on software
 /// TM. Every 64th operation moves a value across two shared objects (the
 /// cross-scope operation that deadlocked the original).
-fn mozilla_i(variant: &'static str, tm: bool, threads: usize, secs: f64, seed: u64) -> StressRun {
+fn mozilla_i(cell: &Cell) -> StressRun {
     const LOCAL_OBJECTS: usize = 4;
     const SHARED: usize = 4;
     const SLOTS: usize = 8;
+    let threads = cell.threads;
     let objects = threads * LOCAL_OBJECTS + SHARED;
-    let store: Box<dyn ObjectStore> = if tm {
+    let store: Box<dyn ObjectStore> = if cell.tm {
         Box::new(StmStore::software(objects, SLOTS))
     } else {
         Box::new(OwnershipStore::new(OwnershipMode::DevFix, objects, SLOTS))
     };
     let shared_base = threads * LOCAL_OBJECTS;
-    drive("mozilla_i", variant, threads, secs, seed, |t, i| {
+    cell.drive(|t, i| {
         let obj = t * LOCAL_OBJECTS + (i as usize % LOCAL_OBJECTS);
         let slot = i as usize % SLOTS;
         store.set_slot(t, obj, slot, i as i64);
@@ -491,15 +472,16 @@ fn mozilla_i(variant: &'static str, tm: bool, threads: usize, secs: f64, seed: u
 /// MySQL#169 shape: insert traffic with periodic delete-all statements.
 /// Developers' fix: hold the table lock through binlogging. TM fix:
 /// Recipe 4's atomic/lock serialization.
-fn mysql_i(variant: &'static str, tm: bool, threads: usize, secs: f64, seed: u64) -> StressRun {
-    let tables = threads.max(1);
-    let db = MiniDb::new(if tm { MysqlVariant::TmRecipe4 } else { MysqlVariant::DevFix }, tables);
+fn mysql_i(cell: &Cell) -> StressRun {
+    let tables = cell.threads.max(1);
+    let db =
+        MiniDb::new(if cell.tm { MysqlVariant::TmRecipe4 } else { MysqlVariant::DevFix }, tables);
     for t in 0..tables {
         for i in 0..8 {
             db.insert(t, i, i as i64);
         }
     }
-    drive("mysql_i", variant, threads, secs, seed, |t, i| {
+    cell.drive(|t, i| {
         let table = t % tables;
         if i % 32 == 31 {
             db.delete_all(table);
@@ -513,18 +495,35 @@ fn mysql_i(variant: &'static str, tm: bool, threads: usize, secs: f64, seed: u64
 mod tests {
     use super::*;
 
-    fn quick(scenario: &'static str) -> (StressRun, StressRun) {
-        obs::enable();
-        let dev = run_one(scenario, "dev", 2, 0.05, 0x5EED);
-        let tm = run_one(scenario, "tm", 2, 0.05, 0x5EED);
-        (dev, tm)
+    #[test]
+    fn scenarios_keep_the_artifact_row_order() {
+        assert_eq!(
+            SCENARIOS,
+            [
+                "av_stats_race",
+                "dl_local_lock_order",
+                "dl_cache_atomtable",
+                "apache_ii",
+                "mozilla_i",
+                "mysql_i",
+            ]
+        );
     }
 
     #[test]
     fn every_scenario_sustains_load_in_both_variants() {
-        for &scenario in SCENARIOS {
-            let (dev, tm) = quick(scenario);
-            for run in [&dev, &tm] {
+        for scenario in SCENARIOS {
+            let cfg = StressConfig {
+                secs: 0.05,
+                threads: vec![2],
+                scenarios: vec![scenario],
+                seed: 0x5EED,
+                clocks: vec![ClockMode::Gv1],
+            };
+            let runs = run_stress(&cfg);
+            let (dev, tm) = (&runs[0], &runs[1]);
+            assert_eq!((dev.variant, tm.variant), ("dev", "tm"));
+            for run in [dev, tm] {
                 assert!(run.ops > 0, "{scenario}/{}: no ops", run.variant);
                 assert!(run.ops_per_sec > 0.0, "{scenario}/{}", run.variant);
                 assert!(run.p99_ns >= run.p50_ns, "{scenario}/{}", run.variant);

@@ -56,27 +56,16 @@ pub mod keys {
     /// MySQL#16582: hand-rolled conflict-check/abort/redo mechanism.
     pub const AV_ADHOC_RETRY: &str = "av_adhoc_retry";
 
-    /// All 18 keys.
-    pub const ALL: [&str; 18] = [
-        MOZILLA_I,
-        DL_CACHE_ATOMTABLE,
-        DL_THREE_LOCK_CYCLE,
-        DL_INTENTIONAL_RACE,
-        APACHE_I,
-        DL_LOCAL_LOCK_ORDER,
-        DL_MYSQL_TABLE_PAIR,
-        AV_WRONG_LOCK,
-        AV_REFCOUNT_RACE,
-        AV_LAZY_INIT,
-        AV_CV_PARTIAL,
-        AV_SCOREBOARD,
-        APACHE_II,
-        AV_PAIR_INVARIANT,
-        AV_LOG_SEQUENCE,
-        AV_STATS_RACE,
-        MYSQL_I,
-        AV_ADHOC_RETRY,
-    ];
+    /// All 18 keys: the key column of [`SCENARIOS`](crate::SCENARIOS).
+    pub const ALL: [&str; 18] = {
+        let mut all = [""; 18];
+        let mut i = 0;
+        while i < all.len() {
+            all[i] = crate::SCENARIOS[i].key;
+            i += 1;
+        }
+        all
+    };
 }
 
 const NO_DC: Downcalls = Downcalls::NONE;

@@ -7,14 +7,24 @@
 //!   MySQL), carrying the structural attributes from which the paper's
 //!   Tables 1–3 are re-derived. The tests in this crate assert that every
 //!   aggregate stated in the paper's prose holds of the dataset.
-//! - [`scenarios`]: executable reproductions of the 18 fixes the study
-//!   implemented and tested (7 deadlocks + 11 atomicity violations). Each
-//!   scenario can run its **buggy** variant (demonstrating the bug via
-//!   deadlock detection or an invariant violation), the **developers'
-//!   fix**, and the **TM fix** built from the corresponding recipe.
-//! - [`summaries`]: declarative critical-section summaries of every
-//!   scenario variant for the static analyzer (`txfix lint`), with
-//!   buggy-variant names matching what the trace recorder emits.
+//! - [`scenarios`]: **the corpus table**, [`SCENARIOS`] — one
+//!   [`Scenario`] row per fix the study implemented and tested (7
+//!   deadlocks + 11 atomicity violations). A row's columns are the bug's
+//!   three executable forms: `run`, the barrier-pinned demonstration of
+//!   the **buggy** variant (deadlock detected / invariant violated), the
+//!   **developers' fix** and the **TM fix** built from the corresponding
+//!   recipe; `scheduled`, the same bug as plain thread bodies for the
+//!   schedule explorer (10 of 18); and `summary`, its static model.
+//! - [`summaries`]: the `summary` column — declarative critical-section
+//!   summaries of every scenario variant for the static analyzer (`txfix
+//!   lint`), with buggy-variant names matching what the trace recorder
+//!   emits.
+//!
+//! Everything that enumerates the corpus reads the table: [`keys::ALL`]
+//! is its key column, [`scenario_by_key`] its one lookup, and the
+//! universes of `scenario`/`analyze`/`lint`/`explore`/`autofix` (and so
+//! `txfix list`'s matrix) are derived from its columns. To add a studied
+//! bug, add its `keys` constant and one row (see [`scenarios`]).
 
 #![warn(missing_docs)]
 
@@ -24,10 +34,10 @@ pub mod summaries;
 
 pub use dataset::{all_bugs, bug_by_id, bug_by_scenario, keys};
 pub use scenarios::{
-    all_scenarios, scenario_by_key, scenario_listing, scheduled_by_key, scheduled_scenarios,
-    BugScenario, Outcome, ScenarioSweep, ScheduledRun, ScheduledScenario, Variant,
+    scenario_by_key, scenario_listing, Outcome, Scenario, ScenarioSweep, ScheduledRun, Variant,
+    SCENARIOS,
 };
-pub use summaries::{summary_for, LintSweep};
+pub use summaries::LintSweep;
 
 #[cfg(test)]
 mod consistency {

@@ -1,9 +1,12 @@
-//! Critical-section summaries for the 18 executable scenarios.
+//! The `summary` column: critical-section summaries for the 18
+//! executable scenarios.
 //!
-//! Each scenario registers one [`ScenarioSummary`] per variant — a
-//! declarative model of its lock acquisition order, atomic regions,
-//! shared-location accesses and condition-variable traffic — for the
-//! static passes in `txfix-static` (`txfix lint`). The buggy-variant
+//! Each function here is one row's static model
+//! ([`Scenario::summary`](crate::Scenario::summary)): given a variant it
+//! builds that variant's [`ScenarioSummary`] — a declarative model of its
+//! lock acquisition order, atomic regions, shared-location accesses and
+//! condition-variable traffic — for the static passes in `txfix-static`
+//! (`txfix lint`) and fix inference (`txfix autofix`). The buggy-variant
 //! models use the **same lock and location names the trace recorder
 //! emits**, so static findings can be matched subject-by-subject against
 //! the dynamic analyzer's reports; scenarios the recorder does not
@@ -17,38 +20,10 @@
 //! interleaving of the modeled paths.
 
 use crate::dataset::{bug_by_scenario, keys};
-use crate::scenarios::Variant;
+use crate::scenarios::{Variant, SCENARIOS};
 use txfix_core::json::{Json, ToJson};
 use txfix_core::sweep::{Flag, SweepArgs, SweepOutput, SweepRunner, Universe};
 use txfix_static::{lint_summary, LintReport, Path, ScenarioSummary, Summary};
-
-/// The registered summary for scenario `key`'s `variant`, or `None` for
-/// an unknown key. Every key in [`crate::keys::ALL`] has all three
-/// variants.
-pub fn summary_for(key: &str, variant: Variant) -> Option<ScenarioSummary> {
-    let v = variant;
-    Some(match key {
-        crate::keys::MOZILLA_I => mozilla_i(v),
-        crate::keys::DL_CACHE_ATOMTABLE => dl_cache_atomtable(v),
-        crate::keys::DL_THREE_LOCK_CYCLE => dl_three_lock_cycle(v),
-        crate::keys::DL_INTENTIONAL_RACE => dl_intentional_race(v),
-        crate::keys::APACHE_I => apache_i(v),
-        crate::keys::DL_LOCAL_LOCK_ORDER => dl_local_lock_order(v),
-        crate::keys::DL_MYSQL_TABLE_PAIR => dl_mysql_table_pair(v),
-        crate::keys::AV_WRONG_LOCK => av_wrong_lock(v),
-        crate::keys::AV_REFCOUNT_RACE => av_refcount_race(v),
-        crate::keys::AV_LAZY_INIT => av_lazy_init(v),
-        crate::keys::AV_CV_PARTIAL => av_cv_partial(v),
-        crate::keys::AV_SCOREBOARD => av_scoreboard(v),
-        crate::keys::APACHE_II => apache_ii(v),
-        crate::keys::AV_PAIR_INVARIANT => av_pair_invariant(v),
-        crate::keys::AV_LOG_SEQUENCE => av_log_sequence(v),
-        crate::keys::AV_STATS_RACE => av_stats_race(v),
-        crate::keys::MYSQL_I => mysql_i(v),
-        crate::keys::AV_ADHOC_RETRY => av_adhoc_retry(v),
-        _ => return None,
-    })
-}
 
 /// `txfix lint`: run the static passes over the selected scenarios'
 /// summaries and verify the synthesized fix recipes. Lives here rather
@@ -69,8 +44,7 @@ impl SweepRunner for LintSweep {
     }
 
     fn universe(&self) -> Option<Universe> {
-        let modeled = keys::ALL.into_iter().filter(|k| summary_for(k, Variant::Buggy).is_some());
-        Some(Universe::new("scenario", modeled))
+        Some(Universe::new("scenario", keys::ALL))
     }
 
     fn flag(&mut self, flag: &str, value: Option<&str>) -> Result<Flag, String> {
@@ -84,12 +58,12 @@ impl SweepRunner for LintSweep {
     fn execute(&mut self, args: &SweepArgs) -> Result<SweepOutput, String> {
         let mut reports: Vec<LintReport> = Vec::new();
         let mut tables = Vec::new();
-        for key in args.pick(&keys::ALL, |k| k) {
+        for row in args.pick(&SCENARIOS, |s| s.key) {
+            let key = row.key;
             let bug = bug_by_scenario(key);
             let analysis = bug.as_ref().map(txfix_core::analyze);
             for v in self.only.map_or(Variant::ALL.to_vec(), |v| vec![v]) {
-                let summary = summary_for(key, v).expect("every modeled key has all variants");
-                let report = lint_summary(&summary, analysis.as_ref())
+                let report = lint_summary(&(row.summary)(v), analysis.as_ref())
                     .map_err(|e| format!("summary for {key} is malformed: {e}"))?;
                 tables.push(report.table(bug.as_ref().map(|b| b.id)));
                 reports.push(report);
@@ -106,7 +80,7 @@ impl SweepRunner for LintSweep {
 
 /// Mozilla-I (§5.4.1): `js_SetSlotThreadSafe` and `ClaimTitle` nest the
 /// title and scope locks in opposite orders.
-fn mozilla_i(v: Variant) -> ScenarioSummary {
+pub(crate) fn mozilla_i(v: Variant) -> ScenarioSummary {
     let s = Summary::new(crate::keys::MOZILLA_I, v.name());
     match v {
         Variant::Buggy => s
@@ -153,7 +127,7 @@ fn mozilla_i(v: Variant) -> ScenarioSummary {
 }
 
 /// Mozilla#54743: the cache and atom-table locks close an AB-BA cycle.
-fn dl_cache_atomtable(v: Variant) -> ScenarioSummary {
+pub(crate) fn dl_cache_atomtable(v: Variant) -> ScenarioSummary {
     let s = Summary::new(crate::keys::DL_CACHE_ATOMTABLE, v.name());
     match v {
         Variant::Buggy => s
@@ -214,7 +188,7 @@ fn dl_cache_atomtable(v: Variant) -> ScenarioSummary {
 }
 
 /// Mozilla#60303: three locks acquired in a rotating order.
-fn dl_three_lock_cycle(v: Variant) -> ScenarioSummary {
+pub(crate) fn dl_three_lock_cycle(v: Variant) -> ScenarioSummary {
     let s = Summary::new(crate::keys::DL_THREE_LOCK_CYCLE, v.name());
     let nested = |name: &str, first: &str, d1: &str, second: &str, d2: &str| {
         Path::new(name)
@@ -248,7 +222,7 @@ fn dl_three_lock_cycle(v: Variant) -> ScenarioSummary {
 /// Mozilla#123930: a state/observer lock inversion the developers fixed
 /// by *dropping* the nested acquisition — introducing a deliberate,
 /// benign race.
-fn dl_intentional_race(v: Variant) -> ScenarioSummary {
+pub(crate) fn dl_intentional_race(v: Variant) -> ScenarioSummary {
     let s = Summary::new(crate::keys::DL_INTENTIONAL_RACE, v.name());
     match v {
         Variant::Buggy => s
@@ -313,7 +287,7 @@ fn dl_intentional_race(v: Variant) -> ScenarioSummary {
 /// Apache-I (§5.4.2): the listener sleeps on the idle-worker condition
 /// variable while holding the timeout mutex, which every worker needs
 /// before it can notify — a lock-and-wait cycle no lock graph sees.
-fn apache_i(v: Variant) -> ScenarioSummary {
+pub(crate) fn apache_i(v: Variant) -> ScenarioSummary {
     let s = Summary::new(crate::keys::APACHE_I, v.name());
     let worker = || {
         Path::new("worker")
@@ -376,7 +350,7 @@ fn apache_i(v: Variant) -> ScenarioSummary {
 }
 
 /// Apache#11600: two local mutexes acquired in both orders.
-fn dl_local_lock_order(v: Variant) -> ScenarioSummary {
+pub(crate) fn dl_local_lock_order(v: Variant) -> ScenarioSummary {
     let s = Summary::new(crate::keys::DL_LOCAL_LOCK_ORDER, v.name());
     match v {
         Variant::Buggy => s
@@ -438,7 +412,7 @@ fn dl_local_lock_order(v: Variant) -> ScenarioSummary {
 
 /// MySQL#3155: two table locks taken in statement order, which differs
 /// between concurrent statements.
-fn dl_mysql_table_pair(v: Variant) -> ScenarioSummary {
+pub(crate) fn dl_mysql_table_pair(v: Variant) -> ScenarioSummary {
     let s = Summary::new(crate::keys::DL_MYSQL_TABLE_PAIR, v.name());
     match v {
         Variant::Buggy => s
@@ -511,7 +485,7 @@ fn dl_mysql_table_pair(v: Variant) -> ScenarioSummary {
 /// Mozilla#133773/#18025: one client protects the cache counter with the
 /// wrong (unrelated) lock, so the "protected" sections never exclude
 /// each other.
-fn av_wrong_lock(v: Variant) -> ScenarioSummary {
+pub(crate) fn av_wrong_lock(v: Variant) -> ScenarioSummary {
     let s = Summary::new(crate::keys::AV_WRONG_LOCK, v.name());
     let right = |lock: &str| {
         Path::new("evictor")
@@ -550,7 +524,7 @@ fn av_wrong_lock(v: Variant) -> ScenarioSummary {
 
 /// Mozilla#90994-style: check-then-decrement of a reference count with
 /// no synchronization at all.
-fn av_refcount_race(v: Variant) -> ScenarioSummary {
+pub(crate) fn av_refcount_race(v: Variant) -> ScenarioSummary {
     let s = Summary::new(crate::keys::AV_REFCOUNT_RACE, v.name());
     let bare = |name: &str| Path::new(name).read("m.refcount").write("m.refcount");
     match v {
@@ -580,7 +554,7 @@ fn av_refcount_race(v: Variant) -> ScenarioSummary {
 
 /// Mozilla#52271-style: unsynchronized check-then-initialize of a lazy
 /// singleton.
-fn av_lazy_init(v: Variant) -> ScenarioSummary {
+pub(crate) fn av_lazy_init(v: Variant) -> ScenarioSummary {
     let s = Summary::new(crate::keys::AV_LAZY_INIT, v.name());
     let bare = |name: &str| Path::new(name).read("m52271.initialized").write("m52271.initialized");
     let locked = |name: &str| {
@@ -615,7 +589,7 @@ fn av_lazy_init(v: Variant) -> ScenarioSummary {
 /// Mozilla#91106-style: the producer notifies the consumer's condition
 /// variable *before* it has published the item — a waiter that checks
 /// its predicate in between goes back to sleep forever.
-fn av_cv_partial(v: Variant) -> ScenarioSummary {
+pub(crate) fn av_cv_partial(v: Variant) -> ScenarioSummary {
     let s = Summary::new(crate::keys::AV_CV_PARTIAL, v.name());
     let consumer = || {
         Path::new("consumer")
@@ -658,7 +632,7 @@ fn av_cv_partial(v: Variant) -> ScenarioSummary {
 }
 
 /// Apache#25520: worker scoreboard slots updated with no lock.
-fn av_scoreboard(v: Variant) -> ScenarioSummary {
+pub(crate) fn av_scoreboard(v: Variant) -> ScenarioSummary {
     let s = Summary::new(crate::keys::AV_SCOREBOARD, v.name());
     let bare = |name: &str| Path::new(name).read("a25520.slot").write("a25520.slot");
     let locked = |name: &str| {
@@ -693,7 +667,7 @@ fn av_scoreboard(v: Variant) -> ScenarioSummary {
 /// Apache-II (§5.4.3): the buffered log writer reads the cursor, copies
 /// bytes, and bumps the cursor — two writers interleaving tear both the
 /// cursor and the buffer/cursor invariant.
-fn apache_ii(v: Variant) -> ScenarioSummary {
+pub(crate) fn apache_ii(v: Variant) -> ScenarioSummary {
     let s = Summary::new(crate::keys::APACHE_II, v.name())
         .group(&["apache2.log_buf", "apache2.log_cursor"]);
     let bare = |name: &str| {
@@ -736,7 +710,7 @@ fn apache_ii(v: Variant) -> ScenarioSummary {
 
 /// Apache#31017: the request/byte counter pair must move together, but
 /// each update is its own unsynchronized store.
-fn av_pair_invariant(v: Variant) -> ScenarioSummary {
+pub(crate) fn av_pair_invariant(v: Variant) -> ScenarioSummary {
     let s = Summary::new(crate::keys::AV_PAIR_INVARIANT, v.name())
         .group(&["a31017.requests", "a31017.bytes"]);
     match v {
@@ -779,7 +753,7 @@ fn av_pair_invariant(v: Variant) -> ScenarioSummary {
 
 /// Apache#29850: read the shared sequence number, emit the log line,
 /// bump the sequence — all unsynchronized.
-fn av_log_sequence(v: Variant) -> ScenarioSummary {
+pub(crate) fn av_log_sequence(v: Variant) -> ScenarioSummary {
     let s = Summary::new(crate::keys::AV_LOG_SEQUENCE, v.name());
     let bare =
         |name: &str| Path::new(name).read("a29850.seq").write("a29850.log").write("a29850.seq");
@@ -817,7 +791,7 @@ fn av_log_sequence(v: Variant) -> ScenarioSummary {
 
 /// MySQL#12228: statistics counters updated without the status lock the
 /// rest of the server uses.
-fn av_stats_race(v: Variant) -> ScenarioSummary {
+pub(crate) fn av_stats_race(v: Variant) -> ScenarioSummary {
     let s = Summary::new(crate::keys::AV_STATS_RACE, v.name());
     let bare = |name: &str| Path::new(name).read("my12228.queries").write("my12228.queries");
     let locked = |name: &str| {
@@ -852,7 +826,7 @@ fn av_stats_race(v: Variant) -> ScenarioSummary {
 /// MySQL-I (§5.4.4): delete-all drops `lock_open` before writing the
 /// binlog, so a concurrent insert can slip between table change and log
 /// record — the table/binlog invariant tears.
-fn mysql_i(v: Variant) -> ScenarioSummary {
+pub(crate) fn mysql_i(v: Variant) -> ScenarioSummary {
     let s = Summary::new(crate::keys::MYSQL_I, v.name()).group(&["mysql1.table", "mysql1.binlog"]);
     let insert = || {
         Path::new("insert")
@@ -901,7 +875,7 @@ fn mysql_i(v: Variant) -> ScenarioSummary {
 /// MySQL#16582: a hand-rolled version-check/redo mechanism — read the
 /// version, write the value, bump the version, with no synchronization
 /// underneath.
-fn av_adhoc_retry(v: Variant) -> ScenarioSummary {
+pub(crate) fn av_adhoc_retry(v: Variant) -> ScenarioSummary {
     let s = Summary::new(crate::keys::AV_ADHOC_RETRY, v.name());
     let bare = |name: &str| {
         Path::new(name).read("my16582.version").write("my16582.value").write("my16582.version")
@@ -932,30 +906,4 @@ fn av_adhoc_retry(v: Variant) -> ScenarioSummary {
             ),
     }
     .build()
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    const VARIANTS: [Variant; 3] = [Variant::Buggy, Variant::DevFix, Variant::TmFix];
-
-    #[test]
-    fn every_scenario_has_all_three_summaries_and_they_validate() {
-        for key in crate::keys::ALL {
-            for v in VARIANTS {
-                let s =
-                    summary_for(key, v).unwrap_or_else(|| panic!("no summary for {key} ({v:?})"));
-                s.validate().unwrap_or_else(|e| panic!("{key} ({v:?}): {e}"));
-                assert_eq!(s.key, key);
-                assert_eq!(s.variant, v.name());
-                assert!(s.paths.len() >= 2, "{key} ({v:?}) models fewer than two paths");
-            }
-        }
-    }
-
-    #[test]
-    fn unknown_keys_have_no_summary() {
-        assert!(summary_for("no_such_scenario", Variant::Buggy).is_none());
-    }
 }

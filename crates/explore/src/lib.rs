@@ -1,8 +1,8 @@
 //! Systematic schedule exploration for the txfix corpus.
 //!
 //! Stress and chaos testing sample schedules; this crate *enumerates*
-//! them. Scenarios from the scheduled corpus
-//! ([`txfix_corpus::scheduled_scenarios`]) run under the cooperative
+//! them. The corpus rows that have a `scheduled` column
+//! ([`txfix_corpus::SCENARIOS`]) run under the cooperative
 //! deterministic scheduler in [`txfix_stm::sched`], which virtualizes
 //! every synchronization point (transactional reads/writes/commits, lock
 //! acquire/release, condvar wait/notify, traced shared accesses, chaos
@@ -30,7 +30,7 @@ use report::{EntryReport, ExploreReport, FailureReport};
 use runner::{RunResult, ScheduleOutcome, DEFAULT_MAX_STEPS};
 use txfix_core::json::ToJson;
 use txfix_core::sweep::{self, Flag, SweepArgs, SweepOutput, SweepRunner, Universe};
-use txfix_corpus::{scheduled_scenarios, ScheduledScenario, Variant};
+use txfix_corpus::{ScheduledRun, Variant, SCENARIOS};
 use txfix_stm::sched::{self, format_trace};
 
 /// Which exploration strategy to run.
@@ -122,15 +122,14 @@ pub struct Exploration {
     pub failure: Option<ScheduleOutcome>,
 }
 
-/// Explore an ad-hoc [`ScheduledRun`](txfix_corpus::ScheduledRun)
-/// builder — the programmatic entry point for callers that synthesize
-/// their own runs (fix inference verifies patched scenarios this way)
-/// rather than going through the scheduled corpus registry.
+/// Explore an ad-hoc [`ScheduledRun`] builder — the programmatic entry
+/// point for callers that synthesize their own runs (fix inference
+/// verifies patched scenarios this way) rather than naming a corpus row.
 ///
 /// Takes the process-global scheduler gate for the whole exploration;
 /// do not call from inside [`sched::run_exclusively`].
 pub fn explore_build(
-    build: &dyn Fn(Variant) -> txfix_corpus::ScheduledRun,
+    build: &dyn Fn(Variant) -> ScheduledRun,
     variant: Variant,
     cfg: &ExploreConfig,
 ) -> Exploration {
@@ -138,7 +137,7 @@ pub fn explore_build(
 }
 
 fn drive(
-    build: &dyn Fn(Variant) -> txfix_corpus::ScheduledRun,
+    build: &dyn Fn(Variant) -> ScheduledRun,
     variant: Variant,
     cfg: &ExploreConfig,
 ) -> Exploration {
@@ -183,15 +182,16 @@ fn drive(
     }
 }
 
-/// Explore one (scenario, variant) and report against its expectation:
-/// buggy variants must break within budget, fixed variants must survive
-/// every explored schedule.
+/// Explore one variant of scenario `key`, built by `build` (the row's
+/// `scheduled` column), and report against its expectation: buggy
+/// variants must break within budget, fixed variants must survive every
+/// explored schedule.
 pub fn explore_variant(
-    scenario: &dyn ScheduledScenario,
+    key: &str,
+    build: fn(Variant) -> ScheduledRun,
     variant: Variant,
     cfg: &ExploreConfig,
 ) -> EntryReport {
-    let build = |v: Variant| scenario.build(v);
     // The scheduler is process-global: hold its gate for the whole
     // exploration (including minimization re-executions).
     sched::run_exclusively(|| {
@@ -219,7 +219,7 @@ pub fn explore_variant(
             Variant::DevFix | Variant::TmFix => failure.is_none(),
         };
         EntryReport {
-            key: scenario.key().to_string(),
+            key: key.to_string(),
             variant: variant.name().to_string(),
             schedules: ex.schedules,
             pruned: ex.pruned,
@@ -231,21 +231,18 @@ pub fn explore_variant(
     })
 }
 
-/// Replay a recorded decision trace against a scenario variant and return
-/// the outcome — the determinism check behind "replayable bit-for-bit".
-pub fn replay(
-    scenario: &dyn ScheduledScenario,
-    variant: Variant,
-    max_steps: u64,
-    trace: &[usize],
-) -> ScheduleOutcome {
+/// Replay a recorded decision trace against a fresh run and return the
+/// outcome — the determinism check behind "replayable bit-for-bit".
+pub fn replay(run: ScheduledRun, max_steps: u64, trace: &[usize]) -> ScheduleOutcome {
     sched::run_exclusively(|| {
-        runner::run_schedule(
-            scenario.build(variant),
-            max_steps,
-            runner::replay_picker(trace.to_vec()),
-        )
+        runner::run_schedule(run, max_steps, runner::replay_picker(trace.to_vec()))
     })
+}
+
+/// The explorer's universe: the rows with a `scheduled` column, as
+/// `(key, builder)`, in corpus order.
+pub fn scheduled() -> impl Iterator<Item = (&'static str, fn(Variant) -> ScheduledRun)> {
+    SCENARIOS.into_iter().filter_map(|s| Some((s.key, s.scheduled?)))
 }
 
 /// Sweep the scheduled scenarios whose key `selected` admits, in corpus
@@ -256,9 +253,9 @@ pub fn explore_corpus(
     cfg: &ExploreConfig,
 ) -> ExploreReport {
     let mut entries = Vec::new();
-    for scenario in scheduled_scenarios().iter().filter(|s| selected(s.key())) {
+    for (key, build) in scheduled().filter(|(key, _)| selected(key)) {
         for &variant in variants {
-            entries.push(explore_variant(scenario.as_ref(), variant, cfg));
+            entries.push(explore_variant(key, build, variant, cfg));
         }
     }
     ExploreReport {
@@ -293,7 +290,7 @@ impl SweepRunner for ExploreSweep {
     }
 
     fn universe(&self) -> Option<Universe> {
-        Some(Universe::new("scheduled scenario", scheduled_scenarios().iter().map(|s| s.key())))
+        Some(Universe::new("scheduled scenario", scheduled().map(|(key, _)| key)))
     }
 
     fn flag(&mut self, flag: &str, value: Option<&str>) -> Result<Flag, String> {

@@ -7,19 +7,19 @@
 //! produce byte-identical exploration outcomes — same verdict, same
 //! schedule count, same failing trace.
 
-use txfix_corpus::{scheduled_scenarios, Variant};
-use txfix_explore::{explore_variant, ExploreConfig, Strategy};
+use txfix_corpus::Variant;
+use txfix_explore::{explore_variant, scheduled, ExploreConfig, Strategy};
 use txfix_stm::ClockMode;
 
 #[test]
 fn gv1_and_gv5_agree_on_every_explored_verdict() {
     let cfg = ExploreConfig { strategy: Strategy::Dfs, budget: 3_000, ..ExploreConfig::default() };
-    for scenario in scheduled_scenarios() {
+    for (key, build) in scheduled() {
         for variant in [Variant::Buggy, Variant::DevFix, Variant::TmFix] {
             txfix_stm::clock::set_mode(ClockMode::Gv1);
-            let gv1 = explore_variant(scenario.as_ref(), variant, &cfg);
+            let gv1 = explore_variant(key, build, variant, &cfg);
             txfix_stm::clock::set_mode(ClockMode::Gv5);
-            let gv5 = explore_variant(scenario.as_ref(), variant, &cfg);
+            let gv5 = explore_variant(key, build, variant, &cfg);
             txfix_stm::clock::set_mode(ClockMode::Gv1);
 
             assert_eq!(

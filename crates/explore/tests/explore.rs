@@ -4,10 +4,10 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use txfix_corpus::{scheduled_by_key, scheduled_scenarios, Outcome, ScheduledRun, Variant};
+use txfix_corpus::{scenario_by_key, Outcome, ScheduledRun, Variant};
 use txfix_explore::dfs::explore_dfs;
 use txfix_explore::runner::{run_schedule, RunResult, DEFAULT_MAX_STEPS};
-use txfix_explore::{explore_variant, pct, replay, ExploreConfig, Strategy};
+use txfix_explore::{explore_variant, pct, replay, scheduled, ExploreConfig, Strategy};
 use txfix_stm::sched;
 use txfix_stm::trace::TracedCell;
 use txfix_stm::TVar;
@@ -83,10 +83,11 @@ fn sleep_sets_prune_commuting_interleavings() {
 
 #[test]
 fn pct_finds_planted_refcount_bug_within_budget() {
-    let scenario = scheduled_by_key("av_refcount_race").expect("scenario exists");
+    let key = "av_refcount_race";
+    let build = scenario_by_key(key).and_then(|s| s.scheduled).expect("scenario exists");
     let cfg =
         ExploreConfig { strategy: Strategy::Pct, budget: 200, seed: 7, ..ExploreConfig::default() };
-    let entry = explore_variant(scenario.as_ref(), Variant::Buggy, &cfg);
+    let entry = explore_variant(key, build, Variant::Buggy, &cfg);
     assert!(entry.ok, "PCT must plant the lost-update within 200 schedules: {entry:?}");
     let failure = entry.failure.expect("buggy variant fails");
     assert!(failure.found_after <= 200);
@@ -94,17 +95,18 @@ fn pct_finds_planted_refcount_bug_within_budget() {
 
 #[test]
 fn failing_schedule_replays_bit_for_bit() {
-    let scenario = scheduled_by_key("av_stats_race").expect("scenario exists");
+    let key = "av_stats_race";
+    let build = scenario_by_key(key).and_then(|s| s.scheduled).expect("scenario exists");
     let cfg = ExploreConfig { strategy: Strategy::Dfs, budget: 1_000, ..ExploreConfig::default() };
-    let entry = explore_variant(scenario.as_ref(), Variant::Buggy, &cfg);
+    let entry = explore_variant(key, build, Variant::Buggy, &cfg);
     let failure = entry.failure.expect("DFS finds the stats race");
     let trace: Vec<usize> = failure
         .trace
         .split('.')
         .map(|c| c.parse().expect("trace components are indices"))
         .collect();
-    let a = replay(scenario.as_ref(), Variant::Buggy, DEFAULT_MAX_STEPS, &trace);
-    let b = replay(scenario.as_ref(), Variant::Buggy, DEFAULT_MAX_STEPS, &trace);
+    let a = replay(build(Variant::Buggy), DEFAULT_MAX_STEPS, &trace);
+    let b = replay(build(Variant::Buggy), DEFAULT_MAX_STEPS, &trace);
     assert!(matches!(a.result, RunResult::Bug(_)), "replayed schedule still fails: {a:?}");
     assert_eq!(a.result, b.result);
     assert_eq!(a.log.events, b.log.events, "same trace, same event sequence");
@@ -116,7 +118,8 @@ fn failing_schedule_replays_bit_for_bit() {
 /// event sequence.
 #[test]
 fn pct_schedules_replay_deterministically_across_seeds() {
-    let scenario = scheduled_by_key("av_adhoc_retry").expect("scenario exists");
+    let key = "av_adhoc_retry";
+    let build = scenario_by_key(key).and_then(|s| s.scheduled).expect("scenario exists");
     // A spread of seeds rather than a proptest runner: each case spins up
     // real threads, so keep the count deliberate and the failures
     // reproducible by seed.
@@ -124,15 +127,12 @@ fn pct_schedules_replay_deterministically_across_seeds() {
         for variant in [Variant::Buggy, Variant::TmFix] {
             let (events, trace) = sched::run_exclusively(|| {
                 let params = pct::PctParams { seed, depth: 3, steps_hint: 64 };
-                let out = run_schedule(
-                    scenario.build(variant),
-                    DEFAULT_MAX_STEPS,
-                    pct::pct_picker(params, 0),
-                );
+                let out =
+                    run_schedule(build(variant), DEFAULT_MAX_STEPS, pct::pct_picker(params, 0));
                 let trace = out.log.trace();
                 (out.log.events, trace)
             });
-            let replayed = replay(scenario.as_ref(), variant, DEFAULT_MAX_STEPS, &trace);
+            let replayed = replay(build(variant), DEFAULT_MAX_STEPS, &trace);
             assert_eq!(replayed.log.events, events, "seed {seed:#x} {variant:?}: replay diverged");
         }
     }
@@ -197,9 +197,9 @@ fn serial_rung_is_schedule_independent() {
 #[test]
 fn dfs_sweep_finds_every_bug_and_clears_every_fix() {
     let cfg = ExploreConfig { strategy: Strategy::Dfs, budget: 3_000, ..ExploreConfig::default() };
-    for scenario in scheduled_scenarios() {
+    for (key, build) in scheduled() {
         for variant in [Variant::Buggy, Variant::DevFix, Variant::TmFix] {
-            let entry = explore_variant(scenario.as_ref(), variant, &cfg);
+            let entry = explore_variant(key, build, variant, &cfg);
             assert!(
                 entry.ok,
                 "{} [{}]: expectation not met (schedules={} pruned={} failure={:?})",

@@ -36,7 +36,7 @@
 use txfix_core::json::{Json, ToJson};
 use txfix_core::sweep::{SweepArgs, SweepOutput, SweepRunner, Universe};
 use txfix_core::HazardClass;
-use txfix_corpus::{scheduled_by_key, Outcome, ScheduledRun, Variant};
+use txfix_corpus::{scenario_by_key, Outcome, ScheduledRun, Variant};
 use txfix_explore::{explore_build, explore_variant, ExploreConfig, Strategy};
 use txfix_stm::canary::{self, Canary};
 use txfix_stm::chaos::Trigger;
@@ -45,7 +45,6 @@ use txfix_txlock::TxMutex;
 use txfix_xcall::{SimFs, SimPipe, XFile, XPipe};
 
 use std::fmt::Write as _;
-use std::sync::Arc;
 
 /// What one detection layer saw for one armed canary.
 #[derive(Clone, Debug)]
@@ -235,10 +234,11 @@ fn analyze_probe(c: Canary, seed: u64, key: &str, variant: Variant) -> LayerProb
 /// canary armed.
 fn explore_probe(c: Canary, seed: u64, key: &str, variant: Variant) -> LayerProbe {
     let expected = expected_class(c);
-    let scenario = scheduled_by_key(key)
+    let build = scenario_by_key(key)
+        .and_then(|s| s.scheduled)
         .unwrap_or_else(|| panic!("canary probe references unknown scheduled scenario {key}"));
     let _armed = canary::scoped(c, seed, Trigger::EveryNth(1));
-    let entry = explore_variant(scenario.as_ref(), variant, &explore_cfg(seed));
+    let entry = explore_variant(key, build, variant, &explore_cfg(seed));
     match entry.failure {
         Some(f) if classify(&f.message) == expected => {
             LayerProbe { layer: "explore", probed: true, caught: true, evidence: f.message }
@@ -276,25 +276,22 @@ fn explore_probe(c: Canary, seed: u64, key: &str, variant: Variant) -> LayerProb
 /// victim's final release panics — which exploration reports as the bug.
 fn revoke_probe(c: Canary, seed: u64) -> LayerProbe {
     let expected = expected_class(c);
-    let build = |_v: Variant| -> ScheduledRun {
-        let a = Arc::new(TxMutex::new("canary.revoke.a", 0u32));
-        let b = Arc::new(TxMutex::new("canary.revoke.b", 0u32));
-        let body =
-            |first: Arc<TxMutex<u32>>, second: Arc<TxMutex<u32>>| -> Box<dyn FnOnce() + Send> {
-                Box::new(move || {
-                    atomic(move |txn| {
-                        first.lock_tx(txn)?;
-                        second.lock_tx(txn)?;
-                        Ok(())
-                    });
-                })
-            };
-        ScheduledRun {
-            threads: vec![body(a.clone(), b.clone()), body(b, a)],
+    let build = |_v: Variant| {
+        let nested = |first: &TxMutex<u32>, second: &TxMutex<u32>| {
+            atomic(|txn| {
+                first.lock_tx(txn)?;
+                second.lock_tx(txn)?;
+                Ok(())
+            });
+        };
+        ScheduledRun::pair(
+            (TxMutex::new("canary.revoke.a", 0u32), TxMutex::new("canary.revoke.b", 0u32)),
+            move |(a, b)| nested(a, b),
+            move |(a, b)| nested(b, a),
             // The bug manifests as a lock-discipline panic, not as a
             // state violation.
-            check: Box::new(|| Outcome::Correct),
-        }
+            |_| Outcome::Correct,
+        )
     };
     let _armed = canary::scoped(c, seed, Trigger::EveryNth(1));
     let ex = explore_build(&build, Variant::Buggy, &explore_cfg(seed));

@@ -7,14 +7,15 @@
 use std::collections::BTreeSet;
 
 use txfix::autofix::{autofix_scenario, build_run, infer, widening};
-use txfix::corpus::{keys, summary_for, Variant};
+use txfix::corpus::{scenario_by_key, Variant, SCENARIOS};
 use txfix::explore::{explore_build, ExploreConfig};
 use txfix::lint::{check, footprint, Path, Region, Summary};
 
 #[test]
 fn inference_converges_to_a_statically_clean_patch_on_every_buggy_variant() {
-    for key in keys::ALL {
-        let buggy = summary_for(key, Variant::Buggy).expect("registered summary");
+    for row in SCENARIOS {
+        let key = row.key;
+        let buggy = (row.summary)(Variant::Buggy);
         let inf = infer(&buggy).unwrap_or_else(|e| panic!("{key}: inference failed: {e}"));
         assert!(!inf.regions.is_empty(), "{key}: buggy variant inferred an empty fix plan");
         assert!(inf.rounds >= 1, "{key}: buggy variant converged without a grow round");
@@ -29,9 +30,10 @@ fn inference_converges_to_a_statically_clean_patch_on_every_buggy_variant() {
 
 #[test]
 fn fixed_variants_need_no_fix() {
-    for key in keys::ALL {
+    for row in SCENARIOS {
+        let key = row.key;
         for variant in [Variant::DevFix, Variant::TmFix] {
-            let summary = summary_for(key, variant).expect("registered summary");
+            let summary = (row.summary)(variant);
             let inf = infer(&summary).expect("clean summaries infer trivially");
             assert!(inf.regions.is_empty(), "{key} ({variant:?}): non-empty plan");
             assert_eq!(inf.rounds, 0, "{key} ({variant:?}): took grow rounds");
@@ -45,9 +47,10 @@ fn fixed_variants_need_no_fix() {
 /// dropped.
 #[test]
 fn inferred_regions_cover_the_hand_written_footprint() {
-    for key in keys::ALL {
-        let buggy = summary_for(key, Variant::Buggy).expect("registered summary");
-        let hand = summary_for(key, Variant::TmFix).expect("registered summary");
+    for row in SCENARIOS {
+        let key = row.key;
+        let buggy = (row.summary)(Variant::Buggy);
+        let hand = (row.summary)(Variant::TmFix);
         let inf = infer(&buggy).unwrap_or_else(|e| panic!("{key}: inference failed: {e}"));
         let fi = footprint(&inf.patched);
         for (path, hand_locs) in footprint(&hand) {
@@ -125,7 +128,7 @@ fn explorer_confirms_bug_and_fix_on_representative_scenarios() {
     let cfg = ExploreConfig { budget: 512, ..ExploreConfig::default() };
     // data race, lock-order cycle, lost wakeup
     for key in ["av_refcount_race", "mozilla_i", "av_cv_partial"] {
-        let entry = autofix_scenario(key, &cfg).expect("known key");
+        let entry = autofix_scenario(scenario_by_key(key).expect("known key"), &cfg);
         assert!(entry.error.is_none(), "{key}: {:?}", entry.error);
         assert!(entry.static_clean, "{key}: patch not statically clean");
         assert!(
@@ -147,7 +150,8 @@ fn explorer_confirms_bug_and_fix_on_representative_scenarios() {
 #[test]
 fn interpreter_clears_hand_written_tm_summaries() {
     let cfg = ExploreConfig { budget: 512, ..ExploreConfig::default() };
-    let tm = summary_for("av_refcount_race", Variant::TmFix).expect("registered summary");
+    let row = scenario_by_key("av_refcount_race").expect("known key");
+    let tm = (row.summary)(Variant::TmFix);
     let build = |_| build_run(&tm);
     let ex = explore_build(&build, Variant::TmFix, &cfg);
     assert!(ex.schedules > 0);

@@ -17,7 +17,7 @@
 //!   [`Hazard::overlaps`] — no ad-hoc shape mapping.
 
 use txfix::analyze::analyze_scenario;
-use txfix::corpus::{bug_by_scenario, keys, summary_for, Variant};
+use txfix::corpus::{bug_by_scenario, keys, scenario_by_key, Variant};
 use txfix::lint::{lint_summary, LintReport};
 use txfix::recipes::analyze;
 
@@ -30,7 +30,7 @@ const STATIC_ONLY: &[&str] = &[];
 
 /// Run the full lint loop for one scenario variant.
 fn lint(key: &str, variant: Variant) -> LintReport {
-    let summary = summary_for(key, variant).expect("registered summary");
+    let summary = (scenario_by_key(key).expect("known key").summary)(variant);
     let analysis = bug_by_scenario(key).map(|bug| analyze(&bug));
     lint_summary(&summary, analysis.as_ref()).expect("summary validates")
 }

@@ -4,7 +4,7 @@
 //! to avoid cross-talk with other integration tests.)
 
 use std::sync::Mutex;
-use txfix::corpus::{all_scenarios, bug_by_scenario, Variant};
+use txfix::corpus::{bug_by_scenario, Variant, SCENARIOS};
 use txfix::recipes::BugKind;
 use txfix::txlock::{lockdep, TxMutex};
 
@@ -79,25 +79,25 @@ fn every_deadlock_scenario_runs_under_lockdep() {
     ];
     let _gate = GATE.lock().unwrap_or_else(|e| e.into_inner());
     let mut seen = 0;
-    for s in all_scenarios() {
-        let Some(bug) = bug_by_scenario(s.key()) else { continue };
+    for s in SCENARIOS {
+        let Some(bug) = bug_by_scenario(s.key) else { continue };
         if bug.kind != BugKind::Deadlock {
             continue;
         }
         seen += 1;
         lockdep::reset();
         lockdep::enable();
-        s.run(Variant::Buggy);
+        (s.run)(Variant::Buggy);
         lockdep::disable();
         let hazards = lockdep::inversions();
-        if flagged.contains(&s.key()) {
-            assert!(!hazards.is_empty(), "{}: buggy variant must be flagged", s.key());
+        if flagged.contains(&s.key) {
+            assert!(!hazards.is_empty(), "{}: buggy variant must be flagged", s.key);
         } else {
             assert!(
                 hazards.is_empty(),
                 "{}: unexpected lock-order inversion {hazards:?} — if lockdep learned to \
                  see this hazard, promote the key to `flagged`",
-                s.key()
+                s.key
             );
         }
     }
