@@ -53,19 +53,6 @@ impl StmStore {
         Self::with_overhead(objects, slots, OverheadModel::SOFTWARE_TM, "tm-replace (software)")
     }
 
-    /// Software-TM cost model with the *eager* write policy — the closest
-    /// match for Intel's STM, the paper's actual platform.
-    pub fn software_eager(objects: usize, slots: usize) -> StmStore {
-        let mut s = Self::with_overhead(
-            objects,
-            slots,
-            OverheadModel::SOFTWARE_TM,
-            "tm-replace (software, eager)",
-        );
-        s.txn = s.txn.write_policy(txfix_stm::WritePolicy::Eager);
-        s
-    }
-
     /// Hardware-TM cost model (LogTM-SE-like, near-zero barriers).
     pub fn hardware(objects: usize, slots: usize) -> StmStore {
         Self::with_overhead(objects, slots, OverheadModel::HARDWARE_TM, "tm-replace (hardware)")

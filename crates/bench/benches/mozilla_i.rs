@@ -38,9 +38,6 @@ fn bench_variants(c: &mut Criterion) {
     let sw = StmStore::software(total, p.slots);
     g.bench_function("recipe1_software_tm", |b| b.iter(|| run(&sw)));
 
-    let swe = StmStore::software_eager(total, p.slots);
-    g.bench_function("recipe1_software_tm_eager", |b| b.iter(|| run(&swe)));
-
     let hw = HwModelStore::new(total, p.slots);
     g.bench_function("recipe1_hardware_model", |b| b.iter(|| run(&hw)));
 

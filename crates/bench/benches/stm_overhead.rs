@@ -85,26 +85,6 @@ fn bench_mechanisms(c: &mut Criterion) {
         txfix_stm::obs::disable();
     }
 
-    // Eager (encounter-time locking, undo log) — the write policy of the
-    // paper's actual platform (Intel's STM).
-    {
-        let txb = Txn::build().write_policy(txfix_stm::WritePolicy::Eager);
-        let (a, bb) = (a.clone(), bb.clone());
-        g.bench_function("stm_eager_native", move |bch| {
-            bch.iter(|| {
-                txb.try_run(|txn| {
-                    let x = a.read(txn)?;
-                    a.write(txn, x.wrapping_add(1))?;
-                    let y = bb.read(txn)?;
-                    bb.write(txn, y.wrapping_add(x))?;
-                    Ok(y)
-                })
-                .expect("uncontended eager transaction")
-                .0
-            })
-        });
-    }
-
     let cfg = HtmConfig::new();
     let (a2, b2) = (a.clone(), bb.clone());
     g.bench_function("hybrid_htm", move |bch| {

@@ -61,7 +61,7 @@ pub enum InjectionPoint {
     /// Force a validation-failure abort on entry to commit.
     TxnPreCommit = 2,
     /// Force an abort *inside* commit, after validation, with orecs locked
-    /// (lazy) or data already written in place (eager).
+    /// and nothing published yet.
     TxnWriteback = 3,
     /// Make a revocable-lock acquisition fail as if the caller had been
     /// chosen as a deadlock victim.

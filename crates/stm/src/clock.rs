@@ -27,17 +27,27 @@
 //!    will write *before* loading `G` to compute its stamp. Any reader
 //!    whose `rv` was obtained before those locks therefore has
 //!    `rv <= G-at-lock < stamp`, so the writer's values can never be
-//!    mistaken for part of that reader's snapshot.
+//!    mistaken for part of that reader's snapshot. There are two stamp
+//!    sites and both sit textually below their lock loop: the one
+//!    `commit_stamp()` call in `Txn::commit` (optimistic and irrevocable
+//!    commits share that body) and the one in `VarInner::store_direct`.
 //! 2. **Per-record monotonicity.** A record is stamped with
 //!    `max(stamp, old_version + 1)` ([`crate::orec::Orec::stamp_release`]),
 //!    so two commits can share a global stamp but never reuse a version on
 //!    the *same* record — exact-match validation stays sound.
 //! 3. **Read stamps never lead the clock.** `rv` is only ever set to a
 //!    value `<= G` at the time it is set ([`VersionClock::advance_to`]
-//!    raises `G` first, then reads it back). Combined with rule 1 this
-//!    gives opacity: a version `<= rv` was committed by a writer whose
-//!    locks predate the reader's `rv`, so accepting it without
-//!    revalidation is safe.
+//!    raises `G` first, then reads it back). Combined with rule 1, a
+//!    version `<= rv` was committed by a writer whose locks predate the
+//!    reader's `rv`, so accepting it without revalidation is safe.
+//!
+//! The rules are necessary for opacity, not sufficient: they say which
+//! *versions* a reader may accept, and the read path must still pair each
+//! value with the version it was committed at (`read_consistent` re-checks
+//! the writer field *before* the version) and re-validate the read that
+//! triggers a snapshot extension, which was sampled under the old `rv`
+//! (`Txn::read_raw`). `tests/clock_modes.rs` holds the reproducer that
+//! tore snapshots while any of these was missing.
 //!
 //! A committing GV5 writer leaves its thread epoch at a value `<= G`
 //! rather than adopting its own stamp (rule 3). Its next transaction

@@ -51,7 +51,7 @@
 //! | `atomic_report(&opts, body)?`                  | `Txn::build()….try_run(body)?`               |
 //! | `atomic_with(&opts, body)?`                    | `Txn::build()….try_run(body)?` (drop report) |
 //! | `TxnOptions::default().kind(TxnKind::Relaxed)` | `Txn::build().relaxed()`                     |
-//! | `opts.capacity(r, w)`, `.max_attempts(n)`, `.backoff(p)`, `.overhead(m)`, `.write_policy(p)` | same method names on the builder |
+//! | `opts.capacity(r, w)`, `.max_attempts(n)`, `.backoff(p)`, `.overhead(m)` | same method names on the builder |
 //!
 //! The builder is `Clone` and cheap to store, so code that previously kept
 //! a `TxnOptions` in a struct keeps a configured [`TxnBuilder`] instead.
@@ -106,4 +106,4 @@ pub use runtime::{
     atomic, atomic_relaxed, EscalationPolicy, EscalationRung, TxnBuilder, TxnReport,
 };
 pub use tvar::{TVar, VarId};
-pub use txn::{KillHandle, TxResource, Txn, TxnKind, WritePolicy};
+pub use txn::{KillHandle, TxResource, Txn, TxnKind};

@@ -20,8 +20,12 @@
 //! a version and a commit lock, so a commit to one can abort a reader of
 //! the other. With sequential variable ids the stripe map is a perfect
 //! round-robin, so collisions need `STRIPES` simultaneously-hot variables
-//! at creation-order distance `k·STRIPES` — rare, and always safe
-//! (validation is conservative, never admissive).
+//! at creation-order distance `k·STRIPES` — rare, and safe: sharing a
+//! stripe can only add conflicts, never hide one. (That is a statement
+//! about the stripe map alone. Whether an *accepted* read is consistent
+//! rests on the order of the loads in `VarInner::read_consistent` and
+//! `Txn::read_raw`, and on the one commit protocol in `Txn::commit`, the
+//! only code besides `store_direct` that ever holds a stripe.)
 //!
 //! ## Determinism
 //!
@@ -97,23 +101,8 @@ impl Orec {
         self.writer.compare_exchange(0, serial, Ordering::AcqRel, Ordering::Acquire).is_ok()
     }
 
-    /// Bounded-spin acquisition for eager (encounter-time) writes; succeeds
-    /// immediately if `serial` already holds the stripe.
-    pub(crate) fn try_lock_spinning(&self, serial: u64, spins: usize) -> bool {
-        for _ in 0..spins {
-            let cur = self.writer.load(Ordering::Acquire);
-            if cur == serial {
-                return true;
-            }
-            if cur == 0 && self.try_lock(serial) {
-                return true;
-            }
-            std::hint::spin_loop();
-        }
-        false
-    }
-
-    /// Release the stripe without stamping (failed commit, rollback).
+    /// Release the stripe (after `stamp_release`, or unstamped when the
+    /// commit failed).
     #[inline]
     pub(crate) fn unlock(&self, serial: u64) {
         let prev = self.writer.swap(0, Ordering::Release);
@@ -197,8 +186,6 @@ mod tests {
         let o = Orec { version: AtomicU64::new(3), writer: AtomicU64::new(0) };
         assert!(o.try_lock(9));
         assert!(!o.try_lock(10));
-        assert!(o.try_lock_spinning(9, 4), "owner re-acquires");
-        assert!(!o.try_lock_spinning(10, 4));
         assert!(o.validate(3, 9), "owner validates through own lock");
         assert!(!o.validate(3, 10), "stranger sees busy stripe");
         o.unlock(9);

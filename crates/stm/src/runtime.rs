@@ -12,7 +12,7 @@ use crate::obs;
 use crate::obs::SiteId;
 use crate::overhead::OverheadModel;
 use crate::sched;
-use crate::txn::{Txn, TxnKind, TxnOptions, WritePolicy};
+use crate::txn::{Txn, TxnKind, TxnOptions};
 use std::time::{Duration, Instant};
 
 /// Diagnostic information about one completed `atomic` call.
@@ -136,12 +136,6 @@ impl TxnBuilder {
     /// [`Txn::unsafe_op`] at the cost of becoming irrevocable.
     pub fn relaxed(mut self) -> Self {
         self.opts.kind = TxnKind::Relaxed;
-        self
-    }
-
-    /// Set the write policy (lazy write-back vs. eager in-place).
-    pub fn write_policy(mut self, policy: WritePolicy) -> Self {
-        self.opts.write_policy = policy;
         self
     }
 

@@ -120,23 +120,6 @@ pub(crate) fn shared() -> SharedGuard {
     }
 }
 
-/// Try to acquire the lock in shared mode without blocking.
-///
-/// Used by eager commits, which already hold orec stripes from encounter
-/// time: parking here while an irrevocable transaction holds the lock
-/// exclusively could deadlock against its publication waiting on those
-/// stripes, so the caller aborts (releasing the stripes) instead.
-#[inline]
-pub(crate) fn try_shared() -> Option<SharedGuard> {
-    let slot = my_slot();
-    slot.0.fetch_add(1, Ordering::SeqCst);
-    if !WRITER_ACTIVE.load(Ordering::SeqCst) {
-        return Some(SharedGuard { slot });
-    }
-    slot.0.fetch_sub(1, Ordering::SeqCst);
-    None
-}
-
 /// Acquire the lock exclusively (irrevocable transactions, quiescent
 /// snapshots).
 pub(crate) fn exclusive() -> ExclusiveGuard {

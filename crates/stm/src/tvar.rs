@@ -32,7 +32,7 @@ impl fmt::Display for VarId {
 }
 
 /// How many times a reader re-checks a busy orec before declaring conflict.
-pub(crate) const READ_SPIN: usize = 128;
+const READ_SPIN: usize = 128;
 
 static NEXT_VAR_ID: AtomicU64 = AtomicU64::new(1);
 
@@ -56,8 +56,11 @@ impl VarInner {
 
     /// Lock-free consistent read: returns the value together with the
     /// stripe version it was committed at, or a conflict if the orec stays
-    /// busy. The seqlock pattern — version, value, version-and-writer
-    /// re-check — guarantees the value belongs to the returned version.
+    /// busy. The seqlock pattern — writer, version, value, then writer
+    /// *before* version on the re-check — guarantees the value belongs to
+    /// the returned version: a committer releases in the order stamp →
+    /// unlock, so seeing the stripe unlocked implies its new version is
+    /// visible to the load that follows.
     pub(crate) fn read_consistent(&self) -> StmResult<(Boxed, u64)> {
         for _ in 0..READ_SPIN {
             let w1 = self.orec.writer();
@@ -67,9 +70,9 @@ impl VarInner {
             }
             let v1 = self.orec.version();
             let val = self.value.read().clone();
-            let v2 = self.orec.version();
             let w2 = self.orec.writer();
-            if v1 == v2 && w2 == 0 {
+            let v2 = self.orec.version();
+            if w2 == 0 && v1 == v2 {
                 return Ok((val, v1));
             }
             std::hint::spin_loop();
@@ -88,15 +91,8 @@ impl VarInner {
         }
     }
 
-    /// Current value without consistency checks — only for the owner of
-    /// the orec (eager writers reading their own in-place updates).
-    pub(crate) fn read_unchecked(&self) -> Boxed {
-        self.value.read().clone()
-    }
-
     /// Replace the value without touching the version — only while the
-    /// orec is held (commit write-back, eager in-place writes and their
-    /// rollback).
+    /// orec is held (commit write-back).
     pub(crate) fn set_value(&self, value: Boxed) {
         *self.value.write() = value;
     }

@@ -4,12 +4,21 @@
 //!
 //! ## Commit path
 //!
-//! The lazy (TL2-style) commit is: take the serialization lock shared,
-//! lock the write set's orec stripes in canonical (stripe-index) order,
-//! obtain a write stamp from the [`crate::clock`] (*after* the locks —
-//! rule 1 of the clock safety contract), validate the read set, publish
-//! the buffered values, stamp-and-release the stripes. Read-only
-//! transactions commit without touching any of that.
+//! Writes are buffered (TL2-style write-back) and there is one commit
+//! protocol, [`Txn::commit`], for both rungs: hold the serialization lock
+//! (shared, or the exclusive guard an irrevocable transaction already
+//! owns), lock the write set's orec stripes in canonical (stripe-index)
+//! order, obtain a write stamp from the [`crate::clock`] (*after* the
+//! locks — rule 1 of the clock safety contract), validate the read set
+//! (revocable only: nothing can have committed under an irrevocable
+//! transaction), publish the buffered values, stamp and release the
+//! stripes. A stripe is therefore held only between that lock loop and
+//! that unlock loop, inside a serial guard, with no yield point in
+//! between. Read-only transactions commit without touching any of that:
+//! every read was checked against `rv` when it was made, and the read
+//! that triggers a snapshot extension is re-validated *after* the
+//! extension, because it was sampled before the new `rv` and is not yet in
+//! the read set the extension walks.
 //!
 //! Set lookups are O(1): a per-transaction 128-bit Bloom filter over each
 //! of the read and write sets answers the common misses (first read of a
@@ -29,7 +38,7 @@ use crate::overhead::{charge, OverheadModel};
 use crate::sched;
 use crate::serial;
 use crate::trace;
-use crate::tvar::{VarInner, READ_SPIN};
+use crate::tvar::VarInner;
 use std::any::Any;
 use std::cell::Cell;
 use std::fmt;
@@ -79,25 +88,6 @@ pub enum TxnKind {
     Relaxed,
 }
 
-/// How transactional writes reach memory.
-///
-/// The paper's platform (Intel's STM) is *eager*: writes lock their
-/// location at encounter time, update in place and keep an undo log, so
-/// conflicting readers block/abort immediately. The default here is
-/// *lazy* (TL2-style write-back), which buffers writes and publishes at
-/// commit. Both policies provide identical atomicity and isolation; they
-/// differ in contention behaviour, which `benches/stm_overhead.rs`
-/// explores.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
-pub enum WritePolicy {
-    /// Buffer writes; acquire ownership records only during commit.
-    #[default]
-    Lazy,
-    /// Acquire ownership records at first write, update in place, keep an
-    /// undo log for rollback (encounter-time locking).
-    Eager,
-}
-
 /// Configuration for one transaction, assembled by
 /// [`TxnBuilder`](crate::TxnBuilder). Internal: call sites configure
 /// transactions exclusively through the builder.
@@ -105,8 +95,6 @@ pub enum WritePolicy {
 pub struct TxnOptions {
     /// Atomic (default) or relaxed transaction.
     pub kind: TxnKind,
-    /// Lazy write-back (default) or eager in-place writes.
-    pub write_policy: WritePolicy,
     /// Give up with [`TxnError::RetryLimit`](crate::TxnError::RetryLimit)
     /// after this many attempts (`None` = unbounded).
     pub max_attempts: Option<u64>,
@@ -134,7 +122,6 @@ impl Default for TxnOptions {
     fn default() -> Self {
         TxnOptions {
             kind: TxnKind::Atomic,
-            write_policy: WritePolicy::default(),
             max_attempts: None,
             backoff: BackoffPolicy::default(),
             read_capacity: None,
@@ -194,12 +181,6 @@ struct WriteEntry {
     value: Boxed,
 }
 
-/// Eager-policy record of a location's pre-transaction state.
-struct UndoEntry {
-    var: Arc<VarInner>,
-    old_value: Boxed,
-}
-
 /// Two bits per id in a 128-bit Bloom filter; a miss (any bit clear) is a
 /// definitive "not in set", a hit falls back to a scan.
 #[inline]
@@ -235,15 +216,12 @@ pub struct Txn {
     rv: u64,
     kind: TxnKind,
     attempt: u64,
-    policy: WritePolicy,
     site: SiteId,
     read_set: Vec<ReadEntry>,
     write_set: Vec<WriteEntry>,
-    undo_log: Vec<UndoEntry>,
     /// Bloom filter over read-set ids (duplicate-read dedup).
     read_filter: u128,
-    /// Bloom filter over written ids (read-after-write lookup); covers
-    /// `write_set` under lazy and `undo_log` under eager.
+    /// Bloom filter over `write_set` ids (read-after-write lookup).
     write_filter: u128,
     commit_hooks: Vec<Box<dyn FnOnce()>>,
     abort_hooks: Vec<Box<dyn FnOnce()>>,
@@ -289,12 +267,10 @@ impl Txn {
             serial,
             rv: clock::begin_stamp(),
             kind: opts.kind,
-            policy: opts.write_policy,
             site: opts.site,
             attempt,
             read_set: Vec::new(),
             write_set: Vec::new(),
-            undo_log: Vec::new(),
             read_filter: 0,
             write_filter: 0,
             commit_hooks: Vec::new(),
@@ -340,10 +316,7 @@ impl Txn {
 
     /// Number of distinct variables written so far.
     pub fn write_set_len(&self) -> usize {
-        match self.policy {
-            WritePolicy::Lazy => self.write_set.len(),
-            WritePolicy::Eager => self.undo_log.len(),
-        }
+        self.write_set.len()
     }
 
     /// A handle external parties (deadlock detectors) can use to abort this
@@ -373,18 +346,14 @@ impl Txn {
 
     // ---- reads and writes -------------------------------------------------
 
-    /// Index into the written-entry list (`write_set` under lazy,
-    /// `undo_log` under eager) for `id`, or `None` — O(1) via the write
+    /// Index into `write_set` for `id`, or `None` — O(1) via the write
     /// Bloom filter for the common miss.
     #[inline]
     fn write_slot(&self, id: u64, bits: u128) -> Option<usize> {
         if self.write_filter & bits != bits {
             return None;
         }
-        match self.policy {
-            WritePolicy::Lazy => self.write_set.iter().rposition(|w| w.var.id == id),
-            WritePolicy::Eager => self.undo_log.iter().rposition(|u| u.var.id == id),
-        }
+        self.write_set.iter().rposition(|w| w.var.id == id)
     }
 
     pub(crate) fn read_raw(&mut self, var: &Arc<VarInner>) -> StmResult<Boxed> {
@@ -405,14 +374,7 @@ impl Txn {
         let bits = filter_bits(var.id);
         if let Some(i) = self.write_slot(var.id, bits) {
             self.trace_access(var.id, trace::AccessKind::Read);
-            return Ok(match self.policy {
-                WritePolicy::Lazy => self.write_set[i].value.clone(),
-                // Eager: we own the orec and already wrote in place.
-                WritePolicy::Eager => {
-                    let _ = i;
-                    var.read_unchecked()
-                }
-            });
+            return Ok(self.write_set[i].value.clone());
         }
         let (value, version) = match var.read_consistent() {
             Ok(r) => r,
@@ -423,10 +385,14 @@ impl Txn {
         };
         if version > self.rv {
             self.extend_rv(version)?;
-            if version > self.rv {
-                // The clock could not be extended past the observed stamp
-                // (only possible across clock-mode transitions); the read
-                // may be stale.
+            // The triggering read was sampled before the new `rv` and is
+            // not in the read set the extension just walked: a writer that
+            // locked and stamped at or below the new `rv` but has not
+            // written back yet would make it stale-but-accepted, and a
+            // read-only commit never validates again. (`version > rv`
+            // after extending is only possible across clock-mode
+            // transitions.)
+            if version > self.rv || !var.orec.validate(version, self.serial) {
                 obs::note_orec_conflict(var.id);
                 return Err(Abort::Conflict(ConflictKind::ReadValidation));
             }
@@ -465,39 +431,16 @@ impl Txn {
         self.check_killed()?;
         let bits = filter_bits(var.id);
         if let Some(i) = self.write_slot(var.id, bits) {
-            match self.policy {
-                WritePolicy::Lazy => self.write_set[i].value = value,
-                WritePolicy::Eager => var.set_value(value),
-            }
+            self.write_set[i].value = value;
             self.trace_access(var.id, trace::AccessKind::Write);
             return Ok(());
         }
         if let Some(cap) = self.write_capacity {
-            if self.write_set_len() >= cap {
+            if self.write_set.len() >= cap {
                 return Err(Abort::Capacity(CapacityKind::WriteSet));
             }
         }
-        match self.policy {
-            WritePolicy::Lazy => {
-                self.write_set.push(WriteEntry { var: var.clone(), value });
-            }
-            WritePolicy::Eager => {
-                // Encounter-time locking: take the stripe now (bounded
-                // spin; an immediate hit if we already own it through a
-                // stripe-sharing variable), snapshot the old value for
-                // rollback, update in place. The version stays untouched
-                // until commit, so concurrent readers either see the old
-                // consistent state (before the lock) or treat the busy
-                // orec as a conflict.
-                if !var.orec.try_lock_spinning(self.serial, READ_SPIN) {
-                    obs::note_orec_conflict(var.id);
-                    return Err(Abort::Conflict(ConflictKind::OrecBusy));
-                }
-                let old_value = var.read_unchecked();
-                var.set_value(value);
-                self.undo_log.push(UndoEntry { var: var.clone(), old_value });
-            }
-        }
+        self.write_set.push(WriteEntry { var: var.clone(), value });
         self.write_filter |= bits;
         self.trace_access(var.id, trace::AccessKind::Write);
         Ok(())
@@ -662,24 +605,17 @@ impl Txn {
         ReadSnapshot(self.read_set.iter().map(|e| (e.orec, e.version)).collect())
     }
 
-    /// The write set's stripes, deduplicated, in canonical (stripe-index)
-    /// order — the commit lock order.
-    fn commit_stripes(entries: impl Iterator<Item = OrecRef>) -> Vec<OrecRef> {
-        let mut stripes: Vec<OrecRef> = entries.collect();
-        stripes.sort_by_key(|o| o.index());
-        stripes.dedup_by_key(|o| o.index());
-        stripes
-    }
-
     /// Attempt to commit. On success all writes are published atomically,
     /// resources are committed and commit hooks run. On failure the caller
-    /// must invoke [`abort`](Txn::abort).
+    /// must invoke [`abort`](Txn::abort). One protocol serves both rungs;
+    /// an irrevocable commit skips the steps that can fail.
     pub(crate) fn commit(&mut self) -> StmResult<()> {
         assert!(!self.finished, "transaction used after completion");
-        // One yield before the whole validate-lock-publish sequence: a TL2
+        let revocable = self.irrevocable.is_none();
+        // One yield before the whole lock-validate-publish sequence: a TL2
         // commit is linearizable, so it is a single step at scheduler
         // granularity and never parks holding orecs or the serial lock.
-        if self.irrevocable.is_none() {
+        if revocable {
             sched::yield_point(sched::SyncOp::TxnCommit);
         }
         charge(
@@ -694,43 +630,44 @@ impl Txn {
         // re-execute non-isolated lock-protected mutations (Recipe 3 uses
         // transactions "only for rollback and not isolation").
 
-        if self.irrevocable.is_some() {
-            self.publish_irrevocable();
-            return Ok(());
-        }
-
         // Chaos: a forced abort on entry to commit, before any orec is
         // taken (models losing validation to a racing committer).
-        if chaos::should_inject(chaos::InjectionPoint::TxnPreCommit) {
+        if revocable && chaos::should_inject(chaos::InjectionPoint::TxnPreCommit) {
             return Err(Abort::Conflict(ConflictKind::ReadValidation));
         }
 
-        if self.policy == WritePolicy::Eager {
-            return self.commit_eager();
-        }
-
         if self.write_set.is_empty() {
-            // Read-only: every read was validated against rv when made (and
-            // on each rv extension), so the snapshot is already consistent.
+            // Read-only: every read was validated against rv when made,
+            // each rv extension re-validated the reads before it, and the
+            // read that triggered the extension was re-validated after it
+            // (`read_raw`) — so the snapshot is already consistent.
+            self.irrevocable = None;
             self.finish_success(false);
             return Ok(());
         }
 
-        let guard = serial::shared();
+        // An irrevocable transaction already holds the lock exclusively.
+        let shared = revocable.then(serial::shared);
 
-        // Lock stripes in canonical order so committer/committer deadlock
-        // is structurally impossible.
-        let stripes = Self::commit_stripes(self.write_set.iter().map(|w| w.var.orec));
+        // Lock stripes in canonical (stripe-index) order so
+        // committer/committer deadlock is structurally impossible. Under
+        // the exclusive lock this cannot fail — stripes are only ever held
+        // inside a serial guard — but it still happens: non-transactional
+        // readers use the stripe seqlock, and publishing a value without
+        // the lock can hand them a new value under the old version stamp.
+        let mut stripes: Vec<OrecRef> = self.write_set.iter().map(|w| w.var.orec).collect();
+        stripes.sort_by_key(|o| o.index());
+        stripes.dedup_by_key(|o| o.index());
+        let serial = self.serial;
+        let unlock = |held: &[OrecRef]| held.iter().for_each(|o| o.unlock(serial));
         for (k, o) in stripes.iter().enumerate() {
-            if !o.try_lock(self.serial) {
+            if !o.try_lock(serial) {
+                assert!(revocable, "orec stripe held under the exclusive serial lock");
                 let busy = o.index();
                 if let Some(w) = self.write_set.iter().find(|w| w.var.orec.index() == busy) {
                     obs::note_orec_conflict(w.var.id);
                 }
-                for locked in &stripes[..k] {
-                    locked.unlock(self.serial);
-                }
-                drop(guard);
+                unlock(&stripes[..k]);
                 return Err(Abort::Conflict(ConflictKind::OrecBusy));
             }
         }
@@ -745,32 +682,28 @@ impl Txn {
         #[cfg(feature = "canary-stm")]
         let stale_stamp = crate::canary::fire(crate::canary::Canary::StmStaleStamp);
 
-        for e in &self.read_set {
-            // Canary: skip read-set validation for this orec — a stale
-            // read no longer aborts the commit.
-            #[cfg(feature = "canary-stm")]
-            if crate::canary::fire(crate::canary::Canary::StmSkipValidation) {
-                continue;
-            }
-            if !e.orec.validate(e.version, self.serial) {
-                obs::note_orec_conflict(e.id);
-                for locked in &stripes {
-                    locked.unlock(self.serial);
+        if revocable {
+            for e in &self.read_set {
+                // Canary: skip read-set validation for this orec — a stale
+                // read no longer aborts the commit.
+                #[cfg(feature = "canary-stm")]
+                if crate::canary::fire(crate::canary::Canary::StmSkipValidation) {
+                    continue;
                 }
-                drop(guard);
-                return Err(Abort::Conflict(ConflictKind::ReadValidation));
+                if !e.orec.validate(e.version, serial) {
+                    obs::note_orec_conflict(e.id);
+                    unlock(&stripes);
+                    return Err(Abort::Conflict(ConflictKind::ReadValidation));
+                }
             }
-        }
 
-        // Chaos: die at the worst possible moment — validated, orecs
-        // locked, nothing published yet. The unlock path below must leave
-        // no trace of the attempt.
-        if chaos::should_inject(chaos::InjectionPoint::TxnWriteback) {
-            for locked in &stripes {
-                locked.unlock(self.serial);
+            // Chaos: die at the worst possible moment — validated, orecs
+            // locked, nothing published yet. The unlock must leave no
+            // trace of the attempt.
+            if chaos::should_inject(chaos::InjectionPoint::TxnWriteback) {
+                unlock(&stripes);
+                return Err(Abort::Conflict(ConflictKind::OrecBusy));
             }
-            drop(guard);
-            return Err(Abort::Conflict(ConflictKind::OrecBusy));
         }
 
         // Canary: bump the retry notifier *before* the write-back loop
@@ -801,126 +734,12 @@ impl Txn {
                 o.stamp_release(wv);
             }
         }
-        for o in &stripes {
-            o.unlock(self.serial);
-        }
-        drop(guard);
+        unlock(&stripes);
+        drop(shared);
+        self.irrevocable = None;
 
         self.finish_success(true);
         Ok(())
-    }
-
-    /// Commit an eager transaction: stripes are already held and values are
-    /// in place; validate reads, stamp the new version, release.
-    fn commit_eager(&mut self) -> StmResult<()> {
-        if self.undo_log.is_empty() {
-            self.finish_success(false);
-            return Ok(());
-        }
-        // `try_shared`, not `shared`: this transaction already holds orec
-        // stripes from encounter time, and blocking here while an
-        // irrevocable transaction drains the lock would deadlock against
-        // its publication spinning on our stripes. Aborting instead is
-        // always safe (rollback releases the stripes) and the runtime
-        // re-executes.
-        let Some(guard) = serial::try_shared() else {
-            return Err(Abort::Conflict(ConflictKind::OrecBusy));
-        };
-        // Write stamp after the (encounter-time) locks: rule 1 holds.
-        let wv = clock::commit_stamp();
-        for e in &self.read_set {
-            if !e.orec.validate(e.version, self.serial) {
-                obs::note_orec_conflict(e.id);
-                drop(guard);
-                return Err(Abort::Conflict(ConflictKind::ReadValidation));
-            }
-        }
-        // Chaos: abort with every in-place write still applied; the
-        // caller's rollback_eager must restore old values and release the
-        // orecs.
-        if chaos::should_inject(chaos::InjectionPoint::TxnWriteback) {
-            drop(guard);
-            return Err(Abort::Conflict(ConflictKind::OrecBusy));
-        }
-        let stripes = Self::commit_stripes(self.undo_log.iter().map(|u| u.var.orec));
-        for o in &stripes {
-            o.stamp_release(wv);
-            o.unlock(self.serial);
-        }
-        self.undo_log.clear();
-        drop(guard);
-        self.finish_success(true);
-        Ok(())
-    }
-
-    /// Roll an eager transaction's in-place writes back to their
-    /// pre-transaction values and release the orecs.
-    fn rollback_eager(&mut self) {
-        if self.undo_log.is_empty() {
-            return;
-        }
-        let stripes = Self::commit_stripes(self.undo_log.iter().map(|u| u.var.orec));
-        for u in self.undo_log.drain(..).rev() {
-            u.var.set_value(u.old_value);
-        }
-        for o in &stripes {
-            o.unlock(self.serial);
-        }
-    }
-
-    fn publish_irrevocable(&mut self) {
-        let wrote = !self.write_set.is_empty() || !self.undo_log.is_empty();
-        if wrote {
-            // Lock the stripes even though the exclusive serial lock
-            // excludes every other *commit*: non-transactional readers use
-            // the stripe seqlock, and publishing a value without the lock
-            // can hand them a new value under the old version stamp. The
-            // only possible holders are eager transactions still in their
-            // bodies (encounter-time locks are taken outside the serial
-            // lock); they cannot commit past `try_shared` while we hold
-            // the lock exclusively, so they either roll back (releasing
-            // the stripe) or spin behind us — progress is guaranteed.
-            // Under the cooperative scheduler threads interleave only at
-            // yield points, so the seqlock race cannot occur and spinning
-            // on a parked holder would hang the schedule: skip the locks
-            // there, matching the single-step semantics.
-            let lock_stripes = !sched::is_controlled();
-            let wv = clock::commit_stamp();
-            let stripes = Self::commit_stripes(self.write_set.iter().map(|w| w.var.orec));
-            if lock_stripes {
-                for o in &stripes {
-                    let mut spins = 0u32;
-                    while !o.try_lock(self.serial) {
-                        spins += 1;
-                        if spins.is_multiple_of(64) {
-                            std::thread::yield_now();
-                        } else {
-                            std::hint::spin_loop();
-                        }
-                    }
-                }
-            }
-            for w in &self.write_set {
-                w.var.set_value(w.value.clone());
-            }
-            for o in &stripes {
-                o.stamp_release(wv);
-                if lock_stripes {
-                    o.unlock(self.serial);
-                }
-            }
-            // Eager irrevocable: stripes already held from encounter time.
-            if !self.undo_log.is_empty() {
-                let eager = Self::commit_stripes(self.undo_log.iter().map(|u| u.var.orec));
-                for o in &eager {
-                    o.stamp_release(wv);
-                    o.unlock(self.serial);
-                }
-                self.undo_log.clear();
-            }
-        }
-        self.irrevocable = None; // release the exclusive guard
-        self.finish_success(wrote);
     }
 
     fn finish_success(&mut self, wrote: bool) {
@@ -956,9 +775,6 @@ impl Txn {
         // unwinding through the body can: writes are still only buffered at
         // that point, so releasing the serial lock and compensating is safe.
         self.irrevocable = None;
-        // Eager in-place writes are rolled back first, so no other thread
-        // can observe this transaction's values once the orecs unlock.
-        self.rollback_eager();
         // Compensations run in reverse (undo-log) order while resources —
         // locks — are still held, then the resources are rolled back.
         for h in self.abort_hooks.drain(..).rev() {

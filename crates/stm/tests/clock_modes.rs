@@ -8,7 +8,7 @@
 
 use proptest::prelude::*;
 use std::sync::{Mutex, MutexGuard};
-use txfix_stm::{atomic, ClockMode, TVar};
+use txfix_stm::{atomic, ClockMode, EscalationPolicy, TVar, Txn, TxnBuilder};
 
 static MODE_GATE: Mutex<()> = Mutex::new(());
 
@@ -23,10 +23,18 @@ fn with_mode<T>(mode: ClockMode, f: impl FnOnce() -> T) -> T {
 }
 
 /// The transfer workload: writers move amounts between two accounts
-/// (invariant: the sum is conserved), readers snapshot both. A stale read
-/// — a GV5 transaction whose lazily-extended snapshot admits one
-/// pre-transfer and one post-transfer value — shows up as a torn sum.
-fn transfer_workload(writers: usize, rounds: usize) -> (i64, u64) {
+/// (invariant: the sum is conserved), one reader snapshots both. A stale
+/// read — a transaction whose snapshot admits one pre-transfer and one
+/// post-transfer value — shows up as a torn sum. `writer` and `reader`
+/// configure the two kinds of transaction (their escalation rung, in the
+/// pinned-rung cells below). Returns (final sum, torn snapshots).
+fn transfer_workload(
+    writers: usize,
+    transfers: usize,
+    reads: usize,
+    writer: &TxnBuilder,
+    reader: &TxnBuilder,
+) -> (i64, u64) {
     let a = TVar::new(500i64);
     let b = TVar::new(500i64);
     let torn = std::sync::atomic::AtomicU64::new(0);
@@ -34,9 +42,9 @@ fn transfer_workload(writers: usize, rounds: usize) -> (i64, u64) {
         for w in 0..writers {
             let (a, b) = (a.clone(), b.clone());
             s.spawn(move || {
-                for i in 0..rounds {
+                for i in 0..transfers {
                     let amt = ((i + w) % 17) as i64;
-                    atomic(|txn| {
+                    writer.run(|txn| {
                         let x = a.read(txn)?;
                         let y = b.read(txn)?;
                         a.write(txn, x - amt)?;
@@ -48,11 +56,11 @@ fn transfer_workload(writers: usize, rounds: usize) -> (i64, u64) {
         let (a, b) = (a.clone(), b.clone());
         let torn = &torn;
         s.spawn(move || {
-            for _ in 0..rounds {
+            for _ in 0..reads {
                 // Read-only GV5 transactions run off the thread epoch and
                 // must lazily extend (validating every prior read) when
                 // they race a committing writer — never return a torn pair.
-                let (x, y) = atomic(|txn| Ok((a.read(txn)?, b.read(txn)?)));
+                let ((x, y), _) = reader.run(|txn| Ok((a.read(txn)?, b.read(txn)?)));
                 if x + y != 1000 {
                     torn.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
                 }
@@ -71,7 +79,9 @@ proptest! {
     #[test]
     fn gv5_never_admits_a_stale_read(writers in 1usize..4, rounds in 1usize..40) {
         for mode in [ClockMode::Gv1, ClockMode::Gv5] {
-            let (sum, torn) = with_mode(mode, || transfer_workload(writers, rounds));
+            let plain = Txn::build();
+            let (sum, torn) =
+                with_mode(mode, || transfer_workload(writers, rounds, rounds, &plain, &plain));
             prop_assert_eq!(torn, 0, "stale read under {}", mode.name());
             prop_assert_eq!(sum, 1000, "conservation broken under {}", mode.name());
         }
@@ -113,6 +123,48 @@ proptest! {
             prop_assert_eq!(&got, &expected.to_vec(), "divergence under {}", mode.name());
         }
     }
+}
+
+/// One cell of the opacity reproducer: the transfer workload over 200
+/// fresh pairs with the writers' rung pinned — `serial_after = 0` makes
+/// every writer commit irrevocable, `u64::MAX` keeps every one optimistic
+/// — beside an always-optimistic read-only reader. A read-only commit
+/// validates nothing, so one torn snapshot here is an opacity violation
+/// on the read path itself (lock-before-stamp on both commit rungs, the
+/// `read_consistent` re-check order, re-validating the read that triggers
+/// a snapshot extension).
+fn pinned_rung_cell(mode: ClockMode, writer_serial_after: u64) {
+    let pinned = |serial_after| {
+        Txn::build().escalation(EscalationPolicy { serial_after, ..EscalationPolicy::default() })
+    };
+    let (writer, reader) = (pinned(writer_serial_after), pinned(u64::MAX));
+    with_mode(mode, || {
+        for pair in 0..200 {
+            let (sum, torn) = transfer_workload(2, 200, 400, &writer, &reader);
+            assert_eq!(torn, 0, "torn read-only snapshots on pair {pair} under {}", mode.name());
+            assert_eq!(sum, 1000, "conservation broken on pair {pair} under {}", mode.name());
+        }
+    });
+}
+
+#[test]
+fn serial_writers_never_tear_a_read_only_snapshot_gv1() {
+    pinned_rung_cell(ClockMode::Gv1, 0);
+}
+
+#[test]
+fn serial_writers_never_tear_a_read_only_snapshot_gv5() {
+    pinned_rung_cell(ClockMode::Gv5, 0);
+}
+
+#[test]
+fn optimistic_writers_never_tear_a_read_only_snapshot_gv1() {
+    pinned_rung_cell(ClockMode::Gv1, u64::MAX);
+}
+
+#[test]
+fn optimistic_writers_never_tear_a_read_only_snapshot_gv5() {
+    pinned_rung_cell(ClockMode::Gv5, u64::MAX);
 }
 
 /// Sequential execution is mode-independent: the same single-threaded
