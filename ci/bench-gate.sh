@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Perf-trajectory gate over the stress harness (DESIGN.md §12).
 #
-# Runs a short both-clock stress sweep and fails when the commit path
+# Runs a short stress sweep and fails when the commit path
 # regresses beyond the committed thresholds below. These encode the
 # *measured trajectory* of the overhauled commit path, not the paper's
 # aspiration: on av_stats_race single-threaded (release build) the
@@ -24,8 +24,7 @@ OUT="${BENCH_GATE_OUT:-bench_gate.json}"
 MAX_OPS_RATIO="${BENCH_GATE_MAX_OPS_RATIO:-9.0}"
 MAX_P50_RATIO="${BENCH_GATE_MAX_P50_RATIO:-20.0}"
 
-"$BIN" stress --all --secs "$SECS" --threads 1,4 --clock both \
-    --json --out "$OUT" > /dev/null
+"$BIN" stress --all --secs "$SECS" --threads 1,4 --json --out "$OUT" > /dev/null
 
 python3 - "$OUT" "$MAX_OPS_RATIO" "$MAX_P50_RATIO" <<'EOF'
 import json
@@ -37,40 +36,36 @@ path, max_ops_ratio, max_p50_ratio = (
     float(sys.argv[3]),
 )
 doc = json.load(open(path))
-assert doc["schema"] == "txfix-stress-v2", doc["schema"]
+assert doc["schema"] == "txfix-stress-v3", doc["schema"]
 host_cores = int(doc["host_cores"])
 threads = sorted(int(t) for t in doc["threads"])
 lo, hi = threads[0], threads[-1]
 
-by = {
-    (r["scenario"], r["variant"], r["clock"], int(r["threads"])): r
-    for r in doc["runs"]
-}
+by = {(r["scenario"], r["variant"], int(r["threads"])): r for r in doc["runs"]}
 failures = []
 
 # Gate 1: single-thread TM overhead vs the dev (lock-based) fix on the
-# reference scenario, per clock. ops/s is the primary signal (it is
-# continuous); p50 is a loose backstop (log2 buckets quantize it, so
-# the ratio moves in powers of two).
-for clock in doc["clocks"]:
-    dev = by[("av_stats_race", "dev", clock, lo)]
-    tm = by[("av_stats_race", "tm", clock, lo)]
-    ops_ratio = dev["ops_per_sec"] / max(tm["ops_per_sec"], 1.0)
-    p50_ratio = tm["p50_ns"] / max(dev["p50_ns"], 1)
-    print(
-        f"av_stats_race @{lo}t {clock}: dev/tm ops ratio {ops_ratio:.2f} "
-        f"(max {max_ops_ratio}), tm/dev p50 ratio {p50_ratio:.2f} "
-        f"(max {max_p50_ratio})"
-    )
-    if ops_ratio > max_ops_ratio:
-        failures.append(f"{clock}: ops ratio {ops_ratio:.2f} > {max_ops_ratio}")
-    if p50_ratio > max_p50_ratio:
-        failures.append(f"{clock}: p50 ratio {p50_ratio:.2f} > {max_p50_ratio}")
+# reference scenario. ops/s is the primary signal (it is continuous);
+# p50 is a loose backstop (log2 buckets quantize it, so the ratio moves
+# in powers of two).
+dev = by[("av_stats_race", "dev", lo)]
+tm = by[("av_stats_race", "tm", lo)]
+ops_ratio = dev["ops_per_sec"] / max(tm["ops_per_sec"], 1.0)
+p50_ratio = tm["p50_ns"] / max(dev["p50_ns"], 1)
+print(
+    f"av_stats_race @{lo}t: dev/tm ops ratio {ops_ratio:.2f} "
+    f"(max {max_ops_ratio}), tm/dev p50 ratio {p50_ratio:.2f} "
+    f"(max {max_p50_ratio})"
+)
+if ops_ratio > max_ops_ratio:
+    failures.append(f"ops ratio {ops_ratio:.2f} > {max_ops_ratio}")
+if p50_ratio > max_p50_ratio:
+    failures.append(f"p50 ratio {p50_ratio:.2f} > {max_p50_ratio}")
 
 # Gate 2: TM throughput scaling from the narrowest to the widest sweep
-# width under GV5. A single-core host cannot demonstrate parallel
-# speedup, so the gate is skipped there rather than passed silently —
-# and relaxed when the host has fewer cores than the widest width.
+# width. A single-core host cannot demonstrate parallel speedup, so the
+# gate is skipped there rather than passed silently — and relaxed when
+# the host has fewer cores than the widest width.
 if lo == hi:
     print(f"scaling gate: skipped (single thread count {lo} in sweep)")
 elif host_cores == 1:
@@ -80,18 +75,18 @@ else:
     required = 2.0 if host_cores >= hi else 1.2 if host_cores >= 4 else 0.9
     best_key, best = None, 0.0
     for scenario in doc["scenarios"]:
-        base = by[(scenario, "tm", "gv5", lo)]["ops_per_sec"]
-        wide = by[(scenario, "tm", "gv5", hi)]["ops_per_sec"]
+        base = by[(scenario, "tm", lo)]["ops_per_sec"]
+        wide = by[(scenario, "tm", hi)]["ops_per_sec"]
         ratio = wide / max(base, 1.0)
         if ratio > best:
             best_key, best = scenario, ratio
     print(
-        f"scaling gate (gv5, {lo}->{hi}t, host_cores={host_cores}): best "
+        f"scaling gate ({lo}->{hi}t, host_cores={host_cores}): best "
         f"{best:.2f}x on {best_key} (required {required})"
     )
     if best < required:
         failures.append(
-            f"no scenario scales {lo}->{hi}t under gv5: best {best:.2f}x "
+            f"no scenario scales {lo}->{hi}t: best {best:.2f}x "
             f"({best_key}) < {required}"
         )
 

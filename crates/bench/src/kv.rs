@@ -25,7 +25,6 @@ use txfix_core::sweep::{self, Flag, SweepArgs, SweepOutput, SweepRunner, Univers
 use txfix_kvstore::model::run_workers;
 use txfix_kvstore::{KvConfig, KvStore, Mode};
 use txfix_stm::chaos::splitmix64;
-use txfix_stm::clock::{self, ClockMode};
 use txfix_stm::sched;
 use txfix_xcall::SimFs;
 
@@ -48,8 +47,6 @@ pub struct KvBenchConfig {
     pub modes: Vec<Mode>,
     /// Shard counts to sweep (each mode runs at each count).
     pub shard_counts: Vec<usize>,
-    /// Version-clock mode for the STM.
-    pub clock: ClockMode,
     /// Concurrent workers per cell.
     pub threads: usize,
     /// Ops each worker issues.
@@ -66,7 +63,6 @@ impl KvBenchConfig {
             seed,
             modes: Mode::ALL.to_vec(),
             shard_counts: vec![2, 4],
-            clock: ClockMode::Gv1,
             threads: 3,
             ops_per_thread: 120,
             workload: WorkloadCfg::default(),
@@ -207,18 +203,15 @@ fn run_cell(cfg: &KvBenchConfig, mode: Mode, shards: usize) -> KvCell {
     }
 }
 
-/// Run every mode × shard-count cell. Takes the scheduler exclusively;
-/// restores the GV1 clock afterwards.
+/// Run every mode × shard-count cell. Takes the scheduler exclusively.
 pub fn run_kv_bench(cfg: &KvBenchConfig) -> Vec<KvCell> {
     sched::run_exclusively(|| {
-        clock::set_mode(cfg.clock);
         let mut cells = Vec::new();
         for &mode in &cfg.modes {
             for &shards in &cfg.shard_counts {
                 cells.push(run_cell(cfg, mode, shards));
             }
         }
-        clock::set_mode(ClockMode::Gv1);
         cells
     })
 }
@@ -250,7 +243,6 @@ impl ToJson for KvReport {
         Json::obj([
             ("schema", Json::str(SCHEMA)),
             ("seed", Json::int(self.cfg.seed)),
-            ("clock", Json::str(self.cfg.clock.name())),
             ("host_cores", Json::int(self.host_cores)),
             ("threads", Json::int(self.cfg.threads as u64)),
             ("ops_per_thread", Json::int(self.cfg.ops_per_thread)),
@@ -296,10 +288,9 @@ impl KvReport {
     pub fn table(&self) -> String {
         let mut out = String::new();
         out.push_str(&format!(
-            "kv sweep: seed={} clock={} threads={} ops/thread={} theta={} mix={} (virtual time: \
-             1 step = 1 scheduler decision)\n",
+            "kv sweep: seed={} threads={} ops/thread={} theta={} mix={} (virtual time: 1 step = \
+             1 scheduler decision)\n",
             self.cfg.seed,
-            self.cfg.clock.name(),
             self.cfg.threads,
             self.cfg.ops_per_thread,
             self.cfg.workload.theta,
@@ -357,8 +348,7 @@ impl Default for KvSweep {
 impl SweepRunner for KvSweep {
     fn usage(&self) -> &'static str {
         "\x20 kv [dev|tm|hybrid|--all] [--shards 2,4] [--theta T] [--mix G:P:D:S]\n\
-         \x20    [--clock gv1|gv5] [--threads N] [--ops N]\n\
-         \x20    [--keys N] [--users N] [--seed S]\n\
+         \x20    [--threads N] [--ops N] [--keys N] [--users N] [--seed S]\n\
          \x20                              drive the sharded transactional KV store\n\
          \x20                              (dev locks / TM / hybrid escalation) with the\n\
          \x20                              open-loop Zipfian workload under the\n\
@@ -390,9 +380,6 @@ impl SweepRunner for KvSweep {
                 self.cfg.workload.mix = value
                     .and_then(Mix::parse)
                     .ok_or("--mix takes get:put:delete:scan weights, e.g. 80:15:3:2")?
-            }
-            "--clock" => {
-                self.cfg.clock = value.and_then(ClockMode::parse).ok_or("--clock takes gv1|gv5")?
             }
             "--threads" => self.cfg.threads = sweep::positive(flag, value)?,
             "--ops" => self.cfg.ops_per_thread = sweep::positive(flag, value)?,

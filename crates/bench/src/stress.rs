@@ -31,7 +31,7 @@ use txfix_core::json::{Json, ToJson};
 use txfix_core::sweep::{self, Flag, SweepArgs, SweepOutput, SweepRunner, Universe};
 use txfix_corpus::Variant;
 use txfix_stm::obs;
-use txfix_stm::{ClockMode, OverheadModel, TVar, Txn};
+use txfix_stm::{OverheadModel, TVar, Txn};
 use txfix_txlock::TxMutex;
 use txfix_xcall::SimFs;
 
@@ -66,9 +66,6 @@ pub struct StressConfig {
     /// RNG). Recorded in the report so a run can be reproduced; the same
     /// seed pins the same per-worker jitter streams.
     pub seed: u64,
-    /// Version-clock schemes to sweep (each full scenario × threads ×
-    /// variant matrix is run once per scheme).
-    pub clocks: Vec<ClockMode>,
 }
 
 impl Default for StressConfig {
@@ -78,7 +75,6 @@ impl Default for StressConfig {
             threads: vec![1, 2, 4, 8],
             scenarios: SCENARIOS.to_vec(),
             seed: 0,
-            clocks: vec![ClockMode::Gv1, ClockMode::Gv5],
         }
     }
 }
@@ -90,9 +86,6 @@ pub struct StressRun {
     pub scenario: &'static str,
     /// `dev` or `tm` ([`Variant::name`]).
     pub variant: &'static str,
-    /// Version-clock scheme the STM ran under (`gv1` or `gv5`); the
-    /// lock-based `dev` variants record it too, for row symmetry.
-    pub clock: &'static str,
     /// Worker threads driving load.
     pub threads: usize,
     /// Actual wall-clock duration.
@@ -122,7 +115,6 @@ impl ToJson for StressRun {
         Json::obj([
             ("scenario", Json::str(self.scenario)),
             ("variant", Json::str(self.variant)),
-            ("clock", Json::str(self.clock)),
             ("threads", Json::int(self.threads as u64)),
             ("elapsed_secs", Json::Number(self.elapsed_secs)),
             ("ops", Json::int(self.ops)),
@@ -148,12 +140,11 @@ pub fn host_cores() -> usize {
 /// Assemble the whole-invocation report document (`BENCH_stm.json`).
 pub fn stress_report(cfg: &StressConfig, runs: &[StressRun]) -> Json {
     Json::obj([
-        ("schema", Json::str("txfix-stress-v2")),
+        ("schema", Json::str("txfix-stress-v3")),
         ("seed", Json::int(cfg.seed)),
         ("secs", Json::Number(cfg.secs)),
         ("host_cores", Json::int(host_cores() as u64)),
         ("threads", Json::list(cfg.threads.iter().map(|&t| Json::int(t as u64)))),
-        ("clocks", Json::strings(cfg.clocks.iter().map(|c| c.name()))),
         ("scenarios", Json::strings(&cfg.scenarios)),
         ("runs", Json::list(runs.iter().map(ToJson::to_json_value))),
     ])
@@ -162,16 +153,15 @@ pub fn stress_report(cfg: &StressConfig, runs: &[StressRun]) -> Json {
 /// Human-readable table, one row per run.
 pub fn stress_table(runs: &[StressRun]) -> String {
     let mut table = format!(
-        "{:22} {:4} {:5} {:>3}  {:>12}  {:>9}  {:>10}  {:>10}  {:>7}",
-        "scenario", "var", "clock", "thr", "ops/s", "aborts", "p50", "p99", "abort%"
+        "{:22} {:4} {:>3}  {:>12}  {:>9}  {:>10}  {:>10}  {:>7}",
+        "scenario", "var", "thr", "ops/s", "aborts", "p50", "p99", "abort%"
     );
     for r in runs {
         let _ = write!(
             table,
-            "\n{:22} {:4} {:5} {:>3}  {:>12.0}  {:>9}  {:>8}ns  {:>8}ns  {:>6.2}%",
+            "\n{:22} {:4} {:>3}  {:>12.0}  {:>9}  {:>8}ns  {:>8}ns  {:>6.2}%",
             r.scenario,
             r.variant,
-            r.clock,
             r.threads,
             r.ops_per_sec,
             r.aborts,
@@ -192,11 +182,9 @@ pub struct StressSweep {
 impl SweepRunner for StressSweep {
     fn usage(&self) -> &'static str {
         "\x20 stress [<key>|--all] [--secs N] [--threads 1,2,4,8] [--seed S]\n\
-         \x20        [--clock gv1|gv5|both]\n\
          \x20                              sustain open-ended load against the dev and TM\n\
-         \x20                              fix variants under each version-clock scheme,\n\
-         \x20                              report throughput / abort rate / latency\n\
-         \x20                              percentiles, and write BENCH_stm.json"
+         \x20                              fix variants, report throughput / abort rate /\n\
+         \x20                              latency percentiles, and write BENCH_stm.json"
     }
 
     fn artifact(&self) -> Option<&'static str> {
@@ -211,13 +199,6 @@ impl SweepRunner for StressSweep {
         match flag {
             "--secs" => self.cfg.secs = sweep::positive(flag, value)?,
             "--threads" => self.cfg.threads = sweep::positive_list(flag, value, "1,2,4,8")?,
-            "--clock" => {
-                self.cfg.clocks = match value {
-                    Some("both") => vec![ClockMode::Gv1, ClockMode::Gv5],
-                    Some(name) => vec![ClockMode::parse(name).ok_or("--clock takes gv1|gv5|both")?],
-                    None => return Err("--clock takes gv1|gv5|both".into()),
-                }
-            }
             _ => return Ok(Flag::Unknown),
         }
         Ok(Flag::SeenWithValue)
@@ -236,9 +217,8 @@ impl SweepRunner for StressSweep {
     }
 }
 
-/// Run the full sweep: every configured clock scheme × scenario × thread
-/// count × variant. Restores the default (GV1, deterministic) clock
-/// scheme before returning, whatever the sweep ran under.
+/// Run the full sweep: every configured scenario × thread count ×
+/// variant.
 ///
 /// # Panics
 ///
@@ -246,27 +226,17 @@ impl SweepRunner for StressSweep {
 pub fn run_stress(cfg: &StressConfig) -> Vec<StressRun> {
     obs::enable();
     let mut runs = Vec::new();
-    for &clock in &cfg.clocks {
-        txfix_stm::clock::set_mode(clock);
-        for &scenario in &cfg.scenarios {
-            let (scenario, kernel) = *KERNELS
-                .iter()
-                .find(|(key, _)| *key == scenario)
-                .expect("a key from stress::SCENARIOS");
-            for &threads in &cfg.threads {
-                for tm in [false, true] {
-                    runs.push(kernel(&Cell {
-                        scenario,
-                        tm,
-                        threads,
-                        secs: cfg.secs,
-                        seed: cfg.seed,
-                    }));
-                }
+    for &scenario in &cfg.scenarios {
+        let (scenario, kernel) = *KERNELS
+            .iter()
+            .find(|(key, _)| *key == scenario)
+            .expect("a key from stress::SCENARIOS");
+        for &threads in &cfg.threads {
+            for tm in [false, true] {
+                runs.push(kernel(&Cell { scenario, tm, threads, secs: cfg.secs, seed: cfg.seed }));
             }
         }
     }
-    txfix_stm::clock::set_mode(ClockMode::Gv1);
     runs
 }
 
@@ -299,7 +269,6 @@ impl Cell {
         StressRun {
             scenario: self.scenario,
             variant: if self.tm { Variant::TmFix } else { Variant::DevFix }.name(),
-            clock: txfix_stm::clock::mode().name(),
             threads: self.threads,
             elapsed_secs: timed.elapsed_secs,
             ops,
@@ -518,7 +487,6 @@ mod tests {
                 threads: vec![2],
                 scenarios: vec![scenario],
                 seed: 0x5EED,
-                clocks: vec![ClockMode::Gv1],
             };
             let runs = run_stress(&cfg);
             let (dev, tm) = (&runs[0], &runs[1]);
@@ -547,19 +515,14 @@ mod tests {
             threads: vec![1],
             scenarios: vec!["av_stats_race"],
             seed: 0x5EED,
-            clocks: vec![ClockMode::Gv1, ClockMode::Gv5],
         };
         let runs = run_stress(&cfg);
-        assert_eq!(runs.len(), 4);
-        assert_eq!(runs[0].clock, "gv1");
-        assert_eq!(runs[3].clock, "gv5");
-        // The sweep must leave the process back on the deterministic clock.
-        assert_eq!(txfix_stm::clock::mode(), ClockMode::Gv1);
+        assert_eq!(runs.len(), 2);
         let doc = stress_report(&cfg, &runs);
         let parsed = Json::parse(&doc.to_json()).expect("valid JSON");
         let obj = parsed.object("report").unwrap();
-        assert_eq!(obj.get("schema").unwrap().string("schema").unwrap(), "txfix-stress-v2");
+        assert_eq!(obj.get("schema").unwrap().string("schema").unwrap(), "txfix-stress-v3");
         assert!(obj.get("host_cores").unwrap().number("host_cores").unwrap() >= 1.0);
-        assert_eq!(obj.get("runs").unwrap().array("runs").unwrap().len(), 4);
+        assert_eq!(obj.get("runs").unwrap().array("runs").unwrap().len(), 2);
     }
 }

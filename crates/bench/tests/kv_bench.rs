@@ -6,14 +6,12 @@ use txfix_bench::kv::{kv_report, run_kv_bench, KvBenchConfig};
 use txfix_bench::workload::WorkloadCfg;
 use txfix_core::json::ToJson;
 use txfix_kvstore::Mode;
-use txfix_stm::clock::ClockMode;
 
 fn small(seed: u64) -> KvBenchConfig {
     KvBenchConfig {
         seed,
         modes: Mode::ALL.to_vec(),
         shard_counts: vec![2],
-        clock: ClockMode::Gv1,
         threads: 2,
         ops_per_thread: 40,
         workload: WorkloadCfg { keys: 32, ..WorkloadCfg::default() },

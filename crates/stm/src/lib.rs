@@ -83,7 +83,7 @@
 #[cfg(feature = "canary-core")]
 pub mod canary;
 pub mod chaos;
-pub mod clock;
+mod clock;
 mod contention;
 mod error;
 mod notifier;
@@ -97,7 +97,6 @@ pub mod trace;
 mod tvar;
 mod txn;
 
-pub use clock::{ClockMode, Gv1, Gv5, VersionClock};
 pub use contention::{seed_backoff_rng, BackoffPolicy};
 pub use error::{Abort, CapacityKind, ConflictKind, StmResult, TxnError, WaitPoint};
 pub use obs::SiteId;

@@ -32,10 +32,9 @@
 //! The stripe of a variable is a pure function of its creation-order id
 //! (no address, no hash seed), so two runs of a deterministic schedule
 //! allocate identical stripe patterns and conflict identically. A stripe's
-//! version carries across scenarios within a process (it is never reset);
-//! a fresh reader that observes a version above its read stamp simply
-//! extends, which is the same path a concurrent commit exercises — no
-//! observable divergence.
+//! version carries across scenarios within a process (it is never reset)
+//! but never leads the clock, so a fresh reader's stamp already covers it
+//! — no observable divergence.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -109,18 +108,16 @@ impl Orec {
         debug_assert_eq!(prev, serial, "orec unlocked by non-owner");
     }
 
-    /// Stamp the stripe with (at least) `wv` — rule 2 of the clock safety
-    /// contract: the stored version is `max(wv, old + 1)`, so versions on
-    /// one stripe never repeat even when commits share a global stamp
-    /// (GV5). Caller must hold the stripe. Returns the stored version.
+    /// Stamp the stripe with `wv`. Caller must hold the stripe and have
+    /// taken `wv` from the clock after locking it, which is what makes the
+    /// stripe's versions strictly increase and never lead the clock.
     #[inline]
-    pub(crate) fn stamp_release(&self, wv: u64) -> u64 {
-        // The load needs no ordering: we hold the lock, so the version is
-        // stable under us.
-        let old = self.version.load(Ordering::Relaxed);
-        let v = wv.max(old + 1);
-        self.version.store(v, Ordering::Release);
-        v
+    pub(crate) fn stamp_release(&self, wv: u64) {
+        debug_assert!(
+            self.version.load(Ordering::Relaxed) < wv && wv <= crate::clock::now(),
+            "stamp {wv} is not above the stripe's version and at or below the clock"
+        );
+        self.version.store(wv, Ordering::Release);
     }
 
     /// Whether the stripe's version still matches `version` and the stripe
@@ -168,16 +165,15 @@ mod tests {
     }
 
     #[test]
-    fn stamp_never_repeats_on_a_stripe() {
+    fn stamp_stores_the_clock_stamp_verbatim() {
         // A private Orec (not from the table) so the test is isolated.
-        let o = Orec { version: AtomicU64::new(10), writer: AtomicU64::new(0) };
+        let o = Orec { version: AtomicU64::new(0), writer: AtomicU64::new(0) };
         assert!(o.try_lock(1));
-        // Shared-stamp case (GV5): wv at or below the current version still
-        // moves the stripe strictly forward.
-        assert_eq!(o.stamp_release(10), 11);
-        assert_eq!(o.stamp_release(5), 12);
-        // Unique-stamp case (GV1): wv above the version is stored verbatim.
-        assert_eq!(o.stamp_release(100), 100);
+        for _ in 0..2 {
+            let wv = crate::clock::commit_stamp();
+            o.stamp_release(wv);
+            assert_eq!(o.version(), wv);
+        }
         o.unlock(1);
     }
 

@@ -453,9 +453,6 @@ pub fn run_exclusively<T>(f: impl FnOnce() -> T) -> T {
 /// (or finished), so startup order is not a hidden schedule dimension.
 pub fn register(slot: usize) {
     SLOT.with(|s| s.set(Some(slot)));
-    // Worker threads may be reused across runs; a stale GV5 read epoch
-    // must not leak clock state into a recorded schedule.
-    crate::clock::reset_thread_epoch();
 }
 
 /// Mark the calling worker finished and hand the token to the next

@@ -98,7 +98,7 @@ impl VarInner {
     }
 
     /// Non-transactional atomic store (a degenerate single-write commit):
-    /// lock the stripe, then stamp (clock rule 1 — lock before stamping).
+    /// lock the stripe, then stamp (the clock's lock-before-stamping rule).
     fn store_direct(&self, value: Boxed) {
         let _g = serial::shared();
         loop {

@@ -9,7 +9,7 @@
 //! (shared, or the exclusive guard an irrevocable transaction already
 //! owns), lock the write set's orec stripes in canonical (stripe-index)
 //! order, obtain a write stamp from the [`crate::clock`] (*after* the
-//! locks — rule 1 of the clock safety contract), validate the read set
+//! locks — the clock's safety contract), validate the read set
 //! (revocable only: nothing can have committed under an irrevocable
 //! transaction), publish the buffered values, stamp and release the
 //! stripes. A stripe is therefore held only between that lock loop and
@@ -384,15 +384,14 @@ impl Txn {
             }
         };
         if version > self.rv {
-            self.extend_rv(version)?;
+            self.extend_rv()?;
             // The triggering read was sampled before the new `rv` and is
             // not in the read set the extension just walked: a writer that
             // locked and stamped at or below the new `rv` but has not
             // written back yet would make it stale-but-accepted, and a
-            // read-only commit never validates again. (`version > rv`
-            // after extending is only possible across clock-mode
-            // transitions.)
-            if version > self.rv || !var.orec.validate(version, self.serial) {
+            // read-only commit never validates again.
+            debug_assert!(version <= self.rv, "stripe version {version} leads the clock");
+            if !var.orec.validate(version, self.serial) {
                 obs::note_orec_conflict(var.id);
                 return Err(Abort::Conflict(ConflictKind::ReadValidation));
             }
@@ -451,11 +450,10 @@ impl Txn {
         trace::emit(trace::EventKind::TxnAccess { serial: self.serial, var, kind });
     }
 
-    /// Attempt to advance the read version to at least `target` by raising
-    /// the clock and revalidating every read made so far (TL2 lazy
-    /// snapshot extension).
-    fn extend_rv(&mut self, target: u64) -> StmResult<()> {
-        let new_rv = clock::advance_to(target);
+    /// Advance the read version to the current clock by revalidating every
+    /// read made so far (TL2 lazy snapshot extension).
+    fn extend_rv(&mut self) -> StmResult<()> {
+        let new_rv = clock::now();
         for e in &self.read_set {
             if !e.orec.validate(e.version, self.serial) {
                 obs::note_orec_conflict(e.id);
@@ -672,7 +670,7 @@ impl Txn {
             }
         }
 
-        // Write stamp *after* the locks (clock safety contract, rule 1).
+        // Write stamp *after* the locks (the clock's safety contract).
         let wv = clock::commit_stamp();
 
         // Canary: commit with a stale version stamp — publish the values

@@ -30,26 +30,14 @@ fn check_schema<'a>(
 #[test]
 fn bench_artifact_matches_stress_schema() {
     let doc = load("BENCH_stm.json");
-    let obj = check_schema("BENCH_stm.json", &doc, "txfix-stress-v2");
+    let obj = check_schema("BENCH_stm.json", &doc, "txfix-stress-v3");
     assert!(get(obj, "host_cores").unwrap().number("host_cores").unwrap() >= 1.0);
-    let clocks: Vec<String> = get(obj, "clocks")
-        .unwrap()
-        .array("clocks")
-        .unwrap()
-        .iter()
-        .map(|c| c.string("clock").unwrap().to_string())
-        .collect();
-    assert_eq!(clocks, ["gv1", "gv5"], "committed sweep must cover both clocks");
     let runs = get(obj, "runs").unwrap().array("runs").unwrap();
     let threads = get(obj, "threads").unwrap().array("threads").unwrap();
-    assert_eq!(
-        runs.len(),
-        6 * 2 * clocks.len() * threads.len(),
-        "6 scenarios x dev/tm x every clock x every thread count"
-    );
+    assert_eq!(runs.len(), 6 * 2 * threads.len(), "6 scenarios x dev/tm x every thread count");
     for r in runs {
         let run = r.object("run").unwrap();
-        for field in ["scenario", "variant", "clock"] {
+        for field in ["scenario", "variant"] {
             get(run, field).unwrap().string(field).unwrap();
         }
         for field in ["ops_per_sec", "aborts", "threads", "p50_ns", "p99_ns"] {
@@ -127,7 +115,6 @@ fn kv_bench_artifact_covers_every_mode_at_two_shard_counts() {
     let obj = check_schema("BENCH_kv.json", &doc, "txfix-kv-v1");
     assert!(get(obj, "ok").unwrap().bool("ok").unwrap(), "committed kv sweep failed");
     assert!(get(obj, "host_cores").unwrap().number("host_cores").unwrap() >= 1.0);
-    assert_eq!(get(obj, "clock").unwrap().string("clock").unwrap(), "gv1");
     let w = get(obj, "workload").unwrap().object("workload").unwrap();
     for field in ["keys", "users", "theta_milli", "session_len", "burst_period", "burst_len"] {
         get(w, field).unwrap().number(field).unwrap();
