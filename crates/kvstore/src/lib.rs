@@ -19,6 +19,7 @@
 
 #![warn(missing_docs)]
 
+mod bucket;
 pub mod crash;
 pub mod model;
 pub mod page;

@@ -1,9 +1,9 @@
 //! The sharded transactional KV store.
 //!
-//! Keys hash to a shard; each shard owns a hash index of bucket maps, a
-//! redo log ([`Wal`], always the fixed protocol), and a double-buffered
-//! checkpoint pair behind [`BufferPool`]s. Concurrency within a shard is
-//! selected by [`Mode`]:
+//! Keys hash to a shard; each shard owns a hash index of persistent bucket
+//! maps ([`crate::bucket`]), a redo log ([`Wal`], always the fixed
+//! protocol), and a double-buffered checkpoint pair behind
+//! [`BufferPool`]s. Concurrency within a shard is selected by [`Mode`]:
 //!
 //! | mode     | write path                                  | read path |
 //! |----------|---------------------------------------------|-----------|
@@ -37,6 +37,7 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
+use crate::bucket::{Bucket, Entry};
 use crate::page::{
     decode_checkpoint, encode_checkpoint_entries, BufferPool, Checkpoint, PoolStats,
 };
@@ -83,8 +84,9 @@ impl Mode {
 pub struct KvConfig {
     /// Number of shards (keys hash across them).
     pub shards: usize,
-    /// Bucket maps per shard (the hash index fan-out; finer buckets mean
-    /// fewer false TM conflicts).
+    /// Bucket maps per shard (the hash index fan-out): bounds the leaf table
+    /// a write clones and is the k of `scan`'s k-way merge. No conflict
+    /// isolation — every op reads or writes the shard's `version`.
     pub buckets_per_shard: usize,
     /// Concurrency discipline.
     pub mode: Mode,
@@ -156,12 +158,6 @@ struct CkptState {
     pools: [BufferPool; 2],
 }
 
-/// One hash bucket of a shard's index. Readers share the committed map
-/// through its `Arc` and never copy it; a writer's copy-on-write clones
-/// tree nodes and bumps entry refcounts, not strings. `String` appears
-/// only at the API boundary.
-type Bucket = BTreeMap<Arc<str>, Arc<str>>;
-
 struct Shard {
     wal: Wal,
     /// Next WAL txid — allocated *inside* the write transaction, so txid
@@ -191,17 +187,16 @@ impl Shard {
 /// Every entry of `buckets` in key order. Each bucket is sorted and a key
 /// lives in exactly one of them, so a k-way merge of the borrowed maps is
 /// the whole job; the fan-out is small (default 4), so picking the least
-/// head is a linear pass.
+/// head is a linear pass. The heads are kept explicitly: std's peeking
+/// adaptor over the leaf-chained iterators measured 5× the cost per entry.
 fn merged(buckets: &[Arc<Bucket>]) -> impl Iterator<Item = (&str, &str)> {
-    let mut heads: Vec<_> = buckets.iter().map(|b| b.iter().peekable()).collect();
+    let mut iters: Vec<_> = buckets.iter().map(|b| b.iter()).collect();
+    let mut heads: Vec<Option<&Entry>> = iters.iter_mut().map(Iterator::next).collect();
     std::iter::from_fn(move || {
-        let least = heads
-            .iter_mut()
-            .enumerate()
-            .filter_map(|(i, h)| h.peek().map(|&(k, _)| (i, k)))
-            .min_by_key(|&(_, k)| k)?
-            .0;
-        heads[least].next().map(|(k, v)| (&**k, &**v))
+        let live = heads.iter().enumerate().filter_map(|(i, head)| Some((i, (*head)?)));
+        let (i, (k, v)) = live.min_by_key(|&(_, entry)| &entry.0)?;
+        heads[i] = iters[i].next();
+        Some((&**k, &**v))
     })
 }
 
@@ -258,7 +253,7 @@ impl KvStore {
                     }
                 }
                 let next_txid = base.next_txid.max(rec.next_txid);
-                let mut buckets = vec![Bucket::new(); cfg.buckets_per_shard];
+                let mut buckets = vec![Bucket::default(); cfg.buckets_per_shard];
                 for (k, v) in map {
                     let b = bucket_of(&k, cfg.buckets_per_shard);
                     buckets[b].insert(k.into(), v.into());
@@ -547,10 +542,12 @@ mod tests {
         ) {
             let map: BTreeMap<String, String> = entries.into_iter().collect();
             let whole = encode_checkpoint(&Checkpoint { epoch, next_txid, map: map.clone() });
-            for n in [1, 4, 7] {
-                let mut split = vec![Bucket::new(); n];
+            // Every bucket empty; the last fan-out leaves all but one empty.
+            prop_assert_eq!(merged(&[Arc::default(), Arc::default()]).count(), 0);
+            for (n, used) in [(1, 1), (4, 4), (7, 7), (3, 1)] {
+                let mut split = vec![Bucket::default(); n];
                 for (k, v) in &map {
-                    split[bucket_of(k, n)].insert(k.as_str().into(), v.as_str().into());
+                    split[bucket_of(k, used)].insert(k.as_str().into(), v.as_str().into());
                 }
                 let split: Vec<Arc<Bucket>> = split.into_iter().map(Arc::new).collect();
                 let streamed = encode_checkpoint_entries(epoch, next_txid, merged(&split));
