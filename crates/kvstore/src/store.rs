@@ -171,10 +171,23 @@ struct Shard {
     ckpt: TxMutex<CkptState>,
 }
 
+/// One prebuilt transaction builder per call site. `TxnBuilder::site`
+/// interns its name under a process-global lock, so it runs here, once
+/// per store, never per op.
+struct Sites {
+    get: TxnBuilder,
+    scan: TxnBuilder,
+    put: TxnBuilder,
+    delete: TxnBuilder,
+    group: TxnBuilder,
+    ckpt: TxnBuilder,
+}
+
 /// The store. See the module docs for the architecture.
 pub struct KvStore {
     cfg: KvConfig,
     shards: Vec<Shard>,
+    sites: Sites,
 }
 
 impl Shard {
@@ -271,7 +284,23 @@ impl KvStore {
                 }
             })
             .collect();
-        KvStore { cfg, shards }
+        // Writers hold the WAL file's isolation lock to commit, so the
+        // serial rung is off-limits for them in every mode.
+        let no_serial =
+            EscalationPolicy { backoff_after: 4, serial_after: u64::MAX, deadline: None };
+        // Hybrid read-only ops get the full ladder. (Dev ops run under the
+        // shard lock and never conflict; the policy is irrelevant there.)
+        let reads = if cfg.mode == Mode::Tm { no_serial } else { EscalationPolicy::default() };
+        let site = |name, policy| Txn::build().site(name).escalation(policy);
+        let sites = Sites {
+            get: site("kv_get", reads),
+            scan: site("kv_scan", reads),
+            put: site("kv_put", no_serial),
+            delete: site("kv_delete", no_serial),
+            group: site("kv_group", no_serial),
+            ckpt: Txn::build().site("kv_ckpt"),
+        };
+        KvStore { cfg, shards, sites }
     }
 
     /// The configuration the store was opened with.
@@ -284,28 +313,12 @@ impl KvStore {
         shard_placement(key, self.cfg.shards)
     }
 
-    fn builder(&self, site: &'static str, writes: bool) -> TxnBuilder {
-        let policy = match (self.cfg.mode, writes) {
-            // Writers hold the WAL file's isolation lock to commit, so
-            // the serial rung is off-limits for them in every mode.
-            (_, true) | (Mode::Tm, false) => {
-                EscalationPolicy { backoff_after: 4, serial_after: u64::MAX, deadline: None }
-            }
-            // Hybrid read-only ops get the full ladder. (Dev ops run
-            // under the shard lock and never conflict; the policy is
-            // irrelevant there.)
-            (Mode::Dev | Mode::Hybrid, false) => EscalationPolicy::default(),
-        };
-        Txn::build().site(site).escalation(policy)
-    }
-
     /// Run `body` as one shard-local transaction under the mode's
     /// discipline, returning its value and version via [`Reply`].
     fn run_op<T>(
         &self,
         shard_idx: usize,
-        site: &'static str,
-        writes: bool,
+        site: &TxnBuilder,
         mut body: impl FnMut(&Shard, &mut Txn) -> txfix_stm::StmResult<(T, u64)>,
     ) -> Result<Reply<T>, KvError> {
         let shard = &self.shards[shard_idx];
@@ -313,7 +326,7 @@ impl KvStore {
             Mode::Dev => Some(shard.dev.lock().map_err(|e| KvError::Deadlock(e.to_string()))?),
             Mode::Tm | Mode::Hybrid => None,
         };
-        let ((value, version), report) = self.builder(site, writes).run(|txn| body(shard, txn));
+        let ((value, version), report) = site.run(|txn| body(shard, txn));
         Ok(Reply {
             value,
             stats: OpStats {
@@ -332,11 +345,11 @@ impl KvStore {
     fn write_ops(
         &self,
         shard_idx: usize,
-        site: &'static str,
+        site: &TxnBuilder,
         ops: &[WalOp],
     ) -> Result<Reply<Vec<Option<String>>>, KvError> {
         let buckets = self.cfg.buckets_per_shard;
-        self.run_op(shard_idx, site, true, |shard, txn| {
+        self.run_op(shard_idx, site, |shard, txn| {
             let txid = shard.next_txid.read(txn)?;
             shard.next_txid.write(txn, txid + 1)?;
             let mut displaced = Vec::with_capacity(ops.len());
@@ -366,7 +379,7 @@ impl KvStore {
     pub fn get(&self, key: &str) -> Result<Reply<Option<String>>, KvError> {
         check_token(key)?;
         let buckets = self.cfg.buckets_per_shard;
-        self.run_op(self.shard_of(key), "kv_get", false, |shard, txn| {
+        self.run_op(self.shard_of(key), &self.sites.get, |shard, txn| {
             let version = shard.version.read(txn)?;
             let m = shard.buckets[bucket_of(key, buckets)].read_arc(txn)?;
             Ok((m.get(key).map(|v| v.to_string()), version))
@@ -378,7 +391,7 @@ impl KvStore {
         check_token(key)?;
         check_token(value)?;
         let ops = [WalOp::Put(key.to_string(), value.to_string())];
-        let reply = self.write_ops(self.shard_of(key), "kv_put", &ops)?;
+        let reply = self.write_ops(self.shard_of(key), &self.sites.put, &ops)?;
         Ok(Reply { value: reply.value.into_iter().next().unwrap(), stats: reply.stats })
     }
 
@@ -386,7 +399,7 @@ impl KvStore {
     pub fn delete(&self, key: &str) -> Result<Reply<Option<String>>, KvError> {
         check_token(key)?;
         let ops = [WalOp::Delete(key.to_string())];
-        let reply = self.write_ops(self.shard_of(key), "kv_delete", &ops)?;
+        let reply = self.write_ops(self.shard_of(key), &self.sites.delete, &ops)?;
         Ok(Reply { value: reply.value.into_iter().next().unwrap(), stats: reply.stats })
     }
 
@@ -413,7 +426,7 @@ impl KvStore {
             Some(s) => s,
             None => return Err(KvError::CrossShard("empty group".to_string())),
         };
-        let reply = self.write_ops(shard, "kv_group", ops)?;
+        let reply = self.write_ops(shard, &self.sites.group, ops)?;
         Ok(Reply { value: (), stats: reply.stats })
     }
 
@@ -421,7 +434,7 @@ impl KvStore {
     /// transaction (hybrid mode may serialize it under contention).
     pub fn scan(&self, shard_idx: usize) -> Result<Reply<Vec<(String, String)>>, KvError> {
         assert!(shard_idx < self.cfg.shards);
-        self.run_op(shard_idx, "kv_scan", false, |shard, txn| {
+        self.run_op(shard_idx, &self.sites.scan, |shard, txn| {
             let version = shard.version.read(txn)?;
             let snap = shard.read_buckets(txn)?;
             let mut rows = Vec::with_capacity(snap.iter().map(|b| b.len()).sum());
@@ -447,9 +460,8 @@ impl KvStore {
 
     fn ckpt_inner(&self, shard_idx: usize, truncate: bool) {
         let shard = &self.shards[shard_idx];
-        let ((snap, next_txid), _) = Txn::build()
-            .site("kv_ckpt")
-            .run(|txn| Ok((shard.read_buckets(txn)?, shard.next_txid.read(txn)?)));
+        let ((snap, next_txid), _) =
+            self.sites.ckpt.run(|txn| Ok((shard.read_buckets(txn)?, shard.next_txid.read(txn)?)));
         let mut ck = shard.ckpt.lock().expect("checkpoint lock cycle");
         ck.epoch += 1;
         let image = encode_checkpoint_entries(ck.epoch, next_txid, merged(&snap));

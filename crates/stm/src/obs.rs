@@ -64,8 +64,9 @@ impl SiteId {
 
 /// Intern `name`, returning the same [`SiteId`] for the same name every
 /// time. Names are expected to be static string literals at `atomic` call
-/// sites; interning takes a registry lock and is not meant for hot paths —
-/// do it once and store the id (the builder does this on `.site(..)`).
+/// sites; interning takes a registry lock and is not meant for hot paths:
+/// [`TxnBuilder::site`](crate::TxnBuilder::site) calls it every time, so
+/// build a site's `TxnBuilder` once, keep it, and `run` it per operation.
 pub fn intern(name: &'static str) -> SiteId {
     let mut names = NAMES.lock();
     ensure_slot0(&mut names);

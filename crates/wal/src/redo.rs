@@ -2,7 +2,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 use txfix_stm::{StmResult, Txn};
-use txfix_xcall::{SimFile, SimFs, XFile};
+use txfix_xcall::{SimFile, SimFs, XFile, XOp};
 
 /// Which commit protocol the log uses.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -101,28 +101,24 @@ impl Wal {
     /// puts: `P txid k v ;` / `D txid k ;` records followed by the
     /// protocol's commit marker and syncs.
     pub fn x_log_ops(&self, txn: &mut Txn, txid: u64, ops: &[WalOp]) -> StmResult<()> {
-        for op in ops {
-            let line = match op {
-                WalOp::Put(k, v) => {
-                    debug_assert!(token_ok(k) && token_ok(v), "invalid WAL token in {k:?}={v:?}");
-                    format!("P {txid} {k} {v} ;\n")
-                }
-                WalOp::Delete(k) => {
-                    debug_assert!(token_ok(k), "invalid WAL token in {k:?}");
-                    format!("D {txid} {k} ;\n")
-                }
-            };
-            self.file.x_append(txn, line.as_bytes())?;
-        }
-        if self.variant == WalVariant::Fixed {
-            // The protocol's load-bearing fsync: records must be durable
-            // before the commit marker exists anywhere.
-            self.file.x_sync(txn)?;
-        }
-        self.file.x_append(txn, format!("C {txid} ;\n").as_bytes())?;
-        self.file.x_crash_point(txn, AFTER_COMMIT_WRITE)?;
-        self.file.x_sync(txn)?;
-        Ok(())
+        let record = |op: &WalOp| match op {
+            WalOp::Put(k, v) => {
+                debug_assert!(token_ok(k) && token_ok(v), "invalid WAL token in {k:?}={v:?}");
+                format!("P {txid} {k} {v} ;\n")
+            }
+            WalOp::Delete(k) => {
+                debug_assert!(token_ok(k), "invalid WAL token in {k:?}");
+                format!("D {txid} {k} ;\n")
+            }
+        };
+        let records = ops.iter().map(|op| XOp::Append(record(op).into_bytes()));
+        // The protocol's load-bearing fsync: records must be durable
+        // before the commit marker exists anywhere.
+        let record_sync = (self.variant == WalVariant::Fixed).then_some(XOp::Sync);
+        let marker = XOp::Append(format!("C {txid} ;\n").into_bytes());
+        let commit = [marker, XOp::CrashPoint(AFTER_COMMIT_WRITE), XOp::Sync];
+        // One batch: the log's isolation lock is entered once per commit.
+        self.file.x_queue(txn, records.chain(record_sync).chain(commit))
     }
 }
 

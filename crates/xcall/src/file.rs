@@ -15,18 +15,22 @@ use txfix_stm::chaos;
 use txfix_stm::{Abort, StmResult, Txn};
 use txfix_txlock::TxMutex;
 
-/// A pending (deferred) file mutation.
+/// One deferred file operation: what [`XFile::x_queue`] takes and what the
+/// file buffers until its transaction commits.
 #[derive(Clone, Debug)]
-enum PendingOp {
+pub enum XOp {
+    /// What [`XFile::x_append`] defers.
     Append(Vec<u8>),
+    /// What [`XFile::x_write_at`] defers.
     WriteAt(usize, Vec<u8>),
-    /// Deferred `fsync`: promote the cache to the durable image when the
-    /// preceding deferred writes have been applied.
+    /// Deferred `fsync` ([`XFile::x_sync`]): promote the cache to the
+    /// durable image when the preceding deferred writes have been applied.
     Sync,
-    /// A crash point evaluated at the matching place in the commit-time
-    /// apply sequence — how the WAL plants protocol-level labels like
-    /// `wal_after_commit_write` between its deferred writes.
-    Marker(&'static str),
+    /// A crash point ([`XFile::x_crash_point`]) evaluated at the matching
+    /// place in the commit-time apply sequence — how the WAL plants
+    /// protocol-level labels like `wal_after_commit_write` between its
+    /// deferred writes.
+    CrashPoint(&'static str),
 }
 
 struct XFileInner {
@@ -40,7 +44,7 @@ struct XFileInner {
 struct PendingState {
     /// Serial of the transaction whose deferred ops are buffered.
     owner: u64,
-    ops: Vec<PendingOp>,
+    ops: Vec<XOp>,
 }
 
 /// A transactional handle to a [`SimFile`].
@@ -93,9 +97,8 @@ impl XFile {
     }
 
     fn enter(&self, txn: &mut Txn) -> StmResult<()> {
-        let inner = self.inner.clone();
         let serial = txn.serial();
-        let newly_owned = inner.lock.with_tx(txn, |st| {
+        let newly_owned = self.inner.lock.with_tx(txn, |st| {
             if st.owner == serial {
                 false
             } else {
@@ -115,9 +118,9 @@ impl XFile {
                         for op in st.ops.drain(..) {
                             crashpoint::crash_point("xfile_apply");
                             match op {
-                                PendingOp::Append(bytes) => apply.file.append(&bytes),
-                                PendingOp::WriteAt(off, bytes) => apply.file.write_at(off, &bytes),
-                                PendingOp::Sync => {
+                                XOp::Append(bytes) => apply.file.append(&bytes),
+                                XOp::WriteAt(off, bytes) => apply.file.write_at(off, &bytes),
+                                XOp::Sync => {
                                     // Canary: the fsync reports success
                                     // without flushing — acknowledged
                                     // commits silently lose durability,
@@ -130,7 +133,7 @@ impl XFile {
                                     }
                                     apply.file.sync_all();
                                 }
-                                PendingOp::Marker(label) => crashpoint::crash_point(label),
+                                XOp::CrashPoint(label) => crashpoint::crash_point(label),
                             }
                         }
                         st.owner = 0;
@@ -160,20 +163,44 @@ impl XFile {
         Ok(())
     }
 
+    /// Defer `ops`, in order, until the transaction commits; the single-op
+    /// calls below are this with one element. A multi-step protocol (the
+    /// WAL's) queued in one call enters the isolation lock once, yet every
+    /// step still counts, and can be faulted, as its own x-call.
+    ///
+    /// # Errors
+    ///
+    /// Propagates lock conflicts/preemption as [`Abort`](txfix_stm::Abort).
+    pub fn x_queue(&self, txn: &mut Txn, ops: impl IntoIterator<Item = XOp>) -> StmResult<()> {
+        let mut entered = false;
+        for op in ops {
+            // A crash point is instrumentation only: not counted as an
+            // x-call, never faulted by chaos.
+            let is_xcall = !matches!(op, XOp::CrashPoint(_));
+            if is_xcall {
+                txfix_stm::obs::note_xcall();
+            }
+            if !entered {
+                self.enter(txn)?;
+                entered = true;
+            }
+            self.inner.lock.with_held(|st| st.ops.push(op));
+            // Chaos: the op is already buffered, so this abort makes the
+            // undo hook clear real state (and release the isolation lock).
+            if is_xcall {
+                self.inject_io_fault(txn)?;
+            }
+        }
+        Ok(())
+    }
+
     /// Defer an append until the transaction commits.
     ///
     /// # Errors
     ///
     /// Propagates lock conflicts/preemption as [`Abort`](txfix_stm::Abort).
     pub fn x_append(&self, txn: &mut Txn, bytes: &[u8]) -> StmResult<()> {
-        txfix_stm::obs::note_xcall();
-        self.enter(txn)?;
-        let bytes = bytes.to_vec();
-        self.inner.lock.with_tx(txn, move |st| st.ops.push(PendingOp::Append(bytes)))?;
-        // Chaos: the op is already buffered, so this abort makes the undo
-        // hook clear real state (and release the isolation lock).
-        self.inject_io_fault(txn)?;
-        Ok(())
+        self.x_queue(txn, [XOp::Append(bytes.to_vec())])
     }
 
     /// Defer an absolute-offset write until the transaction commits.
@@ -182,12 +209,7 @@ impl XFile {
     ///
     /// Propagates lock conflicts/preemption as [`Abort`](txfix_stm::Abort).
     pub fn x_write_at(&self, txn: &mut Txn, offset: usize, bytes: &[u8]) -> StmResult<()> {
-        txfix_stm::obs::note_xcall();
-        self.enter(txn)?;
-        let bytes = bytes.to_vec();
-        self.inner.lock.with_tx(txn, move |st| st.ops.push(PendingOp::WriteAt(offset, bytes)))?;
-        self.inject_io_fault(txn)?;
-        Ok(())
+        self.x_queue(txn, [XOp::WriteAt(offset, bytes.to_vec())])
     }
 
     /// Defer an `fsync` until the transaction commits: once the deferred
@@ -201,11 +223,7 @@ impl XFile {
     ///
     /// Propagates lock conflicts/preemption as [`Abort`](txfix_stm::Abort).
     pub fn x_sync(&self, txn: &mut Txn) -> StmResult<()> {
-        txfix_stm::obs::note_xcall();
-        self.enter(txn)?;
-        self.inner.lock.with_tx(txn, |st| st.ops.push(PendingOp::Sync))?;
-        self.inject_io_fault(txn)?;
-        Ok(())
+        self.x_queue(txn, [XOp::Sync])
     }
 
     /// Plant a named crash point between this transaction's deferred
@@ -217,9 +235,7 @@ impl XFile {
     ///
     /// Propagates lock conflicts/preemption as [`Abort`](txfix_stm::Abort).
     pub fn x_crash_point(&self, txn: &mut Txn, label: &'static str) -> StmResult<()> {
-        self.enter(txn)?;
-        self.inner.lock.with_tx(txn, move |st| st.ops.push(PendingOp::Marker(label)))?;
-        Ok(())
+        self.x_queue(txn, [XOp::CrashPoint(label)])
     }
 
     /// Read the file as this transaction sees it: committed content with
@@ -237,15 +253,15 @@ impl XFile {
             let mut view = committed;
             for op in &st.ops {
                 match op {
-                    PendingOp::Append(bytes) => view.extend_from_slice(bytes),
-                    PendingOp::WriteAt(off, bytes) => {
+                    XOp::Append(bytes) => view.extend_from_slice(bytes),
+                    XOp::WriteAt(off, bytes) => {
                         if view.len() < off + bytes.len() {
                             view.resize(off + bytes.len(), 0);
                         }
                         view[*off..off + bytes.len()].copy_from_slice(bytes);
                     }
                     // Neither changes the bytes a reader observes.
-                    PendingOp::Sync | PendingOp::Marker(_) => {}
+                    XOp::Sync | XOp::CrashPoint(_) => {}
                 }
             }
             view

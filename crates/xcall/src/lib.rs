@@ -39,6 +39,6 @@ mod simos;
 
 pub use asyncio::AsyncIo;
 pub use crashpoint::crash_point;
-pub use file::XFile;
+pub use file::{XFile, XOp};
 pub use pipe::{x_inevitable, XPipe, XSocket};
 pub use simos::{OsError, SimFile, SimFs, SimPipe, SimSocket, BLOCK_BYTES};
