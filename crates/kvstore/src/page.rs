@@ -217,42 +217,60 @@ pub fn encode_checkpoint(cp: &Checkpoint) -> Vec<u8> {
     encode_checkpoint_entries(cp.epoch, cp.next_txid, entries)
 }
 
-/// Decode and validate a checkpoint image. `None` for anything torn:
-/// unparseable header or trailer, epoch mismatch between them, short
-/// payload, or checksum mismatch.
-pub fn decode_checkpoint(bytes: &[u8]) -> Option<Checkpoint> {
+/// A checkpoint image whose header, trailer and checksum are valid and
+/// whose entries are still unparsed text borrowed from the image.
+#[derive(Clone, Copy, Debug)]
+pub struct CheckpointImage<'a> {
+    /// As [`Checkpoint::epoch`].
+    pub epoch: u64,
+    /// As [`Checkpoint::next_txid`].
+    pub next_txid: u64,
+    payload: &'a str,
+}
+
+impl<'a> CheckpointImage<'a> {
+    /// The one parser of `S` lines: the entries in image order, `None` for
+    /// a malformed line (a checksum proves the bytes are the ones written,
+    /// not that the writer wrote well-formed lines).
+    pub fn entries(&self) -> impl Iterator<Item = Option<(&'a str, &'a str)>> {
+        self.payload.lines().map(|line| match fields(line)? {
+            ["S", k, v, ";"] => Some((k, v)),
+            _ => None,
+        })
+    }
+}
+
+/// `line`'s space-separated tokens, if there are exactly `N`.
+fn fields<const N: usize>(line: &str) -> Option<[&str; N]> {
+    let (mut tokens, mut out) = (line.split(' '), [""; N]);
+    for slot in &mut out {
+        *slot = tokens.next()?;
+    }
+    tokens.next().is_none().then_some(out)
+}
+
+/// Validate a checkpoint image without parsing its entries. `None` for
+/// anything torn: unparseable header or trailer, epoch mismatch between
+/// them, short payload, or checksum mismatch.
+pub fn checkpoint_image(bytes: &[u8]) -> Option<CheckpointImage<'_>> {
     let text = std::str::from_utf8(bytes).ok()?;
     let (header, rest) = text.split_once('\n')?;
-    let head: Vec<&str> = header.split(' ').collect();
-    let (epoch, next_txid, payload_len) = match head.as_slice() {
-        ["KVCP", e, t, l, ";"] => (e.parse().ok()?, t.parse().ok()?, l.parse::<usize>().ok()?),
-        _ => return None,
-    };
-    if rest.len() < payload_len {
-        return None;
-    }
-    let payload = &rest[..payload_len];
-    let trailer = rest[payload_len..].lines().next()?;
-    match trailer.split(' ').collect::<Vec<&str>>().as_slice() {
-        ["KVEND", e, sum, ";"] => {
-            if e.parse::<u64>().ok()? != epoch
-                || u64::from_str_radix(sum, 16).ok()? != fnv64(payload.as_bytes())
-            {
-                return None;
-            }
-        }
-        _ => return None,
-    }
-    let mut map = BTreeMap::new();
-    for line in payload.lines() {
-        match line.split(' ').collect::<Vec<&str>>().as_slice() {
-            ["S", k, v, ";"] => {
-                map.insert((*k).to_string(), (*v).to_string());
-            }
-            _ => return None,
-        }
-    }
-    Some(Checkpoint { epoch, next_txid, map })
+    let ["KVCP", epoch, next_txid, len, ";"] = fields(header)? else { return None };
+    let (epoch, next_txid) = (epoch.parse().ok()?, next_txid.parse().ok()?);
+    let (payload, tail) = rest.split_at_checked(len.parse().ok()?)?;
+    let ["KVEND", end_epoch, sum, ";"] = fields(tail.lines().next()?)? else { return None };
+    let valid = end_epoch.parse::<u64>().ok()? == epoch
+        && u64::from_str_radix(sum, 16).ok()? == fnv64(payload.as_bytes());
+    valid.then_some(CheckpointImage { epoch, next_txid, payload })
+}
+
+/// Decode and validate a checkpoint image: [`checkpoint_image`], then
+/// every entry. `None` if either rejects it.
+pub fn decode_checkpoint(bytes: &[u8]) -> Option<Checkpoint> {
+    let image = checkpoint_image(bytes)?;
+    let map =
+        image.entries().map(|e| e.map(|(k, v)| (k.into(), v.into()))).collect::<Option<_>>()?;
+    Some(Checkpoint { epoch: image.epoch, next_txid: image.next_txid, map })
 }
 
 #[cfg(test)]

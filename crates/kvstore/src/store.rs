@@ -38,13 +38,11 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use crate::bucket::{Bucket, Entry};
-use crate::page::{
-    decode_checkpoint, encode_checkpoint_entries, BufferPool, Checkpoint, PoolStats,
-};
+use crate::page::{checkpoint_image, encode_checkpoint_entries, BufferPool, PoolStats};
 use txfix_stm::chaos::{fnv64, splitmix64};
 use txfix_stm::{EscalationPolicy, EscalationRung, TVar, Txn, TxnBuilder};
 use txfix_txlock::TxMutex;
-use txfix_wal::{is_token, recover, Wal, WalOp, WalVariant};
+use txfix_wal::{is_token, records, Record, Wal, WalOp, WalVariant};
 use txfix_xcall::{SimFile, SimFs};
 
 /// The per-shard concurrency discipline.
@@ -191,6 +189,67 @@ pub struct KvStore {
 }
 
 impl Shard {
+    /// Open shard `i` over `fs` and rebuild its index from its checkpoint
+    /// pair and WAL. The base is the newest checkpoint whose every entry
+    /// decodes (epoch 0 never is; a tie goes to buffer 0); over it replay
+    /// the committed WAL transactions it does not cover (`txid >=
+    /// next_txid`) in txid order, each one's records in log order. Only the
+    /// base is parsed, through each format's one parser, and everything
+    /// borrows from the images until each kept key and value is allocated
+    /// once.
+    fn recover(fs: &SimFs, i: usize, cfg: &KvConfig) -> Shard {
+        let wal = Wal::open(fs, &format!("kv_shard{i}.wal"), WalVariant::Fixed);
+        let mut pools = [0, 1].map(|b| {
+            BufferPool::new(fs.open_or_create(&format!("kv_shard{i}.pages{b}")), cfg.pool_pages)
+        });
+        let images = pools.each_mut().map(|pool| {
+            let image = pool.read_at(0, pool.file().len());
+            pool.discard();
+            image
+        });
+        let valid = images.each_ref().map(|img| checkpoint_image(img).filter(|cp| cp.epoch > 0));
+        let epoch_of = |b: usize| valid[b].map_or(0, |cp| cp.epoch);
+        let order = if epoch_of(1) > epoch_of(0) { [1, 0] } else { [0, 1] };
+        // Writes as (key, txid, value or None for a delete). Checkpoint
+        // entries are txid 0; the stable sort keeps them ahead of any record.
+        let base = order.into_iter().find_map(|b| {
+            let cp = valid[b]?;
+            let entries = cp.entries().map(|e| e.map(|(k, v)| (k, 0, Some(v))));
+            Some((b, cp.epoch, cp.next_txid, entries.collect::<Option<Vec<_>>>()?))
+        });
+        let (active, epoch, fence, mut writes) = base.unwrap_or((0, 0, 1, Vec::new()));
+        let log = wal.file().file().read_all();
+        let (mut next_txid, mut committed, mut logged) = (fence.max(1), Vec::new(), Vec::new());
+        for (txid, record) in records(&log).flatten() {
+            next_txid = next_txid.max(txid + 1);
+            match record {
+                Record::Put(k, v) => logged.push((k, txid, Some(v))),
+                Record::Delete(k) => logged.push((k, txid, None)),
+                Record::Commit => committed.push(txid),
+            }
+        }
+        committed.sort_unstable();
+        let replayed = |w: &(&str, u64, _)| w.1 >= fence && committed.binary_search(&w.1).is_ok();
+        writes.extend(logged.into_iter().filter(replayed));
+        // Key order, each key's writes in the order they happened: the last
+        // one decides the key.
+        writes.sort_by_key(|&(k, txid, _)| (k, txid));
+        let mut buckets = vec![Bucket::default(); cfg.buckets_per_shard];
+        for run in writes.chunk_by(|a, b| a.0 == b.0) {
+            if let (k, _, Some(v)) = run[run.len() - 1] {
+                buckets[bucket_of(k, cfg.buckets_per_shard)].insert(k.into(), v.into());
+            }
+        }
+        Shard {
+            wal,
+            next_txid: TVar::new(next_txid),
+            version: TVar::new(0),
+            buckets: buckets.into_iter().map(TVar::new).collect(),
+            dev: TxMutex::new(&format!("kv_shard{i}.dev"), ()),
+            ckpt: TxMutex::new(&format!("kv_shard{i}.ckpt"), CkptState { epoch, active, pools }),
+        }
+    }
+
     /// The committed bucket maps as of `txn`'s snapshot, shared not copied.
     fn read_buckets(&self, txn: &mut Txn) -> txfix_stm::StmResult<Vec<Arc<Bucket>>> {
         self.buckets.iter().map(|b| b.read_arc(txn)).collect()
@@ -218,72 +277,7 @@ impl KvStore {
     /// checkpoint pair and WAL. A fresh filesystem yields an empty store.
     pub fn open(fs: &Arc<SimFs>, cfg: KvConfig) -> KvStore {
         assert!(cfg.shards >= 1 && cfg.buckets_per_shard >= 1);
-        let shards = (0..cfg.shards)
-            .map(|i| {
-                let wal = Wal::open(fs, &format!("kv_shard{i}.wal"), WalVariant::Fixed);
-                let mut pools = [
-                    BufferPool::new(
-                        fs.open_or_create(&format!("kv_shard{i}.pages0")),
-                        cfg.pool_pages,
-                    ),
-                    BufferPool::new(
-                        fs.open_or_create(&format!("kv_shard{i}.pages1")),
-                        cfg.pool_pages,
-                    ),
-                ];
-                // Newest valid checkpoint wins; a torn buffer decodes to
-                // None and is simply not a candidate.
-                let mut base = Checkpoint { epoch: 0, next_txid: 1, map: BTreeMap::new() };
-                let mut active = 0;
-                for (b, pool) in pools.iter_mut().enumerate() {
-                    let len = pool.file().len();
-                    let img = pool.read_at(0, len);
-                    pool.discard();
-                    if let Some(cp) = decode_checkpoint(&img) {
-                        if cp.epoch > base.epoch {
-                            active = b;
-                            base = cp;
-                        }
-                    }
-                }
-                // Redo: committed WAL transactions the checkpoint does not
-                // already cover, in txid order.
-                let mut rec = recover(wal.file().file());
-                let mut map = base.map;
-                for txid in &rec.committed {
-                    if *txid < base.next_txid {
-                        continue;
-                    }
-                    for op in rec.ops.remove(txid).into_iter().flatten() {
-                        match op {
-                            WalOp::Put(k, v) => {
-                                map.insert(k, v);
-                            }
-                            WalOp::Delete(k) => {
-                                map.remove(&k);
-                            }
-                        }
-                    }
-                }
-                let next_txid = base.next_txid.max(rec.next_txid);
-                let mut buckets = vec![Bucket::default(); cfg.buckets_per_shard];
-                for (k, v) in map {
-                    let b = bucket_of(&k, cfg.buckets_per_shard);
-                    buckets[b].insert(k.into(), v.into());
-                }
-                Shard {
-                    wal,
-                    next_txid: TVar::new(next_txid),
-                    version: TVar::new(0),
-                    buckets: buckets.into_iter().map(TVar::new).collect(),
-                    dev: TxMutex::new(&format!("kv_shard{i}.dev"), ()),
-                    ckpt: TxMutex::new(
-                        &format!("kv_shard{i}.ckpt"),
-                        CkptState { epoch: base.epoch, active, pools },
-                    ),
-                }
-            })
-            .collect();
+        let shards = (0..cfg.shards).map(|i| Shard::recover(fs, i, &cfg)).collect();
         // Writers hold the WAL file's isolation lock to commit, so the
         // serial rung is off-limits for them in every mode.
         let no_serial =
@@ -526,7 +520,7 @@ fn bucket_of(key: &str, buckets: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::page::encode_checkpoint;
+    use crate::page::{decode_checkpoint, encode_checkpoint, Checkpoint};
     use proptest::prelude::*;
 
     fn store(mode: Mode, shards: usize) -> (Arc<SimFs>, KvStore) {

@@ -46,5 +46,6 @@ mod redo;
 
 pub use kv::DurableKv;
 pub use redo::{
-    is_token, recover, recover_and_compact, Recovery, Wal, WalOp, WalVariant, AFTER_COMMIT_WRITE,
+    is_token, records, recover, recover_and_compact, Record, Recovery, Wal, WalOp, WalVariant,
+    AFTER_COMMIT_WRITE,
 };

@@ -40,15 +40,11 @@ impl WalVariant {
 /// atomicity.
 pub const AFTER_COMMIT_WRITE: &str = "wal_after_commit_write";
 
-fn token_ok(s: &str) -> bool {
-    !s.is_empty() && s.bytes().all(|b| b.is_ascii_alphanumeric() || b == b'_')
-}
-
 /// Whether `s` is a legal WAL token (`[A-Za-z0-9_]+`). Layers that store
 /// user-facing keys/values in the log (the kvstore) validate against this
 /// before accepting an operation.
 pub fn is_token(s: &str) -> bool {
-    token_ok(s)
+    !s.is_empty() && s.bytes().all(|b| b.is_ascii_alphanumeric() || b == b'_')
 }
 
 /// One logical redo record inside a transaction.
@@ -103,11 +99,11 @@ impl Wal {
     pub fn x_log_ops(&self, txn: &mut Txn, txid: u64, ops: &[WalOp]) -> StmResult<()> {
         let record = |op: &WalOp| match op {
             WalOp::Put(k, v) => {
-                debug_assert!(token_ok(k) && token_ok(v), "invalid WAL token in {k:?}={v:?}");
+                debug_assert!(is_token(k) && is_token(v), "invalid WAL token in {k:?}={v:?}");
                 format!("P {txid} {k} {v} ;\n")
             }
             WalOp::Delete(k) => {
-                debug_assert!(token_ok(k), "invalid WAL token in {k:?}");
+                debug_assert!(is_token(k), "invalid WAL token in {k:?}");
                 format!("D {txid} {k} ;\n")
             }
         };
@@ -122,10 +118,45 @@ impl Wal {
     }
 }
 
+/// One well-formed log line after its txid, borrowing its tokens from the
+/// log image.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Record<'a> {
+    /// `P <txid> <key> <value> ;`
+    Put(&'a str, &'a str),
+    /// `D <txid> <key> ;`
+    Delete(&'a str),
+    /// `C <txid> ;`
+    Commit,
+}
+
+/// The one parser of the log format: every non-empty line of `bytes`, in
+/// log order, as its txid and record — `None` for a line that is not a
+/// well-formed record (a crash hole, a torn tail). [`recover`] and the KV
+/// store's reopen both read the log through it.
+pub fn records(bytes: &[u8]) -> impl Iterator<Item = Option<(u64, Record<'_>)>> {
+    bytes.split(|&b| b == b'\n').filter(|line| !line.is_empty()).map(parse_line)
+}
+
+fn parse_line(line: &[u8]) -> Option<(u64, Record<'_>)> {
+    let mut tokens = std::str::from_utf8(line).ok()?.split(' ');
+    let (kind, txid) = (tokens.next()?, tokens.next()?.parse().ok()?);
+    let mut token = || tokens.next().filter(|t| is_token(t));
+    let record = match kind {
+        "P" => Record::Put(token()?, token()?),
+        "D" => Record::Delete(token()?),
+        "C" => Record::Commit,
+        _ => return None,
+    };
+    (tokens.next() == Some(";") && tokens.next().is_none()).then_some((txid, record))
+}
+
 /// What recovery reconstructed from a (possibly crash-torn) log.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Recovery {
     /// The replayed map: puts of committed transactions, in txid order.
+    /// [`DurableKv`](crate::DurableKv) and compaction start from it; the KV
+    /// store does not (its reopen folds [`records`] into its index).
     pub map: BTreeMap<String, String>,
     /// Transaction ids with a durable, well-formed commit marker.
     pub committed: BTreeSet<u64>,
@@ -153,56 +184,29 @@ impl Recovery {
     }
 }
 
-fn parse_line(line: &[u8], out: &mut Recovery) -> Option<()> {
-    let text = std::str::from_utf8(line).ok()?;
-    let tokens: Vec<&str> = text.split(' ').collect();
-    match tokens.as_slice() {
-        ["P", txid, key, value, ";"] if token_ok(key) && token_ok(value) => {
-            let txid: u64 = txid.parse().ok()?;
-            out.ops
-                .entry(txid)
-                .or_default()
-                .push(WalOp::Put((*key).to_owned(), (*value).to_owned()));
-            out.next_txid = out.next_txid.max(txid + 1);
-        }
-        ["D", txid, key, ";"] if token_ok(key) => {
-            let txid: u64 = txid.parse().ok()?;
-            out.ops.entry(txid).or_default().push(WalOp::Delete((*key).to_owned()));
-            out.next_txid = out.next_txid.max(txid + 1);
-        }
-        ["C", txid, ";"] => {
-            let txid: u64 = txid.parse().ok()?;
-            out.committed.insert(txid);
-            out.next_txid = out.next_txid.max(txid + 1);
-        }
-        _ => return None,
-    }
-    Some(())
-}
-
 fn recover_bytes(bytes: &[u8]) -> Recovery {
     let mut rec = Recovery { next_txid: 1, ..Recovery::default() };
-    for line in bytes.split(|&b| b == b'\n') {
-        if line.is_empty() {
-            continue;
-        }
-        if parse_line(line, &mut rec).is_none() {
+    for record in records(bytes) {
+        let Some((txid, record)) = record else {
             rec.skipped_lines += 1;
-        }
-    }
-    for txid in &rec.committed {
-        if let Some(ops) = rec.ops.get(txid) {
-            for op in ops {
-                match op {
-                    WalOp::Put(k, v) => {
-                        rec.map.insert(k.clone(), v.clone());
-                    }
-                    WalOp::Delete(k) => {
-                        rec.map.remove(k);
-                    }
-                }
+            continue;
+        };
+        rec.next_txid = rec.next_txid.max(txid + 1);
+        let op = match record {
+            Record::Put(k, v) => WalOp::Put(k.to_owned(), v.to_owned()),
+            Record::Delete(k) => WalOp::Delete(k.to_owned()),
+            Record::Commit => {
+                rec.committed.insert(txid);
+                continue;
             }
-        }
+        };
+        rec.ops.entry(txid).or_default().push(op);
+    }
+    for op in rec.committed.iter().flat_map(|txid| rec.ops.get(txid)).flatten() {
+        match op {
+            WalOp::Put(k, v) => rec.map.insert(k.clone(), v.clone()),
+            WalOp::Delete(k) => rec.map.remove(k),
+        };
     }
     rec
 }
