@@ -16,16 +16,24 @@
 //!   key's old value or a pre-checkpoint record replayed over a newer
 //!   one (stale redo records are fenced by the checkpoint's `next_txid`).
 //!
-//! Recovery must also be idempotent. The store always runs the fixed
-//! WAL protocol, so no mode plants a bug: *every* mode must be clean at
-//! *every* crash point.
+//! Each shard's crashed log must also keep the WAL protocol's own promise,
+//! checked before reopening: **no durable commit marker follows an
+//! unparseable line** (records are synced before their marker is written,
+//! so a torn line can only sit after the last durable marker). The prefix
+//! check alone cannot see a batch torn under its surviving marker: this
+//! script's batches are single-record or tear whole, so the torn batch
+//! just looks like one that never committed.
+//!
+//! Recovery must also be idempotent. No mode plants a bug: *every* mode
+//! must be clean at *every* crash point (the `wal_skip_fsync` and
+//! `wal_commit_before_fsync` canaries are what this sweep must flag).
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use crate::store::{shard_placement, KvConfig, KvStore, Mode};
 use txfix_wal::checker::CrashSubject;
-use txfix_wal::WalOp;
+use txfix_wal::{records, Record, WalOp};
 use txfix_xcall::{crashpoint, SimFs, BLOCK_BYTES};
 
 const SHARDS: usize = 2;
@@ -87,6 +95,20 @@ fn check_prefix(facts: &[BatchFact], recovered: &[BTreeMap<String, String>]) -> 
     violations
 }
 
+/// The txid of the first commit marker in `log` that follows an
+/// unparseable line, if any (see module docs).
+fn torn_commit(log: &[u8]) -> Option<u64> {
+    let mut torn = false;
+    for record in records(log) {
+        match record {
+            None => torn = true,
+            Some((txid, Record::Commit)) if torn => return Some(txid),
+            Some(_) => {}
+        }
+    }
+    None
+}
+
 impl CrashSubject for KvStore {
     type Cell = Mode;
     type Facts = Vec<BatchFact>;
@@ -140,9 +162,21 @@ impl CrashSubject for KvStore {
     }
 
     fn recover_and_check(mode: Mode, fs: &Arc<SimFs>, facts: &Vec<BatchFact>) -> Vec<String> {
+        let torn: Vec<String> = (0..SHARDS)
+            .filter_map(|s| {
+                let log = fs.open(&format!("kv_shard{s}.wal")).expect("the store creates its logs");
+                torn_commit(&log.read_all()).map(|txid| {
+                    format!(
+                        "atomicity: shard {s} log has a durable commit marker for txn {txid} \
+                         after an unparseable line (marker durable before its records)"
+                    )
+                })
+            })
+            .collect();
         let kv = KvStore::open(fs, config(mode));
         let recovered: Vec<_> = (0..SHARDS).map(|s| kv.shard_snapshot(s)).collect();
         let mut violations = check_prefix(facts, &recovered);
+        violations.extend(torn);
         // Recovery must be idempotent: opening the crashed image again (no
         // writes happened in between) reconstructs the same state.
         drop(kv);
@@ -153,5 +187,24 @@ impl CrashSubject for KvStore {
             }
         }
         violations
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::torn_commit;
+
+    #[test]
+    fn a_commit_marker_after_an_unparseable_line_is_torn() {
+        let clean = b"P 1 a x ;\nC 1 ;\nD 2 a ;\nC 2 ;\n";
+        assert_eq!(torn_commit(clean), None);
+        // A torn tail after the last marker: the batch never committed.
+        assert_eq!(torn_commit(b"P 1 a x ;\nC 1 ;\nP 2 b \0\0\0\0"), None);
+        // A zeroed block before a surviving marker: its records were not
+        // durable when the marker was.
+        let mut log = b"P 1 a x ;\nC 1 ;\n".to_vec();
+        log.extend([0u8; 32]);
+        log.extend(b"\nC 7 ;\n");
+        assert_eq!(torn_commit(&log), Some(7));
     }
 }

@@ -88,10 +88,15 @@ pub enum Canary {
     /// surviving crashes (the kimberlite `canary-skip-fsync` bug class).
     /// Hit ordinal: one per deferred sync application.
     WalSkipFsync = 10,
+    /// Drop the WAL's record sync before the commit marker — the FIRST
+    /// reference-WAL bug (SNIPPETS §2): a crash before the final sync can
+    /// persist the marker without its records, so recovery replays a torn
+    /// transaction. Hit ordinal: one per logged transaction.
+    WalCommitBeforeFsync = 11,
 }
 
 /// Number of canary sites (size of the arming tables).
-pub const SITE_COUNT: usize = 11;
+pub const SITE_COUNT: usize = 12;
 
 impl Canary {
     /// Every canary, in discriminant order.
@@ -107,6 +112,7 @@ impl Canary {
         Canary::XcallDoubleCompensate,
         Canary::SchedOutOfTurn,
         Canary::WalSkipFsync,
+        Canary::WalCommitBeforeFsync,
     ];
 
     /// Table index.
@@ -129,6 +135,7 @@ impl Canary {
             Canary::XcallDoubleCompensate => "xcall_double_compensate",
             Canary::SchedOutOfTurn => "sched_out_of_turn",
             Canary::WalSkipFsync => "wal_skip_fsync",
+            Canary::WalCommitBeforeFsync => "wal_commit_before_fsync",
         }
     }
 
@@ -146,6 +153,7 @@ impl Canary {
             Canary::XcallDoubleCompensate => "xcall::pipe compensation registration",
             Canary::SchedOutOfTurn => "stm::sched turnstile decision",
             Canary::WalSkipFsync => "xcall::file commit-time sync application",
+            Canary::WalCommitBeforeFsync => "wal::redo record sync before the commit marker",
         }
     }
 
@@ -192,6 +200,7 @@ static SITE_SALT: [u64; SITE_COUNT] = [
     0x9E6C_63D0_876A_3F6B,
     0xD1B5_4A32_D192_ED03,
     0x2BB6_863E_4098_BD1D,
+    0x94D0_49BB_1331_11EB,
 ];
 
 /// Arm `canary` with `trigger` under `seed`, zeroing all hit/fired

@@ -1,5 +1,4 @@
-//! The crash-recovery sweep engine behind `txfix crash`, and its first
-//! subject.
+//! The crash-recovery sweep engine behind `txfix crash`.
 //!
 //! [`run_crash_sweep`] is the one checker. For each cell of a
 //! [`CrashSubject`] × fault [`Schedule`] it runs the subject's scripted
@@ -12,21 +11,12 @@
 //! Everything derives from the run seed through `splitmix64`, so reports
 //! are bit-for-bit reproducible.
 //!
-//! [`DurableKv`] is the subject defined here (`txfix-kvstore` has the
-//! other). [`WalVariant::Fixed`] must be clean at every crash point and
-//! [`WalVariant::CommitBeforeFsync`] flagged at its planted window,
-//! [`AFTER_COMMIT_WRITE`], by three invariants on the replayed log:
-//!
-//! * **durability** — every batch acknowledged before the crash has a
-//!   durable commit marker;
-//! * **atomicity** — every durably committed transaction recovered its
-//!   complete, intact put set (all-or-nothing);
-//! * **no resurrection** — no cancelled batch has a durable commit
-//!   marker.
+//! The product subject is the KV store (`txfix-kvstore`'s `crash`
+//! module): every mode must be clean at every crash point, so a cell is
+//! `ok` iff nothing is flagged. A planted bug is a feature-gated canary
+//! (`wal_skip_fsync`, `wal_commit_before_fsync`), armed by `txfix canary`
+//! around this same sweep, which must then flag something.
 
-use crate::redo::{recover_and_compact, WalVariant, AFTER_COMMIT_WRITE};
-use crate::DurableKv;
-use std::collections::BTreeMap;
 use std::sync::Arc;
 use txfix_core::json::{Json, ToJson};
 use txfix_stm::chaos::{self, splitmix64, FaultPlan, Trigger};
@@ -35,14 +25,9 @@ use txfix_xcall::{crashpoint, SimFs, BLOCK_BYTES};
 /// Default run seed (matches the other seeded sweeps).
 pub const DEFAULT_SEED: u64 = 0xC0FFEE;
 
-/// Where the [`DurableKv`] workload keeps its log.
-pub const WAL_PATH: &str = "wal/kv.log";
-
-// ---- the engine -----------------------------------------------------------
-
 /// One thing whose crash recovery the engine can sweep.
 pub trait CrashSubject {
-    /// One row of the sweep: a protocol variant, a concurrency mode.
+    /// One row of the sweep: a concurrency mode.
     type Cell: Copy;
     /// What the workload knows it did: the oracle recovery is checked by.
     type Facts;
@@ -56,12 +41,6 @@ pub trait CrashSubject {
 
     /// Stable report name of `cell`.
     fn cell_name(cell: Self::Cell) -> &'static str;
-
-    /// The crash-point label `cell`'s planted bug must be flagged at;
-    /// `None` when `cell` must be clean at every crash point.
-    fn planted_window(_cell: Self::Cell) -> Option<&'static str> {
-        None
-    }
 
     /// Run the scripted workload on a fresh filesystem, ending at the
     /// subject's quiesce crash point. Must be deterministic: the same
@@ -152,7 +131,7 @@ pub struct ScheduleOutcome {
     pub points: Vec<PointOutcome>,
     /// Labels with at least one failing draw.
     pub flagged: Vec<String>,
-    /// Clean everywhere, or flagged at the cell's planted window.
+    /// Clean at every crash point (nothing flagged).
     pub ok: bool,
 }
 
@@ -160,11 +139,9 @@ pub struct ScheduleOutcome {
 pub struct CellOutcome {
     /// The cell's report name.
     pub name: &'static str,
-    /// The cell's [`CrashSubject::planted_window`].
-    pub planted: Option<&'static str>,
     /// One outcome per schedule.
     pub schedules: Vec<ScheduleOutcome>,
-    /// All schedules met their verdict.
+    /// Every schedule is clean.
     pub ok: bool,
 }
 
@@ -182,7 +159,7 @@ pub struct CrashReport {
     pub images_per_point: u64,
     /// Per-cell outcomes.
     pub cells: Vec<CellOutcome>,
-    /// Every cell met its verdict.
+    /// Every cell is clean.
     pub ok: bool,
 }
 
@@ -214,7 +191,8 @@ impl ToJson for CrashReport {
         let cell = |c: &CellOutcome| {
             Json::obj([
                 (self.keys.1, Json::str(c.name)),
-                ("expected_clean", Json::Bool(c.planted.is_none())),
+                // Every cell must be clean; the key keeps reports stable.
+                ("expected_clean", Json::Bool(true)),
                 ("schedules", Json::list(c.schedules.iter().map(schedule))),
                 ("ok", Json::Bool(c.ok)),
             ])
@@ -244,11 +222,10 @@ impl CrashReport {
         for c in &self.cells {
             for s in &c.schedules {
                 let failures: usize = s.points.iter().map(|p| p.failures.len()).sum();
-                let verdict = match (c.planted, s.ok) {
-                    (None, true) => "ok (clean at every crash point)".to_owned(),
-                    (Some(window), true) => format!("ok (flagged at {window})"),
-                    (None, false) => format!("FAIL (flagged: {})", s.flagged.join(", ")),
-                    (Some(_), false) => "FAIL (planted bug not flagged)".to_owned(),
+                let verdict = if s.ok {
+                    "ok (clean at every crash point)".to_owned()
+                } else {
+                    format!("FAIL (flagged: {})", s.flagged.join(", "))
                 };
                 let (schedule, points) = (s.schedule.name(), s.points.len());
                 out.push_str(&format!(
@@ -296,7 +273,6 @@ fn run_armed<S: CrashSubject>(
 pub fn run_crash_sweep<S: CrashSubject>(cfg: &CrashConfig<S::Cell>) -> CrashReport {
     let mut cells = Vec::new();
     for &cell in &cfg.cells {
-        let planted = S::planted_window(cell);
         let mut schedules = Vec::new();
         for &schedule in &cfg.schedules {
             let plan = schedule.plan(cfg.seed);
@@ -325,14 +301,11 @@ pub fn run_crash_sweep<S: CrashSubject>(cfg: &CrashConfig<S::Cell>) -> CrashRepo
             }
             let flagged: Vec<String> =
                 points.iter().filter(|p| !p.failures.is_empty()).map(|p| p.label.clone()).collect();
-            let ok = match planted {
-                None => flagged.is_empty(),
-                Some(window) => flagged.iter().any(|l| l == window),
-            };
+            let ok = flagged.is_empty();
             schedules.push(ScheduleOutcome { schedule, runs, points, flagged, ok });
         }
         let ok = schedules.iter().all(|s| s.ok);
-        cells.push(CellOutcome { name: S::cell_name(cell), planted, schedules, ok });
+        cells.push(CellOutcome { name: S::cell_name(cell), schedules, ok });
     }
     CrashReport {
         schema: S::SCHEMA,
@@ -342,102 +315,5 @@ pub fn run_crash_sweep<S: CrashSubject>(cfg: &CrashConfig<S::Cell>) -> CrashRepo
         images_per_point: cfg.images_per_point,
         ok: cells.iter().all(|c| c.ok),
         cells,
-    }
-}
-
-// ---- the DurableKv subject ------------------------------------------------
-
-/// One scripted batch: `(cancel?, puts)`. Values are long enough that a
-/// batch's records plus its commit marker always span several
-/// `BLOCK_BYTES` blocks — otherwise a single surviving block could never
-/// tear a transaction and the buggy protocol would look atomic.
-const SCRIPT: &[(bool, &[(&str, &str)])] = &[
-    (false, &[("alpha", "a1_kkkkkkkkkkkk"), ("beta", "b1_kkkkkkkkkkkk")]),
-    (false, &[("gamma", "g2_kkkkkkkkkkkk")]),
-    (true, &[("alpha", "poisoned_value_x")]),
-    (
-        false,
-        &[("alpha", "a4_kkkkkkkkkkkk"), ("delta", "d4_kkkkkkkkkkkk"), ("beta", "b4_kkkkkkkkkkkk")],
-    ),
-    (false, &[("beta", "b5_kkkkkkkkkkkk")]),
-    (true, &[("delta", "poisoned_value_y")]),
-    (false, &[("epsilon", "e7_kkkkkkkkkkkk"), ("gamma", "g7_kkkkkkkkkkkk")]),
-];
-
-/// One scripted [`DurableKv`] batch as the workload saw it.
-pub struct TxnFact {
-    txid: u64,
-    puts: Vec<(String, String)>,
-    cancelled: bool,
-    /// Acknowledged *before* the crash froze the world: later acks belong
-    /// to a process that is already dead and claim nothing.
-    acked: bool,
-}
-
-impl CrashSubject for DurableKv {
-    type Cell = WalVariant;
-    type Facts = Vec<TxnFact>;
-
-    const SCHEMA: &'static str = "txfix-crash-v1";
-    const KEYS: (&'static str, &'static str) = ("variants", "variant");
-
-    fn cell_name(variant: WalVariant) -> &'static str {
-        variant.name()
-    }
-
-    fn planted_window(variant: WalVariant) -> Option<&'static str> {
-        (variant == WalVariant::CommitBeforeFsync).then_some(AFTER_COMMIT_WRITE)
-    }
-
-    fn run(variant: WalVariant) -> (Arc<SimFs>, Vec<TxnFact>) {
-        let fs = SimFs::new();
-        let kv = DurableKv::open(&fs, WAL_PATH, variant);
-        let facts = Vec::from_iter(SCRIPT.iter().map(|&(cancelled, pairs)| {
-            let puts: Vec<_> = pairs.iter().map(|&(k, v)| (k.to_owned(), v.to_owned())).collect();
-            let (txid, acked) = if cancelled {
-                (kv.put_many_cancelled(&puts), false)
-            } else {
-                kv.put_many(&puts).map_or((0, false), |txid| (txid, !crashpoint::is_frozen()))
-            };
-            TxnFact { txid, puts, cancelled, acked }
-        }));
-        // A terminal label, so the sweep also proves that the quiescent log
-        // (everything synced and acknowledged) recovers the full map.
-        crashpoint::crash_point("wal_quiesce");
-        (fs, facts)
-    }
-
-    fn recover_and_check(_: WalVariant, fs: &Arc<SimFs>, facts: &Vec<TxnFact>) -> Vec<String> {
-        let file = fs.open(WAL_PATH).expect("workload always creates its log");
-        let rec = recover_and_compact(&file);
-        let mut violations = Vec::new();
-        let by_txid: BTreeMap<u64, &TxnFact> = facts.iter().map(|f| (f.txid, f)).collect();
-        for f in facts {
-            let (txid, durable) = (f.txid, rec.committed.contains(&f.txid));
-            if f.cancelled && durable {
-                violations.push(format!(
-                    "resurrection: cancelled txn {txid} has a durable commit marker"
-                ));
-            }
-            if !f.cancelled && f.acked && !durable {
-                violations
-                    .push(format!("durability: acknowledged txn {txid} lost its commit marker"));
-            }
-        }
-        for &txid in &rec.committed {
-            let Some(f) = by_txid.get(&txid) else {
-                violations.push(format!("atomicity: unknown txn {txid} committed"));
-                continue;
-            };
-            let got = rec.puts(txid);
-            if got != f.puts {
-                let intact = got.iter().filter(|p| f.puts.contains(p)).count();
-                violations.push(format!(
-                    "atomicity: committed txn {txid} is torn ({intact} of {} puts recovered intact)",
-                    f.puts.len()
-                ));
-            }
-        }
-        violations
     }
 }

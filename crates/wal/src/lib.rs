@@ -6,21 +6,19 @@
 //! survives a crash?* This crate closes the loop. It provides:
 //!
 //! * [`Wal`] — a redo log written through [`XFile`] with a commit-marker
-//!   protocol: per transaction, append the `P`ut records, `fsync`, append
-//!   the `C`ommit marker, `fsync` again. A recovery replayer applies
-//!   exactly the transactions whose commit marker is durable.
-//! * [`WalVariant::CommitBeforeFsync`] — the intentionally buggy protocol
-//!   from the FIRST reference-WAL case study (SNIPPETS §2): the commit
-//!   marker is appended *before* the records are synced, so a crash can
-//!   persist the marker without its records and recovery replays a torn
-//!   transaction.
-//! * [`DurableKv`] — a small durable KV map on top of the log, the test
-//!   subject the crash sweep drives.
+//!   protocol: per transaction, append the `P`ut / `D`elete records,
+//!   `fsync`, append the `C`ommit marker, `fsync` again. Recovery
+//!   ([`recover`], or the one line parser [`records`]) keeps exactly the
+//!   transactions whose commit marker is durable. Dropping the first
+//!   `fsync` is the FIRST reference-WAL bug (SNIPPETS §2); it is planted
+//!   only as the feature-gated `wal_commit_before_fsync` canary.
 //! * [`checker`] — the crash-sweep engine behind `txfix crash`, generic
 //!   over a [`checker::CrashSubject`]: for every crash point × hit ×
 //!   image seed it freezes the world, takes a seeded crash image, and has
-//!   the subject recover and check its invariants (for [`DurableKv`]:
-//!   atomicity, durability and no-resurrection).
+//!   the subject recover and check its invariants. The subject is the KV
+//!   store (`txfix-kvstore`), which also holds every shard's crashed log
+//!   to the protocol's promise: no durable commit marker follows an
+//!   unparseable line.
 //!
 //! ## Record format
 //!
@@ -37,15 +35,14 @@
 //! detectable without checksums: a crash hole (zero bytes) or a missing
 //! tail never parses as a valid record, so recovery can skip garbage
 //! lines deterministically.
+//!
+//! [`XFile`]: txfix_xcall::XFile
 
 #![warn(missing_docs)]
 
 pub mod checker;
-mod kv;
 mod redo;
 
-pub use kv::DurableKv;
 pub use redo::{
-    is_token, records, recover, recover_and_compact, Record, Recovery, Wal, WalOp, WalVariant,
-    AFTER_COMMIT_WRITE,
+    is_token, records, recover, Record, Recovery, Wal, WalOp, WalVariant, AFTER_COMMIT_WRITE,
 };

@@ -27,9 +27,7 @@ fn stepwise(wal: &Wal, txn: &mut Txn, txid: u64, ops: &[WalOp]) -> StmResult<()>
         };
         file.x_append(txn, line.as_bytes())?;
     }
-    if wal.variant() == WalVariant::Fixed {
-        file.x_sync(txn)?;
-    }
+    file.x_sync(txn)?;
     file.x_append(txn, format!("C {txid} ;\n").as_bytes())?;
     file.x_crash_point(txn, AFTER_COMMIT_WRITE)?;
     file.x_sync(txn)
@@ -58,14 +56,10 @@ fn xcalls() -> u64 {
 /// Everything one committed `log` call leaves behind: the crash points it
 /// crossed (label, hits — first-seen order), the x-calls it counted, its
 /// final image, and the image a crash at each of those points would keep.
-fn observe(
-    variant: WalVariant,
-    ops: &[WalOp],
-    log: LogFn,
-) -> (Vec<(String, u64)>, u64, Vec<Image>) {
+fn observe(ops: &[WalOp], log: LogFn) -> (Vec<(String, u64)>, u64, Vec<Image>) {
     let commit = |session: crashpoint::Session| {
         let fs = SimFs::new();
-        let wal = Wal::open(&fs, "wal", variant);
+        let wal = Wal::open(&fs, "wal", WalVariant::Fixed);
         txfix_stm::atomic(|txn| log(&wal, txn, 7, ops));
         let seen = crashpoint::recording();
         let img = image(&wal);
@@ -90,19 +84,16 @@ fn observe(
 fn batched_protocol_matches_the_stepwise_one_at_every_crash_point() {
     let _g = GATE.lock().unwrap();
     chaos::clear();
-    for variant in WalVariant::ALL {
-        for ops in cases() {
-            let got = observe(variant, &ops, Wal::x_log_ops);
-            assert_eq!(got, observe(variant, &ops, stepwise), "{variant:?} {ops:?}");
-            let (seen, counted, _) = got;
-            // One x-call per record, one per sync, one for the marker line;
-            // the planted crash point is not an x-call.
-            let syncs = if variant == WalVariant::Fixed { 2 } else { 1 };
-            assert_eq!(counted, ops.len() as u64 + syncs + 1, "{variant:?} {ops:?}");
-            let hits = |label: &str| seen.iter().find(|(l, _)| l == label).map(|(_, n)| *n);
-            assert_eq!(hits("xfile_apply"), Some(counted + 1), "one per deferred op");
-            assert_eq!(hits(AFTER_COMMIT_WRITE), Some(1));
-        }
+    for ops in cases() {
+        let got = observe(&ops, Wal::x_log_ops);
+        assert_eq!(got, observe(&ops, stepwise), "{ops:?}");
+        let (seen, counted, _) = got;
+        // One x-call per record, one per sync (two), one for the marker
+        // line; the planted crash point is not an x-call.
+        assert_eq!(counted, ops.len() as u64 + 3, "{ops:?}");
+        let hits = |label: &str| seen.iter().find(|(l, _)| l == label).map(|(_, n)| *n);
+        assert_eq!(hits("xfile_apply"), Some(counted + 1), "one per deferred op");
+        assert_eq!(hits(AFTER_COMMIT_WRITE), Some(1));
     }
 }
 

@@ -1,6 +1,7 @@
-//! End-to-end checks of the crash sweep: the fixed protocol survives
-//! every crash point, the commit-before-fsync protocol is flagged at its
-//! planted window, and the whole report is deterministic per seed.
+//! End-to-end checks of the crash-sweep engine on a fake subject, and of
+//! the crash model under the WAL protocol: at every crash point the image
+//! a crash would keep is a legal flush subset of the page cache. The KV
+//! store's sweep is checked in `crates/kvstore/tests/crash.rs`.
 //!
 //! The crash-point registry and chaos layer are process-global, so every
 //! test here serializes on [`GATE`].
@@ -8,64 +9,16 @@
 use std::sync::{Arc, Mutex};
 use txfix_core::json::ToJson;
 use txfix_stm::chaos::Trigger;
-use txfix_wal::checker::{
-    run_crash_sweep, CrashConfig, CrashReport, CrashSubject, Schedule, WAL_PATH,
-};
-use txfix_wal::{DurableKv, WalVariant, AFTER_COMMIT_WRITE};
+use txfix_stm::{atomic, Txn};
+use txfix_wal::checker::{run_crash_sweep, CrashConfig, CrashSubject, Schedule};
+use txfix_wal::{Wal, WalOp, WalVariant, AFTER_COMMIT_WRITE};
 use txfix_xcall::{crashpoint, SimFs, BLOCK_BYTES};
 
 static GATE: Mutex<()> = Mutex::new(());
 
-fn sweep(cfg: &CrashConfig<WalVariant>) -> CrashReport {
-    run_crash_sweep::<DurableKv>(cfg)
-}
-
-#[test]
-fn fixed_wal_is_clean_and_buggy_wal_is_flagged_at_the_planted_window() {
-    let _g = GATE.lock().unwrap();
-    let report = sweep(&CrashConfig::full(7, WalVariant::ALL.to_vec()));
-    assert!(report.ok, "sweep verdict:\n{}", report.table());
-    assert_eq!(report.cells.len(), 2);
-    for v in &report.cells {
-        for s in &v.schedules {
-            match v.planted {
-                None => assert!(
-                    s.flagged.is_empty(),
-                    "{} WAL flagged under {}: {:?}",
-                    v.name,
-                    s.schedule.name(),
-                    s.flagged
-                ),
-                Some(_) => assert!(
-                    s.flagged.iter().any(|l| l == AFTER_COMMIT_WRITE),
-                    "buggy WAL not flagged at {} under {}",
-                    AFTER_COMMIT_WRITE,
-                    s.schedule.name()
-                ),
-            }
-        }
-    }
-}
-
-#[test]
-fn crash_report_is_bit_for_bit_deterministic_per_seed() {
-    let _g = GATE.lock().unwrap();
-    let cfg = CrashConfig {
-        seed: 11,
-        images_per_point: 2,
-        cells: vec![WalVariant::Fixed, WalVariant::CommitBeforeFsync],
-        schedules: vec![Schedule::Clean, Schedule::XcallFaults],
-    };
-    let a = sweep(&cfg).to_json();
-    let b = sweep(&cfg).to_json();
-    assert_eq!(a, b);
-    let other = sweep(&CrashConfig::full(12, WalVariant::ALL.to_vec())).to_json();
-    assert_ne!(a, other, "the seed must steer the crash images");
-}
-
-/// A fake subject with a planted bug of its own: it acknowledges its one
-/// record *before* syncing it, with a crash point in the window. Its
-/// `flaky` cell also crosses a label the armed runs then skip.
+/// A fake subject with a bug of its own: it acknowledges its one record
+/// *before* syncing it, with a crash point in the window. Its `flaky` cell
+/// also crosses a label the armed runs then skip.
 struct AckBeforeSync;
 
 const ACK_WINDOW: &str = "fake_acked_unsynced";
@@ -80,10 +33,6 @@ impl CrashSubject for AckBeforeSync {
 
     fn cell_name(flaky: bool) -> &'static str {
         ["steady", "flaky"][usize::from(flaky)]
-    }
-
-    fn planted_window(_: bool) -> Option<&'static str> {
-        Some(ACK_WINDOW)
     }
 
     fn run(flaky: bool) -> (Arc<SimFs>, bool) {
@@ -110,7 +59,7 @@ impl CrashSubject for AckBeforeSync {
     }
 }
 
-/// The engine on its own, away from both real subjects: it flags exactly
+/// The engine on its own, away from the real subject: it flags exactly
 /// the labels inside the fake's ack→sync window, counts its runs,
 /// reproduces per seed, and reports an armed run that never fired.
 #[test]
@@ -123,7 +72,7 @@ fn engine_sweeps_a_fake_subject() {
         schedules: vec![Schedule::Clean],
     };
     let report = run_crash_sweep::<AckBeforeSync>(&cfg(5));
-    assert!(report.ok, "the planted window must be flagged:\n{}", report.table());
+    assert!(!report.ok, "the ack window must be flagged:\n{}", report.table());
     for cell in &report.cells {
         let s = &cell.schedules[0];
         assert_eq!(s.runs, s.points.iter().map(|p| p.hits).sum::<u64>() * 3, "{}", cell.name);
@@ -145,17 +94,17 @@ fn engine_sweeps_a_fake_subject() {
     assert_ne!(doc, run_crash_sweep::<AckBeforeSync>(&cfg(6)).to_json());
 }
 
-/// Satellite invariant: at *every* crash point of the fixed workload,
-/// the crash image the model would take is a legal flush subset of the
-/// page cache — block-granular, each block either the durable content or
-/// the cached content, never a blend.
+/// At *every* crash point of a WAL workload, the crash image the model
+/// would take is a legal flush subset of the page cache — block-granular,
+/// each block either the durable content or the cached content, never a
+/// blend.
 #[test]
 fn crash_image_is_a_legal_flush_subset_at_every_crash_point() {
     let _g = GATE.lock().unwrap();
     // Record pass: learn the labels this workload passes through.
     let universe = {
         let session = crashpoint::record();
-        run_fixed_workload();
+        run_wal_workload();
         let u = crashpoint::recording();
         drop(session);
         u
@@ -167,7 +116,7 @@ fn crash_image_is_a_legal_flush_subset_at_every_crash_point() {
     for (label, hits) in &universe {
         for hit in 1..=*hits {
             let session = crashpoint::arm(label, 0, Trigger::Nth(hit));
-            let fs = run_fixed_workload();
+            let fs = run_wal_workload();
             assert!(crashpoint::fired().is_some(), "{label} hit {hit} must fire");
             let file = fs.open(WAL_PATH).unwrap();
             let cached = file.read_all();
@@ -181,15 +130,24 @@ fn crash_image_is_a_legal_flush_subset_at_every_crash_point() {
     }
 }
 
-fn run_fixed_workload() -> Arc<SimFs> {
+const WAL_PATH: &str = "wal/kv.log";
+
+/// Two committed batches around a cancelled one, values long enough that
+/// each batch spans several blocks.
+fn run_wal_workload() -> Arc<SimFs> {
     let fs = SimFs::new();
-    let kv = DurableKv::open(&fs, WAL_PATH, WalVariant::Fixed);
-    let puts = |pairs: &[(&str, &str)]| -> Vec<(String, String)> {
-        pairs.iter().map(|&(k, v)| (k.to_owned(), v.to_owned())).collect()
+    let wal = Wal::open(&fs, WAL_PATH, WalVariant::Fixed);
+    let puts = |pairs: &[(&str, &str)]| -> Vec<WalOp> {
+        pairs.iter().map(|&(k, v)| WalOp::Put(k.to_owned(), v.to_owned())).collect()
     };
-    let _ = kv.put_many(&puts(&[("a", "a1_kkkkkkkkkkkk"), ("b", "b1_kkkkkkkkkkkk")]));
-    kv.put_many_cancelled(&puts(&[("a", "poisoned_value")]));
-    let _ = kv.put_many(&puts(&[("c", "c3_kkkkkkkkkkkk")]));
+    atomic(|txn| {
+        wal.x_log_ops(txn, 1, &puts(&[("a", "a1_kkkkkkkkkkkk"), ("b", "b1_kkkkkkkkkkkk")]))
+    });
+    let _ = Txn::build().try_run(|txn| {
+        wal.x_log_ops(txn, 2, &puts(&[("a", "poisoned_value")]))?;
+        txn.cancel::<()>()
+    });
+    atomic(|txn| wal.x_log_ops(txn, 3, &puts(&[("c", "c3_kkkkkkkkkkkk")])));
     crashpoint::crash_point("wal_quiesce");
     fs
 }

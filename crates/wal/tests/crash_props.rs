@@ -1,20 +1,15 @@
-//! Property tests for the crash model and recovery:
-//!
-//! * recovery is idempotent — recovering (and compacting) twice yields
-//!   the same map and the same log bytes as doing it once;
-//! * a crash image is always a legal flush subset of the page cache —
-//!   block-granular, each block either durable or cached content — and
-//!   the incremental `SimFile` equals a whole-file reference model after
-//!   every append, write, truncate, sync and crash.
+//! Property tests for the crash model: a crash image is always a legal
+//! flush subset of the page cache — block-granular, each block either
+//! durable or cached content — and the incremental `SimFile` equals a
+//! whole-file reference model after every append, write, truncate, sync
+//! and crash.
 //!
 //! Nothing here arms the crash-point registry, so these run in parallel
 //! with each other safely.
 
 use proptest::prelude::*;
 use std::collections::BTreeSet;
-use txfix_stm::atomic;
 use txfix_stm::chaos::splitmix64;
-use txfix_wal::{recover, recover_and_compact, Wal, WalVariant};
 use txfix_xcall::{crashpoint::label_hash, SimFile, SimFs, BLOCK_BYTES};
 
 #[derive(Clone, Debug)]
@@ -106,10 +101,6 @@ fn apply(f: &SimFile, op: &DiskOp) {
     }
 }
 
-fn wal_token() -> impl Strategy<Value = String> {
-    "[a-z][a-z0-9_]{0,14}".prop_map(|s| s)
-}
-
 proptest! {
     /// The durable image a crash would leave is a legal flush subset of
     /// the page cache after any sequence of appends, positional writes,
@@ -186,41 +177,5 @@ proptest! {
                 );
             }
         }
-    }
-
-    /// Recovering twice is the same as recovering once: for any log made
-    /// of committed batches plus arbitrary torn garbage at the tail,
-    /// `recover_and_compact` reaches a fixpoint in one step.
-    #[test]
-    fn recovery_and_compaction_are_idempotent(
-        batches in proptest::collection::vec(
-            proptest::collection::vec((wal_token(), wal_token()), 1..4),
-            0..5,
-        ),
-        garbage in proptest::collection::vec(any::<u8>(), 0..40),
-    ) {
-        let fs = SimFs::new();
-        let wal = Wal::open(&fs, "wal", WalVariant::Fixed);
-        for (i, batch) in batches.iter().enumerate() {
-            atomic(|txn| wal.x_log_txn(txn, i as u64 + 1, batch));
-        }
-        // A crash-torn tail: raw bytes that may or may not parse.
-        wal.file().file().append(&garbage);
-
-        let once = recover_and_compact(wal.file().file());
-        let bytes_once = wal.file().file().read_all();
-        let twice = recover_and_compact(wal.file().file());
-        let bytes_twice = wal.file().file().read_all();
-
-        prop_assert_eq!(&once.map, &twice.map, "map must be stable across recoveries");
-        prop_assert_eq!(&bytes_once, &bytes_twice, "compacted log must be a fixpoint");
-        prop_assert_eq!(
-            bytes_twice,
-            wal.file().file().durable_snapshot(),
-            "compaction must leave the log fully durable"
-        );
-        prop_assert_eq!(twice.skipped_lines, 0, "a compacted log has no garbage");
-        // And the compacted log replays to the same map a third time.
-        prop_assert_eq!(&recover(wal.file().file()).map, &once.map);
     }
 }

@@ -145,6 +145,7 @@ pub fn expected_class(c: Canary) -> HazardClass {
         | Canary::XcallSkipUndo
         | Canary::XcallDoubleCompensate
         | Canary::WalSkipFsync
+        | Canary::WalCommitBeforeFsync
         | Canary::SchedOutOfTurn => HazardClass::SharedData,
         Canary::StmNotifyReorder => HazardClass::LostWakeup,
         Canary::LockDropRelease | Canary::LockSkipLockdep | Canary::LockReacquireInRevoke => {
@@ -347,19 +348,19 @@ fn chaos_probe(
     }
 }
 
-/// Run the crash-recovery checker over the *fixed* WAL protocol with the
-/// canary armed. The fixed protocol is clean at every crash point by
-/// construction, so any flagged point is the canary's doing — a
-/// pretend-success fsync turns "records durable before the marker" into
-/// a lie the seeded crash images expose.
+/// Run the KV store's crash-recovery sweep (`tm` mode, no fault
+/// backdrop) with the canary armed. The store is clean at every crash
+/// point by construction, so any flagged point is the canary's doing — a
+/// pretend-success or missing fsync turns "records durable before the
+/// marker" into a lie the seeded crash images expose.
 fn crash_probe(c: Canary, seed: u64) -> LayerProbe {
+    use txfix_kvstore::{KvStore, Mode};
     use txfix_wal::checker::{run_crash_sweep, CrashConfig, Schedule};
-    use txfix_wal::{DurableKv, WalVariant};
     let _armed = canary::scoped(c, seed, Trigger::EveryNth(1));
-    let report = run_crash_sweep::<DurableKv>(&CrashConfig {
+    let report = run_crash_sweep::<KvStore>(&CrashConfig {
         seed,
         images_per_point: 2,
-        cells: vec![WalVariant::Fixed],
+        cells: vec![Mode::Tm],
         schedules: vec![Schedule::Clean],
     });
     let mut flagged = Vec::new();
@@ -382,13 +383,13 @@ fn crash_probe(c: Canary, seed: u64) -> LayerProbe {
             layer: "crash",
             probed: true,
             caught: true,
-            evidence: format!("fixed WAL flagged at {}: {violation}", flagged.join(", ")),
+            evidence: format!("kv store flagged at {}: {violation}", flagged.join(", ")),
         },
         None => LayerProbe {
             layer: "crash",
             probed: true,
             caught: false,
-            evidence: "the fixed WAL recovered cleanly at every crash point — the mutated \
+            evidence: "the kv store recovered cleanly at every crash point — the mutated \
                        fsync path left nothing for a crash to lose"
                 .to_string(),
         },
@@ -558,14 +559,19 @@ pub fn run_canary(c: Canary, seed: u64) -> CanaryOutcome {
             not_probed("chaos", "only scheduled runs have a turnstile to breach"),
             crash_blind(),
         ],
-        Canary::WalSkipFsync => vec![
+        Canary::WalSkipFsync | Canary::WalCommitBeforeFsync => vec![
             not_probed("analyze", "deferred sync application is not a traced object"),
             lint_blind(),
             not_probed("explore", "no scheduled scenario drives the WAL durability path"),
             not_probed(
                 "chaos",
-                "a pretend-success fsync is invisible to any pre-crash observation: reads, \
-                 value oracles and compensation audits all see the intact page cache",
+                if c == Canary::WalSkipFsync {
+                    "a pretend-success fsync is invisible to any pre-crash observation: reads, \
+                     value oracles and compensation audits all see the intact page cache"
+                } else {
+                    "a missing record sync is invisible to any pre-crash observation: the \
+                     final sync makes the whole batch durable before anyone can look"
+                },
             ),
             crash_probe(c, seed),
         ],

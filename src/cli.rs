@@ -19,8 +19,7 @@ use crate::kvstore::{KvStore, Mode};
 use crate::recipes::json::{Json, ToJson};
 use crate::recipes::sweep::{self, Flag, SweepArgs, SweepOutput, SweepRunner, Universe};
 use crate::recipes::{report, CorpusSummary};
-use crate::wal::checker::{run_crash_sweep, CrashConfig, CrashSubject, DEFAULT_SEED};
-use crate::wal::{DurableKv, WalVariant};
+use crate::wal::checker::{run_crash_sweep, CrashConfig, DEFAULT_SEED};
 
 /// How a verb runs.
 pub enum Verb {
@@ -133,56 +132,34 @@ pub fn run(args: &[String]) -> ExitCode {
     })
 }
 
-/// `txfix crash`: the crash-point sweep over one subject — the WAL
-/// protocol variants (`CRASH_stm.json`) or, alone, `kvstore`
-/// (`CRASH_kv.json`).
+/// `txfix crash`: the crash-point sweep of the KV store (`CRASH_kv.json`).
 pub struct CrashSweep {
     images: u64,
-    artifact: &'static str,
 }
 
 impl Default for CrashSweep {
     fn default() -> CrashSweep {
-        CrashSweep { images: 2, artifact: "CRASH_stm.json" }
-    }
-}
-
-impl CrashSweep {
-    fn sweep<S: CrashSubject>(&self, cells: Vec<S::Cell>, args: &SweepArgs) -> SweepOutput {
-        let seed = args.seed.unwrap_or(DEFAULT_SEED);
-        let cfg = CrashConfig { images_per_point: self.images, ..CrashConfig::full(seed, cells) };
-        let report = run_crash_sweep::<S>(&cfg);
-        SweepOutput {
-            rendered: report.to_json(),
-            table: report.table(),
-            ok: report.ok,
-            failure: "crash sweep: recovery invariants not met at some crash point",
-        }
+        CrashSweep { images: 2 }
     }
 }
 
 impl SweepRunner for CrashSweep {
     fn usage(&self) -> &'static str {
-        "\x20 crash [<variant>|kvstore|--all] [--seed S] [--images N]\n\
-         \x20                              sweep every crash point of the WAL workload:\n\
-         \x20                              freeze the durable world at the point, take a\n\
-         \x20                              seeded crash image, recover, and assert\n\
-         \x20                              atomicity / durability / no-resurrection; the\n\
-         \x20                              fixed protocol must be clean everywhere and the\n\
-         \x20                              planted commit-before-fsync bug must be flagged;\n\
-         \x20                              writes CRASH_stm.json; bit-for-bit reproducible\n\
-         \x20                              per seed"
+        "\x20 crash [kvstore|--all] [--seed S] [--images N]\n\
+         \x20                              sweep every crash point of the KV store workload\n\
+         \x20                              in every mode: freeze the durable world at the\n\
+         \x20                              point, take a seeded crash image, recover, and\n\
+         \x20                              assert atomicity / durability / no-resurrection\n\
+         \x20                              at every one; writes CRASH_kv.json; bit-for-bit\n\
+         \x20                              reproducible per seed"
     }
 
     fn artifact(&self) -> Option<&'static str> {
-        Some(self.artifact)
+        Some("CRASH_kv.json")
     }
 
     fn universe(&self) -> Option<Universe> {
-        Some(Universe::new(
-            "crash subject",
-            WalVariant::ALL.map(WalVariant::name).into_iter().chain(["kvstore"]),
-        ))
+        Some(Universe::new("crash subject", ["kvstore"]))
     }
 
     fn flag(&mut self, flag: &str, value: Option<&str>) -> Result<Flag, String> {
@@ -194,17 +171,16 @@ impl SweepRunner for CrashSweep {
     }
 
     fn execute(&mut self, args: &SweepArgs) -> Result<SweepOutput, String> {
-        // `--all` stays WAL-only so CRASH_stm.json keeps its meaning;
-        // `kvstore` is its own subject with its own artifact.
-        if args.all || !args.keys.iter().any(|k| k == "kvstore") {
-            let variants = args.pick(&WalVariant::ALL, WalVariant::name);
-            return Ok(self.sweep::<DurableKv>(variants, args));
-        }
-        if args.keys.len() > 1 {
-            return Err("`kvstore` is its own crash subject; don't mix it with WAL variants".into());
-        }
-        self.artifact = "CRASH_kv.json";
-        Ok(self.sweep::<KvStore>(Mode::ALL.to_vec(), args))
+        let seed = args.seed.unwrap_or(DEFAULT_SEED);
+        let cells = Mode::ALL.to_vec();
+        let cfg = CrashConfig { images_per_point: self.images, ..CrashConfig::full(seed, cells) };
+        let report = run_crash_sweep::<KvStore>(&cfg);
+        Ok(SweepOutput {
+            rendered: report.to_json(),
+            table: report.table(),
+            ok: report.ok,
+            failure: "crash sweep: recovery invariants not met at some crash point",
+        })
     }
 }
 
@@ -282,22 +258,15 @@ impl SweepRunner for ListSweep {
             let covered: [bool; 7] = std::array::from_fn(|l| universes[l].contains(&key));
             (key, Variant::ALL.map(Variant::name).to_vec(), covered)
         });
-        // The two durability subjects are not corpus scenarios, and what
-        // covers them beyond `crash` no universe expresses: the WAL-backed
-        // KV map is crash-only; the sharded store gets chaos from its
-        // seeded fault-plan backdrop tests and stress from `txfix kv`.
-        let subjects = [
-            (
-                "wal_durable_kv",
-                WalVariant::ALL.map(WalVariant::name).to_vec(),
-                [false, false, false, false, false, false, true],
-            ),
-            (
-                "kvstore",
-                Mode::ALL.map(Mode::name).to_vec(),
-                [false, false, false, true, true, false, true],
-            ),
-        ];
+        // The durability subject is not a corpus scenario, and what covers
+        // it beyond `crash` no universe expresses: the sharded store gets
+        // chaos from its seeded fault-plan backdrop tests and stress from
+        // `txfix kv`.
+        let subjects = [(
+            "kvstore",
+            Mode::ALL.map(Mode::name).to_vec(),
+            [false, false, false, true, true, false, true],
+        )];
 
         type Entry = (&'static str, Vec<&'static str>, [bool; 7]);
         let entry = |(key, variants, covered): &Entry| {

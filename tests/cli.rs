@@ -157,12 +157,12 @@ fn crash_sweep_is_deterministic_and_writes_the_report() {
     assert_eq!(first, second, "fixed seed must reproduce bit-for-bit");
     let doc = txfix::recipes::json::Json::parse(first.trim()).expect("valid JSON");
     let obj = doc.object("crash report").expect("object");
-    assert_eq!(obj["schema"].string("schema").unwrap(), "txfix-crash-v1");
+    assert_eq!(obj["schema"].string("schema").unwrap(), "txfix-crash-kv-v1");
     assert!(obj["ok"].bool("ok").unwrap());
-    let variants = obj["variants"].array("variants").expect("variants array");
-    assert_eq!(variants.len(), 2, "both WAL protocol variants swept");
-    let on_disk = std::fs::read_to_string(dir.join("CRASH_stm.json")).expect("report written");
-    assert_eq!(on_disk.trim(), first.trim(), "stdout and CRASH_stm.json agree");
+    let modes = obj["modes"].array("modes").expect("modes array");
+    assert_eq!(modes.len(), 3, "every store mode swept");
+    let on_disk = std::fs::read_to_string(dir.join("CRASH_kv.json")).expect("report written");
+    assert_eq!(on_disk.trim(), first.trim(), "stdout and CRASH_kv.json agree");
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -87,7 +87,7 @@ fn help_lists_exactly_the_rows_in_order() {
 fn list_cells_equal_what_each_layer_accepts() {
     let out = ListSweep.execute(&SweepArgs::default()).expect("list runs");
     let lines: Vec<&str> = out.table.lines().collect();
-    assert_eq!(lines.len(), 1 + 18 + 2, "header, scenarios, subjects");
+    assert_eq!(lines.len(), 1 + 18 + 1, "header, scenarios, subject");
     let header: Vec<&str> = lines[0].split_whitespace().collect();
     assert_eq!(header[..2], ["scenario", "variants"]);
     assert_eq!(header[2..], LIST_LAYERS);
@@ -98,7 +98,7 @@ fn list_cells_equal_what_each_layer_accepts() {
     let subjects = doc["subjects"].array("subjects").unwrap();
     let key_of = |entry: &Json| entry.object("entry").unwrap()["key"].string("key").unwrap();
     assert_eq!(scenarios.iter().map(key_of).collect::<Vec<_>>(), keys::ALL);
-    assert_eq!(subjects.iter().map(key_of).collect::<Vec<_>>(), ["wal_durable_kv", "kvstore"]);
+    assert_eq!(subjects.iter().map(key_of).collect::<Vec<_>>(), ["kvstore"]);
 
     let mut runners = runners();
     for (entry, line) in scenarios.iter().chain(subjects).zip(&lines[1..]) {
@@ -111,7 +111,7 @@ fn list_cells_equal_what_each_layer_accepts() {
             let covered = layers[*layer].bool(layer).unwrap();
             assert_eq!(cell, if covered { "yes" } else { "-" }, "{key}/{layer}: table vs JSON");
             if !keys::ALL.contains(&key.as_str()) {
-                continue; // the literal subject rows
+                continue; // the literal subject row
             }
             let (_, runner) =
                 runners.iter_mut().find(|(name, _)| name == layer).expect("a layer is a verb");
