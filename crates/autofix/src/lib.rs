@@ -7,64 +7,36 @@
 //! (`txfix-explore`). This crate closes the loop — from a buggy
 //! scenario summary to a *verified* TM patch with no human in between:
 //!
-//! 1. **Infer** ([`infer`]): seed one atomic region per static finding,
-//!    grow and merge the regions Joshi–Lal / RaceFixer-style until the
-//!    checkers are silent, and lower the plan through the Recipe 1–4
-//!    span machinery in `txfix-static` (see [`Region`]).
+//! 1. **Infer** ([`txfix_static::infer`]): seed one atomic region per
+//!    static finding, grow and merge the regions Joshi–Lal /
+//!    RaceFixer-style until the checkers are silent, and lower the plan
+//!    through the Recipe 1–4 span machinery (see [`Region`]). The
+//!    corpus's `tm` summaries are this step's output, not hand-written
+//!    models.
 //! 2. **Verify statically**: the patched summary must have zero
 //!    residual and zero introduced findings — the same bar `txfix lint`
-//!    holds hand-written fixes to.
+//!    holds every fix to.
 //! 3. **Verify dynamically** ([`interp`]): execute both the buggy input
 //!    and the synthesized patch under the deterministic scheduler's DFS
 //!    (VeriFix's criterion): the bug should reproduce on the input, and
 //!    no explored schedule of the patch may fail.
-//! 4. **Compare** ([`widening`]): diff the inferred regions' data
-//!    footprint against the hand-written TM variant's, reporting every
-//!    path where inference produced a wider (or different) region.
 //!
 //! `txfix autofix [<key>] [--all]` runs the loop over the corpus and
-//! emits the deterministic `txfix-autofix-v1` report
+//! emits the deterministic `txfix-autofix-v2` report
 //! (`AUTOFIX_stm.json`, byte-compared across runs in CI).
 
-pub mod infer;
 pub mod interp;
 pub mod report;
 
-use std::collections::BTreeSet;
-
-use report::{AutofixEntry, AutofixReport, VerifyStats, Widening};
+use report::{AutofixEntry, AutofixReport, VerifyStats};
 use txfix_core::json::ToJson;
 use txfix_core::sweep::{Flag, SweepArgs, SweepOutput, SweepRunner, Universe};
 use txfix_corpus::{keys, Scenario, Variant, SCENARIOS};
 use txfix_explore::runner::RunResult;
 use txfix_explore::{explore_build, ExploreConfig};
-use txfix_static::{check, footprint, Region, ScenarioSummary};
+use txfix_static::{check, infer, Region, ScenarioSummary};
 
-pub use infer::{apply_all, infer, Inference};
 pub use interp::build_run;
-
-/// Diff the atomic-region data footprints of the inferred patch and the
-/// hand-written TM variant, per path name. An empty result means the
-/// inferred regions cover exactly the hand-written locations; entries
-/// record both sides so a widening (inferred ⊃ hand) is distinguishable
-/// from a divergence.
-pub fn widening(inferred: &ScenarioSummary, hand: &ScenarioSummary) -> Vec<Widening> {
-    let fi = footprint(inferred);
-    let fh = footprint(hand);
-    let names: BTreeSet<&String> = fi.keys().chain(fh.keys()).collect();
-    names
-        .into_iter()
-        .filter_map(|name| {
-            let a = fi.get(name).cloned().unwrap_or_default();
-            let b = fh.get(name).cloned().unwrap_or_default();
-            (a != b).then(|| Widening {
-                path: name.clone(),
-                inferred: a.into_iter().collect(),
-                hand: b.into_iter().collect(),
-            })
-        })
-        .collect()
-}
 
 /// Explore every schedule of `summary` (through [`build_run`]) and
 /// summarize the outcome.
@@ -98,13 +70,12 @@ fn without_thread_tokens(message: &str) -> String {
     out + rest
 }
 
-/// Run the full infer → verify → compare loop for one corpus row.
+/// Run the full infer → verify loop for one corpus row.
 /// Inference failures produce an entry with `error` set (and `ok() ==
 /// false`), so a sweep reports them instead of stopping.
 pub fn autofix_scenario(row: &Scenario, cfg: &ExploreConfig) -> AutofixEntry {
     let key = row.key;
-    let buggy = (row.summary)(Variant::Buggy);
-    let hand = (row.summary)(Variant::TmFix);
+    let buggy = row.summary(Variant::Buggy);
     let inference = match infer(&buggy) {
         Ok(inf) => inf,
         Err(e) => {
@@ -117,7 +88,6 @@ pub fn autofix_scenario(row: &Scenario, cfg: &ExploreConfig) -> AutofixEntry {
                 static_clean: false,
                 buggy: VerifyStats::default(),
                 patched: VerifyStats::default(),
-                widenings: Vec::new(),
             }
         }
     };
@@ -131,7 +101,6 @@ pub fn autofix_scenario(row: &Scenario, cfg: &ExploreConfig) -> AutofixEntry {
         static_clean,
         buggy: verify_dynamic(&buggy, cfg),
         patched: verify_dynamic(&inference.patched, cfg),
-        widenings: widening(&inference.patched, &hand),
         regions: inference.regions,
     }
 }
@@ -160,8 +129,7 @@ impl SweepRunner for AutofixSweep {
         "\x20 autofix [<key>|--all] [--strategy dfs|pct] [--budget N] [--seed S]\n\
          \x20                              infer atomic-region fixes from static findings,\n\
          \x20                              synthesize the TM patch, and verify it both\n\
-         \x20                              statically and by schedule exploration; reports\n\
-         \x20                              widenings vs the hand-written TM variant; writes\n\
+         \x20                              statically and by schedule exploration; writes\n\
          \x20                              AUTOFIX_stm.json; exits nonzero on any\n\
          \x20                              unverified fix"
     }

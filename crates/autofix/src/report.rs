@@ -1,4 +1,4 @@
-//! The `txfix-autofix-v1` report format.
+//! The `txfix-autofix-v2` report format.
 //!
 //! Like `txfix-explore-v1`, the report deliberately excludes wall-clock
 //! time and anything else non-deterministic: CI runs `txfix autofix
@@ -10,7 +10,7 @@ use txfix_core::json::{Json, ToJson};
 use txfix_static::Region;
 
 /// Format identifier.
-pub const FORMAT: &str = "txfix-autofix-v1";
+pub const FORMAT: &str = "txfix-autofix-v2";
 
 /// One exploration of a summary (buggy input or synthesized patch)
 /// through the schedule explorer.
@@ -26,18 +26,6 @@ pub struct VerifyStats {
     pub exhausted: bool,
     /// The first failing schedule's bug message, if any.
     pub failure: Option<String>,
-}
-
-/// A per-path footprint difference between the inferred patch and the
-/// hand-written TM variant.
-#[derive(Clone, Debug)]
-pub struct Widening {
-    /// Path name (stable across variants).
-    pub path: String,
-    /// Locations inside atomic regions in the inferred patch.
-    pub inferred: Vec<String>,
-    /// Locations inside atomic regions in the hand-written TM variant.
-    pub hand: Vec<String>,
 }
 
 /// One scenario's inference + verification result.
@@ -59,9 +47,6 @@ pub struct AutofixEntry {
     pub buggy: VerifyStats,
     /// Exploration of the patched summary (nothing should fail).
     pub patched: VerifyStats,
-    /// Footprint differences against the hand-written TM variant; empty
-    /// when the inferred regions match the hand-written ones exactly.
-    pub widenings: Vec<Widening>,
 }
 
 impl AutofixEntry {
@@ -95,7 +80,7 @@ impl AutofixReport {
     }
 
     /// Human-readable table: one verdict row per scenario, then its
-    /// inferred regions and any widenings against the hand-written fix.
+    /// inferred regions.
     pub fn table(&self) -> String {
         let mut table =
             format!("{:22} {:>6} {:>7} {:>8}  verdict", "scenario", "rounds", "static", "patched");
@@ -125,16 +110,6 @@ impl AutofixReport {
             for (region, recipe) in e.regions.iter().zip(&e.recipes) {
                 let _ = write!(table, "\n{:24}fix: {region}  [{recipe}]", "");
             }
-            for w in &e.widenings {
-                let _ = write!(
-                    table,
-                    "\n{:24}widened {}: inferred {{{}}} vs hand {{{}}}",
-                    "",
-                    w.path,
-                    w.inferred.join(", "),
-                    w.hand.join(", ")
-                );
-            }
         }
         table
     }
@@ -158,16 +133,6 @@ impl ToJson for VerifyStats {
     }
 }
 
-impl ToJson for Widening {
-    fn to_json_value(&self) -> Json {
-        Json::obj([
-            ("path", Json::str(&self.path)),
-            ("inferred", Json::strings(&self.inferred)),
-            ("hand", Json::strings(&self.hand)),
-        ])
-    }
-}
-
 impl ToJson for AutofixEntry {
     fn to_json_value(&self) -> Json {
         Json::obj([
@@ -185,7 +150,6 @@ impl ToJson for AutofixEntry {
             ("static_clean", Json::Bool(self.static_clean)),
             ("buggy", self.buggy.to_json_value()),
             ("patched", self.patched.to_json_value()),
-            ("widenings", Json::list(self.widenings.iter().map(|w| w.to_json_value()))),
             ("ok", Json::Bool(self.ok())),
         ])
     }

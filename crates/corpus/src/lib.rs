@@ -14,11 +14,13 @@
 //!   the **buggy** variant (deadlock detected / invariant violated), the
 //!   **developers' fix** and the **TM fix** built from the corresponding
 //!   recipe; `scheduled`, the same bug as plain thread bodies for the
-//!   schedule explorer (10 of 18); and `summary`, its static model.
-//! - [`summaries`]: the `summary` column — declarative critical-section
-//!   summaries of every scenario variant for the static analyzer (`txfix
-//!   lint`), with buggy-variant names matching what the trace recorder
-//!   emits.
+//!   schedule explorer (10 of 18); and its static model
+//!   ([`Scenario::summary`]).
+//! - [`summaries`]: the hand-written static models — declarative
+//!   critical-section summaries of each buggy and developer-fix variant
+//!   for the static analyzer (`txfix lint`), with buggy-variant names
+//!   matching what the trace recorder emits. The TM variant's summary is
+//!   derived from the buggy one by fix inference.
 //!
 //! Everything that enumerates the corpus reads the table: [`keys::ALL`]
 //! is its key column, [`scenario_by_key`] its one lookup, and the

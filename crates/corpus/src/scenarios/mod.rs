@@ -17,8 +17,11 @@
 //! - `scheduled` — the **explorer form** ([`scheduled`]), for the ten bugs
 //!   that have one: plain thread bodies the deterministic scheduler can
 //!   drive through every interleaving (`txfix explore`).
-//! - `summary` — the **static model** ([`crate::summaries`]): the
-//!   variant's critical-section summary for `txfix lint` / `autofix`.
+//! - `model` — the **static model**, read through [`Scenario::summary`]:
+//!   the variant's critical-section summary for `txfix lint` /
+//!   `autofix`. Only the buggy and developer models are written by hand
+//!   ([`crate::summaries`]); the TM model is the fix inference derives
+//!   from the buggy one.
 //!
 //! Every consumer — `scenario`, `analyze`, `lint`, `explore`, `autofix`,
 //! `list`, the canary probes — reads rows; `keys::ALL` is the table's key
@@ -32,12 +35,12 @@ pub mod scheduled;
 pub use scheduled::ScheduledRun;
 
 use crate::dataset::keys;
-use crate::summaries;
+use crate::summaries::{self, Written};
 use std::fmt;
 use std::fmt::Write as _;
 use std::sync::Barrier;
 use txfix_core::sweep::{Flag, SweepArgs, SweepOutput, SweepRunner, Universe};
-use txfix_static::ScenarioSummary;
+use txfix_static::{infer, ScenarioSummary};
 
 /// Which implementation of the scenario to run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -116,8 +119,32 @@ pub struct Scenario {
     /// The explorer form — a fresh run of the given variant for the
     /// deterministic scheduler — where the bug has one.
     pub scheduled: Option<fn(Variant) -> ScheduledRun>,
+    /// The hand-written static models; read through
+    /// [`Scenario::summary`].
+    model: fn(Written) -> ScenarioSummary,
+}
+
+impl Scenario {
     /// The static model: the given variant's critical-section summary.
-    pub summary: fn(Variant) -> ScenarioSummary,
+    /// The buggy and developer models are written by hand
+    /// ([`crate::summaries`]); the TM model is derived, as the fix
+    /// [`infer`] finds for the buggy one.
+    ///
+    /// # Panics
+    ///
+    /// If inference fails on the buggy model; the corpus tests pin that
+    /// it succeeds on every row.
+    pub fn summary(&self, v: Variant) -> ScenarioSummary {
+        match v {
+            Variant::Buggy => (self.model)(Written::Buggy),
+            Variant::DevFix => (self.model)(Written::DevFix),
+            Variant::TmFix => {
+                let inferred = infer(&self.summary(Variant::Buggy))
+                    .unwrap_or_else(|e| panic!("no TM model for {}: {e}", self.key));
+                ScenarioSummary { variant: v.name().to_string(), ..inferred.patched }
+            }
+        }
+    }
 }
 
 /// All 18 scenarios, in corpus order (deadlocks first).
@@ -128,7 +155,7 @@ pub const SCENARIOS: [Scenario; 18] = [
                    scope's blocked owner; Recipe 1 deletes the ownership protocol entirely",
         run: deadlock::mozilla_i,
         scheduled: Some(scheduled::mozilla_i),
-        summary: summaries::mozilla_i,
+        model: summaries::mozilla_i,
     },
     Scenario {
         key: keys::DL_CACHE_ATOMTABLE,
@@ -136,14 +163,14 @@ pub const SCENARIOS: [Scenario; 18] = [
                    Recipe 1 replaces both with atomic regions",
         run: deadlock::dl_cache_atomtable,
         scheduled: None,
-        summary: summaries::dl_cache_atomtable,
+        model: summaries::dl_cache_atomtable,
     },
     Scenario {
         key: keys::DL_THREE_LOCK_CYCLE,
         describe: "three threads each take lock i then lock (i+1)%3, forming a three-party cycle",
         run: deadlock::dl_three_lock_cycle,
         scheduled: None,
-        summary: summaries::dl_three_lock_cycle,
+        model: summaries::dl_three_lock_cycle,
     },
     Scenario {
         key: keys::DL_INTENTIONAL_RACE,
@@ -151,7 +178,7 @@ pub const SCENARIOS: [Scenario; 18] = [
                    a data race; the TM fix gets atomicity AND deadlock-freedom",
         run: deadlock::dl_intentional_race,
         scheduled: None,
-        summary: summaries::dl_intentional_race,
+        model: summaries::dl_intentional_race,
     },
     Scenario {
         key: keys::APACHE_I,
@@ -159,7 +186,7 @@ pub const SCENARIOS: [Scenario; 18] = [
                    need; Recipe 3 makes the mutex revocable and replaces the wait with retry",
         run: deadlock::apache_i,
         scheduled: None,
-        summary: summaries::apache_i,
+        model: summaries::apache_i,
     },
     Scenario {
         key: keys::DL_LOCAL_LOCK_ORDER,
@@ -167,7 +194,7 @@ pub const SCENARIOS: [Scenario; 18] = [
                    swap is as easy as TM — the case where the paper favors the lock fix",
         run: deadlock::dl_local_lock_order,
         scheduled: Some(scheduled::dl_local_lock_order),
-        summary: summaries::dl_local_lock_order,
+        model: summaries::dl_local_lock_order,
     },
     Scenario {
         key: keys::DL_MYSQL_TABLE_PAIR,
@@ -175,7 +202,7 @@ pub const SCENARIOS: [Scenario; 18] = [
                    order; the TM fix keeps the table locks but acquires them preemptibly",
         run: deadlock::dl_mysql_table_pair,
         scheduled: None,
-        summary: summaries::dl_mysql_table_pair,
+        model: summaries::dl_mysql_table_pair,
     },
     Scenario {
         key: keys::AV_WRONG_LOCK,
@@ -183,7 +210,7 @@ pub const SCENARIOS: [Scenario; 18] = [
                    the correctly locked path; Recipe 4 wraps only the mis-locked region",
         run: atomicity::av_wrong_lock,
         scheduled: None,
-        summary: summaries::av_wrong_lock,
+        model: summaries::av_wrong_lock,
     },
     Scenario {
         key: keys::AV_REFCOUNT_RACE,
@@ -191,14 +218,14 @@ pub const SCENARIOS: [Scenario; 18] = [
                    the object; Recipe 2 wraps the check-and-decrement in one atomic block",
         run: atomicity::av_refcount_race,
         scheduled: Some(scheduled::av_refcount_race),
-        summary: summaries::av_refcount_race,
+        model: summaries::av_refcount_race,
     },
     Scenario {
         key: keys::AV_LAZY_INIT,
         describe: "check-then-initialize without atomicity constructs the singleton twice",
         run: atomicity::av_lazy_init,
         scheduled: Some(scheduled::av_lazy_init),
-        summary: summaries::av_lazy_init,
+        model: summaries::av_lazy_init,
     },
     Scenario {
         key: keys::AV_CV_PARTIAL,
@@ -206,14 +233,14 @@ pub const SCENARIOS: [Scenario; 18] = [
                    signal can fire before the state it announces exists (lost wakeup)",
         run: atomicity::av_cv_partial,
         scheduled: Some(scheduled::av_cv_partial),
-        summary: summaries::av_cv_partial,
+        model: summaries::av_cv_partial,
     },
     Scenario {
         key: keys::AV_SCOREBOARD,
         describe: "two workers scan the scoreboard, find the same free slot and both claim it",
         run: atomicity::av_scoreboard,
         scheduled: None,
-        summary: summaries::av_scoreboard,
+        model: summaries::av_scoreboard,
     },
     Scenario {
         key: keys::APACHE_II,
@@ -221,7 +248,7 @@ pub const SCENARIOS: [Scenario; 18] = [
                    log; Recipe 2 wraps the function body with the flush as a deferred x-call",
         run: atomicity::apache_ii,
         scheduled: Some(scheduled::apache_ii),
-        summary: summaries::apache_ii,
+        model: summaries::apache_ii,
     },
     Scenario {
         key: keys::AV_PAIR_INVARIANT,
@@ -229,7 +256,7 @@ pub const SCENARIOS: [Scenario; 18] = [
                    stores sees them disagree",
         run: atomicity::av_pair_invariant,
         scheduled: None,
-        summary: summaries::av_pair_invariant,
+        model: summaries::av_pair_invariant,
     },
     Scenario {
         key: keys::AV_LOG_SEQUENCE,
@@ -237,14 +264,14 @@ pub const SCENARIOS: [Scenario; 18] = [
                    two writers emit the same sequence number",
         run: atomicity::av_log_sequence,
         scheduled: Some(scheduled::av_log_sequence),
-        summary: summaries::av_log_sequence,
+        model: summaries::av_log_sequence,
     },
     Scenario {
         key: keys::AV_STATS_RACE,
         describe: "handler statistics are bumped with read-modify-write sequences that interleave",
         run: atomicity::av_stats_race,
         scheduled: Some(scheduled::av_stats_race),
-        summary: summaries::av_stats_race,
+        model: summaries::av_stats_race,
     },
     Scenario {
         key: keys::MYSQL_I,
@@ -253,7 +280,7 @@ pub const SCENARIOS: [Scenario; 18] = [
                    atomic section",
         run: atomicity::mysql_i,
         scheduled: Some(scheduled::mysql_i),
-        summary: summaries::mysql_i,
+        model: summaries::mysql_i,
     },
     Scenario {
         key: keys::AV_ADHOC_RETRY,
@@ -261,7 +288,7 @@ pub const SCENARIOS: [Scenario; 18] = [
                    and loses updates; a memory transaction replaces the whole machinery",
         run: atomicity::av_adhoc_retry,
         scheduled: Some(scheduled::av_adhoc_retry),
-        summary: summaries::av_adhoc_retry,
+        model: summaries::av_adhoc_retry,
     },
 ];
 
@@ -368,12 +395,41 @@ mod tests {
         for row in SCENARIOS {
             assert!(!row.describe.is_empty(), "{}", row.key);
             for v in Variant::ALL {
-                let s = (row.summary)(v);
+                let s = row.summary(v);
                 s.validate().unwrap_or_else(|e| panic!("{} ({v:?}): {e}", row.key));
                 assert_eq!(s.key, row.key);
                 assert_eq!(s.variant, v.name());
                 assert!(s.paths.len() >= 2, "{} ({v:?}) models fewer than two paths", row.key);
             }
+        }
+    }
+
+    /// A derived TM model is the buggy model with synchronization
+    /// rewritten and nothing else: the same paths, each making the same
+    /// data accesses in the same order. It is a fixpoint of the pipeline
+    /// that derived it: lint-clean, and nothing left to infer.
+    #[test]
+    fn derived_tm_models_keep_the_buggy_accesses_and_are_fixpoints() {
+        let accesses = |s: &ScenarioSummary| -> Vec<(String, Vec<txfix_static::Op>)> {
+            let data = |p: &txfix_static::PathSummary| {
+                p.ops.iter().filter(|op| op.loc().is_some()).cloned().collect()
+            };
+            s.paths.iter().map(|p| (p.name.clone(), data(p))).collect()
+        };
+        for row in SCENARIOS {
+            let (buggy, tm) = (row.summary(Variant::Buggy), row.summary(Variant::TmFix));
+            assert_eq!(accesses(&tm), accesses(&buggy), "{}: the fix moved a data access", row.key);
+            assert_eq!(tm.groups, buggy.groups, "{}", row.key);
+            let lint = txfix_static::lint_summary(&tm, None)
+                .unwrap_or_else(|e| panic!("{}: derived TM model invalid: {e}", row.key));
+            assert!(!lint.has_findings(), "{}: derived TM model is not lint-clean", row.key);
+            let again = infer(&tm).expect("a clean summary infers trivially");
+            assert!(
+                again.regions.is_empty(),
+                "{}: re-inference planned {:?}",
+                row.key,
+                again.regions
+            );
         }
     }
 }

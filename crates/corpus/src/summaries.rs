@@ -1,22 +1,24 @@
-//! The `summary` column: critical-section summaries for the 18
+//! The hand-written half of the static model: critical-section
+//! summaries of the buggy code and the developers' fix for the 18
 //! executable scenarios.
 //!
-//! Each function here is one row's static model
-//! ([`Scenario::summary`](crate::Scenario::summary)): given a variant it
-//! builds that variant's [`ScenarioSummary`] — a declarative model of its
-//! lock acquisition order, atomic regions, shared-location accesses and
-//! condition-variable traffic — for the static passes in `txfix-static`
-//! (`txfix lint`) and fix inference (`txfix autofix`). The buggy-variant
-//! models use the **same lock and location names the trace recorder
-//! emits**, so static findings can be matched subject-by-subject against
-//! the dynamic analyzer's reports; scenarios the recorder does not
-//! instrument (the §5.4 application miniatures and the condition-variable
-//! scenario) use free names in the same style.
+//! Each function here is one row's static model: given a `Written`
+//! variant it builds that variant's [`ScenarioSummary`] — a declarative
+//! model of its lock acquisition order, atomic regions, shared-location
+//! accesses and condition-variable traffic — for the static passes in
+//! `txfix-static` (`txfix lint`) and fix inference (`txfix autofix`). The
+//! TM model is not written here: [`Scenario::summary`](crate::Scenario::summary)
+//! derives it as the fix `txfix_static::infer` finds for the buggy model.
+//! The buggy models use the **same lock and location names the trace
+//! recorder emits**, so static findings can be matched subject-by-subject
+//! against the dynamic analyzer's reports; scenarios the recorder does
+//! not instrument (the §5.4 application miniatures and the
+//! condition-variable scenario) use free names in the same style.
 //!
 //! The models are deliberately minimal: they keep exactly the structure
 //! the bug needs (the nesting that closes a cycle, the dropped lockset,
-//! the early notify) and the structure the fixes restore, and nothing
-//! else. A model is *not* a trace — the passes consider every
+//! the early notify) and the structure the developers' fix restores, and
+//! nothing else. A model is *not* a trace — the passes consider every
 //! interleaving of the modeled paths.
 
 use crate::dataset::{bug_by_scenario, keys};
@@ -24,6 +26,22 @@ use crate::scenarios::{Variant, SCENARIOS};
 use txfix_core::json::{Json, ToJson};
 use txfix_core::sweep::{Flag, SweepArgs, SweepOutput, SweepRunner, Universe};
 use txfix_static::{lint_summary, LintReport, Path, ScenarioSummary, Summary};
+
+/// The variants a model function writes out by hand.
+#[derive(Clone, Copy)]
+pub(crate) enum Written {
+    Buggy,
+    DevFix,
+}
+
+impl Written {
+    fn name(self) -> &'static str {
+        match self {
+            Written::Buggy => Variant::Buggy.name(),
+            Written::DevFix => Variant::DevFix.name(),
+        }
+    }
+}
 
 /// `txfix lint`: run the static passes over the selected scenarios'
 /// summaries and verify the synthesized fix recipes. Lives here rather
@@ -63,7 +81,7 @@ impl SweepRunner for LintSweep {
             let bug = bug_by_scenario(key);
             let analysis = bug.as_ref().map(txfix_core::analyze);
             for v in self.only.map_or(Variant::ALL.to_vec(), |v| vec![v]) {
-                let report = lint_summary(&(row.summary)(v), analysis.as_ref())
+                let report = lint_summary(&row.summary(v), analysis.as_ref())
                     .map_err(|e| format!("summary for {key} is malformed: {e}"))?;
                 tables.push(report.table(bug.as_ref().map(|b| b.id)));
                 reports.push(report);
@@ -80,10 +98,10 @@ impl SweepRunner for LintSweep {
 
 /// Mozilla-I (§5.4.1): `js_SetSlotThreadSafe` and `ClaimTitle` nest the
 /// title and scope locks in opposite orders.
-pub(crate) fn mozilla_i(v: Variant) -> ScenarioSummary {
+pub(crate) fn mozilla_i(v: Written) -> ScenarioSummary {
     let s = Summary::new(crate::keys::MOZILLA_I, v.name());
     match v {
-        Variant::Buggy => s
+        Written::Buggy => s
             .path(
                 Path::new("set_slot")
                     .acquire("moz1.title")
@@ -102,7 +120,7 @@ pub(crate) fn mozilla_i(v: Variant) -> ScenarioSummary {
             ),
         // The real fix is a release-and-retry dance; the model keeps its
         // essence — both paths end up nesting in one order.
-        Variant::DevFix => s
+        Written::DevFix => s
             .path(
                 Path::new("set_slot")
                     .acquire("moz1.title")
@@ -119,18 +137,15 @@ pub(crate) fn mozilla_i(v: Variant) -> ScenarioSummary {
                     .release("moz1.scope")
                     .release("moz1.title"),
             ),
-        Variant::TmFix => s
-            .path(Path::new("set_slot").atomic_begin().write("moz1.slot").atomic_end())
-            .path(Path::new("claim_title").atomic_begin().write("moz1.slot").atomic_end()),
     }
     .build()
 }
 
 /// Mozilla#54743: the cache and atom-table locks close an AB-BA cycle.
-pub(crate) fn dl_cache_atomtable(v: Variant) -> ScenarioSummary {
+pub(crate) fn dl_cache_atomtable(v: Written) -> ScenarioSummary {
     let s = Summary::new(crate::keys::DL_CACHE_ATOMTABLE, v.name());
     match v {
-        Variant::Buggy => s
+        Written::Buggy => s
             .path(
                 Path::new("cache_flush")
                     .acquire("m54743.cache")
@@ -149,7 +164,7 @@ pub(crate) fn dl_cache_atomtable(v: Variant) -> ScenarioSummary {
                     .release("m54743.cache")
                     .release("m54743.atomtable"),
             ),
-        Variant::DevFix => s
+        Written::DevFix => s
             .path(
                 Path::new("cache_flush")
                     .acquire("m54743.cache")
@@ -167,28 +182,13 @@ pub(crate) fn dl_cache_atomtable(v: Variant) -> ScenarioSummary {
                     .write("m54743.cache_data")
                     .release("m54743.atomtable")
                     .release("m54743.cache"),
-            ),
-        Variant::TmFix => s
-            .path(
-                Path::new("cache_flush")
-                    .atomic_begin()
-                    .write("m54743.cache_data")
-                    .write("m54743.atom_data")
-                    .atomic_end(),
-            )
-            .path(
-                Path::new("atom_sweep")
-                    .atomic_begin()
-                    .write("m54743.atom_data")
-                    .write("m54743.cache_data")
-                    .atomic_end(),
             ),
     }
     .build()
 }
 
 /// Mozilla#60303: three locks acquired in a rotating order.
-pub(crate) fn dl_three_lock_cycle(v: Variant) -> ScenarioSummary {
+pub(crate) fn dl_three_lock_cycle(v: Written) -> ScenarioSummary {
     let s = Summary::new(crate::keys::DL_THREE_LOCK_CYCLE, v.name());
     let nested = |name: &str, first: &str, d1: &str, second: &str, d2: &str| {
         Path::new(name)
@@ -200,21 +200,15 @@ pub(crate) fn dl_three_lock_cycle(v: Variant) -> ScenarioSummary {
             .release(first)
     };
     match v {
-        Variant::Buggy => s
+        Written::Buggy => s
             .path(nested("t0", "m60303.l0", "m60303.d0", "m60303.l1", "m60303.d1"))
             .path(nested("t1", "m60303.l1", "m60303.d1", "m60303.l2", "m60303.d2"))
             .path(nested("t2", "m60303.l2", "m60303.d2", "m60303.l0", "m60303.d0")),
         // The developers imposed a global l0 < l1 < l2 order.
-        Variant::DevFix => s
+        Written::DevFix => s
             .path(nested("t0", "m60303.l0", "m60303.d0", "m60303.l1", "m60303.d1"))
             .path(nested("t1", "m60303.l1", "m60303.d1", "m60303.l2", "m60303.d2"))
             .path(nested("t2", "m60303.l0", "m60303.d0", "m60303.l2", "m60303.d2")),
-        Variant::TmFix => s
-            .path(Path::new("t0").atomic_begin().write("m60303.d0").write("m60303.d1").atomic_end())
-            .path(Path::new("t1").atomic_begin().write("m60303.d1").write("m60303.d2").atomic_end())
-            .path(
-                Path::new("t2").atomic_begin().write("m60303.d2").write("m60303.d0").atomic_end(),
-            ),
     }
     .build()
 }
@@ -222,10 +216,10 @@ pub(crate) fn dl_three_lock_cycle(v: Variant) -> ScenarioSummary {
 /// Mozilla#123930: a state/observer lock inversion the developers fixed
 /// by *dropping* the nested acquisition — introducing a deliberate,
 /// benign race.
-pub(crate) fn dl_intentional_race(v: Variant) -> ScenarioSummary {
+pub(crate) fn dl_intentional_race(v: Written) -> ScenarioSummary {
     let s = Summary::new(crate::keys::DL_INTENTIONAL_RACE, v.name());
     match v {
-        Variant::Buggy => s
+        Written::Buggy => s
             .path(
                 Path::new("mutator")
                     .acquire("m123930.state")
@@ -248,7 +242,7 @@ pub(crate) fn dl_intentional_race(v: Variant) -> ScenarioSummary {
         // developers' race is benign precisely because it is a single
         // word-sized update, which is the granularity the model (and the
         // recorder) treats as indivisible.
-        Variant::DevFix => s
+        Written::DevFix => s
             .path(
                 Path::new("mutator")
                     .acquire("m123930.state")
@@ -265,21 +259,6 @@ pub(crate) fn dl_intentional_race(v: Variant) -> ScenarioSummary {
                     .rmw("m123930.observer_count")
                     .release("m123930.observer"),
             ),
-        Variant::TmFix => s
-            .path(
-                Path::new("mutator")
-                    .atomic_begin()
-                    .write("m123930.state_data")
-                    .write("m123930.observer_count")
-                    .atomic_end(),
-            )
-            .path(
-                Path::new("notifier")
-                    .atomic_begin()
-                    .write("m123930.observer_count")
-                    .write("m123930.state_data")
-                    .atomic_end(),
-            ),
     }
     .build()
 }
@@ -287,7 +266,7 @@ pub(crate) fn dl_intentional_race(v: Variant) -> ScenarioSummary {
 /// Apache-I (§5.4.2): the listener sleeps on the idle-worker condition
 /// variable while holding the timeout mutex, which every worker needs
 /// before it can notify — a lock-and-wait cycle no lock graph sees.
-pub(crate) fn apache_i(v: Variant) -> ScenarioSummary {
+pub(crate) fn apache_i(v: Written) -> ScenarioSummary {
     let s = Summary::new(crate::keys::APACHE_I, v.name());
     let worker = || {
         Path::new("worker")
@@ -300,7 +279,7 @@ pub(crate) fn apache_i(v: Variant) -> ScenarioSummary {
             .release("apache1.timeout_mutex")
     };
     match v {
-        Variant::Buggy => s
+        Written::Buggy => s
             .path(
                 Path::new("listener")
                     .acquire("apache1.timeout_mutex")
@@ -315,7 +294,7 @@ pub(crate) fn apache_i(v: Variant) -> ScenarioSummary {
             )
             .path(worker()),
         // The developers moved the timeout work out from under the wait.
-        Variant::DevFix => s
+        Written::DevFix => s
             .path(
                 Path::new("listener")
                     .acquire("apache1.queue_lock")
@@ -329,31 +308,15 @@ pub(crate) fn apache_i(v: Variant) -> ScenarioSummary {
                     .release("apache1.timeout_mutex"),
             )
             .path(worker()),
-        // Recipe 3: the listener becomes a preemptible transaction over
-        // revocable locks; the wait becomes transactional retry.
-        Variant::TmFix => s
-            .path(
-                Path::new("listener")
-                    .atomic_begin()
-                    .acquire_tx("apache1.timeout_mutex")
-                    .write("apache1.timeouts")
-                    .acquire_tx("apache1.queue_lock")
-                    .read("apache1.idle")
-                    .write("apache1.idle")
-                    .release("apache1.queue_lock")
-                    .release("apache1.timeout_mutex")
-                    .atomic_end(),
-            )
-            .path(worker()),
     }
     .build()
 }
 
 /// Apache#11600: two local mutexes acquired in both orders.
-pub(crate) fn dl_local_lock_order(v: Variant) -> ScenarioSummary {
+pub(crate) fn dl_local_lock_order(v: Written) -> ScenarioSummary {
     let s = Summary::new(crate::keys::DL_LOCAL_LOCK_ORDER, v.name());
     match v {
-        Variant::Buggy => s
+        Written::Buggy => s
             .path(
                 Path::new("p0")
                     .acquire("a11600.mutex_a")
@@ -372,7 +335,7 @@ pub(crate) fn dl_local_lock_order(v: Variant) -> ScenarioSummary {
                     .release("a11600.mutex_a")
                     .release("a11600.mutex_b"),
             ),
-        Variant::DevFix => s
+        Written::DevFix => s
             .path(
                 Path::new("p0")
                     .acquire("a11600.mutex_a")
@@ -390,21 +353,6 @@ pub(crate) fn dl_local_lock_order(v: Variant) -> ScenarioSummary {
                     .write("a11600.data_a")
                     .release("a11600.mutex_b")
                     .release("a11600.mutex_a"),
-            ),
-        Variant::TmFix => s
-            .path(
-                Path::new("p0")
-                    .atomic_begin()
-                    .write("a11600.data_a")
-                    .write("a11600.data_b")
-                    .atomic_end(),
-            )
-            .path(
-                Path::new("p1")
-                    .atomic_begin()
-                    .write("a11600.data_b")
-                    .write("a11600.data_a")
-                    .atomic_end(),
             ),
     }
     .build()
@@ -412,10 +360,10 @@ pub(crate) fn dl_local_lock_order(v: Variant) -> ScenarioSummary {
 
 /// MySQL#3155: two table locks taken in statement order, which differs
 /// between concurrent statements.
-pub(crate) fn dl_mysql_table_pair(v: Variant) -> ScenarioSummary {
+pub(crate) fn dl_mysql_table_pair(v: Written) -> ScenarioSummary {
     let s = Summary::new(crate::keys::DL_MYSQL_TABLE_PAIR, v.name());
     match v {
-        Variant::Buggy => s
+        Written::Buggy => s
             .path(
                 Path::new("stmt_ab")
                     .acquire("my3155.table1")
@@ -434,7 +382,7 @@ pub(crate) fn dl_mysql_table_pair(v: Variant) -> ScenarioSummary {
                     .release("my3155.table1")
                     .release("my3155.table2"),
             ),
-        Variant::DevFix => s
+        Written::DevFix => s
             .path(
                 Path::new("stmt_ab")
                     .acquire("my3155.table1")
@@ -452,31 +400,6 @@ pub(crate) fn dl_mysql_table_pair(v: Variant) -> ScenarioSummary {
                     .write("my3155.rows1")
                     .release("my3155.table2")
                     .release("my3155.table1"),
-            ),
-        // Recipe 3: each statement keeps its natural order but acquires
-        // revocably inside a preemptible transaction.
-        Variant::TmFix => s
-            .path(
-                Path::new("stmt_ab")
-                    .atomic_begin()
-                    .acquire_tx("my3155.table1")
-                    .write("my3155.rows1")
-                    .acquire_tx("my3155.table2")
-                    .write("my3155.rows2")
-                    .release("my3155.table2")
-                    .release("my3155.table1")
-                    .atomic_end(),
-            )
-            .path(
-                Path::new("stmt_ba")
-                    .atomic_begin()
-                    .acquire_tx("my3155.table2")
-                    .write("my3155.rows2")
-                    .acquire_tx("my3155.table1")
-                    .write("my3155.rows1")
-                    .release("my3155.table1")
-                    .release("my3155.table2")
-                    .atomic_end(),
             ),
     }
     .build()
@@ -485,7 +408,7 @@ pub(crate) fn dl_mysql_table_pair(v: Variant) -> ScenarioSummary {
 /// Mozilla#133773/#18025: one client protects the cache counter with the
 /// wrong (unrelated) lock, so the "protected" sections never exclude
 /// each other.
-pub(crate) fn av_wrong_lock(v: Variant) -> ScenarioSummary {
+pub(crate) fn av_wrong_lock(v: Written) -> ScenarioSummary {
     let s = Summary::new(crate::keys::AV_WRONG_LOCK, v.name());
     let right = |lock: &str| {
         Path::new("evictor")
@@ -495,28 +418,19 @@ pub(crate) fn av_wrong_lock(v: Variant) -> ScenarioSummary {
             .release(lock)
     };
     match v {
-        Variant::Buggy => s.path(right("m133773.cache_lock")).path(
+        Written::Buggy => s.path(right("m133773.cache_lock")).path(
             Path::new("inserter")
                 .acquire("m133773.unrelated_lock")
                 .read("m133773.cache_count")
                 .write("m133773.cache_count")
                 .release("m133773.unrelated_lock"),
         ),
-        Variant::DevFix => s.path(right("m133773.cache_lock")).path(
+        Written::DevFix => s.path(right("m133773.cache_lock")).path(
             Path::new("inserter")
                 .acquire("m133773.cache_lock")
                 .read("m133773.cache_count")
                 .write("m133773.cache_count")
                 .release("m133773.cache_lock"),
-        ),
-        // Recipe 4: the wrong-lock path becomes an atomic region
-        // serialized against the intended lock's critical sections.
-        Variant::TmFix => s.path(right("m133773.cache_lock")).path(
-            Path::new("inserter")
-                .atomic_serialized(&["m133773.cache_lock"])
-                .read("m133773.cache_count")
-                .write("m133773.cache_count")
-                .atomic_end(),
         ),
     }
     .build()
@@ -524,37 +438,22 @@ pub(crate) fn av_wrong_lock(v: Variant) -> ScenarioSummary {
 
 /// Mozilla#90994-style: check-then-decrement of a reference count with
 /// no synchronization at all.
-pub(crate) fn av_refcount_race(v: Variant) -> ScenarioSummary {
+pub(crate) fn av_refcount_race(v: Written) -> ScenarioSummary {
     let s = Summary::new(crate::keys::AV_REFCOUNT_RACE, v.name());
     let bare = |name: &str| Path::new(name).read("m.refcount").write("m.refcount");
     match v {
-        Variant::Buggy => s.path(bare("releaser")).path(bare("adopter")),
+        Written::Buggy => s.path(bare("releaser")).path(bare("adopter")),
         // The developers switched to an atomic fetch-and-add.
-        Variant::DevFix => s
+        Written::DevFix => s
             .path(Path::new("releaser").rmw("m.refcount"))
             .path(Path::new("adopter").rmw("m.refcount")),
-        Variant::TmFix => s
-            .path(
-                Path::new("releaser")
-                    .atomic_begin()
-                    .read("m.refcount")
-                    .write("m.refcount")
-                    .atomic_end(),
-            )
-            .path(
-                Path::new("adopter")
-                    .atomic_begin()
-                    .read("m.refcount")
-                    .write("m.refcount")
-                    .atomic_end(),
-            ),
     }
     .build()
 }
 
 /// Mozilla#52271-style: unsynchronized check-then-initialize of a lazy
 /// singleton.
-pub(crate) fn av_lazy_init(v: Variant) -> ScenarioSummary {
+pub(crate) fn av_lazy_init(v: Written) -> ScenarioSummary {
     let s = Summary::new(crate::keys::AV_LAZY_INIT, v.name());
     let bare = |name: &str| Path::new(name).read("m52271.initialized").write("m52271.initialized");
     let locked = |name: &str| {
@@ -565,23 +464,8 @@ pub(crate) fn av_lazy_init(v: Variant) -> ScenarioSummary {
             .release("m52271.init_lock")
     };
     match v {
-        Variant::Buggy => s.path(bare("first_user")).path(bare("second_user")),
-        Variant::DevFix => s.path(locked("first_user")).path(locked("second_user")),
-        Variant::TmFix => s
-            .path(
-                Path::new("first_user")
-                    .atomic_begin()
-                    .read("m52271.initialized")
-                    .write("m52271.initialized")
-                    .atomic_end(),
-            )
-            .path(
-                Path::new("second_user")
-                    .atomic_begin()
-                    .read("m52271.initialized")
-                    .write("m52271.initialized")
-                    .atomic_end(),
-            ),
+        Written::Buggy => s.path(bare("first_user")).path(bare("second_user")),
+        Written::DevFix => s.path(locked("first_user")).path(locked("second_user")),
     }
     .build()
 }
@@ -589,7 +473,7 @@ pub(crate) fn av_lazy_init(v: Variant) -> ScenarioSummary {
 /// Mozilla#91106-style: the producer notifies the consumer's condition
 /// variable *before* it has published the item — a waiter that checks
 /// its predicate in between goes back to sleep forever.
-pub(crate) fn av_cv_partial(v: Variant) -> ScenarioSummary {
+pub(crate) fn av_cv_partial(v: Written) -> ScenarioSummary {
     let s = Summary::new(crate::keys::AV_CV_PARTIAL, v.name());
     let consumer = || {
         Path::new("consumer")
@@ -601,38 +485,26 @@ pub(crate) fn av_cv_partial(v: Variant) -> ScenarioSummary {
             .release("m91106.monitor")
     };
     match v {
-        Variant::Buggy => s.path(consumer()).path(
+        Written::Buggy => s.path(consumer()).path(
             Path::new("producer")
                 .notify("m91106.cv")
                 .acquire("m91106.monitor")
                 .write("m91106.items")
                 .release("m91106.monitor"),
         ),
-        Variant::DevFix => s.path(consumer()).path(
+        Written::DevFix => s.path(consumer()).path(
             Path::new("producer")
                 .acquire("m91106.monitor")
                 .write("m91106.items")
                 .notify("m91106.cv")
                 .release("m91106.monitor"),
         ),
-        // Recipe 2 + retry: the monitor and condition variable both
-        // dissolve into atomic regions (the consumer's wait becomes a
-        // transactional retry on the same predicate).
-        Variant::TmFix => s
-            .path(
-                Path::new("consumer")
-                    .atomic_begin()
-                    .read("m91106.items")
-                    .write("m91106.items")
-                    .atomic_end(),
-            )
-            .path(Path::new("producer").atomic_begin().write("m91106.items").atomic_end()),
     }
     .build()
 }
 
 /// Apache#25520: worker scoreboard slots updated with no lock.
-pub(crate) fn av_scoreboard(v: Variant) -> ScenarioSummary {
+pub(crate) fn av_scoreboard(v: Written) -> ScenarioSummary {
     let s = Summary::new(crate::keys::AV_SCOREBOARD, v.name());
     let bare = |name: &str| Path::new(name).read("a25520.slot").write("a25520.slot");
     let locked = |name: &str| {
@@ -643,23 +515,8 @@ pub(crate) fn av_scoreboard(v: Variant) -> ScenarioSummary {
             .release("a25520.scoreboard_lock")
     };
     match v {
-        Variant::Buggy => s.path(bare("worker")).path(bare("reaper")),
-        Variant::DevFix => s.path(locked("worker")).path(locked("reaper")),
-        Variant::TmFix => s
-            .path(
-                Path::new("worker")
-                    .atomic_begin()
-                    .read("a25520.slot")
-                    .write("a25520.slot")
-                    .atomic_end(),
-            )
-            .path(
-                Path::new("reaper")
-                    .atomic_begin()
-                    .read("a25520.slot")
-                    .write("a25520.slot")
-                    .atomic_end(),
-            ),
+        Written::Buggy => s.path(bare("worker")).path(bare("reaper")),
+        Written::DevFix => s.path(locked("worker")).path(locked("reaper")),
     }
     .build()
 }
@@ -667,7 +524,7 @@ pub(crate) fn av_scoreboard(v: Variant) -> ScenarioSummary {
 /// Apache-II (§5.4.3): the buffered log writer reads the cursor, copies
 /// bytes, and bumps the cursor — two writers interleaving tear both the
 /// cursor and the buffer/cursor invariant.
-pub(crate) fn apache_ii(v: Variant) -> ScenarioSummary {
+pub(crate) fn apache_ii(v: Written) -> ScenarioSummary {
     let s = Summary::new(crate::keys::APACHE_II, v.name())
         .group(&["apache2.log_buf", "apache2.log_cursor"]);
     let bare = |name: &str| {
@@ -685,39 +542,22 @@ pub(crate) fn apache_ii(v: Variant) -> ScenarioSummary {
             .release("apache2.log_lock")
     };
     match v {
-        Variant::Buggy => s.path(bare("writer1")).path(bare("writer2")),
-        Variant::DevFix => s.path(locked("writer1")).path(locked("writer2")),
-        Variant::TmFix => s
-            .path(
-                Path::new("writer1")
-                    .atomic_begin()
-                    .read("apache2.log_cursor")
-                    .write("apache2.log_buf")
-                    .write("apache2.log_cursor")
-                    .atomic_end(),
-            )
-            .path(
-                Path::new("writer2")
-                    .atomic_begin()
-                    .read("apache2.log_cursor")
-                    .write("apache2.log_buf")
-                    .write("apache2.log_cursor")
-                    .atomic_end(),
-            ),
+        Written::Buggy => s.path(bare("writer1")).path(bare("writer2")),
+        Written::DevFix => s.path(locked("writer1")).path(locked("writer2")),
     }
     .build()
 }
 
 /// Apache#31017: the request/byte counter pair must move together, but
 /// each update is its own unsynchronized store.
-pub(crate) fn av_pair_invariant(v: Variant) -> ScenarioSummary {
+pub(crate) fn av_pair_invariant(v: Written) -> ScenarioSummary {
     let s = Summary::new(crate::keys::AV_PAIR_INVARIANT, v.name())
         .group(&["a31017.requests", "a31017.bytes"]);
     match v {
-        Variant::Buggy => s
+        Written::Buggy => s
             .path(Path::new("updater").write("a31017.requests").write("a31017.bytes"))
             .path(Path::new("reporter").read("a31017.requests").read("a31017.bytes")),
-        Variant::DevFix => s
+        Written::DevFix => s
             .path(
                 Path::new("updater")
                     .acquire("a31017.stats_lock")
@@ -731,21 +571,6 @@ pub(crate) fn av_pair_invariant(v: Variant) -> ScenarioSummary {
                     .read("a31017.requests")
                     .read("a31017.bytes")
                     .release("a31017.stats_lock"),
-            ),
-        Variant::TmFix => s
-            .path(
-                Path::new("updater")
-                    .atomic_begin()
-                    .write("a31017.requests")
-                    .write("a31017.bytes")
-                    .atomic_end(),
-            )
-            .path(
-                Path::new("reporter")
-                    .atomic_begin()
-                    .read("a31017.requests")
-                    .read("a31017.bytes")
-                    .atomic_end(),
             ),
     }
     .build()
@@ -753,7 +578,7 @@ pub(crate) fn av_pair_invariant(v: Variant) -> ScenarioSummary {
 
 /// Apache#29850: read the shared sequence number, emit the log line,
 /// bump the sequence — all unsynchronized.
-pub(crate) fn av_log_sequence(v: Variant) -> ScenarioSummary {
+pub(crate) fn av_log_sequence(v: Written) -> ScenarioSummary {
     let s = Summary::new(crate::keys::AV_LOG_SEQUENCE, v.name());
     let bare =
         |name: &str| Path::new(name).read("a29850.seq").write("a29850.log").write("a29850.seq");
@@ -766,32 +591,15 @@ pub(crate) fn av_log_sequence(v: Variant) -> ScenarioSummary {
             .release("a29850.writer_lock")
     };
     match v {
-        Variant::Buggy => s.path(bare("req1")).path(bare("req2")),
-        Variant::DevFix => s.path(locked("req1")).path(locked("req2")),
-        Variant::TmFix => s
-            .path(
-                Path::new("req1")
-                    .atomic_begin()
-                    .read("a29850.seq")
-                    .write("a29850.log")
-                    .write("a29850.seq")
-                    .atomic_end(),
-            )
-            .path(
-                Path::new("req2")
-                    .atomic_begin()
-                    .read("a29850.seq")
-                    .write("a29850.log")
-                    .write("a29850.seq")
-                    .atomic_end(),
-            ),
+        Written::Buggy => s.path(bare("req1")).path(bare("req2")),
+        Written::DevFix => s.path(locked("req1")).path(locked("req2")),
     }
     .build()
 }
 
 /// MySQL#12228: statistics counters updated without the status lock the
 /// rest of the server uses.
-pub(crate) fn av_stats_race(v: Variant) -> ScenarioSummary {
+pub(crate) fn av_stats_race(v: Written) -> ScenarioSummary {
     let s = Summary::new(crate::keys::AV_STATS_RACE, v.name());
     let bare = |name: &str| Path::new(name).read("my12228.queries").write("my12228.queries");
     let locked = |name: &str| {
@@ -802,23 +610,8 @@ pub(crate) fn av_stats_race(v: Variant) -> ScenarioSummary {
             .release("my12228.lock_status")
     };
     match v {
-        Variant::Buggy => s.path(bare("conn1")).path(bare("conn2")),
-        Variant::DevFix => s.path(locked("conn1")).path(locked("conn2")),
-        Variant::TmFix => s
-            .path(
-                Path::new("conn1")
-                    .atomic_begin()
-                    .read("my12228.queries")
-                    .write("my12228.queries")
-                    .atomic_end(),
-            )
-            .path(
-                Path::new("conn2")
-                    .atomic_begin()
-                    .read("my12228.queries")
-                    .write("my12228.queries")
-                    .atomic_end(),
-            ),
+        Written::Buggy => s.path(bare("conn1")).path(bare("conn2")),
+        Written::DevFix => s.path(locked("conn1")).path(locked("conn2")),
     }
     .build()
 }
@@ -826,7 +619,7 @@ pub(crate) fn av_stats_race(v: Variant) -> ScenarioSummary {
 /// MySQL-I (§5.4.4): delete-all drops `lock_open` before writing the
 /// binlog, so a concurrent insert can slip between table change and log
 /// record — the table/binlog invariant tears.
-pub(crate) fn mysql_i(v: Variant) -> ScenarioSummary {
+pub(crate) fn mysql_i(v: Written) -> ScenarioSummary {
     let s = Summary::new(crate::keys::MYSQL_I, v.name()).group(&["mysql1.table", "mysql1.binlog"]);
     let insert = || {
         Path::new("insert")
@@ -836,7 +629,7 @@ pub(crate) fn mysql_i(v: Variant) -> ScenarioSummary {
             .release("mysql1.lock_open")
     };
     match v {
-        Variant::Buggy => s
+        Written::Buggy => s
             .path(
                 Path::new("delete_all")
                     .acquire("mysql1.lock_open")
@@ -846,7 +639,7 @@ pub(crate) fn mysql_i(v: Variant) -> ScenarioSummary {
                     .write("mysql1.binlog"),
             )
             .path(insert()),
-        Variant::DevFix => s
+        Written::DevFix => s
             .path(
                 Path::new("delete_all")
                     .acquire("mysql1.lock_open")
@@ -856,18 +649,6 @@ pub(crate) fn mysql_i(v: Variant) -> ScenarioSummary {
                     .release("mysql1.lock_open"),
             )
             .path(insert()),
-        // Recipe 4: delete-all becomes one atomic region serialized
-        // against the remaining `lock_open` critical sections.
-        Variant::TmFix => s
-            .path(
-                Path::new("delete_all")
-                    .atomic_serialized(&["mysql1.lock_open"])
-                    .read("mysql1.table")
-                    .write("mysql1.table")
-                    .write("mysql1.binlog")
-                    .atomic_end(),
-            )
-            .path(insert()),
     }
     .build()
 }
@@ -875,35 +656,18 @@ pub(crate) fn mysql_i(v: Variant) -> ScenarioSummary {
 /// MySQL#16582: a hand-rolled version-check/redo mechanism — read the
 /// version, write the value, bump the version, with no synchronization
 /// underneath.
-pub(crate) fn av_adhoc_retry(v: Variant) -> ScenarioSummary {
+pub(crate) fn av_adhoc_retry(v: Written) -> ScenarioSummary {
     let s = Summary::new(crate::keys::AV_ADHOC_RETRY, v.name());
     let bare = |name: &str| {
         Path::new(name).read("my16582.version").write("my16582.value").write("my16582.version")
     };
     match v {
-        Variant::Buggy => s.path(bare("updater1")).path(bare("updater2")),
+        Written::Buggy => s.path(bare("updater1")).path(bare("updater2")),
         // The developers collapsed the check/update into one CAS-style
         // atomic word operation.
-        Variant::DevFix => s
+        Written::DevFix => s
             .path(Path::new("updater1").rmw("my16582.record"))
             .path(Path::new("updater2").rmw("my16582.record")),
-        Variant::TmFix => s
-            .path(
-                Path::new("updater1")
-                    .atomic_begin()
-                    .read("my16582.version")
-                    .write("my16582.value")
-                    .write("my16582.version")
-                    .atomic_end(),
-            )
-            .path(
-                Path::new("updater2")
-                    .atomic_begin()
-                    .read("my16582.version")
-                    .write("my16582.value")
-                    .write("my16582.version")
-                    .atomic_end(),
-            ),
     }
     .build()
 }

@@ -17,7 +17,9 @@
 //! recipe as an IR transformation and re-runs all passes on the
 //! transformed summaries, proving statically that the fix clears the
 //! finding without introducing new hazards ([`lint_summary`] packages
-//! the whole loop as the `txfix lint` engine).
+//! the whole loop as the `txfix lint` engine). [`infer`] goes from the
+//! findings to one whole-summary fix plan instead, growing atomic
+//! regions until every pass is silent.
 //!
 //! The crate deliberately depends only on `txfix-core`: `txfix-corpus`
 //! registers the summaries, and the CLI glues the two together.
@@ -30,12 +32,14 @@ pub mod report;
 pub mod synth;
 
 mod facts;
+mod infer;
 mod lockorder;
 mod lockset;
 mod waits;
 
+pub use infer::{infer, Inference};
 pub use ir::{Op, Path, PathSummary, ScenarioSummary, Summary};
-pub use region::{footprint, group_closure, wrap_region_seed, Region};
+pub use region::{wrap_region_seed, Region};
 pub use report::{Finding, Hazard, LintFinding, LintReport};
 pub use synth::{apply, synthesize, Verification};
 

@@ -1,19 +1,18 @@
 //! The atomic-region model that fix inference plans in.
 //!
 //! `txfix lint` synthesizes a fix directly from a (finding, recipe)
-//! pair. The inference pipeline (`txfix-autofix`) instead works with an
-//! explicit, growable plan: a [`Region`] names *what* the patch will do
-//! to the summary — wrap a span, dissolve a lock cycle, make a
-//! participant preemptible, retire a monitor — and [`Region::apply`]
-//! lowers it onto the IR with the exact same transformations the recipe
-//! synthesizer uses. Inference seeds one region per finding
-//! ([`wrap_region_seed`] for shared-data hazards), grows and merges
-//! them, and only then lowers; [`footprint`] measures the result for
-//! the widening comparison against hand-written TM variants.
+//! pair. Inference ([`crate::infer`]) instead works with an explicit,
+//! growable plan: a [`Region`] names *what* the patch will do to the
+//! summary — wrap a span, dissolve a lock cycle, make a participant
+//! preemptible, retire a monitor — and [`Region::apply`] lowers it onto
+//! the IR with the exact same transformations the recipe synthesizer
+//! uses. Inference seeds one region per finding ([`wrap_region_seed`]
+//! for shared-data hazards), grows and merges them, and only then
+//! lowers.
 
-use crate::ir::{Op, ScenarioSummary};
+use crate::ir::ScenarioSummary;
 use crate::synth;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::fmt;
 use txfix_core::json::{Json, ToJson};
 use txfix_core::Recipe;
@@ -158,36 +157,6 @@ pub fn wrap_region_seed(summary: &ScenarioSummary, subjects: &[String]) -> Regio
     Region::Wrap { locs, paths, serialized }
 }
 
-/// Close `locs` over the summary's declared invariant groups.
-pub fn group_closure(summary: &ScenarioSummary, locs: &[String]) -> Vec<String> {
-    synth::expand_groups(summary, locs)
-}
-
-/// The atomic-region footprint of a summary: per path name, the set of
-/// locations accessed inside an atomic (or serialized) region. This is
-/// the measure the widening report compares — an inferred fix whose
-/// footprint strictly contains the hand-written TM variant's has grown
-/// the region beyond what a human chose to protect.
-pub fn footprint(summary: &ScenarioSummary) -> BTreeMap<String, BTreeSet<String>> {
-    let mut out = BTreeMap::new();
-    for path in &summary.paths {
-        let mut depth = 0usize;
-        let mut locs = BTreeSet::new();
-        for op in &path.ops {
-            match op {
-                Op::AtomicBegin { .. } => depth += 1,
-                Op::AtomicEnd => depth = depth.saturating_sub(1),
-                Op::Read { loc, .. } | Op::Write { loc, .. } | Op::Rmw { loc } if depth > 0 => {
-                    locs.insert(loc.clone());
-                }
-                _ => {}
-            }
-        }
-        out.insert(path.name.clone(), locs);
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -209,17 +178,6 @@ mod tests {
         assert_eq!(region.recipe(), txfix_core::Recipe::WrapUnprotected);
         let fixed = region.apply(&s).unwrap();
         assert!(crate::check(&fixed).is_empty(), "{:?}", crate::check(&fixed));
-    }
-
-    #[test]
-    fn footprint_sees_only_in_region_accesses() {
-        let s = Summary::new("t", "tm")
-            .path(Path::new("p0").write("outside").atomic_begin().read("x").write("y").atomic_end())
-            .path(Path::new("p1").write("z"))
-            .build();
-        let fp = footprint(&s);
-        assert_eq!(fp["p0"], ["x", "y"].iter().map(|s| s.to_string()).collect::<BTreeSet<_>>());
-        assert!(fp["p1"].is_empty());
     }
 
     #[test]

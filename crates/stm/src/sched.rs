@@ -35,12 +35,18 @@
 //! # Granularity
 //!
 //! Yield points sit *before* their operation, outside the runtime's
-//! internal critical sections: a commit validates-and-publishes as one
-//! atomic step at scheduler granularity (TL2 commits are linearizable, so
-//! this loses no behaviour), and an irrevocable transaction — which holds
-//! the global serialization lock — never yields at all, which both models
-//! serial-mode semantics and guarantees no thread is ever parked while
-//! holding a lock another controlled thread might need through an OS wait.
+//! internal critical sections: a `TVar` read is one step, and so is a
+//! whole commit. This loses behaviour: the atomic loads and stores inside
+//! one step (orec words, the clock, the value cell) never interleave
+//! here. The three opacity windows the commit and read paths once had
+//! (stamp before lock, version-then-writer re-check, unvalidated
+//! extension) each lay inside one step; no exploration or canary saw
+//! them, only the real-thread `tests/opacity.rs`.
+//!
+//! An irrevocable transaction — which holds the global serialization
+//! lock — never yields at all, which both models serial-mode semantics
+//! and guarantees no thread is ever parked while holding a lock another
+//! controlled thread might need through an OS wait.
 
 use parking_lot::{Condvar, Mutex};
 use std::cell::Cell;

@@ -67,7 +67,7 @@ fn explore_artifact_met_its_expectations() {
 #[test]
 fn autofix_artifact_verified_every_fix() {
     let doc = load("AUTOFIX_stm.json");
-    let obj = check_schema("AUTOFIX_stm.json", &doc, "txfix-autofix-v1");
+    let obj = check_schema("AUTOFIX_stm.json", &doc, "txfix-autofix-v2");
     assert!(get(obj, "ok").unwrap().bool("ok").unwrap(), "committed autofix sweep failed");
     let entries = get(obj, "entries").unwrap().array("entries").unwrap();
     assert_eq!(entries.len(), 18, "one entry per corpus scenario");

@@ -1,21 +1,18 @@
 //! The autofix loop (`txfix autofix`) over the corpus: inference must
-//! converge to a statically clean patch for every buggy variant, the
-//! inferred regions must cover at least the hand-written TM regions,
-//! and on representative scenarios the explorer must reproduce the bug
-//! on the buggy summary and find nothing on the patched one.
+//! converge to a statically clean patch for every buggy variant, and on
+//! representative scenarios the explorer must reproduce the bug on the
+//! buggy summary and find nothing on the patched one.
 
-use std::collections::BTreeSet;
-
-use txfix::autofix::{autofix_scenario, build_run, infer, widening};
+use txfix::autofix::autofix_scenario;
 use txfix::corpus::{scenario_by_key, Variant, SCENARIOS};
-use txfix::explore::{explore_build, ExploreConfig};
-use txfix::lint::{check, footprint, Path, Region, Summary};
+use txfix::explore::ExploreConfig;
+use txfix::lint::{check, infer, Op, Path, Region, Summary};
 
 #[test]
 fn inference_converges_to_a_statically_clean_patch_on_every_buggy_variant() {
     for row in SCENARIOS {
         let key = row.key;
-        let buggy = (row.summary)(Variant::Buggy);
+        let buggy = row.summary(Variant::Buggy);
         let inf = infer(&buggy).unwrap_or_else(|e| panic!("{key}: inference failed: {e}"));
         assert!(!inf.regions.is_empty(), "{key}: buggy variant inferred an empty fix plan");
         assert!(inf.rounds >= 1, "{key}: buggy variant converged without a grow round");
@@ -33,44 +30,10 @@ fn fixed_variants_need_no_fix() {
     for row in SCENARIOS {
         let key = row.key;
         for variant in [Variant::DevFix, Variant::TmFix] {
-            let summary = (row.summary)(variant);
+            let summary = row.summary(variant);
             let inf = infer(&summary).expect("clean summaries infer trivially");
             assert!(inf.regions.is_empty(), "{key} ({variant:?}): non-empty plan");
             assert_eq!(inf.rounds, 0, "{key} ({variant:?}): took grow rounds");
-        }
-    }
-}
-
-/// The widening guarantee: per path, the inferred patch's atomic
-/// regions cover every location the hand-written TM variant covers
-/// (inferred ⊇ hand). Any extra coverage is reported, never silently
-/// dropped.
-#[test]
-fn inferred_regions_cover_the_hand_written_footprint() {
-    for row in SCENARIOS {
-        let key = row.key;
-        let buggy = (row.summary)(Variant::Buggy);
-        let hand = (row.summary)(Variant::TmFix);
-        let inf = infer(&buggy).unwrap_or_else(|e| panic!("{key}: inference failed: {e}"));
-        let fi = footprint(&inf.patched);
-        for (path, hand_locs) in footprint(&hand) {
-            let inferred_locs = fi.get(&path).cloned().unwrap_or_default();
-            let missing: Vec<&String> = hand_locs.difference(&inferred_locs).collect();
-            assert!(
-                missing.is_empty(),
-                "{key}/{path}: hand-written TM region covers {missing:?} but the inferred one does not"
-            );
-        }
-        for w in widening(&inf.patched, &hand) {
-            let inferred: BTreeSet<&String> = w.inferred.iter().collect();
-            let hand_set: BTreeSet<&String> = w.hand.iter().collect();
-            assert!(
-                hand_set.is_subset(&inferred),
-                "{key}/{}: widening entry is a narrowing: inferred {:?} vs hand {:?}",
-                w.path,
-                w.inferred,
-                w.hand
-            );
         }
     }
 }
@@ -96,8 +59,8 @@ fn inference_handles_nested_lock_summaries() {
     assert!(check(&inf.patched).is_empty(), "patched nested summary not clean");
     // The bare path's accesses must now be protected; the region must
     // serialize against (or replace) the nested critical section.
-    let fp = footprint(&inf.patched);
-    assert!(fp.get("bare").is_some_and(|locs| locs.contains("x")), "bare path left unwrapped");
+    let bare = &inf.patched.paths[1];
+    assert!(matches!(bare.ops[0], Op::AtomicBegin { .. }), "bare path left unwrapped: {bare:?}");
 }
 
 /// Overlapping seeds merge: two findings whose group-closed subjects
@@ -142,18 +105,4 @@ fn explorer_confirms_bug_and_fix_on_representative_scenarios() {
         );
         assert!(entry.ok());
     }
-}
-
-/// The interpreter is faithful enough to clear fixed variants: the
-/// hand-written TM summary of a data-race scenario survives
-/// exploration.
-#[test]
-fn interpreter_clears_hand_written_tm_summaries() {
-    let cfg = ExploreConfig { budget: 512, ..ExploreConfig::default() };
-    let row = scenario_by_key("av_refcount_race").expect("known key");
-    let tm = (row.summary)(Variant::TmFix);
-    let build = |_| build_run(&tm);
-    let ex = explore_build(&build, Variant::TmFix, &cfg);
-    assert!(ex.schedules > 0);
-    assert!(ex.failure.is_none(), "tm summary failed under exploration");
 }

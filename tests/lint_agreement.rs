@@ -30,7 +30,7 @@ const STATIC_ONLY: &[&str] = &[];
 
 /// Run the full lint loop for one scenario variant.
 fn lint(key: &str, variant: Variant) -> LintReport {
-    let summary = (scenario_by_key(key).expect("known key").summary)(variant);
+    let summary = scenario_by_key(key).expect("known key").summary(variant);
     let analysis = bug_by_scenario(key).map(|bug| analyze(&bug));
     lint_summary(&summary, analysis.as_ref()).expect("summary validates")
 }
