@@ -1,12 +1,14 @@
-//! Seeded fault-injection sweeps over the corpus scenarios (`txfix chaos`).
+//! Seeded fault-injection sweeps over the corpus scenarios (`txfix chaos`),
+//! and the kernel table the corpus load harness runs.
 //!
-//! Where [`stress`](crate::stress) measures what the runtime *sustains*,
-//! this harness proves what it *survives*: every cell installs a
+//! This harness proves what the runtime *survives*: every cell installs a
 //! [`FaultPlan`] from a named schedule, drives a corpus-shaped workload
 //! under concurrent load with faults firing at the runtime's ugliest
 //! points (mid-writeback, lock revocation, failed x-call I/O), and then
 //! asserts the scenario's invariants — no lost updates, no torn invariant
 //! groups, no deadlock, every transaction commits within its budget.
+//! [`stress`](crate::stress) runs the same kernels with no plan installed
+//! and reports what they *sustain*.
 //!
 //! ## Determinism
 //!
@@ -16,10 +18,9 @@
 //! scenario/schedule/variant names, thread and op counts, and the
 //! invariant verdicts — never timings, fault tallies or anything else the
 //! thread interleaving can move. Work is *count-based* (each worker runs
-//! exactly `ops_per_thread` operations), unlike the wall-clock stress
-//! driver, for the same reason. Per-worker implicit state (the
-//! backoff-jitter RNG) is pinned from the run seed via
-//! [`pool::pin_worker_rng`].
+//! exactly `ops_per_thread` operations) for the same reason. Per-worker
+//! implicit state (the backoff-jitter RNG) is pinned from the run seed
+//! via [`pool::pin_worker_rng`].
 
 use crate::pool;
 use std::fmt::Write as _;
@@ -34,14 +35,14 @@ use txfix_stm::{obs, EscalationPolicy, TVar, Txn, TxnBuilder};
 use txfix_txlock::TxMutex;
 use txfix_xcall::{AsyncIo, SimFs, SimPipe, XFile, XPipe};
 
-/// A chaos kernel: drive one cell's workload under its armed fault plan
-/// — the TM fix when `tm`, else the developers' fix — recording
-/// violations in the cell's sink; returns total ops executed.
-type Kernel = fn(&Cell, bool) -> u64;
+/// A load kernel: drive one cell's workload under whatever fault plan is
+/// armed — the TM fix when `tm`, else the developers' fix — recording
+/// violations in the cell's sink; returns what its worker pool measured.
+pub(crate) type Kernel = fn(&Cell, bool) -> pool::Run;
 
-/// The harness: every sweepable scenario key with its kernel, in report
-/// order (the row order of `CHAOS_stm.json`).
-const KERNELS: [(&str, Kernel); 6] = [
+/// The corpus load harness: every scenario key with its kernel, in
+/// report order (the row order of `CHAOS_stm.json` and `BENCH_stm.json`).
+pub(crate) const KERNELS: [(&str, Kernel); 6] = [
     ("av_stats_race", av_stats_race),
     ("dl_local_lock_order", dl_local_lock_order),
     ("dl_cache_atomtable", dl_cache_atomtable),
@@ -50,9 +51,25 @@ const KERNELS: [(&str, Kernel); 6] = [
     ("async_once", async_once),
 ];
 
-/// Scenario keys the chaos harness can sweep: the key column of the
-/// table.
-pub const SCENARIOS: [&str; 6] = pool::keys(&KERNELS);
+/// Scenario keys the harness can run: the key column of the table.
+pub const SCENARIOS: [&str; 6] = {
+    let mut keys = [""; 6];
+    let mut i = 0;
+    while i < keys.len() {
+        keys[i] = KERNELS[i].0;
+        i += 1;
+    }
+    keys
+};
+
+/// The kernel behind `scenario`.
+///
+/// # Panics
+///
+/// Panics on a key not in [`SCENARIOS`].
+pub(crate) fn kernel(scenario: &str) -> Kernel {
+    KERNELS.iter().find(|(key, _)| *key == scenario).expect("a key from chaos::SCENARIOS").1
+}
 
 /// The fault schedules the corpus sweep runs, in report order: names
 /// from the shared [`txfix_stm::chaos::SCHEDULES`] table.
@@ -214,21 +231,21 @@ pub fn run_chaos(cfg: &ChaosConfig) -> Vec<ChaosRun> {
     obs::enable();
     let mut runs = Vec::new();
     for &scenario in &cfg.scenarios {
-        let row =
-            KERNELS.iter().find(|(key, _)| *key == scenario).expect("a key from chaos::SCENARIOS");
+        let kernel = kernel(scenario);
         for &schedule in &cfg.schedules {
             for tm in [false, true] {
-                runs.push(run_cell(cfg, *row, schedule, tm));
+                runs.push(run_cell(cfg, scenario, kernel, schedule, tm));
             }
         }
     }
     runs
 }
 
-/// Run one cell: arm the schedule's plan, run the row's kernel.
+/// Run one cell: arm the schedule's plan, run the scenario's kernel.
 fn run_cell(
     cfg: &ChaosConfig,
-    (scenario, kernel): (&'static str, Kernel),
+    scenario: &'static str,
+    kernel: Kernel,
     schedule: &'static str,
     tm: bool,
 ) -> ChaosRun {
@@ -237,21 +254,8 @@ fn run_cell(
     let plan = FaultPlan::named(schedule, cell_seed)
         .unwrap_or_else(|| panic!("unknown chaos schedule {schedule:?} (see chaos::SCHEDULES)"));
     let _armed = txfix_stm::chaos::scoped(&plan);
-    let cell = Cell {
-        threads: cfg.threads.max(1),
-        ops: cfg.ops_per_thread.max(1),
-        seed: cell_seed,
-        sink: pool::ViolationSink::new(),
-    };
-    let ops = kernel(&cell, tm);
-    ChaosRun {
-        scenario,
-        variant,
-        schedule,
-        threads: cfg.threads,
-        ops,
-        violations: cell.sink.into_violations(),
-    }
+    let (run, violations) = Cell::run(cfg.threads, cfg.ops_per_thread, cell_seed, kernel, tm);
+    ChaosRun { scenario, variant, schedule, threads: cfg.threads, ops: run.ops, violations }
 }
 
 /// Derive a cell seed from the master seed and the cell's names.
@@ -265,8 +269,9 @@ fn mix(seed: u64, parts: &[&str]) -> u64 {
     h
 }
 
-/// Shared per-cell state: worker/op counts and the violation sink.
-struct Cell {
+/// One cell as its kernel sees it: worker and op counts, the seed the
+/// workers' backoff RNGs are pinned from, and the violation sink.
+pub(crate) struct Cell {
     threads: usize,
     ops: u64,
     seed: u64,
@@ -274,6 +279,26 @@ struct Cell {
 }
 
 impl Cell {
+    /// Run `kernel` — the TM fix when `tm` — with `threads` workers of
+    /// `ops` operations each, under whatever fault plan the caller armed.
+    /// Returns what the pool measured and every violation recorded.
+    pub(crate) fn run(
+        threads: usize,
+        ops: u64,
+        seed: u64,
+        kernel: Kernel,
+        tm: bool,
+    ) -> (pool::Run, Vec<String>) {
+        let cell = Cell {
+            threads: threads.max(1),
+            ops: ops.max(1),
+            seed,
+            sink: pool::ViolationSink::new(),
+        };
+        let run = kernel(&cell, tm);
+        (run, cell.sink.into_violations())
+    }
+
     fn violate(&self, msg: String) {
         self.sink.violate(msg);
     }
@@ -303,27 +328,26 @@ impl Cell {
     }
 
     /// Spawn `workers` threads each executing `op(worker, i)` exactly
-    /// `self.ops` times, with the backoff RNG pinned per worker. Returns
-    /// total ops executed.
-    fn drive(&self, workers: usize, op: impl Fn(usize, u64) + Sync) -> u64 {
+    /// `self.ops` times, with the backoff RNG pinned per worker.
+    fn drive(&self, workers: usize, op: impl Fn(usize, u64) + Sync) -> pool::Run {
         pool::run_fixed(workers, self.ops, self.seed, op)
     }
 }
 
 /// MySQL#791 shape (Recipe 2): two counters that must move together.
 /// Every 16th op is a torn-group probe reading both in one transaction.
-fn av_stats_race(cell: &Cell, tm: bool) -> u64 {
+fn av_stats_race(cell: &Cell, tm: bool) -> pool::Run {
     let probe = |i: u64| i % 16 == 15;
     let mut expected = 0u64;
     for _ in 0..cell.threads {
         expected += (0..cell.ops).filter(|&i| !probe(i)).count() as u64;
     }
-    let total;
+    let run;
     if tm {
         let key_cache = TVar::new(0u64);
         let hits = TVar::new(0u64);
         let txn = cell.builder("chaos_av_stats", true);
-        total = cell.drive(cell.threads, |_, i| {
+        run = cell.drive(cell.threads, |_, i| {
             let result = txn.try_run(|t| {
                 if probe(i) {
                     let a = key_cache.read(t)?;
@@ -347,7 +371,7 @@ fn av_stats_race(cell: &Cell, tm: bool) -> u64 {
         check_eq(cell, "av_stats final hits", hits.load(), expected);
     } else {
         let stats = parking_lot::Mutex::new((0u64, 0u64));
-        total = cell.drive(cell.threads, |_, i| {
+        run = cell.drive(cell.threads, |_, i| {
             let mut s = stats.lock();
             if probe(i) {
                 if s.0 != s.1 {
@@ -362,12 +386,12 @@ fn av_stats_race(cell: &Cell, tm: bool) -> u64 {
         check_eq(cell, "av_stats final key_cache", s.0, expected);
         check_eq(cell, "av_stats final hits", s.1, expected);
     }
-    total
+    run
 }
 
 /// Local lock-order inversion (Recipe 1): transfers between accounts must
 /// conserve the total. Every 16th op audits the sum transactionally.
-fn dl_local_lock_order(cell: &Cell, tm: bool) -> u64 {
+fn dl_local_lock_order(cell: &Cell, tm: bool) -> pool::Run {
     const ACCOUNTS: usize = 8;
     const TOTAL: i64 = 8 * 1_000;
     let pick = |t: usize, i: u64| -> (usize, usize) {
@@ -380,11 +404,11 @@ fn dl_local_lock_order(cell: &Cell, tm: bool) -> u64 {
         }
     };
     let audit = |i: u64| i % 16 == 15;
-    let total;
+    let run;
     if tm {
         let accounts: Vec<TVar<i64>> = (0..ACCOUNTS).map(|_| TVar::new(1_000)).collect();
         let txn = cell.builder("chaos_dl_local", true);
-        total = cell.drive(cell.threads, |t, i| {
+        run = cell.drive(cell.threads, |t, i| {
             let result = txn.try_run(|txn| {
                 if audit(i) {
                     let mut sum = 0;
@@ -412,7 +436,7 @@ fn dl_local_lock_order(cell: &Cell, tm: bool) -> u64 {
     } else {
         let accounts: Vec<parking_lot::Mutex<i64>> =
             (0..ACCOUNTS).map(|_| parking_lot::Mutex::new(1_000)).collect();
-        total = cell.drive(cell.threads, |t, i| {
+        run = cell.drive(cell.threads, |t, i| {
             if audit(i) {
                 // Lock in index order to audit a consistent cut.
                 let guards: Vec<_> = accounts.iter().map(|a| a.lock()).collect();
@@ -433,25 +457,25 @@ fn dl_local_lock_order(cell: &Cell, tm: bool) -> u64 {
         let sum: i64 = accounts.iter().map(|a| *a.lock()).sum();
         check_eq(cell, "dl_local final sum", sum, TOTAL);
     }
-    total
+    run
 }
 
 /// Mozilla#54743 shape (Recipe 3): cache and atom-table locks acquired in
 /// opposite orders; data lives in TVars so revocation rolls it back.
-fn dl_cache_atomtable(cell: &Cell, tm: bool) -> u64 {
+fn dl_cache_atomtable(cell: &Cell, tm: bool) -> pool::Run {
     let probe = |i: u64| i % 16 == 15;
     let mut expected = 0u64;
     for _ in 0..cell.threads {
         expected += (0..cell.ops).filter(|&i| !probe(i)).count() as u64;
     }
-    let total;
+    let run;
     if tm {
         let cache = TxMutex::new("chaos.cache", ());
         let atoms = TxMutex::new("chaos.atoms", ());
         let cache_v = TVar::new(0u64);
         let atoms_v = TVar::new(0u64);
         let txn = cell.builder("chaos_dl_cache", false);
-        total = cell.drive(cell.threads, |t, i| {
+        run = cell.drive(cell.threads, |t, i| {
             let (first, second) = if t % 2 == 0 { (&cache, &atoms) } else { (&atoms, &cache) };
             let result = txn.try_run(|txn| {
                 first.with_tx(txn, |()| ())?;
@@ -479,7 +503,7 @@ fn dl_cache_atomtable(cell: &Cell, tm: bool) -> u64 {
     } else {
         let cache = parking_lot::Mutex::new(0u64);
         let atoms = parking_lot::Mutex::new(0u64);
-        total = cell.drive(cell.threads, |_, i| {
+        run = cell.drive(cell.threads, |_, i| {
             // The developers' fix: one global order, whatever the caller
             // wanted.
             let mut c = cache.lock();
@@ -496,7 +520,7 @@ fn dl_cache_atomtable(cell: &Cell, tm: bool) -> u64 {
         check_eq(cell, "dl_cache final cache_v", *cache.lock(), expected);
         check_eq(cell, "dl_cache final atoms_v", *atoms.lock(), expected);
     }
-    total
+    run
 }
 
 /// One 16-byte log record: `<` + 2-digit worker + 12-digit op + `>`.
@@ -511,10 +535,10 @@ fn file_record(t: usize, i: u64) -> [u8; 16] {
 /// through the transactional file layer; injected I/O faults drive the
 /// undo hooks. Invariants: exactly-once appends, no torn records, and no
 /// pending state leaked after quiescence.
-fn apache_ii(cell: &Cell, tm: bool) -> u64 {
+fn apache_ii(cell: &Cell, tm: bool) -> pool::Run {
     let fs = SimFs::new();
     let xf = XFile::open_or_create(&fs, "chaos.log");
-    let total = if tm {
+    let run = if tm {
         let txn = cell.builder("chaos_apache_ii", false);
         cell.drive(cell.threads, |t, i| {
             let rec = file_record(t, i);
@@ -530,7 +554,7 @@ fn apache_ii(cell: &Cell, tm: bool) -> u64 {
         })
     };
     let data = xf.file().read_all();
-    check_eq(cell, "apache_ii log length", data.len() as u64, total * 16);
+    check_eq(cell, "apache_ii log length", data.len() as u64, run.ops * 16);
     let mut per_worker = vec![0u64; cell.threads];
     for chunk in data.chunks(16) {
         if chunk.len() != 16 || chunk[0] != b'<' || chunk[15] != b'>' {
@@ -561,7 +585,7 @@ fn apache_ii(cell: &Cell, tm: bool) -> u64 {
         }
         None => cell.violate("isolation lock still held after quiescence".into()),
     }
-    total
+    run
 }
 
 /// The deterministic payload byte worker `t` produces at op `i`.
@@ -572,7 +596,7 @@ fn pipe_byte(t: usize, i: u64) -> u8 {
 /// Producer/consumer handoff over a bounded pipe: deferred transactional
 /// writes against compensated reads. Conservation: every byte produced is
 /// consumed exactly once, even when aborts force read compensation.
-fn pipe_handoff(cell: &Cell, tm: bool) -> u64 {
+fn pipe_handoff(cell: &Cell, tm: bool) -> pool::Run {
     let producers = (cell.threads / 2).max(1);
     let consumers = (cell.threads - producers).max(1);
     let expected_count = producers as u64 * cell.ops;
@@ -583,25 +607,14 @@ fn pipe_handoff(cell: &Cell, tm: bool) -> u64 {
         }
     }
     let pipe = SimPipe::new(64);
+    let run;
     if tm {
         let xp = XPipe::new(pipe.clone());
         let consumed_count = TVar::new(0u64);
         let consumed_sum = TVar::new(0u64);
         let produce = cell.builder("chaos_pipe_produce", false);
         let consume = cell.builder("chaos_pipe_consume", false);
-        std::thread::scope(|s| {
-            for t in 0..producers {
-                let (xp, produce, cell) = (&xp, &produce, &cell);
-                s.spawn(move || {
-                    pool::pin_worker_rng(cell.seed, t);
-                    for i in 0..cell.ops {
-                        let byte = [pipe_byte(t, i)];
-                        if let Err(e) = produce.try_run(|txn| xp.x_write(txn, &byte)) {
-                            cell.violate(format!("produce txn failed terminally: {e:?}"));
-                        }
-                    }
-                });
-            }
+        run = std::thread::scope(|s| {
             for c in 0..consumers {
                 let (xp, consume, cell) = (&xp, &consume, &cell);
                 let (consumed_count, consumed_sum) = (&consumed_count, &consumed_sum);
@@ -634,24 +647,19 @@ fn pipe_handoff(cell: &Cell, tm: bool) -> u64 {
                     }
                 });
             }
+            cell.drive(producers, |t, i| {
+                let byte = [pipe_byte(t, i)];
+                if let Err(e) = produce.try_run(|txn| xp.x_write(txn, &byte)) {
+                    cell.violate(format!("produce txn failed terminally: {e:?}"));
+                }
+            })
         });
         check_eq(cell, "pipe_handoff consumed bytes", consumed_count.load(), expected_count);
         check_eq(cell, "pipe_handoff consumed checksum", consumed_sum.load(), expected_sum);
     } else {
         let consumed_count = AtomicU64::new(0);
         let consumed_sum = AtomicU64::new(0);
-        std::thread::scope(|s| {
-            for t in 0..producers {
-                let pipe = &pipe;
-                let cell = &cell;
-                s.spawn(move || {
-                    for i in 0..cell.ops {
-                        if pipe.write(&[pipe_byte(t, i)]).is_err() {
-                            cell.violate("pipe closed under producer".into());
-                        }
-                    }
-                });
-            }
+        run = std::thread::scope(|s| {
             for _ in 0..consumers {
                 let (pipe, consumed_count, consumed_sum) = (&pipe, &consumed_count, &consumed_sum);
                 s.spawn(move || {
@@ -667,25 +675,30 @@ fn pipe_handoff(cell: &Cell, tm: bool) -> u64 {
                     }
                 });
             }
+            cell.drive(producers, |t, i| {
+                if pipe.write(&[pipe_byte(t, i)]).is_err() {
+                    cell.violate("pipe closed under producer".into());
+                }
+            })
         });
         check_eq(cell, "pipe_handoff consumed bytes", consumed_count.into_inner(), expected_count);
         check_eq(cell, "pipe_handoff consumed checksum", consumed_sum.into_inner(), expected_sum);
     }
     check_eq(cell, "pipe_handoff residual bytes", pipe.buffered() as u64, 0);
-    producers as u64 * cell.ops
+    run
 }
 
 /// Mozilla#19421 shape (§5.3.2): commit-time async submissions must run
 /// exactly once — aborted attempts (including injected submission
 /// failures) never enqueue, committed ones always do.
-fn async_once(cell: &Cell, tm: bool) -> u64 {
+fn async_once(cell: &Cell, tm: bool) -> pool::Run {
     let aio = AsyncIo::new();
     let completed = Arc::new(AtomicU64::new(0));
-    let total;
+    let run;
     if tm {
         let submitted = TVar::new(0u64);
         let txn = cell.builder("chaos_async_once", false);
-        total = cell.drive(cell.threads, |_, _| {
+        run = cell.drive(cell.threads, |_, _| {
             let done = completed.clone();
             let result = txn.try_run(|t| {
                 submitted.modify(t, |v| v + 1)?;
@@ -702,24 +715,24 @@ fn async_once(cell: &Cell, tm: bool) -> u64 {
                 cell.violate(format!("submit txn failed terminally: {e:?}"));
             }
         });
-        check_eq(cell, "async_once submitted", submitted.load(), total);
+        check_eq(cell, "async_once submitted", submitted.load(), run.ops);
     } else {
         let submitted = AtomicU64::new(0);
-        total = cell.drive(cell.threads, |_, _| {
+        run = cell.drive(cell.threads, |_, _| {
             submitted.fetch_add(1, Ordering::SeqCst);
             let done = completed.clone();
             aio.submit(move || {
                 done.fetch_add(1, Ordering::SeqCst);
             });
         });
-        check_eq(cell, "async_once submitted", submitted.into_inner(), total);
+        check_eq(cell, "async_once submitted", submitted.into_inner(), run.ops);
     }
     if !aio.drain(Duration::from_secs(10)) {
         cell.violate("async queue failed to drain".into());
     }
-    check_eq(cell, "async_once completed", completed.load(Ordering::SeqCst), total);
+    check_eq(cell, "async_once completed", completed.load(Ordering::SeqCst), run.ops);
     aio.shutdown();
-    total
+    run
 }
 
 fn check_eq<T: PartialEq + std::fmt::Debug>(cell: &Cell, what: &str, got: T, want: T) {
@@ -727,12 +740,13 @@ fn check_eq<T: PartialEq + std::fmt::Debug>(cell: &Cell, what: &str, got: T, wan
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
-    // The fault plan is process-global; serialize the tests that install
-    // one so their triggers do not interleave.
-    static GATE: parking_lot::Mutex<()> = parking_lot::Mutex::new(());
+    /// The fault plan is process-global; serialize the tests that install
+    /// one, and the stress tests that need none installed, so plans never
+    /// leak into another test's cells.
+    pub(crate) static GATE: parking_lot::Mutex<()> = parking_lot::Mutex::new(());
 
     fn small(seed: u64) -> ChaosConfig {
         ChaosConfig {

@@ -234,7 +234,7 @@ pub fn kv_report(cfg: &KvBenchConfig, cells: Vec<KvCell>) -> KvReport {
     let ok = cells
         .iter()
         .all(|c| c.clean_run && c.recovered_ok && c.ops == cfg.threads as u64 * cfg.ops_per_thread);
-    KvReport { cfg: cfg.clone(), host_cores: crate::stress::host_cores() as u64, cells, ok }
+    KvReport { cfg: cfg.clone(), host_cores: pool::host_cores() as u64, cells, ok }
 }
 
 impl ToJson for KvReport {

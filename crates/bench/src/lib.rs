@@ -4,15 +4,16 @@
 //! binaries print the paper's tables from the corpus and the case-study
 //! comparisons; `experiments` runs everything and prints paper-reported
 //! vs. measured values; the criterion benches under `benches/` measure the
-//! same comparisons with statistical rigor plus the three ablations; the
-//! [`stress`] module sustains open-ended load against each fix variant and
-//! reports throughput, abort rate and latency percentiles (`txfix
-//! stress`); the [`chaos`] module sweeps seeded fault-injection schedules
-//! over the corpus scenarios and asserts their invariants (`txfix chaos`);
-//! the [`workload`] module is the open-loop generator (seeded Zipfian
-//! keys, mixed op ratios, bursty phases, a simulated-user session model)
-//! the [`kv`] module drives through the sharded transactional KV store
-//! under the deterministic scheduler (`txfix kv`).
+//! same comparisons with statistical rigor plus the three ablations. The
+//! corpus load harness is one table of kernels, each asserting its
+//! scenario's invariants, in [`chaos`]: `txfix chaos` sweeps seeded
+//! fault-injection schedules over it, and [`stress`] runs it with faults
+//! off across thread counts, reporting throughput, abort rate and latency
+//! percentiles (`txfix stress`); both drive their workers through
+//! [`pool`]. The [`workload`] module is the open-loop generator (seeded
+//! Zipfian keys, mixed op ratios, bursty phases, a simulated-user session
+//! model) the [`kv`] module drives through the sharded transactional KV
+//! store under the deterministic scheduler (`txfix kv`).
 
 #![warn(missing_docs)]
 
@@ -27,5 +28,3 @@ pub use cases::{
     apache_i_comparison, apache_ii_comparison, mozilla_i_comparison, mysql_i_comparison,
     CaseComparison, Measurement, Scale,
 };
-pub use chaos::{chaos_report, run_chaos, ChaosConfig, ChaosRun};
-pub use stress::{run_stress, stress_report, StressConfig, StressRun, SCENARIOS};

@@ -1,14 +1,13 @@
-//! The worker-pool and invariant-sink helpers shared by the stress and
-//! chaos harnesses.
+//! The worker-pool and invariant-sink helpers behind the corpus load
+//! harness (`txfix chaos` and `txfix stress` run the same kernels).
 //!
-//! Both harnesses spawn a scoped pool of workers executing `op(worker,
-//! iteration)` with the per-worker backoff-jitter RNG pinned from the run
-//! seed — the only difference is the loop condition (wall-clock deadline
-//! for stress, fixed op count for chaos) and whether per-op latency is
-//! recorded. This module holds the one copy of that machinery.
+//! A kernel spawns a scoped pool of workers executing `op(worker,
+//! iteration)` a fixed number of times, with the per-worker
+//! backoff-jitter RNG pinned from the run seed; the pool records every
+//! op's latency and the run's wall-clock time, which stress reports and
+//! chaos ignores. This module holds the one copy of that machinery.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 use txfix_stm::chaos::splitmix64;
 use txfix_stm::obs::{self, HistogramSnapshot, HIST_BUCKETS};
 
@@ -21,84 +20,53 @@ pub fn pin_worker_rng(seed: u64, worker: usize) {
     ));
 }
 
-/// The key column of a harness's `(key, kernel)` table: both harnesses
-/// derive their exported `SCENARIOS` list from the rows that run it.
-pub const fn keys<T, const N: usize>(rows: &[(&'static str, T); N]) -> [&'static str; N] {
-    let mut keys = [""; N];
-    let mut i = 0;
-    while i < N {
-        keys[i] = rows[i].0;
-        i += 1;
-    }
-    keys
+/// Number of hardware threads on the host running a sweep. Recorded in
+/// the wall-clock reports so scaling claims can be judged against what
+/// the machine could physically show.
+pub fn host_cores() -> usize {
+    std::thread::available_parallelism().map(std::num::NonZeroUsize::get).unwrap_or(1)
 }
 
-/// Spawn `workers` scoped threads each executing `op(worker, i)` exactly
-/// `ops` times (the chaos harness's count-based shape: the total work is
-/// a function of the configuration, never of timing). Returns total ops.
-pub fn run_fixed(workers: usize, ops: u64, seed: u64, op: impl Fn(usize, u64) + Sync) -> u64 {
-    std::thread::scope(|s| {
-        for t in 0..workers {
-            let op = &op;
-            s.spawn(move || {
-                pin_worker_rng(seed, t);
-                for i in 0..ops {
-                    op(t, i);
-                }
-            });
-        }
-    });
-    workers as u64 * ops
-}
-
-/// What a deadline-bounded pool run measured.
-pub struct TimedRun {
-    /// Total operations completed across workers.
+/// What a fixed-count pool run measured.
+pub struct Run {
+    /// Total operations executed across workers (`workers × ops`).
     pub ops: u64,
-    /// Wall-clock duration actually spent (≥ the requested deadline).
+    /// Wall-clock duration from the first spawn to the last join.
     pub elapsed_secs: f64,
     /// Per-op latency in the observability layer's log₂ buckets.
     pub latency: HistogramSnapshot,
 }
 
-/// Spawn `workers` scoped threads looping `op(worker, i)` until `secs` of
-/// wall clock elapse (the stress harness's open-ended shape), recording
-/// every op's latency. Returns after all workers have joined, so
-/// follow-up observability deltas are taken at quiescence.
-pub fn run_timed(workers: usize, secs: f64, seed: u64, op: impl Fn(usize, u64) + Sync) -> TimedRun {
-    let stop = AtomicBool::new(false);
-    let total_ops = AtomicU64::new(0);
+/// Spawn `workers` scoped threads each executing `op(worker, i)` exactly
+/// `ops` times — the total work is a function of the configuration, never
+/// of timing — recording every op's latency. Returns after all workers
+/// have joined, so follow-up observability deltas are taken at
+/// quiescence.
+pub fn run_fixed(workers: usize, ops: u64, seed: u64, op: impl Fn(usize, u64) + Sync) -> Run {
     let hist = parking_lot::Mutex::new([0u64; HIST_BUCKETS]);
     let start = Instant::now();
     std::thread::scope(|s| {
         for t in 0..workers {
-            let (stop, total_ops, hist, op) = (&stop, &total_ops, &hist, &op);
+            let (hist, op) = (&hist, &op);
             s.spawn(move || {
                 pin_worker_rng(seed, t);
                 let mut local = [0u64; HIST_BUCKETS];
-                let mut i = 0u64;
-                while !stop.load(Ordering::Relaxed) {
+                for i in 0..ops {
                     let t0 = Instant::now();
                     op(t, i);
-                    let ns = t0.elapsed().as_nanos() as u64;
-                    local[obs::bucket_index(ns)] += 1;
-                    i += 1;
+                    local[obs::bucket_index(t0.elapsed().as_nanos() as u64)] += 1;
                 }
-                total_ops.fetch_add(i, Ordering::Relaxed);
                 let mut h = hist.lock();
                 for (merged, l) in h.iter_mut().zip(local) {
                     *merged += l;
                 }
             });
         }
-        std::thread::sleep(Duration::from_secs_f64(secs));
-        stop.store(true, Ordering::Relaxed);
     });
-    let counts = *hist.lock();
-    TimedRun {
-        ops: total_ops.into_inner(),
+    Run {
+        ops: workers as u64 * ops,
         elapsed_secs: start.elapsed().as_secs_f64().max(1e-9),
-        latency: HistogramSnapshot { counts },
+        latency: HistogramSnapshot { counts: hist.into_inner() },
     }
 }
 

@@ -72,7 +72,7 @@ pub use txfix_analyze as analyze;
 pub use txfix_static as lint;
 
 /// The evaluation harness: table regeneration, case-study comparisons and
-/// the sustained-load stress driver (`txfix stress`).
+/// the corpus load harness (`txfix chaos`, `txfix stress`).
 pub use txfix_bench as bench;
 
 /// Systematic schedule exploration: the deterministic scheduler's DFS and

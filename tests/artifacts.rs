@@ -27,22 +27,95 @@ fn check_schema<'a>(
     obj
 }
 
+/// Beyond its schema, the stress document carries the perf trajectory of
+/// the commit path. The thresholds encode that trajectory, not the paper's
+/// aspiration: on `av_stats_race` single-threaded (release build) the
+/// overhauled commit path landed at ~6.4× the dev fix's throughput cost,
+/// down from ~10.3× before it, and the ops threshold sits between the two
+/// so a regression back to the old path fails while machine-to-machine
+/// noise does not. On the chaos kernel at 500 000 ops per worker the ratio
+/// measured 6.47–7.11× over 15 sweeps on a 2-core host (EXPERIMENTS.md,
+/// "Stress sweep: chaos's kernels, faults off"). p50 is only a gross
+/// backstop: log₂ buckets quantize the ratio to powers of two (8.2× and
+/// 16.3× are adjacent buckets), so its threshold sits above both and below
+/// the next bucket (32.6×).
 #[test]
 fn bench_artifact_matches_stress_schema() {
     let doc = load("BENCH_stm.json");
-    let obj = check_schema("BENCH_stm.json", &doc, "txfix-stress-v3");
-    assert!(get(obj, "host_cores").unwrap().number("host_cores").unwrap() >= 1.0);
+    let obj = check_schema("BENCH_stm.json", &doc, "txfix-stress-v4");
+    let host_cores = get(obj, "host_cores").unwrap().number("host_cores").unwrap();
+    assert!(host_cores >= 1.0);
+    assert!(get(obj, "ops_per_thread").unwrap().number("ops_per_thread").unwrap() >= 1.0);
     let runs = get(obj, "runs").unwrap().array("runs").unwrap();
-    let threads = get(obj, "threads").unwrap().array("threads").unwrap();
+    let threads: Vec<f64> = get(obj, "threads")
+        .unwrap()
+        .array("threads")
+        .unwrap()
+        .iter()
+        .map(|t| t.number("threads").unwrap())
+        .collect();
     assert_eq!(runs.len(), 6 * 2 * threads.len(), "6 scenarios x dev/tm x every thread count");
+    // (scenario, variant, threads) -> (ops/s, p50 ns)
+    let mut by = std::collections::BTreeMap::new();
     for r in runs {
         let run = r.object("run").unwrap();
-        for field in ["scenario", "variant"] {
-            get(run, field).unwrap().string(field).unwrap();
-        }
-        for field in ["ops_per_sec", "aborts", "threads", "p50_ns", "p99_ns"] {
-            get(run, field).unwrap().number(field).unwrap();
-        }
+        let text = |f: &str| get(run, f).unwrap().string(f).unwrap();
+        let num = |f: &str| get(run, f).unwrap().number(f).unwrap();
+        let key = (text("scenario"), text("variant"), num("threads") as u64);
+        let violations = get(run, "violations").unwrap().array("violations").unwrap();
+        assert!(get(run, "passed").unwrap().bool("passed").unwrap(), "{key:?}: {violations:?}");
+        assert!(num("aborts") >= 0.0 && num("p99_ns") >= num("p50_ns"), "{key:?}");
+        by.insert(key, (num("ops_per_sec"), num("p50_ns")));
+    }
+    let row = |scenario: &str, variant: &str, threads: f64| {
+        by[&(scenario.to_string(), variant.to_string(), threads as u64)]
+    };
+    let lo = threads.iter().copied().fold(f64::INFINITY, f64::min);
+    let hi = threads.iter().copied().fold(0.0, f64::max);
+
+    // Single-thread TM overhead vs the dev (lock-based) fix on the
+    // reference scenario.
+    let (dev, tm) = (row("av_stats_race", "dev", lo), row("av_stats_race", "tm", lo));
+    let ops_ratio = dev.0 / tm.0.max(1.0);
+    let p50_ratio = tm.1 / dev.1.max(1.0);
+    assert!(ops_ratio <= 9.0, "av_stats_race @{lo}t: dev/tm ops ratio {ops_ratio:.2} > 9");
+    assert!(p50_ratio <= 20.0, "av_stats_race @{lo}t: tm/dev p50 ratio {p50_ratio:.2} > 20");
+
+    // TM throughput from the narrowest to the widest width must hold up
+    // on at least one scenario. Every kernel contends on shared state, so
+    // the rule asks for no speedup. Its one threshold comes from a 2-core
+    // host: the best scenario read 1.03–1.18× over 15 sweeps at 500 000
+    // ops per worker (1→4 and 1→8 threads; EXPERIMENTS.md).
+    // Hosts with other core counts have no measured threshold, so the
+    // check is skipped there, visibly: one core cannot show parallel
+    // speedup, and on more cores these kernels' contention is unmeasured.
+    // `pipe_handoff` is left out: its thread count is not its worker
+    // count (1 and 2 threads both run one producer and one consumer).
+    if lo == hi {
+        eprintln!("scaling check: skipped (single thread count {lo} in sweep)");
+    } else if host_cores == 1.0 {
+        eprintln!(
+            "scaling check: SKIPPED — host has 1 core; parallel speedup is not measurable \
+             here (recorded as host_cores=1 in the artifact)"
+        );
+    } else if host_cores != 2.0 {
+        eprintln!(
+            "scaling check: SKIPPED — no threshold measured for host_cores={host_cores} \
+             (the 0.9x threshold comes from a 2-core host)"
+        );
+    } else {
+        let scenarios = get(obj, "scenarios").unwrap().array("scenarios").unwrap();
+        let (best, best_key) = scenarios
+            .iter()
+            .map(|s| s.string("scenario").unwrap())
+            .filter(|s| s != "pipe_handoff")
+            .map(|s| (row(&s, "tm", hi).0 / row(&s, "tm", lo).0.max(1.0), s))
+            .fold((0.0, String::new()), |a, b| if b.0 > a.0 { b } else { a });
+        eprintln!("scaling check ({lo}->{hi}t, host_cores=2): best {best:.2}x ({best_key})");
+        assert!(
+            best >= 0.9,
+            "no scenario holds its TM throughput {lo}->{hi}t: best {best:.2}x ({best_key}) < 0.9"
+        );
     }
 }
 
