@@ -18,7 +18,7 @@ use std::fmt;
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Arc;
 use txfix_stm::trace::TracedCell;
-use txfix_stm::{OverheadModel, TVar, Txn, TxnBuilder};
+use txfix_stm::{TVar, Txn, TxnBuilder};
 use txfix_txlock::TxMutex;
 use txfix_xcall::{SimFile, SimFs, XFile};
 
@@ -190,20 +190,13 @@ impl fmt::Debug for TmBufferedLog {
 }
 
 impl TmBufferedLog {
-    /// Create a writer with the given buffer capacity (no modelled
-    /// instrumentation cost).
+    /// Create a writer with the given buffer capacity.
     pub fn new(fs: &SimFs, path: &str, capacity: usize) -> Self {
-        Self::with_overhead(fs, path, capacity, OverheadModel::NONE)
-    }
-
-    /// Create a writer charging the given TM cost model (benchmarks use
-    /// [`OverheadModel::SOFTWARE_TM`]).
-    pub fn with_overhead(fs: &SimFs, path: &str, capacity: usize, overhead: OverheadModel) -> Self {
         TmBufferedLog {
             buf: TVar::new(Vec::with_capacity(capacity)),
             xfile: XFile::open_or_create(fs, path),
             capacity,
-            txn: Txn::build().site("apache_ii_log").overhead(overhead),
+            txn: Txn::build().site("apache_ii_log"),
         }
     }
 }

@@ -7,13 +7,14 @@
 //! relinquishes at a safe point. Claiming while holding the global
 //! `setSlotLock` is the Mozilla-I deadlock (paper §5.4.1, Figure 2).
 //!
-//! The module provides four interchangeable object stores:
+//! The module provides five interchangeable object stores:
 //!
 //! | store | corresponds to |
 //! |---|---|
 //! | [`OwnershipStore`] (buggy mode) | the shipped, deadlock-prone protocol |
 //! | [`OwnershipStore`] (dev-fix mode) | developers' fix: drop ownership before blocking |
-//! | [`StmStore`] | TM fix via Recipe 1 (locks → atomic regions), STM or HTM cost model |
+//! | [`StmStore`] | TM fix via Recipe 1 (locks → atomic regions) on the native STM |
+//! | [`HwModelStore`] | the same fix on hardware TM — a model, there being no HTM to run |
 //! | [`PreemptStore`] | TM fix via Recipe 3 (revocable locks + preemptible claim path) |
 //!
 //! plus a script-interpreter workload ([`run_script_workload`]) standing in for

@@ -167,7 +167,7 @@ mod tests {
     #[test]
     fn workload_runs_on_tm_stores() {
         let p = small();
-        let stm = StmStore::uninstrumented(p.total_objects(), p.slots);
+        let stm = StmStore::new(p.total_objects(), p.slots);
         assert_eq!(run_script_workload(&stm, &p).abandoned, 0);
         let pre = PreemptStore::new(p.total_objects(), p.slots);
         assert_eq!(run_script_workload(&pre, &p).abandoned, 0);

@@ -3,9 +3,9 @@
 //! [`StmStore`] is the Recipe 1 fix: `setSlotLock`, scope locks and the
 //! ownership protocol are *deleted* and every slot access becomes an
 //! atomic region ("deprecating the notion of ownership, and thus
-//! eliminating the complex revocation protocol", §5.4.1). Its performance
-//! is a direct function of the TM cost model — software barriers make it
-//! slow, the hardware model makes it competitive.
+//! eliminating the complex revocation protocol", §5.4.1). It runs on the
+//! native STM, so it pays the runtime's real per-access validation cost;
+//! [`HwModelStore`] models the same fix on hardware TM.
 //!
 //! [`PreemptStore`] is the Recipe 3 fix: the locks stay (as revocable
 //! [`TxMutex`]es), the common path is untouched lock/unlock, and only the
@@ -14,53 +14,28 @@
 use super::store::ObjectStore;
 use std::fmt;
 use txfix_core::{preemptible, PreemptOptions};
-use txfix_stm::{OverheadModel, TVar, Txn, TxnBuilder};
+use txfix_stm::{TVar, Txn, TxnBuilder};
 use txfix_txlock::TxMutex;
 
 /// Recipe 1: all synchronization replaced by atomic regions.
 pub struct StmStore {
     objects: Vec<Vec<TVar<i64>>>,
     txn: TxnBuilder,
-    name: &'static str,
 }
 
 impl fmt::Debug for StmStore {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("StmStore")
-            .field("name", &self.name)
-            .field("objects", &self.objects.len())
-            .finish()
+        f.debug_struct("StmStore").field("objects", &self.objects.len()).finish()
     }
 }
 
 impl StmStore {
-    /// Store with an explicit cost model.
-    pub fn with_overhead(
-        objects: usize,
-        slots: usize,
-        overhead: OverheadModel,
-        name: &'static str,
-    ) -> StmStore {
+    /// Create a store of `objects` objects with `slots` slots each.
+    pub fn new(objects: usize, slots: usize) -> StmStore {
         StmStore {
             objects: (0..objects).map(|_| (0..slots).map(|_| TVar::new(0)).collect()).collect(),
-            txn: Txn::build().site("spidermonkey_stm").overhead(overhead),
-            name,
+            txn: Txn::build().site("spidermonkey_stm"),
         }
-    }
-
-    /// Software-TM cost model (instrumented barriers, ~3–5× section cost).
-    pub fn software(objects: usize, slots: usize) -> StmStore {
-        Self::with_overhead(objects, slots, OverheadModel::SOFTWARE_TM, "tm-replace (software)")
-    }
-
-    /// Hardware-TM cost model (LogTM-SE-like, near-zero barriers).
-    pub fn hardware(objects: usize, slots: usize) -> StmStore {
-        Self::with_overhead(objects, slots, OverheadModel::HARDWARE_TM, "tm-replace (hardware)")
-    }
-
-    /// No modelled overhead (functional testing).
-    pub fn uninstrumented(objects: usize, slots: usize) -> StmStore {
-        Self::with_overhead(objects, slots, OverheadModel::NONE, "tm-replace (no model)")
     }
 }
 
@@ -96,7 +71,7 @@ impl ObjectStore for StmStore {
     }
 
     fn variant_name(&self) -> &'static str {
-        self.name
+        "tm-replace (recipe 1)"
     }
 }
 
@@ -104,7 +79,8 @@ impl ObjectStore for StmStore {
 /// hardware modelled as tracking conflicts for free. Slot accesses are
 /// plain atomic loads/stores (single-location transactions a real HTM
 /// retires at cache speed) and the cross-object move is a short critical
-/// section standing in for a two-line hardware transaction.
+/// section standing in for a two-line hardware transaction. This is
+/// Table 4's only modelled row: every other TM figure is a native run.
 pub struct HwModelStore {
     objects: Vec<Vec<std::sync::atomic::AtomicI64>>,
     move_lock: parking_lot::Mutex<()>,
@@ -261,7 +237,7 @@ mod tests {
 
     #[test]
     fn stm_store_basics() {
-        exercise(&StmStore::uninstrumented(2, 2));
+        exercise(&StmStore::new(2, 2));
     }
 
     #[test]
@@ -311,7 +287,7 @@ mod tests {
 
     #[test]
     fn stm_store_conserves_token_under_contention() {
-        let store = StmStore::uninstrumented(2, 1);
+        let store = StmStore::new(2, 1);
         store.set_slot(0, 0, 0, 1);
         std::thread::scope(|s| {
             for t in 0..2usize {

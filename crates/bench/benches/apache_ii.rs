@@ -6,7 +6,6 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use std::time::{Duration, Instant};
 use txfix_apps::apache::buffered_log::{make_record, RECORD_LEN};
 use txfix_apps::apache::{LockedBufferedLog, LogWriter, TmBufferedLog};
-use txfix_stm::OverheadModel;
 use txfix_xcall::SimFs;
 
 const THREADS: usize = 4;
@@ -41,8 +40,7 @@ fn bench_log(c: &mut Criterion) {
     let dev = LockedBufferedLog::new(&fs, "dev.log", 64 * RECORD_LEN);
     g.bench_function("developer_fix_per_log_lock", |b| b.iter(|| serve(&dev)));
 
-    let tm =
-        TmBufferedLog::with_overhead(&fs, "tm.log", 64 * RECORD_LEN, OverheadModel::SOFTWARE_TM);
+    let tm = TmBufferedLog::new(&fs, "tm.log", 64 * RECORD_LEN);
     g.bench_function("recipe2_atomic_xcall", |b| b.iter(|| serve(&tm)));
 
     // Cross-log concurrency check: two independent logs, two threads each.
@@ -56,10 +54,8 @@ fn bench_log(c: &mut Criterion) {
             })
         })
     });
-    let tm_a =
-        TmBufferedLog::with_overhead(&fs, "ta.log", 64 * RECORD_LEN, OverheadModel::SOFTWARE_TM);
-    let tm_b =
-        TmBufferedLog::with_overhead(&fs, "tb.log", 64 * RECORD_LEN, OverheadModel::SOFTWARE_TM);
+    let tm_a = TmBufferedLog::new(&fs, "ta.log", 64 * RECORD_LEN);
+    let tm_b = TmBufferedLog::new(&fs, "tb.log", 64 * RECORD_LEN);
     g.bench_function("recipe2_two_logs", |b| {
         b.iter(|| {
             std::thread::scope(|s| {

@@ -1,7 +1,8 @@
 //! CS1: Mozilla-I (§5.4.1) — SunSpider-like interpreter workload over the
 //! four object-store variants. Paper shape: developer fix ≫ Recipe 1 on
-//! software TM (21%); hardware TM recovers parity (99.3%); Recipe 3 sits
-//! in between (85%).
+//! software TM (21%; here the native STM); hardware TM recovers parity
+//! (99.3%; here modelled by `HwModelStore`); Recipe 3 sits in between
+//! (85%).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use txfix_apps::spidermonkey::{
@@ -35,8 +36,8 @@ fn bench_variants(c: &mut Criterion) {
     let dev = OwnershipStore::new(OwnershipMode::DevFix, total, p.slots);
     g.bench_function("developer_fix_ownership", |b| b.iter(|| run(&dev)));
 
-    let sw = StmStore::software(total, p.slots);
-    g.bench_function("recipe1_software_tm", |b| b.iter(|| run(&sw)));
+    let sw = StmStore::new(total, p.slots);
+    g.bench_function("recipe1_native_stm", |b| b.iter(|| run(&sw)));
 
     let hw = HwModelStore::new(total, p.slots);
     g.bench_function("recipe1_hardware_model", |b| b.iter(|| run(&hw)));

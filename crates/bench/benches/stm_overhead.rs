@@ -3,12 +3,13 @@
 //! Reproduces the claim behind §3.2 — "software TM implementations may
 //! slow down critical sections by 3–5×" — by timing a short critical
 //! section (read-modify-write of one word, plus a second shared word to
-//! make it multi-location) under each mechanism.
+//! make it multi-location) under each mechanism. Every TM row is the
+//! native runtime: no cost is modelled on top of it.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 use txfix_htm::{hybrid_atomic, HtmConfig};
-use txfix_stm::{OverheadModel, TVar, Txn};
+use txfix_stm::{TVar, Txn, TxnBuilder};
 use txfix_txlock::TxMutex;
 
 fn bench_mechanisms(c: &mut Criterion) {
@@ -39,8 +40,7 @@ fn bench_mechanisms(c: &mut Criterion) {
 
     let a = TVar::new(0u64);
     let bb = TVar::new(0u64);
-    let mut tx_bench = |name: &str, overhead: OverheadModel| {
-        let txb = Txn::build().overhead(overhead);
+    let mut tx_bench = |name: &str, txb: TxnBuilder| {
         let (a, bb) = (a.clone(), bb.clone());
         g.bench_function(name, move |bch| {
             bch.iter(|| {
@@ -57,33 +57,15 @@ fn bench_mechanisms(c: &mut Criterion) {
         });
     };
 
-    tx_bench("stm_native", OverheadModel::NONE);
-    tx_bench("stm_software_model", OverheadModel::SOFTWARE_TM);
-    tx_bench("stm_hardware_model", OverheadModel::HARDWARE_TM);
+    tx_bench("stm_native", Txn::build());
 
     // The obs registry's contract: disabled (the default, as in
     // `stm_native` above) costs one relaxed load per hook; this variant
     // pins what turning it on adds. Compare `stm_native` against the
     // pre-observability baseline to check the ≤5% disabled budget.
-    {
-        txfix_stm::obs::enable();
-        let txb = Txn::build().site("bench.obs_enabled");
-        let (a, bb) = (a.clone(), bb.clone());
-        g.bench_function("stm_native_obs_enabled", move |bch| {
-            bch.iter(|| {
-                txb.try_run(|txn| {
-                    let x = a.read(txn)?;
-                    a.write(txn, x.wrapping_add(1))?;
-                    let y = bb.read(txn)?;
-                    bb.write(txn, y.wrapping_add(x))?;
-                    Ok(y)
-                })
-                .expect("uncontended transaction")
-                .0
-            })
-        });
-        txfix_stm::obs::disable();
-    }
+    txfix_stm::obs::enable();
+    tx_bench("stm_native_obs_enabled", Txn::build().site("bench.obs_enabled"));
+    txfix_stm::obs::disable();
 
     let cfg = HtmConfig::new();
     let (a2, b2) = (a.clone(), bb.clone());

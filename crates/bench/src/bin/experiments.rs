@@ -128,7 +128,7 @@ fn main() {
         println!(
             "  {:10} {:28} paper {:>6.1}%   measured {:>6.1}%",
             "Mozilla-I",
-            "recipe 1 on hardware TM",
+            "recipe 1 on HTM (modelled)",
             99.3,
             m * 100.0
         );

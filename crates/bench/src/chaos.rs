@@ -744,8 +744,10 @@ pub(crate) mod tests {
     use super::*;
 
     /// The fault plan is process-global; serialize the tests that install
-    /// one, and the stress tests that need none installed, so plans never
-    /// leak into another test's cells.
+    /// one, and the stress and case-study tests that need none installed,
+    /// so plans never leak into another test's cells. The case-study tests
+    /// also need the cores to themselves: MySQL-I's wall-clock ratio is
+    /// parity when another test takes the parallelism Recipe 4 loses.
     pub(crate) static GATE: parking_lot::Mutex<()> = parking_lot::Mutex::new(());
 
     fn small(seed: u64) -> ChaosConfig {

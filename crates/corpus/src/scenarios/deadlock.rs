@@ -85,7 +85,7 @@ pub(super) fn mozilla_i(variant: Variant) -> Outcome {
                 cross_object_period: 8,
                 compute_ns: 0,
             };
-            let store = StmStore::uninstrumented(params.total_objects(), params.slots);
+            let store = StmStore::new(params.total_objects(), params.slots);
             let r = run_script_workload(&store, &params);
             if r.abandoned == 0 {
                 Outcome::Correct

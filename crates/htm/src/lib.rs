@@ -1,26 +1,26 @@
 //! # txfix-htm: a best-effort hardware TM model with hybrid fallback
 //!
-//! The paper's §5.4.1 shows that the SpiderMonkey Recipe 1 fix is too slow
-//! on software TM (21% of developer-fix performance) but reaches 99.3% on
-//! the simulated LogTM-SE hardware TM. We have no TM hardware, so this
-//! crate *models* it on top of `txfix-stm`:
+//! The paper's §5.4.1 runs the SpiderMonkey Recipe 1 fix on a simulated
+//! LogTM-SE hardware TM. We have no TM hardware; this crate models the
+//! part of it that changes control flow, on top of `txfix-stm`:
 //!
-//! - hardware transactions track accesses at near-zero cost
-//!   ([`OverheadModel::HARDWARE_TM`]) but have **bounded capacity**: a
-//!   transaction reading or writing more distinct locations than the
-//!   configured bound aborts with a capacity overflow, like any best-effort
-//!   HTM;
+//! - hardware transactions are native STM transactions with **bounded
+//!   capacity**: a transaction reading or writing more distinct locations
+//!   than the configured bound aborts with a capacity overflow, like any
+//!   best-effort HTM;
 //! - a [`FallbackPolicy`] decides what happens after repeated hardware
 //!   failures: retry in software TM (the hybrid-TM design the paper cites
 //!   [10, 13, 29]) or serialize under the global lock.
 //!
-//! [`OverheadModel::HARDWARE_TM`]: txfix_stm::OverheadModel::HARDWARE_TM
+//! No per-access cost is modelled: the hardware path costs what the
+//! native STM costs. The Table 4 HTM row comes from `HwModelStore` in
+//! `txfix-apps`, not from this crate.
 
 #![warn(missing_docs)]
 
-use txfix_stm::{OverheadModel, StmResult, Txn, TxnError, TxnReport};
+use txfix_stm::{StmResult, Txn, TxnError, TxnReport};
 
-/// Capacity and cost parameters of the modelled hardware.
+/// Capacity parameters of the modelled hardware.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct HtmConfig {
     /// Maximum distinct locations a hardware transaction may read
@@ -31,8 +31,6 @@ pub struct HtmConfig {
     /// Hardware attempts before engaging the fallback policy (covers
     /// transient conflict aborts as well as capacity overflows).
     pub max_hw_attempts: u64,
-    /// Per-access cost model of the hardware path.
-    pub overhead: OverheadModel,
     /// What to do when hardware gives up.
     pub fallback: FallbackPolicy,
 }
@@ -43,8 +41,7 @@ impl Default for HtmConfig {
             read_capacity: 1024,
             write_capacity: 256,
             max_hw_attempts: 4,
-            overhead: OverheadModel::HARDWARE_TM,
-            fallback: FallbackPolicy::SoftwareTm(OverheadModel::NONE),
+            fallback: FallbackPolicy::SoftwareTm,
         }
     }
 }
@@ -78,9 +75,8 @@ impl HtmConfig {
 /// Software path taken when the hardware gives up.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FallbackPolicy {
-    /// Re-run as an unbounded software transaction with the given
-    /// (software) overhead model — the hybrid-TM design.
-    SoftwareTm(OverheadModel),
+    /// Re-run as an unbounded software transaction — the hybrid-TM design.
+    SoftwareTm,
     /// Re-run serialized under the global lock (irrevocable), like an STM
     /// that falls back to a single global lock.
     GlobalLock,
@@ -137,8 +133,7 @@ pub fn hybrid_atomic<T>(
     let hw = Txn::build()
         .site("htm_hw")
         .capacity(config.read_capacity, config.write_capacity)
-        .max_attempts(config.max_hw_attempts)
-        .overhead(config.overhead);
+        .max_attempts(config.max_hw_attempts);
 
     let hw_attempts;
     match hw.try_run(&mut body) {
@@ -164,9 +159,8 @@ pub fn hybrid_atomic<T>(
                 Err(e) => Err(e),
             }
         }
-        FallbackPolicy::SoftwareTm(overhead) => {
-            let (v, inner) =
-                Txn::build().site("htm_sw_fallback").overhead(overhead).try_run(&mut body)?;
+        FallbackPolicy::SoftwareTm => {
+            let (v, inner) = Txn::build().site("htm_sw_fallback").try_run(&mut body)?;
             Ok((v, HybridReport { path: CommitPath::SoftwareFallback, hw_attempts, inner }))
         }
         FallbackPolicy::GlobalLock => {

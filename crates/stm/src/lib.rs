@@ -25,10 +25,6 @@
 //!   in a transaction via [`Txn::enlist`], [`Txn::on_commit`] and
 //!   [`Txn::on_abort`], and deadlock detectors can preempt a transaction
 //!   through its [`KillHandle`].
-//! - **Cost modelling**: [`OverheadModel`] charges calibrated
-//!   per-read/write/commit costs so benchmarks reproduce the 3–5×
-//!   instrumentation overhead of software TM and the near-zero overhead of
-//!   the simulated hardware TM.
 //! - **Capacity bounds**: [`TxnBuilder::capacity`] models bounded hardware
 //!   read/write sets (used by `txfix-htm`).
 //! - **One entry-point family**: every transaction goes through
@@ -38,25 +34,10 @@
 //!   the [`obs`] observability layer (commit/abort/latency attribution
 //!   behind `txfix stress`).
 //!
-//! ## Migrating from the pre-builder entry points
-//!
-//! Earlier revisions exposed four parallel entry points (`atomic`,
-//! `atomic_relaxed`, `atomic_report`, `atomic_with`) plus a bare
-//! `TxnOptions` struct. They collapsed into one fluent builder:
-//!
-//! | before                                         | now                                          |
-//! |------------------------------------------------|----------------------------------------------|
-//! | `atomic(body)`                                 | unchanged (thin wrapper)                     |
-//! | `atomic_relaxed(body)`                         | unchanged (thin wrapper)                     |
-//! | `atomic_report(&opts, body)?`                  | `Txn::build()….try_run(body)?`               |
-//! | `atomic_with(&opts, body)?`                    | `Txn::build()….try_run(body)?` (drop report) |
-//! | `TxnOptions::default().kind(TxnKind::Relaxed)` | `Txn::build().relaxed()`                     |
-//! | `opts.capacity(r, w)`, `.max_attempts(n)`, `.backoff(p)`, `.overhead(m)` | same method names on the builder |
-//!
-//! The builder is `Clone` and cheap to store, so code that previously kept
-//! a `TxnOptions` in a struct keeps a configured [`TxnBuilder`] instead.
-//! New with the redesign: [`TxnBuilder::site`] attributes every
-//! transaction from that builder to a named site for per-site metrics.
+//! There is no instrumentation-cost model: the runtime's own read-set
+//! validation already costs a short critical section the 3–5× of the
+//! paper's §3.2 over a lock, and `tests/artifacts.rs` holds the committed
+//! `BENCH_stm.json` to that floor.
 //!
 //! ## Example
 //!
@@ -89,7 +70,6 @@ mod error;
 mod notifier;
 pub mod obs;
 mod orec;
-mod overhead;
 mod runtime;
 pub mod sched;
 mod serial;
@@ -100,7 +80,6 @@ mod txn;
 pub use contention::{seed_backoff_rng, BackoffPolicy};
 pub use error::{Abort, CapacityKind, ConflictKind, StmResult, TxnError, WaitPoint};
 pub use obs::SiteId;
-pub use overhead::OverheadModel;
 pub use runtime::{
     atomic, atomic_relaxed, EscalationPolicy, EscalationRung, TxnBuilder, TxnReport,
 };

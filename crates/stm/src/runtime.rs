@@ -1,8 +1,7 @@
 //! The transaction entry points: the [`TxnBuilder`] (and its [`atomic`] /
 //! [`atomic_relaxed`] convenience wrappers) execute a transaction body
 //! until it commits, handling conflicts, explicit aborts, blocking retry,
-//! commit-before-wait and capacity overflow. The migration table from the
-//! pre-builder entry points lives in the crate docs.
+//! commit-before-wait and capacity overflow.
 
 use crate::chaos;
 use crate::contention::Backoff;
@@ -10,10 +9,14 @@ use crate::error::{Abort, ConflictKind, StmResult, TxnError};
 use crate::notifier;
 use crate::obs;
 use crate::obs::SiteId;
-use crate::overhead::OverheadModel;
 use crate::sched;
 use crate::txn::{Txn, TxnKind, TxnOptions};
 use std::time::{Duration, Instant};
+
+/// Upper bound on one blocking interval of [`Txn::retry`]; on timeout the
+/// transaction re-executes anyway (guards against missed notifications in
+/// user code).
+const RETRY_TIMEOUT: Duration = Duration::from_millis(50);
 
 /// Diagnostic information about one completed `atomic` call.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -158,45 +161,8 @@ impl TxnBuilder {
         self
     }
 
-    /// Set the modelled instrumentation cost (see [`OverheadModel`]).
-    pub fn overhead(mut self, model: OverheadModel) -> Self {
-        self.opts.overhead = model;
-        self
-    }
-
-    /// Upper bound on one blocking interval of [`Txn::retry`]; on timeout
-    /// the transaction re-executes anyway.
-    pub fn retry_timeout(mut self, timeout: Duration) -> Self {
-        self.opts.retry_timeout = timeout;
-        self
-    }
-
     /// Install a graceful-degradation ladder (see [`EscalationPolicy`]).
     pub fn escalation(mut self, policy: EscalationPolicy) -> Self {
-        self.opts.escalation = Some(policy);
-        self
-    }
-
-    /// Shorthand for an attempt budget: after `n` failed attempts the
-    /// transaction runs serially (and irrevocably) and therefore commits.
-    /// Installs a default ladder with `serial_after = n` and stronger
-    /// backoff from halfway there; composes with
-    /// [`deadline`](TxnBuilder::deadline).
-    pub fn attempt_budget(mut self, n: u64) -> Self {
-        let mut policy = self.opts.escalation.unwrap_or_default();
-        let n = n.max(1);
-        policy.serial_after = n;
-        policy.backoff_after = (n / 2).max(1);
-        self.opts.escalation = Some(policy);
-        self
-    }
-
-    /// Wall-clock bound on optimism: once `d` has elapsed since the
-    /// `atomic` call began, the next attempt jumps straight to the serial
-    /// rung. Installs a default [`EscalationPolicy`] if none is set.
-    pub fn deadline(mut self, d: Duration) -> Self {
-        let mut policy = self.opts.escalation.unwrap_or_default();
-        policy.deadline = Some(d);
         self.opts.escalation = Some(policy);
         self
     }
@@ -406,7 +372,7 @@ pub(crate) fn atomic_report<T>(
                     }
                 } else {
                     while !snapshot.changed() {
-                        if !notifier::global().wait_past(seen, opts.retry_timeout) {
+                        if !notifier::global().wait_past(seen, RETRY_TIMEOUT) {
                             break; // timeout: re-execute anyway
                         }
                     }

@@ -34,7 +34,6 @@ use crate::error::{Abort, CapacityKind, ConflictKind, StmResult, WaitPoint};
 use crate::notifier;
 use crate::obs;
 use crate::obs::SiteId;
-use crate::overhead::{charge, OverheadModel};
 use crate::sched;
 use crate::serial;
 use crate::trace;
@@ -44,7 +43,6 @@ use std::cell::Cell;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
-use std::time::Duration;
 
 type Boxed = Arc<dyn Any + Send + Sync>;
 type OrecRef = &'static crate::orec::Orec;
@@ -104,12 +102,6 @@ pub struct TxnOptions {
     pub read_capacity: Option<usize>,
     /// Hardware-model bound on distinct variables written.
     pub write_capacity: Option<usize>,
-    /// Modelled instrumentation cost (see [`OverheadModel`]).
-    pub overhead: OverheadModel,
-    /// Upper bound on one blocking interval of [`Txn::retry`]; on timeout
-    /// the transaction re-executes anyway (guards against missed
-    /// notifications in user code).
-    pub retry_timeout: Duration,
     /// Metrics attribution site (see [`crate::obs`]).
     pub site: SiteId,
     /// Graceful-degradation ladder (see
@@ -126,8 +118,6 @@ impl Default for TxnOptions {
             backoff: BackoffPolicy::default(),
             read_capacity: None,
             write_capacity: None,
-            overhead: OverheadModel::NONE,
-            retry_timeout: Duration::from_millis(50),
             site: SiteId::UNATTRIBUTED,
             escalation: None,
         }
@@ -233,7 +223,6 @@ pub struct Txn {
     was_irrevocable: bool,
     read_capacity: Option<usize>,
     write_capacity: Option<usize>,
-    overhead: OverheadModel,
     finished: bool,
     /// Canary: this commit already bumped the retry notifier *before*
     /// write-back (the planted reordering), so the normal post-publish
@@ -260,7 +249,6 @@ impl fmt::Debug for Txn {
 impl Txn {
     pub(crate) fn begin(opts: &TxnOptions, attempt: u64) -> Txn {
         sched::yield_point(sched::SyncOp::TxnBegin);
-        charge(opts.overhead.begin_ns);
         let serial = next_serial();
         trace::emit(trace::EventKind::TxnBegin { serial });
         Txn {
@@ -281,7 +269,6 @@ impl Txn {
             was_irrevocable: false,
             read_capacity: opts.read_capacity,
             write_capacity: opts.write_capacity,
-            overhead: opts.overhead,
             finished: false,
             #[cfg(feature = "canary-stm")]
             canary_notified_early: false,
@@ -363,7 +350,6 @@ impl Txn {
         if self.irrevocable.is_none() {
             sched::yield_point(sched::SyncOp::TxnRead(var.id));
         }
-        charge(self.overhead.read_ns);
         self.check_killed()?;
         // Chaos: a forced validation failure on the read path. Irrevocable
         // transactions are exempt — like kills — because they cannot roll
@@ -426,7 +412,6 @@ impl Txn {
         if self.irrevocable.is_none() {
             sched::yield_point(sched::SyncOp::TxnWrite(var.id));
         }
-        charge(self.overhead.write_ns);
         self.check_killed()?;
         let bits = filter_bits(var.id);
         if let Some(i) = self.write_slot(var.id, bits) {
@@ -616,11 +601,6 @@ impl Txn {
         if revocable {
             sched::yield_point(sched::SyncOp::TxnCommit);
         }
-        charge(
-            self.overhead.commit_ns
-                + self.overhead.commit_per_entry_ns
-                    * (self.read_set.len() + self.write_set.len()) as u64,
-        );
         // Note: the kill flag is deliberately NOT checked here. A kill is an
         // advisory deadlock-breaking signal; a transaction that reached its
         // commit point is no longer blocking anyone, and validation decides

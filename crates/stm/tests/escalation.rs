@@ -35,7 +35,7 @@ fn always_conflicting_txn_reaches_serial_within_budget_and_commits_once() {
     let body_runs = AtomicU64::new(0);
     let (_, report) = Txn::build()
         .site("escalation_serial_probe")
-        .attempt_budget(6)
+        .escalation(EscalationPolicy { backoff_after: 3, serial_after: 6, deadline: None })
         .try_run(|t| {
             body_runs.fetch_add(1, Ordering::SeqCst);
             v.modify(t, |x| x + 1)
@@ -62,8 +62,9 @@ fn deadline_jumps_straight_to_the_serial_rung() {
     let _g = gate();
     chaos::clear();
     let v = TVar::new(0u32);
+    let policy = EscalationPolicy { deadline: Some(Duration::ZERO), ..EscalationPolicy::default() };
     let (_, report) =
-        Txn::build().deadline(Duration::ZERO).try_run(|t| v.modify(t, |x| x + 1)).expect("commits");
+        Txn::build().escalation(policy).try_run(|t| v.modify(t, |x| x + 1)).expect("commits");
     assert_eq!(report.attempts, 1, "an expired deadline serializes immediately");
     assert_eq!(report.committed_rung, EscalationRung::Serial);
     assert!(report.committed_irrevocably);
@@ -103,8 +104,10 @@ fn clean_transactions_stay_on_the_optimistic_rung() {
     let _g = gate();
     chaos::clear();
     let v = TVar::new(0u32);
-    let (_, report) =
-        Txn::build().attempt_budget(4).try_run(|t| v.modify(t, |x| x + 1)).expect("commits");
+    let (_, report) = Txn::build()
+        .escalation(EscalationPolicy { backoff_after: 2, serial_after: 4, deadline: None })
+        .try_run(|t| v.modify(t, |x| x + 1))
+        .expect("commits");
     assert_eq!(report.attempts, 1);
     assert_eq!(report.committed_rung, EscalationRung::Optimistic);
     assert_eq!(report.escalations, 0);

@@ -74,10 +74,15 @@ fn bench_artifact_matches_stress_schema() {
     let hi = threads.iter().copied().fold(0.0, f64::max);
 
     // Single-thread TM overhead vs the dev (lock-based) fix on the
-    // reference scenario.
+    // reference scenario. The lower bound is §3.2's "3–5×" floor: the
+    // native STM already costs a short critical section that much, which
+    // is why the repo layers no instrumentation-cost model on top of it.
+    // If this bound ever fails, Table 4's TM rows stop standing for the
+    // paper's software TM.
     let (dev, tm) = (row("av_stats_race", "dev", lo), row("av_stats_race", "tm", lo));
     let ops_ratio = dev.0 / tm.0.max(1.0);
     let p50_ratio = tm.1 / dev.1.max(1.0);
+    assert!(ops_ratio >= 3.0, "av_stats_race @{lo}t: dev/tm ops ratio {ops_ratio:.2} < 3");
     assert!(ops_ratio <= 9.0, "av_stats_race @{lo}t: dev/tm ops ratio {ops_ratio:.2} > 9");
     assert!(p50_ratio <= 20.0, "av_stats_race @{lo}t: tm/dev p50 ratio {p50_ratio:.2} > 20");
 
