@@ -5,10 +5,11 @@
 //! recipes, escalation ladder, crash checker and chaos layer finally
 //! meet contended, skewed, mixed read/write load at macro scale.
 //!
-//! * [`KvStore`] — keys hash across shards; each shard owns a hash index
-//!   of bucket maps in [`TVar`](txfix_stm::TVar)s, a redo log
-//!   ([`txfix_wal::Wal`], fixed protocol), and a double-buffered
-//!   checkpoint pair behind a [`page::BufferPool`].
+//! * [`KvStore`] — keys hash across shards; each shard owns one
+//!   [`TVar`](txfix_stm::TVar) holding its hash index of bucket maps, a
+//!   redo log ([`txfix_wal::Wal`], fixed protocol), and a double-buffered
+//!   checkpoint pair behind a [`page::BufferPool`]. A scan returns
+//!   [`Rows`], packed into one buffer.
 //! * [`Mode`] — per-shard concurrency: `dev` (coarse revocable lock),
 //!   `tm` (optimistic STM with backoff), `hybrid` (STM plus the
 //!   escalation ladder on read-only ops).
@@ -23,6 +24,8 @@ mod bucket;
 pub mod crash;
 pub mod model;
 pub mod page;
+mod rows;
 mod store;
 
+pub use rows::Rows;
 pub use store::{shard_placement, KvConfig, KvError, KvStore, Mode, OpStats, Reply};

@@ -15,6 +15,8 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use txfix_stm::chaos::splitmix64;
 use txfix_stm::sched::{self, Pick, Picker, RunLog, SchedStop};
 
+use crate::Rows;
+
 /// A picker driving scheduling decisions from a splitmix64 stream: same
 /// seed, same schedule, machine-independent.
 pub fn seeded_picker(seed: u64) -> Picker {
@@ -95,7 +97,7 @@ pub enum ModelResult {
     /// Get's mapping / put's or delete's displaced value.
     Value(Option<String>),
     /// Scan's snapshot.
-    Snapshot(Vec<(String, String)>),
+    Snapshot(Rows),
 }
 
 /// One committed op as the harness recorded it.
@@ -120,6 +122,7 @@ pub struct Event {
 /// in the history), every displaced value must match the oracle, and
 /// every read must see exactly the oracle state of its version.
 pub fn check_history(events: &[Event]) -> Result<usize, String> {
+    use ModelResult::{Snapshot, Value};
     let mut by_shard: BTreeMap<usize, Vec<&Event>> = BTreeMap::new();
     for e in events {
         by_shard.entry(e.shard).or_default().push(e);
@@ -128,74 +131,44 @@ pub fn check_history(events: &[Event]) -> Result<usize, String> {
     for (shard, mut evs) in by_shard {
         // Writes first within a version: the write that produced version
         // v serializes before every read that observed v.
-        evs.sort_by_key(|e| (e.version, matches!(e.op, ModelOp::Get(_) | ModelOp::Scan)));
+        let is_read = |e: &Event| matches!(e.op, ModelOp::Get(_) | ModelOp::Scan);
+        evs.sort_by_key(|e| (e.version, is_read(e)));
         let mut oracle: BTreeMap<String, String> = BTreeMap::new();
         let mut version = 0u64;
         for e in evs {
-            let fail = |what: &str, want: &ModelResult| {
-                Err(format!(
+            if is_read(e) && e.version != version {
+                return Err(format!(
+                    "shard {shard}: read {:?} observed version {} during version {version}",
+                    e.op, e.version
+                ));
+            }
+            if !is_read(e) && e.version != version + 1 {
+                return Err(format!(
+                    "shard {shard}: write version {} after version {version} (lost or \
+                     duplicated write)",
+                    e.version
+                ));
+            }
+            version = e.version;
+            let (what, want) = match &e.op {
+                ModelOp::Put(k, v) => {
+                    ("displaced value diverged", Value(oracle.insert(k.clone(), v.clone())))
+                }
+                ModelOp::Delete(k) => ("displaced value diverged", Value(oracle.remove(k))),
+                ModelOp::Get(k) => ("stale or phantom read", Value(oracle.get(k).cloned())),
+                ModelOp::Scan => (
+                    "torn scan",
+                    Snapshot(oracle.iter().map(|(k, v)| (k.as_str(), v.as_str())).collect()),
+                ),
+            };
+            if e.result != want {
+                return Err(format!(
                     "shard {shard} version {v}: {what}: op {op:?} returned {got:?}, oracle says \
                      {want:?}",
                     v = e.version,
                     op = e.op,
                     got = e.result,
-                ))
-            };
-            match &e.op {
-                ModelOp::Put(k, v) => {
-                    if e.version != version + 1 {
-                        return Err(format!(
-                            "shard {shard}: write version {} after version {version} (lost or \
-                             duplicated write)",
-                            e.version
-                        ));
-                    }
-                    version = e.version;
-                    let want = ModelResult::Value(oracle.insert(k.clone(), v.clone()));
-                    if e.result != want {
-                        return fail("displaced value diverged", &want);
-                    }
-                }
-                ModelOp::Delete(k) => {
-                    if e.version != version + 1 {
-                        return Err(format!(
-                            "shard {shard}: write version {} after version {version} (lost or \
-                             duplicated write)",
-                            e.version
-                        ));
-                    }
-                    version = e.version;
-                    let want = ModelResult::Value(oracle.remove(k));
-                    if e.result != want {
-                        return fail("displaced value diverged", &want);
-                    }
-                }
-                ModelOp::Get(k) => {
-                    if e.version != version {
-                        return Err(format!(
-                            "shard {shard}: read observed version {} during version {version}",
-                            e.version
-                        ));
-                    }
-                    let want = ModelResult::Value(oracle.get(k).cloned());
-                    if e.result != want {
-                        return fail("stale or phantom read", &want);
-                    }
-                }
-                ModelOp::Scan => {
-                    if e.version != version {
-                        return Err(format!(
-                            "shard {shard}: scan observed version {} during version {version}",
-                            e.version
-                        ));
-                    }
-                    let want = ModelResult::Snapshot(
-                        oracle.iter().map(|(k, v)| (k.clone(), v.clone())).collect(),
-                    );
-                    if e.result != want {
-                        return fail("torn scan", &want);
-                    }
-                }
+                ));
             }
             checked += 1;
         }
@@ -253,7 +226,7 @@ mod tests {
                 shard: 0,
                 version: 1,
                 op: ModelOp::Scan,
-                result: ModelResult::Snapshot(vec![]),
+                result: ModelResult::Snapshot(Rows::default()),
             },
         ];
         assert!(check_history(&events).unwrap_err().contains("torn scan"));

@@ -1,9 +1,14 @@
 //! The sharded transactional KV store.
 //!
-//! Keys hash to a shard; each shard owns a hash index of persistent bucket
-//! maps ([`crate::bucket`]), a redo log ([`Wal`], always the fixed
-//! protocol), and a double-buffered checkpoint pair behind
-//! [`BufferPool`]s. Concurrency within a shard is selected by [`Mode`]:
+//! Keys hash to a shard; each shard owns a redo log ([`Wal`], always the
+//! fixed protocol), a double-buffered checkpoint pair behind
+//! [`BufferPool`]s, and one [`TVar`] holding its whole transactional
+//! state: the next txid, the history version and the hash index of
+//! persistent bucket maps ([`crate::bucket`]). Every op reads that `TVar`
+//! once; a write publishes a new state sharing every bucket it did not
+//! touch. A shard is one conflict domain, and its read set says so. A scan
+//! returns its rows packed into one buffer ([`Rows`]). Concurrency within
+//! a shard is selected by [`Mode`]:
 //!
 //! | mode     | write path                                  | read path |
 //! |----------|---------------------------------------------|-----------|
@@ -39,6 +44,7 @@ use std::sync::Arc;
 
 use crate::bucket::{Bucket, Entry};
 use crate::page::{checkpoint_image, encode_checkpoint_entries, BufferPool, PoolStats};
+use crate::Rows;
 use txfix_stm::chaos::{fnv64, splitmix64};
 use txfix_stm::{EscalationPolicy, EscalationRung, TVar, Txn, TxnBuilder};
 use txfix_txlock::TxMutex;
@@ -83,8 +89,8 @@ pub struct KvConfig {
     /// Number of shards (keys hash across them).
     pub shards: usize,
     /// Bucket maps per shard (the hash index fan-out): bounds the leaf table
-    /// a write clones and is the k of `scan`'s k-way merge. No conflict
-    /// isolation — every op reads or writes the shard's `version`.
+    /// a write copies and is the k of `scan`'s k-way merge. No conflict
+    /// isolation — the buckets sit in the shard's one `TVar`.
     pub buckets_per_shard: usize,
     /// Concurrency discipline.
     pub mode: Mode,
@@ -156,14 +162,21 @@ struct CkptState {
     pools: [BufferPool; 2],
 }
 
-struct Shard {
-    wal: Wal,
+/// A shard's transactional state, the value of its one `TVar`. Cloning it
+/// bumps one refcount per bucket.
+#[derive(Clone)]
+struct State {
     /// Next WAL txid — allocated *inside* the write transaction, so txid
     /// order equals commit order equals WAL append order.
-    next_txid: TVar<u64>,
+    next_txid: u64,
     /// History version: bumped by every write commit, observed by reads.
-    version: TVar<u64>,
-    buckets: Vec<TVar<Bucket>>,
+    version: u64,
+    buckets: Vec<Arc<Bucket>>,
+}
+
+struct Shard {
+    wal: Wal,
+    state: TVar<State>,
     /// Dev-mode coarse lock (unused by tm/hybrid).
     dev: TxMutex<()>,
     ckpt: TxMutex<CkptState>,
@@ -240,19 +253,13 @@ impl Shard {
                 buckets[bucket_of(k, cfg.buckets_per_shard)].insert(k.into(), v.into());
             }
         }
+        let buckets = buckets.into_iter().map(Arc::new).collect();
         Shard {
             wal,
-            next_txid: TVar::new(next_txid),
-            version: TVar::new(0),
-            buckets: buckets.into_iter().map(TVar::new).collect(),
+            state: TVar::new(State { next_txid, version: 0, buckets }),
             dev: TxMutex::new(&format!("kv_shard{i}.dev"), ()),
             ckpt: TxMutex::new(&format!("kv_shard{i}.ckpt"), CkptState { epoch, active, pools }),
         }
-    }
-
-    /// The committed bucket maps as of `txn`'s snapshot, shared not copied.
-    fn read_buckets(&self, txn: &mut Txn) -> txfix_stm::StmResult<Vec<Arc<Bucket>>> {
-        self.buckets.iter().map(|b| b.read_arc(txn)).collect()
     }
 }
 
@@ -344,26 +351,27 @@ impl KvStore {
     ) -> Result<Reply<Vec<Option<String>>>, KvError> {
         let buckets = self.cfg.buckets_per_shard;
         self.run_op(shard_idx, site, |shard, txn| {
-            let txid = shard.next_txid.read(txn)?;
-            shard.next_txid.write(txn, txid + 1)?;
+            // Copy-on-write: the committed state stays as concurrent
+            // readers hold it; this txn publishes a new one, copying each
+            // bucket it touches once however many ops touch it.
+            let mut state = State::clone(&*shard.state.read_arc(txn)?);
+            let txid = state.next_txid;
+            state.next_txid += 1;
+            state.version += 1;
             let mut displaced = Vec::with_capacity(ops.len());
             for op in ops {
                 let key = match op {
                     WalOp::Put(k, _) | WalOp::Delete(k) => k,
                 };
-                let b = bucket_of(key, buckets);
-                // Copy-on-write: the committed map stays as concurrent
-                // readers hold it; this txn publishes a new one.
-                let mut m = Bucket::clone(&*shard.buckets[b].read_arc(txn)?);
+                let m = Arc::make_mut(&mut state.buckets[bucket_of(key, buckets)]);
                 let old = match op {
                     WalOp::Put(k, v) => m.insert(k.as_str().into(), v.as_str().into()),
                     WalOp::Delete(k) => m.remove(k.as_str()),
                 };
                 displaced.push(old.map(|v| v.to_string()));
-                shard.buckets[b].write(txn, m)?;
             }
-            let version = shard.version.read(txn)? + 1;
-            shard.version.write(txn, version)?;
+            let version = state.version;
+            shard.state.write(txn, state)?;
             shard.wal.x_log_ops(txn, txid, ops)?;
             Ok((displaced, version))
         })
@@ -374,9 +382,9 @@ impl KvStore {
         check_token(key)?;
         let buckets = self.cfg.buckets_per_shard;
         self.run_op(self.shard_of(key), &self.sites.get, |shard, txn| {
-            let version = shard.version.read(txn)?;
-            let m = shard.buckets[bucket_of(key, buckets)].read_arc(txn)?;
-            Ok((m.get(key).map(|v| v.to_string()), version))
+            let state = shard.state.read_arc(txn)?;
+            let value = state.buckets[bucket_of(key, buckets)].get(key).map(|v| v.to_string());
+            Ok((value, state.version))
         })
     }
 
@@ -426,14 +434,18 @@ impl KvStore {
 
     /// Snapshot every key on `shard_idx`, in key order, as one
     /// transaction (hybrid mode may serialize it under contention).
-    pub fn scan(&self, shard_idx: usize) -> Result<Reply<Vec<(String, String)>>, KvError> {
+    pub fn scan(&self, shard_idx: usize) -> Result<Reply<Rows>, KvError> {
         assert!(shard_idx < self.cfg.shards);
         self.run_op(shard_idx, &self.sites.scan, |shard, txn| {
-            let version = shard.version.read(txn)?;
-            let snap = shard.read_buckets(txn)?;
-            let mut rows = Vec::with_capacity(snap.iter().map(|b| b.len()).sum());
-            rows.extend(merged(&snap).map(|(k, v)| (k.to_string(), v.to_string())));
-            Ok((rows, version))
+            let state = shard.state.read_arc(txn)?;
+            // An `Arc<str>` carries its length, so sizing the buffers reads
+            // no string.
+            let entries = state.buckets.iter().flat_map(|b| b.iter());
+            let bytes = entries.map(|(k, v)| k.len() + v.len()).sum();
+            let len = state.buckets.iter().map(|b| b.len()).sum();
+            let mut rows = Rows::with_capacity(len, bytes);
+            merged(&state.buckets).for_each(|(k, v)| rows.push(k, v));
+            Ok((rows, state.version))
         })
     }
 
@@ -454,11 +466,10 @@ impl KvStore {
 
     fn ckpt_inner(&self, shard_idx: usize, truncate: bool) {
         let shard = &self.shards[shard_idx];
-        let ((snap, next_txid), _) =
-            self.sites.ckpt.run(|txn| Ok((shard.read_buckets(txn)?, shard.next_txid.read(txn)?)));
+        let (state, _) = self.sites.ckpt.run(|txn| shard.state.read_arc(txn));
         let mut ck = shard.ckpt.lock().expect("checkpoint lock cycle");
         ck.epoch += 1;
-        let image = encode_checkpoint_entries(ck.epoch, next_txid, merged(&snap));
+        let image = encode_checkpoint_entries(ck.epoch, state.next_txid, merged(&state.buckets));
         let target = 1 - ck.active;
         let pool = &mut ck.pools[target];
         pool.discard();
@@ -477,13 +488,13 @@ impl KvStore {
     /// Current shard contents, read non-transactionally. Only meaningful
     /// at quiescence (tests, recovery assertions).
     pub fn shard_snapshot(&self, shard_idx: usize) -> BTreeMap<String, String> {
-        let snap: Vec<_> = self.shards[shard_idx].buckets.iter().map(TVar::load_arc).collect();
-        merged(&snap).map(|(k, v)| (k.to_string(), v.to_string())).collect()
+        let state = self.shards[shard_idx].state.load_arc();
+        merged(&state.buckets).map(|(k, v)| (k.to_string(), v.to_string())).collect()
     }
 
     /// Current shard history version (non-transactional; quiescence only).
     pub fn shard_version(&self, shard_idx: usize) -> u64 {
-        self.shards[shard_idx].version.load()
+        self.shards[shard_idx].state.load_arc().version
     }
 
     /// Combined buffer-pool counters for `shard_idx`'s checkpoint pair.
@@ -577,26 +588,48 @@ mod tests {
                     kv.put(k, v).unwrap();
                 }
                 let mut union = BTreeMap::new();
-                for b in &kv.shards[0].buckets {
-                    union.extend(b.load_arc().iter().map(|(k, v)| (k.to_string(), v.to_string())));
+                for b in &kv.shards[0].state.load_arc().buckets {
+                    union.extend(b.iter().map(|(k, v)| (k.to_string(), v.to_string())));
                 }
                 prop_assert_eq!(union.len(), entries.len());
-                prop_assert_eq!(kv.scan(0).unwrap().value, Vec::from_iter(union.clone()), "{} buckets", n);
+                let rows: Rows = union.iter().map(|(k, v)| (k.as_str(), v.as_str())).collect();
+                prop_assert_eq!(kv.scan(0).unwrap().value, rows, "{} buckets", n);
                 prop_assert_eq!(kv.shard_snapshot(0), union);
             }
         }
     }
 
+    /// A write publishes a new state that shares every bucket it did not
+    /// touch with the state it replaced.
     #[test]
-    fn copy_on_write_never_mutates_a_bucket_a_reader_holds() {
+    fn a_write_shares_every_bucket_it_does_not_touch() {
+        let kv = one_shard(8);
+        for i in 0..64 {
+            kv.put(&format!("k{i}"), "v").unwrap();
+        }
+        let state = &kv.shards[0].state;
+        for (key, put) in [("k7", true), ("new", true), ("k7", false)] {
+            let before = state.load_arc();
+            let reply = if put { kv.put(key, "w") } else { kv.delete(key) };
+            reply.unwrap();
+            let after = state.load_arc();
+            let touched = bucket_of(key, 8);
+            for (b, (old, new)) in before.buckets.iter().zip(&after.buckets).enumerate() {
+                assert_eq!(Arc::ptr_eq(old, new), b != touched, "{key}: bucket {b}");
+            }
+        }
+    }
+
+    #[test]
+    fn copy_on_write_never_mutates_a_state_a_reader_holds() {
         use std::sync::mpsc::channel;
         let kv = &one_shard(1);
         kv.put("a", "1").unwrap();
         kv.put("b", "2").unwrap();
-        let bucket = &kv.shards[0].buckets[0];
+        let state = &kv.shards[0].state;
         let (reader_holds, wait_for_reader) = channel();
         let (writer_done, wait_for_writer) = channel();
-        let mut held: Option<Arc<Bucket>> = None;
+        let mut held: Option<Arc<State>> = None;
         std::thread::scope(|s| {
             s.spawn(move || {
                 wait_for_reader.recv().unwrap();
@@ -604,13 +637,13 @@ mod tests {
                 kv.delete("b").unwrap();
                 writer_done.send(()).unwrap();
             });
-            // The first attempt takes the committed bucket and keeps it
+            // The first attempt takes the committed state and keeps it
             // across both commits; later attempts (if validation retries
             // the txn) just pass through.
             Txn::build().site("test_hold").run(|txn| {
-                let m = bucket.read_arc(txn)?;
+                let s = state.read_arc(txn)?;
                 if held.is_none() {
-                    held = Some(m);
+                    held = Some(s);
                     reader_holds.send(()).unwrap();
                     wait_for_writer.recv().unwrap();
                 }
@@ -618,9 +651,10 @@ mod tests {
             });
         });
         let held = held.unwrap();
-        let rows: Vec<(&str, &str)> = held.iter().map(|(k, v)| (&**k, &**v)).collect();
+        let rows: Vec<(&str, &str)> = merged(&held.buckets).collect();
         assert_eq!(rows, [("a", "1"), ("b", "2")], "the held snapshot moved");
-        assert!(!Arc::ptr_eq(&held, &bucket.load_arc()));
+        assert_eq!((held.version, held.next_txid), (2, 3), "the held counters moved");
+        assert!(!Arc::ptr_eq(&held.buckets[0], &state.load_arc().buckets[0]));
         assert_eq!(kv.get("a").unwrap().value, Some("9".to_string()));
         assert_eq!(kv.get("b").unwrap().value, None);
     }
@@ -719,10 +753,7 @@ mod tests {
         kv.put("b", "2").unwrap();
         kv.put("a", "1").unwrap();
         let scan = kv.scan(0).unwrap();
-        assert_eq!(
-            scan.value,
-            vec![("a".to_string(), "1".to_string()), ("b".to_string(), "2".to_string())]
-        );
+        assert_eq!(scan.value.iter().collect::<Vec<_>>(), [("a", "1"), ("b", "2")]);
         assert_eq!(scan.stats.version, 2);
     }
 }

@@ -5,7 +5,9 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::collections::BTreeSet;
 use txfix_kvstore::{KvConfig, KvStore, Mode};
+use txfix_wal::WalOp;
 use txfix_xcall::SimFs;
 
 thread_local! {
@@ -82,9 +84,9 @@ fn a_reopen_allocates_at_most_three_times_per_live_entry() {
     assert!(per_entry <= 3.0, "{n} allocations for {live} live entries ({per_entry:.2} each)");
 }
 
-/// The op paths' counts, pinned as ceilings with a little slack (they read
-/// 2 and 25 here): a `get` allocates little beyond its reply, and a `put`
-/// is where the next allocation lever is.
+/// The op paths' counts, pinned as ceilings at what they read: a `get`
+/// allocates little beyond its reply, and a `put` is where the next
+/// allocation lever is.
 #[test]
 fn gets_and_puts_stay_inside_their_allocation_ceilings() {
     let kv = KvStore::open(&SimFs::new(), KvConfig::new(Mode::Tm, 4));
@@ -93,6 +95,51 @@ fn gets_and_puts_stay_inside_their_allocation_ceilings() {
     }
     let (_, get) = allocations(|| kv.get("k2").unwrap());
     let (_, put) = allocations(|| kv.put("k3", "w").unwrap());
-    assert!(get <= 3, "a get made {get} allocations");
-    assert!(put <= 28, "a put made {put} allocations");
+    assert!(get <= 2, "a get made {get} allocations");
+    assert!(put <= 25, "a put made {put} allocations");
+}
+
+/// A scan sizes its row buffers before filling them, so a 2 048-row shard
+/// costs the allocations a 64-row one does (they read 5).
+#[test]
+fn a_scan_allocates_a_fixed_number_of_times() {
+    let scan = |rows: usize| {
+        let kv = KvStore::open(&SimFs::new(), KvConfig::new(Mode::Tm, 1));
+        for i in 0..rows {
+            kv.put(&format!("k{i}"), "v").unwrap();
+        }
+        let (reply, n) = allocations(|| kv.scan(0).unwrap());
+        assert_eq!(reply.value.len(), rows);
+        n
+    };
+    let (small, large) = (scan(64), scan(2048));
+    assert_eq!(small, large, "a scan's allocations grew with its rows");
+    assert!(small <= 6, "a scan made {small} allocations");
+}
+
+/// A group copies each bucket it touches once, however many of its ops
+/// touch it. Over 24 keys, so every bucket is one leaf, the same two-key
+/// group runs on a one-bucket shard and on a two-bucket one: a pair the
+/// two-bucket shard splits costs it exactly one more bucket copy (the
+/// bucket's `Arc` and leaf table, the leaf's `Arc` and `Vec`: 4
+/// allocations), a pair it keeps together costs the same. Copying the
+/// bucket once per op would make every pair cost the same.
+#[test]
+fn a_group_copies_each_bucket_it_touches_once() {
+    let store = |buckets| {
+        let cfg = KvConfig { buckets_per_shard: buckets, ..KvConfig::new(Mode::Tm, 1) };
+        let kv = KvStore::open(&SimFs::new(), cfg);
+        for i in 100..124 {
+            kv.put(&format!("k{i}"), "v").unwrap();
+        }
+        kv
+    };
+    let (one, two) = (store(1), store(2));
+    let group = |kv: &KvStore, other: String| {
+        let ops = [WalOp::Put("k100".into(), "w".into()), WalOp::Put(other, "w".into())];
+        allocations(|| kv.apply_group(&ops).unwrap()).1
+    };
+    let extra: BTreeSet<u64> =
+        (101..124).map(|i| group(&two, format!("k{i}")) - group(&one, format!("k{i}"))).collect();
+    assert_eq!(extra, BTreeSet::from([0, 4]));
 }

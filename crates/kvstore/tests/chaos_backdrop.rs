@@ -71,8 +71,7 @@ fn chaos_aborts_cost_retries_never_correctness() {
             // Groups never tear: both halves of every pair write landed
             // together, so the final values agree.
             let final_scan = store.scan(0).unwrap().value;
-            let val_of =
-                |k: &str| final_scan.iter().find(|(key, _)| key == k).map(|(_, v)| v.clone());
+            let val_of = |k: &str| final_scan.iter().find(|&(key, _)| key == k).map(|(_, v)| v);
             assert!(val_of(&pair[0]).is_some(), "{}: no group write landed", mode.name());
             assert_eq!(
                 val_of(&pair[0]),

@@ -9,10 +9,8 @@
 //! seeded histories (different seed → different schedule *and* different
 //! op stream), plus a proptest layer over arbitrary seeds. The scheduler
 //! makes a transactional read or a commit one step, so the same op stream
-//! also runs on real threads against one shard: `get` is a two-read
-//! read-only transaction (`version`, then a bucket), the shape whose
-//! snapshot only the STM's read path — never a commit-time validation —
-//! keeps consistent.
+//! also runs on real threads against one shard, where a read races a
+//! commit at the granularity of individual loads.
 
 use proptest::prelude::*;
 use txfix_kvstore::model::{self, Event, ModelOp, ModelResult};
