@@ -8,8 +8,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
-use txfix_htm::{hybrid_atomic, HtmConfig};
-use txfix_stm::{TVar, Txn, TxnBuilder};
+use txfix_stm::{EscalationPolicy, TVar, Txn, TxnBuilder};
 use txfix_txlock::TxMutex;
 
 fn bench_mechanisms(c: &mut Criterion) {
@@ -67,20 +66,10 @@ fn bench_mechanisms(c: &mut Criterion) {
     tx_bench("stm_native_obs_enabled", Txn::build().site("bench.obs_enabled"));
     txfix_stm::obs::disable();
 
-    let cfg = HtmConfig::new();
-    let (a2, b2) = (a.clone(), bb.clone());
-    g.bench_function("hybrid_htm", move |bch| {
-        bch.iter(|| {
-            hybrid_atomic(&cfg, |txn| {
-                let x = a2.read(txn)?;
-                a2.write(txn, x.wrapping_add(1))?;
-                let y = b2.read(txn)?;
-                b2.write(txn, y.wrapping_add(x))?;
-                Ok(y)
-            })
-            .expect("uncontended hybrid transaction")
-        })
-    });
+    tx_bench(
+        "hybrid_htm",
+        Txn::build().capacity(1024, 256).escalation(EscalationPolicy::default()),
+    );
 
     g.finish();
 }

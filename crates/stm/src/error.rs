@@ -35,9 +35,10 @@ pub enum Abort {
     /// The transaction was killed by an external party (e.g. a deadlock
     /// detector observing a cycle through this transaction's locks).
     Killed,
-    /// A hardware-model capacity bound (read-set or write-set size) was
-    /// exceeded. Surfaced as [`TxnError::Capacity`] so hybrid-TM policies
-    /// can fall back to software or to a global lock.
+    /// A capacity bound (read-set or write-set size) of the hardware rung
+    /// was exceeded. With an [`EscalationPolicy`](crate::EscalationPolicy)
+    /// the next attempt falls back to unbounded software speculation;
+    /// without one it is terminal, surfaced as [`TxnError::Capacity`].
     Capacity(CapacityKind),
     /// Commit the work done so far, then block on the given wait point and
     /// re-execute once signalled. This implements *commit-before-wait*
@@ -136,7 +137,8 @@ pub enum TxnError {
         /// Number of attempts performed.
         attempts: u64,
     },
-    /// A capacity bound of the (modelled) hardware TM was exceeded.
+    /// A capacity bound of the (modelled) hardware TM was exceeded by a
+    /// transaction with no escalation policy to fall back on.
     Capacity {
         /// Which bound was exceeded.
         kind: CapacityKind,

@@ -25,8 +25,10 @@
 //!   in a transaction via [`Txn::enlist`], [`Txn::on_commit`] and
 //!   [`Txn::on_abort`], and deadlock detectors can preempt a transaction
 //!   through its [`KillHandle`].
-//! - **Capacity bounds**: [`TxnBuilder::capacity`] models bounded hardware
-//!   read/write sets (used by `txfix-htm`).
+//! - **Hardware TM model**: [`TxnBuilder::capacity`] starts a transaction
+//!   on [`EscalationRung::Hardware`], bounded read/write sets; with an
+//!   [`EscalationPolicy`] an overflow falls back to software (the paper's
+//!   §5.4.1 hybrid).
 //! - **One entry-point family**: every transaction goes through
 //!   [`Txn::build`] (or the [`atomic`] / [`atomic_relaxed`] convenience
 //!   wrappers over it).

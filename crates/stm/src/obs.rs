@@ -322,8 +322,8 @@ site_counters! {
     lock_revocations,
     /// Deferred x-call operations enlisted inside this site's transactions.
     xcalls,
-    /// Escalation-ladder rung promotions (optimistic → stronger backoff →
-    /// serial) taken by this site's transactions.
+    /// Escalation-ladder rung promotions (hardware → optimistic → stronger
+    /// backoff → serial) taken by this site's transactions.
     escalations,
     /// Faults injected by the [`chaos`](crate::chaos) layer while this site
     /// was the thread's current transaction site.

@@ -41,6 +41,12 @@ pub struct TxnReport {
 /// transaction attempt still has.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum EscalationRung {
+    /// The modelled best-effort hardware TM (the paper's §5.4.1 LogTM-SE):
+    /// speculation under the [`TxnBuilder::capacity`] bounds. Only a
+    /// transaction whose builder sets `capacity` starts here, and only
+    /// this rung enforces the bounds; with an [`EscalationPolicy`] a
+    /// capacity overflow falls back to unbounded software speculation.
+    Hardware,
     /// Plain speculation under the configured backoff policy.
     #[default]
     Optimistic,
@@ -58,6 +64,7 @@ impl EscalationRung {
     /// Stable machine-readable name (used in reports).
     pub fn name(self) -> &'static str {
         match self {
+            EscalationRung::Hardware => "hardware",
             EscalationRung::Optimistic => "optimistic",
             EscalationRung::StrongerBackoff => "stronger_backoff",
             EscalationRung::Serial => "serial",
@@ -67,6 +74,7 @@ impl EscalationRung {
     /// The next rung up; [`Serial`](EscalationRung::Serial) is absorbing.
     pub fn next(self) -> EscalationRung {
         match self {
+            EscalationRung::Hardware => EscalationRung::Optimistic,
             EscalationRung::Optimistic => EscalationRung::StrongerBackoff,
             EscalationRung::StrongerBackoff | EscalationRung::Serial => EscalationRung::Serial,
         }
@@ -77,14 +85,18 @@ impl EscalationRung {
 /// Transactional Memory": knowing when to stop paying for optimism).
 ///
 /// A transaction with a policy starts on
-/// [`Optimistic`](EscalationRung::Optimistic); after `backoff_after` failed
-/// attempts it re-runs under the escalated backoff policy, after
-/// `serial_after` failed attempts — or as soon as `deadline` has elapsed
-/// since the `atomic` call began — it takes the serial rung, where the
-/// commit is unconditional. The ladder guarantees *eventual commit within
-/// the attempt budget* for bodies that do not themselves fail terminally
-/// (`cancel`, capacity, `max_attempts`): the serial rung cannot conflict,
-/// and injected faults never target irrevocable attempts.
+/// [`Optimistic`](EscalationRung::Optimistic) — or, if its builder sets
+/// [`capacity`](TxnBuilder::capacity), on
+/// [`Hardware`](EscalationRung::Hardware) for its first attempt only, so a
+/// capacity overflow is one failed attempt (no backoff) and the next runs
+/// unbounded. After `backoff_after` failed attempts it re-runs under the
+/// escalated backoff policy, after `serial_after` failed attempts — or as
+/// soon as `deadline` has elapsed since the `atomic` call began — it takes
+/// the serial rung, where the commit is unconditional. The ladder
+/// guarantees *eventual commit within the attempt budget* for bodies that
+/// do not themselves fail terminally (`cancel`, `max_attempts`): the
+/// serial rung cannot conflict, and injected faults never target
+/// irrevocable attempts.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct EscalationPolicy {
     /// Failed attempts before moving to stronger backoff.
@@ -154,7 +166,11 @@ impl TxnBuilder {
         self
     }
 
-    /// Bound the read and write sets (hardware TM model).
+    /// Bound the read and write sets of the first rung, the hardware TM
+    /// model ([`EscalationRung::Hardware`]). Without an
+    /// [`escalation`](TxnBuilder::escalation) policy every attempt runs
+    /// there and an overflow is terminal ([`TxnError::Capacity`]); with
+    /// one, an overflow falls back to unbounded software speculation.
     pub fn capacity(mut self, reads: usize, writes: usize) -> Self {
         self.opts.read_capacity = Some(reads);
         self.opts.write_capacity = Some(writes);
@@ -193,7 +209,8 @@ impl TxnBuilder {
     ///
     /// - [`TxnError::Cancelled`] if the body cancelled;
     /// - [`TxnError::RetryLimit`] if `max_attempts` was exceeded;
-    /// - [`TxnError::Capacity`] if a capacity bound was exceeded.
+    /// - [`TxnError::Capacity`] if a capacity bound was exceeded and no
+    ///   escalation policy is set.
     pub fn try_run<T>(
         &self,
         body: impl FnMut(&mut Txn) -> StmResult<T>,
@@ -254,7 +271,11 @@ pub(crate) fn atomic_report<T>(
 ) -> Result<(T, TxnReport), TxnError> {
     let mut backoff = Backoff::new(opts.backoff);
     let mut report = TxnReport::default();
-    let mut rung = EscalationRung::Optimistic;
+    let mut rung = if opts.read_capacity.is_some() {
+        EscalationRung::Hardware
+    } else {
+        EscalationRung::Optimistic
+    };
     // One relaxed load when metrics are off; the timestamp and the
     // current-site scope exist only on the enabled path. A second timestamp
     // exists only when a wall-clock deadline is configured.
@@ -277,6 +298,8 @@ pub(crate) fn atomic_report<T>(
                 EscalationRung::Serial
             } else if failed >= policy.backoff_after {
                 EscalationRung::StrongerBackoff
+            } else if failed == 0 {
+                EscalationRung::Hardware
             } else {
                 EscalationRung::Optimistic
             };
@@ -298,12 +321,12 @@ pub(crate) fn atomic_report<T>(
                 Abort::Conflict(ConflictKind::ReadValidation),
                 &mut backoff,
                 &mut report,
-                opts.site,
+                opts,
             )?;
             continue;
         }
 
-        let mut txn = Txn::begin(opts, report.attempts);
+        let mut txn = Txn::begin(opts, report.attempts, rung == EscalationRung::Hardware);
         if rung == EscalationRung::Serial {
             // At begin the read set is empty, so the irrevocability switch
             // cannot fail validation.
@@ -327,7 +350,7 @@ pub(crate) fn atomic_report<T>(
                 }
                 Err(abort) => {
                     txn.abort();
-                    handle_abort(abort, &mut backoff, &mut report, opts.site)?;
+                    handle_abort(abort, &mut backoff, &mut report, opts)?;
                 }
             },
             Err(Abort::Wait(wp)) => {
@@ -345,7 +368,7 @@ pub(crate) fn atomic_report<T>(
                     }
                     Err(abort) => {
                         txn.abort();
-                        handle_abort(abort, &mut backoff, &mut report, opts.site)?;
+                        handle_abort(abort, &mut backoff, &mut report, opts)?;
                     }
                 }
             }
@@ -380,7 +403,7 @@ pub(crate) fn atomic_report<T>(
             }
             Err(abort) => {
                 txn.abort();
-                handle_abort(abort, &mut backoff, &mut report, opts.site)?;
+                handle_abort(abort, &mut backoff, &mut report, opts)?;
             }
         }
     }
@@ -390,8 +413,9 @@ fn handle_abort(
     abort: Abort,
     backoff: &mut Backoff,
     report: &mut TxnReport,
-    site: SiteId,
+    opts: &TxnOptions,
 ) -> Result<(), TxnError> {
+    let site = opts.site;
     match abort {
         Abort::Conflict(kind) => {
             obs::note_conflict(site, kind);
@@ -417,7 +441,13 @@ fn handle_abort(
         Abort::Cancel => Err(TxnError::Cancelled),
         Abort::Capacity(kind) => {
             obs::note_capacity(site);
-            Err(TxnError::Capacity { kind, attempts: report.attempts })
+            // With a ladder the overflow is one failed attempt: the next
+            // one climbs off the hardware rung, so there is nothing to
+            // back off from.
+            match opts.escalation {
+                Some(_) => Ok(()),
+                None => Err(TxnError::Capacity { kind, attempts: report.attempts }),
+            }
         }
         Abort::Retry | Abort::Wait(_) => {
             unreachable!("retry/wait are handled before generic abort handling")

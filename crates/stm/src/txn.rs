@@ -98,9 +98,10 @@ pub struct TxnOptions {
     pub max_attempts: Option<u64>,
     /// Inter-attempt contention management.
     pub backoff: BackoffPolicy,
-    /// Hardware-model bound on distinct variables read (`None` = unbounded).
+    /// Hardware-rung bound on distinct variables read (`None` = unbounded,
+    /// and the transaction never runs on the hardware rung).
     pub read_capacity: Option<usize>,
-    /// Hardware-model bound on distinct variables written.
+    /// Hardware-rung bound on distinct variables written.
     pub write_capacity: Option<usize>,
     /// Metrics attribution site (see [`crate::obs`]).
     pub site: SiteId,
@@ -247,7 +248,9 @@ impl fmt::Debug for Txn {
 }
 
 impl Txn {
-    pub(crate) fn begin(opts: &TxnOptions, attempt: u64) -> Txn {
+    /// Begin one attempt; the capacity bounds apply only to an attempt on
+    /// the `hardware` rung.
+    pub(crate) fn begin(opts: &TxnOptions, attempt: u64, hardware: bool) -> Txn {
         sched::yield_point(sched::SyncOp::TxnBegin);
         let serial = next_serial();
         trace::emit(trace::EventKind::TxnBegin { serial });
@@ -267,8 +270,8 @@ impl Txn {
             kill_flag: OnceLock::new(),
             irrevocable: None,
             was_irrevocable: false,
-            read_capacity: opts.read_capacity,
-            write_capacity: opts.write_capacity,
+            read_capacity: opts.read_capacity.filter(|_| hardware),
+            write_capacity: opts.write_capacity.filter(|_| hardware),
             finished: false,
             #[cfg(feature = "canary-stm")]
             canary_notified_early: false,

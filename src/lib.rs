@@ -25,7 +25,9 @@
 
 #![warn(missing_docs)]
 
-/// The software transactional memory runtime (TL2-style atomic regions).
+/// The software transactional memory runtime (TL2-style atomic regions),
+/// whose escalation ladder's first rung is the bounded-capacity hardware-TM
+/// model with a software fallback.
 pub use txfix_stm as stm;
 
 /// Revocable locks and wait-for-graph deadlock detection (TxLocks).
@@ -38,9 +40,6 @@ pub use txfix_xcall as xcall;
 /// subject, and the crash-sweep engine every `CrashSubject` runs under
 /// (`txfix crash`).
 pub use txfix_wal as wal;
-
-/// The bounded-capacity hardware-TM model with hybrid fallback.
-pub use txfix_htm as htm;
 
 /// Transactional condition variables, `retry` helpers, atomic/lock
 /// serialization, and ad hoc synchronization primitives.

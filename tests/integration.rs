@@ -4,9 +4,8 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
-use txfix::htm::{hybrid_atomic, CommitPath, HtmConfig};
 use txfix::recipes::{preemptible, wrap_unprotected_atomic, PreemptOptions};
-use txfix::stm::{atomic, TVar};
+use txfix::stm::{atomic, EscalationPolicy, EscalationRung, TVar, Txn};
 use txfix::tmsync::{guard, SerialDomain, SerialMutex, TxCondvar};
 use txfix::txlock::TxMutex;
 use txfix::xcall::{SimFs, SimPipe, XFile, XPipe};
@@ -143,24 +142,26 @@ fn tx_condvar_with_pipe_io() {
 
 #[test]
 fn hybrid_htm_runs_the_recipes_workload() {
-    // The HTM model executes a Recipe 2-shaped fix: small transactions in
-    // hardware, a large scan falling back to software.
+    // The HTM model (the ladder's hardware rung) executes a Recipe
+    // 2-shaped fix: small transactions in hardware, a large scan falling
+    // back to software.
     let cells: Vec<TVar<u64>> = (0..128).map(|_| TVar::new(1)).collect();
-    let cfg = HtmConfig::new().capacity(32, 32);
+    let hybrid = Txn::build().capacity(32, 32).escalation(EscalationPolicy::default());
 
-    let (_, small) = hybrid_atomic(&cfg, |txn| cells[0].modify(txn, |v| v + 1)).unwrap();
-    assert_eq!(small.path, CommitPath::Hardware);
+    let (_, small) = hybrid.try_run(|txn| cells[0].modify(txn, |v| v + 1)).unwrap();
+    assert_eq!(small.committed_rung, EscalationRung::Hardware);
 
-    let (sum, large) = hybrid_atomic(&cfg, |txn| {
-        let mut s = 0;
-        for c in &cells {
-            s += c.read(txn)?;
-        }
-        Ok(s)
-    })
-    .unwrap();
+    let (sum, large) = hybrid
+        .try_run(|txn| {
+            let mut s = 0;
+            for c in &cells {
+                s += c.read(txn)?;
+            }
+            Ok(s)
+        })
+        .unwrap();
     assert_eq!(sum, 127 + 2);
-    assert_eq!(large.path, CommitPath::SoftwareFallback);
+    assert_eq!(large.committed_rung, EscalationRung::Optimistic);
 }
 
 #[test]
