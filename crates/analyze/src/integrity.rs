@@ -5,13 +5,14 @@
 //! look for bugs in the detectors and the commit protocol itself — the
 //! class of defect the canary harness (`txfix canary`) plants on purpose:
 //!
-//! - [`lockdep_gaps`]: re-derives the lock-order edge set from the trace
-//!   and diffs it against what the live `txfix_txlock::lockdep` validator
-//!   recorded during the same run. The two witness the same acquisitions
-//!   from independent vantage points, so on a healthy run they agree
-//!   exactly; an edge present in the trace but absent from the validator
-//!   means lockdep's deadlock graph is silently incomplete, and any cycle
-//!   through the missing edge would go unreported.
+//! - [`lockdep_gaps`]: diffs the lock-order edge set replayed from the
+//!   trace ([`TraceOrder::edges`]) against what the live
+//!   `txfix_txlock::lockdep` validator recorded during the same run. The
+//!   two witness the same acquisitions from independent vantage points,
+//!   so on a healthy run they agree exactly; an edge present in the trace
+//!   but absent from the validator means lockdep's deadlock graph is
+//!   silently incomplete, and any cycle through the missing edge would go
+//!   unreported.
 //! - [`premature_notify`]: flags a retry-notifier bump emitted by a
 //!   thread whose transaction is still open. The healthy commit path
 //!   publishes its write-back, emits `TxnCommit`, and only then notifies;
@@ -19,62 +20,16 @@
 //!   revalidate against the still-unpublished state, and sleep through
 //!   the only wakeup for the real update — a lost wakeup.
 
-use std::collections::{BTreeSet, HashMap, HashSet};
-use txfix_stm::trace::{self, EventKind, TraceEvent};
-
-/// The lock-order edges derivable from `events`: sorted, deduplicated
-/// `(held, acquiring)` name pairs, mirroring `lockdep::edges()`.
-///
-/// Edges are collected at both `LockAttempt` (blocking acquisitions
-/// record their evidence before they can deadlock) and `LockAcquired`
-/// (try-acquisitions emit no attempt event), matching when the live
-/// validator records them. Locks carrying the external-object trace tag
-/// never touch lockdep, so edges involving them are excluded.
-pub fn trace_lock_edges(events: &[TraceEvent]) -> Vec<(String, String)> {
-    let mut held: HashMap<u64, Vec<(u64, String)>> = HashMap::new();
-    let mut edges: BTreeSet<(String, String)> = BTreeSet::new();
-    let mut note = |held: &[(u64, String)], lock: u64, name: &str| {
-        if trace::is_external_object(lock) {
-            return;
-        }
-        for (hid, hname) in held {
-            if *hid == lock || trace::is_external_object(*hid) {
-                continue;
-            }
-            edges.insert((hname.clone(), name.to_owned()));
-        }
-    };
-    for ev in events {
-        match &ev.kind {
-            EventKind::LockAttempt { lock, name, .. } => {
-                note(held.entry(ev.thread).or_default(), *lock, name);
-            }
-            EventKind::LockAcquired { lock, name } => {
-                let held = held.entry(ev.thread).or_default();
-                note(held, *lock, name);
-                held.push((*lock, name.clone()));
-            }
-            EventKind::LockReleased { lock } => {
-                let held = held.entry(ev.thread).or_default();
-                if let Some(pos) = held.iter().rposition(|(id, _)| id == lock) {
-                    held.remove(pos);
-                }
-            }
-            _ => {}
-        }
-    }
-    edges.into_iter().collect()
-}
+use crate::order::TraceOrder;
+use std::collections::{HashMap, HashSet};
+use txfix_stm::trace::{EventKind, TraceEvent};
 
 /// Order edges the trace witnessed but the live validator did not record:
 /// each is a silent hole in lockdep's deadlock graph. Empty on a healthy
 /// run. `live_edges` is `lockdep::edges()` captured from the same run.
-pub fn lockdep_gaps(
-    events: &[TraceEvent],
-    live_edges: &[(String, String)],
-) -> Vec<(String, String)> {
+pub fn lockdep_gaps(order: &TraceOrder, live_edges: &[(String, String)]) -> Vec<(String, String)> {
     let live: HashSet<&(String, String)> = live_edges.iter().collect();
-    trace_lock_edges(events).into_iter().filter(|e| !live.contains(e)).collect()
+    order.edges().into_iter().filter(|e| !live.contains(e)).collect()
 }
 
 /// Whether any retry-notifier bump was emitted by a thread with a
@@ -116,42 +71,14 @@ mod tests {
     }
 
     #[test]
-    fn nested_acquisition_records_an_edge() {
-        let edges = trace_lock_edges(&[acq(1, 1, "a"), acq(1, 2, "b"), rel(1, 2), rel(1, 1)]);
-        assert_eq!(edges, vec![("a".into(), "b".into())]);
-    }
-
-    #[test]
-    fn blocked_attempt_still_records_its_edge() {
-        let edges = trace_lock_edges(&[
-            acq(1, 1, "a"),
-            ev(1, EventKind::LockAttempt { lock: 2, name: "b".into(), preemptible: false }),
-        ]);
-        assert_eq!(edges, vec![("a".into(), "b".into())]);
-    }
-
-    #[test]
-    fn external_locks_are_excluded() {
-        let tagged = 1u64 << 63 | 9;
-        let edges = trace_lock_edges(&[
-            acq(1, tagged, "ext"),
-            acq(1, 2, "b"),
-            rel(1, 2),
-            rel(1, tagged),
-            acq(2, 3, "c"),
-            acq(2, tagged, "ext"),
-        ]);
-        assert!(edges.is_empty(), "{edges:?}");
-    }
-
-    #[test]
     fn gaps_are_the_set_difference() {
         let events =
             [acq(1, 1, "a"), acq(1, 2, "b"), rel(1, 2), rel(1, 1), acq(2, 2, "b"), acq(2, 3, "c")];
+        let order = crate::order::replay(&events);
         let live = vec![("a".to_string(), "b".to_string())];
-        assert_eq!(lockdep_gaps(&events, &live), vec![("b".into(), "c".into())]);
+        assert_eq!(lockdep_gaps(&order, &live), vec![("b".into(), "c".into())]);
         let all = vec![("a".to_string(), "b".to_string()), ("b".to_string(), "c".to_string())];
-        assert!(lockdep_gaps(&events, &all).is_empty());
+        assert!(lockdep_gaps(&order, &all).is_empty());
     }
 
     #[test]

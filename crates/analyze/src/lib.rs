@@ -3,7 +3,7 @@
 //! The paper argues TM fixes are attractive because they need only *local*
 //! reasoning; this crate supplies the other half of that story — the
 //! detectors that tell you a fix is needed. It consumes the sync-event
-//! trace recorded by [`txfix_stm::trace`] and runs three passes:
+//! trace recorded by [`txfix_stm::trace`] and runs five passes:
 //!
 //! 1. [`hb`]: a vector-clock happens-before **race detector** — unordered
 //!    conflicting accesses with at least one non-atomic participant;
@@ -11,12 +11,16 @@
 //!    region (transaction / critical-section / unprotected-run) conflict
 //!    graph are atomicity violations even when every individual access is
 //!    ordered;
-//! 3. [`order`]: a **lock-order validator** — the `txfix_txlock::lockdep`
-//!    discipline replayed from the trace, with preemptible (revocable)
-//!    cycles suppressed;
+//! 3. [`order`]: a **lock-order validator** — the trace's feeder of the
+//!    one lock-order graph (`txfix_txlock::LockOrder`) that `lockdep`
+//!    fills live and the static lint fills from summaries, with
+//!    preemptible (revocable) cycles suppressed;
 //! 4. [`cv`]: **wait/notify discipline** over named condition variables —
 //!    waits that hold locks a notifier needs (lock/wait cycles) and
-//!    notifies that precede the predicate's publication (lost wakeups).
+//!    notifies that precede the predicate's publication (lost wakeups);
+//! 5. [`integrity`]: checks on the runtime's own machinery — order edges
+//!    the trace saw but lockdep did not record, and retry notifies issued
+//!    before the commit publishes.
 //!
 //! Each finding is then pushed through `txfix_core::analysis::analyze` on
 //! the scenario's bug record, so the report pairs every detected bug with
@@ -48,13 +52,15 @@ use txfix_txlock::lockdep;
 /// Run every analysis pass over a recorded trace, attaching the suggested
 /// recipe for scenario `key` to each finding.
 ///
-/// `live_inversions` carries what `txfix_txlock::lockdep` observed during
-/// the same run; its pairs and the trace-replay pairs are merged and
-/// deduplicated (both validators see the same cycles from their own
-/// vantage points, and a hazard is one finding no matter who spotted it).
+/// `live_inversions` and `live_edges` carry what `txfix_txlock::lockdep`
+/// recorded during the same run. Its pairs and the trace-replay pairs are
+/// merged and deduplicated (both validators see the same cycles from
+/// their own vantage points, and a hazard is one finding no matter who
+/// spotted it); its edges are checked against the trace's.
 pub fn analyze_trace(
     events: &[TraceEvent],
     live_inversions: &[lockdep::Inversion],
+    live_edges: &[(String, String)],
     key: &str,
 ) -> Vec<Finding> {
     let (recipe, rationale) = suggestion(key);
@@ -86,7 +92,8 @@ pub fn analyze_trace(
     }
 
     // Lock-order hazards from both vantage points, one finding per pair.
-    let mut pairs = order::inversions(events);
+    let order = order::replay(events);
+    let mut pairs = order.inversions();
     for inv in live_inversions {
         let pair = if inv.first <= inv.second {
             (inv.first.clone(), inv.second.clone())
@@ -142,6 +149,21 @@ pub fn analyze_trace(
         findings.push(Finding { explanation, kind: hazard, recipe });
     }
 
+    // Validator-integrity cross-check: the trace and the live lockdep
+    // graph witnessed the same acquisitions; an edge only the trace has
+    // means the validator's deadlock graph is silently incomplete.
+    for (first, second) in integrity::lockdep_gaps(&order, live_edges) {
+        findings.push(Finding {
+            explanation: format!(
+                "the live lock-order validator has no record of the \"{first}\" -> \
+                 \"{second}\" acquisition edge the trace witnessed; its deadlock graph is \
+                 incomplete and any cycle through the missing edge goes unreported"
+            ),
+            kind: Hazard::LockCycle { locks: vec![first, second] },
+            recipe: None,
+        });
+    }
+
     findings
 }
 
@@ -190,21 +212,7 @@ pub fn analyze_scenario(key: &str, variant: Variant) -> Option<Report> {
     let live_edges = lockdep::edges();
     lockdep::reset();
 
-    let mut findings = analyze_trace(&events, &live, key);
-    // Validator-integrity cross-check: the trace and the live lockdep
-    // graph witnessed the same acquisitions; an edge only the trace has
-    // means the validator's deadlock graph is silently incomplete.
-    for (first, second) in integrity::lockdep_gaps(&events, &live_edges) {
-        findings.push(Finding {
-            explanation: format!(
-                "the live lock-order validator has no record of the \"{first}\" -> \
-                 \"{second}\" acquisition edge the trace witnessed; its deadlock graph is \
-                 incomplete and any cycle through the missing edge goes unreported"
-            ),
-            kind: Hazard::LockCycle { locks: vec![first, second] },
-            recipe: None,
-        });
-    }
+    let findings = analyze_trace(&events, &live, &live_edges, key);
     Some(Report {
         scenario: key.to_string(),
         variant: variant.name().to_string(),
@@ -285,7 +293,7 @@ mod tests {
                 },
             ),
         ];
-        let findings = analyze_trace(&events, &[], "av_stats_race");
+        let findings = analyze_trace(&events, &[], &[], "av_stats_race");
         assert!(!findings.is_empty());
         assert!(findings.iter().all(|f| f.recipe == Some(Recipe::WrapAll)), "{findings:?}");
     }
@@ -302,7 +310,9 @@ mod tests {
             ev(2, EventKind::LockAttempt { lock: 1, name: "a".into(), preemptible: false }),
         ];
         let live = vec![lockdep::Inversion { first: "a".to_string(), second: "b".to_string() }];
-        let findings = analyze_trace(&events, &live, "dl_local_lock_order");
+        let live_edges =
+            vec![("a".to_string(), "b".to_string()), ("b".to_string(), "a".to_string())];
+        let findings = analyze_trace(&events, &live, &live_edges, "dl_local_lock_order");
         let inversions: Vec<_> =
             findings.iter().filter(|f| matches!(f.kind, Hazard::LockCycle { .. })).collect();
         assert_eq!(inversions.len(), 1, "same pair from both validators: {findings:?}");

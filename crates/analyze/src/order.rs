@@ -1,94 +1,94 @@
-//! Lock-order inversion detection over the recorded trace.
+//! The trace's lock-order graph: one replay of the recorded lock events.
 //!
-//! The same discipline as `txfix_txlock::lockdep`, replayed from the event
-//! stream instead of recorded live: every `LockAttempt` adds "held →
-//! attempted" edges, and a cycle through edges that have at least one
-//! non-preemptible witness is a potential deadlock. Edges seen only through
-//! revocable (`preemptible`) acquisitions never complete a reportable
-//! cycle — a deadlock through them is resolved by preempting the
-//! transaction (paper Recipe 3). Replaying from the trace lets `txfix
-//! analyze` report lock-order hazards for *any* traced lock (TxMutex,
-//! serial mutexes), and lets the live validator's findings be
-//! cross-checked against the trace's.
+//! This is the trace feeder of the one lock-order graph
+//! ([`LockOrder`]) that `txfix_txlock::lockdep` fills live. Every
+//! `LockAttempt` adds "held → attempted" edges, firm unless the attempt
+//! is revocable (`preemptible`); a `LockAcquired` adds them too, with no
+//! firm witness, because try-acquisitions emit no attempt. From the one
+//! replay come both outputs `txfix analyze` uses:
+//!
+//! - [`TraceOrder::inversions`]: lock-order hazards for *any* traced lock
+//!   (TxMutex, serial mutexes, external objects);
+//! - [`TraceOrder::edges`]: the edge set the live validator should have
+//!   recorded, which `integrity::lockdep_gaps` diffs against it.
 
-use std::collections::{HashMap, HashSet};
-use txfix_stm::trace::{EventKind, TraceEvent};
+use std::collections::HashMap;
+use txfix_stm::trace::{self, EventKind, TraceEvent};
+use txfix_txlock::LockOrder;
 
-#[derive(Default, Clone, Copy)]
-struct EdgeInfo {
-    non_preemptible: bool,
-}
-
-/// A lock pair acquired in both orders (cycle through non-preemptible
-/// edges), as sorted diagnostic names.
+/// A lock pair acquired in both orders (a firm edge on a cycle), as
+/// sorted diagnostic names.
 pub type InversionPair = (String, String);
 
-/// Find lock-order inversions in `events`, deduplicated per sorted name
-/// pair.
-pub fn inversions(events: &[TraceEvent]) -> Vec<InversionPair> {
-    let mut held: HashMap<u64, Vec<u64>> = HashMap::new();
-    let mut edges: HashMap<u64, HashMap<u64, EdgeInfo>> = HashMap::new();
-    let mut names: HashMap<u64, String> = HashMap::new();
+/// The lock-order graph replayed from a trace, keyed by trace lock id.
+pub struct TraceOrder {
+    graph: LockOrder<u64>,
+    names: HashMap<u64, String>,
+}
 
+/// Replay the lock events of `events` into a [`TraceOrder`].
+pub fn replay(events: &[TraceEvent]) -> TraceOrder {
+    let mut held: HashMap<u64, Vec<u64>> = HashMap::new();
+    let mut order = TraceOrder { graph: LockOrder::default(), names: HashMap::new() };
     for ev in events {
-        let t = ev.thread;
+        let held = held.entry(ev.thread).or_default();
         match &ev.kind {
             EventKind::LockAttempt { lock, name, preemptible } => {
-                names.insert(*lock, name.clone());
-                for &prior in held.entry(t).or_default().iter() {
-                    if prior != *lock {
-                        let e = edges.entry(prior).or_default().entry(*lock).or_default();
-                        e.non_preemptible |= !preemptible;
-                    }
-                }
+                order.names.insert(*lock, name.clone());
+                order.graph.attempt(held, lock, !preemptible);
             }
             EventKind::LockAcquired { lock, name } => {
-                names.insert(*lock, name.clone());
-                held.entry(t).or_default().push(*lock);
+                order.names.insert(*lock, name.clone());
+                order.graph.attempt(held, lock, false);
+                held.push(*lock);
             }
             EventKind::LockReleased { lock } => {
-                let stack = held.entry(t).or_default();
-                if let Some(pos) = stack.iter().rposition(|l| l == lock) {
-                    stack.remove(pos);
+                if let Some(pos) = held.iter().rposition(|l| l == lock) {
+                    held.remove(pos);
                 }
             }
             _ => {}
         }
     }
-
-    let mut out: Vec<InversionPair> = Vec::new();
-    for (&from, tos) in &edges {
-        for (&to, info) in tos {
-            if info.non_preemptible && reaches(&edges, to, from) {
-                let a = names.get(&from).cloned().unwrap_or_else(|| format!("lock#{from}"));
-                let b = names.get(&to).cloned().unwrap_or_else(|| format!("lock#{to}"));
-                let pair = if a <= b { (a, b) } else { (b, a) };
-                if !out.contains(&pair) {
-                    out.push(pair);
-                }
-            }
-        }
-    }
-    out.sort();
-    out
+    order
 }
 
-/// Whether `to` is reachable from `from` over non-preemptible edges.
-fn reaches(edges: &HashMap<u64, HashMap<u64, EdgeInfo>>, from: u64, to: u64) -> bool {
-    let mut stack = vec![from];
-    let mut seen = HashSet::new();
-    while let Some(n) = stack.pop() {
-        if n == to {
-            return true;
-        }
-        if !seen.insert(n) {
-            continue;
-        }
-        if let Some(next) = edges.get(&n) {
-            stack.extend(next.iter().filter(|(_, e)| e.non_preemptible).map(|(&l, _)| l));
-        }
+impl TraceOrder {
+    /// Lock-order inversions, one per sorted name pair, sorted.
+    pub fn inversions(&self) -> Vec<InversionPair> {
+        let mut out: Vec<InversionPair> = self
+            .graph
+            .inversions()
+            .iter()
+            .map(|(a, b)| {
+                let (a, b) = (self.names[a].clone(), self.names[b].clone());
+                if a <= b {
+                    (a, b)
+                } else {
+                    (b, a)
+                }
+            })
+            .collect();
+        out.sort();
+        out.dedup();
+        out
     }
-    false
+
+    /// The `(held, acquiring)` edges as sorted, deduplicated name pairs,
+    /// in the form of `lockdep::edges()`. Locks carrying the
+    /// external-object trace tag never touch lockdep, so edges involving
+    /// them are excluded.
+    pub fn edges(&self) -> Vec<(String, String)> {
+        let mut out: Vec<(String, String)> = self
+            .graph
+            .edges()
+            .filter(|(a, b)| !trace::is_external_object(**a) && !trace::is_external_object(**b))
+            .map(|(a, b)| (self.names[a].clone(), self.names[b].clone()))
+            .collect();
+        out.sort();
+        out.dedup();
+        out
+    }
 }
 
 #[cfg(test)]
@@ -112,7 +112,7 @@ mod tests {
 
     #[test]
     fn ab_ba_is_reported_once() {
-        let invs = inversions(&[
+        let order = replay(&[
             attempt(1, 1, false),
             acquired(1, 1),
             attempt(1, 2, false),
@@ -126,14 +126,14 @@ mod tests {
             released(2, 1),
             released(2, 2),
         ]);
-        assert_eq!(invs, vec![("l1".to_string(), "l2".to_string())]);
+        assert_eq!(order.inversions(), vec![("l1".to_string(), "l2".to_string())]);
     }
 
     #[test]
     fn blocked_attempt_still_counts() {
         // Thread 2's second acquisition never succeeds (a real deadlock
         // would strike here); the attempt alone closes the cycle.
-        let invs = inversions(&[
+        let order = replay(&[
             attempt(1, 1, false),
             acquired(1, 1),
             attempt(2, 2, false),
@@ -141,58 +141,39 @@ mod tests {
             attempt(1, 2, false),
             attempt(2, 1, false),
         ]);
-        assert_eq!(invs.len(), 1);
+        assert_eq!(order.inversions().len(), 1);
+        assert_eq!(order.edges(), vec![("l1".into(), "l2".into()), ("l2".into(), "l1".into())]);
     }
 
     #[test]
-    fn consistent_order_is_clean() {
-        let invs = inversions(&[
-            attempt(1, 1, false),
+    fn try_acquisitions_record_edges_but_close_no_cycle() {
+        // Nested acquisitions with no attempt event (try-locks): the edges
+        // are on record for the lockdep cross-check, but carry no firm
+        // witness.
+        let order = replay(&[
             acquired(1, 1),
+            acquired(1, 2),
+            released(1, 2),
+            released(1, 1),
+            acquired(2, 2),
+            acquired(2, 1),
+        ]);
+        assert_eq!(order.edges(), vec![("l1".into(), "l2".into()), ("l2".into(), "l1".into())]);
+        assert!(order.inversions().is_empty());
+    }
+
+    #[test]
+    fn external_locks_are_excluded_from_the_edges() {
+        let tagged = 1u64 << 63 | 9;
+        let order = replay(&[
+            acquired(1, tagged),
             attempt(1, 2, false),
             acquired(1, 2),
             released(1, 2),
-            released(1, 1),
-            attempt(2, 1, false),
-            acquired(2, 1),
-            attempt(2, 2, false),
-            acquired(2, 2),
-            released(2, 2),
-            released(2, 1),
+            released(1, tagged),
+            acquired(2, 3),
+            acquired(2, tagged),
         ]);
-        assert!(invs.is_empty(), "{invs:?}");
-    }
-
-    #[test]
-    fn preemptible_cycles_are_benign() {
-        let invs = inversions(&[
-            attempt(1, 1, true),
-            acquired(1, 1),
-            attempt(1, 2, true),
-            acquired(1, 2),
-            released(1, 2),
-            released(1, 1),
-            attempt(2, 2, true),
-            acquired(2, 2),
-            attempt(2, 1, true),
-            acquired(2, 1),
-            released(2, 1),
-            released(2, 2),
-        ]);
-        assert!(invs.is_empty(), "revocable cycles are resolved by preemption: {invs:?}");
-    }
-
-    #[test]
-    fn three_lock_rotating_cycle_is_found() {
-        let mut events = Vec::new();
-        for t in 0..3u64 {
-            let first = t + 1;
-            let second = (t + 1) % 3 + 1;
-            events.push(attempt(t + 1, first, false));
-            events.push(acquired(t + 1, first));
-            events.push(attempt(t + 1, second, false));
-        }
-        let invs = inversions(&events);
-        assert!(!invs.is_empty(), "rotating three-lock cycle must be reported");
+        assert!(order.edges().is_empty(), "{:?}", order.edges());
     }
 }

@@ -51,3 +51,6 @@ pub use recipe::{
     wrap_unprotected_atomic, PreemptOptions,
 };
 pub use report::{table1, table2, table3, CorpusSummary, FixabilityCell, TextTable};
+/// The lock-order graph the static pass shares with `lockdep` and the
+/// trace replay.
+pub use txfix_txlock::LockOrder;

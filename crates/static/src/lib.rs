@@ -9,7 +9,8 @@
 //! - a **lockset pass** (races and dropped-lockset atomicity,
 //!   RacerD-style),
 //! - a **lock-order-graph pass** (cycles, with `TxMutex`-revocable
-//!   acquisitions exempt, mirroring `txlock::lockdep`),
+//!   acquisitions exempt, over the `LockOrder` graph `txlock::lockdep`
+//!   also fills),
 //! - **condition-variable passes** (wait-with-held-lock cycles and lost
 //!   wakeups).
 //!

@@ -1,30 +1,27 @@
-//! The static lock-order-graph pass: cycle detection over all path
-//! summaries at once, with revocable acquisitions exempt.
+//! The static lock-order pass: cycle detection over all path summaries
+//! at once, with revocable acquisitions exempt.
 //!
-//! Mirrors `txfix_txlock::lockdep`'s runtime rules: an edge `a -> b` is
-//! recorded when a path acquires `b` while holding `a`, the edge is
-//! non-preemptible when that acquisition is a plain (non-revocable)
-//! lock, and only cycles whose every edge has a non-preemptible witness
-//! are reported — a cycle broken by a `TxMutex` acquisition inside a
-//! transaction resolves itself through Recipe 3's preemption, so it is
-//! not a deadlock.
+//! This is the static feeder of the one lock-order graph
+//! ([`LockOrder`]) that `txfix_txlock::lockdep` fills live: a path that
+//! acquires `b` while holding `a` records `a -> b`, firm when that
+//! acquisition is a plain (non-revocable) lock. A cycle broken by a
+//! `TxMutex` acquisition inside a transaction resolves itself through
+//! Recipe 3's preemption, so it is not a deadlock.
 
 use crate::ir::{Op, ScenarioSummary};
 use crate::report::{Finding, Hazard};
-use std::collections::{BTreeMap, BTreeSet};
+use txfix_core::LockOrder;
 
-/// Build the lock-order edges; `true` marks a non-preemptible witness.
-fn edges(summary: &ScenarioSummary) -> BTreeMap<String, BTreeMap<String, bool>> {
-    let mut g: BTreeMap<String, BTreeMap<String, bool>> = BTreeMap::new();
+/// The lock-order pass: report each strongly connected component of two
+/// or more locks over firm edges.
+pub(crate) fn cycles(summary: &ScenarioSummary) -> Vec<Finding> {
+    let mut order = LockOrder::default();
     for path in &summary.paths {
         let mut held: Vec<String> = Vec::new();
         for op in &path.ops {
             match op {
                 Op::Acquire { lock, revocable } => {
-                    for h in &held {
-                        let e = g.entry(h.clone()).or_default().entry(lock.clone()).or_default();
-                        *e |= !*revocable;
-                    }
+                    order.attempt(&held, lock, !*revocable);
                     held.push(lock.clone());
                 }
                 Op::Release { lock } => {
@@ -36,68 +33,18 @@ fn edges(summary: &ScenarioSummary) -> BTreeMap<String, BTreeMap<String, bool>> 
             }
         }
     }
-    g
-}
-
-/// The lock-order pass: report each strongly connected component of two
-/// or more locks in the non-preemptible edge subgraph.
-pub(crate) fn cycles(summary: &ScenarioSummary) -> Vec<Finding> {
-    let g = edges(summary);
-    // Keep only edges with a non-preemptible witness.
-    let firm: BTreeMap<&str, BTreeSet<&str>> = g
-        .iter()
-        .map(|(from, tos)| {
-            (from.as_str(), tos.iter().filter(|(_, np)| **np).map(|(to, _)| to.as_str()).collect())
+    order
+        .cycles()
+        .into_iter()
+        .map(|locks| Finding {
+            explanation: format!(
+                "these locks are acquired in conflicting orders by different paths \
+                 and none of the closing acquisitions is revocable: {}",
+                locks.join(", "),
+            ),
+            hazard: Hazard::LockCycle { locks },
         })
-        .collect();
-    let nodes: BTreeSet<&str> = firm
-        .iter()
-        .flat_map(|(from, tos)| std::iter::once(*from).chain(tos.iter().copied()))
-        .collect();
-
-    // The graphs are tiny (a handful of locks), so mutual-reachability
-    // SCCs are computed directly rather than via Tarjan.
-    let reach = |from: &str| -> BTreeSet<&str> {
-        let mut seen = BTreeSet::new();
-        let mut stack = vec![from];
-        while let Some(n) = stack.pop() {
-            if let Some(tos) = firm.get(n) {
-                for t in tos {
-                    if seen.insert(*t) {
-                        stack.push(t);
-                    }
-                }
-            }
-        }
-        seen
-    };
-    let reachable: BTreeMap<&str, BTreeSet<&str>> = nodes.iter().map(|n| (*n, reach(n))).collect();
-
-    let mut out = Vec::new();
-    let mut assigned: BTreeSet<&str> = BTreeSet::new();
-    for n in &nodes {
-        if assigned.contains(n) {
-            continue;
-        }
-        let scc: Vec<&str> = nodes
-            .iter()
-            .filter(|m| reachable[n].contains(**m) && reachable[**m].contains(*n))
-            .copied()
-            .collect();
-        if scc.len() >= 2 {
-            assigned.extend(scc.iter().copied());
-            let locks: Vec<String> = scc.iter().map(|l| l.to_string()).collect();
-            out.push(Finding {
-                explanation: format!(
-                    "these locks are acquired in conflicting orders by different paths \
-                     and none of the closing acquisitions is revocable: {}",
-                    locks.join(", "),
-                ),
-                hazard: Hazard::LockCycle { locks },
-            });
-        }
-    }
-    out
+        .collect()
 }
 
 #[cfg(test)]
@@ -117,15 +64,6 @@ mod tests {
     }
 
     #[test]
-    fn consistent_order_is_clean() {
-        let s = Summary::new("t", "dev")
-            .path(Path::new("p0").acquire("a").acquire("b").release("b").release("a"))
-            .path(Path::new("p1").acquire("a").acquire("b").release("b").release("a"))
-            .build();
-        assert!(cycles(&s).is_empty());
-    }
-
-    #[test]
     fn revocable_acquisitions_break_the_cycle() {
         // One side acquires inside a transaction with TxMutex (Recipe 3):
         // the cycle resolves by preemption, so it is not reported.
@@ -142,21 +80,6 @@ mod tests {
             .path(Path::new("p1").acquire("b").acquire("a").release("a").release("b"))
             .build();
         assert!(cycles(&s).is_empty());
-    }
-
-    #[test]
-    fn three_lock_rotation_is_one_cycle() {
-        let s = Summary::new("t", "buggy")
-            .path(Path::new("p0").acquire("a").acquire("b").release("b").release("a"))
-            .path(Path::new("p1").acquire("b").acquire("c").release("c").release("b"))
-            .path(Path::new("p2").acquire("c").acquire("a").release("a").release("c"))
-            .build();
-        let c = cycles(&s);
-        assert_eq!(c.len(), 1);
-        assert_eq!(
-            c[0].hazard,
-            Hazard::LockCycle { locks: vec!["a".into(), "b".into(), "c".into()] }
-        );
     }
 
     #[test]

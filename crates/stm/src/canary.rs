@@ -21,15 +21,14 @@
 //! ## Determinism
 //!
 //! Arming reuses the [`chaos`](crate::chaos) ordinal machinery: each site
-//! keeps a hit counter and the decision for hit `k` is the pure hash
-//! `splitmix64(seed ^ SITE_SALT ^ k)` (for [`Trigger::PerMille`]) or a
-//! pure predicate on `k` ([`Trigger::Nth`] / [`Trigger::EveryNth`]), so a
+//! keeps a hit counter and the decision for hit `k` is
+//! [`Trigger::fires`] salted with the site's `SITE_SALT`, so a
 //! fixed `(canary, seed, trigger)` fires on a fixed set of ordinals. A
 //! firing site never takes a scheduler yield or emits a trace event of
 //! its own — the mutation must be exactly as silent as the bug it
 //! models, or the detectors would be tipped off.
 
-use crate::chaos::{splitmix64, Trigger};
+use crate::chaos::Trigger;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 /// One plantable runtime mutation.
@@ -211,11 +210,7 @@ pub fn arm(canary: Canary, seed: u64, trigger: Trigger) {
         HITS[i].store(0, Ordering::SeqCst);
         FIRED[i].store(0, Ordering::SeqCst);
     }
-    let (kind, value) = match trigger {
-        Trigger::PerMille(p) => (1, u64::from(p)),
-        Trigger::Nth(n) => (2, n),
-        Trigger::EveryNth(n) => (3, n),
-    };
+    let (kind, value) = trigger.encode();
     SEED.store(seed, Ordering::SeqCst);
     KIND.store(kind, Ordering::SeqCst);
     VALUE.store(value, Ordering::SeqCst);
@@ -228,11 +223,6 @@ pub fn arm(canary: Canary, seed: u64, trigger: Trigger) {
 pub fn disarm() {
     ACTIVE.store(false, Ordering::SeqCst);
     ARMED.store(0, Ordering::SeqCst);
-}
-
-/// Whether any canary is currently armed.
-pub fn is_armed() -> bool {
-    ACTIVE.load(Ordering::SeqCst)
 }
 
 /// RAII guard: arm on construction, disarm on drop.
@@ -269,31 +259,12 @@ fn fire_slow(canary: Canary) -> bool {
         return false;
     }
     let hit = HITS[i].fetch_add(1, Ordering::SeqCst) + 1;
-    let fires = match KIND.load(Ordering::SeqCst) {
-        1 => {
-            let p = VALUE.load(Ordering::SeqCst);
-            let h = splitmix64(SEED.load(Ordering::SeqCst) ^ SITE_SALT[i] ^ hit);
-            (h % 1000) < p.min(1000)
-        }
-        2 => hit == VALUE.load(Ordering::SeqCst).max(1),
-        3 => hit.is_multiple_of(VALUE.load(Ordering::SeqCst).max(1)),
-        _ => false,
-    };
+    let fires = Trigger::decode(KIND.load(Ordering::SeqCst), VALUE.load(Ordering::SeqCst))
+        .is_some_and(|t| t.fires(SEED.load(Ordering::SeqCst), SITE_SALT[i], hit));
     if fires {
         FIRED[i].fetch_add(1, Ordering::SeqCst);
     }
     fires
-}
-
-/// `(hits, fired)` counters per canary since the last [`arm`].
-pub fn site_stats() -> Vec<(Canary, u64, u64)> {
-    Canary::ALL
-        .into_iter()
-        .map(|c| {
-            let i = c.index();
-            (c, HITS[i].load(Ordering::SeqCst), FIRED[i].load(Ordering::SeqCst))
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -310,7 +281,6 @@ mod tests {
         let _g = GATE.lock();
         disarm();
         assert!(!fire(Canary::StmSkipWriteback));
-        assert!(!is_armed());
     }
 
     #[test]
@@ -319,9 +289,8 @@ mod tests {
         let _armed = scoped(Canary::LockDropRelease, 0, Trigger::EveryNth(1));
         assert!(fire(Canary::LockDropRelease));
         assert!(!fire(Canary::StmSkipWriteback), "a different site must stay silent");
-        let stats = site_stats();
-        let (_, hits, fired) = stats[Canary::LockDropRelease.index()];
-        assert_eq!((hits, fired), (1, 1));
+        let i = Canary::LockDropRelease.index();
+        assert_eq!((HITS[i].load(Ordering::SeqCst), FIRED[i].load(Ordering::SeqCst)), (1, 1));
     }
 
     #[test]

@@ -127,7 +127,7 @@ impl InjectionPoint {
 /// When an armed point actually fires.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Trigger {
-    /// Fire on hit `k` iff `hash(seed, point, k) % 1000 < per_mille` — a
+    /// Fire on hit `k` iff `hash(seed, salt, k) % 1000 < per_mille` — a
     /// seeded coin whose outcomes are fixed per ordinal, not per thread.
     PerMille(u32),
     /// Fire on exactly the nth hit (1-based), once.
@@ -137,24 +137,34 @@ pub enum Trigger {
 }
 
 impl Trigger {
-    /// Whether hit ordinal `hit` (1-based) fires under seed `seed` at point
-    /// `point`. Pure: same arguments, same answer.
-    pub fn fires(self, seed: u64, point: InjectionPoint, hit: u64) -> bool {
+    /// Whether hit ordinal `hit` (1-based) fires under seed `seed` at the
+    /// site salted by `salt` (a chaos point's, a canary site's, a crash
+    /// point's label hash). Pure: same arguments, same answer.
+    pub fn fires(self, seed: u64, salt: u64, hit: u64) -> bool {
         match self {
-            Trigger::PerMille(p) => {
-                let h = splitmix64(seed ^ POINT_SALT[point.index()] ^ hit);
-                (h % 1000) < u64::from(p.min(1000))
-            }
+            Trigger::PerMille(p) => (splitmix64(seed ^ salt ^ hit) % 1000) < u64::from(p.min(1000)),
             Trigger::Nth(n) => hit == n.max(1),
             Trigger::EveryNth(n) => hit.is_multiple_of(n.max(1)),
         }
     }
 
-    fn encode(self) -> (u64, u64) {
+    /// The `(kind, value)` pair the lock-free arming tables store; kind 0
+    /// is "unarmed".
+    pub(crate) fn encode(self) -> (u64, u64) {
         match self {
             Trigger::PerMille(p) => (1, u64::from(p)),
             Trigger::Nth(n) => (2, n),
             Trigger::EveryNth(n) => (3, n),
+        }
+    }
+
+    /// Inverse of [`encode`](Trigger::encode); `None` when unarmed.
+    pub(crate) fn decode(kind: u64, value: u64) -> Option<Trigger> {
+        match kind {
+            1 => Some(Trigger::PerMille(value as u32)),
+            2 => Some(Trigger::Nth(value)),
+            3 => Some(Trigger::EveryNth(value)),
+            _ => None,
         }
     }
 }
@@ -378,15 +388,11 @@ fn should_inject_slow(point: InjectionPoint) -> bool {
     // deterministic scheduler, *where* a fault lands relative to other
     // threads' operations is itself a schedule dimension.
     crate::sched::yield_point(crate::sched::SyncOp::ChaosPoint(i as u32));
-    let value = VALUES[i].load(Ordering::Relaxed);
-    let trigger = match kind {
-        1 => Trigger::PerMille(value as u32),
-        2 => Trigger::Nth(value),
-        3 => Trigger::EveryNth(value),
-        _ => return false,
+    let Some(trigger) = Trigger::decode(kind, VALUES[i].load(Ordering::Relaxed)) else {
+        return false;
     };
     let hit = HITS[i].fetch_add(1, Ordering::Relaxed) + 1;
-    if !trigger.fires(SEED.load(Ordering::Relaxed), point, hit) {
+    if !trigger.fires(SEED.load(Ordering::Relaxed), POINT_SALT[i], hit) {
         return false;
     }
     INJECTED[i].fetch_add(1, Ordering::Relaxed);
@@ -430,6 +436,10 @@ mod tests {
     // dedicated integration binaries (tests/chaos.rs and friends), because
     // the arming tables are process-global and unit tests run in parallel.
 
+    fn salt(point: InjectionPoint) -> u64 {
+        POINT_SALT[point.index()]
+    }
+
     #[test]
     fn point_names_round_trip() {
         for p in InjectionPoint::ALL {
@@ -443,7 +453,7 @@ mod tests {
     fn nth_fires_exactly_once() {
         let t = Trigger::Nth(3);
         let fired: Vec<u64> =
-            (1..=10).filter(|&k| t.fires(7, InjectionPoint::TxnBegin, k)).collect();
+            (1..=10).filter(|&k| t.fires(7, salt(InjectionPoint::TxnBegin), k)).collect();
         assert_eq!(fired, vec![3]);
     }
 
@@ -451,38 +461,39 @@ mod tests {
     fn every_nth_fires_periodically() {
         let t = Trigger::EveryNth(4);
         let fired: Vec<u64> =
-            (1..=12).filter(|&k| t.fires(7, InjectionPoint::TxnRead, k)).collect();
+            (1..=12).filter(|&k| t.fires(7, salt(InjectionPoint::TxnRead), k)).collect();
         assert_eq!(fired, vec![4, 8, 12]);
         // n = 0 is clamped to 1, not a division by zero.
-        assert!(Trigger::EveryNth(0).fires(7, InjectionPoint::TxnRead, 1));
+        assert!(Trigger::EveryNth(0).fires(7, salt(InjectionPoint::TxnRead), 1));
     }
 
     #[test]
     fn per_mille_is_a_pure_function_of_seed_point_and_hit() {
         let t = Trigger::PerMille(300);
-        let draw =
-            |seed| (1u64..=200).filter(|&k| t.fires(seed, InjectionPoint::TxnPreCommit, k)).count();
+        let draw = |seed| {
+            (1u64..=200).filter(|&k| t.fires(seed, salt(InjectionPoint::TxnPreCommit), k)).count()
+        };
         let a: Vec<bool> =
-            (1u64..=200).map(|k| t.fires(42, InjectionPoint::TxnPreCommit, k)).collect();
+            (1u64..=200).map(|k| t.fires(42, salt(InjectionPoint::TxnPreCommit), k)).collect();
         let b: Vec<bool> =
-            (1u64..=200).map(|k| t.fires(42, InjectionPoint::TxnPreCommit, k)).collect();
+            (1u64..=200).map(|k| t.fires(42, salt(InjectionPoint::TxnPreCommit), k)).collect();
         assert_eq!(a, b, "same seed, same outcome sequence");
         // Roughly 30% of 200 draws should fire; allow a wide band.
         let n = draw(42);
         assert!((20..=100).contains(&n), "got {n} fires out of 200 at 30%");
         // Different points draw independent coins under one seed.
         let other: Vec<bool> =
-            (1u64..=200).map(|k| t.fires(42, InjectionPoint::TxnWriteback, k)).collect();
+            (1u64..=200).map(|k| t.fires(42, salt(InjectionPoint::TxnWriteback), k)).collect();
         assert_ne!(a, other);
     }
 
     #[test]
     fn per_mille_extremes() {
-        assert!(!Trigger::PerMille(0).fires(9, InjectionPoint::XcallFile, 1));
+        assert!(!Trigger::PerMille(0).fires(9, salt(InjectionPoint::XcallFile), 1));
         for k in 1..=50 {
-            assert!(Trigger::PerMille(1000).fires(9, InjectionPoint::XcallFile, k));
+            assert!(Trigger::PerMille(1000).fires(9, salt(InjectionPoint::XcallFile), k));
             // Values above 1000 clamp to "always".
-            assert!(Trigger::PerMille(5000).fires(9, InjectionPoint::XcallFile, k));
+            assert!(Trigger::PerMille(5000).fires(9, salt(InjectionPoint::XcallFile), k));
         }
     }
 

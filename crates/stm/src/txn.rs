@@ -304,11 +304,6 @@ impl Txn {
         self.was_irrevocable
     }
 
-    /// Number of distinct variables written so far.
-    pub fn write_set_len(&self) -> usize {
-        self.write_set.len()
-    }
-
     /// A handle external parties (deadlock detectors) can use to abort this
     /// transaction.
     pub fn kill_handle(&self) -> KillHandle {

@@ -1,7 +1,7 @@
 //! # txfix-tmsync: synchronization extensions for transactional code
 //!
 //! The paper's fixes need more than plain atomic regions; this crate
-//! supplies the three extensions its recipes rely on:
+//! supplies the two extensions its recipes rely on:
 //!
 //! - **Transactional condition variables** ([`TxCondvar`]): commit-before-
 //!   wait semantics, required by 5 of the Mozilla fixes (Table 3).
@@ -9,10 +9,6 @@
 //!   [`serial_atomic`]): the global reader/writer scheme of §5.1 that makes
 //!   an atomic region serializable against every lock critical section —
 //!   the runtime of fix Recipe 4 (MySQL-I case study).
-//! - **Ad hoc synchronization primitives** ([`SpinFlag`], [`OwnerFlag`]):
-//!   the hand-rolled flag/ownership patterns the buggy applications used
-//!   to avoid locks, kept here so scenarios and ablations can compare them
-//!   against transactions (§6).
 //!
 //! Blocking `retry` itself lives in `txfix-stm` ([`Txn::retry`]); this
 //! crate re-exports a [`guard`] helper for the common
@@ -22,11 +18,9 @@
 
 #![warn(missing_docs)]
 
-mod adhoc;
 mod condvar;
 mod serial;
 
-pub use adhoc::{OwnerFlag, SpinFlag};
 pub use condvar::TxCondvar;
 pub use serial::{serial_atomic, serial_atomic_with, SerialDomain, SerialMutex, SerialMutexGuard};
 

@@ -18,6 +18,11 @@
 //! - [`LockCondvar`]: a conventional condition variable for
 //!   `TxMutex`-protected state, used by buggy code and developer fixes.
 //!
+//! [`LockOrder`] is the lock-order graph with Recipe 3's exemption (a
+//! cycle closed only by revocable acquisitions is not a deadlock);
+//! [`lockdep`] fills it live, and the trace and static analyzers fill
+//! their own.
+//!
 //! The common path costs what a plain lock costs: an uncontended acquire,
 //! plain or transactional, is one compare-and-swap on the lock's owner
 //! word and touches no global state. A transaction joins the wait-for
@@ -49,9 +54,11 @@ mod error;
 mod graph;
 pub mod lockdep;
 mod mutex;
+mod order;
 mod thread_id;
 
 pub use condvar::{LockCondvar, WaitOutcome};
 pub use error::DeadlockError;
 pub use mutex::{enlist_preemptible, TxMutex, TxMutexGuard};
+pub use order::LockOrder;
 pub use thread_id::{current as current_thread, ThreadToken};

@@ -16,6 +16,8 @@
 //! cycle through them is resolved by preempting the transaction (paper
 //! Recipe 3), so such cycles are suppressed and the paper's Recipe 3
 //! fixes validate clean despite keeping their inverted acquisition order.
+//! The edges live in a [`LockOrder`], whose cycle search runs when
+//! [`inversions`] is asked.
 //!
 //! Validation is process-global and off by default (zero cost beyond one
 //! atomic load per acquisition); enable it around the region of interest:
@@ -40,52 +42,26 @@
 //! ```
 
 use crate::graph::LockId;
+use crate::LockOrder;
 use parking_lot::Mutex;
 use std::cell::RefCell;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
 
-/// What the validator knows about one "held `a` while acquiring `b`" edge.
-#[derive(Default, Clone, Copy)]
-struct EdgeInfo {
-    /// The edge was witnessed by at least one *non-preemptible* (plain
-    /// `lock()`) acquisition. Edges seen only through revocable `lock_tx`
-    /// acquisitions never complete a reportable cycle: a deadlock through
-    /// them is resolved by preempting the transaction (paper Recipe 3),
-    /// so the discipline is benign by construction.
-    non_preemptible: bool,
-}
-
 #[derive(Default)]
 struct OrderState {
-    /// Observed "held `a` while acquiring `b`" order graph, with lock
-    /// names. A cycle in this graph — of any length — through edges with
-    /// a non-preemptible witness is a potential deadlock.
-    edges: HashMap<LockId, HashMap<LockId, EdgeInfo>>,
+    /// Observed "held `a` while acquiring `b`" order graph; a plain
+    /// `lock()` (or a successful try-lock) is a firm witness.
+    graph: LockOrder<LockId>,
     names: HashMap<LockId, String>,
-    inversions: Vec<Inversion>,
 }
 
 impl OrderState {
-    /// Whether `to` is reachable from `from` over non-preemptible edges.
-    fn reaches_non_preemptible(&self, from: LockId, to: LockId) -> bool {
-        let mut stack = vec![from];
-        let mut seen = HashSet::new();
-        while let Some(n) = stack.pop() {
-            if n == to {
-                return true;
-            }
-            if !seen.insert(n) {
-                continue;
-            }
-            if let Some(next) = self.edges.get(&n) {
-                stack.extend(next.iter().filter(|(_, e)| e.non_preemptible).map(|(l, _)| *l));
-            }
-        }
-        false
+    fn name(&self, id: &LockId) -> String {
+        self.names.get(id).cloned().unwrap_or_else(|| "?".into())
     }
 }
 
@@ -95,10 +71,10 @@ thread_local! {
     static HELD: RefCell<Vec<LockId>> = const { RefCell::new(Vec::new()) };
 }
 
-/// A detected lock-order hazard: the recorded order graph contains a
-/// cycle through `first` and `second` (for two locks, both acquisition
-/// orders were observed; longer cycles are reported by the edge that
-/// closed them).
+/// A detected lock-order hazard: `first -> second` or `second -> first`
+/// is a firm edge on a cycle of the recorded order graph. A two-lock
+/// inversion is one pair; a cycle of more locks reports each of its firm
+/// edges.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Inversion {
     /// Name of one lock in the inverted pair.
@@ -127,21 +103,33 @@ pub fn disable() {
     ENABLED.store(false, Ordering::SeqCst);
 }
 
-/// Clear all recorded edges and inversions.
+/// Clear all recorded edges.
 pub fn reset() {
     let mut g = ORDER.lock();
     *g = Some(OrderState::default());
 }
 
-/// Inversions observed since the last [`reset`], deduplicated per lock
-/// pair.
+/// Inversions in the edges recorded since the last [`reset`], as sorted
+/// name pairs, deduplicated and sorted.
 pub fn inversions() -> Vec<Inversion> {
-    ORDER.lock().as_ref().map(|s| s.inversions.clone()).unwrap_or_default()
-}
-
-/// Number of distinct ordering edges recorded (diagnostic).
-pub fn edge_count() -> usize {
-    ORDER.lock().as_ref().map(|s| s.edges.values().map(HashMap::len).sum()).unwrap_or(0)
+    let g = ORDER.lock();
+    let Some(s) = g.as_ref() else { return Vec::new() };
+    let mut pairs: Vec<(String, String)> = s
+        .graph
+        .inversions()
+        .iter()
+        .map(|(a, b)| {
+            let (a, b) = (s.name(a), s.name(b));
+            if a <= b {
+                (a, b)
+            } else {
+                (b, a)
+            }
+        })
+        .collect();
+    pairs.sort();
+    pairs.dedup();
+    pairs.into_iter().map(|(first, second)| Inversion { first, second }).collect()
 }
 
 /// The recorded order edges as sorted, deduplicated `(held, acquiring)`
@@ -153,12 +141,8 @@ pub fn edge_count() -> usize {
 pub fn edges() -> Vec<(String, String)> {
     let g = ORDER.lock();
     let Some(s) = g.as_ref() else { return Vec::new() };
-    let name = |id: &LockId| s.names.get(id).cloned().unwrap_or_else(|| "?".into());
-    let mut pairs: Vec<(String, String)> = s
-        .edges
-        .iter()
-        .flat_map(|(from, tos)| tos.keys().map(move |to| (name(from), name(to))))
-        .collect();
+    let mut pairs: Vec<(String, String)> =
+        s.graph.edges().map(|(from, to)| (s.name(from), s.name(to))).collect();
     pairs.sort();
     pairs.dedup();
     pairs
@@ -182,32 +166,10 @@ pub(crate) fn note_attempt(id: LockId, name: &str, preemptible: bool) {
         return;
     }
     HELD.with(|h| {
-        let held = h.borrow();
         let mut g = ORDER.lock();
         let s = g.get_or_insert_with(OrderState::default);
         s.names.insert(id, name.to_owned());
-        for &prior in held.iter() {
-            if prior == id {
-                continue;
-            }
-            let edge = s.edges.entry(prior).or_default().entry(id).or_default();
-            let newly_non_preemptible = !preemptible && !edge.non_preemptible;
-            edge.non_preemptible |= !preemptible;
-            // An edge prior→id completes a reportable cycle iff id already
-            // reaches prior over non-preemptible edges and this edge has a
-            // non-preemptible witness too. Check whenever the witness is
-            // new: every cycle is caught when its chronologically last
-            // non-preemptible edge lands.
-            if newly_non_preemptible && s.reaches_non_preemptible(id, prior) {
-                let first = s.names.get(&prior).cloned().unwrap_or_else(|| "?".into());
-                let second = s.names.get(&id).cloned().unwrap_or_else(|| "?".into());
-                let (a, b) = if first <= second { (first, second) } else { (second, first) };
-                let inv = Inversion { first: a, second: b };
-                if !s.inversions.contains(&inv) {
-                    s.inversions.push(inv);
-                }
-            }
-        }
+        s.graph.attempt(&h.borrow(), &id, !preemptible);
     });
 }
 
@@ -267,7 +229,7 @@ mod tests {
         }
         disable();
         assert!(inversions().is_empty());
-        assert!(edge_count() >= 1);
+        assert!(!edges().is_empty());
     }
 
     #[test]
@@ -307,7 +269,7 @@ mod tests {
             let _ga = a.lock().unwrap();
         }
         assert!(inversions().is_empty());
-        assert_eq!(edge_count(), 0);
+        assert!(edges().is_empty());
     }
 
     #[test]
@@ -329,7 +291,7 @@ mod tests {
             });
         }
         disable();
-        assert!(edge_count() >= 2, "revocable attempts still record edges");
+        assert!(edges().len() >= 2, "revocable attempts still record edges");
         assert!(
             inversions().is_empty(),
             "a cycle carried entirely by revocable acquisitions is preemptible, not a hazard"

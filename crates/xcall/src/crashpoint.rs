@@ -73,14 +73,6 @@ pub fn label_hash(label: &str) -> u64 {
     splitmix64(fnv64(label.as_bytes()))
 }
 
-fn trigger_fires(trigger: Trigger, seed: u64, salt: u64, hit: u64) -> bool {
-    match trigger {
-        Trigger::PerMille(p) => (splitmix64(seed ^ salt ^ hit) % 1000) < u64::from(p.min(1000)),
-        Trigger::Nth(n) => hit == n.max(1),
-        Trigger::EveryNth(n) => hit.is_multiple_of(n.max(1)),
-    }
-}
-
 /// An installed crash session. Dropping it disarms the registry and thaws
 /// the world.
 pub struct Session {
@@ -153,7 +145,7 @@ pub fn crash_point(label: &str) {
         },
         Some(Mode::Armed { label: armed, seed, trigger, hits, fired }) if armed == label => {
             *hits += 1;
-            if fired.is_none() && trigger_fires(*trigger, *seed, label_hash(label), *hits) {
+            if fired.is_none() && trigger.fires(*seed, label_hash(label), *hits) {
                 *fired = Some(*hits);
                 FROZEN.store(true, Ordering::SeqCst);
             }

@@ -51,8 +51,6 @@ pub const BLOCK_BYTES: usize = 32;
 pub enum OsError {
     /// Path not present in the filesystem.
     NotFound(String),
-    /// Path already present on exclusive create.
-    AlreadyExists(String),
     /// Reading from or writing to a closed pipe/socket.
     Closed,
     /// A blocking read timed out.
@@ -63,7 +61,6 @@ impl fmt::Display for OsError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             OsError::NotFound(p) => write!(f, "no such file: {p}"),
-            OsError::AlreadyExists(p) => write!(f, "file exists: {p}"),
             OsError::Closed => write!(f, "endpoint closed"),
             OsError::TimedOut => write!(f, "operation timed out"),
         }
@@ -317,21 +314,6 @@ impl SimFs {
     /// [`OsError::NotFound`] if `path` does not exist.
     pub fn open(&self, path: &str) -> Result<Arc<SimFile>, OsError> {
         self.files.lock().get(path).cloned().ok_or_else(|| OsError::NotFound(path.to_owned()))
-    }
-
-    /// Create `path` exclusively.
-    ///
-    /// # Errors
-    ///
-    /// [`OsError::AlreadyExists`] if `path` exists.
-    pub fn create_exclusive(&self, path: &str) -> Result<Arc<SimFile>, OsError> {
-        let mut files = self.files.lock();
-        if files.contains_key(path) {
-            return Err(OsError::AlreadyExists(path.to_owned()));
-        }
-        let f = SimFile::new(path);
-        files.insert(path.to_owned(), f.clone());
-        Ok(f)
     }
 
     /// Remove a file from the namespace.
@@ -630,7 +612,6 @@ mod tests {
         fs.open_or_create("b");
         fs.open_or_create("a");
         assert_eq!(fs.list(), vec!["a".to_string(), "b".to_string()]);
-        assert!(fs.create_exclusive("a").is_err());
         fs.remove("a").unwrap();
         assert!(fs.open("a").is_err());
         assert_eq!(fs.remove("a"), Err(OsError::NotFound("a".into())));

@@ -41,8 +41,8 @@ pub use txfix_xcall as xcall;
 /// (`txfix crash`).
 pub use txfix_wal as wal;
 
-/// Transactional condition variables, `retry` helpers, atomic/lock
-/// serialization, and ad hoc synchronization primitives.
+/// Transactional condition variables, `retry` helpers and atomic/lock
+/// serialization.
 pub use txfix_tmsync as tmsync;
 
 /// The sharded transactional KV store: hash-index buckets and a
