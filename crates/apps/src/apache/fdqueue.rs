@@ -54,9 +54,10 @@ pub struct Apache1Config {
     pub connections: u32,
     /// Simulated per-request processing cost (busy-wait).
     pub process_cost: Duration,
-    /// How long the buggy listener waits before declaring deadlock.
-    pub deadlock_timeout: Duration,
 }
+
+/// How long the buggy listener waits before declaring deadlock.
+const DEADLOCK_TIMEOUT: Duration = Duration::from_millis(150);
 
 impl Default for Apache1Config {
     fn default() -> Self {
@@ -65,7 +66,6 @@ impl Default for Apache1Config {
             workers: 4,
             connections: 200,
             process_cost: Duration::from_micros(30),
-            deadlock_timeout: Duration::from_millis(150),
         }
     }
 }
@@ -174,7 +174,7 @@ pub fn run_apache1(cfg: &Apache1Config) -> Apache1Outcome {
                         ig = g2;
                         if *ig == 0
                             && outcome == WaitOutcome::TimedOut
-                            && wait_start.elapsed() >= cfg.deadlock_timeout
+                            && wait_start.elapsed() >= DEADLOCK_TIMEOUT
                         {
                             // Workers are stuck behind the timeout mutex we
                             // hold: the circular wait is complete.

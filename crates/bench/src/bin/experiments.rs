@@ -4,10 +4,7 @@
 //! Pass `--full` for benchmark-scale case-study runs and `--json` for a
 //! machine-readable version of the whole run.
 
-use txfix_bench::{
-    apache_i_comparison, apache_ii_comparison, mozilla_i_comparison, mysql_i_comparison,
-    CaseComparison, Scale,
-};
+use txfix_bench::{cases, Scale};
 use txfix_core::json::{Json, ToJson};
 use txfix_core::{table1, table2, table3, CorpusSummary};
 
@@ -30,12 +27,6 @@ fn main() {
                 ("tm", Json::Bool((sc.run)(txfix_corpus::Variant::TmFix).is_bug())),
             ])
         }));
-        let cases = [
-            mozilla_i_comparison(scale),
-            apache_i_comparison(scale),
-            apache_ii_comparison(scale),
-            mysql_i_comparison(scale),
-        ];
         let doc = Json::obj([
             (
                 "tables",
@@ -47,7 +38,7 @@ fn main() {
             ),
             ("summary", s.to_json_value()),
             ("scenarios_bug_observed", scenarios),
-            ("cases", Json::list(cases.iter().map(ToJson::to_json_value))),
+            ("cases", Json::list(cases(scale).iter().map(ToJson::to_json_value))),
         ]);
         println!("{}", doc.to_json());
         return;
@@ -105,49 +96,21 @@ fn main() {
     }
 
     println!("\n== CS1–CS4: case-study performance (relative to developer fix) ====\n");
-    let cases: Vec<CaseComparison> = vec![
-        mozilla_i_comparison(scale),
-        apache_i_comparison(scale),
-        apache_ii_comparison(scale),
-        mysql_i_comparison(scale),
-    ];
+    let cases = cases(scale);
     for c in &cases {
         println!("{}", c.render());
     }
     println!("Summary (TM fix relative to developer fix):");
     for c in &cases {
-        println!(
-            "  {:10} {:28} paper {:>6.1}%   measured {:>6.1}%",
-            c.case,
-            c.recipe,
-            c.paper_relative * 100.0,
-            c.measured_relative() * 100.0
-        );
+        for m in &c.measurements {
+            let Some(paper) = m.paper_relative else { continue };
+            println!(
+                "  {:10} {:38} paper {:>6.1}%   measured {:>6.1}%",
+                c.case,
+                m.name,
+                paper * 100.0,
+                m.relative_to_dev * 100.0
+            );
+        }
     }
-    if let Some(m) = mozilla_hw(&cases) {
-        println!(
-            "  {:10} {:28} paper {:>6.1}%   measured {:>6.1}%",
-            "Mozilla-I",
-            "recipe 1 on HTM (modelled)",
-            99.3,
-            m * 100.0
-        );
-    }
-    if let Some(m) = mozilla_r3(&cases) {
-        println!(
-            "  {:10} {:28} paper {:>6.1}%   measured {:>6.1}%",
-            "Mozilla-I",
-            "recipe 3 preemption",
-            85.0,
-            m * 100.0
-        );
-    }
-}
-
-fn mozilla_hw(cases: &[CaseComparison]) -> Option<f64> {
-    cases.first()?.measurements.get(2).map(|m| m.relative_to_dev)
-}
-
-fn mozilla_r3(cases: &[CaseComparison]) -> Option<f64> {
-    cases.first()?.measurements.get(3).map(|m| m.relative_to_dev)
 }

@@ -5,48 +5,41 @@
 //! and `--json` for a machine-readable version (table rows plus the full
 //! per-variant case comparisons).
 
-use txfix_bench::{
-    apache_i_comparison, apache_ii_comparison, mozilla_i_comparison, mysql_i_comparison, Scale,
-};
+use txfix_bench::{cases, Scale};
 use txfix_core::json::{Json, ToJson};
 use txfix_core::TextTable;
 
 fn main() {
     let scale = if std::env::args().any(|a| a == "--full") { Scale::Full } else { Scale::Quick };
     let json = std::env::args().any(|a| a == "--json");
-    let cases = [
-        (mozilla_i_comparison(scale), "DL", "involves locks only", 23u32),
-        (apache_i_comparison(scale), "DL", "involves lock and wait", 32),
-        (apache_ii_comparison(scale), "AV", "complete missing synchronization", 20),
-        (mysql_i_comparison(scale), "AV", "partial missing synchronization", 103),
-    ];
+    let cases = cases(scale);
 
     let mut t = TextTable::new(
         "Table 4. Bugs and corresponding fix recipes applied for demonstration purposes",
         &["Bug ID", "Cause", "Characteristics", "Fix", "Paper perf.", "Measured perf.", "LOC"],
     );
-    for (c, cause, characteristics, loc) in &cases {
+    for c in &cases {
         t.row(&[
             c.case.to_string(),
-            cause.to_string(),
-            characteristics.to_string(),
+            c.cause.to_string(),
+            c.characteristics.to_string(),
             c.recipe.to_string(),
-            format!("{:.1}%", c.paper_relative * 100.0),
+            format!("{:.1}%", c.paper_relative() * 100.0),
             format!("{:.1}%", c.measured_relative() * 100.0),
-            loc.to_string(),
+            c.loc.to_string(),
         ]);
     }
     if json {
         let doc = Json::obj([
             ("table", t.to_json_value()),
-            ("cases", Json::list(cases.iter().map(|(c, ..)| c.to_json_value()))),
+            ("cases", Json::list(cases.iter().map(ToJson::to_json_value))),
         ]);
         println!("{}", doc.to_json());
         return;
     }
     print!("{t}");
     println!("\nPer-variant detail:\n");
-    for (c, ..) in &cases {
+    for c in &cases {
         println!("{}", c.render());
     }
 }

@@ -5,6 +5,11 @@
 //! the developers' fix — the paper's metric. Absolute numbers depend on
 //! the host; the *shape* (who wins, by roughly what factor) is the
 //! reproduction target recorded in EXPERIMENTS.md.
+//!
+//! This module is the only code that measures a Table 4 case study:
+//! [`cases()`] runs all four, and `table4` and `experiments` both print
+//! from it. Each row's fixed cells (cause, characteristics, LOC) and each
+//! variant's paper figure sit beside the runner that measures it.
 
 use std::time::{Duration, Instant};
 use txfix_apps::apache::buffered_log::{make_record, RECORD_LEN};
@@ -22,9 +27,9 @@ use txfix_xcall::SimFs;
 /// How big a run to perform.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Scale {
-    /// Fast smoke-scale run (CI, `table4`).
+    /// Fast smoke-scale run (the default of `table4` and `experiments`).
     Quick,
-    /// Full benchmark-scale run (`experiments`, criterion).
+    /// Full benchmark-scale run (their `--full`).
     Full,
 }
 
@@ -41,31 +46,49 @@ impl Scale {
 #[derive(Clone, Debug)]
 pub struct Measurement {
     /// Variant label.
-    pub name: String,
+    pub name: &'static str,
     /// Operations per second (higher is better).
     pub ops_per_sec: f64,
     /// Throughput relative to the developers' fix (1.0 = parity).
     pub relative_to_dev: f64,
+    /// The paper's figure for this variant relative to the developers'
+    /// fix, if it reports one.
+    pub paper_relative: Option<f64>,
 }
 
-/// A full case-study comparison.
+/// One Table 4 row: the paper's fixed cells plus the measured variants.
 #[derive(Clone, Debug)]
 pub struct CaseComparison {
-    /// Case-study id (e.g. "Mozilla-I").
+    /// Case-study id, Table 4's "Bug ID" (e.g. "Mozilla-I").
     pub case: &'static str,
+    /// Bug class: "DL" (deadlock) or "AV" (atomicity violation).
+    pub cause: &'static str,
+    /// Table 4's "Characteristics" cell.
+    pub characteristics: &'static str,
     /// Recipe used by the TM fix.
     pub recipe: &'static str,
-    /// Paper-reported TM-fix performance relative to the developers' fix.
-    pub paper_relative: f64,
-    /// Measured variants (first entry is the developers' fix).
+    /// Size of the paper's TM fix in lines of code.
+    pub loc: u32,
+    /// Measured variants (first entry is the developers' fix, second the
+    /// primary TM fix).
     pub measurements: Vec<Measurement>,
 }
 
 impl CaseComparison {
-    /// The headline measured relative performance: the *primary* TM fix
-    /// (second measurement) vs. the developers' fix.
+    fn primary(&self) -> Option<&Measurement> {
+        self.measurements.get(1)
+    }
+
+    /// The paper's headline figure: the primary TM fix relative to the
+    /// developers' fix.
+    pub fn paper_relative(&self) -> f64 {
+        self.primary().and_then(|m| m.paper_relative).unwrap_or(f64::NAN)
+    }
+
+    /// The headline measured relative performance: the primary TM fix
+    /// vs. the developers' fix.
     pub fn measured_relative(&self) -> f64 {
-        self.measurements.get(1).map(|m| m.relative_to_dev).unwrap_or(f64::NAN)
+        self.primary().map_or(f64::NAN, |m| m.relative_to_dev)
     }
 
     /// Render a small report.
@@ -74,7 +97,7 @@ impl CaseComparison {
             "{} ({}) — paper: TM at {:.1}% of developer fix\n",
             self.case,
             self.recipe,
-            self.paper_relative * 100.0
+            self.paper_relative() * 100.0
         );
         for m in &self.measurements {
             out.push_str(&format!(
@@ -100,9 +123,10 @@ fn finite(v: f64) -> Json {
 impl ToJson for Measurement {
     fn to_json_value(&self) -> Json {
         Json::obj([
-            ("name", Json::str(self.name.clone())),
+            ("name", Json::str(self.name)),
             ("ops_per_sec", finite(self.ops_per_sec)),
             ("relative_to_dev", finite(self.relative_to_dev)),
+            ("paper_relative", self.paper_relative.map_or(Json::Null, finite)),
         ])
     }
 }
@@ -112,11 +136,21 @@ impl ToJson for CaseComparison {
         Json::obj([
             ("case", Json::str(self.case)),
             ("recipe", Json::str(self.recipe)),
-            ("paper_relative", finite(self.paper_relative)),
+            ("paper_relative", finite(self.paper_relative())),
             ("measured_relative", finite(self.measured_relative())),
             ("measurements", Json::list(self.measurements.iter().map(ToJson::to_json_value))),
         ])
     }
+}
+
+/// Run the four case studies in Table 4's row order.
+pub fn cases(scale: Scale) -> [CaseComparison; 4] {
+    [
+        mozilla_i_comparison(scale),
+        apache_i_comparison(scale),
+        apache_ii_comparison(scale),
+        mysql_i_comparison(scale),
+    ]
 }
 
 /// Best-of-N throughput: repeated runs damp single-core scheduler noise
@@ -125,35 +159,27 @@ fn best_of(n: usize, mut f: impl FnMut() -> f64) -> f64 {
     (0..n.max(1)).map(|_| f()).fold(0.0f64, f64::max)
 }
 
-fn finish(
-    case: &'static str,
-    recipe: &'static str,
-    paper: f64,
-    raw: Vec<(String, f64)>,
-) -> CaseComparison {
-    let dev = raw.first().map(|r| r.1).unwrap_or(1.0);
-    CaseComparison {
-        case,
-        recipe,
-        paper_relative: paper,
-        measurements: raw
-            .into_iter()
-            .map(|(name, ops)| Measurement {
-                name,
-                ops_per_sec: ops,
-                relative_to_dev: if dev > 0.0 { ops / dev } else { f64::NAN },
-            })
-            .collect(),
-    }
+/// Turn `(name, paper figure, ops/s)` rows, developers' fix first, into
+/// measurements relative to that fix.
+fn relative(raw: Vec<(&'static str, Option<f64>, f64)>) -> Vec<Measurement> {
+    let dev = raw.first().map_or(1.0, |r| r.2);
+    raw.into_iter()
+        .map(|(name, paper_relative, ops)| Measurement {
+            name,
+            ops_per_sec: ops,
+            relative_to_dev: if dev > 0.0 { ops / dev } else { f64::NAN },
+            paper_relative,
+        })
+        .collect()
 }
 
 /// Mozilla-I (§5.4.1): four interpreter threads over the shared runtime.
 ///
 /// Measured variants: developers' fix (ownership protocol with
-/// drop-before-block), Recipe 1 on the native STM (paper: 21%), Recipe 1
-/// on the hardware model (paper: 99.3%), Recipe 3 preemption (paper: 85%).
-/// The hardware row is the only modelled one: there is no HTM to run.
-pub fn mozilla_i_comparison(scale: Scale) -> CaseComparison {
+/// drop-before-block), Recipe 1 on the native STM, Recipe 1 on the
+/// hardware model, Recipe 3 preemption. The hardware row is the only
+/// modelled one: there is no HTM to run.
+fn mozilla_i_comparison(scale: Scale) -> CaseComparison {
     let params = ScriptParams {
         threads: 4,
         objects_per_thread: 8,
@@ -168,7 +194,11 @@ pub fn mozilla_i_comparison(scale: Scale) -> CaseComparison {
     let total = params.total_objects();
 
     let run = |store: &dyn ObjectStore| -> f64 {
-        best_of(3, || run_script_workload(store, &params).ops_per_sec)
+        best_of(3, || {
+            let out = run_script_workload(store, &params);
+            assert_eq!(out.abandoned, 0, "{}", store.variant_name());
+            out.ops_per_sec
+        })
     };
 
     let dev = OwnershipStore::new(OwnershipMode::DevFix, total, params.slots);
@@ -176,18 +206,24 @@ pub fn mozilla_i_comparison(scale: Scale) -> CaseComparison {
     let hw = HwModelStore::new(total, params.slots);
     let pre = PreemptStore::new(total, params.slots);
 
-    let raw = vec![
-        ("developer fix (ownership protocol)".to_string(), run(&dev)),
-        ("recipe 1, native STM".to_string(), run(&sw)),
-        ("recipe 1, hardware TM (modelled)".to_string(), run(&hw)),
-        ("recipe 3, preemptible locks".to_string(), run(&pre)),
-    ];
-    finish("Mozilla-I", "recipe 1 (and 3)", 0.21, raw)
+    CaseComparison {
+        case: "Mozilla-I",
+        cause: "DL",
+        characteristics: "involves locks only",
+        recipe: "recipe 1 (and 3)",
+        loc: 23,
+        measurements: relative(vec![
+            ("developer fix (ownership protocol)", None, run(&dev)),
+            ("recipe 1, native STM", Some(0.21), run(&sw)),
+            ("recipe 1, hardware TM (modelled)", Some(0.993), run(&hw)),
+            ("recipe 3, preemptible locks", Some(0.85), run(&pre)),
+        ]),
+    }
 }
 
 /// Apache-I (§5.4.2): saturated listener/worker handoff. Paper: TM fix at
 /// ~78–85% of the developers' fix under stress.
-pub fn apache_i_comparison(scale: Scale) -> CaseComparison {
+fn apache_i_comparison(scale: Scale) -> CaseComparison {
     let connections = scale.pick(300, 2_000);
     let base = Apache1Config {
         workers: 4,
@@ -199,19 +235,26 @@ pub fn apache_i_comparison(scale: Scale) -> CaseComparison {
         best_of(3, || {
             let out = run_apache1(&Apache1Config { variant, ..base });
             assert!(!out.deadlocked);
+            assert_eq!(out.completed, connections);
             out.completed as f64 / out.elapsed.as_secs_f64().max(1e-9)
         })
     };
-    let raw = vec![
-        ("developer fix (unlock before wait)".to_string(), run(Apache1Variant::DevFix)),
-        ("recipe 3 (revocable lock + retry)".to_string(), run(Apache1Variant::TmFix)),
-    ];
-    finish("Apache-I", "recipe 3", 0.85, raw)
+    CaseComparison {
+        case: "Apache-I",
+        cause: "DL",
+        characteristics: "involves lock and wait",
+        recipe: "recipe 3",
+        loc: 32,
+        measurements: relative(vec![
+            ("developer fix (unlock before wait)", None, run(Apache1Variant::DevFix)),
+            ("recipe 3 (revocable lock + retry)", Some(0.85), run(Apache1Variant::TmFix)),
+        ]),
+    }
 }
 
 /// Apache-II (§5.4.3): request loop with one buffered-log write per
-/// request. Paper: TM fix ~96.5% of the developers' per-log locks.
-pub fn apache_ii_comparison(scale: Scale) -> CaseComparison {
+/// request, against the developers' per-log locks.
+fn apache_ii_comparison(scale: Scale) -> CaseComparison {
     const THREADS: usize = 4;
     let requests = scale.pick(1_000u64, 10_000);
     // Parsing, handler dispatch and response generation dwarf the log
@@ -241,11 +284,17 @@ pub fn apache_ii_comparison(scale: Scale) -> CaseComparison {
     let fs = SimFs::new();
     let dev = LockedBufferedLog::new(&fs, "dev.log", 64 * RECORD_LEN);
     let tm = TmBufferedLog::new(&fs, "tm.log", 64 * RECORD_LEN);
-    let raw = vec![
-        ("developer fix (per-log lock)".to_string(), run(&dev)),
-        ("recipe 2 (atomic block + x-call)".to_string(), run(&tm)),
-    ];
-    finish("Apache-II", "recipe 2", 0.965, raw)
+    CaseComparison {
+        case: "Apache-II",
+        cause: "AV",
+        characteristics: "complete missing synchronization",
+        recipe: "recipe 2",
+        loc: 20,
+        measurements: relative(vec![
+            ("developer fix (per-log lock)", None, run(&dev)),
+            ("recipe 2 (atomic block + x-call)", Some(0.965), run(&tm)),
+        ]),
+    }
 }
 
 /// MySQL-I (§5.4.4): repeated delete-all on different tables plus insert
@@ -255,7 +304,7 @@ pub fn apache_ii_comparison(scale: Scale) -> CaseComparison {
 /// strictly serially under the domain-exclusive atomic section. Measured
 /// as wall-clock throughput of one thread per table, so the loss is only
 /// as large as the host's parallelism (none on one core).
-pub fn mysql_i_comparison(scale: Scale) -> CaseComparison {
+fn mysql_i_comparison(scale: Scale) -> CaseComparison {
     const TABLES: usize = 4;
     let deletes = scale.pick(400u64, 4_000);
     let run = |variant| -> f64 {
@@ -282,11 +331,17 @@ pub fn mysql_i_comparison(scale: Scale) -> CaseComparison {
         });
         (TABLES as u64 * deletes * 3) as f64 / start.elapsed().as_secs_f64().max(1e-9)
     };
-    let raw = vec![
-        ("developer fix (table lock through log)".to_string(), run(MysqlVariant::DevFix)),
-        ("recipe 4 (atomic/lock serialization)".to_string(), run(MysqlVariant::TmRecipe4)),
-    ];
-    finish("MySQL-I", "recipe 4", 0.50, raw)
+    CaseComparison {
+        case: "MySQL-I",
+        cause: "AV",
+        characteristics: "partial missing synchronization",
+        recipe: "recipe 4",
+        loc: 103,
+        measurements: relative(vec![
+            ("developer fix (table lock through log)", None, run(MysqlVariant::DevFix)),
+            ("recipe 4 (atomic/lock serialization)", Some(0.50), run(MysqlVariant::TmRecipe4)),
+        ]),
+    }
 }
 
 fn busy(d: Duration) {
@@ -304,13 +359,27 @@ mod tests {
     #[test]
     fn quick_comparisons_produce_sane_relatives() {
         let _g = GATE.lock();
-        for c in [
-            mozilla_i_comparison(Scale::Quick),
-            apache_i_comparison(Scale::Quick),
-            apache_ii_comparison(Scale::Quick),
-            mysql_i_comparison(Scale::Quick),
-        ] {
-            assert!(c.measurements.len() >= 2, "{}", c.case);
+        let cases = cases(Scale::Quick);
+        // Table 4's fixed cells: id, cause, LOC and every paper figure,
+        // developers' fix first (it has none).
+        let fixed: Vec<_> = cases
+            .iter()
+            .map(|c| {
+                let paper: Vec<_> = c.measurements.iter().map(|m| m.paper_relative).collect();
+                (c.case, c.cause, c.loc, paper)
+            })
+            .collect();
+        assert_eq!(
+            fixed,
+            [
+                ("Mozilla-I", "DL", 23, vec![None, Some(0.21), Some(0.993), Some(0.85)]),
+                ("Apache-I", "DL", 32, vec![None, Some(0.85)]),
+                ("Apache-II", "AV", 20, vec![None, Some(0.965)]),
+                ("MySQL-I", "AV", 103, vec![None, Some(0.50)]),
+            ]
+        );
+        for c in &cases {
+            assert_eq!(c.paper_relative(), c.measurements[1].paper_relative.unwrap());
             assert!((c.measurements[0].relative_to_dev - 1.0).abs() < 1e-9);
             for m in &c.measurements {
                 assert!(m.ops_per_sec > 0.0, "{}: {m:?}", c.case);

@@ -675,11 +675,7 @@ fn pipe_handoff(cell: &Cell, tm: bool) -> pool::Run {
                     }
                 });
             }
-            cell.drive(producers, |t, i| {
-                if pipe.write(&[pipe_byte(t, i)]).is_err() {
-                    cell.violate("pipe closed under producer".into());
-                }
-            })
+            cell.drive(producers, |t, i| pipe.write(&[pipe_byte(t, i)]))
         });
         check_eq(cell, "pipe_handoff consumed bytes", consumed_count.into_inner(), expected_count);
         check_eq(cell, "pipe_handoff consumed checksum", consumed_sum.into_inner(), expected_sum);

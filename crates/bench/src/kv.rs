@@ -22,7 +22,7 @@ use crate::pool;
 use crate::workload::{Mix, Workload, WorkloadCfg, WorkloadOp};
 use txfix_core::json::{Json, ToJson};
 use txfix_core::sweep::{self, Flag, SweepArgs, SweepOutput, SweepRunner, Universe};
-use txfix_kvstore::model::run_workers;
+use txfix_kvstore::model::seeded_picker;
 use txfix_kvstore::{KvConfig, KvStore, Mode};
 use txfix_stm::chaos::splitmix64;
 use txfix_stm::sched;
@@ -156,7 +156,7 @@ fn run_cell(cfg: &KvBenchConfig, mode: Mode, shards: usize) -> KvCell {
             }) as Box<dyn FnOnce() -> WorkerOut + Send + '_>
         })
         .collect();
-    let (outs, log) = run_workers(seed, MAX_STEPS, workers);
+    let (outs, log) = sched::run_workers(workers, MAX_STEPS, seeded_picker(seed));
     let clean_run = log.stop.is_none();
     let mut latencies: Vec<u64> = Vec::new();
     let (mut ops, mut aborts, mut escalations, mut serial_commits) = (0u64, 0u64, 0u64, 0u64);

@@ -3,8 +3,9 @@
 //! One runner per paper artifact (DESIGN.md §4). The `table1`–`table4`
 //! binaries print the paper's tables from the corpus and the case-study
 //! comparisons; `experiments` runs everything and prints paper-reported
-//! vs. measured values; the criterion benches under `benches/` measure the
-//! same comparisons with statistical rigor plus the three ablations. The
+//! vs. measured values. Both case-study binaries run the one case list,
+//! [`cases()`], which also holds each row's paper figures; the criterion
+//! benches under `benches/` are the three ablations (A1–A3). The
 //! corpus load harness is one table of kernels, each asserting its
 //! scenario's invariants, in [`chaos`]: `txfix chaos` sweeps seeded
 //! fault-injection schedules over it, and [`stress`] runs it with faults
@@ -24,7 +25,4 @@ pub mod pool;
 pub mod stress;
 pub mod workload;
 
-pub use cases::{
-    apache_i_comparison, apache_ii_comparison, mozilla_i_comparison, mysql_i_comparison,
-    CaseComparison, Measurement, Scale,
-};
+pub use cases::{cases, CaseComparison, Measurement, Scale};

@@ -6,10 +6,10 @@
 //! difficulty model comparing TM fixes against what developers actually
 //! shipped. This crate is that methodology as a library:
 //!
-//! - [`recipe`]: runtime combinators for the four recipes —
-//!   [`replace_locks_atomic`] (Recipe 1), [`wrap_all_atomic`] (Recipe 2),
+//! - [`recipe`]: runtime combinators for the recipes that need more than
+//!   a plain atomic region ([`txfix_stm::atomic`] is Recipes 1 and 2) —
 //!   [`preemptible`] (Recipe 3, asymmetric deadlock preemption over
-//!   revocable locks), and [`wrap_unprotected_atomic`] (Recipe 4,
+//!   revocable locks) and [`wrap_unprotected_atomic`] (Recipe 4,
 //!   atomic/lock serialization).
 //! - [`bug`]: the [`BugRecord`] model capturing each studied bug's
 //!   structure (lock cycles, CV waits, missing-sync class, downcalls, the
@@ -46,10 +46,7 @@ pub use analysis::{
 pub use bug::{App, BugChars, BugKind, BugRecord, DevFix, Difficulty, Downcalls, MissingSync};
 pub use difficulty::{preference, tm_difficulty, Preference};
 pub use finding::{hazard_from_json, Hazard};
-pub use recipe::{
-    preemptible, preemptible_report, replace_locks_atomic, wrap_all_atomic,
-    wrap_unprotected_atomic, PreemptOptions,
-};
+pub use recipe::{preemptible, preemptible_report, wrap_unprotected_atomic, PreemptOptions};
 pub use report::{table1, table2, table3, CorpusSummary, FixabilityCell, TextTable};
 /// The lock-order graph the static pass shares with `lockdep` and the
 /// trace replay.

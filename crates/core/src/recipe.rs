@@ -1,32 +1,15 @@
-//! Runtime combinators for the four fix recipes.
+//! Runtime combinators for the fix recipes.
 //!
-//! These are thin, *intent-revealing* entry points over the substrate
-//! crates: a developer fixing a bug picks the recipe and gets the right
-//! combination of atomic regions, revocable locks, preemption priority,
-//! backoff and serialization without re-deriving it.
+//! Recipes 1 and 2 are plain atomic regions, [`txfix_stm::atomic`]. The
+//! entry points here are for the two that need more: a developer fixing
+//! a bug picks the recipe and gets the right combination of revocable
+//! locks, preemption priority, backoff and serialization without
+//! re-deriving it.
 
 use std::sync::Arc;
 use std::time::Duration;
 use txfix_stm::{BackoffPolicy, StmResult, Txn, TxnBuilder, TxnError, TxnReport};
 use txfix_tmsync::{serial_atomic_with, SerialDomain};
-
-/// **Recipe 1 — replace deadlock-prone locks.** Remove the locks that form
-/// the cycle and run every former critical section as an atomic region.
-///
-/// Functionally identical to [`txfix_stm::atomic`]; having a named entry
-/// point keeps fixed call sites self-documenting and lets the benchmark
-/// harness attribute costs to recipes.
-pub fn replace_locks_atomic<T>(body: impl FnMut(&mut Txn) -> StmResult<T>) -> T {
-    txfix_stm::atomic(body)
-}
-
-/// **Recipe 2 — wrap all.** Wrap every conflicting code region in an
-/// atomic region (with x-calls for I/O inside the region).
-///
-/// Functionally identical to [`txfix_stm::atomic`].
-pub fn wrap_all_atomic<T>(body: impl FnMut(&mut Txn) -> StmResult<T>) -> T {
-    txfix_stm::atomic(body)
-}
 
 /// Options for [`preemptible`] (Recipe 3).
 #[derive(Clone, Debug)]
@@ -118,14 +101,6 @@ mod tests {
     use txfix_stm::TVar;
     use txfix_tmsync::SerialMutex;
     use txfix_txlock::TxMutex;
-
-    #[test]
-    fn recipe1_and_2_are_atomic_regions() {
-        let v = TVar::new(0u32);
-        replace_locks_atomic(|txn| v.modify(txn, |x| x + 1));
-        wrap_all_atomic(|txn| v.modify(txn, |x| x + 1));
-        assert_eq!(v.load(), 2);
-    }
 
     #[test]
     fn preemptible_resolves_ab_ba_against_plain_locks() {

@@ -72,8 +72,6 @@ pub struct ExploreConfig {
     pub seed: u64,
     /// Per-schedule step bound.
     pub max_steps: u64,
-    /// PCT preemption bound (`d`).
-    pub pct_depth: u32,
 }
 
 impl Default for ExploreConfig {
@@ -83,7 +81,6 @@ impl Default for ExploreConfig {
             budget: 2_000,
             seed: 0,
             max_steps: DEFAULT_MAX_STEPS,
-            pct_depth: 3,
         }
     }
 }
@@ -153,7 +150,6 @@ fn drive(
             }
         }
         Strategy::Pct => {
-            let params = pct::PctParams { seed: cfg.seed, depth: cfg.pct_depth, steps_hint: 64 };
             let mut ex = Exploration {
                 schedules: 0,
                 pruned: 0,
@@ -165,7 +161,7 @@ fn drive(
                 let outcome = runner::run_schedule(
                     build(variant),
                     cfg.max_steps,
-                    pct::pct_picker(params, index),
+                    pct::pct_picker(cfg.seed, index),
                 );
                 ex.schedules += 1;
                 match outcome.result {

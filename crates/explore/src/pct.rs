@@ -3,7 +3,7 @@
 //! Bugs", ASPLOS 2010).
 //!
 //! Each schedule assigns every thread a random priority and always runs
-//! the highest-priority runnable thread; `depth - 1` priority *change
+//! the highest-priority runnable thread; `DEPTH - 1` priority *change
 //! points* are scattered over the expected step range, and when the step
 //! counter crosses one, the currently running thread's priority drops
 //! below everyone's, forcing a preemption exactly there. A bug of
@@ -18,32 +18,21 @@
 use txfix_stm::chaos::splitmix64;
 use txfix_stm::sched::{Pick, Picker};
 
-/// Tuning for the PCT strategy.
-#[derive(Clone, Copy, Debug)]
-pub struct PctParams {
-    /// Base seed; each schedule mixes in its index.
-    pub seed: u64,
-    /// The preemption bound `d`: number of priority change points + 1.
-    pub depth: u32,
-    /// A hint for how many scheduling steps a run takes; change points
-    /// are scattered uniformly over `[1, steps_hint]`.
-    pub steps_hint: u64,
-}
+/// The preemption bound `d`: number of priority change points + 1.
+const DEPTH: u64 = 3;
 
-impl Default for PctParams {
-    fn default() -> Self {
-        PctParams { seed: 0, depth: 3, steps_hint: 64 }
-    }
-}
+/// How many scheduling steps a corpus run takes, roughly; change points
+/// are scattered uniformly over `[1, STEPS_HINT]`.
+const STEPS_HINT: u64 = 64;
 
-/// Build the picker for schedule number `index` of a PCT run.
-pub fn pct_picker(params: PctParams, index: u64) -> Picker {
-    let base = splitmix64(params.seed ^ splitmix64(index.wrapping_add(0x9E37_79B9)));
+/// Build the picker for schedule number `index` of a PCT run from base
+/// `seed`.
+pub fn pct_picker(seed: u64, index: u64) -> Picker {
+    let base = splitmix64(seed ^ splitmix64(index.wrapping_add(0x9E37_79B9)));
     // Priority change points (step numbers). Duplicates are harmless —
     // the drop just fires once.
-    let changes: Vec<u64> = (0..params.depth.saturating_sub(1) as u64)
-        .map(|k| splitmix64(base ^ (0xC0FF_EE00 + k)) % params.steps_hint.max(1) + 1)
-        .collect();
+    let changes: Vec<u64> =
+        (0..DEPTH - 1).map(|k| splitmix64(base ^ (0xC0FF_EE00 + k)) % STEPS_HINT + 1).collect();
     let mut step: u64 = 0;
     let mut demotions: u64 = 0;
     // Per-slot priority overrides from change-point demotions; base

@@ -1,8 +1,7 @@
 //! Execute one scheduled run of a corpus scenario under a picker.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use txfix_corpus::{Outcome, ScheduledRun};
-use txfix_stm::sched::{self, Picker, RunLog, SchedStop, StopReason};
+use txfix_stm::sched::{self, Picker, RunLog, StopReason};
 
 /// What one explored schedule amounted to.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -31,16 +30,6 @@ pub struct ScheduleOutcome {
 /// hundred steps, so hitting this means a livelock.
 pub const DEFAULT_MAX_STEPS: u64 = 20_000;
 
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
-
 /// Run one schedule of `run` under `picker`.
 ///
 /// Must be called with the scheduler's exclusivity gate held (strategies
@@ -48,26 +37,7 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// process-global.
 pub fn run_schedule(run: ScheduledRun, max_steps: u64, picker: Picker) -> ScheduleOutcome {
     let ScheduledRun { threads, check } = run;
-    sched::begin_run(threads.len(), max_steps, picker);
-    std::thread::scope(|s| {
-        for (slot, body) in threads.into_iter().enumerate() {
-            s.spawn(move || {
-                sched::register(slot);
-                match catch_unwind(AssertUnwindSafe(body)) {
-                    Ok(()) => sched::finish(),
-                    Err(payload) => {
-                        // `SchedStop` is the scheduler tearing the run
-                        // down (deadlock/prune/abort), not a failure of
-                        // the scenario itself.
-                        if payload.downcast_ref::<SchedStop>().is_none() {
-                            sched::abort_run(panic_message(payload.as_ref()));
-                        }
-                    }
-                }
-            });
-        }
-    });
-    let log = sched::end_run();
+    let (_, log) = sched::run_workers(threads, max_steps, picker);
     let result = match &log.stop {
         Some(StopReason::Deadlock(blocked)) => {
             RunResult::Bug(format!("deadlock: {}", blocked.join("; ")))

@@ -126,9 +126,7 @@ fn pct_schedules_replay_deterministically_across_seeds() {
     for seed in [0u64, 1, 7, 42, 0xdead_beef, u64::MAX, 0x1234_5678_9abc_def0] {
         for variant in [Variant::Buggy, Variant::TmFix] {
             let (events, trace) = sched::run_exclusively(|| {
-                let params = pct::PctParams { seed, depth: 3, steps_hint: 64 };
-                let out =
-                    run_schedule(build(variant), DEFAULT_MAX_STEPS, pct::pct_picker(params, 0));
+                let out = run_schedule(build(variant), DEFAULT_MAX_STEPS, pct::pct_picker(seed, 0));
                 let trace = out.log.trace();
                 (out.log.events, trace)
             });

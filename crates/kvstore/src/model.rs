@@ -1,5 +1,6 @@
-//! Model-checking support: a seeded deterministic-scheduler harness and
-//! the BTreeMap-oracle history checker behind the differential tests.
+//! Model-checking support: the seeded picker for deterministic-scheduler
+//! runs and the BTreeMap-oracle history checker behind the differential
+//! tests.
 //!
 //! Every committed op carries the shard history version at its
 //! serialization point ([`crate::OpStats::version`]): writes bump the
@@ -10,10 +11,9 @@
 //! `BTreeMap` decides linearizability with zero search.
 
 use std::collections::BTreeMap;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use txfix_stm::chaos::splitmix64;
-use txfix_stm::sched::{self, Pick, Picker, RunLog, SchedStop};
+use txfix_stm::sched::{Pick, Picker};
 
 use crate::Rows;
 
@@ -25,57 +25,6 @@ pub fn seeded_picker(seed: u64) -> Picker {
         state = splitmix64(state);
         Pick::Choose((state % choices.len() as u64) as usize)
     })
-}
-
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
-
-/// Run `workers` under the deterministic scheduler with a
-/// [`seeded_picker`] schedule, collecting each worker's return value.
-///
-/// Must be called with the scheduler's exclusivity gate held
-/// (wrap the whole harness in [`sched::run_exclusively`]). A worker that
-/// panics aborts the run; its slot yields `None` and the [`RunLog`]'s
-/// stop reason says why.
-pub fn run_workers<'a, R: Send + 'a>(
-    seed: u64,
-    max_steps: u64,
-    workers: Vec<Box<dyn FnOnce() -> R + Send + 'a>>,
-) -> (Vec<Option<R>>, RunLog) {
-    sched::begin_run(workers.len(), max_steps, seeded_picker(seed));
-    let mut results: Vec<Option<R>> = Vec::new();
-    std::thread::scope(|s| {
-        let handles: Vec<_> = workers
-            .into_iter()
-            .enumerate()
-            .map(|(slot, body)| {
-                s.spawn(move || {
-                    sched::register(slot);
-                    match catch_unwind(AssertUnwindSafe(body)) {
-                        Ok(r) => {
-                            sched::finish();
-                            Some(r)
-                        }
-                        Err(payload) => {
-                            if payload.downcast_ref::<SchedStop>().is_none() {
-                                sched::abort_run(panic_message(payload.as_ref()));
-                            }
-                            None
-                        }
-                    }
-                })
-            })
-            .collect();
-        results = handles.into_iter().map(|h| h.join().unwrap_or(None)).collect();
-    });
-    (results, sched::end_run())
 }
 
 /// One op of a recorded history.

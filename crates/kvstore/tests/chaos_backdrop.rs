@@ -54,7 +54,8 @@ fn chaos_aborts_cost_retries_never_correctness() {
                         as Box<dyn FnOnce() -> WorkerOut + Send + '_>
                 })
                 .collect();
-            let (outs, log) = model::run_workers(0xC0DE ^ mode as u64, 10_000_000, workers);
+            let (outs, log) =
+                sched::run_workers(workers, 10_000_000, model::seeded_picker(0xC0DE ^ mode as u64));
             assert!(log.stop.is_none(), "{}: {:?}", mode.name(), log.stop);
             let outs: Vec<WorkerOut> = outs.into_iter().map(Option::unwrap).collect();
 

@@ -69,7 +69,11 @@ fn workers(kv: &KvStore, seed: u64, ops: u64) -> Vec<Worker<'_>> {
 fn one_history(mode: Mode, seed: u64) -> Vec<Event> {
     let fs = SimFs::new();
     let store = KvStore::open(&fs, KvConfig::new(mode, 2));
-    let (outs, log) = model::run_workers(seed, MAX_STEPS, workers(&store, seed, OPS_PER_THREAD));
+    let (outs, log) = sched::run_workers(
+        workers(&store, seed, OPS_PER_THREAD),
+        MAX_STEPS,
+        model::seeded_picker(seed),
+    );
     assert!(
         log.stop.is_none(),
         "{} seed {seed}: schedule stopped early: {:?}",

@@ -30,11 +30,9 @@
 
 use parking_lot::Mutex;
 use std::cell::Cell;
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 use crate::error::ConflictKind;
-use crate::tvar::VarId;
 
 /// Number of per-site slots in the static registry. Interning more sites
 /// than this folds the excess into the unattributed slot 0 (no panic, no
@@ -120,13 +118,12 @@ pub fn is_enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
 }
 
-/// Zero every counter, histogram and the orec hotness map. Site names stay
-/// interned (ids remain valid).
+/// Zero every counter and histogram. Site names stay interned (ids remain
+/// valid).
 pub fn reset() {
     for slot in SITES.iter() {
         slot.reset();
     }
-    HOT_ORECS.lock().clear();
 }
 
 // ---- per-site slots -------------------------------------------------------
@@ -530,42 +527,6 @@ pub(crate) fn note_fault_injected() {
     SITES[current_site().index()].faults_injected.fetch_add(1, Ordering::Relaxed);
 }
 
-// ---- orec hotness ---------------------------------------------------------
-
-static HOT_ORECS: Mutex<BTreeMap<u64, u64>> = Mutex::new(BTreeMap::new());
-
-/// Record a conflict observed on a specific orec (called from the STM's
-/// conflict points with the contended `TVar`'s id).
-#[inline]
-pub(crate) fn note_orec_conflict(var: u64) {
-    if !is_enabled() {
-        return;
-    }
-    *HOT_ORECS.lock().entry(var).or_insert(0) += 1;
-}
-
-/// One contended orec and how many conflicts it has caused since the last
-/// [`reset`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct OrecHotness {
-    /// The contended variable.
-    pub var: VarId,
-    /// Conflicts attributed to it.
-    pub conflicts: u64,
-}
-
-/// The `n` most contended orecs, hottest first (ties broken by id for
-/// stable output).
-pub fn hottest_orecs(n: usize) -> Vec<OrecHotness> {
-    let map = HOT_ORECS.lock();
-    let mut all: Vec<OrecHotness> =
-        map.iter().map(|(&var, &conflicts)| OrecHotness { var: VarId(var), conflicts }).collect();
-    drop(map);
-    all.sort_by(|a, b| b.conflicts.cmp(&a.conflicts).then(a.var.cmp(&b.var)));
-    all.truncate(n);
-    all
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -615,12 +576,10 @@ mod tests {
         let site = intern("obs_test_disabled");
         note_commit(site, 3, 500);
         note_conflict(site, ConflictKind::OrecBusy);
-        note_orec_conflict(12345);
         let after = snapshot();
         if let (Some(b), Some(a)) = (before.site(site), after.site(site)) {
             assert_eq!(a.delta(b).commits, 0);
         }
-        assert!(hottest_orecs(64).iter().all(|o| o.var != VarId(12345)));
     }
 
     #[test]
@@ -655,21 +614,6 @@ mod tests {
         let b = intern("obs_test_idem");
         assert_eq!(a, b);
         assert_eq!(site_name(a), "obs_test_idem");
-    }
-
-    #[test]
-    fn hottest_orecs_sorts_by_conflicts() {
-        let _g = GATE.lock();
-        enable();
-        for _ in 0..3 {
-            note_orec_conflict(900_001);
-        }
-        note_orec_conflict(900_002);
-        disable();
-        let hot = hottest_orecs(usize::MAX);
-        let a = hot.iter().position(|o| o.var == VarId(900_001)).unwrap();
-        let b = hot.iter().position(|o| o.var == VarId(900_002)).unwrap();
-        assert!(a < b, "more-contended orec ranks first");
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! A cooperative deterministic scheduler for systematic schedule
 //! exploration (`txfix explore`).
 //!
-//! When a *run* is active (see [`begin_run`]) and the calling thread is
-//! [`register`]ed, every synchronization layer in the workspace — this
+//! While [`run_workers`] drives a *run*, every thread it spawned is
+//! registered with the scheduler, and every synchronization layer in the workspace — this
 //! STM's `TVar` reads/writes and commits, `txfix-txlock`'s acquire and
 //! release paths, `txfix-tmsync`'s condition variables and serial domains,
 //! and the chaos injection points — funnels through [`yield_point`] before
@@ -51,6 +51,7 @@
 use parking_lot::{Condvar, Mutex};
 use std::cell::Cell;
 use std::fmt;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Resource-id tag for `TVar` ids (see [`SyncOp::resource`]). `TVar`,
@@ -271,9 +272,9 @@ pub fn format_trace(trace: &[usize]) -> String {
 }
 
 /// The unwind payload a stopped run throws through controlled threads.
-/// Runner harnesses `catch_unwind` their thread bodies and treat this
-/// payload as "the schedule ended here", not as a test failure.
-pub struct SchedStop;
+/// [`run_workers`] catches it as "the schedule ended here", not as a
+/// worker failure.
+struct SchedStop;
 
 #[derive(Clone, Debug, PartialEq, Eq)]
 enum Phase {
@@ -407,15 +408,13 @@ pub fn atomic_section() -> AtomicSection {
 }
 
 /// Install a new run: `threads` worker slots, a per-schedule step bound,
-/// and the scheduling policy. Call from the harness thread (which stays
-/// uncontrolled), then spawn the workers, have each call [`register`]
-/// with its slot, and collect the record with [`end_run`] after joining.
+/// and the scheduling policy.
 ///
 /// # Panics
 ///
 /// Panics if a run is already active (runs are process-global; harnesses
 /// serialize on [`run_exclusively`]).
-pub fn begin_run(threads: usize, max_steps: u64, picker: Picker) {
+fn begin_run(threads: usize, max_steps: u64, picker: Picker) {
     let mut g = STATE.lock();
     assert!(g.is_none(), "a scheduler run is already active");
     *g = Some(Inner {
@@ -433,7 +432,7 @@ pub fn begin_run(threads: usize, max_steps: u64, picker: Picker) {
 
 /// Tear down the active run and return its record. Idempotent with
 /// respect to worker state: workers must have been joined first.
-pub fn end_run() -> RunLog {
+fn end_run() -> RunLog {
     ACTIVE.store(false, Ordering::SeqCst);
     let inner = STATE.lock().take().expect("end_run without begin_run");
     RunLog {
@@ -453,17 +452,70 @@ pub fn run_exclusively<T>(f: impl FnOnce() -> T) -> T {
     f()
 }
 
+/// Run `workers` as one scheduled run: one registered thread per slot, a
+/// per-schedule step bound, and `picker` deciding every step. Returns
+/// each worker's value and the run's record.
+///
+/// Call from an uncontrolled thread with the scheduler's exclusivity gate
+/// held (wrap the whole harness in [`run_exclusively`]); runs are
+/// process-global. A worker that panics aborts the run: its slot yields
+/// `None` and the [`RunLog`]'s stop reason carries the message. A worker
+/// the scheduler tears down (deadlock, prune, step limit, another
+/// worker's panic) also yields `None`.
+pub fn run_workers<'a, R: Send + 'a>(
+    workers: Vec<Box<dyn FnOnce() -> R + Send + 'a>>,
+    max_steps: u64,
+    picker: Picker,
+) -> (Vec<Option<R>>, RunLog) {
+    begin_run(workers.len(), max_steps, picker);
+    let results = std::thread::scope(|s| {
+        let handles: Vec<_> = workers
+            .into_iter()
+            .enumerate()
+            .map(|(slot, body)| {
+                s.spawn(move || {
+                    register(slot);
+                    match catch_unwind(AssertUnwindSafe(body)) {
+                        Ok(r) => {
+                            finish();
+                            Some(r)
+                        }
+                        Err(payload) => {
+                            if payload.downcast_ref::<SchedStop>().is_none() {
+                                abort_run(panic_message(payload.as_ref()));
+                            }
+                            None
+                        }
+                    }
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap_or(None)).collect()
+    });
+    (results, end_run())
+}
+
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "non-string panic payload".to_string()
+    }
+}
+
 /// Adopt `slot` for the calling worker thread. The thread then runs
 /// freely until its first [`yield_point`], where the scheduler takes
 /// over; the first decision is made only after every slot has arrived
 /// (or finished), so startup order is not a hidden schedule dimension.
-pub fn register(slot: usize) {
+fn register(slot: usize) {
     SLOT.with(|s| s.set(Some(slot)));
 }
 
 /// Mark the calling worker finished and hand the token to the next
 /// thread. Also safe to call while the run is stopping.
-pub fn finish() {
+fn finish() {
     let Some(me) = controlled_slot() else {
         return;
     };
@@ -481,7 +533,7 @@ pub fn finish() {
 
 /// Stop the run because a controlled thread panicked with `message`;
 /// every other thread unwinds with [`SchedStop`] at its next hook.
-pub fn abort_run(message: String) {
+fn abort_run(message: String) {
     let mut g = STATE.lock();
     if let Some(inner) = g.as_mut() {
         if inner.stop.is_none() {
@@ -492,8 +544,8 @@ pub fn abort_run(message: String) {
 }
 
 /// Announce the next operation and wait for this thread's turn to run it.
-/// No-op for uncontrolled threads. Unwinds with [`SchedStop`] if the run
-/// stops while parked.
+/// No-op for uncontrolled threads. Unwinds back to [`run_workers`] if
+/// the run stops while parked.
 pub fn yield_point(op: SyncOp) {
     let Some(me) = controlled_slot() else {
         return;
@@ -514,8 +566,8 @@ pub fn yield_point(op: SyncOp) {
 /// Park the calling thread on `res` until a [`signal`] makes it runnable
 /// and the scheduler picks it again. `op` labels what the thread will do
 /// when it resumes (e.g. retry a lock acquisition). Returns normally when
-/// rescheduled — the caller re-checks its condition — or unwinds with
-/// [`SchedStop`] if the run stops (deadlock, budget, panic).
+/// rescheduled — the caller re-checks its condition — or unwinds back to
+/// [`run_workers`] if the run stops (deadlock, budget, panic).
 pub fn block_on(res: u64, op: SyncOp) {
     let Some(me) = controlled_slot() else {
         return;

@@ -231,9 +231,9 @@ pub fn emit(kind: EventKind) {
 ///   ordinary `int`. The underlying storage is still a Rust atomic, so the
 ///   demonstration itself stays UB-free, but the trace marks the access
 ///   non-atomic and the race detector treats conflicts as races.
-/// - [`load_sync`](TracedCell::load_sync), [`store_sync`](TracedCell::store_sync),
-///   [`fetch_add`](TracedCell::fetch_add), [`fetch_sub`](TracedCell::fetch_sub)
-///   and [`compare_exchange`](TracedCell::compare_exchange) model
+/// - [`load_sync`](TracedCell::load_sync), [`fetch_add`](TracedCell::fetch_add),
+///   [`fetch_sub`](TracedCell::fetch_sub) and
+///   [`compare_exchange`](TracedCell::compare_exchange) model
 ///   hardware-atomic operations: traced, but never reported as racing.
 /// - [`peek`](TracedCell::peek) / [`set`](TracedCell::set) are invisible
 ///   to the recorder — scenario harnesses use them for post-join result
@@ -292,12 +292,6 @@ impl TracedCell {
     pub fn load_sync(&self) -> u64 {
         self.access(AccessKind::Read, true);
         self.value.load(Ordering::SeqCst)
-    }
-
-    /// An atomic write.
-    pub fn store_sync(&self, value: u64) {
-        self.access(AccessKind::Write, true);
-        self.value.store(value, Ordering::SeqCst);
     }
 
     /// An atomic fetch-and-add.

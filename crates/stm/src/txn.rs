@@ -360,13 +360,7 @@ impl Txn {
             self.trace_access(var.id, trace::AccessKind::Read);
             return Ok(self.write_set[i].value.clone());
         }
-        let (value, version) = match var.read_consistent() {
-            Ok(r) => r,
-            Err(e) => {
-                obs::note_orec_conflict(var.id);
-                return Err(e);
-            }
-        };
+        let (value, version) = var.read_consistent()?;
         if version > self.rv {
             self.extend_rv()?;
             // The triggering read was sampled before the new `rv` and is
@@ -376,7 +370,6 @@ impl Txn {
             // read-only commit never validates again.
             debug_assert!(version <= self.rv, "stripe version {version} leads the clock");
             if !var.orec.validate(version, self.serial) {
-                obs::note_orec_conflict(var.id);
                 return Err(Abort::Conflict(ConflictKind::ReadValidation));
             }
         }
@@ -391,7 +384,6 @@ impl Txn {
                 // The stripe moved since the first read of this variable:
                 // the recorded entry can no longer validate, so the
                 // transaction is doomed — abort now instead of at commit.
-                obs::note_orec_conflict(var.id);
                 return Err(Abort::Conflict(ConflictKind::ReadValidation));
             }
         }
@@ -439,7 +431,6 @@ impl Txn {
         let new_rv = clock::now();
         for e in &self.read_set {
             if !e.orec.validate(e.version, self.serial) {
-                obs::note_orec_conflict(e.id);
                 return Err(Abort::Conflict(ConflictKind::ReadValidation));
             }
         }
@@ -639,10 +630,6 @@ impl Txn {
         for (k, o) in stripes.iter().enumerate() {
             if !o.try_lock(serial) {
                 assert!(revocable, "orec stripe held under the exclusive serial lock");
-                let busy = o.index();
-                if let Some(w) = self.write_set.iter().find(|w| w.var.orec.index() == busy) {
-                    obs::note_orec_conflict(w.var.id);
-                }
                 unlock(&stripes[..k]);
                 return Err(Abort::Conflict(ConflictKind::OrecBusy));
             }
@@ -667,7 +654,6 @@ impl Txn {
                     continue;
                 }
                 if !e.orec.validate(e.version, serial) {
-                    obs::note_orec_conflict(e.id);
                     unlock(&stripes);
                     return Err(Abort::Conflict(ConflictKind::ReadValidation));
                 }

@@ -124,12 +124,6 @@ impl TxCondvar {
         self.cv.notify_one();
         sched::signal(self.trace_id);
     }
-
-    /// Defer a [`notify_one`](TxCondvar::notify_one) until `txn` commits.
-    pub fn notify_one_at_commit(self: &Arc<Self>, txn: &mut Txn) {
-        let this = self.clone();
-        txn.on_commit(move || this.notify_one());
-    }
 }
 
 impl WaitPoint for TxCondvar {
@@ -232,12 +226,8 @@ mod tests {
                 w.store(true, Ordering::SeqCst);
             });
             std::thread::sleep(Duration::from_millis(20));
-            let (f, c) = (flag.clone(), cv.clone());
-            atomic(|txn| {
-                f.write(txn, true)?;
-                c.notify_one_at_commit(txn);
-                Ok(())
-            });
+            atomic(|txn| flag.write(txn, true));
+            cv.notify_one();
         });
         assert!(woke.load(Ordering::SeqCst));
     }

@@ -9,14 +9,14 @@
 //! transactions for system calls that are not reversible."
 //!
 //! Because this reproduction has no kernel to wrap (see DESIGN.md), the
-//! crate ships its own miniature OS — [`SimFs`]/[`SimFile`] files,
-//! [`SimPipe`] bounded pipes and [`SimSocket`] loopback sockets — and
-//! layers the three xCall strategies on top:
+//! crate ships its own miniature OS — [`SimFs`]/[`SimFile`] files and
+//! [`SimPipe`] bounded pipes — and layers the three xCall strategies on
+//! top:
 //!
 //! | strategy | API | used for |
 //! |---|---|---|
-//! | defer to commit | [`XFile::x_append`], [`XPipe::x_write`], [`XSocket::x_send`] | log writes, responses |
-//! | compensate on abort | [`XPipe::x_read`], [`XSocket::x_recv`] | consuming reads |
+//! | defer to commit | [`XFile::x_append`], [`XPipe::x_write`] | log writes, responses |
+//! | compensate on abort | [`XPipe::x_read`] | consuming reads |
 //! | inevitable | [`x_inevitable`] | irreversible calls (`ioctl`-class) |
 //!
 //! Transactions touching the same file are isolated until commit by a
@@ -40,5 +40,5 @@ mod simos;
 pub use asyncio::AsyncIo;
 pub use crashpoint::crash_point;
 pub use file::{XFile, XOp};
-pub use pipe::{x_inevitable, XPipe, XSocket};
-pub use simos::{OsError, SimFile, SimFs, SimPipe, SimSocket, BLOCK_BYTES};
+pub use pipe::{x_inevitable, XPipe};
+pub use simos::{OsError, SimFile, SimFs, SimPipe, BLOCK_BYTES};

@@ -5,7 +5,7 @@
 //! can act on them, and pushed back into the pipe if the transaction
 //! aborts. Irreversible operations go through [`x_inevitable`].
 
-use crate::simos::{OsError, SimPipe, SimSocket};
+use crate::simos::{OsError, SimPipe};
 use std::fmt;
 use std::sync::Arc;
 use std::time::Duration;
@@ -54,11 +54,7 @@ impl XPipe {
         }
         let pipe = self.pipe.clone();
         let bytes = bytes.to_vec();
-        txn.on_commit(move || {
-            // Ignore a closed read end at commit time, matching write(2)
-            // semantics under SIGPIPE-ignored: the data is simply lost.
-            let _ = pipe.write(&bytes);
-        });
+        txn.on_commit(move || pipe.write(&bytes));
         Ok(())
     }
 
@@ -67,7 +63,7 @@ impl XPipe {
     ///
     /// # Errors
     ///
-    /// Returns `Ok(Err(OsError))` for OS-level failures (timeout, closed),
+    /// Returns `Ok(Err(OsError))` for OS-level failures (a timeout),
     /// which do not abort the transaction.
     pub fn x_read(
         &self,
@@ -130,45 +126,6 @@ impl XPipe {
     }
 }
 
-/// A transactional handle to a [`SimSocket`].
-#[derive(Clone, Debug)]
-pub struct XSocket {
-    /// Receive side (compensated reads).
-    pub rx: XPipe,
-    /// Transmit side (deferred writes).
-    pub tx: XPipe,
-}
-
-impl XSocket {
-    /// Wrap a simulated socket.
-    pub fn new(socket: SimSocket) -> XSocket {
-        XSocket { rx: XPipe::new(socket.rx), tx: XPipe::new(socket.tx) }
-    }
-
-    /// Defer sending until commit.
-    ///
-    /// # Errors
-    ///
-    /// See [`XPipe::x_write`].
-    pub fn x_send(&self, txn: &mut Txn, bytes: &[u8]) -> StmResult<()> {
-        self.tx.x_write(txn, bytes)
-    }
-
-    /// Compensated receive.
-    ///
-    /// # Errors
-    ///
-    /// See [`XPipe::x_read`].
-    pub fn x_recv(
-        &self,
-        txn: &mut Txn,
-        max: usize,
-        timeout: Duration,
-    ) -> StmResult<Result<Vec<u8>, OsError>> {
-        self.rx.x_read(txn, max, timeout)
-    }
-}
-
 /// Run an *irreversible* operation (the paper's `ioctl` class: ambiguous
 /// semantics or two-way communication with a non-transactional service).
 ///
@@ -227,7 +184,7 @@ mod tests {
     #[test]
     fn aborted_read_is_compensated() {
         let p = SimPipe::new(64);
-        p.write(b"abcd").unwrap();
+        p.write(b"abcd");
         let xp = XPipe::new(p.clone());
         let first = AtomicBool::new(true);
         let got = atomic(|txn| {
@@ -240,16 +197,6 @@ mod tests {
         });
         assert_eq!(got, b"ab", "re-read after compensation must see same bytes");
         assert_eq!(p.buffered(), 2);
-    }
-
-    #[test]
-    fn socket_send_recv_transactionally() {
-        let (a, b) = crate::simos::SimSocket::pair(64);
-        let xa = XSocket::new(a);
-        let xb = XSocket::new(b);
-        atomic(|txn| xa.x_send(txn, b"ping"));
-        let got = atomic(|txn| Ok(xb.x_recv(txn, 4, Duration::from_millis(200))?.unwrap()));
-        assert_eq!(got, b"ping");
     }
 
     #[test]

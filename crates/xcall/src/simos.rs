@@ -51,8 +51,6 @@ pub const BLOCK_BYTES: usize = 32;
 pub enum OsError {
     /// Path not present in the filesystem.
     NotFound(String),
-    /// Reading from or writing to a closed pipe/socket.
-    Closed,
     /// A blocking read timed out.
     TimedOut,
 }
@@ -61,7 +59,6 @@ impl fmt::Display for OsError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             OsError::NotFound(p) => write!(f, "no such file: {p}"),
-            OsError::Closed => write!(f, "endpoint closed"),
             OsError::TimedOut => write!(f, "operation timed out"),
         }
     }
@@ -343,15 +340,9 @@ impl SimFs {
     }
 }
 
-struct PipeState {
-    buf: VecDeque<u8>,
-    write_closed: bool,
-    read_closed: bool,
-}
-
 /// A bounded, blocking byte pipe (kernel pipe / socket buffer stand-in).
 pub struct SimPipe {
-    state: Mutex<PipeState>,
+    buf: Mutex<VecDeque<u8>>,
     readable: Condvar,
     writable: Condvar,
     capacity: usize,
@@ -359,11 +350,9 @@ pub struct SimPipe {
 
 impl fmt::Debug for SimPipe {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = self.state.lock();
         f.debug_struct("SimPipe")
-            .field("buffered", &s.buf.len())
+            .field("buffered", &self.buffered())
             .field("capacity", &self.capacity)
-            .field("write_closed", &s.write_closed)
             .finish()
     }
 }
@@ -372,11 +361,7 @@ impl SimPipe {
     /// A pipe buffering at most `capacity` bytes.
     pub fn new(capacity: usize) -> Arc<SimPipe> {
         Arc::new(SimPipe {
-            state: Mutex::new(PipeState {
-                buf: VecDeque::new(),
-                write_closed: false,
-                read_closed: false,
-            }),
+            buf: Mutex::new(VecDeque::new()),
             readable: Condvar::new(),
             writable: Condvar::new(),
             capacity: capacity.max(1),
@@ -384,38 +369,29 @@ impl SimPipe {
     }
 
     /// Write all of `bytes`, blocking while the pipe is full.
-    ///
-    /// # Errors
-    ///
-    /// [`OsError::Closed`] if the read end has been closed.
-    pub fn write(&self, bytes: &[u8]) -> Result<(), OsError> {
+    pub fn write(&self, bytes: &[u8]) {
         crashpoint::crash_point("simos_pipe_write");
         if crashpoint::is_frozen() {
-            // The crash already happened; the bytes go nowhere. Reporting
-            // success keeps the (dead) workload running to completion.
-            return Ok(());
+            // The crash already happened; the bytes go nowhere. Returning
+            // keeps the (dead) workload running to completion.
+            return;
         }
         let mut remaining = bytes;
-        let mut s = self.state.lock();
+        let mut buf = self.buf.lock();
         while !remaining.is_empty() {
-            if s.read_closed {
-                return Err(OsError::Closed);
-            }
-            let room = self.capacity.saturating_sub(s.buf.len());
+            let room = self.capacity.saturating_sub(buf.len());
             if room == 0 {
-                self.writable.wait(&mut s);
+                self.writable.wait(&mut buf);
                 continue;
             }
             let n = room.min(remaining.len());
-            s.buf.extend(&remaining[..n]);
+            buf.extend(&remaining[..n]);
             remaining = &remaining[n..];
             self.readable.notify_all();
         }
-        Ok(())
     }
 
-    /// Read up to `max` bytes, blocking until data is available, the write
-    /// end closes (then returns the remaining bytes, possibly empty) or
+    /// Read up to `max` bytes, blocking until data is available or
     /// `timeout` elapses.
     ///
     /// # Errors
@@ -425,18 +401,15 @@ impl SimPipe {
         if crashpoint::is_frozen() {
             return Err(OsError::TimedOut);
         }
-        let mut s = self.state.lock();
+        let mut buf = self.buf.lock();
         loop {
-            if !s.buf.is_empty() {
-                let n = max.min(s.buf.len());
-                let out: Vec<u8> = s.buf.drain(..n).collect();
+            if !buf.is_empty() {
+                let n = max.min(buf.len());
+                let out: Vec<u8> = buf.drain(..n).collect();
                 self.writable.notify_all();
                 return Ok(out);
             }
-            if s.write_closed {
-                return Ok(Vec::new());
-            }
-            if self.readable.wait_for(&mut s, timeout).timed_out() && s.buf.is_empty() {
+            if self.readable.wait_for(&mut buf, timeout).timed_out() && buf.is_empty() {
                 return Err(OsError::TimedOut);
             }
         }
@@ -447,12 +420,12 @@ impl SimPipe {
         if crashpoint::is_frozen() {
             return None;
         }
-        let mut s = self.state.lock();
-        if s.buf.is_empty() {
+        let mut buf = self.buf.lock();
+        if buf.is_empty() {
             return None;
         }
-        let n = max.min(s.buf.len());
-        let out: Vec<u8> = s.buf.drain(..n).collect();
+        let n = max.min(buf.len());
+        let out: Vec<u8> = buf.drain(..n).collect();
         self.writable.notify_all();
         Some(out)
     }
@@ -465,53 +438,22 @@ impl SimPipe {
         if crashpoint::is_frozen() {
             return;
         }
-        let mut s = self.state.lock();
+        let mut buf = self.buf.lock();
         for &b in bytes.iter().rev() {
-            s.buf.push_front(b);
+            buf.push_front(b);
         }
         self.readable.notify_all();
     }
 
     /// Bytes currently buffered.
     pub fn buffered(&self) -> usize {
-        self.state.lock().buf.len()
-    }
-
-    /// Close the write end; readers drain the remainder then see EOF.
-    pub fn close_write(&self) {
-        self.state.lock().write_closed = true;
-        self.readable.notify_all();
-    }
-
-    /// Close the read end; writers see [`OsError::Closed`].
-    pub fn close_read(&self) {
-        self.state.lock().read_closed = true;
-        self.writable.notify_all();
+        self.buf.lock().len()
     }
 
     /// Crash the pipe: kernel pipe buffers are volatile, so everything
     /// in flight is lost. Ignores the freeze, like [`SimFile::crash`].
     pub fn crash(&self) {
-        self.state.lock().buf.clear();
-    }
-}
-
-/// A bidirectional loopback connection: two pipes.
-#[derive(Debug, Clone)]
-pub struct SimSocket {
-    /// Incoming bytes (peer → us).
-    pub rx: Arc<SimPipe>,
-    /// Outgoing bytes (us → peer).
-    pub tx: Arc<SimPipe>,
-}
-
-impl SimSocket {
-    /// Create a connected pair of sockets with the given per-direction
-    /// buffer capacity.
-    pub fn pair(capacity: usize) -> (SimSocket, SimSocket) {
-        let a_to_b = SimPipe::new(capacity);
-        let b_to_a = SimPipe::new(capacity);
-        (SimSocket { rx: b_to_a.clone(), tx: a_to_b.clone() }, SimSocket { rx: a_to_b, tx: b_to_a })
+        self.buf.lock().clear();
     }
 }
 
@@ -682,7 +624,7 @@ mod tests {
     #[test]
     fn pipe_buffers_are_volatile_across_crash() {
         let p = SimPipe::new(16);
-        p.write(b"in flight").unwrap();
+        p.write(b"in flight");
         p.crash();
         assert_eq!(p.buffered(), 0);
     }
@@ -690,7 +632,7 @@ mod tests {
     #[test]
     fn pipe_roundtrip() {
         let p = SimPipe::new(16);
-        p.write(b"hello").unwrap();
+        p.write(b"hello");
         assert_eq!(p.read(5, Duration::from_millis(100)).unwrap(), b"hello");
     }
 
@@ -703,10 +645,10 @@ mod tests {
     #[test]
     fn pipe_blocks_writer_at_capacity() {
         let p = SimPipe::new(4);
-        p.write(b"1234").unwrap();
+        p.write(b"1234");
         std::thread::scope(|s| {
             let p2 = p.clone();
-            s.spawn(move || p2.write(b"56").unwrap());
+            s.spawn(move || p2.write(b"56"));
             std::thread::sleep(Duration::from_millis(20));
             assert_eq!(p.buffered(), 4, "writer should be blocked at capacity");
             assert_eq!(p.read(4, Duration::from_millis(100)).unwrap(), b"1234");
@@ -717,36 +659,11 @@ mod tests {
     #[test]
     fn unread_restores_order() {
         let p = SimPipe::new(16);
-        p.write(b"abcdef").unwrap();
+        p.write(b"abcdef");
         let first = p.read(3, Duration::from_millis(100)).unwrap();
         assert_eq!(first, b"abc");
         p.unread(&first);
         assert_eq!(p.read(6, Duration::from_millis(100)).unwrap(), b"abcdef");
-    }
-
-    #[test]
-    fn closed_write_end_yields_eof() {
-        let p = SimPipe::new(8);
-        p.write(b"zz").unwrap();
-        p.close_write();
-        assert_eq!(p.read(8, Duration::from_millis(100)).unwrap(), b"zz");
-        assert_eq!(p.read(8, Duration::from_millis(100)).unwrap(), b"");
-    }
-
-    #[test]
-    fn closed_read_end_rejects_writes() {
-        let p = SimPipe::new(8);
-        p.close_read();
-        assert_eq!(p.write(b"x"), Err(OsError::Closed));
-    }
-
-    #[test]
-    fn socket_pair_is_cross_wired() {
-        let (a, b) = SimSocket::pair(64);
-        a.tx.write(b"ping").unwrap();
-        assert_eq!(b.rx.read(4, Duration::from_millis(100)).unwrap(), b"ping");
-        b.tx.write(b"pong").unwrap();
-        assert_eq!(a.rx.read(4, Duration::from_millis(100)).unwrap(), b"pong");
     }
 
     #[test]
@@ -758,7 +675,7 @@ mod tests {
                 let p = p.clone();
                 s.spawn(move || {
                     for _ in 0..256 {
-                        p.write(&[7u8]).unwrap();
+                        p.write(&[7u8]);
                     }
                 });
             }

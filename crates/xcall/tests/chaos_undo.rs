@@ -63,7 +63,7 @@ fn aborted_multi_read_compensates_in_order() {
     let _g = gate();
     chaos::clear();
     let pipe = SimPipe::new(64);
-    pipe.write(b"abcdef").unwrap();
+    pipe.write(b"abcdef");
     let xp = XPipe::new(pipe.clone());
     let first = AtomicBool::new(true);
     let (got, _) = Txn::build()

@@ -18,7 +18,7 @@ static GATE: Mutex<()> = Mutex::new(());
 fn pipe_unread_compensation_does_not_replay_into_the_crash_image() {
     let _g = GATE.lock().unwrap();
     let pipe = SimPipe::new(16);
-    pipe.write(b"abcd").unwrap();
+    pipe.write(b"abcd");
     let xp = XPipe::new(pipe.clone());
     let session = crashpoint::arm("crash_freeze_test", 0, Trigger::Nth(1));
     let res = Txn::build().try_run(|txn| {

@@ -108,7 +108,7 @@ proptest! {
         chunks in proptest::collection::vec(1usize..16, 1..6),
     ) {
         let pipe = SimPipe::new(256);
-        pipe.write(&payload).unwrap();
+        pipe.write(&payload);
         let xp = XPipe::new(pipe.clone());
 
         // First attempt: consume a few chunks, then abort.

@@ -240,33 +240,32 @@ fn explore_probe(c: Canary, seed: u64, key: &str, variant: Variant) -> LayerProb
         .unwrap_or_else(|| panic!("canary probe references unknown scheduled scenario {key}"));
     let _armed = canary::scoped(c, seed, Trigger::EveryNth(1));
     let entry = explore_variant(key, build, variant, &explore_cfg(seed));
-    match entry.failure {
-        Some(f) if classify(&f.message) == expected => {
-            LayerProbe { layer: "explore", probed: true, caught: true, evidence: f.message }
-        }
-        Some(f) => LayerProbe {
-            layer: "explore",
-            probed: true,
-            caught: false,
-            evidence: format!(
-                "failure found but of the wrong class (expected {}): {}",
-                class_name(expected),
-                f.message
+    let missed = format!(
+        "{key}/{}: every explored schedule survives ({} schedules, exhausted: {}) — \
+         the mutation does not perturb execution",
+        variant.name(),
+        entry.schedules,
+        entry.exhausted
+    );
+    explore_verdict(expected, entry.failure.map(|f| f.message), missed)
+}
+
+/// The verdict both explore probes share: a failure of the `expected`
+/// class is caught, any other failure is the wrong class, and no failure
+/// is a miss that `missed` explains.
+fn explore_verdict(expected: HazardClass, failure: Option<String>, missed: String) -> LayerProbe {
+    let (caught, evidence) = match failure {
+        Some(msg) if classify(&msg) == expected => (true, msg),
+        Some(msg) => (
+            false,
+            format!(
+                "failure found but of the wrong class (expected {}): {msg}",
+                class_name(expected)
             ),
-        },
-        None => LayerProbe {
-            layer: "explore",
-            probed: true,
-            caught: false,
-            evidence: format!(
-                "{key}/{}: every explored schedule survives ({} schedules, exhausted: {}) — \
-                 the mutation does not perturb execution",
-                variant.name(),
-                entry.schedules,
-                entry.exhausted
-            ),
-        },
-    }
+        ),
+        None => (false, missed),
+    };
+    LayerProbe { layer: "explore", probed: true, caught, evidence }
 }
 
 /// The ad-hoc revocation-window probe for
@@ -300,29 +299,11 @@ fn revoke_probe(c: Canary, seed: u64) -> LayerProbe {
         txfix_explore::runner::RunResult::Bug(m) => Some(m),
         _ => None,
     });
-    match failure {
-        Some(msg) if classify(&msg) == expected => {
-            LayerProbe { layer: "explore", probed: true, caught: true, evidence: msg }
-        }
-        Some(msg) => LayerProbe {
-            layer: "explore",
-            probed: true,
-            caught: false,
-            evidence: format!(
-                "failure found but of the wrong class (expected {}): {msg}",
-                class_name(expected)
-            ),
-        },
-        None => LayerProbe {
-            layer: "explore",
-            probed: true,
-            caught: false,
-            evidence: format!(
-                "opposite-order lock_tx probe survives every explored schedule ({} schedules)",
-                ex.schedules
-            ),
-        },
-    }
+    let missed = format!(
+        "opposite-order lock_tx probe survives every explored schedule ({} schedules)",
+        ex.schedules
+    );
+    explore_verdict(expected, failure, missed)
 }
 
 /// Run a deterministic single-threaded micro-probe with the canary
@@ -436,7 +417,7 @@ fn oracle_xfile_undo() -> Option<String> {
 /// pipe must restore exactly 2 buffered bytes.
 fn oracle_pipe_unread() -> Option<String> {
     let pipe = SimPipe::new(16);
-    pipe.write(b"ab").expect("probe pipe has capacity");
+    pipe.write(b"ab");
     let xp = XPipe::new(pipe.clone());
     let res = Txn::build().try_run(|txn| {
         let got = xp.x_try_read(txn, 1)?;
