@@ -53,7 +53,7 @@ fn keys_for(shard: usize, n: usize) -> Vec<String> {
 
 fn config(mode: Mode) -> KvConfig {
     // A tiny pool, so checkpoints exercise eviction write-backs too.
-    KvConfig { shards: SHARDS, buckets_per_shard: 4, mode, pool_pages: 2 }
+    KvConfig { pool_pages: 2, ..KvConfig::new(mode, SHARDS) }
 }
 
 /// The per-shard prefix invariant (see module docs).

@@ -6,10 +6,10 @@
 //! meet contended, skewed, mixed read/write load at macro scale.
 //!
 //! * [`KvStore`] — keys hash across shards; each shard owns one
-//!   [`TVar`](txfix_stm::TVar) holding its hash index of bucket maps, a
-//!   redo log ([`txfix_wal::Wal`], fixed protocol), and a double-buffered
-//!   checkpoint pair behind a [`page::BufferPool`]. A scan returns
-//!   [`Rows`], packed into one buffer.
+//!   [`TVar`](txfix_stm::TVar) holding its ordered index of packed leaves,
+//!   a redo log ([`txfix_wal::Wal`], fixed protocol), and a
+//!   double-buffered checkpoint pair behind a [`page::BufferPool`]. A scan
+//!   returns [`Rows`], the leaves appended into one buffer.
 //! * [`Mode`] — per-shard concurrency: `dev` (coarse revocable lock),
 //!   `tm` (optimistic STM with backoff), `hybrid` (STM plus the
 //!   escalation ladder on read-only ops).
@@ -20,8 +20,8 @@
 
 #![warn(missing_docs)]
 
-mod bucket;
 pub mod crash;
+mod index;
 pub mod model;
 pub mod page;
 mod rows;

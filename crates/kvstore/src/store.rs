@@ -3,12 +3,12 @@
 //! Keys hash to a shard; each shard owns a redo log ([`Wal`], always the
 //! fixed protocol), a double-buffered checkpoint pair behind
 //! [`BufferPool`]s, and one [`TVar`] holding its whole transactional
-//! state: the next txid, the history version and the hash index of
-//! persistent bucket maps ([`crate::bucket`]). Every op reads that `TVar`
-//! once; a write publishes a new state sharing every bucket it did not
-//! touch. A shard is one conflict domain, and its read set says so. A scan
-//! returns its rows packed into one buffer ([`Rows`]). Concurrency within
-//! a shard is selected by [`Mode`]:
+//! state: the next txid, the history version and one ordered index of
+//! packed leaves ([`crate::index`]). Every op reads that `TVar` once; a
+//! write publishes a new state sharing every leaf it did not touch. A
+//! shard is one conflict domain, and its read set says so. A scan returns
+//! its rows packed into one buffer ([`Rows`]), one copy per leaf.
+//! Concurrency within a shard is selected by [`Mode`]:
 //!
 //! | mode     | write path                                  | read path |
 //! |----------|---------------------------------------------|-----------|
@@ -42,7 +42,7 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use crate::bucket::{Bucket, Entry};
+use crate::index::Index;
 use crate::page::{checkpoint_image, encode_checkpoint_entries, BufferPool, PoolStats};
 use crate::Rows;
 use txfix_stm::chaos::{fnv64, splitmix64};
@@ -88,9 +88,8 @@ impl Mode {
 pub struct KvConfig {
     /// Number of shards (keys hash across them).
     pub shards: usize,
-    /// Bucket maps per shard (the hash index fan-out): bounds the leaf table
-    /// a write copies and is the k of `scan`'s k-way merge. No conflict
-    /// isolation — the buckets sit in the shard's one `TVar`.
+    /// Ignored: a shard's index is one ordered run of leaves, with no hash
+    /// fan-out. Kept for `benchmark/` until ROADMAP 9(c) deletes it.
     pub buckets_per_shard: usize,
     /// Concurrency discipline.
     pub mode: Mode,
@@ -99,7 +98,7 @@ pub struct KvConfig {
 }
 
 impl KvConfig {
-    /// A config with the default index fan-out and pool size.
+    /// A config with the default pool size.
     pub fn new(mode: Mode, shards: usize) -> KvConfig {
         assert!(shards >= 1);
         KvConfig { shards, buckets_per_shard: 4, mode, pool_pages: 4 }
@@ -163,7 +162,7 @@ struct CkptState {
 }
 
 /// A shard's transactional state, the value of its one `TVar`. Cloning it
-/// bumps one refcount per bucket.
+/// bumps one refcount per leaf.
 #[derive(Clone)]
 struct State {
     /// Next WAL txid — allocated *inside* the write transaction, so txid
@@ -171,7 +170,7 @@ struct State {
     next_txid: u64,
     /// History version: bumped by every write commit, observed by reads.
     version: u64,
-    buckets: Vec<Arc<Bucket>>,
+    index: Index,
 }
 
 struct Shard {
@@ -208,8 +207,8 @@ impl Shard {
     /// the committed WAL transactions it does not cover (`txid >=
     /// next_txid`) in txid order, each one's records in log order. Only the
     /// base is parsed, through each format's one parser, and everything
-    /// borrows from the images until each kept key and value is allocated
-    /// once.
+    /// borrows from the images until the surviving entries are packed, in
+    /// key order, into the index's leaves.
     fn recover(fs: &SimFs, i: usize, cfg: &KvConfig) -> Shard {
         let wal = Wal::open(fs, &format!("kv_shard{i}.wal"), WalVariant::Fixed);
         let mut pools = [0, 1].map(|b| {
@@ -247,43 +246,22 @@ impl Shard {
         // Key order, each key's writes in the order they happened: the last
         // one decides the key.
         writes.sort_by_key(|&(k, txid, _)| (k, txid));
-        let mut buckets = vec![Bucket::default(); cfg.buckets_per_shard];
-        for run in writes.chunk_by(|a, b| a.0 == b.0) {
-            if let (k, _, Some(v)) = run[run.len() - 1] {
-                buckets[bucket_of(k, cfg.buckets_per_shard)].insert(k.into(), v.into());
-            }
-        }
-        let buckets = buckets.into_iter().map(Arc::new).collect();
+        let last = writes.chunk_by(|a, b| a.0 == b.0).map(|run| run[run.len() - 1]);
+        let index = Index::from_sorted(last.filter_map(|(k, _, v)| Some((k, v?))));
         Shard {
             wal,
-            state: TVar::new(State { next_txid, version: 0, buckets }),
+            state: TVar::new(State { next_txid, version: 0, index }),
             dev: TxMutex::new(&format!("kv_shard{i}.dev"), ()),
             ckpt: TxMutex::new(&format!("kv_shard{i}.ckpt"), CkptState { epoch, active, pools }),
         }
     }
 }
 
-/// Every entry of `buckets` in key order. Each bucket is sorted and a key
-/// lives in exactly one of them, so a k-way merge of the borrowed maps is
-/// the whole job; the fan-out is small (default 4), so picking the least
-/// head is a linear pass. The heads are kept explicitly: std's peeking
-/// adaptor over the leaf-chained iterators measured 5× the cost per entry.
-fn merged(buckets: &[Arc<Bucket>]) -> impl Iterator<Item = (&str, &str)> {
-    let mut iters: Vec<_> = buckets.iter().map(|b| b.iter()).collect();
-    let mut heads: Vec<Option<&Entry>> = iters.iter_mut().map(Iterator::next).collect();
-    std::iter::from_fn(move || {
-        let live = heads.iter().enumerate().filter_map(|(i, head)| Some((i, (*head)?)));
-        let (i, (k, v)) = live.min_by_key(|&(_, entry)| &entry.0)?;
-        heads[i] = iters[i].next();
-        Some((&**k, &**v))
-    })
-}
-
 impl KvStore {
     /// Open the store over `fs`, recovering every shard from its
     /// checkpoint pair and WAL. A fresh filesystem yields an empty store.
     pub fn open(fs: &Arc<SimFs>, cfg: KvConfig) -> KvStore {
-        assert!(cfg.shards >= 1 && cfg.buckets_per_shard >= 1);
+        assert!(cfg.shards >= 1);
         let shards = (0..cfg.shards).map(|i| Shard::recover(fs, i, &cfg)).collect();
         // Writers hold the WAL file's isolation lock to commit, so the
         // serial rung is off-limits for them in every mode.
@@ -341,34 +319,28 @@ impl KvStore {
     }
 
     /// Apply `ops` (all on `shard_idx`) as one transaction: mutate the
-    /// bucket maps, bump the shard version, and log to the WAL. Returns
-    /// the displaced value per op.
+    /// index, bump the shard version, and log to the WAL. Returns the
+    /// displaced value per op.
     fn write_ops(
         &self,
         shard_idx: usize,
         site: &TxnBuilder,
         ops: &[WalOp],
     ) -> Result<Reply<Vec<Option<String>>>, KvError> {
-        let buckets = self.cfg.buckets_per_shard;
         self.run_op(shard_idx, site, |shard, txn| {
             // Copy-on-write: the committed state stays as concurrent
-            // readers hold it; this txn publishes a new one, copying each
-            // bucket it touches once however many ops touch it.
+            // readers hold it; this txn publishes a new one, rebuilding
+            // each leaf an op touches and sharing every other.
             let mut state = State::clone(&*shard.state.read_arc(txn)?);
             let txid = state.next_txid;
             state.next_txid += 1;
             state.version += 1;
             let mut displaced = Vec::with_capacity(ops.len());
             for op in ops {
-                let key = match op {
-                    WalOp::Put(k, _) | WalOp::Delete(k) => k,
-                };
-                let m = Arc::make_mut(&mut state.buckets[bucket_of(key, buckets)]);
-                let old = match op {
-                    WalOp::Put(k, v) => m.insert(k.as_str().into(), v.as_str().into()),
-                    WalOp::Delete(k) => m.remove(k.as_str()),
-                };
-                displaced.push(old.map(|v| v.to_string()));
+                displaced.push(match op {
+                    WalOp::Put(k, v) => state.index.insert(k, v),
+                    WalOp::Delete(k) => state.index.remove(k),
+                });
             }
             let version = state.version;
             shard.state.write(txn, state)?;
@@ -380,10 +352,9 @@ impl KvStore {
     /// Read `key`. The reply's value is the current mapping, if any.
     pub fn get(&self, key: &str) -> Result<Reply<Option<String>>, KvError> {
         check_token(key)?;
-        let buckets = self.cfg.buckets_per_shard;
         self.run_op(self.shard_of(key), &self.sites.get, |shard, txn| {
             let state = shard.state.read_arc(txn)?;
-            let value = state.buckets[bucket_of(key, buckets)].get(key).map(|v| v.to_string());
+            let value = state.index.get(key).map(str::to_string);
             Ok((value, state.version))
         })
     }
@@ -438,14 +409,7 @@ impl KvStore {
         assert!(shard_idx < self.cfg.shards);
         self.run_op(shard_idx, &self.sites.scan, |shard, txn| {
             let state = shard.state.read_arc(txn)?;
-            // An `Arc<str>` carries its length, so sizing the buffers reads
-            // no string.
-            let entries = state.buckets.iter().flat_map(|b| b.iter());
-            let bytes = entries.map(|(k, v)| k.len() + v.len()).sum();
-            let len = state.buckets.iter().map(|b| b.len()).sum();
-            let mut rows = Rows::with_capacity(len, bytes);
-            merged(&state.buckets).for_each(|(k, v)| rows.push(k, v));
-            Ok((rows, state.version))
+            Ok((state.index.rows(), state.version))
         })
     }
 
@@ -469,7 +433,7 @@ impl KvStore {
         let (state, _) = self.sites.ckpt.run(|txn| shard.state.read_arc(txn));
         let mut ck = shard.ckpt.lock().expect("checkpoint lock cycle");
         ck.epoch += 1;
-        let image = encode_checkpoint_entries(ck.epoch, state.next_txid, merged(&state.buckets));
+        let image = encode_checkpoint_entries(ck.epoch, state.next_txid, state.index.iter());
         let target = 1 - ck.active;
         let pool = &mut ck.pools[target];
         pool.discard();
@@ -489,7 +453,7 @@ impl KvStore {
     /// at quiescence (tests, recovery assertions).
     pub fn shard_snapshot(&self, shard_idx: usize) -> BTreeMap<String, String> {
         let state = self.shards[shard_idx].state.load_arc();
-        merged(&state.buckets).map(|(k, v)| (k.to_string(), v.to_string())).collect()
+        state.index.iter().map(|(k, v)| (k.to_string(), v.to_string())).collect()
     }
 
     /// Current shard history version (non-transactional; quiescence only).
@@ -524,14 +488,10 @@ fn check_token(s: &str) -> Result<(), KvError> {
     }
 }
 
-fn bucket_of(key: &str, buckets: usize) -> usize {
-    (splitmix64(fnv64(key.as_bytes()) ^ 0x0B0C_4E75).wrapping_rem(buckets as u64)) as usize
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::page::{decode_checkpoint, encode_checkpoint, Checkpoint};
+    use crate::page::{encode_checkpoint, Checkpoint};
     use proptest::prelude::*;
 
     fn store(mode: Mode, shards: usize) -> (Arc<SimFs>, KvStore) {
@@ -540,90 +500,58 @@ mod tests {
         (fs, kv)
     }
 
-    /// A one-shard store with `buckets` hash buckets.
-    fn one_shard(buckets: usize) -> KvStore {
-        let cfg = KvConfig { buckets_per_shard: buckets, ..KvConfig::new(Mode::Tm, 1) };
-        KvStore::open(&SimFs::new(), cfg)
+    /// Up to ~six leaves' worth of distinct keys.
+    fn entries() -> impl Strategy<Value = BTreeMap<String, String>> {
+        proptest::collection::hash_map("[A-Za-z0-9_]{1,6}", "[A-Za-z0-9_]{1,5}", 0..400)
+            .prop_map(|m| m.into_iter().collect())
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
-        /// The streamed encoder over any bucket split of a map writes the
-        /// bytes `encode_checkpoint` writes for the map itself.
+        /// The streamed encoder over the index writes the bytes
+        /// `encode_checkpoint` writes for the map it holds, whether the
+        /// index was built in order (a reopen) or one put at a time.
         #[test]
-        fn streamed_checkpoint_of_a_bucket_split_equals_the_whole_map_image(
-            entries in proptest::collection::hash_map("[A-Za-z0-9_]{1,6}", "[A-Za-z0-9_]{1,5}", 0..48),
+        fn streamed_checkpoint_of_the_index_equals_the_whole_map_image(
+            map in entries(),
             epoch in 1u64..1000,
             next_txid in 1u64..1000,
         ) {
-            let map: BTreeMap<String, String> = entries.into_iter().collect();
-            let whole = encode_checkpoint(&Checkpoint { epoch, next_txid, map: map.clone() });
-            // Every bucket empty; the last fan-out leaves all but one empty.
-            prop_assert_eq!(merged(&[Arc::default(), Arc::default()]).count(), 0);
-            for (n, used) in [(1, 1), (4, 4), (7, 7), (3, 1)] {
-                let mut split = vec![Bucket::default(); n];
-                for (k, v) in &map {
-                    split[bucket_of(k, used)].insert(k.as_str().into(), v.as_str().into());
-                }
-                let split: Vec<Arc<Bucket>> = split.into_iter().map(Arc::new).collect();
-                let streamed = encode_checkpoint_entries(epoch, next_txid, merged(&split));
-                prop_assert_eq!(&streamed, &whole, "{} buckets", n);
-                prop_assert_eq!(
-                    decode_checkpoint(&streamed),
-                    Some(Checkpoint { epoch, next_txid, map: map.clone() })
-                );
+            let built = Index::from_sorted(map.iter().map(|(k, v)| (k.as_str(), v.as_str())));
+            let (_fs, kv) = store(Mode::Tm, 1);
+            for (k, v) in &map {
+                kv.put(k, v).unwrap();
+            }
+            let whole = encode_checkpoint(&Checkpoint { epoch, next_txid, map });
+            for index in [&built, &kv.shards[0].state.load_arc().index] {
+                prop_assert_eq!(&encode_checkpoint_entries(epoch, next_txid, index.iter()), &whole);
             }
         }
 
-        /// `scan` (and `shard_snapshot`) is the key-ordered union of the
-        /// shard's buckets, whatever the fan-out.
+        /// `scan` (and `shard_snapshot`) is the ordered map of what the
+        /// puts and deletes left.
         #[test]
-        fn scan_is_the_ordered_union_of_the_buckets(
-            entries in proptest::collection::hash_map("[A-Za-z0-9_]{1,6}", "[A-Za-z0-9_]{1,5}", 0..32),
-        ) {
-            for n in [1, 4, 7] {
-                let kv = one_shard(n);
-                for (k, v) in &entries {
-                    kv.put(k, v).unwrap();
-                }
-                let mut union = BTreeMap::new();
-                for b in &kv.shards[0].state.load_arc().buckets {
-                    union.extend(b.iter().map(|(k, v)| (k.to_string(), v.to_string())));
-                }
-                prop_assert_eq!(union.len(), entries.len());
-                let rows: Rows = union.iter().map(|(k, v)| (k.as_str(), v.as_str())).collect();
-                prop_assert_eq!(kv.scan(0).unwrap().value, rows, "{} buckets", n);
-                prop_assert_eq!(kv.shard_snapshot(0), union);
+        fn scan_equals_the_ordered_map(map in entries(), stride in 2usize..5) {
+            let (_fs, kv) = store(Mode::Tm, 1);
+            let mut want = map.clone();
+            for (k, v) in &map {
+                kv.put(k, v).unwrap();
             }
-        }
-    }
-
-    /// A write publishes a new state that shares every bucket it did not
-    /// touch with the state it replaced.
-    #[test]
-    fn a_write_shares_every_bucket_it_does_not_touch() {
-        let kv = one_shard(8);
-        for i in 0..64 {
-            kv.put(&format!("k{i}"), "v").unwrap();
-        }
-        let state = &kv.shards[0].state;
-        for (key, put) in [("k7", true), ("new", true), ("k7", false)] {
-            let before = state.load_arc();
-            let reply = if put { kv.put(key, "w") } else { kv.delete(key) };
-            reply.unwrap();
-            let after = state.load_arc();
-            let touched = bucket_of(key, 8);
-            for (b, (old, new)) in before.buckets.iter().zip(&after.buckets).enumerate() {
-                assert_eq!(Arc::ptr_eq(old, new), b != touched, "{key}: bucket {b}");
+            for k in map.keys().step_by(stride) {
+                kv.delete(k).unwrap();
+                want.remove(k);
             }
+            let rows: Rows = want.iter().map(|(k, v)| (k.as_str(), v.as_str())).collect();
+            prop_assert_eq!(kv.scan(0).unwrap().value, rows);
+            prop_assert_eq!(kv.shard_snapshot(0), want);
         }
     }
 
     #[test]
     fn copy_on_write_never_mutates_a_state_a_reader_holds() {
         use std::sync::mpsc::channel;
-        let kv = &one_shard(1);
+        let (_fs, kv) = &store(Mode::Tm, 1);
         kv.put("a", "1").unwrap();
         kv.put("b", "2").unwrap();
         let state = &kv.shards[0].state;
@@ -651,10 +579,9 @@ mod tests {
             });
         });
         let held = held.unwrap();
-        let rows: Vec<(&str, &str)> = merged(&held.buckets).collect();
+        let rows: Vec<(&str, &str)> = held.index.iter().collect();
         assert_eq!(rows, [("a", "1"), ("b", "2")], "the held snapshot moved");
         assert_eq!((held.version, held.next_txid), (2, 3), "the held counters moved");
-        assert!(!Arc::ptr_eq(&held.buckets[0], &state.load_arc().buckets[0]));
         assert_eq!(kv.get("a").unwrap().value, Some("9".to_string()));
         assert_eq!(kv.get("b").unwrap().value, None);
     }

@@ -106,9 +106,8 @@ fn reference(fs: &SimFs, shard: usize) -> Want {
 
 /// Reopen a store of `want.len()` shards over `fs` and hold every shard to
 /// its reference: the contents, then the checkpoint it writes next.
-fn check(fs: &Arc<SimFs>, fan_out: usize, want: &[Want]) {
-    let cfg = KvConfig { buckets_per_shard: fan_out, ..KvConfig::new(Mode::Tm, want.len()) };
-    let kv = KvStore::open(fs, cfg);
+fn check(fs: &Arc<SimFs>, want: &[Want]) {
+    let kv = KvStore::open(fs, KvConfig::new(Mode::Tm, want.len()));
     for (s, (next, target)) in want.iter().enumerate() {
         assert_eq!(kv.shard_snapshot(s), next.map, "shard {s}: contents");
         kv.checkpoint(s);
@@ -123,7 +122,6 @@ proptest! {
     #[test]
     fn reopen_equals_decode_checkpoint_plus_recover(
         shards in vec((buffer(), buffer(), vec(line(), 0..24), any::<bool>()), 1..3),
-        fan_out in 1usize..4,
     ) {
         let fs = SimFs::new();
         let mut want = Vec::new();
@@ -131,7 +129,40 @@ proptest! {
             write_shard(&fs, s, [&image(b0), &image(b1)], &wal_image(lines, *torn_tail));
             want.push(reference(&fs, s));
         }
-        check(&fs, fan_out, &want);
+        check(&fs, &want);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Up to ~600 distinct keys on one shard, more than two leaves' worth
+    /// (a leaf holds at most 64), so the reopen packs several leaves and the
+    /// replayed log lands across them: a checkpoint of `base` keys, then
+    /// puts and deletes over them and past them, committed or not.
+    #[test]
+    fn a_many_leaf_shard_reopens_to_its_reference(
+        base in 0usize..600,
+        writes in vec((1u64..40, 0usize..700, any::<bool>()), 0..200),
+        commits in vec(1u64..40, 0..40),
+    ) {
+        let entries: Vec<(String, String)> =
+            (0..base).map(|i| (format!("k{i:03}"), format!("v{i}"))).collect();
+        let image = encode_checkpoint_entries(1, 1, entries.iter().map(|(k, v)| (&**k, &**v)));
+        let mut log = String::new();
+        for (txid, k, put) in writes {
+            log += &match put {
+                true => format!("P {txid} k{k:03} w{txid} ;\n"),
+                false => format!("D {txid} k{k:03} ;\n"),
+            };
+        }
+        for txid in commits {
+            log += &format!("C {txid} ;\n");
+        }
+        let fs = SimFs::new();
+        write_shard(&fs, 0, [&image, b""], log.as_bytes());
+        let want = reference(&fs, 0);
+        check(&fs, &[want]);
     }
 }
 
@@ -150,7 +181,7 @@ fn one_shard(images: [&[u8]; 2], log: &[u8], want: Want) {
     let fs = SimFs::new();
     write_shard(&fs, 0, images, log);
     assert_eq!(reference(&fs, 0), want);
-    check(&fs, 4, &[want]);
+    check(&fs, &[want]);
 }
 
 #[test]
