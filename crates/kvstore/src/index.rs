@@ -74,7 +74,7 @@ impl Index {
     }
 
     /// Every entry, in key order.
-    pub(crate) fn iter(&self) -> impl Iterator<Item = (&str, &str)> {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (&str, &str)> + Clone {
         self.leaves.iter().flat_map(|leaf| leaf.iter())
     }
 

@@ -8,10 +8,16 @@
 //! decided by a checksum trailer, so a crash torn anywhere inside the
 //! flush leaves a checkpoint that recovery *rejects* — it falls back to
 //! the other buffer of the pair and the full WAL replay.
+//!
+//! A checkpoint costs what it writes: the encoder sizes the image once
+//! and checksums each line as it writes it, a pool write that covers a
+//! whole page does not read that page first, and a reader checksums only
+//! the image it tries ([`checkpoint_image`] parses the frame alone).
 
 use std::collections::BTreeMap;
+use std::fmt::Write;
 use std::sync::Arc;
-use txfix_stm::chaos::fnv64;
+use txfix_stm::chaos::{fnv64, Fnv64};
 use txfix_xcall::{crashpoint, SimFile};
 
 /// Bytes per buffer-pool page — a small multiple of the simos block size
@@ -71,14 +77,6 @@ impl BufferPool {
         self.stats
     }
 
-    /// One ranged read per miss. `read_at` leaves what lies past the end
-    /// of the file untouched, so a short or absent page stays zero-filled.
-    fn load_page(file: &SimFile, page_no: usize) -> [u8; PAGE_BYTES] {
-        let mut data = [0u8; PAGE_BYTES];
-        file.read_at(page_no * PAGE_BYTES, &mut data);
-        data
-    }
-
     fn write_back(file: &SimFile, frame: &mut Frame, stats: &mut PoolStats) {
         crashpoint::crash_point(KV_POOL_FLUSH);
         file.write_at(frame.page_no * PAGE_BYTES, &frame.data);
@@ -87,15 +85,21 @@ impl BufferPool {
     }
 
     /// Index of the frame holding `page_no`, faulting it in (and possibly
-    /// evicting) if absent.
-    fn frame_of(&mut self, page_no: usize) -> usize {
+    /// evicting) if absent. A miss is one ranged read, which leaves what
+    /// lies past the end of the file zero-filled — or none, if the caller
+    /// will `overwrite` the whole page; that still counts as a miss, so
+    /// the counters stay a function of the access sequence alone.
+    fn frame_of(&mut self, page_no: usize, overwrite: bool) -> usize {
         if let Some(i) = self.frames.iter().position(|f| f.page_no == page_no) {
             self.stats.hits += 1;
             self.frames[i].referenced = true;
             return i;
         }
         self.stats.misses += 1;
-        let data = Self::load_page(&self.file, page_no);
+        let mut data = [0; PAGE_BYTES];
+        if !overwrite {
+            self.file.read_at(page_no * PAGE_BYTES, &mut data);
+        }
         if self.frames.len() < self.capacity {
             self.frames.push(Frame { page_no, data, dirty: false, referenced: true });
             return self.frames.len() - 1;
@@ -127,7 +131,7 @@ impl BufferPool {
             let page_no = pos / PAGE_BYTES;
             let in_page = pos % PAGE_BYTES;
             let take = (PAGE_BYTES - in_page).min(offset + len - pos);
-            let i = self.frame_of(page_no);
+            let i = self.frame_of(page_no, false);
             out.extend_from_slice(&self.frames[i].data[in_page..in_page + take]);
             pos += take;
         }
@@ -135,7 +139,8 @@ impl BufferPool {
     }
 
     /// Write `bytes` at `offset` through the pool (buffered: reaches the
-    /// file only on eviction or [`flush`](BufferPool::flush)).
+    /// file only on eviction or [`flush`](BufferPool::flush)). A page the
+    /// write covers whole is not read from the file first.
     pub fn write_at(&mut self, offset: usize, bytes: &[u8]) {
         let mut pos = 0;
         while pos < bytes.len() {
@@ -143,7 +148,7 @@ impl BufferPool {
             let page_no = abs / PAGE_BYTES;
             let in_page = abs % PAGE_BYTES;
             let take = (PAGE_BYTES - in_page).min(bytes.len() - pos);
-            let i = self.frame_of(page_no);
+            let i = self.frame_of(page_no, take == PAGE_BYTES);
             self.frames[i].data[in_page..in_page + take].copy_from_slice(&bytes[pos..pos + take]);
             self.frames[i].dirty = true;
             pos += take;
@@ -195,19 +200,26 @@ pub struct Checkpoint {
 /// ```
 ///
 /// The one encoder: the store streams borrowed index entries through it
-/// without first building a [`Checkpoint`].
+/// without first building a [`Checkpoint`]. A first pass over `entries`
+/// sums the payload's length, so the image is allocated once; the second
+/// writes each line and feeds it to the checksum in the same loop.
 pub fn encode_checkpoint_entries<'a>(
     epoch: u64,
     next_txid: u64,
-    entries: impl Iterator<Item = (&'a str, &'a str)>,
+    entries: impl Iterator<Item = (&'a str, &'a str)> + Clone,
 ) -> Vec<u8> {
-    let mut payload = String::new();
+    let len: usize = entries.clone().map(|(k, v)| k.len() + v.len() + "S   ;\n".len()).sum();
+    // Header and trailer fit in 128 bytes: four `u64`s, a 16-digit
+    // checksum and 20 bytes of framing.
+    let mut out = String::with_capacity(128 + len);
+    let mut sum = Fnv64::EMPTY;
+    writeln!(out, "KVCP {epoch} {next_txid} {len} ;").unwrap();
     for (k, v) in entries {
-        payload.extend(["S ", k, " ", v, " ;\n"]);
+        let start = out.len();
+        out.extend(["S ", k, " ", v, " ;\n"]);
+        sum.write(&out.as_bytes()[start..]);
     }
-    let mut out = format!("KVCP {epoch} {next_txid} {} ;\n", payload.len());
-    out.push_str(&payload);
-    out.push_str(&format!("KVEND {epoch} {:016x} ;\n", fnv64(payload.as_bytes())));
+    writeln!(out, "KVEND {epoch} {:016x} ;", sum.finish()).unwrap();
     out.into_bytes()
 }
 
@@ -217,8 +229,10 @@ pub fn encode_checkpoint(cp: &Checkpoint) -> Vec<u8> {
     encode_checkpoint_entries(cp.epoch, cp.next_txid, entries)
 }
 
-/// A checkpoint image whose header, trailer and checksum are valid and
-/// whose entries are still unparsed text borrowed from the image.
+/// A checkpoint image whose header and trailer parse and agree, and whose
+/// entries are still unparsed text borrowed from the image. Its checksum
+/// is checked only on demand ([`CheckpointImage::checksum_ok`]), so a
+/// reader choosing between two images hashes only the one it tries.
 #[derive(Clone, Copy, Debug)]
 pub struct CheckpointImage<'a> {
     /// As [`Checkpoint::epoch`].
@@ -226,9 +240,17 @@ pub struct CheckpointImage<'a> {
     /// As [`Checkpoint::next_txid`].
     pub next_txid: u64,
     payload: &'a str,
+    /// The trailer's checksum of `payload`.
+    sum: u64,
 }
 
 impl<'a> CheckpointImage<'a> {
+    /// Whether the payload hashes to the trailer's checksum: the image is
+    /// the one the writer wrote, not a torn one.
+    pub fn checksum_ok(&self) -> bool {
+        fnv64(self.payload.as_bytes()) == self.sum
+    }
+
     /// The one parser of `S` lines: the entries in image order, `None` for
     /// a malformed line (a checksum proves the bytes are the ones written,
     /// not that the writer wrote well-formed lines).
@@ -249,9 +271,11 @@ fn fields<const N: usize>(line: &str) -> Option<[&str; N]> {
     tokens.next().is_none().then_some(out)
 }
 
-/// Validate a checkpoint image without parsing its entries. `None` for
-/// anything torn: unparseable header or trailer, epoch mismatch between
-/// them, short payload, or checksum mismatch.
+/// Parse a checkpoint image's header and trailer, without checking its
+/// checksum or parsing its entries. `None` for anything torn there:
+/// unparseable header or trailer, epoch mismatch between them, or short
+/// payload. The one parser of the frame; a torn payload is caught by
+/// [`CheckpointImage::checksum_ok`].
 pub fn checkpoint_image(bytes: &[u8]) -> Option<CheckpointImage<'_>> {
     let text = std::str::from_utf8(bytes).ok()?;
     let (header, rest) = text.split_once('\n')?;
@@ -259,15 +283,14 @@ pub fn checkpoint_image(bytes: &[u8]) -> Option<CheckpointImage<'_>> {
     let (epoch, next_txid) = (epoch.parse().ok()?, next_txid.parse().ok()?);
     let (payload, tail) = rest.split_at_checked(len.parse().ok()?)?;
     let ["KVEND", end_epoch, sum, ";"] = fields(tail.lines().next()?)? else { return None };
-    let valid = end_epoch.parse::<u64>().ok()? == epoch
-        && u64::from_str_radix(sum, 16).ok()? == fnv64(payload.as_bytes());
-    valid.then_some(CheckpointImage { epoch, next_txid, payload })
+    let (end_epoch, sum) = (end_epoch.parse::<u64>().ok()?, u64::from_str_radix(sum, 16).ok()?);
+    (end_epoch == epoch).then_some(CheckpointImage { epoch, next_txid, payload, sum })
 }
 
-/// Decode and validate a checkpoint image: [`checkpoint_image`], then
-/// every entry. `None` if either rejects it.
+/// Decode and validate a checkpoint image: [`checkpoint_image`], its
+/// checksum, then every entry. `None` if any rejects it.
 pub fn decode_checkpoint(bytes: &[u8]) -> Option<Checkpoint> {
-    let image = checkpoint_image(bytes)?;
+    let image = checkpoint_image(bytes).filter(CheckpointImage::checksum_ok)?;
     let map =
         image.entries().map(|e| e.map(|(k, v)| (k.into(), v.into()))).collect::<Option<_>>()?;
     Some(Checkpoint { epoch: image.epoch, next_txid: image.next_txid, map })
@@ -337,6 +360,27 @@ mod tests {
     }
 
     #[test]
+    fn a_partial_write_keeps_the_page_and_a_whole_one_replaces_it() {
+        let fs = SimFs::new();
+        let f = fs.open_or_create("p");
+        let old: Vec<u8> = (0..2 * PAGE_BYTES).map(|i| i as u8 | 1).collect();
+        f.append(&old);
+        f.sync_all();
+        let mut pool = BufferPool::new(f, 1);
+        // Page 0 keeps the bytes around the three written; page 1 is the
+        // new bytes only. Both faults are misses, and the second evicts
+        // (and writes back) the first, as a read-first write would.
+        pool.write_at(3, b"xyz");
+        pool.write_at(PAGE_BYTES, &[b'n'; PAGE_BYTES]);
+        pool.flush();
+        let mut want = old;
+        want[3..6].copy_from_slice(b"xyz");
+        want[PAGE_BYTES..].fill(b'n');
+        assert_eq!(pool.file().read_all(), want);
+        assert_eq!(pool.stats(), PoolStats { hits: 0, misses: 2, evictions: 1, flushed_pages: 2 });
+    }
+
+    #[test]
     fn checkpoint_encoding_round_trips_and_rejects_tears() {
         let cp = Checkpoint {
             epoch: 7,
@@ -347,6 +391,7 @@ mod tests {
             ]),
         };
         let bytes = encode_checkpoint(&cp);
+        assert_eq!(bytes, b"KVCP 7 42 16 ;\nS a 1 ;\nS b 2 ;\nKVEND 7 49c94d0cf8990a9d ;\n");
         assert_eq!(decode_checkpoint(&bytes), Some(cp.clone()));
         // Any single corrupted byte in the payload fails the checksum.
         for i in 0..bytes.len() {

@@ -74,7 +74,7 @@ impl Rows {
     }
 
     /// Every row as `(key, value)`, in order.
-    pub fn iter(&self) -> impl ExactSizeIterator<Item = (&str, &str)> + '_ {
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = (&str, &str)> + Clone + '_ {
         (0..self.len()).map(|i| self.row(i))
     }
 }

@@ -202,8 +202,10 @@ pub struct KvStore {
 
 impl Shard {
     /// Open shard `i` over `fs` and rebuild its index from its checkpoint
-    /// pair and WAL. The base is the newest checkpoint whose every entry
-    /// decodes (epoch 0 never is; a tie goes to buffer 0); over it replay
+    /// pair and WAL. The base is the newest checkpoint whose checksum holds
+    /// and whose every entry decodes (epoch 0 never is; a tie goes to
+    /// buffer 0): the buffers are tried newest first by their header
+    /// epochs, and only a buffer being tried is checksummed. Over it replay
     /// the committed WAL transactions it does not cover (`txid >=
     /// next_txid`) in txid order, each one's records in log order. Only the
     /// base is parsed, through each format's one parser, and everything
@@ -219,13 +221,13 @@ impl Shard {
             pool.discard();
             image
         });
-        let valid = images.each_ref().map(|img| checkpoint_image(img).filter(|cp| cp.epoch > 0));
-        let epoch_of = |b: usize| valid[b].map_or(0, |cp| cp.epoch);
+        let framed = images.each_ref().map(|img| checkpoint_image(img).filter(|cp| cp.epoch > 0));
+        let epoch_of = |b: usize| framed[b].map_or(0, |cp| cp.epoch);
         let order = if epoch_of(1) > epoch_of(0) { [1, 0] } else { [0, 1] };
         // Writes as (key, txid, value or None for a delete). Checkpoint
         // entries are txid 0; the stable sort keeps them ahead of any record.
         let base = order.into_iter().find_map(|b| {
-            let cp = valid[b]?;
+            let cp = framed[b].filter(|cp| cp.checksum_ok())?;
             let entries = cp.entries().map(|e| e.map(|(k, v)| (k, 0, Some(v))));
             Some((b, cp.epoch, cp.next_txid, entries.collect::<Option<Vec<_>>>()?))
         });

@@ -83,17 +83,20 @@ fn a_reopen_allocates_at_most_three_times_per_live_entry() {
 
 /// The op paths' counts, pinned as ceilings at what they read: a `get`
 /// allocates little beyond its reply, and a `put` is where the next
-/// allocation lever is.
+/// allocation lever is. The first checkpoint of one shard of the same
+/// store reads 11: its page file and dirty bitmap grow as it writes.
 #[test]
-fn gets_and_puts_stay_inside_their_allocation_ceilings() {
-    let kv = KvStore::open(&SimFs::new(), KvConfig::new(Mode::Tm, 4));
+fn gets_puts_and_checkpoints_stay_inside_their_allocation_ceilings() {
+    let mut kv = KvStore::open(&SimFs::new(), KvConfig::new(Mode::Tm, 4));
     for i in 0..256 {
         kv.put(&format!("k{i}"), "v").unwrap();
     }
     let (_, get) = allocations(|| kv.get("k2").unwrap());
     let (_, put) = allocations(|| kv.put("k3", "w").unwrap());
+    let (_, ckpt) = allocations(|| kv.checkpoint_and_truncate(0));
     assert!(get <= 2, "a get made {get} allocations");
-    assert!(put <= 22, "a put made {put} allocations");
+    assert!(put <= 20, "a put made {put} allocations");
+    assert!(ckpt <= 11, "a checkpoint made {ckpt} allocations");
 }
 
 /// A scan sizes its row buffers before filling them, so a 2 048-row shard
@@ -112,6 +115,27 @@ fn a_scan_allocates_a_fixed_number_of_times() {
     let (small, large) = (scan(64), scan(2048));
     assert_eq!(small, large, "a scan's allocations grew with its rows");
     assert!(small <= 3, "a scan made {small} allocations");
+}
+
+/// A checkpoint sizes its image before it writes it, and rewrites page
+/// files that already have that size, so a 2 048-row shard's costs the
+/// allocations a 64-row one's does (they read 3).
+#[test]
+fn a_checkpoint_allocates_a_fixed_number_of_times() {
+    let checkpoint = |rows: usize| {
+        let mut kv = KvStore::open(&SimFs::new(), KvConfig::new(Mode::Tm, 1));
+        for i in 0..rows {
+            kv.put(&format!("k{i}"), "v").unwrap();
+        }
+        // One checkpoint into each buffer of the pair first, so the one
+        // measured rewrites a file of its own size.
+        kv.checkpoint_and_truncate(0);
+        kv.checkpoint_and_truncate(0);
+        allocations(|| kv.checkpoint_and_truncate(0)).1
+    };
+    let (small, large) = (checkpoint(64), checkpoint(2048));
+    assert_eq!(small, large, "a checkpoint's allocations grew with its rows");
+    assert!(small <= 3, "a checkpoint made {small} allocations");
 }
 
 /// A put copies the one leaf it lands in, whatever else the shard holds: on

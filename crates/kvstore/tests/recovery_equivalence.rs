@@ -1,10 +1,10 @@
 //! `KvStore::open` against the owned recovery APIs, which stay the oracle:
 //! whatever a shard's checkpoint pair and WAL hold — empty, torn, stale,
-//! equal-epoch or checksum-valid-but-malformed buffers; committed,
-//! uncommitted, out-of-order, deleting, torn and non-UTF-8 log lines — the
-//! reopened shard holds what `decode_checkpoint` + `recover` say it must,
-//! and the next checkpoint it writes carries the epoch and next txid they
-//! say, into the buffer they say.
+//! equal-epoch, checksum-failing or checksum-valid-but-malformed buffers;
+//! committed, uncommitted, out-of-order, deleting, torn and non-UTF-8 log
+//! lines — the reopened shard holds what `decode_checkpoint` + `recover`
+//! say it must, and the next checkpoint it writes carries the epoch and
+//! next txid they say, into the buffer they say.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -24,7 +24,9 @@ type Want = (Checkpoint, usize);
 
 /// One checkpoint buffer: `(kind, epoch, next_txid, entries, cut)`. Kind 0
 /// is an empty file, 1 a valid image, 2 a valid image torn at `cut`, 3 a
-/// checksum-valid image with a malformed `S` line at `cut`.
+/// checksum-valid image with a malformed `S` line at `cut`, 4 a valid
+/// image with one payload byte overwritten at `cut` (header and trailer
+/// still parse; the checksum fails).
 type BufferSpec = (u8, u64, u64, Vec<(u8, u8)>, usize);
 
 /// One WAL line: `(kind, txid, key, value)`. Kinds 0–7 put, 8–10 delete,
@@ -32,7 +34,7 @@ type BufferSpec = (u8, u64, u64, Vec<(u8, u8)>, usize);
 type LineSpec = (u8, u64, u8, u8);
 
 fn buffer() -> impl Strategy<Value = BufferSpec> {
-    (0u8..4, 0u64..4, 0u64..10, vec((0u8..6, 0u8..10), 0..6), any::<usize>())
+    (0u8..5, 0u64..4, 0u64..10, vec((0u8..6, 0u8..10), 0..6), any::<usize>())
 }
 
 fn line() -> impl Strategy<Value = LineSpec> {
@@ -52,8 +54,22 @@ fn image((kind, epoch, next_txid, entries, cut): &BufferSpec) -> Vec<u8> {
         0 => Vec::new(),
         // Any cut but the final newline's tears the image.
         2 => image[..cut % (image.len() - 1)].to_vec(),
+        4 => corrupt_payload(image, *cut),
         _ => image,
     }
+}
+
+/// `image` with the payload byte at `at` (modulo the payload's length)
+/// overwritten by another printable one; an empty payload is left alone.
+fn corrupt_payload(mut image: Vec<u8>, at: usize) -> Vec<u8> {
+    // The payload lies between the header line and the trailer line.
+    let start = image.iter().position(|&b| b == b'\n').unwrap() + 1;
+    let end = image[..image.len() - 1].iter().rposition(|&b| b == b'\n').unwrap() + 1;
+    if end > start {
+        let i = start + at % (end - start);
+        image[i] = if image[i] == b'#' { b'%' } else { b'#' };
+    }
+    image
 }
 
 fn wal_image(lines: &[LineSpec], torn_tail: bool) -> Vec<u8> {
@@ -187,11 +203,31 @@ fn one_shard(images: [&[u8]; 2], log: &[u8], want: Want) {
 #[test]
 fn a_checksum_valid_newer_buffer_with_a_malformed_line_loses() {
     let newer = valid(3, 9, &[("b", "2"), ("c d", "3")]);
-    assert!(checkpoint_image(&newer).is_some() && decode_checkpoint(&newer).is_none());
+    assert!(checkpoint_image(&newer).is_some_and(|i| i.checksum_ok()));
+    assert!(decode_checkpoint(&newer).is_none());
     // Buffer 0 wins, so the next checkpoint (epoch 2 + 1) replaces buffer 1.
     one_shard([&valid(2, 4, &[("a", "1")]), &newer], b"", (cp(3, 4, &[("a", "1")]), 1));
     // The same with the buffers swapped.
     one_shard([&newer, &valid(2, 4, &[("a", "1")])], b"", (cp(3, 4, &[("a", "1")]), 0));
+}
+
+#[test]
+fn a_newer_buffer_whose_checksum_fails_loses() {
+    let newer = corrupt_payload(valid(3, 9, &[("b", "2")]), 2);
+    assert!(checkpoint_image(&newer).is_some_and(|i| i.epoch == 3 && !i.checksum_ok()));
+    one_shard([&valid(2, 4, &[("a", "1")]), &newer], b"", (cp(3, 4, &[("a", "1")]), 1));
+    one_shard([&newer, &valid(2, 4, &[("a", "1")])], b"", (cp(3, 4, &[("a", "1")]), 0));
+}
+
+#[test]
+fn a_corrupted_older_buffer_changes_nothing() {
+    let (older, newer) = (valid(2, 4, &[("a", "1")]), valid(3, 9, &[("b", "2")]));
+    let corrupted = corrupt_payload(older.clone(), 0);
+    assert!(checkpoint_image(&corrupted).is_some_and(|i| !i.checksum_ok()));
+    for older in [&older, &corrupted] {
+        one_shard([older, &newer], b"", (cp(4, 9, &[("b", "2")]), 0));
+        one_shard([&newer, older], b"", (cp(4, 9, &[("b", "2")]), 1));
+    }
 }
 
 #[test]

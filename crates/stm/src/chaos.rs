@@ -302,16 +302,38 @@ pub fn splitmix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// FNV-1a over `bytes`: the stable hash behind checkpoint checksums, key
+/// Streaming FNV-1a: [`write`](Fnv64::write) the bytes in any number of
+/// pieces, and [`finish`](Fnv64::finish) is the hash of their
+/// concatenation. The stable hash behind checkpoint checksums, key
 /// placement and crash-point label salts. Plain integer arithmetic:
 /// deterministic on every platform.
-pub fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+#[derive(Clone, Copy, Debug)]
+pub struct Fnv64(u64);
+
+impl Fnv64 {
+    /// Nothing written yet: [`finish`](Fnv64::finish) is the hash of no
+    /// bytes.
+    pub const EMPTY: Fnv64 = Fnv64(0xcbf2_9ce4_8422_2325);
+
+    /// Hash `bytes` after everything written so far.
+    pub fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
     }
-    h
+
+    /// The hash of every byte written.
+    pub fn finish(self) -> u64 {
+        self.0
+    }
+}
+
+/// [`Fnv64`] over `bytes` in one piece.
+pub fn fnv64(bytes: &[u8]) -> u64 {
+    let mut h = Fnv64::EMPTY;
+    h.write(bytes);
+    h.finish()
 }
 
 /// Install `plan` process-wide, zeroing the hit and injection counters.
@@ -529,5 +551,19 @@ mod tests {
         // builds; changing them is a report-format break.
         assert_eq!(splitmix64(0), 0xE220_A839_7B1D_CDAF);
         assert_eq!(splitmix64(1), 0x910A_2DEC_8902_5CC1);
+    }
+
+    #[test]
+    fn fnv64_is_stable_and_streams_in_any_split() {
+        // Published FNV-1a vectors: checksums and key placement are on
+        // disk and in reports.
+        assert_eq!([fnv64(b""), fnv64(b"a")], [0xcbf2_9ce4_8422_2325, 0xaf63_dc4c_8601_ec8c]);
+        let bytes: Vec<u8> = (0..200u8).collect();
+        for cut in [0, 1, 64, 200] {
+            let mut h = Fnv64::EMPTY;
+            h.write(&bytes[..cut]);
+            h.write(&bytes[cut..]);
+            assert_eq!(h.finish(), fnv64(&bytes), "cut {cut}");
+        }
     }
 }

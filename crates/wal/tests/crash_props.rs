@@ -21,12 +21,15 @@ enum DiskOp {
     Crash(u64),
 }
 
+/// Offsets up to ~6 KB and appends of up to a few hundred bytes: files
+/// cross 64 blocks (2 KB), one word of `SimFile`'s dirty bitmap, so marks,
+/// runs of dirty blocks and cuts land on both sides of word boundaries.
 fn disk_op() -> impl Strategy<Value = DiskOp> {
     prop_oneof![
-        proptest::collection::vec(any::<u8>(), 1..48).prop_map(DiskOp::Append),
-        (0usize..96, proptest::collection::vec(any::<u8>(), 1..24))
+        proptest::collection::vec(any::<u8>(), 1..400).prop_map(DiskOp::Append),
+        (0usize..6144, proptest::collection::vec(any::<u8>(), 1..160))
             .prop_map(|(o, b)| DiskOp::WriteAt(o, b)),
-        (0usize..160).prop_map(DiskOp::Truncate),
+        (0usize..6400).prop_map(DiskOp::Truncate),
         Just(DiskOp::Sync),
         any::<u64>().prop_map(DiskOp::Crash),
     ]

@@ -28,16 +28,21 @@
 //! the durable image, with the same value. The two images can therefore
 //! differ only inside dirty blocks and in a durable tail past the end of
 //! the cache (an unsynced truncation). That is what lets every operation
-//! cost what it touches: `sync_all` copies the dirty blocks and is
-//! O(dirty blocks), not O(file size); `append`, `write_at` and
-//! [`SimFile::read_at`] are O(bytes moved); `truncate` only drops the
-//! marks past the cut. Only `read_all`, the snapshots and a crash itself
+//! cost what it touches. The dirty set is a bitmap, one bit per block in
+//! 64-block words, that knows the span of words that may hold a set bit:
+//! marking sets bits and allocates only when the file outgrows the
+//! bitmap; `sync_all` walks only that span and copies each run of
+//! consecutive dirty blocks with one copy, so it is O(dirty words +
+//! dirty bytes), not O(file size); `append`, `write_at` and
+//! [`SimFile::read_at`] are O(bytes moved); `truncate` only clears the
+//! bits past the cut. Only `read_all`, the snapshots and a crash itself
 //! copy a whole file.
 
 use crate::crashpoint;
 use parking_lot::{Condvar, Mutex};
-use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::fmt;
+use std::ops::Range;
 use std::sync::Arc;
 use std::time::Duration;
 use txfix_stm::chaos::splitmix64;
@@ -66,6 +71,76 @@ impl fmt::Display for OsError {
 
 impl std::error::Error for OsError {}
 
+/// A set of block indices as a bitmap: bit `b % 64` of word `b / 64`
+/// marks block `b`. Every word outside `live` is zero, so walking and
+/// clearing the set cost the words between its lowest and highest mark,
+/// not the file's length.
+#[derive(Default)]
+struct DirtyBlocks {
+    words: Vec<u64>,
+    live: Range<usize>,
+}
+
+impl DirtyBlocks {
+    /// Mark every block overlapping the bytes `from..to`.
+    fn mark(&mut self, from: usize, to: usize) {
+        if from >= to {
+            return;
+        }
+        let (first, last) = (from / BLOCK_BYTES, (to - 1) / BLOCK_BYTES);
+        if self.words.len() <= last / 64 {
+            self.words.resize(last / 64 + 1, 0);
+        }
+        if self.live.is_empty() {
+            self.live = first / 64..first / 64;
+        }
+        self.live = self.live.start.min(first / 64)..self.live.end.max(last / 64 + 1);
+        for b in first..=last {
+            self.words[b / 64] |= 1 << (b % 64);
+        }
+    }
+
+    /// Drop every mark at and past block `from`.
+    fn truncate(&mut self, from: usize) {
+        for w in self.live.start.max(from / 64)..self.live.end {
+            self.words[w] &= if w == from / 64 { !(u64::MAX << (from % 64)) } else { 0 };
+        }
+        self.live.end = self.live.end.min(from.div_ceil(64)).max(self.live.start);
+    }
+
+    /// Unmark everything, zeroing only the live words.
+    fn clear(&mut self) {
+        let live = std::mem::take(&mut self.live);
+        self.words[live].fill(0);
+    }
+
+    /// The first block at or past `from` in a live word whose mark is
+    /// `set`.
+    fn find(&self, from: usize, set: bool) -> Option<usize> {
+        (from / 64..self.live.end).find_map(|w| {
+            let word = if set { self.words[w] } else { !self.words[w] };
+            let word = if w == from / 64 { word & (u64::MAX << (from % 64)) } else { word };
+            (word != 0).then(|| w * 64 + word.trailing_zeros() as usize)
+        })
+    }
+
+    /// The runs of consecutive marked blocks, ascending, as `first..end`:
+    /// a word of 64 marks is one step.
+    fn runs(&self) -> impl Iterator<Item = Range<usize>> + '_ {
+        let mut at = self.live.start * 64;
+        std::iter::from_fn(move || {
+            let first = self.find(at, true)?;
+            at = self.find(first, false).unwrap_or(self.live.end * 64);
+            Some(first..at)
+        })
+    }
+
+    /// Every marked block, ascending.
+    fn iter(&self) -> impl Iterator<Item = usize> + '_ {
+        self.runs().flatten()
+    }
+}
+
 /// Page-cache vs durable split of one file's bytes.
 ///
 /// Invariant (clean blocks): for every block `b` not in `dirty` and every
@@ -82,37 +157,28 @@ struct FileState {
     /// What a crash preserves unconditionally: the last synced image.
     durable: Vec<u8>,
     /// Cache blocks not yet flushed; a crash keeps a seeded subset.
-    dirty: BTreeSet<usize>,
+    dirty: DirtyBlocks,
 }
 
-/// The bytes of block `b` that exist in a cache of `cached_len` bytes.
-fn block_span(b: usize, cached_len: usize) -> std::ops::Range<usize> {
-    b * BLOCK_BYTES..((b + 1) * BLOCK_BYTES).min(cached_len)
+/// The bytes of blocks `blocks` that exist in a cache of `cached_len`
+/// bytes.
+fn block_span(blocks: Range<usize>, cached_len: usize) -> Range<usize> {
+    blocks.start * BLOCK_BYTES..(blocks.end * BLOCK_BYTES).min(cached_len)
 }
 
 impl FileState {
-    /// Mark every block overlapping `[from, to)` dirty.
-    fn mark_dirty(&mut self, from: usize, to: usize) {
-        if from >= to {
-            return;
-        }
-        for b in (from / BLOCK_BYTES)..=((to - 1) / BLOCK_BYTES) {
-            self.dirty.insert(b);
-        }
-    }
-
     /// The post-crash contents under `seed`: the durable image overlaid
     /// with each dirty block whose per-block coin says the kernel wrote
     /// it back before the crash. `salt` distinguishes files under one
     /// seed.
     fn crash_image(&self, salt: u64, seed: u64) -> Vec<u8> {
         let mut img = self.durable.clone();
-        for &b in &self.dirty {
+        for b in self.dirty.iter() {
             let coin = splitmix64(seed ^ salt ^ splitmix64(b as u64 ^ 0x5851_F42D_4C95_7F2D));
             if coin & 1 != 0 {
                 continue; // this block never reached the disk
             }
-            let span = block_span(b, self.cached.len());
+            let span = block_span(b..b + 1, self.cached.len());
             if img.len() < span.end {
                 img.resize(span.end, 0);
             }
@@ -146,7 +212,7 @@ impl SimFile {
             state: Mutex::new(FileState {
                 cached: Vec::new(),
                 durable: Vec::new(),
-                dirty: BTreeSet::new(),
+                dirty: DirtyBlocks::default(),
             }),
         })
     }
@@ -166,7 +232,7 @@ impl SimFile {
         let from = st.cached.len();
         st.cached.extend_from_slice(bytes);
         let to = st.cached.len();
-        st.mark_dirty(from, to);
+        st.dirty.mark(from, to);
     }
 
     /// Write at an absolute offset, growing the file if needed.
@@ -182,7 +248,7 @@ impl SimFile {
         }
         st.cached[offset..offset + bytes.len()].copy_from_slice(bytes);
         // The zero-fill between the old end and `offset` changed too.
-        st.mark_dirty(old_len.min(offset), offset + bytes.len());
+        st.dirty.mark(old_len.min(offset), offset + bytes.len());
     }
 
     /// Snapshot of the whole contents, as reads see them (page cache).
@@ -229,15 +295,16 @@ impl SimFile {
         let mut st = self.state.lock();
         if len < st.cached.len() {
             st.cached.truncate(len);
-            st.dirty.split_off(&len.div_ceil(BLOCK_BYTES));
+            st.dirty.truncate(len.div_ceil(BLOCK_BYTES));
         }
     }
 
     /// `fsync(2)`: promote the page cache to the durable image. Costs
-    /// O(dirty blocks): the durable image takes the cache's length (so an
-    /// unsynced truncation becomes durable) and then only the dirty
-    /// blocks are copied — by the clean-block invariant every other
-    /// block already matches.
+    /// O(dirty words + dirty bytes): the durable image takes the
+    /// cache's length (so an unsynced truncation becomes durable) and then
+    /// only the dirty blocks are copied, one copy per run of consecutive
+    /// ones — by the clean-block invariant every other block already
+    /// matches.
     pub fn sync_all(&self) {
         crashpoint::crash_point("simos_file_sync");
         if crashpoint::is_frozen() {
@@ -246,8 +313,8 @@ impl SimFile {
         let mut st = self.state.lock();
         let FileState { cached, durable, dirty } = &mut *st;
         durable.resize(cached.len(), 0);
-        for &b in dirty.iter() {
-            let span = block_span(b, cached.len());
+        for run in dirty.runs() {
+            let span = block_span(run, cached.len());
             durable[span.clone()].copy_from_slice(&cached[span]);
         }
         dirty.clear();
@@ -260,7 +327,7 @@ impl SimFile {
 
     /// Indices of cache blocks not yet flushed, ascending.
     pub fn dirty_blocks(&self) -> Vec<usize> {
-        self.state.lock().dirty.iter().copied().collect()
+        self.state.lock().dirty.iter().collect()
     }
 
     /// The contents a crash under `seed` would leave behind, without
