@@ -95,7 +95,7 @@ fn gets_puts_and_checkpoints_stay_inside_their_allocation_ceilings() {
     let (_, put) = allocations(|| kv.put("k3", "w").unwrap());
     let (_, ckpt) = allocations(|| kv.checkpoint_and_truncate(0));
     assert!(get <= 2, "a get made {get} allocations");
-    assert!(put <= 20, "a put made {put} allocations");
+    assert!(put <= 14, "a put made {put} allocations");
     assert!(ckpt <= 11, "a checkpoint made {ckpt} allocations");
 }
 

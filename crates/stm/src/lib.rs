@@ -21,10 +21,10 @@
 //! - **Commit-before-wait**: [`Txn::wait_on`] commits the work done so far
 //!   and blocks on a [`WaitPoint`] (the hook used by transactional
 //!   condition variables in `txfix-tmsync`).
-//! - **External resources**: revocable locks and transactional I/O enlist
-//!   in a transaction via [`Txn::enlist`], [`Txn::on_commit`] and
-//!   [`Txn::on_abort`], and deadlock detectors can preempt a transaction
-//!   through its [`KillHandle`].
+//! - **External resources**: revocable locks enlist in a transaction
+//!   ([`Txn::enlist`]); transactional I/O finishes before them, through
+//!   [`Txn::on_commit`], [`Txn::on_abort`] or [`Txn::defer`]; deadlock
+//!   detectors can preempt a transaction through its [`KillHandle`].
 //! - **Hardware TM model**: [`TxnBuilder::capacity`] starts a transaction
 //!   on [`EscalationRung::Hardware`], bounded read/write sets; with an
 //!   [`EscalationPolicy`] an overflow falls back to software (the paper's

@@ -125,9 +125,9 @@ impl Default for TxnOptions {
     }
 }
 
-/// An external resource enlisted in a transaction (e.g. a revocable lock or
-/// a transactional file handle). The runtime invokes exactly one of the two
-/// callbacks, on the transaction's own thread.
+/// An external resource that finishes with a transaction: a revocable lock
+/// ([`Txn::enlist`]) or a file's deferred I/O ([`Txn::defer`]). The runtime
+/// invokes exactly one of the two callbacks, on the transaction's thread.
 pub trait TxResource: Send + Sync {
     /// The transaction committed; release/apply the resource.
     fn commit(&self, txn_serial: u64);
@@ -180,6 +180,14 @@ fn filter_bits(id: u64) -> u128 {
     (1u128 << (h >> 57)) | (1u128 << ((h >> 50) & 127))
 }
 
+/// One completion action: commit runs the list forwards, abort backwards,
+/// each skipping the other phase's closures.
+enum Hook {
+    Commit(Box<dyn FnOnce()>),
+    Abort(Box<dyn FnOnce()>),
+    Deferred(Arc<dyn TxResource>),
+}
+
 /// A snapshot of a transaction's read set, used to block `retry` until a
 /// read variable changes.
 pub(crate) struct ReadSnapshot(Vec<(OrecRef, u64)>);
@@ -214,8 +222,7 @@ pub struct Txn {
     read_filter: u128,
     /// Bloom filter over `write_set` ids (read-after-write lookup).
     write_filter: u128,
-    commit_hooks: Vec<Box<dyn FnOnce()>>,
-    abort_hooks: Vec<Box<dyn FnOnce()>>,
+    hooks: Vec<Hook>,
     resources: Vec<Arc<dyn TxResource>>,
     /// Created on first [`kill_handle`](Txn::kill_handle) request; most
     /// transactions never pay the allocation.
@@ -264,8 +271,7 @@ impl Txn {
             write_set: Vec::new(),
             read_filter: 0,
             write_filter: 0,
-            commit_hooks: Vec::new(),
-            abort_hooks: Vec::new(),
+            hooks: Vec::new(),
             resources: Vec::new(),
             kill_flag: OnceLock::new(),
             irrevocable: None,
@@ -556,13 +562,20 @@ impl Txn {
     /// after its writes are published. Actions run in registration order —
     /// this is what deferred transactional I/O relies on.
     pub fn on_commit(&mut self, f: impl FnOnce() + 'static) {
-        self.commit_hooks.push(Box::new(f));
+        self.hooks.push(Hook::Commit(Box::new(f)));
     }
 
     /// Register a compensating action to run if the transaction aborts.
     /// Actions run in reverse registration order (undo-log order).
     pub fn on_abort(&mut self, f: impl FnOnce() + 'static) {
-        self.abort_hooks.push(Box::new(f));
+        self.hooks.push(Hook::Abort(Box::new(f)));
+    }
+
+    /// Register a resource that finishes among the hooks: it commits in
+    /// order with the `on_commit` actions, aborts in reverse with the
+    /// `on_abort` ones, and always before any enlisted resource.
+    pub fn defer(&mut self, resource: Arc<dyn TxResource>) {
+        self.hooks.push(Hook::Deferred(resource));
     }
 
     /// Enlist an external resource; exactly one of
@@ -710,13 +723,16 @@ impl Txn {
         // Deferred actions (e.g. x-call I/O) run first, while enlisted
         // resources — revocable locks in particular — are still held, so
         // the deferred effects stay inside the isolation the locks provide.
-        for h in self.commit_hooks.drain(..) {
-            h();
+        for h in self.hooks.drain(..) {
+            match h {
+                Hook::Commit(f) => f(),
+                Hook::Deferred(r) => r.commit(self.serial),
+                Hook::Abort(_) => {}
+            }
         }
         for r in self.resources.drain(..) {
             r.commit(self.serial);
         }
-        self.abort_hooks.clear();
         #[cfg(feature = "canary-stm")]
         let wrote = wrote && !std::mem::replace(&mut self.canary_notified_early, false);
         if wrote {
@@ -739,13 +755,16 @@ impl Txn {
         self.irrevocable = None;
         // Compensations run in reverse (undo-log) order while resources —
         // locks — are still held, then the resources are rolled back.
-        for h in self.abort_hooks.drain(..).rev() {
-            h();
+        for h in self.hooks.drain(..).rev() {
+            match h {
+                Hook::Abort(f) => f(),
+                Hook::Deferred(r) => r.abort(self.serial),
+                Hook::Commit(_) => {}
+            }
         }
         for r in self.resources.drain(..).rev() {
             r.abort(self.serial);
         }
-        self.commit_hooks.clear();
         self.read_set.clear();
         self.write_set.clear();
         self.read_filter = 0;

@@ -7,7 +7,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use txfix_stm::{
-    atomic, atomic_relaxed, obs, BackoffPolicy, CapacityKind, StmResult, TVar, Txn, TxnError,
+    atomic, atomic_relaxed, obs, BackoffPolicy, CapacityKind, StmResult, TVar, TxResource, Txn,
+    TxnError,
 };
 
 #[test]
@@ -275,6 +276,48 @@ fn abort_hooks_run_in_reverse_order_only_on_abort() {
 
     // Only the first (aborted) attempt contributes, in reverse order.
     assert_eq!(*log.lock(), vec!["undo-2", "undo-1"]);
+}
+
+type Log = Arc<parking_lot::Mutex<Vec<&'static str>>>;
+
+/// A resource that logs its name whichever way it finishes.
+struct Logged(Log, &'static str);
+
+impl TxResource for Logged {
+    fn commit(&self, _serial: u64) {
+        self.0.lock().push(self.1);
+    }
+    fn abort(&self, _serial: u64) {
+        self.0.lock().push(self.1);
+    }
+}
+
+/// Closures and deferred resources finish in one order — registration
+/// order on commit, its reverse on abort — and an enlisted resource (a
+/// lock) finishes after all of them. `tmsync::condvar`'s and
+/// `xcall::pipe`'s closures and `xcall::file`'s deferred resource rely on
+/// that order.
+#[test]
+fn deferred_resources_finish_among_the_hooks_and_before_enlisted_ones() {
+    let log = Log::default();
+    let first = AtomicBool::new(true);
+    atomic(|txn| {
+        let hook = |txn: &mut Txn, name| {
+            let (on_commit, on_abort) = (log.clone(), log.clone());
+            txn.on_commit(move || on_commit.lock().push(name));
+            txn.on_abort(move || on_abort.lock().push(name));
+        };
+        hook(txn, "A");
+        txn.defer(Arc::new(Logged(log.clone(), "R")));
+        hook(txn, "B");
+        txn.enlist(Arc::new(Logged(log.clone(), "E")));
+        if first.swap(false, Ordering::SeqCst) {
+            return txn.restart();
+        }
+        Ok(())
+    });
+    // The aborted attempt, then the committed one.
+    assert_eq!(*log.lock(), ["B", "R", "A", "E", "A", "R", "B", "E"]);
 }
 
 #[test]

@@ -25,12 +25,13 @@
 //!
 //! The common path costs what a plain lock costs: an uncontended acquire,
 //! plain or transactional, is one compare-and-swap on the lock's owner
-//! word and touches no global state. A transaction joins the wait-for
-//! graph's abortable set the first time one of its acquisitions *blocks*
-//! (every member of a deadlock cycle is blocked, so none is missed); the
-//! Recipe 3 combinator in `txfix-core` calls [`enlist_preemptible`] up
-//! front instead, to mark its transaction as the preferred (low-priority)
-//! victim.
+//! word and touches no global state, and a transactional one enlists the
+//! lock itself (an `Arc` clone) to be released when the transaction
+//! finishes. A transaction joins the wait-for graph's abortable set the
+//! first time one of its acquisitions *blocks* (every member of a
+//! deadlock cycle is blocked, so none is missed); the Recipe 3 combinator
+//! in `txfix-core` calls [`enlist_preemptible`] up front instead, to mark
+//! its transaction as the preferred (low-priority) victim.
 //!
 //! ## Example: a revocable lock inside a transaction
 //!

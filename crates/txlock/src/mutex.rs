@@ -259,24 +259,15 @@ impl RawTxLock {
     }
 }
 
-impl Drop for RawTxLock {
-    fn drop(&mut self) {
-        graph::unregister_lock(self.id);
-    }
-}
-
-/// Resource enlisted in a transaction: releases the lock when the
-/// transaction finishes (commit *or* abort).
-struct LockRelease {
-    raw: Arc<RawTxLock>,
-    owner: ThreadToken,
-}
-
-impl TxResource for LockRelease {
+/// A transactional acquisition enlists the lock itself: it is released
+/// when the transaction finishes (commit *or* abort), on the transaction's
+/// own thread, which is the owner.
+impl TxResource for RawTxLock {
     fn commit(&self, _serial: u64) {
-        self.raw.release(self.owner);
+        self.release(thread_id::current());
     }
     fn abort(&self, _serial: u64) {
+        let me = thread_id::current();
         // An abort-path release is a *revocation*: the lock is taken away
         // from a still-running transaction (the TxLock discipline).
         txfix_stm::obs::note_lock_revoked();
@@ -287,10 +278,16 @@ impl TxResource for LockRelease {
         // was already forfeited the moment the waiter got in.
         #[cfg(feature = "canary-txlock")]
         if txfix_stm::canary::fire(txfix_stm::canary::Canary::LockReacquireInRevoke) {
-            self.raw.release(self.owner);
-            self.raw.try_acquire(self.owner);
+            self.release(me);
+            self.try_acquire(me);
         }
-        self.raw.release(self.owner);
+        self.release(me);
+    }
+}
+
+impl Drop for RawTxLock {
+    fn drop(&mut self) {
+        graph::unregister_lock(self.id);
     }
 }
 
@@ -438,9 +435,9 @@ impl<T> TxMutex<T> {
             Ok(()) => {
                 self.raw.holding_txn.store(txn.serial(), Ordering::Release);
                 txfix_stm::obs::note_lock_acquired();
-                txn.enlist(Arc::new(LockRelease { raw: self.raw.clone(), owner: me }));
+                txn.enlist(self.raw.clone());
                 // Chaos: spurious revocation of a lock we just acquired.
-                // The abort unwinds through LockRelease::abort, exercising
+                // The abort unwinds through the lock's `abort`, exercising
                 // the same release-on-revocation path a real preemption
                 // takes.
                 if !txn.is_irrevocable() && chaos::should_inject(chaos::InjectionPoint::LockRevoke)
@@ -497,19 +494,6 @@ impl<T> TxMutex<T> {
     /// Consume the mutex, returning the protected value.
     pub fn into_inner(self) -> T {
         self.data.into_inner()
-    }
-
-    /// Raw pointer to the protected data, for commit/abort hooks that run
-    /// while the lock is still held by the finishing transaction.
-    ///
-    /// # Safety
-    ///
-    /// The pointer is only valid to dereference on a thread that currently
-    /// owns the lock (transactionally or via a guard). This is the escape
-    /// hatch the x-call layer uses inside transaction completion hooks,
-    /// which the STM runtime runs before releasing enlisted locks.
-    pub fn data_ptr(&self) -> *mut T {
-        self.data.get()
     }
 }
 

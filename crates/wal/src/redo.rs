@@ -1,6 +1,8 @@
 //! The redo log: commit-marker protocol and recovery replay.
 
+use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
+use std::io::Write;
 use txfix_stm::{StmResult, Txn};
 use txfix_xcall::{SimFile, SimFs, XFile, XOp};
 
@@ -64,30 +66,37 @@ impl Wal {
     ///
     /// Propagates lock conflicts/preemption as [`Abort`](txfix_stm::Abort).
     pub fn x_log_ops(&self, txn: &mut Txn, txid: u64, ops: &[WalOp]) -> StmResult<()> {
-        let record = |op: &WalOp| match op {
-            WalOp::Put(k, v) => {
-                debug_assert!(is_token(k) && is_token(v), "invalid WAL token in {k:?}={v:?}");
-                format!("P {txid} {k} {v} ;\n")
+        // The lines, formatted into a buffer each thread reuses; the log
+        // file copies them into its own.
+        thread_local!(static LINES: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) });
+        LINES.with_borrow_mut(|lines| {
+            lines.clear();
+            for op in ops {
+                // Writing into a `Vec` cannot fail.
+                let _ = match op {
+                    WalOp::Put(k, v) => writeln!(lines, "P {txid} {k} {v} ;"),
+                    WalOp::Delete(k) => writeln!(lines, "D {txid} {k} ;"),
+                };
             }
-            WalOp::Delete(k) => {
-                debug_assert!(is_token(k), "invalid WAL token in {k:?}");
-                format!("D {txid} {k} ;\n")
-            }
-        };
-        let records = ops.iter().map(|op| XOp::Append(record(op).into_bytes()));
-        let marker = XOp::Append(format!("C {txid} ;\n").into_bytes());
-        // The first sync is the protocol's load-bearing one: records must
-        // be durable before the commit marker exists anywhere.
-        let commit = [XOp::Sync, marker, XOp::CrashPoint(AFTER_COMMIT_WRITE), XOp::Sync];
-        // Canary: the FIRST reference-WAL bug (SNIPPETS §2) — drop that
-        // sync, so a crash before the last one can persist the marker
-        // without its records and recovery replays a torn transaction.
-        #[cfg(feature = "canary-wal")]
-        let commit = commit.into_iter().skip(usize::from(txfix_stm::canary::fire(
-            txfix_stm::canary::Canary::WalCommitBeforeFsync,
-        )));
-        // One batch: the log's isolation lock is entered once per commit.
-        self.file.x_queue(txn, records.chain(commit))
+            debug_assert!(records(lines).all(|r| r.is_some()), "invalid WAL token in {ops:?}");
+            let records_end = lines.len();
+            let _ = writeln!(lines, "C {txid} ;");
+            let (records, marker) = lines.split_at(records_end);
+            let records = records.split_inclusive(|&b| b == b'\n').map(XOp::Append);
+            // The first sync is the protocol's load-bearing one: records
+            // must be durable before the commit marker exists anywhere.
+            let commit =
+                [XOp::Sync, XOp::Append(marker), XOp::CrashPoint(AFTER_COMMIT_WRITE), XOp::Sync];
+            // Canary: the FIRST reference-WAL bug (SNIPPETS §2) — drop that
+            // sync, so a crash before the last one can persist the marker
+            // without its records and recovery replays a torn transaction.
+            #[cfg(feature = "canary-wal")]
+            let commit = commit.into_iter().skip(usize::from(txfix_stm::canary::fire(
+                txfix_stm::canary::Canary::WalCommitBeforeFsync,
+            )));
+            // One batch: the log's isolation lock is entered once.
+            self.file.x_queue(txn, records.chain(commit))
+        })
     }
 }
 

@@ -6,23 +6,29 @@
 //! transaction's own pending writes. A revocable [`TxMutex`] per file
 //! provides isolation between transactions touching the same file until
 //! commit, mirroring xCalls' logical file locks.
+//!
+//! The file copies a deferred write's borrowed bytes into one buffer it
+//! reuses, and its pending ops are one deferred [`TxResource`], so a
+//! commit allocates nothing of the file's own once its buffers have grown.
 
 use crate::crashpoint;
 use crate::simos::SimFile;
 use std::fmt;
+use std::ops::Range;
 use std::sync::Arc;
 use txfix_stm::chaos;
-use txfix_stm::{Abort, StmResult, Txn};
+use txfix_stm::{Abort, StmResult, TxResource, Txn};
 use txfix_txlock::TxMutex;
 
-/// One deferred file operation: what [`XFile::x_queue`] takes and what the
-/// file buffers until its transaction commits.
+/// One deferred file operation. [`XFile::x_queue`] takes it with its bytes
+/// borrowed (`B = &[u8]`); the file buffers it with `B` the range of its
+/// bytes in the pending buffer, until its transaction commits.
 #[derive(Clone, Debug)]
-pub enum XOp {
+pub enum XOp<B> {
     /// What [`XFile::x_append`] defers.
-    Append(Vec<u8>),
+    Append(B),
     /// What [`XFile::x_write_at`] defers.
-    WriteAt(usize, Vec<u8>),
+    WriteAt(usize, B),
     /// Deferred `fsync` ([`XFile::x_sync`]): promote the cache to the
     /// durable image when the preceding deferred writes have been applied.
     Sync,
@@ -31,6 +37,18 @@ pub enum XOp {
     /// protocol-level labels like `wal_after_commit_write` between its
     /// deferred writes.
     CrashPoint(&'static str),
+}
+
+impl<B> XOp<B> {
+    /// The same op with its payload mapped by `f`.
+    fn map<C>(self, f: impl FnOnce(B) -> C) -> XOp<C> {
+        match self {
+            XOp::Append(b) => XOp::Append(f(b)),
+            XOp::WriteAt(off, b) => XOp::WriteAt(off, f(b)),
+            XOp::Sync => XOp::Sync,
+            XOp::CrashPoint(label) => XOp::CrashPoint(label),
+        }
+    }
 }
 
 struct XFileInner {
@@ -44,7 +62,23 @@ struct XFileInner {
 struct PendingState {
     /// Serial of the transaction whose deferred ops are buffered.
     owner: u64,
-    ops: Vec<XOp>,
+    ops: Vec<XOp<Range<usize>>>,
+    /// Every buffered op's bytes, back to back. Commit and abort clear it
+    /// and keep its capacity.
+    bytes: Vec<u8>,
+}
+
+impl PendingState {
+    /// The buffered ops with their bytes.
+    fn ops(&self) -> impl Iterator<Item = XOp<&[u8]>> {
+        self.ops.iter().map(|op| op.clone().map(|r| &self.bytes[r]))
+    }
+
+    fn clear(&mut self) {
+        self.ops.clear();
+        self.bytes.clear();
+        self.owner = 0;
+    }
 }
 
 /// A transactional handle to a [`SimFile`].
@@ -99,66 +133,16 @@ impl XFile {
     fn enter(&self, txn: &mut Txn) -> StmResult<()> {
         let serial = txn.serial();
         let newly_owned = self.inner.lock.with_tx(txn, |st| {
-            if st.owner == serial {
-                false
-            } else {
+            let newly_owned = st.owner != serial;
+            if newly_owned {
                 debug_assert!(st.ops.is_empty(), "pending ops leaked from a previous txn");
+                st.clear();
                 st.owner = serial;
-                st.ops.clear();
-                true
             }
+            newly_owned
         })?;
         if newly_owned {
-            let apply = self.inner.clone();
-            txn.on_commit(move || {
-                // The isolation lock is still held here (hooks run before
-                // resources are released), so this is race-free.
-                unsafe {
-                    apply.with_pending(|st| {
-                        for op in st.ops.drain(..) {
-                            crashpoint::crash_point("xfile_apply");
-                            match op {
-                                XOp::Append(bytes) => apply.file.append(&bytes),
-                                XOp::WriteAt(off, bytes) => apply.file.write_at(off, &bytes),
-                                XOp::Sync => {
-                                    // Canary: the fsync reports success
-                                    // without flushing — acknowledged
-                                    // commits silently lose durability,
-                                    // visible only across a crash.
-                                    #[cfg(feature = "canary-xcall")]
-                                    if txfix_stm::canary::fire(
-                                        txfix_stm::canary::Canary::WalSkipFsync,
-                                    ) {
-                                        continue;
-                                    }
-                                    apply.file.sync_all();
-                                }
-                                XOp::CrashPoint(label) => crashpoint::crash_point(label),
-                            }
-                        }
-                        st.owner = 0;
-                    });
-                }
-            });
-            let undo = self.inner.clone();
-            txn.on_abort(move || {
-                // Canary: the undo never runs — the deferred ops and the
-                // ownership stamp of the aborted transaction survive,
-                // exactly the "forgot the compensation" bug x-calls exist
-                // to prevent. A later transaction entering the file will
-                // apply another transaction's buffered writes.
-                #[cfg(feature = "canary-xcall")]
-                if txfix_stm::canary::fire(txfix_stm::canary::Canary::XcallSkipUndo) {
-                    return;
-                }
-                crashpoint::crash_point("xfile_undo");
-                unsafe {
-                    undo.with_pending(|st| {
-                        st.ops.clear();
-                        st.owner = 0;
-                    });
-                }
-            });
+            txn.defer(self.inner.clone());
         }
         Ok(())
     }
@@ -171,7 +155,11 @@ impl XFile {
     /// # Errors
     ///
     /// Propagates lock conflicts/preemption as [`Abort`](txfix_stm::Abort).
-    pub fn x_queue(&self, txn: &mut Txn, ops: impl IntoIterator<Item = XOp>) -> StmResult<()> {
+    pub fn x_queue<'a>(
+        &self,
+        txn: &mut Txn,
+        ops: impl IntoIterator<Item = XOp<&'a [u8]>>,
+    ) -> StmResult<()> {
         let mut entered = false;
         for op in ops {
             // A crash point is instrumentation only: not counted as an
@@ -184,9 +172,16 @@ impl XFile {
                 self.enter(txn)?;
                 entered = true;
             }
-            self.inner.lock.with_held(|st| st.ops.push(op));
+            self.inner.lock.with_held(|st| {
+                let op = op.map(|bytes| {
+                    let start = st.bytes.len();
+                    st.bytes.extend_from_slice(bytes);
+                    start..st.bytes.len()
+                });
+                st.ops.push(op);
+            });
             // Chaos: the op is already buffered, so this abort makes the
-            // undo hook clear real state (and release the isolation lock).
+            // undo clear real state (and release the isolation lock).
             if is_xcall {
                 self.inject_io_fault(txn)?;
             }
@@ -200,7 +195,7 @@ impl XFile {
     ///
     /// Propagates lock conflicts/preemption as [`Abort`](txfix_stm::Abort).
     pub fn x_append(&self, txn: &mut Txn, bytes: &[u8]) -> StmResult<()> {
-        self.x_queue(txn, [XOp::Append(bytes.to_vec())])
+        self.x_queue(txn, [XOp::Append(bytes)])
     }
 
     /// Defer an absolute-offset write until the transaction commits.
@@ -209,7 +204,7 @@ impl XFile {
     ///
     /// Propagates lock conflicts/preemption as [`Abort`](txfix_stm::Abort).
     pub fn x_write_at(&self, txn: &mut Txn, offset: usize, bytes: &[u8]) -> StmResult<()> {
-        self.x_queue(txn, [XOp::WriteAt(offset, bytes.to_vec())])
+        self.x_queue(txn, [XOp::WriteAt(offset, bytes)])
     }
 
     /// Defer an `fsync` until the transaction commits: once the deferred
@@ -251,14 +246,14 @@ impl XFile {
         let committed = self.inner.file.read_all();
         self.inner.lock.with_tx(txn, move |st| {
             let mut view = committed;
-            for op in &st.ops {
+            for op in st.ops() {
                 match op {
                     XOp::Append(bytes) => view.extend_from_slice(bytes),
                     XOp::WriteAt(off, bytes) => {
                         if view.len() < off + bytes.len() {
                             view.resize(off + bytes.len(), 0);
                         }
-                        view[*off..off + bytes.len()].copy_from_slice(bytes);
+                        view[off..off + bytes.len()].copy_from_slice(bytes);
                     }
                     // Neither changes the bytes a reader observes.
                     XOp::Sync | XOp::CrashPoint(_) => {}
@@ -269,7 +264,7 @@ impl XFile {
     }
 
     /// Chaos hook shared by the file x-calls: a synthetic I/O failure that
-    /// aborts the transaction, driving the undo hook and the isolation-lock
+    /// aborts the transaction, driving the undo and the isolation-lock
     /// release. Irrevocable transactions are exempt (they cannot abort).
     fn inject_io_fault(&self, txn: &Txn) -> StmResult<()> {
         if !txn.is_irrevocable() && chaos::should_inject(chaos::InjectionPoint::XcallFile) {
@@ -289,16 +284,48 @@ impl XFile {
     }
 }
 
-impl XFileInner {
-    /// Run `f` on the pending state from commit/abort hooks.
-    ///
-    /// # Safety
-    ///
-    /// Caller must be the thread whose transaction holds the isolation
-    /// lock; hooks run on that thread before the lock is released, so this
-    /// holds for all internal uses.
-    unsafe fn with_pending<R>(&self, f: impl FnOnce(&mut PendingState) -> R) -> R {
-        unsafe { f(&mut *self.lock.data_ptr()) }
+/// The file's deferred ops finish with the transaction that queued them,
+/// on its thread, which still holds the isolation lock: deferred resources
+/// finish before enlisted locks are released.
+impl TxResource for XFileInner {
+    /// Apply the ops in order.
+    fn commit(&self, _serial: u64) {
+        self.lock.with_held(|st| {
+            for op in st.ops() {
+                crashpoint::crash_point("xfile_apply");
+                match op {
+                    XOp::Append(bytes) => self.file.append(bytes),
+                    XOp::WriteAt(off, bytes) => self.file.write_at(off, bytes),
+                    XOp::Sync => {
+                        // Canary: the fsync reports success without
+                        // flushing — acknowledged commits silently lose
+                        // durability, visible only across a crash.
+                        #[cfg(feature = "canary-xcall")]
+                        if txfix_stm::canary::fire(txfix_stm::canary::Canary::WalSkipFsync) {
+                            continue;
+                        }
+                        self.file.sync_all();
+                    }
+                    XOp::CrashPoint(label) => crashpoint::crash_point(label),
+                }
+            }
+            st.clear();
+        });
+    }
+
+    /// Drop the ops unapplied.
+    fn abort(&self, _serial: u64) {
+        // Canary: the undo never runs — the deferred ops and the ownership
+        // stamp of the aborted transaction survive, exactly the "forgot the
+        // compensation" bug x-calls exist to prevent. A later transaction
+        // entering the file will apply another transaction's buffered
+        // writes.
+        #[cfg(feature = "canary-xcall")]
+        if txfix_stm::canary::fire(txfix_stm::canary::Canary::XcallSkipUndo) {
+            return;
+        }
+        crashpoint::crash_point("xfile_undo");
+        self.lock.with_held(PendingState::clear);
     }
 }
 
