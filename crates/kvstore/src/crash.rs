@@ -98,15 +98,8 @@ fn check_prefix(facts: &[BatchFact], recovered: &[BTreeMap<String, String>]) -> 
 /// The txid of the first commit marker in `log` that follows an
 /// unparseable line, if any (see module docs).
 fn torn_commit(log: &[u8]) -> Option<u64> {
-    let mut torn = false;
-    for record in records(log) {
-        match record {
-            None => torn = true,
-            Some((txid, Record::Commit)) if torn => return Some(txid),
-            Some(_) => {}
-        }
-    }
-    None
+    let after_torn = records(log).skip_while(Option::is_some).flatten();
+    after_torn.filter(|(_, r)| *r == Record::Commit).map(|(txid, _)| txid).next()
 }
 
 impl CrashSubject for KvStore {

@@ -17,7 +17,7 @@
 use std::collections::BTreeMap;
 use std::fmt::Write;
 use std::sync::Arc;
-use txfix_stm::chaos::{fnv64, Fnv64};
+use txfix_stm::chaos::Fnv64;
 use txfix_xcall::{crashpoint, SimFile};
 
 /// Bytes per buffer-pool page — a small multiple of the simos block size
@@ -229,10 +229,13 @@ pub fn encode_checkpoint(cp: &Checkpoint) -> Vec<u8> {
     encode_checkpoint_entries(cp.epoch, cp.next_txid, entries)
 }
 
+/// One `S` line: its key and value, or `None` if it is malformed.
+type Entry<'a> = Option<(&'a str, &'a str)>;
+
 /// A checkpoint image whose header and trailer parse and agree, and whose
 /// entries are still unparsed text borrowed from the image. Its checksum
-/// is checked only on demand ([`CheckpointImage::checksum_ok`]), so a
-/// reader choosing between two images hashes only the one it tries.
+/// is checked only as its entries are read, so a reader choosing between
+/// two images hashes only the one it tries.
 #[derive(Clone, Copy, Debug)]
 pub struct CheckpointImage<'a> {
     /// As [`Checkpoint::epoch`].
@@ -245,54 +248,64 @@ pub struct CheckpointImage<'a> {
 }
 
 impl<'a> CheckpointImage<'a> {
-    /// Whether the payload hashes to the trailer's checksum: the image is
-    /// the one the writer wrote, not a torn one.
-    pub fn checksum_ok(&self) -> bool {
-        fnv64(self.payload.as_bytes()) == self.sum
-    }
-
     /// The one parser of `S` lines: the entries in image order, `None` for
     /// a malformed line (a checksum proves the bytes are the ones written,
     /// not that the writer wrote well-formed lines).
-    pub fn entries(&self) -> impl Iterator<Item = Option<(&'a str, &'a str)>> {
-        self.payload.lines().map(|line| match fields(line)? {
-            ["S", k, v, ";"] => Some((k, v)),
-            _ => None,
-        })
+    pub fn entries(&self) -> impl Iterator<Item = Entry<'a>> {
+        lines(self.payload, |_| {})
+    }
+
+    /// Every entry, in image order, if every line is well formed and the
+    /// checksum holds: one pass, hashing each byte as it splits it.
+    pub(crate) fn checked_entries(&self) -> Option<Vec<(&'a str, &'a str)>> {
+        let mut sum = Fnv64::EMPTY;
+        let entries = lines(self.payload, |b| sum.write(&[b])).collect::<Option<Vec<_>>>()?;
+        (sum.finish() == self.sum).then_some(entries)
     }
 }
 
-/// `line`'s space-separated tokens, if there are exactly `N`.
-fn fields<const N: usize>(line: &str) -> Option<[&str; N]> {
-    let (mut tokens, mut out) = (line.split(' '), [""; N]);
-    for slot in &mut out {
-        *slot = tokens.next()?;
-    }
-    tokens.next().is_none().then_some(out)
+/// `payload`'s lines as `str::lines` splits them, each an entry if it is
+/// exactly `S key value ;`: one loop per line, which hands `each` its bytes.
+fn lines<'a>(mut rest: &'a str, mut each: impl FnMut(u8)) -> impl Iterator<Item = Entry<'a>> {
+    std::iter::from_fn(move || {
+        let bytes = Some(rest.as_bytes()).filter(|bytes| !bytes.is_empty())?;
+        let mut spaces = 0;
+        let end = bytes.iter().position(|&b| {
+            each(b);
+            spaces += usize::from(b == b' ');
+            b == b'\n'
+        });
+        let (line, tail) = rest.split_at(end.unwrap_or(rest.len()));
+        rest = tail.get(1..).unwrap_or("");
+        let line = end.and_then(|_| line.strip_suffix('\r')).unwrap_or(line);
+        let entry = || line.strip_prefix("S ")?.strip_suffix(" ;")?.split_once(' ');
+        Some(entry().filter(|_| spaces == 3))
+    })
 }
 
 /// Parse a checkpoint image's header and trailer, without checking its
 /// checksum or parsing its entries. `None` for anything torn there:
 /// unparseable header or trailer, epoch mismatch between them, or short
-/// payload. The one parser of the frame; a torn payload is caught by
-/// [`CheckpointImage::checksum_ok`].
+/// payload. The one parser of the frame; a torn payload is caught by the
+/// checksum, as [`decode_checkpoint`] reads the entries.
 pub fn checkpoint_image(bytes: &[u8]) -> Option<CheckpointImage<'_>> {
     let text = std::str::from_utf8(bytes).ok()?;
     let (header, rest) = text.split_once('\n')?;
-    let ["KVCP", epoch, next_txid, len, ";"] = fields(header)? else { return None };
+    let (epoch, header) = header.strip_prefix("KVCP ")?.strip_suffix(" ;")?.split_once(' ')?;
+    let (next_txid, len) = header.split_once(' ')?;
     let (epoch, next_txid) = (epoch.parse().ok()?, next_txid.parse().ok()?);
     let (payload, tail) = rest.split_at_checked(len.parse().ok()?)?;
-    let ["KVEND", end_epoch, sum, ";"] = fields(tail.lines().next()?)? else { return None };
+    let trailer = tail.lines().next()?.strip_prefix("KVEND ")?.strip_suffix(" ;")?;
+    let (end_epoch, sum) = trailer.split_once(' ')?;
     let (end_epoch, sum) = (end_epoch.parse::<u64>().ok()?, u64::from_str_radix(sum, 16).ok()?);
     (end_epoch == epoch).then_some(CheckpointImage { epoch, next_txid, payload, sum })
 }
 
-/// Decode and validate a checkpoint image: [`checkpoint_image`], its
-/// checksum, then every entry. `None` if any rejects it.
+/// Decode and validate a checkpoint image: [`checkpoint_image`], then its
+/// entries and checksum in one pass. `None` if any rejects it.
 pub fn decode_checkpoint(bytes: &[u8]) -> Option<Checkpoint> {
-    let image = checkpoint_image(bytes).filter(CheckpointImage::checksum_ok)?;
-    let map =
-        image.entries().map(|e| e.map(|(k, v)| (k.into(), v.into()))).collect::<Option<_>>()?;
+    let image = checkpoint_image(bytes)?;
+    let map = image.checked_entries()?.into_iter().map(|(k, v)| (k.into(), v.into())).collect();
     Some(Checkpoint { epoch: image.epoch, next_txid: image.next_txid, map })
 }
 

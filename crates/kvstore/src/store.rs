@@ -39,7 +39,7 @@
 //! pre-checkpoint transactions resurrected by a torn truncation can never
 //! roll a key back.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 use crate::index::Index;
@@ -205,12 +205,11 @@ impl Shard {
     /// pair and WAL. The base is the newest checkpoint whose checksum holds
     /// and whose every entry decodes (epoch 0 never is; a tie goes to
     /// buffer 0): the buffers are tried newest first by their header
-    /// epochs, and only a buffer being tried is checksummed. Over it replay
-    /// the committed WAL transactions it does not cover (`txid >=
-    /// next_txid`) in txid order, each one's records in log order. Only the
-    /// base is parsed, through each format's one parser, and everything
-    /// borrows from the images until the surviving entries are packed, in
-    /// key order, into the index's leaves.
+    /// epochs, and only a buffer being tried is parsed and checksummed (in
+    /// one pass). Over it replay the committed WAL transactions it does not
+    /// cover (`txid >= next_txid`) in txid order, each one's records in log
+    /// order. Everything borrows from the images until the surviving
+    /// entries are packed, in key order, into the index's leaves.
     fn recover(fs: &SimFs, i: usize, cfg: &KvConfig) -> Shard {
         let wal = Wal::open(fs, &format!("kv_shard{i}.wal"), WalVariant::Fixed);
         let mut pools = [0, 1].map(|b| {
@@ -224,32 +223,41 @@ impl Shard {
         let framed = images.each_ref().map(|img| checkpoint_image(img).filter(|cp| cp.epoch > 0));
         let epoch_of = |b: usize| framed[b].map_or(0, |cp| cp.epoch);
         let order = if epoch_of(1) > epoch_of(0) { [1, 0] } else { [0, 1] };
-        // Writes as (key, txid, value or None for a delete). Checkpoint
-        // entries are txid 0; the stable sort keeps them ahead of any record.
         let base = order.into_iter().find_map(|b| {
-            let cp = framed[b].filter(|cp| cp.checksum_ok())?;
-            let entries = cp.entries().map(|e| e.map(|(k, v)| (k, 0, Some(v))));
-            Some((b, cp.epoch, cp.next_txid, entries.collect::<Option<Vec<_>>>()?))
+            let cp = framed[b]?;
+            Some((b, cp.epoch, cp.next_txid, cp.checked_entries()?))
         });
-        let (active, epoch, fence, mut writes) = base.unwrap_or((0, 0, 1, Vec::new()));
+        let (active, epoch, fence, base) = base.unwrap_or((0, 0, 1, Vec::new()));
         let log = wal.file().file().read_all();
-        let (mut next_txid, mut committed, mut logged) = (fence.max(1), Vec::new(), Vec::new());
-        for (txid, record) in records(&log).flatten() {
+        // Each key's last committed write at or past the fence (the greatest
+        // (txid, record number)), folded at its marker or after the log.
+        let mut last = HashMap::new();
+        let mut fold = |(key, write): (_, (u64, usize, Option<_>))| {
+            let slot = last.entry(key).or_insert(write);
+            *slot = write.max(*slot);
+        };
+        let (mut next_txid, mut committed, mut pending) = (fence.max(1), Vec::new(), Vec::new());
+        for (n, (txid, record)) in records(&log).flatten().enumerate() {
             next_txid = next_txid.max(txid + 1);
             match record {
-                Record::Put(k, v) => logged.push((k, txid, Some(v))),
-                Record::Delete(k) => logged.push((k, txid, None)),
-                Record::Commit => committed.push(txid),
+                Record::Put(k, v) if txid >= fence => pending.push((k, (txid, n, Some(v)))),
+                Record::Delete(k) if txid >= fence => pending.push((k, (txid, n, None))),
+                Record::Commit => {
+                    committed.push(txid);
+                    let at = pending.iter().rposition(|w| w.1 .0 != txid).map_or(0, |i| i + 1);
+                    pending.drain(at..).for_each(&mut fold);
+                }
+                _ => {}
             }
         }
         committed.sort_unstable();
-        let replayed = |w: &(&str, u64, _)| w.1 >= fence && committed.binary_search(&w.1).is_ok();
-        writes.extend(logged.into_iter().filter(replayed));
-        // Key order, each key's writes in the order they happened: the last
-        // one decides the key.
-        writes.sort_by_key(|&(k, txid, _)| (k, txid));
+        pending.into_iter().filter(|w| committed.binary_search(&w.1 .0).is_ok()).for_each(fold);
+        // The base, then the survivors: the last of each key's run decides.
+        let mut writes: Vec<_> = base.into_iter().map(|(k, v)| (k, Some(v))).collect();
+        writes.extend(last.into_iter().map(|(k, (_, _, v))| (k, v)));
+        writes.sort_by_key(|&(k, _)| k);
         let last = writes.chunk_by(|a, b| a.0 == b.0).map(|run| run[run.len() - 1]);
-        let index = Index::from_sorted(last.filter_map(|(k, _, v)| Some((k, v?))));
+        let index = Index::from_sorted(last.filter_map(|(k, v)| Some((k, v?))));
         Shard {
             wal,
             state: TVar::new(State { next_txid, version: 0, index }),

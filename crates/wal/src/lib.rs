@@ -31,10 +31,13 @@
 //! C <txid> ;
 //! ```
 //!
-//! The strict charset plus the explicit terminator make torn writes
-//! detectable without checksums: a crash hole (zero bytes) or a missing
-//! tail never parses as a valid record, so recovery can skip garbage
-//! lines deterministically.
+//! [`records`] reads each byte about once: the kind and a space, the txid
+//! as `str::parse::<u64>` reads it (`+`?, digits, no overflow), per token a
+//! space and a run of token bytes, then ` ;` at the line's end. Any other
+//! byte (a second space, a `\r`, a crash hole's zero, a non-ASCII byte)
+//! makes the line `None` and the pass skips to the next `\n`: a torn write
+//! never parses, so recovery skips garbage deterministically without
+//! checksums.
 //!
 //! [`XFile`]: txfix_xcall::XFile
 

@@ -22,11 +22,16 @@ pub enum WalVariant {
 /// loses atomicity.
 pub const AFTER_COMMIT_WRITE: &str = "wal_after_commit_write";
 
+/// Whether `b` may appear in a WAL token: `[A-Za-z0-9_]`.
+fn token_byte(b: u8) -> bool {
+    matches!(b, b'0'..=b'9' | b'A'..=b'Z' | b'_' | b'a'..=b'z')
+}
+
 /// Whether `s` is a legal WAL token (`[A-Za-z0-9_]+`). Layers that store
 /// user-facing keys/values in the log (the kvstore) validate against this
 /// before accepting an operation.
 pub fn is_token(s: &str) -> bool {
-    !s.is_empty() && s.bytes().all(|b| b.is_ascii_alphanumeric() || b == b'_')
+    !s.is_empty() && s.bytes().all(token_byte)
 }
 
 /// One logical redo record inside a transaction.
@@ -115,22 +120,40 @@ pub enum Record<'a> {
 /// The one parser of the log format: every non-empty line of `bytes`, in
 /// log order, as its txid and record — `None` for a line that is not a
 /// well-formed record (a crash hole, a torn tail). [`recover`] and the KV
-/// store's reopen both read the log through it.
+/// store's reopen both read the log through it, in one pass over the bytes.
 pub fn records(bytes: &[u8]) -> impl Iterator<Item = Option<(u64, Record<'_>)>> {
-    bytes.split(|&b| b == b'\n').filter(|line| !line.is_empty()).map(parse_line)
+    let mut rest = bytes;
+    std::iter::from_fn(move || {
+        rest = &rest[rest.iter().position(|&b| b != b'\n')?..];
+        let parsed = parse_record(rest);
+        let line_end = || rest.iter().position(|&b| b == b'\n').unwrap_or(rest.len());
+        rest = parsed.map_or_else(|| &rest[line_end()..], |(.., after)| after);
+        Some(parsed.map(|(txid, record, _)| (txid, record)))
+    })
 }
 
-fn parse_line(line: &[u8]) -> Option<(u64, Record<'_>)> {
-    let mut tokens = std::str::from_utf8(line).ok()?.split(' ');
-    let (kind, txid) = (tokens.next()?, tokens.next()?.parse().ok()?);
-    let mut token = || tokens.next().filter(|t| is_token(t));
+/// The record `bytes` start with, if it ends their first line, and what
+/// follows it: the kind, the txid, each token (ASCII token bytes), ` ;`.
+fn parse_record(bytes: &[u8]) -> Option<(u64, Record<'_>, &[u8])> {
+    let [kind, b' ', rest @ ..] = bytes else { return None };
+    let rest = rest.strip_prefix(b"+").unwrap_or(rest);
+    let (digits, mut rest) = rest.split_at(rest.iter().take_while(|b| b.is_ascii_digit()).count());
+    let txid =
+        digits.iter().try_fold(0u64, |n, &d| n.checked_mul(10)?.checked_add((d - b'0').into()));
+    let mut token = || {
+        let tail = rest.strip_prefix(b" ")?;
+        let token;
+        (token, rest) = tail.split_at(tail.iter().take_while(|&&b| token_byte(b)).count());
+        std::str::from_utf8(token).ok().filter(|t| !t.is_empty())
+    };
     let record = match kind {
-        "P" => Record::Put(token()?, token()?),
-        "D" => Record::Delete(token()?),
-        "C" => Record::Commit,
+        b'P' => Record::Put(token()?, token()?),
+        b'D' => Record::Delete(token()?),
+        b'C' => Record::Commit,
         _ => return None,
     };
-    (tokens.next() == Some(";") && tokens.next().is_none()).then_some((txid, record))
+    let after = rest.strip_prefix(b" ;").filter(|after| after.first().is_none_or(|&b| b == b'\n'));
+    Some((txid.filter(|_| !digits.is_empty())?, record, after?))
 }
 
 /// What recovery reconstructed from a (possibly crash-torn) log.
