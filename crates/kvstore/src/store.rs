@@ -341,7 +341,7 @@ impl KvStore {
             // Copy-on-write: the committed state stays as concurrent
             // readers hold it; this txn publishes a new one, rebuilding
             // each leaf an op touches and sharing every other.
-            let mut state = State::clone(&*shard.state.read_arc(txn)?);
+            let mut state = shard.state.read_with(txn, State::clone)?;
             let txid = state.next_txid;
             state.next_txid += 1;
             state.version += 1;
@@ -363,9 +363,7 @@ impl KvStore {
     pub fn get(&self, key: &str) -> Result<Reply<Option<String>>, KvError> {
         check_token(key)?;
         self.run_op(self.shard_of(key), &self.sites.get, |shard, txn| {
-            let state = shard.state.read_arc(txn)?;
-            let value = state.index.get(key).map(str::to_string);
-            Ok((value, state.version))
+            shard.state.read_with(txn, |s| (s.index.get(key).map(str::to_string), s.version))
         })
     }
 
@@ -418,8 +416,7 @@ impl KvStore {
     pub fn scan(&self, shard_idx: usize) -> Result<Reply<Rows>, KvError> {
         assert!(shard_idx < self.cfg.shards);
         self.run_op(shard_idx, &self.sites.scan, |shard, txn| {
-            let state = shard.state.read_arc(txn)?;
-            Ok((state.index.rows(), state.version))
+            shard.state.read_with(txn, |s| (s.index.rows(), s.version))
         })
     }
 

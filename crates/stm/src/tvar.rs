@@ -14,7 +14,7 @@ use crate::notifier;
 use crate::orec::{self, Orec, DIRECT_WRITER};
 use crate::serial;
 use crate::trace;
-use parking_lot::RwLock;
+use parking_lot::{RwLock, RwLockReadGuard};
 use std::any::Any;
 use std::fmt;
 use std::marker::PhantomData;
@@ -36,7 +36,7 @@ const READ_SPIN: usize = 128;
 
 static NEXT_VAR_ID: AtomicU64 = AtomicU64::new(1);
 
-type Boxed = Arc<dyn Any + Send + Sync>;
+pub(crate) type Boxed = Arc<dyn Any + Send + Sync>;
 
 /// Shared state of one transactional variable (type-erased).
 pub(crate) struct VarInner {
@@ -54,22 +54,21 @@ impl VarInner {
         Arc::new(VarInner { id, orec: orec::stripe_for(id), value: RwLock::new(value) })
     }
 
-    /// Lock-free consistent read: returns the value together with the
+    /// Consistent read: returns the value's read guard together with the
     /// stripe version it was committed at, or a conflict if the orec stays
     /// busy. The seqlock pattern — writer, version, value, then writer
     /// *before* version on the re-check — guarantees the value belongs to
     /// the returned version: a committer releases in the order stamp →
     /// unlock, so seeing the stripe unlocked implies its new version is
     /// visible to the load that follows.
-    pub(crate) fn read_consistent(&self) -> StmResult<(Boxed, u64)> {
+    pub(crate) fn read_consistent(&self) -> StmResult<(RwLockReadGuard<'_, Boxed>, u64)> {
         for _ in 0..READ_SPIN {
-            let w1 = self.orec.writer();
-            if w1 != 0 {
+            if self.orec.writer() != 0 {
                 std::hint::spin_loop();
                 continue;
             }
             let v1 = self.orec.version();
-            let val = self.value.read().clone();
+            let val = self.value.read();
             let w2 = self.orec.writer();
             let v2 = self.orec.version();
             if w2 == 0 && v1 == v2 {
@@ -78,17 +77,6 @@ impl VarInner {
             std::hint::spin_loop();
         }
         Err(Abort::Conflict(ConflictKind::OrecBusy))
-    }
-
-    /// Spin until a consistent read succeeds (used by non-transactional
-    /// loads, which must not abort).
-    pub(crate) fn read_spinning(&self) -> (Boxed, u64) {
-        loop {
-            if let Ok(r) = self.read_consistent() {
-                return r;
-            }
-            std::thread::yield_now();
-        }
     }
 
     /// Replace the value without touching the version — only while the
@@ -101,10 +89,7 @@ impl VarInner {
     /// lock the stripe, then stamp (the clock's lock-before-stamping rule).
     fn store_direct(&self, value: Boxed) {
         let _g = serial::shared();
-        loop {
-            if self.orec.try_lock(DIRECT_WRITER) {
-                break;
-            }
+        while !self.orec.try_lock(DIRECT_WRITER) {
             std::hint::spin_loop();
         }
         let wv = clock::commit_stamp();
@@ -172,17 +157,32 @@ impl<T: Send + Sync + 'static> TVar<T> {
         VarId(self.inner.id)
     }
 
+    /// Run `f` on the current value inside a transaction, borrowing it:
+    /// no clone of `T`, nor of its `Arc`. The other reads wrap the same one.
+    ///
+    /// `f` runs while the cell's read lock is held, and only on a value the
+    /// transaction has already validated. A commit that writes this
+    /// variable waits until `f` returns. `f` must not touch any `TVar`,
+    /// block, or reach a scheduler yield point: the lock prefers writers,
+    /// so re-reading this cell while a committer waits deadlocks.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Abort`] on conflict; propagate with `?`.
+    pub fn read_with<R>(&self, txn: &mut crate::Txn, f: impl FnOnce(&T) -> R) -> StmResult<R> {
+        txn.read_raw(&self.inner, |b| f(b.downcast_ref().expect(CONFUSED)))
+    }
+
     /// Read a shared handle to the current value inside a transaction.
     ///
-    /// Unlike [`read`](TVar::read) this never clones `T`; use it for large
-    /// values.
+    /// Clones the `Arc`, never `T`: for a caller that keeps the snapshot
+    /// after the transaction. Inside it, use [`read_with`](TVar::read_with).
     ///
     /// # Errors
     ///
     /// Returns [`Abort`] on conflict; propagate with `?`.
     pub fn read_arc(&self, txn: &mut crate::Txn) -> StmResult<Arc<T>> {
-        let boxed = txn.read_raw(&self.inner)?;
-        Ok(downcast::<T>(boxed))
+        txn.read_raw(&self.inner, |b| b.clone().downcast().expect(CONFUSED))
     }
 
     /// Replace the value inside a transaction. The write is buffered and
@@ -200,12 +200,22 @@ impl<T: Send + Sync + 'static> TVar<T> {
     /// Consistent (never observes a torn or in-flight commit) but does not
     /// participate in any transaction's conflict detection.
     pub fn load_arc(&self) -> Arc<T> {
+        self.load_with(|b| b.clone().downcast().expect(CONFUSED))
+    }
+
+    /// `f` on a consistent snapshot under the cell's read lock, spinning
+    /// instead of aborting (the contract of [`read_with`](TVar::read_with)).
+    fn load_with<R>(&self, f: impl FnOnce(&Boxed) -> R) -> R {
         crate::sched::yield_point(crate::sched::SyncOp::SharedRead(
             self.inner.id | crate::sched::VAR_TAG,
         ));
         self.trace_direct(trace::AccessKind::Read);
-        let (boxed, _) = self.inner.read_spinning();
-        downcast::<T>(boxed)
+        loop {
+            if let Ok((value, _)) = self.inner.read_consistent() {
+                return f(&value);
+            }
+            std::thread::yield_now();
+        }
     }
 
     /// Non-transactional atomic store. Equivalent to a tiny transaction
@@ -222,15 +232,10 @@ impl<T: Send + Sync + 'static> TVar<T> {
     // (they serialize against commits via the orec), so the trace marks
     // them `atomic`: visible to the analyzer, never part of a race.
     fn trace_direct(&self, kind: trace::AccessKind) {
-        if !trace::is_enabled() {
-            return;
+        if trace::is_enabled() {
+            let (object, name) = (self.inner.id, format!("tvar#{}", self.inner.id));
+            trace::emit(trace::EventKind::SharedAccess { object, name, kind, atomic: true });
         }
-        trace::emit(trace::EventKind::SharedAccess {
-            object: self.inner.id,
-            name: format!("tvar#{}", self.inner.id),
-            kind,
-            atomic: true,
-        });
     }
 }
 
@@ -239,15 +244,15 @@ impl<T: Clone + Send + Sync + 'static> TVar<T> {
     ///
     /// This **deep-clones `T`** on every call — a whole map, if `T` is a
     /// map. It is the right call for word-sized values; for anything
-    /// bigger use [`read_arc`](TVar::read_arc), which shares the committed
-    /// value (same read set, same validation) and clones nothing.
+    /// bigger use [`read_with`](TVar::read_with), which borrows the
+    /// committed value (same read set, same validation) and clones nothing.
     ///
     /// # Errors
     ///
     /// Returns [`Abort`] on conflict; propagate with `?` so the runtime can
     /// re-execute the transaction.
     pub fn read(&self, txn: &mut crate::Txn) -> StmResult<T> {
-        self.read_arc(txn).map(|a| (*a).clone())
+        self.read_with(txn, T::clone)
     }
 
     /// Apply `f` to the current value and write the result back, all within
@@ -258,14 +263,15 @@ impl<T: Clone + Send + Sync + 'static> TVar<T> {
     ///
     /// Returns [`Abort`] on conflict or capacity overflow.
     pub fn modify(&self, txn: &mut crate::Txn, f: impl FnOnce(T) -> T) -> StmResult<()> {
-        let v = T::clone(&*self.read_arc(txn)?);
+        let v = self.read_with(txn, T::clone)?;
         self.write(txn, f(v))
     }
 
     /// Non-transactional atomic read returning an owned copy (one clone of
-    /// `T`; [`load_arc`](TVar::load_arc) clones nothing).
+    /// `T`, made under the cell's read lock; [`load_arc`](TVar::load_arc)
+    /// clones only the `Arc`).
     pub fn load(&self) -> T {
-        (*self.load_arc()).clone()
+        self.load_with(|b| b.downcast_ref::<T>().expect(CONFUSED).clone())
     }
 }
 
@@ -275,9 +281,7 @@ impl<T: Default + Send + Sync + 'static> Default for TVar<T> {
     }
 }
 
-pub(crate) fn downcast<T: Send + Sync + 'static>(boxed: Boxed) -> Arc<T> {
-    boxed.downcast::<T>().expect("TVar type confusion: value of unexpected type")
-}
+const CONFUSED: &str = "TVar type confusion: value of unexpected type";
 
 #[cfg(test)]
 mod tests {
@@ -311,16 +315,16 @@ mod tests {
     #[test]
     fn store_bumps_stripe_version() {
         let v = TVar::new(0u64);
-        let (_, before) = v.inner.read_spinning();
+        let (_, before) = v.inner.read_consistent().unwrap();
         v.store(1);
-        let (_, after) = v.inner.read_spinning();
+        let (_, after) = v.inner.read_consistent().unwrap();
         assert!(after > before);
     }
 
     #[test]
     fn validate_detects_version_change() {
         let v = TVar::new(0u64);
-        let (_, ver) = v.inner.read_spinning();
+        let (_, ver) = v.inner.read_consistent().unwrap();
         assert!(v.inner.orec.validate(ver, 42));
         v.store(1);
         assert!(!v.inner.orec.validate(ver, 42));
@@ -376,19 +380,22 @@ mod tests {
         let v = TVar::new(Counted(clones.clone()));
 
         // Outside a transaction.
-        let _shared = v.load_arc();
+        let shared = v.load_arc();
         assert_eq!(count(), 0, "load_arc cloned T");
         let _owned = v.load();
         assert_eq!(count(), 1, "load must clone T exactly once");
 
         // Inside one, on the committed value and then on this
-        // transaction's own buffered write.
+        // transaction's own buffered write. `read_with` borrows: inside
+        // `f` the value's `Arc` has exactly the owners it has outside.
         crate::atomic(|txn| {
             for phase in ["committed", "read-after-write"] {
                 let before = count();
-                let _shared = v.read_arc(txn)?;
+                let held = if phase == "committed" { shared.clone() } else { v.read_arc(txn)? };
+                let inside = v.read_with(txn, |_| Arc::strong_count(&held))?;
+                assert_eq!(inside, Arc::strong_count(&held), "read_with cloned the Arc ({phase})");
                 let _again = v.read_arc(txn)?;
-                assert_eq!(count(), before, "read_arc cloned T ({phase})");
+                assert_eq!(count(), before, "read_with or read_arc cloned T ({phase})");
                 let _owned = v.read(txn)?;
                 assert_eq!(count(), before + 1, "read must clone T exactly once ({phase})");
                 v.write(txn, Counted(clones.clone()))?;

@@ -37,14 +37,12 @@ use crate::obs::SiteId;
 use crate::sched;
 use crate::serial;
 use crate::trace;
-use crate::tvar::VarInner;
-use std::any::Any;
+use crate::tvar::{Boxed, VarInner};
 use std::cell::Cell;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
-type Boxed = Arc<dyn Any + Send + Sync>;
 type OrecRef = &'static crate::orec::Orec;
 
 static NEXT_TXN_SERIAL: AtomicU64 = AtomicU64::new(1);
@@ -325,10 +323,7 @@ impl Txn {
     /// irrevocable (an irrevocable transaction can no longer roll back, so
     /// kills are ignored).
     pub fn check_killed(&self) -> StmResult<()> {
-        let killed = match self.kill_flag.get() {
-            Some(f) => f.load(Ordering::SeqCst),
-            None => false,
-        };
+        let killed = self.kill_flag.get().is_some_and(|f| f.load(Ordering::SeqCst));
         if self.irrevocable.is_none() && killed {
             return Err(Abort::Killed);
         }
@@ -347,7 +342,17 @@ impl Txn {
         self.write_set.iter().rposition(|w| w.var.id == id)
     }
 
-    pub(crate) fn read_raw(&mut self, var: &Arc<VarInner>) -> StmResult<Boxed> {
+    /// The one transactional read. Its bookkeeping (write-set hit, snapshot
+    /// extension and re-validation, duplicate check, read-set push) all
+    /// runs under the cell's read lock, then `f` runs on the accepted value,
+    /// still under it: a commit that writes `var` waits for `f`, which must
+    /// not touch a `TVar`, block or yield (`parking_lot::RwLock` prefers
+    /// writers, so re-reading the cell while a committer waits deadlocks).
+    pub(crate) fn read_raw<R>(
+        &mut self,
+        var: &VarInner,
+        f: impl FnOnce(&Boxed) -> R,
+    ) -> StmResult<R> {
         // Irrevocable bodies never yield: they hold the global serial lock,
         // so parking them could strand an OS-blocked peer (and serial mode
         // is semantically one atomic step anyway).
@@ -364,7 +369,7 @@ impl Txn {
         let bits = filter_bits(var.id);
         if let Some(i) = self.write_slot(var.id, bits) {
             self.trace_access(var.id, trace::AccessKind::Read);
-            return Ok(self.write_set[i].value.clone());
+            return Ok(f(&self.write_set[i].value));
         }
         let (value, version) = var.read_consistent()?;
         if version > self.rv {
@@ -385,7 +390,7 @@ impl Txn {
             if let Some(e) = self.read_set.iter().rev().find(|e| e.id == var.id) {
                 if e.version == version {
                     self.trace_access(var.id, trace::AccessKind::Read);
-                    return Ok(value);
+                    return Ok(f(&value));
                 }
                 // The stripe moved since the first read of this variable:
                 // the recorded entry can no longer validate, so the
@@ -401,7 +406,7 @@ impl Txn {
         self.read_set.push(ReadEntry { orec: var.orec, id: var.id, version });
         self.read_filter |= bits;
         self.trace_access(var.id, trace::AccessKind::Read);
-        Ok(value)
+        Ok(f(&value))
     }
 
     pub(crate) fn write_raw(&mut self, var: &Arc<VarInner>, value: Boxed) -> StmResult<()> {
