@@ -203,7 +203,7 @@ pub fn analyze_scenario(key: &str, variant: Variant) -> Option<Report> {
     trace::reset();
     lockdep::enable();
     trace::enable();
-    let outcome = (scenario.run)(variant);
+    let outcome = scenario.run(variant);
     trace::disable();
     lockdep::disable();
 

@@ -163,7 +163,10 @@ fn cycles(b: &Builder) -> Vec<Violation> {
                     && b.regions[a.region].thread != b.regions[c.region].thread;
                 if conflict && a.seq <= c.seq {
                     edges.entry(a.region).or_default().insert(c.region);
-                    edge_objects.entry((a.region, c.region)).or_insert(a.object);
+                    // An edge is labelled by its oldest object, so the
+                    // report does not follow hash-map iteration order.
+                    let o = edge_objects.entry((a.region, c.region)).or_insert(a.object);
+                    *o = (*o).min(a.object);
                 }
             }
         }

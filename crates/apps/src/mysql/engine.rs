@@ -12,6 +12,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use txfix_core::wrap_unprotected_atomic;
+use txfix_stm::sched;
 use txfix_stm::trace::TracedCell;
 use txfix_tmsync::{SerialDomain, SerialMutex};
 
@@ -146,22 +147,7 @@ impl MiniDb {
     /// `DELETE FROM tables[t]` — the buggy/fixed path, per variant.
     pub fn delete_all(&self, t: usize) {
         match self.variant {
-            MysqlVariant::Buggy => {
-                // The shipped optimization: drop logical isolation over the
-                // table before the binlog write.
-                {
-                    let _open = self.lock_open.lock();
-                }
-                {
-                    let mut rows = self.tables[t].lock();
-                    spin(self.row_cost_spins);
-                    rows.clear();
-                } // table lock released here — too early!
-                let logged = self.binlog_stamp.load();
-                spin(self.racy_window_spins);
-                self.binlog.lock().push(BinlogEntry::DeleteAll { table: t });
-                self.binlog_stamp.store(logged + 1);
-            }
+            MysqlVariant::Buggy => self.delete_all_hooked(t, || spin(self.racy_window_spins)),
             MysqlVariant::DevFix => {
                 // The un-optimized path: table lock held through the log
                 // write, like the insert path. Requires understanding the
@@ -205,18 +191,24 @@ impl MiniDb {
     pub fn delete_all_hooked(&self, t: usize, window: impl FnOnce()) {
         match self.variant {
             MysqlVariant::Buggy => {
+                // The shipped optimization: drop logical isolation over the
+                // table before the binlog write.
                 {
                     let _open = self.lock_open.lock();
                 }
-                {
+                // Clearing the table and reading the binlog version are one
+                // scheduler step, so the window opens after the read.
+                let logged = {
+                    let _one_step = sched::atomic_section();
                     let mut rows = self.tables[t].lock();
                     spin(self.row_cost_spins);
                     rows.clear();
-                }
-                let logged = self.binlog_stamp.load();
+                    drop(rows); // table lock released here — too early!
+                    self.binlog_stamp.load()
+                };
                 window(); // the INSERT (and its log record) lands here
-                self.binlog.lock().push(BinlogEntry::DeleteAll { table: t });
                 self.binlog_stamp.store(logged + 1);
+                self.binlog.lock().push(BinlogEntry::DeleteAll { table: t });
             }
             MysqlVariant::DevFix | MysqlVariant::TmRecipe4 => {
                 window();

@@ -13,7 +13,7 @@ use std::cell::UnsafeCell;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
-use txfix_stm::trace;
+use txfix_stm::{sched, trace};
 use txfix_txlock::TxMutex;
 
 /// Buggy protocol or the developers' fix.
@@ -68,27 +68,41 @@ impl Title {
             trace::emit(trace::EventKind::LockReleased { lock: self.trace_id });
             let _g = self.m.lock();
             self.cv.notify_all();
+            sched::signal(self.trace_id);
         }
     }
 
     /// Slow path: block until ownership is obtained or `timeout` elapses.
+    /// Under the deterministic scheduler the claim parks on the title
+    /// instead, and times out only when every thread is blocked.
     fn claim(&self, me: u64, timeout: Duration) -> bool {
         self.wanted.fetch_add(1, Ordering::AcqRel);
-        let deadline = Instant::now() + timeout;
-        let got = loop {
-            if self.try_fast(me) {
-                break true;
+        let got = if sched::is_controlled() {
+            loop {
+                if self.try_fast(me) {
+                    break true;
+                }
+                if sched::block_on_timeout(self.trace_id, sched::SyncOp::Park(self.trace_id)) {
+                    break false;
+                }
             }
-            let now = Instant::now();
-            if now >= deadline {
-                break false;
+        } else {
+            let deadline = Instant::now() + timeout;
+            loop {
+                if self.try_fast(me) {
+                    break true;
+                }
+                let now = Instant::now();
+                if now >= deadline {
+                    break false;
+                }
+                let mut g = self.m.lock();
+                // Re-check under the lock to avoid a sleep/notify race.
+                if self.try_fast(me) {
+                    break true;
+                }
+                let _ = self.cv.wait_for(&mut g, (deadline - now).min(Duration::from_millis(1)));
             }
-            let mut g = self.m.lock();
-            // Re-check under the lock to avoid a sleep/notify race.
-            if self.try_fast(me) {
-                break true;
-            }
-            let _ = self.cv.wait_for(&mut g, (deadline - now).min(Duration::from_millis(1)));
         };
         self.wanted.fetch_sub(1, Ordering::AcqRel);
         got

@@ -31,8 +31,7 @@ pub mod report;
 use report::{AutofixEntry, AutofixReport, VerifyStats};
 use txfix_core::json::ToJson;
 use txfix_core::sweep::{Flag, SweepArgs, SweepOutput, SweepRunner, Universe};
-use txfix_corpus::{keys, Scenario, Variant, SCENARIOS};
-use txfix_explore::runner::RunResult;
+use txfix_corpus::{keys, RunResult, Scenario, Variant, SCENARIOS};
 use txfix_explore::{explore_build, ExploreConfig};
 use txfix_static::{check, infer, Region, ScenarioSummary};
 

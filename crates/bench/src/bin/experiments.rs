@@ -22,9 +22,9 @@ fn main() {
         let scenarios = Json::list(txfix_corpus::SCENARIOS.iter().map(|sc| {
             Json::obj([
                 ("key", Json::str(sc.key)),
-                ("buggy", Json::Bool((sc.run)(txfix_corpus::Variant::Buggy).is_bug())),
-                ("dev", Json::Bool((sc.run)(txfix_corpus::Variant::DevFix).is_bug())),
-                ("tm", Json::Bool((sc.run)(txfix_corpus::Variant::TmFix).is_bug())),
+                ("buggy", Json::Bool(sc.run(txfix_corpus::Variant::Buggy).is_bug())),
+                ("dev", Json::Bool(sc.run(txfix_corpus::Variant::DevFix).is_bug())),
+                ("tm", Json::Bool(sc.run(txfix_corpus::Variant::TmFix).is_bug())),
             ])
         }));
         let doc = Json::obj([
@@ -83,9 +83,9 @@ fn main() {
 
     println!("\n== Scenario sweep: 18 implemented fixes ============================\n");
     for sc in txfix_corpus::SCENARIOS {
-        let buggy = (sc.run)(txfix_corpus::Variant::Buggy);
-        let dev = (sc.run)(txfix_corpus::Variant::DevFix);
-        let tm = (sc.run)(txfix_corpus::Variant::TmFix);
+        let buggy = sc.run(txfix_corpus::Variant::Buggy);
+        let dev = sc.run(txfix_corpus::Variant::DevFix);
+        let tm = sc.run(txfix_corpus::Variant::TmFix);
         println!(
             "  {:22} buggy: {:9} dev fix: {:8} tm fix: {:8}",
             sc.key,

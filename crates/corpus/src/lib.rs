@@ -10,12 +10,13 @@
 //! - [`scenarios`]: **the corpus table**, [`SCENARIOS`] — one
 //!   [`Scenario`] row per fix the study implemented and tested (7
 //!   deadlocks + 11 atomicity violations). A row's columns are the bug's
-//!   three executable forms: `run`, the barrier-pinned demonstration of
-//!   the **buggy** variant (deadlock detected / invariant violated), the
+//!   two forms: `scheduled`, the bug as plain thread bodies for the
+//!   deterministic scheduler with the **buggy** variant, the
 //!   **developers' fix** and the **TM fix** built from the corresponding
-//!   recipe; `scheduled`, the same bug as plain thread bodies for the
-//!   schedule explorer (10 of 18); and its static model
-//!   ([`Scenario::summary`]).
+//!   recipe, and its static model ([`Scenario::summary`]). The schedule
+//!   explorer drives `scheduled` through every interleaving it reaches;
+//!   [`Scenario::run`] replays one pinned schedule of it (the buggy
+//!   variant's minimised failing trace, a fix's lowest-slot schedule).
 //! - [`summaries`]: the hand-written static models — declarative
 //!   critical-section summaries of each buggy and developer-fix variant
 //!   for the static analyzer (`txfix lint`), with buggy-variant names
@@ -36,8 +37,8 @@ pub mod summaries;
 
 pub use dataset::{all_bugs, bug_by_id, bug_by_scenario, keys};
 pub use scenarios::{
-    scenario_by_key, scenario_listing, Outcome, Scenario, ScenarioSweep, ScheduledRun, Variant,
-    SCENARIOS,
+    replay_picker, run_schedule, scenario_by_key, scenario_listing, Outcome, RunResult, Scenario,
+    ScenarioSweep, ScheduleOutcome, ScheduledRun, Variant, DEFAULT_MAX_STEPS, SCENARIOS,
 };
 pub use summaries::LintSweep;
 

@@ -2,21 +2,18 @@
 //!
 //! [`SCENARIOS`] is the single registry of the 18 studied bugs the paper
 //! implemented and tested. A row is the bug's key and one-liner plus its
-//! three executable forms as columns:
+//! two forms as columns:
 //!
-//! - `run` — the **demonstration** (`atomicity`, `deadlock`): a small
-//!   concurrent program with three interchangeable variants. Running the
-//!   **buggy** variant *demonstrates* the bug — a detected deadlock or an
-//!   observed invariant violation — under a forced interleaving (barriers
-//!   pin the racy window, so demonstrations are deterministic, not
-//!   probabilistic). The **developers' fix** and the **TM fix** run the
-//!   same workload and must come out clean. Deadlock demonstrations never
-//!   hang: buggy lock cycles are caught by `txfix-txlock`'s
-//!   wait-for-graph detector, and lock/wait cycles (which the lock graph
-//!   cannot see) by watchdog timeouts.
-//! - `scheduled` — the **explorer form** ([`scheduled`]), for the ten bugs
-//!   that have one: plain thread bodies the deterministic scheduler can
-//!   drive through every interleaving (`txfix explore`).
+//! - `scheduled` — the **executable form** ([`scheduled`]): a small
+//!   concurrent program with three interchangeable variants, as plain
+//!   thread bodies the deterministic scheduler drives. The explorer
+//!   (`txfix explore`) runs it under every interleaving it reaches;
+//!   [`Scenario::run`] replays one pinned schedule. The **buggy** variant
+//!   replays `bug_trace`, the explorer's minimised failing decision
+//!   trace, and so *demonstrates* the bug — a refused lock acquisition, a
+//!   deadlock stop or an invariant violation — on every run. The
+//!   **developers' fix** and the **TM fix** replay the lowest-slot
+//!   schedule (the empty trace) and must come out clean.
 //! - `model` — the **static model**, read through [`Scenario::summary`]:
 //!   the variant's critical-section summary for `txfix lint` /
 //!   `autofix`. Only the buggy and developer models are written by hand
@@ -28,19 +25,19 @@
 //! column. **Adding a bug is adding one row** (plus the functions it
 //! names and the `keys` constant its `BugRecord` carries).
 
-mod atomicity;
-mod deadlock;
 pub mod scheduled;
 
-pub use scheduled::ScheduledRun;
+pub use scheduled::{
+    replay_picker, run_schedule, RunResult, ScheduleOutcome, ScheduledRun, DEFAULT_MAX_STEPS,
+};
 
 use crate::dataset::keys;
 use crate::summaries::{self, Written};
 use std::fmt;
 use std::fmt::Write as _;
-use std::sync::Barrier;
 use txfix_core::sweep::{Flag, SweepArgs, SweepOutput, SweepRunner, Universe};
 use txfix_static::{infer, ScenarioSummary};
+use txfix_stm::sched;
 
 /// Which implementation of the scenario to run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -104,8 +101,8 @@ impl Outcome {
     }
 }
 
-/// One studied bug: its key, its one-liner and its three executable
-/// forms. The rows are [`SCENARIOS`].
+/// One studied bug: its key, its one-liner, its executable form and its
+/// static models. The rows are [`SCENARIOS`].
 #[derive(Clone, Copy)]
 pub struct Scenario {
     /// The scenario key (matches
@@ -113,18 +110,43 @@ pub struct Scenario {
     pub key: &'static str,
     /// Human-readable one-liner.
     pub describe: &'static str,
-    /// The barrier-pinned demonstration: execute the given variant once
-    /// and report what was observed.
-    pub run: fn(Variant) -> Outcome,
-    /// The explorer form — a fresh run of the given variant for the
-    /// deterministic scheduler — where the bug has one.
-    pub scheduled: Option<fn(Variant) -> ScheduledRun>,
+    /// The executable form: a fresh run of the given variant for the
+    /// deterministic scheduler.
+    pub scheduled: fn(Variant) -> ScheduledRun,
+    /// The schedule the buggy variant replays: the explorer's minimised
+    /// failing decision trace (`EXPLORE_stm.json`'s buggy entry).
+    pub bug_trace: &'static [usize],
     /// The hand-written static models; read through
     /// [`Scenario::summary`].
     model: fn(Written) -> ScenarioSummary,
 }
 
 impl Scenario {
+    /// Execute variant `v` once on its pinned schedule — the buggy
+    /// variant on [`bug_trace`](Scenario::bug_trace), a fix on the
+    /// lowest-slot schedule — and return the scheduler's record with the
+    /// verdict. A trace that no longer fits the execution stops the run
+    /// with a `replay diverged` bug rather than running another schedule.
+    pub fn replay(&self, v: Variant) -> ScheduleOutcome {
+        let trace = if v == Variant::Buggy { self.bug_trace } else { &[] };
+        sched::run_exclusively(|| {
+            run_schedule((self.scheduled)(v), DEFAULT_MAX_STEPS, replay_picker(trace.to_vec()))
+        })
+    }
+
+    /// Execute variant `v` once on its pinned schedule (see
+    /// [`replay`](Scenario::replay)) and report what was observed.
+    pub fn run(&self, v: Variant) -> Outcome {
+        match self.replay(v).result {
+            RunResult::Pass => Outcome::Correct,
+            RunResult::Bug(msg) => Outcome::BugObserved(msg),
+            RunResult::StepLimit => {
+                Outcome::BugObserved(format!("livelock: over {DEFAULT_MAX_STEPS} steps"))
+            }
+            RunResult::Pruned => unreachable!("a replay picker never prunes"),
+        }
+    }
+
     /// The static model: the given variant's critical-section summary.
     /// The buggy and developer models are written by hand
     /// ([`crate::summaries`]); the TM model is derived, as the fix
@@ -153,124 +175,124 @@ pub const SCENARIOS: [Scenario; 18] = [
         key: keys::MOZILLA_I,
         describe: "claiming an object's scope while holding setSlotLock deadlocks against the \
                    scope's blocked owner; Recipe 1 deletes the ownership protocol entirely",
-        run: deadlock::mozilla_i,
-        scheduled: Some(scheduled::mozilla_i),
+        scheduled: scheduled::mozilla_i,
+        bug_trace: &[0, 0, 0, 0, 0, 0],
         model: summaries::mozilla_i,
     },
     Scenario {
         key: keys::DL_CACHE_ATOMTABLE,
         describe: "cache and atom-table locks acquired in opposite orders by two subsystems; \
                    Recipe 1 replaces both with atomic regions",
-        run: deadlock::dl_cache_atomtable,
-        scheduled: None,
+        scheduled: scheduled::dl_cache_atomtable,
+        bug_trace: &[0, 1, 1, 0, 0, 0, 0, 0],
         model: summaries::dl_cache_atomtable,
     },
     Scenario {
         key: keys::DL_THREE_LOCK_CYCLE,
         describe: "three threads each take lock i then lock (i+1)%3, forming a three-party cycle",
-        run: deadlock::dl_three_lock_cycle,
-        scheduled: None,
+        scheduled: scheduled::dl_three_lock_cycle,
+        bug_trace: &[2, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
         model: summaries::dl_three_lock_cycle,
     },
     Scenario {
         key: keys::DL_INTENTIONAL_RACE,
         describe: "frustrated developers removed a lock acquisition to break the cycle, shipping \
                    a data race; the TM fix gets atomicity AND deadlock-freedom",
-        run: deadlock::dl_intentional_race,
-        scheduled: None,
+        scheduled: scheduled::dl_intentional_race,
+        bug_trace: &[0, 1, 1, 0, 0, 0, 0, 0],
         model: summaries::dl_intentional_race,
     },
     Scenario {
         key: keys::APACHE_I,
         describe: "listener waits for an idle worker while holding the timeout mutex the workers \
                    need; Recipe 3 makes the mutex revocable and replaces the wait with retry",
-        run: deadlock::apache_i,
-        scheduled: None,
+        scheduled: scheduled::apache_i,
+        bug_trace: &[0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0],
         model: summaries::apache_i,
     },
     Scenario {
         key: keys::DL_LOCAL_LOCK_ORDER,
         describe: "both acquisitions live in one function, so the developers' one-line order \
                    swap is as easy as TM — the case where the paper favors the lock fix",
-        run: deadlock::dl_local_lock_order,
-        scheduled: Some(scheduled::dl_local_lock_order),
+        scheduled: scheduled::dl_local_lock_order,
+        bug_trace: &[0, 1, 1, 0, 0, 0, 0, 0],
         model: summaries::dl_local_lock_order,
     },
     Scenario {
         key: keys::DL_MYSQL_TABLE_PAIR,
         describe: "a join locks tables in query order while maintenance locks them in index \
                    order; the TM fix keeps the table locks but acquires them preemptibly",
-        run: deadlock::dl_mysql_table_pair,
-        scheduled: None,
+        scheduled: scheduled::dl_mysql_table_pair,
+        bug_trace: &[0, 1, 1, 0, 0, 0, 0, 0],
         model: summaries::dl_mysql_table_pair,
     },
     Scenario {
         key: keys::AV_WRONG_LOCK,
         describe: "one code path guards the cache counter with the wrong lock, so it races with \
                    the correctly locked path; Recipe 4 wraps only the mis-locked region",
-        run: atomicity::av_wrong_lock,
-        scheduled: None,
+        scheduled: scheduled::av_wrong_lock,
+        bug_trace: &[0, 0, 1, 1, 1, 1, 0, 0],
         model: summaries::av_wrong_lock,
     },
     Scenario {
         key: keys::AV_REFCOUNT_RACE,
         describe: "two releases read the same reference count and both store count-1, leaking \
                    the object; Recipe 2 wraps the check-and-decrement in one atomic block",
-        run: atomicity::av_refcount_race,
-        scheduled: Some(scheduled::av_refcount_race),
+        scheduled: scheduled::av_refcount_race,
+        bug_trace: &[0, 1, 1, 0],
         model: summaries::av_refcount_race,
     },
     Scenario {
         key: keys::AV_LAZY_INIT,
         describe: "check-then-initialize without atomicity constructs the singleton twice",
-        run: atomicity::av_lazy_init,
-        scheduled: Some(scheduled::av_lazy_init),
+        scheduled: scheduled::av_lazy_init,
+        bug_trace: &[0, 1, 1, 0],
         model: summaries::av_lazy_init,
     },
     Scenario {
         key: keys::AV_CV_PARTIAL,
         describe: "a producer updates the item count outside the consumer's monitor, so the \
                    signal can fire before the state it announces exists (lost wakeup)",
-        run: atomicity::av_cv_partial,
-        scheduled: Some(scheduled::av_cv_partial),
+        scheduled: scheduled::av_cv_partial,
+        bug_trace: &[1, 1, 0, 1, 1, 1, 0, 0],
         model: summaries::av_cv_partial,
     },
     Scenario {
         key: keys::AV_SCOREBOARD,
         describe: "two workers scan the scoreboard, find the same free slot and both claim it",
-        run: atomicity::av_scoreboard,
-        scheduled: None,
+        scheduled: scheduled::av_scoreboard,
+        bug_trace: &[0, 1, 1, 0],
         model: summaries::av_scoreboard,
     },
     Scenario {
         key: keys::APACHE_II,
         describe: "unsynchronized buffer+cursor in ap_buffered_log_writer garbles the access \
                    log; Recipe 2 wraps the function body with the flush as a deferred x-call",
-        run: atomicity::apache_ii,
-        scheduled: Some(scheduled::apache_ii),
+        scheduled: scheduled::apache_ii,
+        bug_trace: &[0, 0, 1, 1, 1, 0],
         model: summaries::apache_ii,
     },
     Scenario {
         key: keys::AV_PAIR_INVARIANT,
         describe: "request and byte counters must move together; a reader between the two \
                    stores sees them disagree",
-        run: atomicity::av_pair_invariant,
-        scheduled: None,
+        scheduled: scheduled::av_pair_invariant,
+        bug_trace: &[0, 1, 1, 0],
         model: summaries::av_pair_invariant,
     },
     Scenario {
         key: keys::AV_LOG_SEQUENCE,
         describe: "the sequence number is read, the record written, then the counter stored — \
                    two writers emit the same sequence number",
-        run: atomicity::av_log_sequence,
-        scheduled: Some(scheduled::av_log_sequence),
+        scheduled: scheduled::av_log_sequence,
+        bug_trace: &[0, 0, 1, 1, 1, 0],
         model: summaries::av_log_sequence,
     },
     Scenario {
         key: keys::AV_STATS_RACE,
         describe: "handler statistics are bumped with read-modify-write sequences that interleave",
-        run: atomicity::av_stats_race,
-        scheduled: Some(scheduled::av_stats_race),
+        scheduled: scheduled::av_stats_race,
+        bug_trace: &[0, 1, 1, 0],
         model: summaries::av_stats_race,
     },
     Scenario {
@@ -278,16 +300,16 @@ pub const SCENARIOS: [Scenario; 18] = [
         describe: "the optimized DELETE releases lock_open before logging, so binlog replay \
                    diverges from the server's tables; Recipe 4 wraps delete+log in a serialized \
                    atomic section",
-        run: atomicity::mysql_i,
-        scheduled: Some(scheduled::mysql_i),
+        scheduled: scheduled::mysql_i,
+        bug_trace: &[1, 0, 0, 0],
         model: summaries::mysql_i,
     },
     Scenario {
         key: keys::AV_ADHOC_RETRY,
         describe: "a do-it-yourself optimistic-concurrency scheme validates with a plain load \
                    and loses updates; a memory transaction replaces the whole machinery",
-        run: atomicity::av_adhoc_retry,
-        scheduled: Some(scheduled::av_adhoc_retry),
+        scheduled: scheduled::av_adhoc_retry,
+        bug_trace: &[0, 0, 0, 1, 1, 1, 1, 1, 0, 0],
         model: summaries::av_adhoc_retry,
     },
 ];
@@ -300,18 +322,6 @@ pub fn scenario_by_key(key: &str) -> Option<&'static Scenario> {
 /// One line per scenario, key then description (`txfix scenarios`).
 pub fn scenario_listing() -> String {
     SCENARIOS.map(|s| format!("{:22} {}", s.key, s.describe)).join("\n")
-}
-
-/// Run `f` on two threads sharing a barrier (pins the racy window).
-fn two_threads(f: impl Fn(usize, &Barrier) + Sync) {
-    let barrier = Barrier::new(2);
-    std::thread::scope(|s| {
-        for t in 0..2 {
-            let f = &f;
-            let barrier = &barrier;
-            s.spawn(move || f(t, barrier));
-        }
-    });
 }
 
 /// `txfix scenario`: run one reproduction's variants and print what each
@@ -346,7 +356,7 @@ impl SweepRunner for ScenarioSweep {
         let s = scenario_by_key(&args.keys[0]).expect("the frame checked the key");
         let mut table = format!("{}: {}\n", s.key, s.describe);
         for v in self.only.map_or(Variant::ALL.to_vec(), |v| vec![v]) {
-            let _ = match (s.run)(v) {
+            let _ = match s.run(v) {
                 Outcome::Correct => write!(table, "\n  {v:13} -> clean"),
                 Outcome::BugObserved(msg) => write!(table, "\n  {v:13} -> BUG: {msg}"),
             };
@@ -372,25 +382,6 @@ mod tests {
                 assert!(scenario_by_key(key).is_some(), "{}: no row for scenario {key}", bug.id);
             }
         }
-
-        let scheduled: Vec<&str> =
-            SCENARIOS.iter().filter(|s| s.scheduled.is_some()).map(|s| s.key).collect();
-        assert_eq!(
-            scheduled,
-            [
-                keys::MOZILLA_I,
-                keys::DL_LOCAL_LOCK_ORDER,
-                keys::AV_REFCOUNT_RACE,
-                keys::AV_LAZY_INIT,
-                keys::AV_CV_PARTIAL,
-                keys::APACHE_II,
-                keys::AV_LOG_SEQUENCE,
-                keys::AV_STATS_RACE,
-                keys::MYSQL_I,
-                keys::AV_ADHOC_RETRY,
-            ],
-            "the explorer's universe"
-        );
 
         for row in SCENARIOS {
             assert!(!row.describe.is_empty(), "{}", row.key);

@@ -18,9 +18,8 @@
 //! reachability of local states (invariant violations and deadlocks)
 //! because independent operations commute.
 
-use crate::runner::{run_schedule, RunResult, ScheduleOutcome};
 use std::sync::{Arc, Mutex};
-use txfix_corpus::{ScheduledRun, Variant};
+use txfix_corpus::{run_schedule, RunResult, ScheduleOutcome, ScheduledRun, Variant};
 use txfix_stm::sched::{self, Pick, SyncOp};
 
 /// One node on the DFS stack.

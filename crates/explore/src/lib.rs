@@ -1,8 +1,8 @@
 //! Systematic schedule exploration for the txfix corpus.
 //!
 //! Stress and chaos testing sample schedules; this crate *enumerates*
-//! them. The corpus rows that have a `scheduled` column
-//! ([`txfix_corpus::SCENARIOS`]) run under the cooperative
+//! them. Every corpus row's `scheduled` column
+//! ([`txfix_corpus::SCENARIOS`]) runs under the cooperative
 //! deterministic scheduler in [`txfix_stm::sched`], which virtualizes
 //! every synchronization point (transactional reads/writes/commits, lock
 //! acquire/release, condvar wait/notify, traced shared accesses, chaos
@@ -16,7 +16,7 @@
 //!   probabilistically digs out shallow races in a few hundred runs.
 //!
 //! Every failure is replayable bit-for-bit from its decision trace
-//! ([`runner::replay_picker`]), and is greedily minimized
+//! ([`txfix_corpus::replay_picker`]), and is greedily minimized
 //! ([`minimize`]) before being reported, so the printed schedule contains
 //! only the context switches that matter.
 
@@ -24,13 +24,14 @@ pub mod dfs;
 pub mod minimize;
 pub mod pct;
 pub mod report;
-pub mod runner;
 
 use report::{EntryReport, ExploreReport, FailureReport};
-use runner::{RunResult, ScheduleOutcome, DEFAULT_MAX_STEPS};
 use txfix_core::json::ToJson;
 use txfix_core::sweep::{self, Flag, SweepArgs, SweepOutput, SweepRunner, Universe};
-use txfix_corpus::{ScheduledRun, Variant, SCENARIOS};
+use txfix_corpus::{
+    keys, replay_picker, run_schedule, RunResult, ScheduleOutcome, ScheduledRun, Variant,
+    DEFAULT_MAX_STEPS, SCENARIOS,
+};
 use txfix_stm::sched::{self, format_trace};
 
 /// Which exploration strategy to run.
@@ -158,11 +159,8 @@ fn drive(
                 failure: None,
             };
             for index in 0..cfg.budget {
-                let outcome = runner::run_schedule(
-                    build(variant),
-                    cfg.max_steps,
-                    pct::pct_picker(cfg.seed, index),
-                );
+                let outcome =
+                    run_schedule(build(variant), cfg.max_steps, pct::pct_picker(cfg.seed, index));
                 ex.schedules += 1;
                 match outcome.result {
                     RunResult::StepLimit => ex.step_limited += 1,
@@ -230,28 +228,20 @@ pub fn explore_variant(
 /// Replay a recorded decision trace against a fresh run and return the
 /// outcome — the determinism check behind "replayable bit-for-bit".
 pub fn replay(run: ScheduledRun, max_steps: u64, trace: &[usize]) -> ScheduleOutcome {
-    sched::run_exclusively(|| {
-        runner::run_schedule(run, max_steps, runner::replay_picker(trace.to_vec()))
-    })
+    sched::run_exclusively(|| run_schedule(run, max_steps, replay_picker(trace.to_vec())))
 }
 
-/// The explorer's universe: the rows with a `scheduled` column, as
-/// `(key, builder)`, in corpus order.
-pub fn scheduled() -> impl Iterator<Item = (&'static str, fn(Variant) -> ScheduledRun)> {
-    SCENARIOS.into_iter().filter_map(|s| Some((s.key, s.scheduled?)))
-}
-
-/// Sweep the scheduled scenarios whose key `selected` admits, in corpus
-/// order, across the requested variants.
+/// Sweep the scenarios whose key `selected` admits, in corpus order,
+/// across the requested variants.
 pub fn explore_corpus(
     selected: impl Fn(&str) -> bool,
     variants: &[Variant],
     cfg: &ExploreConfig,
 ) -> ExploreReport {
     let mut entries = Vec::new();
-    for (key, build) in scheduled().filter(|(key, _)| selected(key)) {
+    for s in SCENARIOS.iter().filter(|s| selected(s.key)) {
         for &variant in variants {
-            entries.push(explore_variant(key, build, variant, cfg));
+            entries.push(explore_variant(s.key, s.scheduled, variant, cfg));
         }
     }
     ExploreReport {
@@ -262,7 +252,7 @@ pub fn explore_corpus(
     }
 }
 
-/// `txfix explore`: model-check the selected scheduled scenarios.
+/// `txfix explore`: model-check the selected scenarios.
 #[derive(Default)]
 pub struct ExploreSweep {
     cfg: ExploreConfig,
@@ -286,7 +276,7 @@ impl SweepRunner for ExploreSweep {
     }
 
     fn universe(&self) -> Option<Universe> {
-        Some(Universe::new("scheduled scenario", scheduled().map(|(key, _)| key)))
+        Some(Universe::new("scenario", keys::ALL))
     }
 
     fn flag(&mut self, flag: &str, value: Option<&str>) -> Result<Flag, String> {

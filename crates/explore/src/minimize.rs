@@ -9,8 +9,7 @@
 //! reliably collapses the tail of a failure trace to the few switches
 //! that matter, which is what a human replaying the schedule wants.
 
-use crate::runner::{run_schedule, RunResult, ScheduleOutcome};
-use txfix_corpus::{ScheduledRun, Variant};
+use txfix_corpus::{run_schedule, RunResult, ScheduleOutcome, ScheduledRun, Variant};
 use txfix_stm::sched::{Pick, Picker};
 
 /// Cap on minimization re-executions.

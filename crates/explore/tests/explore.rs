@@ -4,10 +4,12 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use txfix_corpus::{scenario_by_key, Outcome, ScheduledRun, Variant};
+use txfix_corpus::{
+    run_schedule, scenario_by_key, Outcome, RunResult, ScheduledRun, Variant, DEFAULT_MAX_STEPS,
+    SCENARIOS,
+};
 use txfix_explore::dfs::explore_dfs;
-use txfix_explore::runner::{run_schedule, RunResult, DEFAULT_MAX_STEPS};
-use txfix_explore::{explore_variant, pct, replay, scheduled, ExploreConfig, Strategy};
+use txfix_explore::{explore_variant, pct, replay, ExploreConfig, Strategy};
 use txfix_stm::sched;
 use txfix_stm::trace::TracedCell;
 use txfix_stm::TVar;
@@ -84,7 +86,7 @@ fn sleep_sets_prune_commuting_interleavings() {
 #[test]
 fn pct_finds_planted_refcount_bug_within_budget() {
     let key = "av_refcount_race";
-    let build = scenario_by_key(key).and_then(|s| s.scheduled).expect("scenario exists");
+    let build = scenario_by_key(key).expect("scenario exists").scheduled;
     let cfg =
         ExploreConfig { strategy: Strategy::Pct, budget: 200, seed: 7, ..ExploreConfig::default() };
     let entry = explore_variant(key, build, Variant::Buggy, &cfg);
@@ -96,7 +98,7 @@ fn pct_finds_planted_refcount_bug_within_budget() {
 #[test]
 fn failing_schedule_replays_bit_for_bit() {
     let key = "av_stats_race";
-    let build = scenario_by_key(key).and_then(|s| s.scheduled).expect("scenario exists");
+    let build = scenario_by_key(key).expect("scenario exists").scheduled;
     let cfg = ExploreConfig { strategy: Strategy::Dfs, budget: 1_000, ..ExploreConfig::default() };
     let entry = explore_variant(key, build, Variant::Buggy, &cfg);
     let failure = entry.failure.expect("DFS finds the stats race");
@@ -119,7 +121,7 @@ fn failing_schedule_replays_bit_for_bit() {
 #[test]
 fn pct_schedules_replay_deterministically_across_seeds() {
     let key = "av_adhoc_retry";
-    let build = scenario_by_key(key).and_then(|s| s.scheduled).expect("scenario exists");
+    let build = scenario_by_key(key).expect("scenario exists").scheduled;
     // A spread of seeds rather than a proptest runner: each case spins up
     // real threads, so keep the count deliberate and the failures
     // reproducible by seed.
@@ -195,9 +197,9 @@ fn serial_rung_is_schedule_independent() {
 #[test]
 fn dfs_sweep_finds_every_bug_and_clears_every_fix() {
     let cfg = ExploreConfig { strategy: Strategy::Dfs, budget: 3_000, ..ExploreConfig::default() };
-    for (key, build) in scheduled() {
+    for s in SCENARIOS {
         for variant in [Variant::Buggy, Variant::DevFix, Variant::TmFix] {
-            let entry = explore_variant(key, build, variant, &cfg);
+            let entry = explore_variant(s.key, s.scheduled, variant, &cfg);
             assert!(
                 entry.ok,
                 "{} [{}]: expectation not met (schedules={} pruned={} failure={:?})",

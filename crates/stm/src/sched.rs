@@ -177,7 +177,7 @@ impl fmt::Display for SyncOp {
 }
 
 /// What the picker wants done with a decision point.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Pick {
     /// Run the candidate at this index (into the candidates slice).
     Choose(usize),
@@ -185,6 +185,10 @@ pub enum Pick {
     /// covered (the sleep-set "all candidates asleep" case). The run stops
     /// and is reported as pruned, not as a pass or failure.
     Prune,
+    /// Stop the execution because the picker cannot follow its schedule
+    /// here (a replayed trace names a candidate that does not exist); the
+    /// message becomes [`StopReason::Diverged`].
+    Diverge(String),
 }
 
 /// The scheduling policy: given the runnable candidates (thread slot and
@@ -216,6 +220,8 @@ pub enum StopReason {
     Pruned,
     /// A controlled thread panicked; the payload is the panic message.
     Panic(String),
+    /// The picker could not follow its schedule ([`Pick::Diverge`]).
+    Diverged(String),
 }
 
 /// The complete record of one scheduled execution.
@@ -284,8 +290,9 @@ enum Phase {
     Ready(SyncOp),
     /// Executing between yield points (exactly one thread at a time).
     Running,
-    /// Parked on a resource until someone signals it.
-    Blocked(u64, SyncOp),
+    /// Parked on a resource until someone signals it; `true` if the wait
+    /// can time out (see [`block_on_timeout`]).
+    Blocked(u64, SyncOp, bool),
     /// Finished.
     Done,
 }
@@ -308,6 +315,9 @@ struct Inner {
     /// OS artifact: before the start gate opens, threads announce their
     /// first ops in whatever order the OS ran them.)
     canon: std::collections::HashMap<u64, u64>,
+    /// The slot whose timed wait [`schedule`] just ended, until that
+    /// thread reads it in [`block_on_timeout`].
+    timed_out: Option<usize>,
 }
 
 impl Inner {
@@ -426,6 +436,7 @@ fn begin_run(threads: usize, max_steps: u64, picker: Picker) {
         max_steps,
         stop: None,
         canon: std::collections::HashMap::new(),
+        timed_out: None,
     });
     ACTIVE.store(true, Ordering::SeqCst);
 }
@@ -569,20 +580,44 @@ pub fn yield_point(op: SyncOp) {
 /// rescheduled — the caller re-checks its condition — or unwinds back to
 /// [`run_workers`] if the run stops (deadlock, budget, panic).
 pub fn block_on(res: u64, op: SyncOp) {
-    let Some(me) = controlled_slot() else {
-        return;
+    park(res, op, false);
+}
+
+/// [`block_on`] for a wait that has a timeout. The scheduler has no
+/// clock, so the timeout fires where only a clock could still end the
+/// wait: when every live thread is blocked, the scheduler wakes the
+/// lowest-slot timed waiter instead of stopping the run as a deadlock.
+/// Returns `true` if the wait timed out, `false` if a [`signal`] ended it
+/// (or the caller is uncontrolled).
+pub fn block_on_timeout(res: u64, op: SyncOp) -> bool {
+    let Some(me) = park(res, op, true) else {
+        return false;
     };
     let mut g = STATE.lock();
     let Some(inner) = g.as_mut() else {
-        return;
+        return false;
     };
+    let timed_out = inner.timed_out == Some(me);
+    if timed_out {
+        inner.timed_out = None;
+    }
+    timed_out
+}
+
+/// Block the calling thread on `res` (see [`block_on`]); returns its slot
+/// once rescheduled, or `None` if it is not controlled.
+fn park(res: u64, op: SyncOp, timed: bool) -> Option<usize> {
+    let me = controlled_slot()?;
+    let mut g = STATE.lock();
+    let inner = g.as_mut()?;
     if inner.stop.is_some() {
         drop(g);
         stop_unwind();
     }
-    inner.phase[me] = Phase::Blocked(res, op);
+    inner.phase[me] = Phase::Blocked(res, op, timed);
     schedule(inner);
     wait_for_turn(g, me);
+    Some(me)
 }
 
 /// Make every thread parked on `res` runnable again. Callable from any
@@ -596,7 +631,7 @@ pub fn signal(res: u64) {
         return;
     };
     for phase in inner.phase.iter_mut() {
-        if let Phase::Blocked(r, op) = *phase {
+        if let Phase::Blocked(r, op, _) = *phase {
             if r == res {
                 *phase = Phase::Ready(op);
             }
@@ -621,7 +656,7 @@ pub fn wake_all() {
         return;
     };
     for phase in inner.phase.iter_mut() {
-        if let Phase::Blocked(_, op) = *phase {
+        if let Phase::Blocked(_, op, _) = *phase {
             *phase = Phase::Ready(op);
         }
     }
@@ -677,9 +712,20 @@ fn schedule(inner: &mut Inner) {
         }
     }
     if candidates.is_empty() {
+        // Nothing can run: a timed wait ends here, as a clock would end it.
+        let timed = inner.phase.iter().position(|p| matches!(p, Phase::Blocked(_, _, true)));
+        if let Some(i) = timed {
+            if let Phase::Blocked(_, op, _) = inner.phase[i] {
+                inner.phase[i] = Phase::Ready(op);
+                inner.timed_out = Some(i);
+                candidates.push((i, inner.canon_op(op)));
+            }
+        }
+    }
+    if candidates.is_empty() {
         let mut blocked: Vec<String> = Vec::new();
         for i in 0..inner.phase.len() {
-            if let Phase::Blocked(_, op) = inner.phase[i] {
+            if let Phase::Blocked(_, op, _) = inner.phase[i] {
                 let op = inner.canon_op(op);
                 blocked.push(format!("thread {i} blocked at {op}"));
             }
@@ -704,6 +750,11 @@ fn schedule(inner: &mut Inner) {
         }
         Pick::Prune => {
             inner.stop = Some(StopReason::Pruned);
+            TURNSTILE.notify_all();
+            return;
+        }
+        Pick::Diverge(msg) => {
+            inner.stop = Some(StopReason::Diverged(msg));
             TURNSTILE.notify_all();
             return;
         }
@@ -743,11 +794,37 @@ mod tests {
         assert!(SyncOp::TxnCommit.dependent(SyncOp::SharedRead(7)));
     }
 
+    /// Slot 0 waits on resource 7 with a timeout; slot 1 takes one step
+    /// and then signals 7 or not. Returns slot 0's `timed_out` and the
+    /// stop reason.
+    fn timed_wait(signal_it: bool) -> (Option<bool>, Option<StopReason>) {
+        let workers: Vec<Box<dyn FnOnce() -> bool + Send>> = vec![
+            Box::new(|| block_on_timeout(7, SyncOp::Park(7))),
+            Box::new(move || {
+                yield_point(SyncOp::SharedWrite(1));
+                if signal_it {
+                    signal(7);
+                }
+                false
+            }),
+        ];
+        let (results, log) =
+            run_exclusively(|| run_workers(workers, 100, Box::new(|_| Pick::Choose(0))));
+        (results[0], log.stop)
+    }
+
+    #[test]
+    fn a_timed_wait_times_out_only_when_nothing_else_can_run() {
+        assert_eq!(timed_wait(true), (Some(false), None), "a signal ends the wait");
+        assert_eq!(timed_wait(false), (Some(true), None), "no deadlock stop: the wait times out");
+    }
+
     #[test]
     fn hooks_are_noops_off_run() {
         // Must not deadlock or panic on an unregistered thread.
         yield_point(SyncOp::TxnBegin);
         block_on(1, SyncOp::Park(1));
+        assert!(!block_on_timeout(1, SyncOp::Park(1)));
         signal(1);
         wake_all();
         finish();

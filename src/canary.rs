@@ -36,7 +36,7 @@
 use txfix_core::json::{Json, ToJson};
 use txfix_core::sweep::{SweepArgs, SweepOutput, SweepRunner, Universe};
 use txfix_core::HazardClass;
-use txfix_corpus::{scenario_by_key, Outcome, ScheduledRun, Variant};
+use txfix_corpus::{scenario_by_key, Outcome, RunResult, ScheduledRun, Variant};
 use txfix_explore::{explore_build, explore_variant, ExploreConfig, Strategy};
 use txfix_stm::canary::{self, Canary};
 use txfix_stm::chaos::Trigger;
@@ -236,8 +236,8 @@ fn analyze_probe(c: Canary, seed: u64, key: &str, variant: Variant) -> LayerProb
 fn explore_probe(c: Canary, seed: u64, key: &str, variant: Variant) -> LayerProbe {
     let expected = expected_class(c);
     let build = scenario_by_key(key)
-        .and_then(|s| s.scheduled)
-        .unwrap_or_else(|| panic!("canary probe references unknown scheduled scenario {key}"));
+        .unwrap_or_else(|| panic!("canary probe references unknown scenario {key}"))
+        .scheduled;
     let _armed = canary::scoped(c, seed, Trigger::EveryNth(1));
     let entry = explore_variant(key, build, variant, &explore_cfg(seed));
     let missed = format!(
@@ -296,7 +296,7 @@ fn revoke_probe(c: Canary, seed: u64) -> LayerProbe {
     let _armed = canary::scoped(c, seed, Trigger::EveryNth(1));
     let ex = explore_build(&build, Variant::Buggy, &explore_cfg(seed));
     let failure = ex.failure.and_then(|o| match o.result {
-        txfix_explore::runner::RunResult::Bug(m) => Some(m),
+        RunResult::Bug(m) => Some(m),
         _ => None,
     });
     let missed = format!(
@@ -455,8 +455,9 @@ pub fn run_canary(c: Canary, seed: u64) -> CanaryOutcome {
         Canary::StmSkipValidation | Canary::StmStaleStamp => vec![
             not_probed(
                 "analyze",
-                "only manifests when a racing schedule crosses the commit window; the single \
-                 uncontrolled interleaving the recorder captures is not reliably that one",
+                "only manifests when a racing schedule crosses the commit window; analyze \
+                 records the one pinned schedule, the lowest-slot one for a TM fix, which \
+                 never does",
             ),
             lint_blind(),
             explore_probe(c, seed, "av_stats_race", Variant::TmFix),
@@ -485,8 +486,8 @@ pub fn run_canary(c: Canary, seed: u64) -> CanaryOutcome {
         Canary::LockDropRelease => vec![
             not_probed(
                 "analyze",
-                "the leaked lock would hang the uncontrolled scenario \
-                 threads; only the deterministic scheduler can observe the hang safely",
+                "the leaked lock stops the pinned schedule as a deadlock; that stop is \
+                 explore's evidence, not a trace finding",
             ),
             lint_blind(),
             explore_probe(c, seed, "dl_local_lock_order", Variant::DevFix),
@@ -506,8 +507,8 @@ pub fn run_canary(c: Canary, seed: u64) -> CanaryOutcome {
         Canary::LockReacquireInRevoke => vec![
             not_probed(
                 "analyze",
-                "needs a revocation forced at a precise point; the \
-                 uncontrolled run cannot steer a waiter into the window",
+                "needs a revocation forced at a precise point; no row's pinned schedule \
+                 steers a waiter into the window",
             ),
             lint_blind(),
             revoke_probe(c, seed),

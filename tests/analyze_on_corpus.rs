@@ -1,36 +1,13 @@
-//! The trace analyzer applied to the executable corpus: buggy variants of
-//! the traced scenarios are flagged, their developer and TM fixes come
-//! back clean, and every finding carries the recipe the paper's decision
-//! procedure assigns to that bug. (The recorder is process-global;
+//! The trace analyzer applied to the executable corpus: every buggy
+//! variant is flagged, its developer and TM fixes come back clean, and
+//! every finding carries the recipe the paper's decision procedure assigns
+//! to that bug. (The recorder is process-global;
 //! `analyze_scenario` serializes itself, so these tests may share one
 //! binary but nothing else here may touch the trace machinery directly.)
 
 use txfix::analyze::{analyze_scenario, Report};
-use txfix::corpus::{bug_by_scenario, Variant};
+use txfix::corpus::{bug_by_scenario, keys, Variant};
 use txfix::recipes::{analyze, Analysis, Recipe};
-
-/// Scenarios whose racy state is visible to the recorder (TracedCell,
-/// traced locks, or named condvars). The others reproduce their bugs
-/// inside app miniatures the tracer does not instrument (yet), so the
-/// analyzer is silent on them — that is absence of instrumentation, not
-/// a clean bill.
-const DETECTABLE: &[&str] = &[
-    "apache_i",
-    "dl_cache_atomtable",
-    "dl_three_lock_cycle",
-    "dl_intentional_race",
-    "dl_local_lock_order",
-    "dl_mysql_table_pair",
-    "av_wrong_lock",
-    "av_refcount_race",
-    "av_lazy_init",
-    "av_cv_partial",
-    "av_scoreboard",
-    "av_pair_invariant",
-    "av_log_sequence",
-    "av_stats_race",
-    "av_adhoc_retry",
-];
 
 fn suggested_recipe(key: &str) -> Option<Recipe> {
     let bug = bug_by_scenario(key).expect("corpus record");
@@ -46,8 +23,7 @@ fn run(key: &str, variant: Variant) -> Report {
 
 #[test]
 fn buggy_variants_are_flagged_with_the_papers_recipe() {
-    assert!(DETECTABLE.len() >= 8, "detection set shrank below the acceptance floor");
-    for key in DETECTABLE {
+    for key in keys::ALL {
         let report = run(key, Variant::Buggy);
         assert!(report.has_findings(), "{key} buggy: no findings over {} events", report.events);
         let expected = suggested_recipe(key);
@@ -62,7 +38,7 @@ fn buggy_variants_are_flagged_with_the_papers_recipe() {
 
 #[test]
 fn developer_fixes_are_clean() {
-    for key in DETECTABLE {
+    for key in keys::ALL {
         let report = run(key, Variant::DevFix);
         assert!(!report.has_findings(), "{key} dev fix flagged: {:?}", report.findings);
     }
@@ -70,7 +46,7 @@ fn developer_fixes_are_clean() {
 
 #[test]
 fn tm_fixes_are_clean() {
-    for key in DETECTABLE {
+    for key in keys::ALL {
         let report = run(key, Variant::TmFix);
         assert!(!report.has_findings(), "{key} tm fix flagged: {:?}", report.findings);
     }

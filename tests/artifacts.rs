@@ -8,6 +8,7 @@
 //! records a failing sweep, this says so before any consumer trips.
 
 use txfix::recipes::json::{get, Json};
+use txfix::stm::sched::format_trace;
 
 fn load(name: &str) -> Json {
     let path = format!("{}/{name}", env!("CARGO_MANIFEST_DIR"));
@@ -139,7 +140,20 @@ fn explore_artifact_met_its_expectations() {
     let obj = check_schema("EXPLORE_stm.json", &doc, "txfix-explore-v1");
     assert!(get(obj, "ok").unwrap().bool("ok").unwrap(), "committed exploration failed");
     let entries = get(obj, "entries").unwrap().array("entries").unwrap();
-    assert_eq!(entries.len(), 10 * 3, "10 scheduled scenarios x buggy/dev/tm");
+    assert_eq!(entries.len(), 18 * 3, "18 scenarios x buggy/dev/tm");
+    // Each row pins its buggy variant to the minimised failing trace
+    // recorded here; the two must not drift apart.
+    for e in entries {
+        let entry = e.object("entry").unwrap();
+        if get(entry, "variant").unwrap().string("variant").unwrap() != "buggy" {
+            continue;
+        }
+        let key = get(entry, "key").unwrap().string("key").unwrap();
+        let failure = get(entry, "failure").unwrap().object("failure").unwrap();
+        let trace = get(failure, "trace").unwrap().string("trace").unwrap();
+        let row = txfix::corpus::scenario_by_key(&key).expect("a corpus row");
+        assert_eq!(trace, format_trace(row.bug_trace), "{key}: pinned trace drifted");
+    }
 }
 
 #[test]

@@ -178,6 +178,6 @@ fn corpus_tables_render_through_the_facade() {
 fn a_case_study_scenario_runs_through_the_facade() {
     use txfix::corpus::{scenario_by_key, Outcome, Variant};
     let s = scenario_by_key(txfix::corpus::keys::APACHE_II).expect("apache_ii registered");
-    assert!((s.run)(Variant::Buggy).is_bug());
-    assert_eq!((s.run)(Variant::TmFix), Outcome::Correct);
+    assert!(s.run(Variant::Buggy).is_bug());
+    assert_eq!(s.run(Variant::TmFix), Outcome::Correct);
 }

@@ -84,7 +84,7 @@ fn every_deadlock_scenario_runs_under_lockdep() {
         seen += 1;
         lockdep::reset();
         lockdep::enable();
-        (s.run)(Variant::Buggy);
+        s.run(Variant::Buggy);
         lockdep::disable();
         let hazards = lockdep::inversions();
         if flagged.contains(&s.key) {
