@@ -66,8 +66,6 @@ pub struct MiniDb {
     /// which is exactly the unserialized window the analyzers (and the
     /// deterministic scheduler) need to observe.
     binlog_stamp: TracedCell,
-    /// Spin-width of the buggy unlock-to-log window (tests widen it).
-    racy_window_spins: u32,
     /// Simulated per-row storage-engine work.
     row_cost_spins: u32,
 }
@@ -99,15 +97,8 @@ impl MiniDb {
             domain,
             binlog: Mutex::new(Vec::new()),
             binlog_stamp: TracedCell::new("mysql1.binlog", 0),
-            racy_window_spins: 0,
             row_cost_spins: 200,
         }
-    }
-
-    /// Widen the buggy unlock-to-log window (test determinism).
-    pub fn with_racy_window(mut self, spins: u32) -> MiniDb {
-        self.racy_window_spins = spins;
-        self
     }
 
     /// Set the simulated per-row storage-engine work (spin iterations).
@@ -147,7 +138,7 @@ impl MiniDb {
     /// `DELETE FROM tables[t]` — the buggy/fixed path, per variant.
     pub fn delete_all(&self, t: usize) {
         match self.variant {
-            MysqlVariant::Buggy => self.delete_all_hooked(t, || spin(self.racy_window_spins)),
+            MysqlVariant::Buggy => self.delete_all_hooked(t, || {}),
             MysqlVariant::DevFix => {
                 // The un-optimized path: table lock held through the log
                 // write, like the insert path. Requires understanding the
@@ -383,14 +374,14 @@ mod tests {
 
     #[test]
     fn dev_fix_never_diverges() {
-        let db = MiniDb::new(MysqlVariant::DevFix, 2).with_racy_window(20_000);
+        let db = MiniDb::new(MysqlVariant::DevFix, 2);
         let out = run_mysql_workload(&db, &MysqlWorkload { tables: 2, ..Default::default() });
         assert!(!out.replay_divergence);
     }
 
     #[test]
     fn recipe4_fix_never_diverges() {
-        let db = MiniDb::new(MysqlVariant::TmRecipe4, 2).with_racy_window(20_000);
+        let db = MiniDb::new(MysqlVariant::TmRecipe4, 2);
         let out = run_mysql_workload(&db, &MysqlWorkload { tables: 2, ..Default::default() });
         assert!(!out.replay_divergence);
     }

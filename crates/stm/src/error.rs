@@ -1,5 +1,6 @@
 //! Abort reasons and result types used throughout the STM runtime.
 
+use crate::wait::EventCount;
 use std::error::Error;
 use std::fmt;
 use std::sync::Arc;
@@ -40,10 +41,10 @@ pub enum Abort {
     /// the next attempt falls back to unbounded software speculation;
     /// without one it is terminal, surfaced as [`TxnError::Capacity`].
     Capacity(CapacityKind),
-    /// Commit the work done so far, then block on the given wait point and
-    /// re-execute once signalled. This implements *commit-before-wait*
-    /// transactional condition variables.
-    Wait(Arc<dyn WaitPoint>),
+    /// Commit the work done so far, then block until the given event count
+    /// moves past its epoch at the commit, and re-execute. This implements
+    /// *commit-before-wait* transactional condition variables.
+    Wait(Arc<EventCount>),
 }
 
 impl fmt::Display for Abort {
@@ -100,30 +101,6 @@ impl fmt::Display for CapacityKind {
 
 /// Result type of transactional operations.
 pub type StmResult<T> = Result<T, Abort>;
-
-/// A blocking point used by *commit-before-wait* condition variables.
-///
-/// [`Abort::Wait`] carries one of these. The runtime calls [`prepare`] while
-/// the transaction's effects are still private, commits, and only then calls
-/// [`wait`] with the returned ticket. Implementations must guarantee that a
-/// notification issued at any time after `prepare` returns causes `wait` to
-/// return (no lost wakeups).
-///
-/// [`prepare`]: WaitPoint::prepare
-/// [`wait`]: WaitPoint::wait
-pub trait WaitPoint: Send + Sync {
-    /// Register interest and return a wakeup ticket.
-    fn prepare(&self) -> u64;
-    /// Block until a notification newer than `ticket` arrives, or until an
-    /// implementation-defined timeout elapses (to guarantee progress).
-    fn wait(&self, ticket: u64);
-}
-
-impl fmt::Debug for dyn WaitPoint {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "WaitPoint")
-    }
-}
 
 /// Terminal error returned by [`TxnBuilder::try_run`](crate::TxnBuilder::try_run).
 #[derive(Clone, Debug, PartialEq, Eq)]

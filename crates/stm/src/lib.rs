@@ -19,8 +19,12 @@
 //!   statement; [`Txn::retry`] aborts and blocks until a variable in the
 //!   read set changes.
 //! - **Commit-before-wait**: [`Txn::wait_on`] commits the work done so far
-//!   and blocks on a [`WaitPoint`] (the hook used by transactional
-//!   condition variables in `txfix-tmsync`).
+//!   and blocks until an [`EventCount`] is notified (the hook used by
+//!   transactional condition variables in `txfix-tmsync`).
+//! - **One way to block**: [`WaitQueue`] is the only code that parks a
+//!   thread, on the deterministic scheduler ([`sched`]) or on the OS; a blocked
+//!   `TxMutex` acquisition (`txfix-txlock`) uses it directly, and the
+//!   retry notifier and both condition variables are [`EventCount`]s.
 //! - **External resources**: revocable locks enlist in a transaction
 //!   ([`Txn::enlist`]); transactional I/O finishes before them, through
 //!   [`Txn::on_commit`], [`Txn::on_abort`] or [`Txn::defer`]; deadlock
@@ -69,7 +73,6 @@ pub mod chaos;
 mod clock;
 mod contention;
 mod error;
-mod notifier;
 pub mod obs;
 mod orec;
 mod runtime;
@@ -78,12 +81,14 @@ mod serial;
 pub mod trace;
 mod tvar;
 mod txn;
+mod wait;
 
 pub use contention::{seed_backoff_rng, BackoffPolicy};
-pub use error::{Abort, CapacityKind, ConflictKind, StmResult, TxnError, WaitPoint};
+pub use error::{Abort, CapacityKind, ConflictKind, StmResult, TxnError};
 pub use obs::SiteId;
 pub use runtime::{
     atomic, atomic_relaxed, EscalationPolicy, EscalationRung, TxnBuilder, TxnReport,
 };
 pub use tvar::{TVar, VarId};
 pub use txn::{KillHandle, TxResource, Txn, TxnKind};
+pub use wait::{EventCount, WaitQueue};

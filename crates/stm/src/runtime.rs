@@ -6,17 +6,38 @@
 use crate::chaos;
 use crate::contention::Backoff;
 use crate::error::{Abort, ConflictKind, StmResult, TxnError};
-use crate::notifier;
 use crate::obs;
 use crate::obs::SiteId;
-use crate::sched;
+use crate::sched::{self, SyncOp};
+use crate::trace;
 use crate::txn::{Txn, TxnKind, TxnOptions};
+use crate::wait::EventCount;
 use std::time::{Duration, Instant};
 
 /// Upper bound on one blocking interval of [`Txn::retry`]; on timeout the
 /// transaction re-executes anyway (guards against missed notifications in
 /// user code).
 const RETRY_TIMEOUT: Duration = Duration::from_millis(50);
+
+/// Upper bound on one blocking interval of a commit-before-wait
+/// ([`Txn::wait_on`]); the re-executed body re-checks its predicate, so a
+/// timeout is a spurious wakeup, and a lost wakeup a slow loop, not a hang.
+const WAIT_TIMEOUT: Duration = Duration::from_millis(100);
+
+/// The retry notifier: every writing commit bumps it, and a blocked
+/// [`Txn::retry`] re-checks its read set on each bump. One epoch for all
+/// variables admits spurious wakeups (cheap), never lost ones.
+static RETRY_EVENTS: EventCount = EventCount::new(SyncOp::Park(sched::RES_NOTIFIER));
+
+/// Announce that a commit published new values.
+pub(crate) fn notify_retriers() {
+    // The bump is a recordable sync event: `txfix analyze` checks that it
+    // happens *after* the committing transaction's write-back (a notify
+    // from inside a still-open transaction is a lost-wakeup hazard — the
+    // waiter can revalidate against unpublished state).
+    trace::emit(trace::EventKind::RetryNotify);
+    RETRY_EVENTS.notify();
+}
 
 /// Diagnostic information about one completed `atomic` call.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -353,10 +374,12 @@ pub(crate) fn atomic_report<T>(
                     handle_abort(abort, &mut backoff, &mut report, opts)?;
                 }
             },
-            Err(Abort::Wait(wp)) => {
+            Err(Abort::Wait(events)) => {
                 // Commit-before-wait: publish the work done so far, then
                 // block, then re-execute the body as a fresh transaction.
-                let ticket = wp.prepare();
+                // The epoch is sampled while the work is still private, so
+                // a notify the commit makes possible is never lost.
+                let ticket = events.epoch();
                 match txn.commit() {
                     Ok(()) => {
                         obs::note_wait(opts.site);
@@ -364,7 +387,7 @@ pub(crate) fn atomic_report<T>(
                         // The commit succeeded, so contention pressure is
                         // gone: the next attempt starts with fresh backoff.
                         backoff.reset();
-                        wp.wait(ticket);
+                        events.wait_past(ticket, WAIT_TIMEOUT);
                     }
                     Err(abort) => {
                         txn.abort();
@@ -375,28 +398,23 @@ pub(crate) fn atomic_report<T>(
             Err(Abort::Retry) => {
                 obs::note_retry_blocked(opts.site);
                 report.blocked_retries += 1;
-                let seen = notifier::global().epoch();
                 let snapshot = txn.take_read_snapshot();
                 txn.abort();
                 if snapshot.is_empty() {
                     // Retrying with an empty read set would block forever;
                     // treat as plain backoff so the caller's loop progresses.
                     backoff_wait(&mut backoff, opts.site);
-                } else if sched::is_controlled() {
-                    // Scheduled run: park on the scheduler instead of the
-                    // OS notifier. If no explored commit ever changes the
-                    // read set, the scheduler reports the stuck retry as a
-                    // deadlock instead of spinning on timeouts.
-                    while !snapshot.changed() {
-                        sched::block_on(
-                            sched::RES_NOTIFIER,
-                            sched::SyncOp::Park(sched::RES_NOTIFIER),
-                        );
-                    }
                 } else {
-                    while !snapshot.changed() {
-                        if !notifier::global().wait_past(seen, RETRY_TIMEOUT) {
-                            break; // timeout: re-execute anyway
+                    // Block until a commit changes the read set. A fresh
+                    // epoch before each check makes a commit elsewhere
+                    // cost one wakeup, not a spin. Under the scheduler a
+                    // retry no explored commit ever ends is reported as a
+                    // deadlock; on OS threads a slice with no commit at
+                    // all re-executes the body anyway.
+                    loop {
+                        let seen = RETRY_EVENTS.epoch();
+                        if snapshot.changed() || !RETRY_EVENTS.wait_past(seen, RETRY_TIMEOUT) {
+                            break;
                         }
                     }
                 }
@@ -470,5 +488,57 @@ fn backoff_wait(backoff: &mut Backoff, site: SiteId) {
         obs::note_backoff(site, started.elapsed().as_nanos() as u64);
     } else {
         backoff.wait();
+    }
+}
+
+#[cfg(all(test, target_os = "linux"))]
+mod tests {
+    use super::*;
+    use crate::orec::stripe_for;
+    use crate::TVar;
+    use std::sync::atomic::{AtomicBool, Ordering};
+
+    /// CPU time the calling thread has run, from the kernel's per-thread
+    /// scheduler statistics (first field, nanoseconds).
+    fn thread_cpu() -> Duration {
+        let stat = std::fs::read_to_string("/proc/thread-self/schedstat").expect("schedstat");
+        let ns = stat.split_whitespace().next().and_then(|f| f.parse().ok()).expect("run time");
+        Duration::from_nanos(ns)
+    }
+
+    #[test]
+    fn a_blocked_retry_sleeps_through_commits_to_other_stripes() {
+        let watched = TVar::new(0u64);
+        let other = std::iter::repeat_with(|| TVar::new(0u64))
+            .find(|v| !std::ptr::eq(stripe_for(v.id().0), stripe_for(watched.id().0)))
+            .expect("the stripe table has more than one stripe");
+        const BLOCKED: Duration = Duration::from_millis(400);
+        let retrying = AtomicBool::new(false);
+        std::thread::scope(|s| {
+            let retrier = s.spawn(|| {
+                let start = thread_cpu();
+                atomic(|txn| {
+                    if watched.read(txn)? != 0 {
+                        return Ok(());
+                    }
+                    retrying.store(true, Ordering::SeqCst);
+                    txn.retry()
+                });
+                thread_cpu() - start
+            });
+            while !retrying.load(Ordering::SeqCst) {
+                std::thread::yield_now();
+            }
+            // Let the retrier get from its body to the park: a commit that
+            // lands first is one the retry already saw.
+            std::thread::sleep(Duration::from_millis(20));
+            // A commit the retrier did not read: it may wake the retrier
+            // once, but must not keep it awake.
+            atomic(|txn| other.write(txn, 1));
+            std::thread::sleep(BLOCKED);
+            atomic(|txn| watched.write(txn, 1));
+            let cpu = retrier.join().unwrap();
+            assert!(cpu < BLOCKED / 10, "a blocked retry burned {cpu:?} of CPU in {BLOCKED:?}");
+        });
     }
 }

@@ -22,12 +22,13 @@
 //!
 //! # Blocking model
 //!
-//! Controlled threads never block on OS primitives. A lock acquisition
-//! that would block calls [`block_on`] with the lock's resource id; the
-//! releasing thread calls [`signal`], which makes the waiters runnable
-//! again (they re-try their acquisition when next scheduled, so lock
-//! handoff order remains a scheduling decision). Condition variables work
-//! the same way — and a notify that finds no registered waiter wakes
+//! Controlled threads never block on OS primitives. Every blocking point
+//! parks through [`WaitQueue`](crate::WaitQueue), which calls
+//! [`block_on`] with the resource id of the op it waits to retry (a lock
+//! acquisition, a condvar wait, the retry notifier); a wake calls
+//! [`signal`], which makes the waiters runnable again (a lock's waiters
+//! re-try their acquisition when next scheduled, so handoff order remains
+//! a scheduling decision). A notify that finds no registered waiter wakes
 //! nobody, which is exactly the lost-wakeup semantics the explorer needs
 //! to observe. When every registered thread is blocked the scheduler
 //! declares a deadlock, stops the run, and reports the blocked operations.
@@ -365,8 +366,8 @@ thread_local! {
 }
 
 /// Whether the calling thread is currently under scheduler control.
-/// Instrumented blocking paths branch on this to decide between
-/// [`block_on`] and their OS wait. One relaxed load when no run is active.
+/// [`WaitQueue`](crate::WaitQueue) branches on this to decide between
+/// [`block_on`] and an OS wait. One relaxed load when no run is active.
 #[inline]
 pub fn is_controlled() -> bool {
     ACTIVE.load(Ordering::Relaxed)

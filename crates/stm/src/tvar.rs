@@ -10,7 +10,6 @@
 
 use crate::clock;
 use crate::error::{Abort, ConflictKind, StmResult};
-use crate::notifier;
 use crate::orec::{self, Orec, DIRECT_WRITER};
 use crate::serial;
 use crate::trace;
@@ -97,7 +96,7 @@ impl VarInner {
         self.orec.stamp_release(wv);
         self.orec.unlock(DIRECT_WRITER);
         drop(_g);
-        notifier::global().notify();
+        crate::runtime::notify_retriers();
     }
 }
 

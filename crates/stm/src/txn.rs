@@ -30,14 +30,14 @@
 use crate::chaos;
 use crate::clock;
 use crate::contention::BackoffPolicy;
-use crate::error::{Abort, CapacityKind, ConflictKind, StmResult, WaitPoint};
-use crate::notifier;
+use crate::error::{Abort, CapacityKind, ConflictKind, StmResult};
 use crate::obs;
 use crate::obs::SiteId;
 use crate::sched;
 use crate::serial;
 use crate::trace;
 use crate::tvar::{Boxed, VarInner};
+use crate::wait::EventCount;
 use std::cell::Cell;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -499,12 +499,13 @@ impl Txn {
         Err(Abort::Cancel)
     }
 
-    /// Commit the transaction's effects so far, block on `wp`, and
-    /// re-execute the body once signalled (commit-before-wait).
+    /// Commit the transaction's effects so far, block until `events` is
+    /// notified after the commit, and re-execute the body
+    /// (commit-before-wait).
     ///
     /// Returns an `Err` unconditionally so it composes with `?`.
-    pub fn wait_on<T>(&mut self, wp: Arc<dyn WaitPoint>) -> StmResult<T> {
-        Err(Abort::Wait(wp))
+    pub fn wait_on<T>(&mut self, events: Arc<EventCount>) -> StmResult<T> {
+        Err(Abort::Wait(events))
     }
 
     /// Make the transaction irrevocable (inevitable): it can no longer
@@ -692,7 +693,7 @@ impl Txn {
         // sleep through the only wakeup for the real update.
         #[cfg(feature = "canary-stm")]
         if crate::canary::fire(crate::canary::Canary::StmNotifyReorder) {
-            notifier::global().notify();
+            crate::runtime::notify_retriers();
             self.canary_notified_early = true;
         }
 
@@ -741,7 +742,7 @@ impl Txn {
         #[cfg(feature = "canary-stm")]
         let wrote = wrote && !std::mem::replace(&mut self.canary_notified_early, false);
         if wrote {
-            notifier::global().notify();
+            crate::runtime::notify_retriers();
         }
     }
 

@@ -475,28 +475,28 @@ fn conflicting_transactions_serialize() {
 
 #[test]
 fn wait_on_commits_before_blocking() {
-    use txfix_stm::WaitPoint;
-    struct NeverBlocks;
-    impl WaitPoint for NeverBlocks {
-        fn prepare(&self) -> u64 {
-            0
-        }
-        fn wait(&self, _ticket: u64) {}
-    }
-
+    use txfix_stm::{sched::SyncOp, EventCount};
     let v = TVar::new(0u32);
-    let first = Arc::new(AtomicBool::new(true));
-    let wp = Arc::new(NeverBlocks);
-    let first2 = first.clone();
-    let v2 = v.clone();
-    atomic(move |txn| {
-        if first2.swap(false, Ordering::SeqCst) {
-            v2.write(txn, 1)?;
-            // The write above must be committed by wait_on even though the
-            // body did not complete.
-            return txn.wait_on(wp.clone());
-        }
-        Ok(())
+    let events = Arc::new(EventCount::new(SyncOp::Park(1)));
+    let first = AtomicBool::new(true);
+    std::thread::scope(|s| {
+        // Notifies only once the pre-wait write is visible, so the waiter
+        // wakes only if wait_on committed before blocking.
+        s.spawn(|| {
+            let deadline = std::time::Instant::now() + Duration::from_secs(5);
+            while v.load() != 1 && std::time::Instant::now() < deadline {
+                std::thread::yield_now();
+            }
+            events.notify();
+        });
+        let (_, report) = txfix_stm::Txn::build().run(|txn| {
+            if first.swap(false, Ordering::SeqCst) {
+                v.write(txn, 1)?;
+                return txn.wait_on(events.clone());
+            }
+            Ok(())
+        });
+        assert_eq!(report.waits, 1);
     });
     assert_eq!(v.load(), 1, "wait_on discarded the pre-wait work");
 }

@@ -8,18 +8,13 @@
 //! when signalled. Signals issued inside a transaction are deferred to its
 //! commit, preserving isolation.
 
-use parking_lot::{Condvar, Mutex};
 use std::fmt;
 use std::sync::Arc;
-use std::time::Duration;
 use txfix_stm::{sched, trace};
-use txfix_stm::{StmResult, Txn, WaitPoint};
+use txfix_stm::{EventCount, StmResult, Txn};
 
-/// Upper bound on one blocking interval; waits re-check afterwards, which
-/// turns a lost-wakeup programming error into a spin instead of a hang.
-const WAIT_SLICE: Duration = Duration::from_millis(100);
-
-/// A condition variable for transactional code.
+/// A condition variable for transactional code: an [`EventCount`] a
+/// transaction commits-and-waits on through [`Txn::wait_on`].
 ///
 /// # Examples
 ///
@@ -52,8 +47,7 @@ const WAIT_SLICE: Duration = Duration::from_millis(100);
 /// });
 /// ```
 pub struct TxCondvar {
-    generation: Mutex<u64>,
-    cv: Condvar,
+    events: Arc<EventCount>,
     trace_id: u64,
 }
 
@@ -65,42 +59,42 @@ impl Default for TxCondvar {
 
 impl fmt::Debug for TxCondvar {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("TxCondvar").field("generation", &*self.generation.lock()).finish()
+        f.debug_struct("TxCondvar").field("epoch", &self.events.epoch()).finish()
     }
 }
 
 impl TxCondvar {
     /// Create a condition variable.
     pub fn new() -> TxCondvar {
-        TxCondvar {
-            generation: Mutex::new(0),
-            cv: Condvar::new(),
-            trace_id: trace::next_object_id(),
-        }
+        let trace_id = trace::next_object_id();
+        TxCondvar { events: Arc::new(EventCount::new(sched::SyncOp::CvWait(trace_id))), trace_id }
     }
 
     /// Commit the transaction's work so far, block until notified, and
     /// re-execute the atomic block. Composes with `?`:
     /// `return cv.wait(txn);`.
     ///
+    /// The runtime samples the epoch just before the commit; a notify that
+    /// races ahead of that sample is lost, and under the scheduler that is
+    /// observable: it is the lost-wakeup behaviour the explorer must be
+    /// able to reach. On OS threads one wait lasts at
+    /// most the runtime's commit-before-wait slice, and the re-executed
+    /// block re-checks its predicate.
+    ///
     /// # Errors
     ///
     /// Always returns `Err` (the commit-and-wait control-flow signal); the
     /// runtime consumes it.
-    pub fn wait<T>(self: &Arc<Self>, txn: &mut Txn) -> StmResult<T> {
+    pub fn wait<T>(&self, txn: &mut Txn) -> StmResult<T> {
         trace::emit(trace::EventKind::CvWait { cv: self.trace_id, name: String::new() });
-        txn.wait_on(self.clone() as Arc<dyn WaitPoint>)
+        txn.wait_on(self.events.clone())
     }
 
     /// Wake all waiters immediately (non-transactional callers).
     pub fn notify_all(&self) {
         sched::yield_point(sched::SyncOp::CvNotify(self.trace_id));
         trace::emit(trace::EventKind::CvNotify { cv: self.trace_id, name: String::new() });
-        let mut g = self.generation.lock();
-        *g += 1;
-        drop(g);
-        self.cv.notify_all();
-        sched::signal(self.trace_id);
+        self.events.notify();
     }
 
     /// Defer a [`notify_all`](TxCondvar::notify_all) until `txn` commits,
@@ -109,57 +103,13 @@ impl TxCondvar {
         let this = self.clone();
         txn.on_commit(move || this.notify_all());
     }
-
-    /// Wake one waiter immediately.
-    ///
-    /// Waiters re-check their predicate after re-execution, so waking
-    /// "one" is purely a throughput hint; it can never cause a missed
-    /// update (the generation still advances for everyone).
-    pub fn notify_one(&self) {
-        sched::yield_point(sched::SyncOp::CvNotify(self.trace_id));
-        trace::emit(trace::EventKind::CvNotify { cv: self.trace_id, name: String::new() });
-        let mut g = self.generation.lock();
-        *g += 1;
-        drop(g);
-        self.cv.notify_one();
-        sched::signal(self.trace_id);
-    }
-}
-
-impl WaitPoint for TxCondvar {
-    fn prepare(&self) -> u64 {
-        *self.generation.lock()
-    }
-
-    fn wait(&self, ticket: u64) {
-        if sched::is_controlled() {
-            // Park on the scheduler instead of the OS condvar. Only one
-            // controlled thread runs at a time, so no notify can slip in
-            // between the generation check and the park; a notify that
-            // happens while nobody is parked is *observably lost* here if
-            // it raced ahead of `prepare` — exactly the lost-wakeup
-            // behaviour the explorer must be able to reach.
-            loop {
-                if *self.generation.lock() > ticket {
-                    return;
-                }
-                sched::block_on(self.trace_id, sched::SyncOp::CvWait(self.trace_id));
-            }
-        }
-        let mut g = self.generation.lock();
-        if *g > ticket {
-            return;
-        }
-        // One bounded wait; the atomic block re-checks its predicate after
-        // re-execution, so a timeout is safe (spurious wakeup).
-        let _ = self.cv.wait_for(&mut g, WAIT_SLICE);
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+    use std::time::Duration;
     use txfix_stm::{atomic, TVar};
 
     #[test]
@@ -196,40 +146,6 @@ mod tests {
         });
         assert!(passed_wait.load(Ordering::SeqCst));
         assert_eq!(state.load(), 2);
-    }
-
-    #[test]
-    fn signal_before_prepare_is_not_lost() {
-        // prepare() then a signal then wait(ticket) must not block.
-        let cv = TxCondvar::new();
-        let t = cv.prepare();
-        cv.notify_all();
-        let start = std::time::Instant::now();
-        WaitPoint::wait(&cv, t);
-        assert!(start.elapsed() < Duration::from_millis(50));
-    }
-
-    #[test]
-    fn notify_one_wakes_a_waiter() {
-        let flag = TVar::new(false);
-        let cv = Arc::new(TxCondvar::new());
-        let woke = Arc::new(AtomicBool::new(false));
-        std::thread::scope(|s| {
-            let (f, c, w) = (flag.clone(), cv.clone(), woke.clone());
-            s.spawn(move || {
-                atomic(|txn| {
-                    if !f.read(txn)? {
-                        return c.wait(txn);
-                    }
-                    Ok(())
-                });
-                w.store(true, Ordering::SeqCst);
-            });
-            std::thread::sleep(Duration::from_millis(20));
-            atomic(|txn| flag.write(txn, true));
-            cv.notify_one();
-        });
-        assert!(woke.load(Ordering::SeqCst));
     }
 
     #[test]

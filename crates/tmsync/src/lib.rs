@@ -4,7 +4,9 @@
 //! supplies the two extensions its recipes rely on:
 //!
 //! - **Transactional condition variables** ([`TxCondvar`]): commit-before-
-//!   wait semantics, required by 5 of the Mozilla fixes (Table 3).
+//!   wait semantics, required by 5 of the Mozilla fixes (Table 3). A
+//!   `TxCondvar` is a `txfix_stm::EventCount` the runtime commits and
+//!   waits on; it has no wait of its own.
 //! - **Atomic/lock serialization** ([`SerialDomain`], [`SerialMutex`],
 //!   [`serial_atomic`]): the global reader/writer scheme of §5.1 that makes
 //!   an atomic region serializable against every lock critical section —

@@ -6,10 +6,9 @@
 //! condvar or `retry` instead.
 
 use crate::mutex::{TxMutex, TxMutexGuard};
-use parking_lot::{Condvar, Mutex};
 use std::fmt;
 use std::time::Duration;
-use txfix_stm::{sched, trace};
+use txfix_stm::{sched, trace, EventCount};
 
 /// Outcome of a timed wait.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -23,10 +22,10 @@ pub enum WaitOutcome {
     TimedOut,
 }
 
-/// A condition variable for [`TxMutex`]-protected state.
+/// A condition variable for [`TxMutex`]-protected state: an
+/// [`EventCount`] whose waiters give up the mutex while they park.
 pub struct LockCondvar {
-    generation: Mutex<u64>,
-    cv: Condvar,
+    events: EventCount,
     trace_id: u64,
     name: &'static str,
 }
@@ -41,7 +40,7 @@ impl fmt::Debug for LockCondvar {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("LockCondvar")
             .field("name", &self.name)
-            .field("generation", &*self.generation.lock())
+            .field("epoch", &self.events.epoch())
             .finish()
     }
 }
@@ -58,16 +57,16 @@ impl LockCondvar {
     /// wait/notify event, letting the dynamic wait/notify passes report
     /// hazards in the same vocabulary as the static summaries.
     pub fn named(name: &'static str) -> LockCondvar {
-        LockCondvar {
-            generation: Mutex::new(0),
-            cv: Condvar::new(),
-            trace_id: trace::next_object_id(),
-            name,
-        }
+        let trace_id = trace::next_object_id();
+        LockCondvar { events: EventCount::new(sched::SyncOp::CvWait(trace_id)), trace_id, name }
     }
 
     /// Atomically release the guard's lock, wait for a notification or
     /// `timeout`, and re-acquire the lock before returning.
+    ///
+    /// Under the scheduler the wait never times out: a waiter that no
+    /// schedule ever signals is exactly the deadlock/lost-wakeup evidence
+    /// the explorer reports.
     ///
     /// # Errors
     ///
@@ -79,45 +78,18 @@ impl LockCondvar {
         timeout: Duration,
     ) -> Result<(TxMutexGuard<'a, T>, WaitOutcome), crate::DeadlockError> {
         let mutex: &'a TxMutex<T> = guard.mutex();
-        let owner = guard.owner();
-        debug_assert_eq!(crate::thread_id::current(), owner);
+        debug_assert_eq!(crate::thread_id::current(), guard.owner());
         trace::emit(trace::EventKind::CvWait { cv: self.trace_id, name: self.name.to_string() });
 
-        // Standard condvar protocol: sample the generation while still
-        // holding the mutex, so a signal between unlock and sleep is not
-        // lost.
-        let mut gen = self.generation.lock();
-        let seen = *gen;
-
-        if sched::is_controlled() {
-            // Park on the scheduler instead of the OS condvar, and never
-            // time out: a waiter that no schedule ever signals is exactly
-            // the deadlock/lost-wakeup evidence the explorer reports. The
-            // generation lock must be released before the guard drops —
-            // dropping the guard is a yield point, and parking while
-            // holding `generation` would stall the notifier. The re-check
-            // after the drop keeps the protocol lossless: a notify that
-            // lands in between bumps the generation we compare against.
-            drop(gen);
-            drop(guard); // releases the mutex (a scheduler yield point)
-            loop {
-                if *self.generation.lock() != seen {
-                    break;
-                }
-                sched::block_on(self.trace_id, sched::SyncOp::CvWait(self.trace_id));
-            }
-            let reacquired = mutex.lock()?;
-            return Ok((reacquired, WaitOutcome::Signaled));
-        }
-        drop(guard); // releases the mutex
-
-        let outcome = if self.cv.wait_for(&mut gen, timeout).timed_out() && *gen == seen {
-            WaitOutcome::TimedOut
-        } else {
+        // Sample the epoch while still holding the mutex, so a notify
+        // between the unlock and the park is not lost.
+        let seen = self.events.epoch();
+        drop(guard); // releases the mutex (a scheduler yield point)
+        let outcome = if self.events.wait_past(seen, timeout) {
             WaitOutcome::Signaled
+        } else {
+            WaitOutcome::TimedOut
         };
-        drop(gen);
-
         let reacquired = mutex.lock()?;
         Ok((reacquired, outcome))
     }
@@ -126,22 +98,7 @@ impl LockCondvar {
     pub fn notify_all(&self) {
         sched::yield_point(sched::SyncOp::CvNotify(self.trace_id));
         trace::emit(trace::EventKind::CvNotify { cv: self.trace_id, name: self.name.to_string() });
-        let mut gen = self.generation.lock();
-        *gen += 1;
-        drop(gen);
-        self.cv.notify_all();
-        sched::signal(self.trace_id);
-    }
-
-    /// Wake one waiter.
-    pub fn notify_one(&self) {
-        sched::yield_point(sched::SyncOp::CvNotify(self.trace_id));
-        trace::emit(trace::EventKind::CvNotify { cv: self.trace_id, name: self.name.to_string() });
-        let mut gen = self.generation.lock();
-        *gen += 1;
-        drop(gen);
-        self.cv.notify_one();
-        sched::signal(self.trace_id);
+        self.events.notify();
     }
 }
 

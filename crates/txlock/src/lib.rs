@@ -18,6 +18,11 @@
 //! - [`LockCondvar`]: a conventional condition variable for
 //!   `TxMutex`-protected state, used by buggy code and developer fixes.
 //!
+//! Neither has a park protocol of its own: a blocked acquisition parks on
+//! the lock's `txfix_stm::WaitQueue` until the owner word is cleared, and
+//! a `LockCondvar` is a `txfix_stm::EventCount`, so both block on the
+//! deterministic scheduler or the OS the way every other waiter does.
+//!
 //! [`LockOrder`] is the lock-order graph with Recipe 3's exemption (a
 //! cycle closed only by revocable acquisitions is not a deadlock);
 //! [`lockdep`] fills it live, and the trace and static analyzers fill

@@ -17,7 +17,6 @@
 use crate::error::DeadlockError;
 use crate::graph::{self, CycleResolution, LockId};
 use crate::thread_id::{self, ThreadToken};
-use parking_lot::{Condvar, Mutex};
 use std::cell::UnsafeCell;
 use std::fmt;
 use std::ops::{Deref, DerefMut};
@@ -28,7 +27,7 @@ use std::time::Duration;
 use txfix_stm::chaos;
 use txfix_stm::sched;
 use txfix_stm::trace;
-use txfix_stm::{Abort, StmResult, TxResource, Txn};
+use txfix_stm::{Abort, StmResult, TxResource, Txn, WaitQueue};
 
 static NEXT_LOCK_ID: AtomicU64 = AtomicU64::new(1);
 
@@ -59,13 +58,9 @@ pub(crate) struct RawTxLock {
     /// The owning thread's token, or 0 when free: acquire is one CAS,
     /// release one store, `owner()` one load.
     owner: AtomicU64,
-    /// Threads parked on `cv` or about to be. With `owner` it forms the
-    /// SeqCst Dekker pair `stm::notifier` uses: a releaser that reads 0
-    /// here may skip `park`/`cv`, because any later parker re-checks
-    /// `owner` under `park` and sees the release.
-    waiters: AtomicU64,
-    park: Mutex<()>,
-    cv: Condvar,
+    /// Acquirers parked until a release; their predicate is `owner != 0`,
+    /// so an uncontended release is the owner store plus one load.
+    queue: WaitQueue,
     /// Serial of the transaction holding this lock transactionally, or 0.
     holding_txn: AtomicU64,
 }
@@ -86,9 +81,7 @@ impl RawTxLock {
             id,
             name: name.to_owned(),
             owner: AtomicU64::new(0),
-            waiters: AtomicU64::new(0),
-            park: Mutex::new(()),
-            cv: Condvar::new(),
+            queue: WaitQueue::new(),
             holding_txn: AtomicU64::new(0),
         });
         let weak = Arc::downgrade(&lock) as std::sync::Weak<dyn graph::OwnerQuery>;
@@ -187,21 +180,14 @@ impl RawTxLock {
                 CycleResolution::Unresolvable(cycle) => return Err(AcquireError::Deadlock(cycle)),
             }
 
-            if sched::is_controlled() {
-                // Scheduled run: park on the scheduler until the holder's
-                // release (or a revocation) signals this lock, then re-try
-                // the acquisition — handoff order stays a schedule choice.
-                let op = sched::SyncOp::LockAcquire(self.id.0);
-                sched::block_on(op.resource().expect("lock ops have a resource"), op);
-            } else {
-                self.waiters.fetch_add(1, Ordering::SeqCst);
-                let mut parked = self.park.lock();
-                if self.owner.load(Ordering::SeqCst) != 0 {
-                    self.cv.wait_for(&mut parked, WAIT_SLICE);
-                }
-                drop(parked);
-                self.waiters.fetch_sub(1, Ordering::SeqCst);
-            }
+            // Park until the holder's release (or a revocation) wakes this
+            // lock, then re-try the acquisition: under the scheduler the
+            // handoff order stays a schedule choice.
+            self.queue.wait(
+                sched::SyncOp::LockAcquire(self.id.0),
+                || self.owner.load(Ordering::SeqCst) != 0,
+                WAIT_SLICE,
+            );
 
             if kill.as_ref().is_some_and(txfix_stm::KillHandle::is_killed) {
                 graph::clear_wait(me);
@@ -228,16 +214,7 @@ impl RawTxLock {
         trace::emit(trace::EventKind::LockReleased { lock: self.id.0 });
         self.owner.store(0, Ordering::SeqCst);
         crate::lockdep::note_released(self.id);
-        if self.waiters.load(Ordering::SeqCst) > 0 {
-            // Lock-and-drop before notifying: a parker that saw the lock
-            // held is either already in `wait_for` (receives the notify)
-            // or still holds `park` on its way there (so this blocks until
-            // it is); one that takes `park` later re-checks `owner`.
-            drop(self.park.lock());
-            self.cv.notify_all();
-        }
-        // Scheduled waiters park on the scheduler, not on `cv`.
-        sched::signal(op.resource().expect("lock ops have a resource"));
+        self.queue.wake(op.resource().expect("lock ops have a resource"));
     }
 
     fn trace_attempt(&self, preemptible: bool) {
