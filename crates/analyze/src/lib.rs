@@ -41,11 +41,11 @@ pub mod vc;
 pub use report::{Finding, Report};
 pub use txfix_core::Hazard;
 
-use parking_lot::Mutex;
 use txfix_core::json::ToJson;
 use txfix_core::sweep::{Flag, SweepArgs, SweepOutput, SweepRunner, Universe};
 use txfix_core::{Analysis, Recipe};
 use txfix_corpus::{bug_by_scenario, keys, scenario_by_key, Variant};
+use txfix_stm::hooks::{self, LOCKDEP, TRACE};
 use txfix_stm::trace::{self, TraceEvent};
 use txfix_txlock::lockdep;
 
@@ -187,30 +187,21 @@ fn suggestion(key: &str) -> (Option<Recipe>, String) {
     }
 }
 
-/// The recorder and both validators are process-global; one analysis runs
-/// at a time.
-static GATE: Mutex<()> = Mutex::new(());
-
 /// Run scenario `key`'s `variant` under the trace recorder and the live
 /// lockdep validator, then analyze the captured trace.
 ///
 /// Returns `None` for an unknown scenario key.
 pub fn analyze_scenario(key: &str, variant: Variant) -> Option<Report> {
     let scenario = scenario_by_key(key)?;
-    let _gate = GATE.lock();
-
-    lockdep::reset();
-    trace::reset();
-    lockdep::enable();
-    trace::enable();
-    let outcome = scenario.run(variant);
-    trace::disable();
-    lockdep::disable();
-
-    let events = trace::take();
-    let live = lockdep::inversions();
-    let live_edges = lockdep::edges();
-    lockdep::reset();
+    let (outcome, events, live, live_edges) = {
+        let _armed = hooks::arm(LOCKDEP | TRACE);
+        lockdep::reset();
+        trace::reset();
+        let outcome = scenario.run(variant);
+        let captured = (outcome, trace::take(), lockdep::inversions(), lockdep::edges());
+        lockdep::reset();
+        captured
+    };
 
     let findings = analyze_trace(&events, &live, &live_edges, key);
     Some(Report {

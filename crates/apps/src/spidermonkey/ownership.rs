@@ -13,6 +13,7 @@ use std::cell::UnsafeCell;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
+use txfix_stm::hooks::{self, TRACE};
 use txfix_stm::{sched, trace};
 use txfix_txlock::TxMutex;
 
@@ -183,7 +184,7 @@ impl OwnershipStore {
         // Dev-fix claims are revocable in the Recipe-3 sense (the protocol
         // relinquishes every owned title before blocking), so their edges
         // never complete a reportable lock-order cycle.
-        if trace::is_enabled() {
+        if hooks::armed(TRACE) {
             trace::emit(trace::EventKind::LockAttempt {
                 lock: t.trace_id,
                 name: "moz1.title".to_string(),
@@ -197,7 +198,7 @@ impl OwnershipStore {
             got
         };
         if got {
-            if trace::is_enabled() {
+            if hooks::armed(TRACE) {
                 trace::emit(trace::EventKind::LockAcquired {
                     lock: t.trace_id,
                     name: "moz1.title".to_string(),

@@ -354,11 +354,11 @@ fn busy(d: Duration) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::chaos::tests::GATE;
+    use txfix_stm::hooks;
 
     #[test]
     fn quick_comparisons_produce_sane_relatives() {
-        let _g = GATE.lock();
+        let _g = hooks::arm(0);
         let cases = cases(Scale::Quick);
         // Table 4's fixed cells: id, cause, LOC and every paper figure,
         // developers' fix first (it has none).
@@ -391,7 +391,7 @@ mod tests {
 
     #[test]
     fn tm_fixes_cost_performance_in_the_paper_direction() {
-        let _g = GATE.lock();
+        let _g = hooks::arm(0);
         // Shape assertions (generous bounds — CI machines vary): the
         // Recipe 1 fix on the native STM is markedly slower than the
         // developers' fix, and Recipe 4 costs concurrency on the delete

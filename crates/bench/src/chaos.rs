@@ -739,12 +739,11 @@ fn check_eq<T: PartialEq + std::fmt::Debug>(cell: &Cell, what: &str, got: T, wan
 pub(crate) mod tests {
     use super::*;
 
-    /// The fault plan is process-global; serialize the tests that install
-    /// one, and the stress and case-study tests that need none installed,
-    /// so plans never leak into another test's cells. The case-study tests
-    /// also need the cores to themselves: MySQL-I's wall-clock ratio is
-    /// parity when another test takes the parallelism Recipe 4 loses.
-    pub(crate) static GATE: parking_lot::Mutex<()> = parking_lot::Mutex::new(());
+    // The tests that run cells, and the stress and case-study tests that
+    // need no plan armed, hold `hooks::arm(0)`. The case-study tests also
+    // need the cores to themselves: MySQL-I's wall-clock ratio is parity
+    // when another test takes the parallelism Recipe 4 loses.
+    use txfix_stm::hooks;
 
     fn small(seed: u64) -> ChaosConfig {
         ChaosConfig {
@@ -781,7 +780,7 @@ pub(crate) mod tests {
 
     #[test]
     fn full_sweep_passes_all_invariants() {
-        let _g = GATE.lock();
+        let _g = hooks::arm(0);
         let cfg = small(0xFEED);
         let runs = run_chaos(&cfg);
         assert_eq!(runs.len(), SCENARIOS.len() * SCHEDULES.len() * 2);
@@ -800,7 +799,7 @@ pub(crate) mod tests {
 
     #[test]
     fn report_is_deterministic_for_a_fixed_seed() {
-        let _g = GATE.lock();
+        let _g = hooks::arm(0);
         let cfg = ChaosConfig { scenarios: vec!["av_stats_race", "pipe_handoff"], ..small(0xD00D) };
         let a = chaos_report(&cfg, &run_chaos(&cfg)).to_json();
         let b = chaos_report(&cfg, &run_chaos(&cfg)).to_json();
@@ -813,14 +812,14 @@ pub(crate) mod tests {
 
     #[test]
     fn injected_faults_actually_fire() {
-        let _g = GATE.lock();
+        let _g = hooks::arm(0);
         let cfg = ChaosConfig {
             scenarios: vec!["av_stats_race"],
             schedules: vec!["commit_faults"],
             ..small(0xBEEF)
         };
         let runs = run_chaos(&cfg);
-        // Counters survive `clear`: this is the last (tm) cell's total.
+        // Counters survive the guard: this is the last (tm) cell's total.
         let injected = txfix_stm::chaos::injected_total();
         assert!(runs.iter().all(ChaosRun::passed));
         assert!(injected > 0, "commit_faults schedule should inject faults");

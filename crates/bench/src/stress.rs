@@ -255,9 +255,9 @@ impl SweepRunner for StressSweep {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::chaos::tests::GATE;
     use std::sync::atomic::{AtomicBool, Ordering};
     use txfix_stm::chaos as faults;
+    use txfix_stm::hooks::{self, CHAOS};
 
     fn small(scenarios: Vec<&'static str>, threads: Vec<usize>) -> StressSweep {
         StressSweep { seed: 0x5EED, ops_per_thread: 200, scenarios, threads }
@@ -265,7 +265,7 @@ mod tests {
 
     #[test]
     fn every_scenario_sustains_load_in_both_variants() {
-        let _g = GATE.lock();
+        let _g = hooks::arm(0);
         for scenario in SCENARIOS {
             let runs = small(vec![scenario], vec![2]).run();
             let (dev, tm) = (&runs[0], &runs[1]);
@@ -291,13 +291,13 @@ mod tests {
     static ARMED_IN_KERNEL: AtomicBool = AtomicBool::new(false);
 
     fn probe(cell: &Cell, tm: bool) -> pool::Run {
-        ARMED_IN_KERNEL.fetch_or(faults::is_active(), Ordering::SeqCst);
+        ARMED_IN_KERNEL.fetch_or(hooks::armed(CHAOS), Ordering::SeqCst);
         chaos::kernel("av_stats_race")(cell, tm)
     }
 
     #[test]
     fn stress_runs_with_the_chaos_layer_disarmed() {
-        let _g = GATE.lock();
+        let _g = hooks::arm(0);
         // Leave nonzero injection counters behind: installing any plan,
         // even the empty `baseline`, zeroes them.
         let chaos_cfg = chaos::ChaosConfig {
@@ -318,12 +318,12 @@ mod tests {
         assert!(!ARMED_IN_KERNEL.load(Ordering::SeqCst), "a stress kernel ran with a plan armed");
         assert!(sweep.run().iter().all(StressRun::passed));
         assert_eq!(faults::injected_total(), injected, "stress installed a fault plan");
-        assert!(!faults::is_active());
+        assert!(!hooks::armed(CHAOS));
     }
 
     #[test]
     fn report_document_is_valid_json() {
-        let _g = GATE.lock();
+        let _g = hooks::arm(0);
         let sweep = small(vec!["av_stats_race"], vec![1]);
         let runs = sweep.run();
         assert_eq!(runs.len(), 2);

@@ -37,7 +37,6 @@ use std::fmt;
 use std::fmt::Write as _;
 use txfix_core::sweep::{Flag, SweepArgs, SweepOutput, SweepRunner, Universe};
 use txfix_static::{infer, ScenarioSummary};
-use txfix_stm::sched;
 
 /// Which implementation of the scenario to run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -129,9 +128,7 @@ impl Scenario {
     /// with a `replay diverged` bug rather than running another schedule.
     pub fn replay(&self, v: Variant) -> ScheduleOutcome {
         let trace = if v == Variant::Buggy { self.bug_trace } else { &[] };
-        sched::run_exclusively(|| {
-            run_schedule((self.scheduled)(v), DEFAULT_MAX_STEPS, replay_picker(trace.to_vec()))
-        })
+        run_schedule((self.scheduled)(v), DEFAULT_MAX_STEPS, replay_picker(trace.to_vec()))
     }
 
     /// Execute variant `v` once on its pinned schedule (see

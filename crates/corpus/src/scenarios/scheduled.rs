@@ -110,8 +110,9 @@ pub const DEFAULT_MAX_STEPS: u64 = 20_000;
 /// Run one schedule of `run` under `picker`: the one scheduled-run path
 /// that `Scenario::run` and every explorer strategy share.
 ///
-/// Must be called with the scheduler's exclusivity gate held
-/// ([`sched::run_exclusively`]); runs are process-global.
+/// Runs are process-global: the run holds the scheduler's arming guard,
+/// and a harness that drives several holds it across them
+/// ([`sched::run_exclusively`]).
 pub fn run_schedule(run: ScheduledRun, max_steps: u64, picker: Picker) -> ScheduleOutcome {
     let ScheduledRun { threads, check } = run;
     let (_, log) = sched::run_workers(threads, max_steps, picker);

@@ -124,8 +124,8 @@ pub struct Exploration {
 /// point for callers that synthesize their own runs (fix inference
 /// verifies patched scenarios this way) rather than naming a corpus row.
 ///
-/// Takes the process-global scheduler gate for the whole exploration;
-/// do not call from inside [`sched::run_exclusively`].
+/// Holds the scheduler's arming guard for the whole exploration
+/// ([`sched::run_exclusively`], re-entrant).
 pub fn explore_build(
     build: &dyn Fn(Variant) -> ScheduledRun,
     variant: Variant,

@@ -4,15 +4,13 @@
 //! and the report is deterministic per seed.
 //!
 //! The crash-point registry and chaos layer are process-global, so every
-//! test here serializes on [`GATE`]. The full matrix lives behind `txfix
+//! test here holds the arming guard (`hooks::arm(0)`). The full matrix lives behind `txfix
 //! crash kvstore`; these smokes run a reduced config per mode.
 
-use std::sync::Mutex;
 use txfix_core::json::ToJson;
 use txfix_kvstore::{KvStore, Mode};
+use txfix_stm::hooks;
 use txfix_wal::checker::{run_crash_sweep, CrashConfig, CrashReport, Schedule};
-
-static GATE: Mutex<()> = Mutex::new(());
 
 fn reduced(mode: Mode, schedule: Schedule, seed: u64) -> CrashReport {
     run_crash_sweep::<KvStore>(&CrashConfig {
@@ -25,7 +23,7 @@ fn reduced(mode: Mode, schedule: Schedule, seed: u64) -> CrashReport {
 
 #[test]
 fn every_mode_recovers_cleanly_at_every_crash_point() {
-    let _g = GATE.lock().unwrap();
+    let _g = hooks::arm(0);
     for mode in Mode::ALL {
         let report = reduced(mode, Schedule::Clean, 11);
         assert!(report.ok, "{} verdict:\n{}", mode.name(), report.table());
@@ -39,14 +37,14 @@ fn every_mode_recovers_cleanly_at_every_crash_point() {
 
 #[test]
 fn recovery_survives_an_xcall_fault_backdrop() {
-    let _g = GATE.lock().unwrap();
+    let _g = hooks::arm(0);
     let report = reduced(Mode::Tm, Schedule::XcallFaults, 12);
     assert!(report.ok, "verdict:\n{}", report.table());
 }
 
 #[test]
 fn the_kv_crash_report_is_deterministic_per_seed() {
-    let _g = GATE.lock().unwrap();
+    let _g = hooks::arm(0);
     let a = reduced(Mode::Hybrid, Schedule::Clean, 13).to_json();
     let b = reduced(Mode::Hybrid, Schedule::Clean, 13).to_json();
     assert_eq!(a, b);

@@ -29,7 +29,8 @@
 //! models, or the detectors would be tipped off.
 
 use crate::chaos::Trigger;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use crate::hooks::{self, Armed, CANARY};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// One plantable runtime mutation.
 ///
@@ -164,12 +165,11 @@ impl Canary {
 
 // ---- the arming tables ----------------------------------------------------
 //
-// Same discipline as `chaos`: one relaxed load (`ACTIVE`) on the disabled
-// path, per-site atomics for the armed trigger so `fire` never locks. At
-// most one canary is armed at a time — a sweep probes mutations one by
-// one, and a single armed site keeps every probe attributable.
+// Same discipline as `chaos`: one relaxed load (the CANARY bit) on the
+// disabled path, per-site atomics for the armed trigger so `fire` never
+// locks. At most one canary is armed at a time — a sweep probes mutations
+// one by one, and a single armed site keeps every probe attributable.
 
-static ACTIVE: AtomicBool = AtomicBool::new(false);
 static ARMED: AtomicU64 = AtomicU64::new(0); // site index + 1; 0 = none
 static SEED: AtomicU64 = AtomicU64::new(0);
 static KIND: AtomicU64 = AtomicU64::new(0); // 1/2/3 = PerMille/Nth/EveryNth
@@ -202,10 +202,11 @@ static SITE_SALT: [u64; SITE_COUNT] = [
     0x94D0_49BB_1331_11EB,
 ];
 
-/// Arm `canary` with `trigger` under `seed`, zeroing all hit/fired
-/// counters. Any previously armed canary is disarmed.
-pub fn arm(canary: Canary, seed: u64, trigger: Trigger) {
-    ACTIVE.store(false, Ordering::SeqCst);
+/// Arm `canary` with `trigger` under `seed` for the life of the returned
+/// guard ([`hooks::arm`]), zeroing all hit/fired counters.
+pub fn scoped(canary: Canary, seed: u64, trigger: Trigger) -> Armed {
+    // Select the site under the arming lock, before the bit is visible.
+    let _exclusive = hooks::arm(0);
     for i in 0..SITE_COUNT {
         HITS[i].store(0, Ordering::SeqCst);
         FIRED[i].store(0, Ordering::SeqCst);
@@ -215,30 +216,7 @@ pub fn arm(canary: Canary, seed: u64, trigger: Trigger) {
     KIND.store(kind, Ordering::SeqCst);
     VALUE.store(value, Ordering::SeqCst);
     ARMED.store(canary.index() as u64 + 1, Ordering::SeqCst);
-    ACTIVE.store(true, Ordering::SeqCst);
-}
-
-/// Disarm whatever canary is armed (counters are kept until the next
-/// [`arm`]).
-pub fn disarm() {
-    ACTIVE.store(false, Ordering::SeqCst);
-    ARMED.store(0, Ordering::SeqCst);
-}
-
-/// RAII guard: arm on construction, disarm on drop.
-pub struct Armed(());
-
-/// Arm `canary` for the lifetime of the returned guard.
-#[must_use = "the canary is disarmed when the guard drops"]
-pub fn scoped(canary: Canary, seed: u64, trigger: Trigger) -> Armed {
-    arm(canary, seed, trigger);
-    Armed(())
-}
-
-impl Drop for Armed {
-    fn drop(&mut self) {
-        disarm();
-    }
+    hooks::arm(CANARY)
 }
 
 /// Ask whether `canary`'s mutation should fire at this hit. Counts the
@@ -246,10 +224,7 @@ impl Drop for Armed {
 /// nothing is armed (and always when a different canary is armed).
 #[inline]
 pub fn fire(canary: Canary) -> bool {
-    if !ACTIVE.load(Ordering::Relaxed) {
-        return false;
-    }
-    fire_slow(canary)
+    hooks::armed(CANARY) && fire_slow(canary)
 }
 
 #[cold]
@@ -270,22 +245,15 @@ fn fire_slow(canary: Canary) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use parking_lot::Mutex;
-
-    // The arming tables are process-global; serialize tests that touch
-    // them (same discipline as the chaos tests).
-    static GATE: Mutex<()> = Mutex::new(());
 
     #[test]
     fn disarmed_never_fires() {
-        let _g = GATE.lock();
-        disarm();
+        let _g = hooks::arm(0);
         assert!(!fire(Canary::StmSkipWriteback));
     }
 
     #[test]
     fn only_the_armed_canary_fires() {
-        let _g = GATE.lock();
         let _armed = scoped(Canary::LockDropRelease, 0, Trigger::EveryNth(1));
         assert!(fire(Canary::LockDropRelease));
         assert!(!fire(Canary::StmSkipWriteback), "a different site must stay silent");
@@ -295,7 +263,6 @@ mod tests {
 
     #[test]
     fn nth_fires_exactly_once() {
-        let _g = GATE.lock();
         let _armed = scoped(Canary::StmStaleStamp, 9, Trigger::Nth(3));
         let fires: Vec<bool> = (0..6).map(|_| fire(Canary::StmStaleStamp)).collect();
         assert_eq!(fires, vec![false, false, true, false, false, false]);
@@ -303,7 +270,6 @@ mod tests {
 
     #[test]
     fn per_mille_is_a_pure_function_of_seed_and_ordinal() {
-        let _g = GATE.lock();
         let run = |seed| {
             let _armed = scoped(Canary::SchedOutOfTurn, seed, Trigger::PerMille(500));
             (0..64).map(|_| fire(Canary::SchedOutOfTurn)).collect::<Vec<bool>>()

@@ -12,8 +12,8 @@
 //! places the runtime, `txfix-txlock` and `txfix-xcall` ask
 //! [`should_inject`] whether to fail — and gives each one a [`Trigger`]:
 //! fire on the nth hit, every nth hit, or with a seeded per-mille
-//! probability. Installing a plan arms the points process-wide; clearing it
-//! disarms them.
+//! probability. [`scoped`] installs a plan and arms the points process-wide
+//! (the [`CHAOS`] bit of the [`hooks`] word) for the life of its guard.
 //!
 //! ## Determinism
 //!
@@ -28,10 +28,10 @@
 //!
 //! ## Cost when disabled
 //!
-//! Same contract as [`obs`](crate::obs) and `trace::sink`: with no plan
-//! installed every [`should_inject`] call is a single relaxed load of one
-//! `AtomicBool` and an immediate `false`. The `stm_overhead` criterion
-//! bench covers this path.
+//! Same contract as every [`hooks`] layer: with no plan armed every
+//! [`should_inject`] call is a single relaxed load of the arming word and
+//! an immediate `false`. The `stm_overhead` criterion bench covers this
+//! path.
 //!
 //! ## What injection means at each point
 //!
@@ -42,8 +42,9 @@
 //! roll back, mirroring how kills are ignored). See DESIGN.md §8 for the
 //! full inventory.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
+use crate::hooks::{self, Armed, CHAOS};
 use crate::obs;
 
 /// A fixed place in the runtime where a fault can be injected.
@@ -263,10 +264,9 @@ pub const SCHEDULES: &[(&str, &[(InjectionPoint, Trigger)])] = &[
 //
 // A plan is installed by flattening it into per-point atomics, so the hot
 // path never takes a lock: kind 0 = disarmed, 1/2/3 = PerMille/Nth/EveryNth
-// with the parameter in VALUES. ACTIVE is the one relaxed load every
+// with the parameter in VALUES. The CHAOS bit is the one relaxed load every
 // disabled call pays.
 
-static ACTIVE: AtomicBool = AtomicBool::new(false);
 static SEED: AtomicU64 = AtomicU64::new(0);
 
 #[allow(clippy::declare_interior_mutable_const)] // const used only as array initializer
@@ -336,11 +336,12 @@ pub fn fnv64(bytes: &[u8]) -> u64 {
     h.finish()
 }
 
-/// Install `plan` process-wide, zeroing the hit and injection counters.
-/// Installing an empty plan still arms the layer (hits are counted); use
-/// [`clear`] to disarm.
-pub fn install(plan: &FaultPlan) {
-    ACTIVE.store(false, Ordering::SeqCst);
+/// Install `plan` process-wide, zeroing the hit and injection counters
+/// (kept until the next install), and arm it for the life of the
+/// returned guard. An empty plan still arms the layer (hits are counted).
+pub fn scoped(plan: &FaultPlan) -> Armed {
+    // Fill the tables under the arming lock, before the bit is visible.
+    let _exclusive = hooks::arm(0);
     SEED.store(plan.seed, Ordering::SeqCst);
     for i in 0..POINT_COUNT {
         let (kind, value) = match plan.rules[i] {
@@ -352,51 +353,16 @@ pub fn install(plan: &FaultPlan) {
         HITS[i].store(0, Ordering::SeqCst);
         INJECTED[i].store(0, Ordering::SeqCst);
     }
-    ACTIVE.store(true, Ordering::SeqCst);
-}
-
-/// Disarm every injection point. Hit/injection counters are kept until the
-/// next [`install`] so they can still be inspected after a run.
-pub fn clear() {
-    ACTIVE.store(false, Ordering::SeqCst);
-    for k in &KINDS {
-        k.store(0, Ordering::SeqCst);
-    }
-}
-
-/// Whether a plan is currently installed.
-pub fn is_active() -> bool {
-    ACTIVE.load(Ordering::Relaxed)
-}
-
-/// Install `plan` for the life of the returned guard, clearing on drop.
-/// Test-friendly: a panic between install and clear still disarms.
-pub fn scoped(plan: &FaultPlan) -> ChaosGuard {
-    install(plan);
-    ChaosGuard { _priv: () }
-}
-
-/// Guard returned by [`scoped`]; disarms the chaos layer on drop.
-pub struct ChaosGuard {
-    _priv: (),
-}
-
-impl Drop for ChaosGuard {
-    fn drop(&mut self) {
-        clear();
-    }
+    hooks::arm(CHAOS)
 }
 
 /// Ask whether the fault armed at `point` fires now. Counts a hit against
 /// the point either way (when armed), bumps the point's injected counter
 /// and the current obs site's `faults_injected` when it fires. With no plan
-/// installed this is one relaxed load and `false`.
+/// armed this is one relaxed load and `false`.
 #[inline]
 pub fn should_inject(point: InjectionPoint) -> bool {
-    if !ACTIVE.load(Ordering::Relaxed) {
-        return false;
-    }
-    should_inject_slow(point)
+    hooks::armed(CHAOS) && should_inject_slow(point)
 }
 
 #[cold]
@@ -422,7 +388,7 @@ fn should_inject_slow(point: InjectionPoint) -> bool {
     true
 }
 
-/// Hit and injection counts for one point since the last [`install`].
+/// Hit and injection counts for one point since the last [`scoped`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PointStats {
     /// The point.
@@ -445,7 +411,7 @@ pub fn point_stats() -> Vec<PointStats> {
         .collect()
 }
 
-/// Total faults injected across all points since the last [`install`].
+/// Total faults injected across all points since the last [`scoped`].
 pub fn injected_total() -> u64 {
     INJECTED.iter().map(|c| c.load(Ordering::Relaxed)).sum()
 }

@@ -73,6 +73,7 @@ pub mod chaos;
 mod clock;
 mod contention;
 mod error;
+pub mod hooks;
 pub mod obs;
 mod orec;
 mod runtime;

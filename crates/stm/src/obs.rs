@@ -13,9 +13,9 @@
 //!
 //! ## Cost when disabled
 //!
-//! The layer is **off by default** and follows the `trace::sink` contract:
-//! every hook begins with a single relaxed load of the global enable flag
-//! and returns immediately when it is clear. No timestamps are taken, no
+//! The layer is **off by default** and follows the [`hooks`] contract:
+//! every hook begins with a single relaxed load of the arming word's
+//! [`OBS`] bit and returns immediately when it is clear. No timestamps are taken, no
 //! thread-locals touched, no buckets computed. The `stm_overhead` criterion
 //! bench keeps this honest (within 5% of the pre-metrics baseline).
 //!
@@ -30,9 +30,10 @@
 
 use parking_lot::Mutex;
 use std::cell::Cell;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::error::ConflictKind;
+use crate::hooks::{self, OBS};
 
 /// Number of per-site slots in the static registry. Interning more sites
 /// than this folds the excess into the unattributed slot 0 (no panic, no
@@ -98,24 +99,20 @@ fn registered_sites() -> usize {
 
 // ---- the enable gate ------------------------------------------------------
 
-static ENABLED: AtomicBool = AtomicBool::new(false);
+// `enable`/`disable` are the one arming path that bypasses the
+// `hooks::arm` guard: the stress driver and the benchmark turn metrics on
+// for a whole process, which must not hold the arming lock. A test that
+// needs metrics on and must not overlap an armed one takes `arm(OBS)`.
 
-/// Turn metrics recording on, process-wide.
+/// Turn metrics recording on, process-wide (sets the [`OBS`] bit).
 pub fn enable() {
     ensure_slot0(&mut NAMES.lock());
-    ENABLED.store(true, Ordering::SeqCst);
+    hooks::set(OBS);
 }
 
 /// Turn metrics recording off. Already-accumulated counters are kept.
 pub fn disable() {
-    ENABLED.store(false, Ordering::SeqCst);
-}
-
-/// Whether metrics recording is on. This is the single relaxed load every
-/// disabled-path hook pays.
-#[inline]
-pub fn is_enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
+    hooks::clear(OBS);
 }
 
 /// Zero every counter and histogram. Site names stay interned (ids remain
@@ -397,10 +394,9 @@ macro_rules! note_fns {
     ($($name:ident => $field:ident),+ $(,)?) => {
         $(#[inline]
         pub(crate) fn $name(site: SiteId) {
-            if !is_enabled() {
-                return;
+            if hooks::armed(OBS) {
+                SITES[site.index()].$field.fetch_add(1, Ordering::Relaxed);
             }
-            SITES[site.index()].$field.fetch_add(1, Ordering::Relaxed);
         })+
     };
 }
@@ -420,7 +416,7 @@ note_fns! {
 /// attempt and latency histograms.
 #[inline]
 pub(crate) fn note_commit(site: SiteId, attempts: u64, latency_ns: u64) {
-    if !is_enabled() {
+    if !hooks::armed(OBS) {
         return;
     }
     let slot = &SITES[site.index()];
@@ -432,7 +428,7 @@ pub(crate) fn note_commit(site: SiteId, attempts: u64, latency_ns: u64) {
 /// Record a conflict abort, split by cause.
 #[inline]
 pub(crate) fn note_conflict(site: SiteId, kind: ConflictKind) {
-    if !is_enabled() {
+    if !hooks::armed(OBS) {
         return;
     }
     let slot = &SITES[site.index()];
@@ -445,10 +441,9 @@ pub(crate) fn note_conflict(site: SiteId, kind: ConflictKind) {
 /// Record time spent backing off between attempts.
 #[inline]
 pub(crate) fn note_backoff(site: SiteId, ns: u64) {
-    if !is_enabled() {
-        return;
+    if hooks::armed(OBS) {
+        SITES[site.index()].backoff_ns.fetch_add(ns, Ordering::Relaxed);
     }
-    SITES[site.index()].backoff_ns.fetch_add(ns, Ordering::Relaxed);
 }
 
 // ---- cross-crate hooks (txlock, xcall) ------------------------------------
@@ -466,7 +461,7 @@ pub(crate) struct SiteScope {
 /// returned guard, so hooks from other layers (locks, x-calls) attribute to
 /// it. A no-op (no thread-local touched) while metrics are disabled.
 pub(crate) fn enter_site(site: SiteId) -> SiteScope {
-    if !is_enabled() {
+    if !hooks::armed(OBS) {
         return SiteScope { prev: None };
     }
     let prev = CURRENT_SITE.with(|c| c.replace(site.0));
@@ -490,30 +485,27 @@ fn current_site() -> SiteId {
 /// unattributed site).
 #[inline]
 pub fn note_lock_acquired() {
-    if !is_enabled() {
-        return;
+    if hooks::armed(OBS) {
+        SITES[current_site().index()].lock_acquisitions.fetch_add(1, Ordering::Relaxed);
     }
-    SITES[current_site().index()].lock_acquisitions.fetch_add(1, Ordering::Relaxed);
 }
 
 /// Hook for `txfix-txlock`: a revocable lock was revoked (its holder
 /// preempted by the deadlock detector).
 #[inline]
 pub fn note_lock_revoked() {
-    if !is_enabled() {
-        return;
+    if hooks::armed(OBS) {
+        SITES[current_site().index()].lock_revocations.fetch_add(1, Ordering::Relaxed);
     }
-    SITES[current_site().index()].lock_revocations.fetch_add(1, Ordering::Relaxed);
 }
 
 /// Hook for `txfix-xcall`: a deferred x-call operation was enlisted in the
 /// current thread's transaction.
 #[inline]
 pub fn note_xcall() {
-    if !is_enabled() {
-        return;
+    if hooks::armed(OBS) {
+        SITES[current_site().index()].xcalls.fetch_add(1, Ordering::Relaxed);
     }
-    SITES[current_site().index()].xcalls.fetch_add(1, Ordering::Relaxed);
 }
 
 /// Hook for [`chaos`](crate::chaos): a fault fired. Attributed like the
@@ -521,19 +513,14 @@ pub fn note_xcall() {
 /// in `txlock` and `xcall` as well as the STM core.
 #[inline]
 pub(crate) fn note_fault_injected() {
-    if !is_enabled() {
-        return;
+    if hooks::armed(OBS) {
+        SITES[current_site().index()].faults_injected.fetch_add(1, Ordering::Relaxed);
     }
-    SITES[current_site().index()].faults_injected.fetch_add(1, Ordering::Relaxed);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use parking_lot::Mutex as TestMutex;
-
-    // The registry is process-global; serialize tests that toggle it.
-    static GATE: TestMutex<()> = TestMutex::new(());
 
     #[test]
     fn bucket_boundaries_are_log2() {
@@ -570,8 +557,7 @@ mod tests {
 
     #[test]
     fn disabled_hooks_record_nothing() {
-        let _g = GATE.lock();
-        disable();
+        let _g = hooks::arm(0);
         let before = snapshot();
         let site = intern("obs_test_disabled");
         note_commit(site, 3, 500);
@@ -584,9 +570,8 @@ mod tests {
 
     #[test]
     fn enabled_hooks_attribute_to_the_site() {
-        let _g = GATE.lock();
+        let _armed = hooks::arm(OBS);
         let site = intern("obs_test_enabled");
-        enable();
         let before = snapshot();
         note_commit(site, 2, 300);
         note_conflict(site, ConflictKind::ReadValidation);
@@ -594,7 +579,6 @@ mod tests {
         note_backoff(site, 42);
         note_irrevocable(site);
         let after = snapshot();
-        disable();
         let d = after.site(site).unwrap().delta(before.site(site).unwrap());
         assert_eq!(d.commits, 1);
         assert_eq!(d.aborts_validation, 1);
@@ -618,9 +602,8 @@ mod tests {
 
     #[test]
     fn lock_hooks_attribute_to_current_site() {
-        let _g = GATE.lock();
+        let _armed = hooks::arm(OBS);
         let site = intern("obs_test_locks");
-        enable();
         let before = snapshot();
         {
             let _scope = enter_site(site);
@@ -630,7 +613,6 @@ mod tests {
         }
         note_lock_acquired(); // outside the scope: unattributed
         let after = snapshot();
-        disable();
         let d = after.site(site).unwrap().delta(before.site(site).unwrap());
         assert_eq!(d.lock_acquisitions, 1);
         assert_eq!(d.lock_revocations, 1);

@@ -6,6 +6,7 @@
 use crate::chaos;
 use crate::contention::Backoff;
 use crate::error::{Abort, ConflictKind, StmResult, TxnError};
+use crate::hooks::{self, OBS};
 use crate::obs;
 use crate::obs::SiteId;
 use crate::sched::{self, SyncOp};
@@ -300,7 +301,7 @@ pub(crate) fn atomic_report<T>(
     // One relaxed load when metrics are off; the timestamp and the
     // current-site scope exist only on the enabled path. A second timestamp
     // exists only when a wall-clock deadline is configured.
-    let started = if obs::is_enabled() { Some(Instant::now()) } else { None };
+    let started = if hooks::armed(OBS) { Some(Instant::now()) } else { None };
     let deadline_from = opts.escalation.and_then(|e| e.deadline.map(|d| (Instant::now(), d)));
     let _site_scope = obs::enter_site(opts.site);
 
@@ -482,7 +483,7 @@ fn backoff_wait(backoff: &mut Backoff, site: SiteId) {
         // begin yield is the contention-ordering decision instead.
         return;
     }
-    if obs::is_enabled() {
+    if hooks::armed(OBS) {
         let started = Instant::now();
         backoff.wait();
         obs::note_backoff(site, started.elapsed().as_nanos() as u64);

@@ -16,9 +16,10 @@
 //!
 //! Like the [`trace`](crate::trace) recorder and the
 //! [`chaos`](crate::chaos) layer, the scheduler is **off by default and
-//! zero-cost when disabled**: every hook starts with one relaxed atomic
-//! load, and threads that never registered (every thread in a normal test
-//! or production run) are never touched even while a run is active.
+//! zero-cost when disabled**: every hook starts with one relaxed load of
+//! the [`hooks`] word (its [`SCHED`] bit), and threads that never
+//! registered (every thread in a normal test or production run) are never
+//! touched even while a run is active.
 //!
 //! # Blocking model
 //!
@@ -53,7 +54,8 @@ use parking_lot::{Condvar, Mutex};
 use std::cell::Cell;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
+
+use crate::hooks::{self, SCHED};
 
 /// Resource-id tag for `TVar` ids (see [`SyncOp::resource`]). `TVar`,
 /// lock and traced-object counters are independent, so raw ids collide;
@@ -354,7 +356,6 @@ impl Inner {
 /// The namespace tag bits of a resource id (see `VAR_TAG` & friends).
 const TAG_MASK: u64 = 0xF << 60;
 
-static ACTIVE: AtomicBool = AtomicBool::new(false);
 static STATE: Mutex<Option<Inner>> = Mutex::new(None);
 static TURNSTILE: Condvar = Condvar::new();
 
@@ -370,9 +371,7 @@ thread_local! {
 /// [`block_on`] and an OS wait. One relaxed load when no run is active.
 #[inline]
 pub fn is_controlled() -> bool {
-    ACTIVE.load(Ordering::Relaxed)
-        && SLOT.with(|s| s.get().is_some())
-        && SUPPRESS.with(|s| s.get() == 0)
+    hooks::armed(SCHED) && SLOT.with(|s| s.get().is_some()) && SUPPRESS.with(|s| s.get() == 0)
 }
 
 /// Scheduling steps taken so far in the active run, or 0 when no run is
@@ -385,7 +384,7 @@ pub fn current_steps() -> u64 {
 
 #[inline]
 fn controlled_slot() -> Option<usize> {
-    if !ACTIVE.load(Ordering::Relaxed) {
+    if !hooks::armed(SCHED) {
         return None;
     }
     if SUPPRESS.with(|s| s.get() != 0) {
@@ -423,8 +422,8 @@ pub fn atomic_section() -> AtomicSection {
 ///
 /// # Panics
 ///
-/// Panics if a run is already active (runs are process-global; harnesses
-/// serialize on [`run_exclusively`]).
+/// Panics if a run is already active (runs are process-global; the
+/// [`SCHED`] guard [`run_workers`] holds keeps other threads' runs out).
 fn begin_run(threads: usize, max_steps: u64, picker: Picker) {
     let mut g = STATE.lock();
     assert!(g.is_none(), "a scheduler run is already active");
@@ -439,13 +438,11 @@ fn begin_run(threads: usize, max_steps: u64, picker: Picker) {
         canon: std::collections::HashMap::new(),
         timed_out: None,
     });
-    ACTIVE.store(true, Ordering::SeqCst);
 }
 
 /// Tear down the active run and return its record. Idempotent with
 /// respect to worker state: workers must have been joined first.
 fn end_run() -> RunLog {
-    ACTIVE.store(false, Ordering::SeqCst);
     let inner = STATE.lock().take().expect("end_run without begin_run");
     RunLog {
         decisions: inner.decisions,
@@ -455,12 +452,11 @@ fn end_run() -> RunLog {
     }
 }
 
-/// The process-global lock harnesses hold while driving scheduled runs,
-/// so concurrent tests (and the CLI) serialize instead of tripping the
-/// one-run-at-a-time assertion.
+/// Run `f` holding the [`SCHED`] guard ([`hooks::arm`], re-entrant), so
+/// a harness that drives several scheduled runs keeps every other
+/// thread's armed runs out until it is done.
 pub fn run_exclusively<T>(f: impl FnOnce() -> T) -> T {
-    static GATE: Mutex<()> = Mutex::new(());
-    let _g = GATE.lock();
+    let _armed = hooks::arm(SCHED);
     f()
 }
 
@@ -468,17 +464,18 @@ pub fn run_exclusively<T>(f: impl FnOnce() -> T) -> T {
 /// per-schedule step bound, and `picker` deciding every step. Returns
 /// each worker's value and the run's record.
 ///
-/// Call from an uncontrolled thread with the scheduler's exclusivity gate
-/// held (wrap the whole harness in [`run_exclusively`]); runs are
-/// process-global. A worker that panics aborts the run: its slot yields
-/// `None` and the [`RunLog`]'s stop reason carries the message. A worker
-/// the scheduler tears down (deadlock, prune, step limit, another
-/// worker's panic) also yields `None`.
+/// Call from an uncontrolled thread; the run holds the [`SCHED`] guard
+/// ([`hooks::arm`]), so a worker must never arm. A worker that panics
+/// aborts the run: its slot yields `None` and the [`RunLog`]'s stop
+/// reason carries the message. A worker the scheduler tears down
+/// (deadlock, prune, step limit, another worker's panic) also yields
+/// `None`.
 pub fn run_workers<'a, R: Send + 'a>(
     workers: Vec<Box<dyn FnOnce() -> R + Send + 'a>>,
     max_steps: u64,
     picker: Picker,
 ) -> (Vec<Option<R>>, RunLog) {
+    let _armed = hooks::arm(SCHED);
     begin_run(workers.len(), max_steps, picker);
     let results = std::thread::scope(|s| {
         let handles: Vec<_> = workers
@@ -558,7 +555,15 @@ fn abort_run(message: String) {
 /// Announce the next operation and wait for this thread's turn to run it.
 /// No-op for uncontrolled threads. Unwinds back to [`run_workers`] if
 /// the run stops while parked.
+#[inline]
 pub fn yield_point(op: SyncOp) {
+    if hooks::armed(SCHED) {
+        yield_slow(op);
+    }
+}
+
+#[cold]
+fn yield_slow(op: SyncOp) {
     let Some(me) = controlled_slot() else {
         return;
     };
@@ -623,44 +628,38 @@ fn park(res: u64, op: SyncOp, timed: bool) -> Option<usize> {
 
 /// Make every thread parked on `res` runnable again. Callable from any
 /// thread (controlled or not); a no-op when no run is active.
+#[inline]
 pub fn signal(res: u64) {
-    if !ACTIVE.load(Ordering::Relaxed) {
-        return;
+    if hooks::armed(SCHED) {
+        wake(Some(res));
     }
+}
+
+/// Make *every* blocked thread runnable (used by revocation paths, where
+/// a kill must wake its victim regardless of what it is parked on).
+pub fn wake_all() {
+    if hooks::armed(SCHED) {
+        wake(None);
+    }
+}
+
+/// Make the threads blocked on `res` (every blocked thread for `None`)
+/// runnable.
+#[cold]
+fn wake(res: Option<u64>) {
     let mut g = STATE.lock();
     let Some(inner) = g.as_mut() else {
         return;
     };
     for phase in inner.phase.iter_mut() {
         if let Phase::Blocked(r, op, _) = *phase {
-            if r == res {
+            if res.is_none_or(|res| r == res) {
                 *phase = Phase::Ready(op);
             }
         }
     }
     // If the signaller is uncontrolled there may be no Running thread;
     // give the newly runnable ones a chance immediately.
-    if inner.stop.is_none() && !inner.phase.iter().any(|p| matches!(p, Phase::Running)) {
-        schedule(inner);
-    }
-    TURNSTILE.notify_all();
-}
-
-/// Make *every* blocked thread runnable (used by revocation paths, where
-/// a kill must wake its victim regardless of what it is parked on).
-pub fn wake_all() {
-    if !ACTIVE.load(Ordering::Relaxed) {
-        return;
-    }
-    let mut g = STATE.lock();
-    let Some(inner) = g.as_mut() else {
-        return;
-    };
-    for phase in inner.phase.iter_mut() {
-        if let Phase::Blocked(_, op, _) = *phase {
-            *phase = Phase::Ready(op);
-        }
-    }
     if inner.stop.is_none() && !inner.phase.iter().any(|p| matches!(p, Phase::Running)) {
         schedule(inner);
     }

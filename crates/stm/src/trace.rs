@@ -4,11 +4,12 @@
 //! `txfix-txlock`'s mutexes, `txfix-tmsync`'s serial mutexes and condition
 //! variables) emits its lock, transaction and shared-access events through
 //! the global sink in this module. The recorder is **off by default** and
-//! zero-cost when disabled — each hook is a single relaxed atomic load, the
-//! same discipline `txfix_txlock::lockdep` uses — so instrumented code pays
-//! nothing in production runs. `txfix-analyze` turns it on around one
-//! scenario execution and then replays the captured trace through its
-//! happens-before and conflict-serializability passes.
+//! zero-cost when disabled — each hook is one relaxed load of the
+//! [`hooks`] word's [`TRACE`] bit, like every other layer's — so
+//! instrumented code pays nothing in production runs. `txfix-analyze`
+//! arms it (`hooks::arm(TRACE)`) around one scenario execution and then
+//! replays the captured trace through its happens-before and
+//! conflict-serializability passes.
 //!
 //! Shared data that is *not* managed by a [`TVar`](crate::TVar) or a lock
 //! can participate via [`TracedCell`]: a word-sized cell whose plain
@@ -18,7 +19,9 @@
 
 use parking_lot::Mutex;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
+
+use crate::hooks::{self, TRACE};
 
 /// How an access reads or writes its object.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -137,7 +140,6 @@ pub enum EventKind {
     },
 }
 
-static ENABLED: AtomicBool = AtomicBool::new(false);
 static EVENTS: Mutex<Vec<TraceEvent>> = Mutex::new(Vec::new());
 
 /// Ids handed out by [`next_object_id`] carry this tag so they can never
@@ -181,25 +183,8 @@ pub fn is_external_object(id: u64) -> bool {
     id & OBJECT_TAG != 0
 }
 
-/// Start recording. Instrumented code everywhere in the process begins
-/// appending events to the global sink.
-pub fn enable() {
-    ENABLED.store(true, Ordering::SeqCst);
-}
-
-/// Stop recording (already-captured events are kept until [`reset`] or
-/// [`take`]).
-pub fn disable() {
-    ENABLED.store(false, Ordering::SeqCst);
-}
-
-/// Whether the recorder is currently on.
-#[inline]
-pub fn is_enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
-}
-
-/// Drop all captured events.
+/// Drop all captured events (captured events are kept after the
+/// [`TRACE`] bit clears, until this or [`take`]).
 pub fn reset() {
     EVENTS.lock().clear();
 }
@@ -210,13 +195,17 @@ pub fn take() -> Vec<TraceEvent> {
 }
 
 /// Append one event to the sink if recording is on. The disabled path is a
-/// single relaxed load; callers building an expensive payload should check
-/// [`is_enabled`] first.
+/// single relaxed load; callers building an expensive payload should test
+/// `hooks::armed(TRACE)` first.
 #[inline]
 pub fn emit(kind: EventKind) {
-    if !is_enabled() {
-        return;
+    if hooks::armed(TRACE) {
+        emit_slow(kind);
     }
+}
+
+#[cold]
+fn emit_slow(kind: EventKind) {
     let ev = TraceEvent { thread: thread_id(), kind };
     EVENTS.lock().push(ev);
 }
@@ -265,7 +254,7 @@ impl TracedCell {
         } else {
             crate::sched::SyncOp::SharedRead(self.id)
         });
-        if !is_enabled() {
+        if !hooks::armed(TRACE) {
             return;
         }
         emit(EventKind::SharedAccess {
@@ -335,14 +324,10 @@ impl TracedCell {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use parking_lot::Mutex as TestMutex;
-
-    // The sink is process-global; serialize tests that toggle it.
-    static GATE: TestMutex<()> = TestMutex::new(());
 
     #[test]
     fn disabled_recorder_captures_nothing() {
-        let _g = GATE.lock();
+        let _g = hooks::arm(0);
         reset();
         let cell = TracedCell::new("off", 0);
         cell.store(7);
@@ -353,14 +338,12 @@ mod tests {
 
     #[test]
     fn enabled_recorder_orders_events() {
-        let _g = GATE.lock();
+        let _armed = hooks::arm(TRACE);
         reset();
-        enable();
         let cell = TracedCell::new("cnt", 0);
         let v = cell.load();
         cell.store(v + 1);
         cell.fetch_add(1);
-        disable();
         let events = take();
         let kinds: Vec<(AccessKind, bool)> = events
             .iter()
@@ -378,13 +361,11 @@ mod tests {
 
     #[test]
     fn peek_and_set_are_invisible() {
-        let _g = GATE.lock();
+        let _armed = hooks::arm(TRACE);
         reset();
-        enable();
         let cell = TracedCell::new("quiet", 0);
         cell.set(9);
         assert_eq!(cell.peek(), 9);
-        disable();
         assert_eq!(take(), Vec::new());
     }
 

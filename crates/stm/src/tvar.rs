@@ -10,6 +10,7 @@
 
 use crate::clock;
 use crate::error::{Abort, ConflictKind, StmResult};
+use crate::hooks::{self, TRACE};
 use crate::orec::{self, Orec, DIRECT_WRITER};
 use crate::serial;
 use crate::trace;
@@ -231,7 +232,7 @@ impl<T: Send + Sync + 'static> TVar<T> {
     // (they serialize against commits via the orec), so the trace marks
     // them `atomic`: visible to the analyzer, never part of a race.
     fn trace_direct(&self, kind: trace::AccessKind) {
-        if trace::is_enabled() {
+        if hooks::armed(TRACE) {
             let (object, name) = (self.inner.id, format!("tvar#{}", self.inner.id));
             trace::emit(trace::EventKind::SharedAccess { object, name, kind, atomic: true });
         }

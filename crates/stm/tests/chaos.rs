@@ -2,22 +2,17 @@
 //! plans must fire deterministically at the right abort points, the
 //! runtime must recover (no stuck orecs, no lost writes), irrevocable
 //! transactions must be exempt, and a disarmed layer must inject nothing.
+//!
+//! The arming tables are process-global: each test holds the guard
+//! `chaos::scoped` returns (or `hooks::arm(0)`), so triggers are consumed
+//! by the intended transactions.
 
-use std::sync::Mutex;
 use txfix_stm::chaos::{self, FaultPlan, InjectionPoint, Trigger};
+use txfix_stm::hooks::{self, CHAOS};
 use txfix_stm::{obs, TVar, Txn};
-
-/// The arming tables are process-global; serialize every test that
-/// installs a plan so triggers are consumed by the intended transactions.
-static GATE: Mutex<()> = Mutex::new(());
-
-fn gate() -> std::sync::MutexGuard<'static, ()> {
-    GATE.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 #[test]
 fn begin_injection_forces_exactly_one_retry() {
-    let _g = gate();
     let plan = FaultPlan::new(1).with(InjectionPoint::TxnBegin, Trigger::Nth(1));
     let _armed = chaos::scoped(&plan);
     let v = TVar::new(0u32);
@@ -29,7 +24,6 @@ fn begin_injection_forces_exactly_one_retry() {
 
 #[test]
 fn read_injection_aborts_and_recovers() {
-    let _g = gate();
     let plan = FaultPlan::new(2).with(InjectionPoint::TxnRead, Trigger::Nth(1));
     let _armed = chaos::scoped(&plan);
     let v = TVar::new(10u32);
@@ -47,7 +41,6 @@ fn read_injection_aborts_and_recovers() {
 
 #[test]
 fn precommit_injection_aborts_and_recovers() {
-    let _g = gate();
     let plan = FaultPlan::new(3).with(InjectionPoint::TxnPreCommit, Trigger::Nth(1));
     let _armed = chaos::scoped(&plan);
     let v = TVar::new(0u32);
@@ -58,7 +51,6 @@ fn precommit_injection_aborts_and_recovers() {
 
 #[test]
 fn writeback_injection_releases_orecs_before_aborting() {
-    let _g = gate();
     let plan = FaultPlan::new(4).with(InjectionPoint::TxnWriteback, Trigger::Nth(1));
     let _armed = chaos::scoped(&plan);
     let v = TVar::new(0u32);
@@ -81,7 +73,6 @@ fn writeback_injection_releases_orecs_before_aborting() {
 
 #[test]
 fn every_nth_fires_periodically_across_transactions() {
-    let _g = gate();
     let plan = FaultPlan::new(5).with(InjectionPoint::TxnPreCommit, Trigger::EveryNth(2));
     let _armed = chaos::scoped(&plan);
     let v = TVar::new(0u32);
@@ -99,7 +90,6 @@ fn every_nth_fires_periodically_across_transactions() {
 
 #[test]
 fn irrevocable_transactions_are_exempt() {
-    let _g = gate();
     let plan = FaultPlan::new(6)
         .with(InjectionPoint::TxnRead, Trigger::EveryNth(1))
         .with(InjectionPoint::TxnPreCommit, Trigger::EveryNth(1));
@@ -119,10 +109,9 @@ fn irrevocable_transactions_are_exempt() {
 
 #[test]
 fn disarmed_layer_injects_nothing() {
-    let _g = gate();
-    chaos::clear();
-    assert!(!chaos::is_active());
-    // `clear` keeps the counters of the last installed plan.
+    let _g = hooks::arm(0);
+    assert!(!hooks::armed(CHAOS));
+    // A dropped guard keeps the counters of the last installed plan.
     let before = chaos::injected_total();
     let v = TVar::new(0u32);
     for _ in 0..50 {
@@ -134,7 +123,6 @@ fn disarmed_layer_injects_nothing() {
 
 #[test]
 fn injected_faults_are_attributed_to_the_obs_site() {
-    let _g = gate();
     obs::enable();
     let site = obs::intern("chaos_attribution_probe");
     let before = obs::snapshot();
@@ -149,18 +137,4 @@ fn injected_faults_are_attributed_to_the_obs_site() {
     let probe = delta.site(site).expect("site registered");
     assert_eq!(probe.faults_injected, 1, "the fault lands on the current site's counter");
     assert_eq!(probe.commits, 1);
-}
-
-#[test]
-fn scoped_guard_disarms_on_drop() {
-    let _g = gate();
-    {
-        let plan = FaultPlan::new(8).with(InjectionPoint::TxnBegin, Trigger::EveryNth(1));
-        let _armed = chaos::scoped(&plan);
-        assert!(chaos::is_active());
-    }
-    assert!(!chaos::is_active(), "guard drop must disarm the layer");
-    let v = TVar::new(0u32);
-    let (_, report) = Txn::build().try_run(|t| v.modify(t, |x| x + 1)).expect("commits");
-    assert_eq!(report.attempts, 1);
 }

@@ -6,26 +6,20 @@
 //!
 //! The "always fails" pressure comes from the chaos layer (deterministic
 //! triggers) or from a capacity bound, so the tests are
-//! interleaving-independent.
+//! interleaving-independent. Chaos plans are process-global: a test that
+//! installs one holds its guard, and a test that needs none armed holds
+//! `hooks::arm(0)`.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 use std::time::Duration;
 use txfix_stm::chaos::{self, FaultPlan, InjectionPoint, Trigger};
+use txfix_stm::hooks;
 use txfix_stm::{
     obs, CapacityKind, EscalationPolicy, EscalationRung, TVar, Txn, TxnBuilder, TxnError,
 };
 
-/// Chaos plans are process-global; serialize the tests that install one.
-static GATE: Mutex<()> = Mutex::new(());
-
-fn gate() -> std::sync::MutexGuard<'static, ()> {
-    GATE.lock().unwrap_or_else(|e| e.into_inner())
-}
-
 #[test]
 fn always_conflicting_txn_reaches_serial_within_budget_and_commits_once() {
-    let _g = gate();
     obs::enable();
     let site = obs::intern("escalation_serial_probe");
     let before = obs::snapshot();
@@ -63,8 +57,7 @@ fn always_conflicting_txn_reaches_serial_within_budget_and_commits_once() {
 
 #[test]
 fn deadline_jumps_straight_to_the_serial_rung() {
-    let _g = gate();
-    chaos::clear();
+    let _g = hooks::arm(0);
     let v = TVar::new(0u32);
     let policy = EscalationPolicy { deadline: Some(Duration::ZERO), ..EscalationPolicy::default() };
     let (_, report) =
@@ -78,7 +71,6 @@ fn deadline_jumps_straight_to_the_serial_rung() {
 
 #[test]
 fn intermittent_conflicts_commit_on_the_stronger_backoff_rung() {
-    let _g = gate();
     // Reads always fail, but the body stops reading after three attempts:
     // the commit lands after the backoff promotion, before serial.
     let plan = FaultPlan::new(41).with(InjectionPoint::TxnRead, Trigger::EveryNth(1));
@@ -105,8 +97,7 @@ fn intermittent_conflicts_commit_on_the_stronger_backoff_rung() {
 
 #[test]
 fn clean_transactions_stay_on_the_optimistic_rung() {
-    let _g = gate();
-    chaos::clear();
+    let _g = hooks::arm(0);
     let v = TVar::new(0u32);
     let (_, report) = Txn::build()
         .escalation(EscalationPolicy { backoff_after: 2, serial_after: 4, deadline: None })
@@ -149,8 +140,7 @@ fn hybrid() -> TxnBuilder {
 
 #[test]
 fn a_small_transaction_commits_on_the_hardware_rung() {
-    let _g = gate();
-    chaos::clear();
+    let _g = hooks::arm(0);
     let v = TVar::new(1u32);
     let (out, report) = hybrid()
         .capacity(1024, 256)
@@ -164,8 +154,7 @@ fn a_small_transaction_commits_on_the_hardware_rung() {
 
 #[test]
 fn a_capacity_overflow_falls_back_to_unbounded_optimistic() {
-    let _g = gate();
-    chaos::clear();
+    let _g = hooks::arm(0);
     obs::enable();
     let site = obs::intern("escalation_capacity_probe");
     let before = obs::snapshot();
@@ -190,8 +179,7 @@ fn a_capacity_overflow_falls_back_to_unbounded_optimistic() {
 
 #[test]
 fn serial_after_one_falls_back_to_the_global_lock() {
-    let _g = gate();
-    chaos::clear();
+    let _g = hooks::arm(0);
     let vars: Vec<TVar<u32>> = (0..32).map(|_| TVar::new(1)).collect();
     let (total, report) = Txn::build()
         .capacity(4, 4)
@@ -206,8 +194,7 @@ fn serial_after_one_falls_back_to_the_global_lock() {
 
 #[test]
 fn without_a_policy_a_capacity_overflow_is_terminal() {
-    let _g = gate();
-    chaos::clear();
+    let _g = hooks::arm(0);
     let vars: Vec<TVar<u32>> = (0..32).map(|_| TVar::new(1)).collect();
     let r = Txn::build().capacity(4, 4).try_run(|t| sum(&vars, t));
     assert!(
@@ -218,8 +205,7 @@ fn without_a_policy_a_capacity_overflow_is_terminal() {
 
 #[test]
 fn a_hybrid_counter_is_exact_under_contention() {
-    let _g = gate();
-    chaos::clear();
+    let _g = hooks::arm(0);
     let v = TVar::new(0u64);
     let txb = hybrid().capacity(64, 64);
     std::thread::scope(|s| {
@@ -237,8 +223,7 @@ fn a_hybrid_counter_is_exact_under_contention() {
 
 #[test]
 fn run_with_the_default_hybrid_configuration_commits() {
-    let _g = gate();
-    chaos::clear();
+    let _g = hooks::arm(0);
     let v = TVar::new(0u32);
     let ((), report) = hybrid().capacity(1024, 256).run(|t| v.write(t, 9));
     assert_eq!(report.committed_rung, EscalationRung::Hardware);

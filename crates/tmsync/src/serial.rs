@@ -13,6 +13,7 @@ use std::fmt;
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use txfix_stm::hooks::{self, TRACE};
 use txfix_stm::{sched, trace};
 use txfix_stm::{StmResult, Txn, TxnBuilder, TxnError};
 
@@ -84,7 +85,7 @@ impl<T> SerialMutex<T> {
         // can never block on another controlled thread.
         sched::yield_point(sched::SyncOp::SerialSection(self.trace_id));
         let atomic = sched::atomic_section();
-        if trace::is_enabled() {
+        if hooks::armed(TRACE) {
             trace::emit(trace::EventKind::LockAttempt {
                 lock: self.trace_id,
                 name: self.trace_name(),
@@ -94,7 +95,7 @@ impl<T> SerialMutex<T> {
         let shared =
             if self.domain.held_exclusively_by_me() { None } else { Some(self.domain.rw.read()) };
         let guard = self.inner.lock();
-        if trace::is_enabled() {
+        if hooks::armed(TRACE) {
             trace::emit(trace::EventKind::LockAcquired {
                 lock: self.trace_id,
                 name: self.trace_name(),

@@ -20,13 +20,15 @@
 //! [`inversions`] is asked.
 //!
 //! Validation is process-global and off by default (zero cost beyond one
-//! atomic load per acquisition); enable it around the region of interest:
+//! relaxed load of the `txfix_stm::hooks` word per acquisition and
+//! release); arm its [`LOCKDEP`] bit around the region of interest:
 //!
 //! ```
+//! use txfix_stm::hooks::{self, LOCKDEP};
 //! use txfix_txlock::{lockdep, TxMutex};
 //!
+//! let armed = hooks::arm(LOCKDEP);
 //! lockdep::reset();
-//! lockdep::enable();
 //! let a = TxMutex::new("order.a", ());
 //! let b = TxMutex::new("order.b", ());
 //! {
@@ -37,7 +39,7 @@
 //!     let _gb = b.lock().unwrap();
 //!     let _ga = a.lock().unwrap(); // records b -> a: inversion!
 //! }
-//! lockdep::disable();
+//! drop(armed);
 //! assert_eq!(lockdep::inversions().len(), 1);
 //! ```
 
@@ -47,9 +49,7 @@ use parking_lot::Mutex;
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, Ordering};
-
-static ENABLED: AtomicBool = AtomicBool::new(false);
+use txfix_stm::hooks::{self, LOCKDEP};
 
 #[derive(Default)]
 struct OrderState {
@@ -68,7 +68,20 @@ impl OrderState {
 static ORDER: Mutex<Option<OrderState>> = Mutex::new(None);
 
 thread_local! {
-    static HELD: RefCell<Vec<LockId>> = const { RefCell::new(Vec::new()) };
+    /// The locks this thread holds, tagged with the arming's epoch: a lock
+    /// released unseen after its arming must not become a phantom edge.
+    static HELD: RefCell<(u32, Vec<LockId>)> = const { RefCell::new((0, Vec::new())) };
+}
+
+/// Run `f` on this thread's held set of the current arming.
+fn with_held<R>(f: impl FnOnce(&mut Vec<LockId>) -> R) -> R {
+    let epoch = hooks::epoch(LOCKDEP);
+    HELD.with_borrow_mut(|(tag, held)| {
+        if *tag != epoch {
+            (*tag, *held) = (epoch, Vec::new());
+        }
+        f(held)
+    })
 }
 
 /// A detected lock-order hazard: `first -> second` or `second -> first`
@@ -93,17 +106,8 @@ impl fmt::Display for Inversion {
     }
 }
 
-/// Start recording acquisition orders.
-pub fn enable() {
-    ENABLED.store(true, Ordering::SeqCst);
-}
-
-/// Stop recording (already-recorded state is kept until [`reset`]).
-pub fn disable() {
-    ENABLED.store(false, Ordering::SeqCst);
-}
-
-/// Clear all recorded edges.
+/// Clear all recorded edges (recorded edges are kept after the
+/// [`LOCKDEP`] bit clears, until this).
 pub fn reset() {
     let mut g = ORDER.lock();
     *g = Some(OrderState::default());
@@ -155,7 +159,7 @@ pub fn edges() -> Vec<(String, String)> {
 /// the inverted edge on record; acquisition-time recording would lose
 /// exactly the edge that completes the cycle.
 pub(crate) fn note_attempt(id: LockId, name: &str, preemptible: bool) {
-    if !ENABLED.load(Ordering::Relaxed) {
+    if !hooks::armed(LOCKDEP) {
         return;
     }
     // Canary: drop this attempt's order edges on the floor. The execution
@@ -165,25 +169,24 @@ pub(crate) fn note_attempt(id: LockId, name: &str, preemptible: bool) {
     if txfix_stm::canary::fire(txfix_stm::canary::Canary::LockSkipLockdep) {
         return;
     }
-    HELD.with(|h| {
+    with_held(|held| {
         let mut g = ORDER.lock();
         let s = g.get_or_insert_with(OrderState::default);
         s.names.insert(id, name.to_owned());
-        s.graph.attempt(&h.borrow(), &id, !preemptible);
+        s.graph.attempt(held, &id, !preemptible);
     });
 }
 
 pub(crate) fn note_acquired(id: LockId) {
-    HELD.with(|h| h.borrow_mut().push(id));
+    if hooks::armed(LOCKDEP) {
+        with_held(|held| held.push(id));
+    }
 }
 
 pub(crate) fn note_released(id: LockId) {
-    HELD.with(|h| {
-        let mut held = h.borrow_mut();
-        if let Some(pos) = held.iter().rposition(|&l| l == id) {
-            held.remove(pos);
-        }
-    });
+    if hooks::armed(LOCKDEP) {
+        with_held(|held| held.retain(|&l| l != id));
+    }
 }
 
 #[cfg(test)]
@@ -191,14 +194,10 @@ mod tests {
     use super::*;
     use crate::TxMutex;
 
-    // Lockdep state is process-global; serialize these tests.
-    static TEST_GATE: Mutex<()> = Mutex::new(());
-
     #[test]
     fn inversion_detected_without_an_actual_deadlock() {
-        let _g = TEST_GATE.lock();
+        let _armed = hooks::arm(LOCKDEP);
         reset();
-        enable();
         let a = TxMutex::new("ld.a", ());
         let b = TxMutex::new("ld.b", ());
         {
@@ -209,7 +208,6 @@ mod tests {
             let _gb = b.lock().unwrap();
             let _ga = a.lock().unwrap();
         }
-        disable();
         let inv = inversions();
         assert_eq!(inv.len(), 1, "{inv:?}");
         assert!(inv[0].to_string().contains("ld.a"));
@@ -218,25 +216,22 @@ mod tests {
 
     #[test]
     fn consistent_order_is_clean() {
-        let _g = TEST_GATE.lock();
+        let _armed = hooks::arm(LOCKDEP);
         reset();
-        enable();
         let a = TxMutex::new("ld.c1", ());
         let b = TxMutex::new("ld.c2", ());
         for _ in 0..3 {
             let _ga = a.lock().unwrap();
             let _gb = b.lock().unwrap();
         }
-        disable();
         assert!(inversions().is_empty());
         assert!(!edges().is_empty());
     }
 
     #[test]
     fn cross_thread_inversion_is_detected() {
-        let _g = TEST_GATE.lock();
+        let _armed = hooks::arm(LOCKDEP);
         reset();
-        enable();
         let a = std::sync::Arc::new(TxMutex::new("ld.x", ()));
         let b = std::sync::Arc::new(TxMutex::new("ld.y", ()));
         {
@@ -250,13 +245,12 @@ mod tests {
         })
         .join()
         .unwrap();
-        disable();
         assert_eq!(inversions().len(), 1);
     }
 
     #[test]
     fn disabled_validator_records_nothing() {
-        let _g = TEST_GATE.lock();
+        let _exclusive = hooks::arm(0);
         reset();
         let a = TxMutex::new("ld.off1", ());
         let b = TxMutex::new("ld.off2", ());
@@ -274,9 +268,8 @@ mod tests {
 
     #[test]
     fn preemptible_cycles_are_benign() {
-        let _g = TEST_GATE.lock();
+        let _armed = hooks::arm(LOCKDEP);
         reset();
-        enable();
         let a = std::sync::Arc::new(TxMutex::new("ld.p1", 0u32));
         let b = std::sync::Arc::new(TxMutex::new("ld.p2", 0u32));
         // Recipe 3 shape: both orders occur, but revocably, inside
@@ -290,7 +283,6 @@ mod tests {
                 Ok(())
             });
         }
-        disable();
         assert!(edges().len() >= 2, "revocable attempts still record edges");
         assert!(
             inversions().is_empty(),
@@ -300,9 +292,8 @@ mod tests {
 
     #[test]
     fn failed_attempt_still_records_the_inversion() {
-        let _g = TEST_GATE.lock();
+        let _armed = hooks::arm(LOCKDEP);
         reset();
-        enable();
         let a = std::sync::Arc::new(TxMutex::new("ld.f1", ()));
         let b = std::sync::Arc::new(TxMutex::new("ld.f2", ()));
         let barrier = std::sync::Barrier::new(2);
@@ -321,15 +312,13 @@ mod tests {
                 });
             }
         });
-        disable();
         assert_eq!(inversions().len(), 1, "{:?}", inversions());
     }
 
     #[test]
     fn duplicate_inversions_are_deduplicated() {
-        let _g = TEST_GATE.lock();
+        let _armed = hooks::arm(LOCKDEP);
         reset();
-        enable();
         let a = TxMutex::new("ld.d1", ());
         let b = TxMutex::new("ld.d2", ());
         for _ in 0..4 {
@@ -342,7 +331,21 @@ mod tests {
                 let _ga = a.lock().unwrap();
             }
         }
-        disable();
         assert_eq!(inversions().len(), 1);
+    }
+
+    #[test]
+    fn a_held_set_left_from_an_earlier_arming_records_no_edge() {
+        let _exclusive = hooks::arm(0);
+        let a = TxMutex::new("ld.e1", ());
+        let b = TxMutex::new("ld.e2", ());
+        let armed = hooks::arm(LOCKDEP);
+        reset();
+        let ga = a.lock().unwrap();
+        drop(armed);
+        drop(ga); // released unseen: the held set still lists `a`
+        let _armed = hooks::arm(LOCKDEP);
+        drop(b.lock().unwrap());
+        assert!(edges().is_empty(), "phantom edge from the earlier arming: {:?}", edges());
     }
 }

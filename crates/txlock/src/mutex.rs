@@ -25,6 +25,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use txfix_stm::chaos;
+use txfix_stm::hooks::{self, TRACE};
 use txfix_stm::sched;
 use txfix_stm::trace;
 use txfix_stm::{Abort, StmResult, TxResource, Txn, WaitQueue};
@@ -218,7 +219,7 @@ impl RawTxLock {
     }
 
     fn trace_attempt(&self, preemptible: bool) {
-        if !trace::is_enabled() {
+        if !hooks::armed(TRACE) {
             return;
         }
         trace::emit(trace::EventKind::LockAttempt {
@@ -229,7 +230,7 @@ impl RawTxLock {
     }
 
     fn trace_acquired(&self) {
-        if !trace::is_enabled() {
+        if !hooks::armed(TRACE) {
             return;
         }
         trace::emit(trace::EventKind::LockAcquired { lock: self.id.0, name: self.name.clone() });

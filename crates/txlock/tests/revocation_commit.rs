@@ -8,16 +8,12 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 use txfix_stm::chaos::{self, FaultPlan, InjectionPoint, Trigger};
-use txfix_stm::{KillHandle, Txn};
+use txfix_stm::{hooks, KillHandle, Txn};
 use txfix_txlock::TxMutex;
 
-/// Chaos plans are process-global; serialize tests so one test's triggers
-/// are never drawn by another's transactions.
-static GATE: Mutex<()> = Mutex::new(());
-
-fn gate() -> std::sync::MutexGuard<'static, ()> {
-    GATE.lock().unwrap_or_else(|e| e.into_inner())
-}
+// Chaos plans are process-global: every test holds the arming guard
+// (`hooks::arm(0)`, then the plan's own), so one test's triggers are never
+// drawn by another's transactions.
 
 fn spin_until(flag: &AtomicBool, what: &str) {
     let deadline = Instant::now() + Duration::from_secs(10);
@@ -29,8 +25,7 @@ fn spin_until(flag: &AtomicBool, what: &str) {
 
 #[test]
 fn kill_in_the_commit_window_commits_cleanly_and_wakes_the_waiter() {
-    let _g = gate();
-    chaos::clear();
+    let _g = hooks::arm(0);
     let m = TxMutex::new("revocation_commit.window", 0u64);
     let handle_slot: Mutex<Option<KillHandle>> = Mutex::new(None);
     let holder_ready = AtomicBool::new(false);
@@ -79,7 +74,7 @@ fn kill_in_the_commit_window_commits_cleanly_and_wakes_the_waiter() {
 
 #[test]
 fn injected_revocation_releases_once_and_wakes_the_next_acquirer() {
-    let _g = gate();
+    let _g = hooks::arm(0);
     // The victim's first acquisition is revoked right after it succeeds —
     // the abort unwinds through the same release path a real preemption
     // takes. The retry must re-acquire, commit, and leave the lock free.
@@ -96,7 +91,7 @@ fn injected_revocation_releases_once_and_wakes_the_next_acquirer() {
 
 #[test]
 fn revocation_storm_under_contention_conserves_the_protected_count() {
-    let _g = gate();
+    let _g = hooks::arm(0);
     let plan = FaultPlan::new(10)
         .with(InjectionPoint::LockRevoke, Trigger::PerMille(200))
         .with(InjectionPoint::LockAcquire, Trigger::PerMille(100))

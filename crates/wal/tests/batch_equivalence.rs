@@ -5,15 +5,13 @@
 //! the same places, same x-call count, same fault sites, same undo.
 //!
 //! Crash points, chaos plans and obs counters are process-global, so every
-//! test here serializes on [`GATE`].
+//! test here holds the arming guard (`hooks::arm(0)`).
 
-use std::sync::Mutex;
 use txfix_stm::chaos::{self, FaultPlan, InjectionPoint, Trigger};
+use txfix_stm::hooks::{self, Armed};
 use txfix_stm::{obs, StmResult, Txn};
 use txfix_wal::{Wal, WalOp, WalVariant, AFTER_COMMIT_WRITE};
 use txfix_xcall::{crashpoint, SimFs};
-
-static GATE: Mutex<()> = Mutex::new(());
 
 type LogFn = fn(&Wal, &mut Txn, u64, &[WalOp]) -> StmResult<()>;
 
@@ -57,7 +55,7 @@ fn xcalls() -> u64 {
 /// crossed (label, hits — first-seen order), the x-calls it counted, its
 /// final image, and the image a crash at each of those points would keep.
 fn observe(ops: &[WalOp], log: LogFn) -> (Vec<(String, u64)>, u64, Vec<Image>) {
-    let commit = |session: crashpoint::Session| {
+    let commit = |session: Armed| {
         let fs = SimFs::new();
         let wal = Wal::open(&fs, "wal", WalVariant::Fixed);
         txfix_stm::atomic(|txn| log(&wal, txn, 7, ops));
@@ -82,8 +80,7 @@ fn observe(ops: &[WalOp], log: LogFn) -> (Vec<(String, u64)>, u64, Vec<Image>) {
 
 #[test]
 fn batched_protocol_matches_the_stepwise_one_at_every_crash_point() {
-    let _g = GATE.lock().unwrap();
-    chaos::clear();
+    let _g = hooks::arm(0);
     for ops in cases() {
         let got = observe(&ops, Wal::x_log_ops);
         assert_eq!(got, observe(&ops, stepwise), "{ops:?}");
@@ -99,7 +96,7 @@ fn batched_protocol_matches_the_stepwise_one_at_every_crash_point() {
 
 #[test]
 fn a_fault_at_each_site_of_a_put_undoes_the_whole_batch() {
-    let _g = GATE.lock().unwrap();
+    let _g = hooks::arm(0);
     let ops = [put("k1", "v1")];
     let fs = SimFs::new();
     let clean = Wal::open(&fs, "clean", WalVariant::Fixed);

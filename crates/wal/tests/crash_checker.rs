@@ -4,17 +4,15 @@
 //! store's sweep is checked in `crates/kvstore/tests/crash.rs`.
 //!
 //! The crash-point registry and chaos layer are process-global, so every
-//! test here serializes on [`GATE`].
+//! test here holds the arming guard (`hooks::arm(0)`).
 
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use txfix_core::json::ToJson;
 use txfix_stm::chaos::Trigger;
-use txfix_stm::{atomic, Txn};
+use txfix_stm::{atomic, hooks, Txn};
 use txfix_wal::checker::{run_crash_sweep, CrashConfig, CrashSubject, Schedule};
 use txfix_wal::{Wal, WalOp, WalVariant, AFTER_COMMIT_WRITE};
 use txfix_xcall::{crashpoint, SimFs, BLOCK_BYTES};
-
-static GATE: Mutex<()> = Mutex::new(());
 
 /// A fake subject with a bug of its own: it acknowledges its one record
 /// *before* syncing it, with a crash point in the window. Its `flaky` cell
@@ -64,7 +62,7 @@ impl CrashSubject for AckBeforeSync {
 /// reproduces per seed, and reports an armed run that never fired.
 #[test]
 fn engine_sweeps_a_fake_subject() {
-    let _g = GATE.lock().unwrap();
+    let _g = hooks::arm(0);
     let cfg = |seed| CrashConfig {
         seed,
         images_per_point: 3,
@@ -100,7 +98,7 @@ fn engine_sweeps_a_fake_subject() {
 /// blend.
 #[test]
 fn crash_image_is_a_legal_flush_subset_at_every_crash_point() {
-    let _g = GATE.lock().unwrap();
+    let _g = hooks::arm(0);
     // Record pass: learn the labels this workload passes through.
     let universe = {
         let session = crashpoint::record();

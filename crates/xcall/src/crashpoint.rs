@@ -27,8 +27,8 @@
 //!
 //! After the harness takes the crash image
 //! ([`SimFs::crash`](crate::SimFs::crash) bypasses the freeze — it *is*
-//! the crash), dropping the [`Session`] guard thaws the world for the
-//! recovery run.
+//! the crash), dropping the session's guard thaws the world for the
+//! recovery run: the freeze only holds while the [`CRASH`] bit is armed.
 //!
 //! ## Modes
 //!
@@ -39,17 +39,18 @@
 //!   hit ordinal the world freezes.
 //!
 //! Like the chaos and canary layers, the disarmed fast path is a single
-//! relaxed atomic load, so instrumented production paths pay nothing
-//! when no crash session is active. The registry is process-global;
-//! tests that arm it must serialize on a gate mutex.
+//! relaxed load of the `txfix_stm::hooks` word's [`CRASH`] bit, so
+//! instrumented production paths pay nothing when no crash session is
+//! active. The registry is process-global: a session is an
+//! [`Armed`] guard, and the arming lock behind it keeps sessions apart.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 use txfix_stm::chaos::{fnv64, splitmix64, Trigger};
+use txfix_stm::hooks::{self, Armed, CRASH};
 
-/// Fast-path gate: is any crash session (record or armed) installed?
-static ACTIVE: AtomicBool = AtomicBool::new(false);
-/// The world stopped here: durable mutations are no-ops while set.
+/// The world stopped here: durable mutations are no-ops while set (and
+/// the session is armed).
 static FROZEN: AtomicBool = AtomicBool::new(false);
 static STATE: Mutex<Option<Mode>> = Mutex::new(None);
 
@@ -73,41 +74,28 @@ pub fn label_hash(label: &str) -> u64 {
     splitmix64(fnv64(label.as_bytes()))
 }
 
-/// An installed crash session. Dropping it disarms the registry and thaws
-/// the world.
-pub struct Session {
-    _priv: (),
-}
-
-impl Drop for Session {
-    fn drop(&mut self) {
-        ACTIVE.store(false, Ordering::SeqCst);
-        *STATE.lock().unwrap() = None;
-        FROZEN.store(false, Ordering::SeqCst);
-    }
-}
-
-fn install(mode: Mode) -> Session {
-    let mut g = STATE.lock().unwrap();
-    *g = Some(mode);
+/// Install `mode` as the crash session for the life of the returned guard.
+fn install(mode: Mode) -> Armed {
+    // Reset the registry under the arming lock, before the bit is visible.
+    let _exclusive = hooks::arm(0);
+    *STATE.lock().unwrap() = Some(mode);
     FROZEN.store(false, Ordering::SeqCst);
-    ACTIVE.store(true, Ordering::SeqCst);
-    Session { _priv: () }
+    hooks::arm(CRASH)
 }
 
 /// Start recording crash-point labels and hit counts.
-pub fn record() -> Session {
+pub fn record() -> Armed {
     install(Mode::Record { seen: Vec::new() })
 }
 
 /// Arm `label` with `trigger` under `seed`: the firing hit freezes the
 /// world.
-pub fn arm(label: &str, seed: u64, trigger: Trigger) -> Session {
+pub fn arm(label: &str, seed: u64, trigger: Trigger) -> Armed {
     install(Mode::Armed { label: label.to_owned(), seed, trigger, hits: 0, fired: None })
 }
 
-/// The labels seen so far in record mode, with hit counts, in first-seen
-/// order. Empty outside record mode.
+/// The labels the last record session has seen, with hit counts, in
+/// first-seen order. Empty after an armed session.
 pub fn recording() -> Vec<(String, u64)> {
     match &*STATE.lock().unwrap() {
         Some(Mode::Record { seen }) => seen.clone(),
@@ -115,7 +103,7 @@ pub fn recording() -> Vec<(String, u64)> {
     }
 }
 
-/// `(label, hit ordinal)` of the crash, if the armed trigger has fired.
+/// `(label, hit ordinal)` of the crash, if the last armed session fired.
 pub fn fired() -> Option<(String, u64)> {
     match &*STATE.lock().unwrap() {
         Some(Mode::Armed { label, fired: Some(hit), .. }) => Some((label.clone(), *hit)),
@@ -123,18 +111,26 @@ pub fn fired() -> Option<(String, u64)> {
     }
 }
 
-/// Whether the world is frozen (a crash point has fired). Durable
-/// mutations check this and become no-ops.
+/// Whether the world is frozen (a crash point of the armed session has
+/// fired). Durable mutations check this and become no-ops.
 #[inline]
 pub fn is_frozen() -> bool {
-    FROZEN.load(Ordering::Relaxed)
+    hooks::armed(CRASH) && FROZEN.load(Ordering::Relaxed)
 }
 
 /// A FIRST-style crash point: a named place where a crash may be
 /// scheduled. Free on the disarmed path; in record mode it counts the
 /// label, in armed mode it may freeze the world.
+#[inline]
 pub fn crash_point(label: &str) {
-    if !ACTIVE.load(Ordering::Relaxed) || FROZEN.load(Ordering::Relaxed) {
+    if hooks::armed(CRASH) {
+        crash_point_slow(label);
+    }
+}
+
+#[cold]
+fn crash_point_slow(label: &str) {
+    if FROZEN.load(Ordering::Relaxed) {
         return;
     }
     let mut g = STATE.lock().unwrap();
@@ -155,28 +151,21 @@ pub fn crash_point(label: &str) {
 }
 
 #[cfg(test)]
-pub(crate) mod tests {
+mod tests {
     use super::*;
-
-    /// The registry is process-global; tests arming it take this gate.
-    /// Exposed to sibling modules' tests via `crate::crashpoint::tests`.
-    pub(crate) static GATE: Mutex<()> = Mutex::new(());
 
     #[test]
     fn record_mode_counts_labels_in_first_seen_order() {
-        let _g = GATE.lock().unwrap();
-        let s = record();
+        let _session = record();
         crash_point("b");
         crash_point("a");
         crash_point("b");
         assert_eq!(recording(), vec![("b".to_owned(), 2), ("a".to_owned(), 1)]);
-        drop(s);
-        assert!(recording().is_empty(), "dropping the session disarms");
     }
 
     #[test]
     fn armed_nth_freezes_on_exact_hit_and_thaw_on_drop() {
-        let _g = GATE.lock().unwrap();
+        let _exclusive = hooks::arm(0);
         let s = arm("x", 7, Trigger::Nth(2));
         crash_point("y"); // other labels never fire
         crash_point("x");
@@ -189,12 +178,10 @@ pub(crate) mod tests {
         assert_eq!(fired(), Some(("x".to_owned(), 2)));
         drop(s);
         assert!(!is_frozen(), "dropping the session thaws");
-        assert_eq!(fired(), None);
     }
 
     #[test]
     fn per_mille_coin_is_deterministic_per_seed() {
-        let _g = GATE.lock().unwrap();
         let run = |seed: u64| {
             let _s = arm("p", seed, Trigger::PerMille(400));
             for _ in 0..64 {
@@ -217,9 +204,8 @@ pub(crate) mod tests {
 
     #[test]
     fn disarmed_crash_points_are_free_noops() {
-        // No gate needed: nothing is armed and nothing is mutated.
+        let _exclusive = hooks::arm(0);
         crash_point("anything");
         assert!(!is_frozen());
-        assert_eq!(fired(), None);
     }
 }

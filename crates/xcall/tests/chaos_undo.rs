@@ -4,23 +4,18 @@
 //! order, and commit-time async submissions must stay exactly-once.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Mutex;
 use std::time::Duration;
 use txfix_stm::chaos::{self, splitmix64, FaultPlan, InjectionPoint, Trigger};
-use txfix_stm::Txn;
+use txfix_stm::{hooks, Txn};
 use txfix_xcall::{AsyncIo, SimFs, SimPipe, XFile, XPipe};
 
-/// Chaos plans are process-global; serialize tests so one test's triggers
-/// are never drawn by another's transactions.
-static GATE: Mutex<()> = Mutex::new(());
-
-fn gate() -> std::sync::MutexGuard<'static, ()> {
-    GATE.lock().unwrap_or_else(|e| e.into_inner())
-}
+// Chaos plans are process-global: every test holds the arming guard
+// (`hooks::arm(0)`, then the plan's own), so one test's triggers are never
+// drawn by another's transactions.
 
 #[test]
 fn injected_file_faults_leak_no_pending_state() {
-    let _g = gate();
+    let _g = hooks::arm(0);
     // Roughly a third of file x-calls fail *after* the op is buffered, so
     // every abort exercises the real undo hook (clear ops, release the
     // isolation lock) against real state.
@@ -60,8 +55,7 @@ fn injected_file_faults_leak_no_pending_state() {
 
 #[test]
 fn aborted_multi_read_compensates_in_order() {
-    let _g = gate();
-    chaos::clear();
+    let _g = hooks::arm(0);
     let pipe = SimPipe::new(64);
     pipe.write(b"abcdef");
     let xp = XPipe::new(pipe.clone());
@@ -84,7 +78,7 @@ fn aborted_multi_read_compensates_in_order() {
 
 #[test]
 fn injected_pipe_faults_keep_byte_conservation() {
-    let _g = gate();
+    let _g = hooks::arm(0);
     let plan = FaultPlan::new(21).with(InjectionPoint::XcallPipe, Trigger::PerMille(400));
     let _armed = chaos::scoped(&plan);
     let pipe = SimPipe::new(1024);
@@ -115,7 +109,7 @@ fn injected_pipe_faults_keep_byte_conservation() {
 
 #[test]
 fn injected_async_faults_keep_submissions_exactly_once() {
-    let _g = gate();
+    let _g = hooks::arm(0);
     let plan = FaultPlan::new(22).with(InjectionPoint::XcallAsync, Trigger::PerMille(400));
     let _armed = chaos::scoped(&plan);
     let aio = AsyncIo::new();

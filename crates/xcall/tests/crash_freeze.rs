@@ -5,18 +5,17 @@
 //! effects *after* the crash instant — state no real dead process could
 //! have produced.
 //!
-//! The crash-point registry is process-global; tests serialize on GATE.
+//! The crash-point registry is process-global; each test holds the arming
+//! guard (`hooks::arm(0)`) from setup on, so no other test's crash freezes
+//! its world.
 
-use std::sync::Mutex;
 use txfix_stm::chaos::Trigger;
-use txfix_stm::{Txn, TxnError};
+use txfix_stm::{hooks, Txn, TxnError};
 use txfix_xcall::{crashpoint, SimFs, SimPipe, XFile, XPipe};
-
-static GATE: Mutex<()> = Mutex::new(());
 
 #[test]
 fn pipe_unread_compensation_does_not_replay_into_the_crash_image() {
-    let _g = GATE.lock().unwrap();
+    let _g = hooks::arm(0);
     let pipe = SimPipe::new(16);
     pipe.write(b"abcd");
     let xp = XPipe::new(pipe.clone());
@@ -42,7 +41,7 @@ fn pipe_unread_compensation_does_not_replay_into_the_crash_image() {
 
 #[test]
 fn commit_interrupted_by_a_crash_applies_no_op_after_the_freeze() {
-    let _g = GATE.lock().unwrap();
+    let _g = hooks::arm(0);
     let fs = SimFs::new();
     let xf = XFile::open_or_create(&fs, "f");
     // Fire at the second simos-level append: the first deferred op lands,
@@ -64,7 +63,7 @@ fn commit_interrupted_by_a_crash_applies_no_op_after_the_freeze() {
 
 #[test]
 fn aborted_truncate_compensation_is_frozen_too() {
-    let _g = GATE.lock().unwrap();
+    let _g = hooks::arm(0);
     let fs = SimFs::new();
     let f = fs.open_or_create("t");
     f.append(b"keep-me!");
@@ -82,7 +81,7 @@ fn aborted_truncate_compensation_is_frozen_too() {
 
 #[test]
 fn ranged_reads_are_still_served_while_frozen() {
-    let _g = GATE.lock().unwrap();
+    let _g = hooks::arm(0);
     let fs = SimFs::new();
     let f = fs.open_or_create("r");
     f.append(b"before");

@@ -11,6 +11,7 @@
 //! inversions from a *successful* run, no hang required — while the
 //! transactional version of the same code has nothing to validate.
 
+use txfix::stm::hooks::{self, LOCKDEP};
 use txfix::stm::{atomic, TVar};
 use txfix::txlock::{lockdep, TxMutex};
 
@@ -20,8 +21,8 @@ fn main() {
     let cache = TxMutex::new("browser.cache", vec![0u64; 4]);
     let atoms = TxMutex::new("browser.atom_table", vec![0u64; 4]);
 
+    let armed = hooks::arm(LOCKDEP);
     lockdep::reset();
-    lockdep::enable();
 
     // Path 1 (page load): cache, then atom table.
     {
@@ -38,7 +39,7 @@ fn main() {
         c[1] += 1;
     }
 
-    lockdep::disable();
+    drop(armed);
 
     println!("Single-threaded test run: finished fine, nothing hung.\n");
     let found = lockdep::inversions();
