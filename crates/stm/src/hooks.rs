@@ -11,7 +11,7 @@
 //! while unwinding). Another thread's `arm` waits; `arm(0)` keeps armed
 //! runs out without arming anything. Arming nests on one thread, but a
 //! worker a scheduled run spawned must never arm: it would wait for the
-//! thread waiting for it. [`obs::enable`](crate::obs::enable) is the one
+//! thread waiting for it, so `arm` panics there. [`obs::enable`](crate::obs::enable) is the one
 //! unguarded path (a plain bit set). DESIGN.md §3 "The arming word" has
 //! the bit table.
 
@@ -41,8 +41,8 @@ struct Word(AtomicU32);
 const _: () = assert!(std::mem::size_of::<Word>() == 64, "the word has a cache line of its own");
 
 static WORD: Word = Word(AtomicU32::new(0));
-/// How many times [`arm`] has set each bit.
-static EPOCHS: [AtomicU32; 7] = [const { AtomicU32::new(0) }; 7];
+/// How many times [`arm`] has set [`LOCKDEP`].
+static LOCKDEP_EPOCH: AtomicU32 = AtomicU32::new(0);
 /// The thread holding the arming lock and how many guards it holds.
 static HOLDER: Mutex<(Option<ThreadId>, usize)> = Mutex::new((None, 0));
 static RELEASED: Condvar = Condvar::new();
@@ -54,16 +54,21 @@ pub fn armed(bits: u32) -> bool {
     WORD.0.load(Ordering::Relaxed) & bits != 0
 }
 
-/// The arming generation of the single layer bit `bit`: it changes each
-/// time [`arm`] sets the bit. Per-thread layer state tagged with it (the
-/// lockdep held set) can tell a leftover of an earlier arming.
-pub fn epoch(bit: u32) -> u32 {
-    EPOCHS[bit.trailing_zeros() as usize].load(Ordering::Relaxed)
+/// The arming generation of [`LOCKDEP`]: it changes each time [`arm`]
+/// sets the bit, so lockdep's per-thread held set can tell a leftover of
+/// an earlier arming.
+pub fn lockdep_epoch() -> u32 {
+    LOCKDEP_EPOCH.load(Ordering::Relaxed)
 }
 
 /// Take the arming lock (waiting while another thread holds it) and set
-/// `bits` for the life of the returned guard.
+/// `bits` for the life of the returned guard. Panics on a scheduled run's
+/// worker, which would otherwise wait forever for its own run's guard.
 pub fn arm(bits: u32) -> Armed {
+    assert!(
+        !crate::sched::is_worker(),
+        "hooks::arm on a scheduled run's worker thread: the run holds the arming lock"
+    );
     let me = std::thread::current().id();
     let mut holder = HOLDER.lock();
     while holder.0.is_some_and(|t| t != me) {
@@ -71,13 +76,11 @@ pub fn arm(bits: u32) -> Armed {
     }
     *holder = (Some(me), holder.1 + 1);
     drop(holder);
-    // Bump the epochs before the bits are visible, so a thread that sees
-    // a bit set also sees the arming it belongs to.
+    // Bump the epoch before the bit is visible, so a thread that sees
+    // LOCKDEP set also sees the arming it belongs to.
     let set = bits & !WORD.0.load(Ordering::SeqCst);
-    for (i, epoch) in EPOCHS.iter().enumerate() {
-        if set & (1 << i) != 0 {
-            epoch.fetch_add(1, Ordering::SeqCst);
-        }
+    if set & LOCKDEP != 0 {
+        LOCKDEP_EPOCH.fetch_add(1, Ordering::SeqCst);
     }
     WORD.0.fetch_or(set, Ordering::SeqCst);
     Armed { set, _thread: PhantomData }

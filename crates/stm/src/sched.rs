@@ -382,6 +382,11 @@ pub fn current_steps() -> u64 {
     STATE.lock().as_ref().map(|i| i.steps).unwrap_or(0)
 }
 
+/// Whether the calling thread is a registered worker of a scheduled run.
+pub(crate) fn is_worker() -> bool {
+    SLOT.with(|s| s.get().is_some())
+}
+
 #[inline]
 fn controlled_slot() -> Option<usize> {
     if !hooks::armed(SCHED) {
@@ -399,13 +404,6 @@ fn controlled_slot() -> Option<usize> {
 /// paths use their OS waits.
 pub struct AtomicSection(());
 
-impl AtomicSection {
-    fn new() -> AtomicSection {
-        SUPPRESS.with(|s| s.set(s.get() + 1));
-        AtomicSection(())
-    }
-}
-
 impl Drop for AtomicSection {
     fn drop(&mut self) {
         SUPPRESS.with(|s| s.set(s.get() - 1));
@@ -414,42 +412,8 @@ impl Drop for AtomicSection {
 
 /// Enter a no-yield section (see [`AtomicSection`]).
 pub fn atomic_section() -> AtomicSection {
-    AtomicSection::new()
-}
-
-/// Install a new run: `threads` worker slots, a per-schedule step bound,
-/// and the scheduling policy.
-///
-/// # Panics
-///
-/// Panics if a run is already active (runs are process-global; the
-/// [`SCHED`] guard [`run_workers`] holds keeps other threads' runs out).
-fn begin_run(threads: usize, max_steps: u64, picker: Picker) {
-    let mut g = STATE.lock();
-    assert!(g.is_none(), "a scheduler run is already active");
-    *g = Some(Inner {
-        phase: vec![Phase::NotStarted; threads],
-        picker,
-        decisions: Vec::new(),
-        events: Vec::new(),
-        steps: 0,
-        max_steps,
-        stop: None,
-        canon: std::collections::HashMap::new(),
-        timed_out: None,
-    });
-}
-
-/// Tear down the active run and return its record. Idempotent with
-/// respect to worker state: workers must have been joined first.
-fn end_run() -> RunLog {
-    let inner = STATE.lock().take().expect("end_run without begin_run");
-    RunLog {
-        decisions: inner.decisions,
-        events: inner.events,
-        steps: inner.steps,
-        stop: inner.stop,
-    }
+    SUPPRESS.with(|s| s.set(s.get() + 1));
+    AtomicSection(())
 }
 
 /// Run `f` holding the [`SCHED`] guard ([`hooks::arm`], re-entrant), so
@@ -465,25 +429,43 @@ pub fn run_exclusively<T>(f: impl FnOnce() -> T) -> T {
 /// each worker's value and the run's record.
 ///
 /// Call from an uncontrolled thread; the run holds the [`SCHED`] guard
-/// ([`hooks::arm`]), so a worker must never arm. A worker that panics
-/// aborts the run: its slot yields `None` and the [`RunLog`]'s stop
-/// reason carries the message. A worker the scheduler tears down
-/// (deadlock, prune, step limit, another worker's panic) also yields
-/// `None`.
+/// ([`hooks::arm`]), so a worker must never arm (`arm` panics there). A
+/// worker that panics aborts the run: its slot yields `None` and the
+/// [`RunLog`]'s stop reason carries the message. A worker the scheduler
+/// tears down (deadlock, prune, step limit, another worker's panic) also
+/// yields `None`. Runs are process-global: a nested run on the driving
+/// thread panics.
 pub fn run_workers<'a, R: Send + 'a>(
     workers: Vec<Box<dyn FnOnce() -> R + Send + 'a>>,
     max_steps: u64,
     picker: Picker,
 ) -> (Vec<Option<R>>, RunLog) {
     let _armed = hooks::arm(SCHED);
-    begin_run(workers.len(), max_steps, picker);
+    let mut state = STATE.lock();
+    assert!(state.is_none(), "a scheduler run is already active");
+    *state = Some(Inner {
+        phase: vec![Phase::NotStarted; workers.len()],
+        picker,
+        decisions: Vec::new(),
+        events: Vec::new(),
+        steps: 0,
+        max_steps,
+        stop: None,
+        canon: std::collections::HashMap::new(),
+        timed_out: None,
+    });
+    drop(state);
     let results = std::thread::scope(|s| {
         let handles: Vec<_> = workers
             .into_iter()
             .enumerate()
             .map(|(slot, body)| {
                 s.spawn(move || {
-                    register(slot);
+                    // The worker runs freely until its first yield point;
+                    // the first decision waits for every slot to arrive
+                    // (or finish), so startup order is not a hidden
+                    // schedule dimension.
+                    SLOT.with(|s| s.set(Some(slot)));
                     match catch_unwind(AssertUnwindSafe(body)) {
                         Ok(r) => {
                             finish();
@@ -501,7 +483,11 @@ pub fn run_workers<'a, R: Send + 'a>(
             .collect();
         handles.into_iter().map(|h| h.join().unwrap_or(None)).collect()
     });
-    (results, end_run())
+    let run = STATE.lock().take().expect("the run's state outlives its workers");
+    (
+        results,
+        RunLog { decisions: run.decisions, events: run.events, steps: run.steps, stop: run.stop },
+    )
 }
 
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
@@ -512,14 +498,6 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     } else {
         "non-string panic payload".to_string()
     }
-}
-
-/// Adopt `slot` for the calling worker thread. The thread then runs
-/// freely until its first [`yield_point`], where the scheduler takes
-/// over; the first decision is made only after every slot has arrived
-/// (or finished), so startup order is not a hidden schedule dimension.
-fn register(slot: usize) {
-    SLOT.with(|s| s.set(Some(slot)));
 }
 
 /// Mark the calling worker finished and hand the token to the next

@@ -4,20 +4,21 @@
 
 use std::sync::mpsc;
 use std::time::Duration;
-use txfix_stm::hooks::{arm, armed, epoch, CHAOS, CRASH, LOCKDEP, SCHED, TRACE};
+use txfix_stm::hooks::{arm, armed, lockdep_epoch, CHAOS, CRASH, LOCKDEP, SCHED, TRACE};
+use txfix_stm::sched::{run_workers, Pick, StopReason};
 
 #[test]
 fn arming_nests_on_one_thread_and_each_guard_clears_its_own_bits() {
     let outer = arm(TRACE);
-    let before = epoch(CHAOS);
+    let before = lockdep_epoch();
     {
-        let _inner = arm(CHAOS);
-        let _again = arm(TRACE); // already set: clears nothing on drop
-        assert!(armed(TRACE) && armed(CHAOS));
-        assert_eq!(epoch(CHAOS), before + 1);
+        let _inner = arm(CHAOS | LOCKDEP);
+        let _again = arm(TRACE | LOCKDEP); // already set: clears nothing on drop
+        assert!(armed(TRACE) && armed(CHAOS) && armed(LOCKDEP));
+        assert_eq!(lockdep_epoch(), before + 1, "only the arming that set LOCKDEP counts");
     }
     assert!(armed(TRACE), "the inner guards leave the outer bit set");
-    assert!(!armed(CHAOS), "the inner guard clears the bit it set");
+    assert!(!armed(CHAOS) && !armed(LOCKDEP), "the inner guard clears the bits it set");
     drop(outer);
 }
 
@@ -54,4 +55,16 @@ fn a_panic_in_an_armed_scope_clears_its_bits_and_the_next_arm_proceeds() {
         armed(LOCKDEP)
     });
     assert!(other.join().unwrap(), "the next arm proceeds");
+}
+
+#[test]
+fn arming_on_a_scheduled_worker_panics_instead_of_hanging() {
+    let workers: Vec<Box<dyn FnOnce() + Send>> = vec![Box::new(|| drop(arm(0)))];
+    let (results, log) = run_workers(workers, 100, Box::new(|_| Pick::Choose(0)));
+    assert!(results[0].is_none());
+    assert!(
+        matches!(&log.stop, Some(StopReason::Panic(m)) if m.contains("worker thread")),
+        "{:?}",
+        log.stop
+    );
 }

@@ -75,7 +75,7 @@ thread_local! {
 
 /// Run `f` on this thread's held set of the current arming.
 fn with_held<R>(f: impl FnOnce(&mut Vec<LockId>) -> R) -> R {
-    let epoch = hooks::epoch(LOCKDEP);
+    let epoch = hooks::lockdep_epoch();
     HELD.with_borrow_mut(|(tag, held)| {
         if *tag != epoch {
             (*tag, *held) = (epoch, Vec::new());

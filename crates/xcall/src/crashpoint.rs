@@ -178,6 +178,7 @@ mod tests {
         assert_eq!(fired(), Some(("x".to_owned(), 2)));
         drop(s);
         assert!(!is_frozen(), "dropping the session thaws");
+        assert_eq!(fired(), Some(("x".to_owned(), 2)), "the record outlives the session");
     }
 
     #[test]
@@ -205,7 +206,17 @@ mod tests {
     #[test]
     fn disarmed_crash_points_are_free_noops() {
         let _exclusive = hooks::arm(0);
-        crash_point("anything");
-        assert!(!is_frozen());
+        // A session's state outlives its guard: a stale record, a trigger
+        // that would fire on its next hit, and one that fired (FROZEN set).
+        let nth1 = || arm("x", 7, Trigger::Nth(1));
+        for (session, armed_hits) in [(record as fn() -> Armed, 0), (nth1, 0), (nth1, 1)] {
+            let s = session();
+            (0..armed_hits).for_each(|_| crash_point("x"));
+            drop(s);
+            let before = (recording(), fired());
+            crash_point("x");
+            assert_eq!((recording(), fired()), before, "a disarmed hit touched the registry");
+            assert!(!is_frozen());
+        }
     }
 }
