@@ -2,13 +2,11 @@
 //!
 //! The workspace has no serde (the build environment vendors only a
 //! handful of stand-in crates), so the JSON encoding here goes through
-//! [`txfix_core::json`]: [`ToJson`] builds a stable object layout and
-//! [`Report::from_json`] parses it back. Round-tripping is covered by
-//! tests.
+//! [`txfix_core::json`]: [`ToJson`] builds a stable object layout.
 
 use std::fmt::Write as _;
-use txfix_core::json::{get, Json, ToJson};
-use txfix_core::{hazard_from_json, Hazard, Recipe};
+use txfix_core::json::{Json, ToJson};
+use txfix_core::{Hazard, Recipe};
 use txfix_corpus::{bug_by_scenario, Outcome};
 
 /// One detected bug, with the recipe the paper's decision procedure
@@ -71,36 +69,6 @@ impl Report {
         }
         out
     }
-
-    /// Parse a report back from [`ToJson::to_json`] output.
-    ///
-    /// # Errors
-    ///
-    /// A description of the first malformed construct.
-    pub fn from_json(input: &str) -> Result<Report, String> {
-        let v = Json::parse(input)?;
-        let obj = v.object("report")?;
-        let outcome_obj = get(obj, "outcome")?.object("outcome")?;
-        let outcome = match get(outcome_obj, "kind")?.string("outcome.kind")?.as_str() {
-            "correct" => Outcome::Correct,
-            "bug_observed" => {
-                Outcome::BugObserved(get(outcome_obj, "detail")?.string("outcome.detail")?)
-            }
-            other => return Err(format!("unknown outcome kind {other:?}")),
-        };
-        let findings = get(obj, "findings")?
-            .array("findings")?
-            .iter()
-            .map(finding_from_json)
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(Report {
-            scenario: get(obj, "scenario")?.string("scenario")?,
-            variant: get(obj, "variant")?.string("variant")?,
-            outcome,
-            events: get(obj, "events")?.number("events")? as usize,
-            findings,
-        })
-    }
 }
 
 impl ToJson for Report {
@@ -129,99 +97,5 @@ impl ToJson for Finding {
             ("recipe", self.recipe.map_or(Json::Null, |r| Json::str(r.slug()))),
             ("explanation", Json::str(self.explanation.clone())),
         ])
-    }
-}
-
-fn finding_from_json(v: &Json) -> Result<Finding, String> {
-    let obj = v.object("finding")?;
-    let kind = hazard_from_json(get(obj, "bug")?)?;
-    let recipe = match get(obj, "recipe")? {
-        Json::Null => None,
-        v => Some(Recipe::from_slug(&v.string("recipe")?)?),
-    };
-    Ok(Finding { kind, recipe, explanation: get(obj, "explanation")?.string("explanation")? })
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn sample_report() -> Report {
-        Report {
-            scenario: "av_wrong_lock".into(),
-            variant: "buggy".into(),
-            outcome: Outcome::BugObserved("lost update: counter is 1 \"quoted\"\n".into()),
-            events: 42,
-            findings: vec![
-                Finding {
-                    kind: Hazard::Race { loc: "m133773.counter".into() },
-                    recipe: Some(Recipe::WrapAll),
-                    explanation: "unordered conflicting accesses".into(),
-                },
-                Finding {
-                    kind: Hazard::Atomicity { locs: vec!["a".into(), "b".into()] },
-                    recipe: Some(Recipe::WrapUnprotected),
-                    explanation: "non-serializable interleaving".into(),
-                },
-                Finding {
-                    kind: Hazard::LockCycle { locks: vec!["atoms".into(), "cache".into()] },
-                    recipe: None,
-                    explanation: "both orders observed".into(),
-                },
-                Finding {
-                    kind: Hazard::WaitCycle { cv: "cv".into(), lock: "outer".into() },
-                    recipe: None,
-                    explanation: "waiter holds what the notifier needs".into(),
-                },
-            ],
-        }
-    }
-
-    #[test]
-    fn report_round_trips_through_json() {
-        let r = sample_report();
-        let parsed = Report::from_json(&r.to_json()).expect("round trip");
-        assert_eq!(parsed, r);
-    }
-
-    #[test]
-    fn correct_outcome_round_trips() {
-        let r = Report {
-            scenario: "x".into(),
-            variant: "tm".into(),
-            outcome: Outcome::Correct,
-            events: 0,
-            findings: vec![],
-        };
-        let parsed = Report::from_json(&r.to_json()).expect("round trip");
-        assert_eq!(parsed, r);
-        assert!(!parsed.has_findings());
-    }
-
-    #[test]
-    fn every_recipe_round_trips_in_a_finding() {
-        for recipe in [
-            Recipe::ReplaceLocks,
-            Recipe::WrapAll,
-            Recipe::DeadlockPreemption,
-            Recipe::WrapUnprotected,
-        ] {
-            let f = Finding {
-                kind: Hazard::Race { loc: "x".into() },
-                recipe: Some(recipe),
-                explanation: String::new(),
-            };
-            let parsed = finding_from_json(&Json::parse(&f.to_json()).unwrap()).unwrap();
-            assert_eq!(parsed, f);
-        }
-    }
-
-    #[test]
-    fn malformed_json_is_rejected() {
-        assert!(Report::from_json("{").is_err());
-        assert!(Report::from_json("").is_err());
-        assert!(Report::from_json(r#"{"scenario": 3}"#).is_err());
-        let valid = sample_report().to_json();
-        assert!(Report::from_json(&format!("{valid}x")).is_err(), "trailing garbage");
     }
 }

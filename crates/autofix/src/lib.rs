@@ -30,7 +30,7 @@ pub mod report;
 
 use report::{AutofixEntry, AutofixReport, VerifyStats};
 use txfix_core::json::ToJson;
-use txfix_core::sweep::{Flag, SweepArgs, SweepOutput, SweepRunner, Universe};
+use txfix_core::sweep::{SweepArgs, SweepOutput, SweepRunner, Universe};
 use txfix_corpus::{keys, RunResult, Scenario, Variant, SCENARIOS};
 use txfix_explore::{explore_build, ExploreConfig};
 use txfix_static::{check, infer, Region, ScenarioSummary};
@@ -125,11 +125,11 @@ pub struct AutofixSweep {
 
 impl SweepRunner for AutofixSweep {
     fn usage(&self) -> &'static str {
-        "\x20 autofix [<key>|--all] [--strategy dfs|pct] [--budget N] [--seed S]\n\
+        "\x20 autofix [<key>|--all] [--seed S]\n\
          \x20                              infer atomic-region fixes from static findings,\n\
          \x20                              synthesize the TM patch, and verify it both\n\
-         \x20                              statically and by schedule exploration; writes\n\
-         \x20                              AUTOFIX_stm.json; exits nonzero on any\n\
+         \x20                              statically and by DFS schedule exploration;\n\
+         \x20                              writes AUTOFIX_stm.json; exits nonzero on any\n\
          \x20                              unverified fix"
     }
 
@@ -139,10 +139,6 @@ impl SweepRunner for AutofixSweep {
 
     fn universe(&self) -> Option<Universe> {
         Some(Universe::new("scenario", keys::ALL))
-    }
-
-    fn flag(&mut self, flag: &str, value: Option<&str>) -> Result<Flag, String> {
-        self.cfg.flag(flag, value)
     }
 
     fn execute(&mut self, args: &SweepArgs) -> Result<SweepOutput, String> {

@@ -13,12 +13,12 @@
 //! ## Determinism
 //!
 //! `txfix chaos --seed <s>` must be bit-for-bit reproducible for a fixed
-//! seed and thread count, so the report contains only facts that are
-//! functions of the configuration and the (fixed) per-worker op counts —
+//! seed, so the report contains only facts that are functions of the
+//! configuration and the (fixed) per-worker op counts —
 //! scenario/schedule/variant names, thread and op counts, and the
 //! invariant verdicts — never timings, fault tallies or anything else the
 //! thread interleaving can move. Work is *count-based* (each worker runs
-//! exactly `ops_per_thread` operations) for the same reason. Per-worker
+//! exactly [`OPS_PER_THREAD`] operations) for the same reason. Per-worker
 //! implicit state (the backoff-jitter RNG) is pinned from the run seed
 //! via [`pool::pin_worker_rng`].
 
@@ -28,7 +28,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 use txfix_core::json::{Json, ToJson};
-use txfix_core::sweep::{self, Flag, SweepArgs, SweepOutput, SweepRunner, Universe};
+use txfix_core::sweep::{SweepArgs, SweepOutput, SweepRunner, Universe};
 use txfix_corpus::Variant;
 use txfix_stm::chaos::{splitmix64, FaultPlan};
 use txfix_stm::{obs, EscalationPolicy, TVar, Txn, TxnBuilder};
@@ -76,32 +76,26 @@ pub(crate) fn kernel(scenario: &str) -> Kernel {
 pub const SCHEDULES: &[&str] =
     &["baseline", "txn_faults", "commit_faults", "lock_faults", "io_faults"];
 
-/// Configuration for one chaos invocation.
+/// Worker threads per cell.
+pub const THREADS: usize = 4;
+
+/// Operations each worker executes (count-based work, for determinism).
+pub const OPS_PER_THREAD: u64 = 300;
+
+/// Configuration for one chaos invocation: every cell runs every
+/// schedule in [`SCHEDULES`] with [`THREADS`] workers.
 #[derive(Clone, Debug)]
 pub struct ChaosConfig {
     /// Master seed; every cell derives its plan seed from this plus the
     /// cell's names, so cells are decorrelated but reproducible.
     pub seed: u64,
-    /// Worker threads per cell.
-    pub threads: usize,
-    /// Operations each worker executes (count-based work, for
-    /// determinism).
-    pub ops_per_thread: u64,
     /// Scenario keys to sweep (from [`SCENARIOS`]).
     pub scenarios: Vec<&'static str>,
-    /// Schedule names to sweep (from [`SCHEDULES`]).
-    pub schedules: Vec<&'static str>,
 }
 
 impl Default for ChaosConfig {
     fn default() -> ChaosConfig {
-        ChaosConfig {
-            seed: 0xC4A05,
-            threads: 4,
-            ops_per_thread: 300,
-            scenarios: SCENARIOS.to_vec(),
-            schedules: SCHEDULES.to_vec(),
-        }
+        ChaosConfig { seed: 0xC4A05, scenarios: SCENARIOS.to_vec() }
     }
 }
 
@@ -114,8 +108,6 @@ pub struct ChaosRun {
     pub variant: &'static str,
     /// Fault schedule name.
     pub schedule: &'static str,
-    /// Configured worker threads.
-    pub threads: usize,
     /// Total operations the cell's workers executed (deterministic).
     pub ops: u64,
     /// Invariant violations observed (empty = the cell passed).
@@ -135,7 +127,7 @@ impl ToJson for ChaosRun {
             ("scenario", Json::str(self.scenario)),
             ("variant", Json::str(self.variant)),
             ("schedule", Json::str(self.schedule)),
-            ("threads", Json::int(self.threads as u64)),
+            ("threads", Json::int(THREADS as u64)),
             ("ops", Json::int(self.ops)),
             ("passed", Json::Bool(self.passed())),
             ("violations", Json::strings(&self.violations)),
@@ -148,10 +140,10 @@ pub fn chaos_report(cfg: &ChaosConfig, runs: &[ChaosRun]) -> Json {
     Json::obj([
         ("schema", Json::str("txfix-chaos-v1")),
         ("seed", Json::int(cfg.seed)),
-        ("threads", Json::int(cfg.threads as u64)),
-        ("ops_per_thread", Json::int(cfg.ops_per_thread)),
+        ("threads", Json::int(THREADS as u64)),
+        ("ops_per_thread", Json::int(OPS_PER_THREAD)),
         ("scenarios", Json::strings(&cfg.scenarios)),
-        ("schedules", Json::strings(&cfg.schedules)),
+        ("schedules", Json::strings(SCHEDULES)),
         ("runs", Json::list(runs.iter().map(ToJson::to_json_value))),
         ("passed", Json::Bool(runs.iter().all(ChaosRun::passed))),
     ])
@@ -168,7 +160,7 @@ pub fn chaos_table(runs: &[ChaosRun]) -> String {
         let _ = write!(
             table,
             "\n{:22} {:14} {:4} {:>3}  {:>7}  {}",
-            r.scenario, r.schedule, r.variant, r.threads, r.ops, verdict
+            r.scenario, r.schedule, r.variant, THREADS, r.ops, verdict
         );
     }
     table
@@ -182,7 +174,7 @@ pub struct ChaosSweep {
 
 impl SweepRunner for ChaosSweep {
     fn usage(&self) -> &'static str {
-        "\x20 chaos [<key>|--all] [--seed S] [--threads N] [--ops N]\n\
+        "\x20 chaos [<key>|--all] [--seed S]\n\
          \x20                              sweep seeded fault-injection schedules over the\n\
          \x20                              corpus scenarios (dev and tm) under concurrent\n\
          \x20                              load, assert invariants after every run, and\n\
@@ -196,15 +188,6 @@ impl SweepRunner for ChaosSweep {
 
     fn universe(&self) -> Option<Universe> {
         Some(Universe::new("chaos scenario", SCENARIOS))
-    }
-
-    fn flag(&mut self, flag: &str, value: Option<&str>) -> Result<Flag, String> {
-        match flag {
-            "--threads" => self.cfg.threads = sweep::positive(flag, value)?,
-            "--ops" => self.cfg.ops_per_thread = sweep::positive(flag, value)?,
-            _ => return Ok(Flag::Unknown),
-        }
-        Ok(Flag::SeenWithValue)
     }
 
     fn execute(&mut self, args: &SweepArgs) -> Result<SweepOutput, String> {
@@ -225,16 +208,13 @@ impl SweepRunner for ChaosSweep {
 ///
 /// # Panics
 ///
-/// Panics on a configured scenario key not in [`SCENARIOS`] or schedule
-/// name not in [`SCHEDULES`].
+/// Panics on a configured scenario key not in [`SCENARIOS`].
 pub fn run_chaos(cfg: &ChaosConfig) -> Vec<ChaosRun> {
-    obs::enable();
     let mut runs = Vec::new();
     for &scenario in &cfg.scenarios {
-        let kernel = kernel(scenario);
-        for &schedule in &cfg.schedules {
+        for &schedule in SCHEDULES {
             for tm in [false, true] {
-                runs.push(run_cell(cfg, scenario, kernel, schedule, tm));
+                runs.push(run_cell(cfg.seed, scenario, schedule, tm));
             }
         }
     }
@@ -242,20 +222,25 @@ pub fn run_chaos(cfg: &ChaosConfig) -> Vec<ChaosRun> {
 }
 
 /// Run one cell: arm the schedule's plan, run the scenario's kernel.
-fn run_cell(
-    cfg: &ChaosConfig,
+///
+/// # Panics
+///
+/// Panics on a scenario key not in [`SCENARIOS`] or a schedule name not
+/// in [`SCHEDULES`].
+pub(crate) fn run_cell(
+    seed: u64,
     scenario: &'static str,
-    kernel: Kernel,
     schedule: &'static str,
     tm: bool,
 ) -> ChaosRun {
+    obs::enable();
     let variant = if tm { Variant::TmFix } else { Variant::DevFix }.name();
-    let cell_seed = mix(cfg.seed, &[scenario, schedule, variant]);
+    let cell_seed = mix(seed, &[scenario, schedule, variant]);
     let plan = FaultPlan::named(schedule, cell_seed)
         .unwrap_or_else(|| panic!("unknown chaos schedule {schedule:?} (see chaos::SCHEDULES)"));
     let _armed = txfix_stm::chaos::scoped(&plan);
-    let (run, violations) = Cell::run(cfg.threads, cfg.ops_per_thread, cell_seed, kernel, tm);
-    ChaosRun { scenario, variant, schedule, threads: cfg.threads, ops: run.ops, violations }
+    let (run, violations) = Cell::run(THREADS, OPS_PER_THREAD, cell_seed, kernel(scenario), tm);
+    ChaosRun { scenario, variant, schedule, ops: run.ops, violations }
 }
 
 /// Derive a cell seed from the master seed and the cell's names.
@@ -745,16 +730,6 @@ pub(crate) mod tests {
     // when another test takes the parallelism Recipe 4 loses.
     use txfix_stm::hooks;
 
-    fn small(seed: u64) -> ChaosConfig {
-        ChaosConfig {
-            seed,
-            threads: 2,
-            ops_per_thread: 48,
-            scenarios: SCENARIOS.to_vec(),
-            schedules: SCHEDULES.to_vec(),
-        }
-    }
-
     #[test]
     fn scenarios_keep_the_artifact_row_order() {
         assert_eq!(
@@ -781,8 +756,7 @@ pub(crate) mod tests {
     #[test]
     fn full_sweep_passes_all_invariants() {
         let _g = hooks::arm(0);
-        let cfg = small(0xFEED);
-        let runs = run_chaos(&cfg);
+        let runs = run_chaos(&ChaosConfig { seed: 0xFEED, ..ChaosConfig::default() });
         assert_eq!(runs.len(), SCENARIOS.len() * SCHEDULES.len() * 2);
         for run in &runs {
             assert!(
@@ -800,7 +774,7 @@ pub(crate) mod tests {
     #[test]
     fn report_is_deterministic_for_a_fixed_seed() {
         let _g = hooks::arm(0);
-        let cfg = ChaosConfig { scenarios: vec!["av_stats_race", "pipe_handoff"], ..small(0xD00D) };
+        let cfg = ChaosConfig { seed: 0xD00D, scenarios: vec!["av_stats_race", "pipe_handoff"] };
         let a = chaos_report(&cfg, &run_chaos(&cfg)).to_json();
         let b = chaos_report(&cfg, &run_chaos(&cfg)).to_json();
         assert_eq!(a, b, "chaos report must be bit-for-bit reproducible");
@@ -813,15 +787,10 @@ pub(crate) mod tests {
     #[test]
     fn injected_faults_actually_fire() {
         let _g = hooks::arm(0);
-        let cfg = ChaosConfig {
-            scenarios: vec!["av_stats_race"],
-            schedules: vec!["commit_faults"],
-            ..small(0xBEEF)
-        };
-        let runs = run_chaos(&cfg);
-        // Counters survive the guard: this is the last (tm) cell's total.
+        let run = run_cell(0xBEEF, "av_stats_race", "commit_faults", true);
+        // Counters survive the guard: this is the cell's total.
         let injected = txfix_stm::chaos::injected_total();
-        assert!(runs.iter().all(ChaosRun::passed));
+        assert!(run.passed(), "{:?}", run.violations);
         assert!(injected > 0, "commit_faults schedule should inject faults");
     }
 }

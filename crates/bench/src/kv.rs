@@ -19,9 +19,9 @@
 //! recovered state must equal the pre-shutdown state (`recovered_ok`).
 
 use crate::pool;
-use crate::workload::{Mix, Workload, WorkloadCfg, WorkloadOp};
+use crate::workload::{Workload, WorkloadCfg, WorkloadOp};
 use txfix_core::json::{Json, ToJson};
-use txfix_core::sweep::{self, Flag, SweepArgs, SweepOutput, SweepRunner, Universe};
+use txfix_core::sweep::{SweepArgs, SweepOutput, SweepRunner, Universe};
 use txfix_kvstore::model::seeded_picker;
 use txfix_kvstore::{KvConfig, KvStore, Mode};
 use txfix_stm::chaos::splitmix64;
@@ -38,35 +38,28 @@ pub const DEFAULT_SEED: u64 = 0x5EED;
 /// report) instead of hanging the sweep.
 const MAX_STEPS: u64 = 50_000_000;
 
-/// One sweep's shape.
+/// Shard counts every mode runs at.
+pub const SHARD_COUNTS: [usize; 2] = [2, 4];
+
+/// Concurrent workers per cell.
+pub const THREADS: usize = 3;
+
+/// Ops each worker issues, under the default [`WorkloadCfg`].
+pub const OPS_PER_THREAD: u64 = 120;
+
+/// One sweep's selection.
 #[derive(Clone, Debug)]
 pub struct KvBenchConfig {
     /// Seed for the schedule, the workload and the backoff rngs.
     pub seed: u64,
     /// Store modes to sweep.
     pub modes: Vec<Mode>,
-    /// Shard counts to sweep (each mode runs at each count).
-    pub shard_counts: Vec<usize>,
-    /// Concurrent workers per cell.
-    pub threads: usize,
-    /// Ops each worker issues.
-    pub ops_per_thread: u64,
-    /// Workload shape.
-    pub workload: WorkloadCfg,
 }
 
 impl KvBenchConfig {
-    /// The committed-artifact configuration: every mode × two shard
-    /// counts under the default workload.
+    /// The committed-artifact configuration: every mode.
     pub fn full(seed: u64) -> KvBenchConfig {
-        KvBenchConfig {
-            seed,
-            modes: Mode::ALL.to_vec(),
-            shard_counts: vec![2, 4],
-            threads: 3,
-            ops_per_thread: 120,
-            workload: WorkloadCfg::default(),
-        }
+        KvBenchConfig { seed, modes: Mode::ALL.to_vec() }
     }
 }
 
@@ -77,7 +70,7 @@ pub struct KvCell {
     pub mode: Mode,
     /// Shard count.
     pub shards: usize,
-    /// Ops committed (= threads × ops_per_thread on a clean run).
+    /// Ops committed (= [`THREADS`] × [`OPS_PER_THREAD`] on a clean run).
     pub ops: u64,
     /// Aborted attempts across all ops (attempts − 1 per op).
     pub aborts: u64,
@@ -112,25 +105,24 @@ struct WorkerOut {
 fn run_cell(cfg: &KvBenchConfig, mode: Mode, shards: usize) -> KvCell {
     let fs = SimFs::new();
     let store = KvStore::open(&fs, KvConfig::new(mode, shards));
-    let workload = Workload::new(cfg.workload);
+    let workload = Workload::new(WorkloadCfg::default());
     let seed = splitmix64(
         cfg.seed ^ splitmix64(shards as u64 ^ (mode as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)),
     );
     let kv = &store;
     let wl = &workload;
-    let ops_per_thread = cfg.ops_per_thread;
-    let workers: Vec<Box<dyn FnOnce() -> WorkerOut + Send + '_>> = (0..cfg.threads as u64)
+    let workers: Vec<Box<dyn FnOnce() -> WorkerOut + Send + '_>> = (0..THREADS as u64)
         .map(|w| {
             Box::new(move || {
                 pool::pin_worker_rng(seed, w as usize);
                 let mut out = WorkerOut {
-                    latencies: Vec::with_capacity(ops_per_thread as usize),
+                    latencies: Vec::with_capacity(OPS_PER_THREAD as usize),
                     aborts: 0,
                     escalations: 0,
                     serial_commits: 0,
                     ops: 0,
                 };
-                for i in 0..ops_per_thread {
+                for i in 0..OPS_PER_THREAD {
                     let before = sched::current_steps();
                     let stats = match wl.op(seed, w, i) {
                         WorkloadOp::Get(k) => kv.get(&k).expect("workload keys are tokens").stats,
@@ -208,7 +200,7 @@ pub fn run_kv_bench(cfg: &KvBenchConfig) -> Vec<KvCell> {
     sched::run_exclusively(|| {
         let mut cells = Vec::new();
         for &mode in &cfg.modes {
-            for &shards in &cfg.shard_counts {
+            for shards in SHARD_COUNTS {
                 cells.push(run_cell(cfg, mode, shards));
             }
         }
@@ -233,19 +225,19 @@ pub struct KvReport {
 pub fn kv_report(cfg: &KvBenchConfig, cells: Vec<KvCell>) -> KvReport {
     let ok = cells
         .iter()
-        .all(|c| c.clean_run && c.recovered_ok && c.ops == cfg.threads as u64 * cfg.ops_per_thread);
+        .all(|c| c.clean_run && c.recovered_ok && c.ops == THREADS as u64 * OPS_PER_THREAD);
     KvReport { cfg: cfg.clone(), host_cores: pool::host_cores() as u64, cells, ok }
 }
 
 impl ToJson for KvReport {
     fn to_json_value(&self) -> Json {
-        let w = &self.cfg.workload;
+        let w = WorkloadCfg::default();
         Json::obj([
             ("schema", Json::str(SCHEMA)),
             ("seed", Json::int(self.cfg.seed)),
             ("host_cores", Json::int(self.host_cores)),
-            ("threads", Json::int(self.cfg.threads as u64)),
-            ("ops_per_thread", Json::int(self.cfg.ops_per_thread)),
+            ("threads", Json::int(THREADS as u64)),
+            ("ops_per_thread", Json::int(OPS_PER_THREAD)),
             (
                 "workload",
                 Json::obj([
@@ -287,14 +279,13 @@ impl KvReport {
     /// Human-readable table, one row per cell.
     pub fn table(&self) -> String {
         let mut out = String::new();
+        let w = WorkloadCfg::default();
         out.push_str(&format!(
-            "kv sweep: seed={} threads={} ops/thread={} theta={} mix={} (virtual time: 1 step = \
-             1 scheduler decision)\n",
+            "kv sweep: seed={} threads={THREADS} ops/thread={OPS_PER_THREAD} theta={} mix={} \
+             (virtual time: 1 step = 1 scheduler decision)\n",
             self.cfg.seed,
-            self.cfg.threads,
-            self.cfg.ops_per_thread,
-            self.cfg.workload.theta,
-            self.cfg.workload.mix.name(),
+            w.theta,
+            w.mix.name(),
         ));
         out.push_str(&format!(
             "{:<8} {:>6} {:>6} {:>7} {:>10} {:>7} {:>11} {:>9} {:>9}  {}\n",
@@ -347,14 +338,13 @@ impl Default for KvSweep {
 
 impl SweepRunner for KvSweep {
     fn usage(&self) -> &'static str {
-        "\x20 kv [dev|tm|hybrid|--all] [--shards 2,4] [--theta T] [--mix G:P:D:S]\n\
-         \x20    [--threads N] [--ops N] [--keys N] [--users N] [--seed S]\n\
+        "\x20 kv [dev|tm|hybrid|--all] [--seed S]\n\
          \x20                              drive the sharded transactional KV store\n\
          \x20                              (dev locks / TM / hybrid escalation) with the\n\
          \x20                              open-loop Zipfian workload under the\n\
          \x20                              deterministic scheduler; reports virtual-time\n\
          \x20                              throughput, abort/escalation counts and latency\n\
-         \x20                              percentiles per mode x shard count, verifies\n\
+         \x20                              percentiles per mode at 2 and 4 shards, verifies\n\
          \x20                              checkpoint+WAL recovery per cell, and writes\n\
          \x20                              BENCH_kv.json; bit-for-bit reproducible per seed"
     }
@@ -365,29 +355,6 @@ impl SweepRunner for KvSweep {
 
     fn universe(&self) -> Option<Universe> {
         Some(Universe::new("kv mode", Mode::ALL.map(Mode::name)))
-    }
-
-    fn flag(&mut self, flag: &str, value: Option<&str>) -> Result<Flag, String> {
-        match flag {
-            "--shards" => self.cfg.shard_counts = sweep::positive_list(flag, value, "2,4")?,
-            "--theta" => {
-                self.cfg.workload.theta = value
-                    .and_then(|s| s.parse::<f64>().ok())
-                    .filter(|t| (0.0..=8.0).contains(t))
-                    .ok_or("--theta takes a skew in 0..=8, e.g. 0.9")?
-            }
-            "--mix" => {
-                self.cfg.workload.mix = value
-                    .and_then(Mix::parse)
-                    .ok_or("--mix takes get:put:delete:scan weights, e.g. 80:15:3:2")?
-            }
-            "--threads" => self.cfg.threads = sweep::positive(flag, value)?,
-            "--ops" => self.cfg.ops_per_thread = sweep::positive(flag, value)?,
-            "--keys" => self.cfg.workload.keys = sweep::positive(flag, value)?,
-            "--users" => self.cfg.workload.users = sweep::positive(flag, value)?,
-            _ => return Ok(Flag::Unknown),
-        }
-        Ok(Flag::SeenWithValue)
     }
 
     fn execute(&mut self, args: &SweepArgs) -> Result<SweepOutput, String> {

@@ -1,11 +1,12 @@
 //! # txfix-bench: the evaluation harness
 //!
-//! One runner per paper artifact (DESIGN.md §4). The `table1`–`table4`
-//! binaries print the paper's tables from the corpus and the case-study
-//! comparisons; `experiments` runs everything and prints paper-reported
-//! vs. measured values. Both case-study binaries run the one case list,
-//! [`cases()`], which also holds each row's paper figures; the criterion
-//! benches under `benches/` are the three ablations (A1–A3). The
+//! One runner per paper artifact (DESIGN.md §4). `txfix tables` prints
+//! Tables 1–3 from the corpus; the `table4` binary prints the case-study
+//! comparisons, and `experiments` runs everything and prints
+//! paper-reported vs. measured values. Both case-study binaries run the
+//! one case list, [`cases()`], which also holds each row's paper
+//! figures; the criterion benches under `benches/` are the three
+//! ablations (A1–A3). The
 //! corpus load harness is one table of kernels, each asserting its
 //! scenario's invariants, in [`chaos`]: `txfix chaos` sweeps seeded
 //! fault-injection schedules over it, and [`stress`] runs it with faults

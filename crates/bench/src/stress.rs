@@ -300,14 +300,7 @@ mod tests {
         let _g = hooks::arm(0);
         // Leave nonzero injection counters behind: installing any plan,
         // even the empty `baseline`, zeroes them.
-        let chaos_cfg = chaos::ChaosConfig {
-            seed: 0xBEEF,
-            threads: 2,
-            ops_per_thread: 48,
-            scenarios: vec!["av_stats_race"],
-            schedules: vec!["commit_faults"],
-        };
-        assert!(chaos::run_chaos(&chaos_cfg).iter().all(chaos::ChaosRun::passed));
+        assert!(chaos::run_cell(0xBEEF, "av_stats_race", "commit_faults", true).passed());
         let injected = faults::injected_total();
         assert!(injected > 0, "commit_faults should leave injections behind");
 

@@ -154,18 +154,7 @@ impl Default for Mix {
 }
 
 impl Mix {
-    /// Parse `"80:15:3:2"`. At least one weight must be positive.
-    pub fn parse(s: &str) -> Option<Mix> {
-        let parts: Vec<u32> = s.split(':').map(|p| p.parse().ok()).collect::<Option<_>>()?;
-        match parts.as_slice() {
-            [g, p, d, sc] if g + p + d + sc > 0 => {
-                Some(Mix { get: *g, put: *p, delete: *d, scan: *sc })
-            }
-            _ => None,
-        }
-    }
-
-    /// Inverse of [`parse`](Mix::parse).
+    /// The weights as `"get:put:delete:scan"`, e.g. `"80:15:3:2"`.
     pub fn name(&self) -> String {
         format!("{}:{}:{}:{}", self.get, self.put, self.delete, self.scan)
     }
@@ -334,15 +323,5 @@ mod tests {
             assert!(r >= last, "cdf sampling must be monotone");
             last = r;
         }
-    }
-
-    #[test]
-    fn mix_parses_and_round_trips() {
-        let m = Mix::parse("80:15:3:2").unwrap();
-        assert_eq!(m, Mix::default());
-        assert_eq!(Mix::parse(&m.name()), Some(m));
-        assert_eq!(Mix::parse("0:0:0:0"), None);
-        assert_eq!(Mix::parse("1:2:3"), None);
-        assert_eq!(Mix::parse("a:2:3:4"), None);
     }
 }

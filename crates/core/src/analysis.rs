@@ -44,21 +44,6 @@ impl Recipe {
             Recipe::WrapUnprotected => "wrap-unprotected",
         }
     }
-
-    /// Parse a [`Recipe::slug`] back.
-    ///
-    /// # Errors
-    ///
-    /// When `s` is not one of the four slugs.
-    pub fn from_slug(s: &str) -> Result<Recipe, String> {
-        match s {
-            "replace-locks" => Ok(Recipe::ReplaceLocks),
-            "wrap-all" => Ok(Recipe::WrapAll),
-            "deadlock-preemption" => Ok(Recipe::DeadlockPreemption),
-            "wrap-unprotected" => Ok(Recipe::WrapUnprotected),
-            other => Err(format!("unknown recipe {other:?}")),
-        }
-    }
 }
 
 /// The coarse hazard classes the detectors (dynamic and static) report,
@@ -417,19 +402,6 @@ mod tests {
             let a = analyze(&record(BugKind::AtomicityViolation, chars));
             assert_eq!(a, Analysis::Unfixable(reason));
         }
-    }
-
-    #[test]
-    fn recipe_slugs_round_trip() {
-        for recipe in [
-            Recipe::ReplaceLocks,
-            Recipe::WrapAll,
-            Recipe::DeadlockPreemption,
-            Recipe::WrapUnprotected,
-        ] {
-            assert_eq!(Recipe::from_slug(recipe.slug()), Ok(recipe));
-        }
-        assert!(Recipe::from_slug("recipe-5").is_err());
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! [`overlap`]: Hazard::overlaps
 
 use crate::analysis::HazardClass;
-use crate::json::{get, Json, ToJson};
+use crate::json::{Json, ToJson};
 use std::fmt;
 
 /// What an analysis pass detected.
@@ -136,51 +136,9 @@ impl ToJson for Hazard {
     }
 }
 
-/// Parse a hazard back from [`ToJson::to_json`] output.
-///
-/// # Errors
-///
-/// A description of the first malformed construct.
-pub fn hazard_from_json(v: &Json) -> Result<Hazard, String> {
-    let obj = v.object("hazard")?;
-    let strings = |key: &str| -> Result<Vec<String>, String> {
-        get(obj, key)?.array(key)?.iter().map(|s| s.string(key)).collect::<Result<Vec<_>, _>>()
-    };
-    match get(obj, "kind")?.string("hazard.kind")?.as_str() {
-        "race" => Ok(Hazard::Race { loc: get(obj, "loc")?.string("loc")? }),
-        "atomicity" => Ok(Hazard::Atomicity { locs: strings("locs")? }),
-        "lock_cycle" => Ok(Hazard::LockCycle { locks: strings("locks")? }),
-        "wait_cycle" => Ok(Hazard::WaitCycle {
-            cv: get(obj, "cv")?.string("cv")?,
-            lock: get(obj, "lock")?.string("lock")?,
-        }),
-        "lost_wakeup" => Ok(Hazard::LostWakeup {
-            cv: get(obj, "cv")?.string("cv")?,
-            loc: get(obj, "loc")?.string("loc")?,
-        }),
-        other => Err(format!("unknown hazard kind {other:?}")),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn every_variant_round_trips_through_json() {
-        let all = [
-            Hazard::Race { loc: "x".into() },
-            Hazard::Atomicity { locs: vec!["x".into(), "y".into()] },
-            Hazard::LockCycle { locks: vec!["a".into(), "b".into()] },
-            Hazard::WaitCycle { cv: "cv".into(), lock: "l".into() },
-            Hazard::LostWakeup { cv: "cv".into(), loc: "x".into() },
-        ];
-        for h in all {
-            let parsed = hazard_from_json(&Json::parse(&h.to_json()).unwrap()).unwrap();
-            assert_eq!(parsed, h);
-        }
-        assert!(hazard_from_json(&Json::parse(r#"{"kind":"nope"}"#).unwrap()).is_err());
-    }
 
     #[test]
     fn overlap_requires_same_class_and_shared_subject() {

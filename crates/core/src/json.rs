@@ -117,9 +117,8 @@ impl Json {
 }
 
 impl fmt::Display for Json {
-    /// Serialize back to compact JSON text (object keys in map order), so
-    /// a value extracted from a parsed document can be re-parsed by the
-    /// typed `from_json` readers.
+    /// Serialize to compact JSON text (object keys in map order), which
+    /// [`Json::parse`] reads back to an equal value.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Json::Null => write!(f, "null"),

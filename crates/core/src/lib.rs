@@ -45,7 +45,7 @@ pub use analysis::{
 };
 pub use bug::{App, BugChars, BugKind, BugRecord, DevFix, Difficulty, Downcalls, MissingSync};
 pub use difficulty::{preference, tm_difficulty, Preference};
-pub use finding::{hazard_from_json, Hazard};
+pub use finding::Hazard;
 pub use recipe::{preemptible, preemptible_report, wrap_unprotected_atomic, PreemptOptions};
 pub use report::{table1, table2, table3, CorpusSummary, FixabilityCell, TextTable};
 /// The lock-order graph the static pass shares with `lockdep` and the

@@ -11,13 +11,15 @@ use std::time::Duration;
 use txfix_stm::{BackoffPolicy, StmResult, Txn, TxnBuilder, TxnError, TxnReport};
 use txfix_tmsync::{serial_atomic_with, SerialDomain};
 
+/// The victim priority a [`preemptible`] region registers with. Lower
+/// values abort first when a deadlock cycle forms, and a transaction that
+/// blocks in `TxMutex::lock_tx` unregistered ranks 0. The paper makes the
+/// *infrequent / low-priority* thread preemptible, so it goes first.
+pub const PREEMPT_PRIORITY: i32 = -1;
+
 /// Options for [`preemptible`] (Recipe 3).
 #[derive(Clone, Debug)]
 pub struct PreemptOptions {
-    /// Victim priority: lower values abort first when a deadlock cycle
-    /// forms. The paper recommends making the *infrequent / low-priority*
-    /// thread preemptible; give it a negative priority.
-    pub priority: i32,
     /// Backoff between preemptions — exponential with jitter by default,
     /// which is what prevents the livelock discussed in §4.4.
     pub backoff: BackoffPolicy,
@@ -28,7 +30,6 @@ pub struct PreemptOptions {
 impl Default for PreemptOptions {
     fn default() -> Self {
         PreemptOptions {
-            priority: -1,
             backoff: BackoffPolicy::ExpJitter {
                 base: Duration::from_micros(50),
                 max: Duration::from_millis(5),
@@ -75,9 +76,8 @@ pub fn preemptible_report<T>(
     if let Some(n) = opts.max_attempts {
         builder = builder.max_attempts(n);
     }
-    let priority = opts.priority;
     builder.try_run(move |txn| {
-        txfix_txlock::enlist_preemptible(txn, priority);
+        txfix_txlock::enlist_preemptible(txn, PREEMPT_PRIORITY);
         body(txn)
     })
 }

@@ -2,12 +2,12 @@
 //!
 //! `stress`, `kv`, `chaos`, `explore`, `autofix`, `crash`, `canary`,
 //! `list`, `analyze`, `lint` and `scenario` share the same life cycle:
-//! parse a selection plus the common `--json` / `--seed` / `--out` flags,
-//! run, render either the JSON document or a human table, persist the
-//! document to a canonical artifact at the repo root plus a timestamped
-//! copy under `results/`, and exit nonzero when the verb's own pass/fail
-//! verdict says so. Each verb implements [`SweepRunner`] with just its
-//! own parts and [`run_sweep`] supplies the frame once:
+//! parse a selection plus the common `--json` / `--seed` flags, run,
+//! render either the JSON document or a human table, persist the
+//! document to its canonical artifact (the one file a sweep writes, in
+//! the working directory), and exit nonzero when the verb's own
+//! pass/fail verdict says so. Each verb implements [`SweepRunner`] with
+//! just its own parts and [`run_sweep`] supplies the frame once:
 //!
 //! - [`SweepRunner::universe`] declares the verb's fixed key set (plus
 //!   the noun its error text uses). The frame owns the one selection
@@ -19,12 +19,12 @@
 //! - [`SweepRunner::flag`] handles the verb's own flags and
 //!   [`SweepRunner::execute`] runs it. A runner without an artifact
 //!   (`list`, `analyze`, `lint`, `scenario`) only prints, and the frame
-//!   rejects `--out` and, unless it says otherwise, `--seed` for it.
+//!   rejects `--seed` for it unless it says otherwise.
 //!
 //! The verb's name is not the runner's business: the dispatch table that
 //! owns the runners (`txfix::cli`) owns the names.
 
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::process::ExitCode;
 
 /// What a [`SweepRunner`] made of one command-specific flag.
@@ -74,8 +74,6 @@ pub struct SweepArgs {
     pub json: bool,
     /// `--seed S`: deterministic seed, when the sweep takes one.
     pub seed: Option<u64>,
-    /// `--out PATH`: canonical artifact destination override.
-    pub out: Option<PathBuf>,
 }
 
 impl SweepArgs {
@@ -150,23 +148,19 @@ pub trait SweepRunner {
     fn execute(&mut self, args: &SweepArgs) -> Result<SweepOutput, String>;
 }
 
-/// The value of a flag that takes one positive number.
+/// The value of a flag that takes one positive integer.
 ///
 /// # Errors
 ///
-/// `"<flag> takes a positive integer"` (`number` for a fractional `T`)
-/// when the value is missing, malformed or not above zero.
+/// `"<flag> takes a positive integer"` when the value is missing,
+/// malformed or not above zero.
 pub fn positive<T>(flag: &str, value: Option<&str>) -> Result<T, String>
 where
     T: std::str::FromStr + PartialOrd + Default,
 {
     match value.and_then(|s| s.parse::<T>().ok()) {
         Some(n) if n > T::default() => Ok(n),
-        _ => {
-            // Only a fractional `T` parses "0.5".
-            let kind = if "0.5".parse::<T>().is_ok() { "number" } else { "integer" };
-            Err(format!("{flag} takes a positive {kind}"))
-        }
+        _ => Err(format!("{flag} takes a positive integer")),
     }
 }
 
@@ -238,16 +232,6 @@ pub fn parse_sweep_args(runner: &mut dyn SweepRunner, raw: &[String]) -> Result<
                     None => return Err("--seed takes an integer (decimal or 0x-hex)".into()),
                 }
             }
-            "--out" => {
-                if runner.artifact().is_none() {
-                    return Err("this verb writes no artifact, so --out is meaningless".into());
-                }
-                i += 1;
-                match raw.get(i) {
-                    Some(p) if !p.is_empty() => args.out = Some(PathBuf::from(p)),
-                    _ => return Err("--out takes a file path".into()),
-                }
-            }
             _ if opt.starts_with('-') => {
                 let value = raw.get(i + 1).map(String::as_str);
                 match runner.flag(opt, value)? {
@@ -264,26 +248,14 @@ pub fn parse_sweep_args(runner: &mut dyn SweepRunner, raw: &[String]) -> Result<
     Ok(args)
 }
 
-/// Write the canonical artifact plus a timestamped copy under `results/`,
-/// returning the per-run path.
+/// Write the canonical artifact: the document plus a trailing newline.
 ///
 /// # Errors
 ///
 /// An I/O message naming the path that failed.
-pub fn write_artifact(canonical: &Path, rendered: &str) -> Result<PathBuf, String> {
-    let body = format!("{rendered}\n");
-    std::fs::write(canonical, &body)
-        .map_err(|e| format!("cannot write {}: {e}", canonical.display()))?;
-    let stamp = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_secs())
-        .unwrap_or(0);
-    let stem = canonical.file_stem().and_then(|s| s.to_str()).unwrap_or("SWEEP");
-    let per_run = PathBuf::from(format!("results/{stem}_{stamp}.json"));
-    std::fs::create_dir_all("results")
-        .and_then(|()| std::fs::write(&per_run, &body))
-        .map_err(|e| format!("cannot write {}: {e}", per_run.display()))?;
-    Ok(per_run)
+fn write_artifact(canonical: &Path, rendered: &str) -> Result<(), String> {
+    std::fs::write(canonical, format!("{rendered}\n"))
+        .map_err(|e| format!("cannot write {}: {e}", canonical.display()))
 }
 
 /// The shared frame: parse, select, execute, print, persist, exit.
@@ -301,12 +273,9 @@ pub fn run_sweep(runner: &mut dyn SweepRunner, raw: &[String]) -> Result<ExitCod
         println!("{}", out.table);
     }
     if let Some(name) = runner.artifact() {
-        let canonical = args.out.clone().unwrap_or_else(|| PathBuf::from(name));
-        match write_artifact(&canonical, &out.rendered) {
-            Ok(per_run) if !args.json => {
-                println!("\nwrote {} and {}", canonical.display(), per_run.display())
-            }
-            Ok(_) => {}
+        match write_artifact(Path::new(name), &out.rendered) {
+            Ok(()) if !args.json => println!("\nwrote {name}"),
+            Ok(()) => {}
             Err(e) => {
                 eprintln!("error: {e}");
                 return Ok(ExitCode::FAILURE);
@@ -327,24 +296,20 @@ mod tests {
     use super::*;
 
     struct Dummy {
-        secs: Option<f64>,
-        artifact: Option<&'static str>,
+        secs: Option<u64>,
         seedable: bool,
         universe: Option<Universe>,
     }
 
     impl Dummy {
         fn new() -> Dummy {
-            Dummy { secs: None, artifact: Some("DUMMY.json"), seedable: true, universe: None }
+            Dummy { secs: None, seedable: true, universe: None }
         }
     }
 
     impl SweepRunner for Dummy {
         fn usage(&self) -> &'static str {
             "  dummy"
-        }
-        fn artifact(&self) -> Option<&'static str> {
-            self.artifact
         }
         fn universe(&self) -> Option<Universe> {
             self.universe.clone()
@@ -374,22 +339,18 @@ mod tests {
     #[test]
     fn common_flags_parse() {
         let mut d = Dummy::new();
-        let a = parse_sweep_args(
-            &mut d,
-            &strs(&["key_a", "--json", "--seed", "0x2A", "--out", "X.json", "--all"]),
-        )
-        .unwrap();
+        let a = parse_sweep_args(&mut d, &strs(&["key_a", "--json", "--seed", "0x2A", "--all"]))
+            .unwrap();
         assert_eq!(a.keys, vec!["key_a"]);
         assert!(a.json && a.all);
         assert_eq!(a.seed, Some(42));
-        assert_eq!(a.out.as_deref(), Some(Path::new("X.json")));
     }
 
     #[test]
     fn command_flags_delegate_with_and_without_values() {
         let mut d = Dummy::new();
-        let a = parse_sweep_args(&mut d, &strs(&["--secs", "1.5", "--bare", "k"])).unwrap();
-        assert_eq!(d.secs, Some(1.5));
+        let a = parse_sweep_args(&mut d, &strs(&["--secs", "15", "--bare", "k"])).unwrap();
+        assert_eq!(d.secs, Some(15));
         assert_eq!(a.keys, vec!["k"]);
     }
 
@@ -399,27 +360,26 @@ mod tests {
         assert!(parse_sweep_args(&mut d, &strs(&["--nope"])).is_err());
         assert!(parse_sweep_args(&mut d, &strs(&["--secs", "-1"])).is_err());
         assert!(parse_sweep_args(&mut d, &strs(&["--seed", "zzz"])).is_err());
+        assert_eq!(
+            parse_sweep_args(&mut d, &strs(&["--out", "X.json"])).unwrap_err(),
+            "unknown option `--out`"
+        );
     }
 
     #[test]
     fn value_helpers_accept_good_input_and_name_the_flag_otherwise() {
         assert_eq!(positive::<u64>("--ops", Some("12")), Ok(12));
-        assert_eq!(positive::<f64>("--secs", Some("0.5")), Ok(0.5));
-        for bad in [None, Some("0"), Some("x")] {
+        for bad in [None, Some("0"), Some("-1"), Some("x"), Some("0.5")] {
             assert_eq!(
                 positive::<u64>("--ops", bad).unwrap_err(),
                 "--ops takes a positive integer"
             );
         }
-        assert_eq!(
-            positive::<f64>("--secs", Some("-1")).unwrap_err(),
-            "--secs takes a positive number"
-        );
-        assert_eq!(positive_list("--shards", Some("2, 4"), "2,4"), Ok(vec![2, 4]));
+        assert_eq!(positive_list("--threads", Some("1, 4"), "1,4"), Ok(vec![1, 4]));
         for bad in [None, Some(""), Some("2,0"), Some("2,x")] {
             assert_eq!(
-                positive_list("--shards", bad, "2,4").unwrap_err(),
-                "--shards takes a comma-separated list, e.g. 2,4"
+                positive_list("--threads", bad, "1,4").unwrap_err(),
+                "--threads takes a comma-separated list, e.g. 1,4"
             );
         }
     }
@@ -452,24 +412,18 @@ mod tests {
         let mut d = Dummy::new();
         d.seedable = false;
         assert!(parse_sweep_args(&mut d, &strs(&["--seed", "7"])).is_err());
-        let mut d = Dummy::new();
-        d.artifact = None;
-        assert!(parse_sweep_args(&mut d, &strs(&["--out", "X.json"])).is_err());
     }
 
     #[test]
-    fn artifact_writer_places_canonical_and_timestamped_copies() {
+    fn artifact_writer_writes_exactly_the_canonical_file() {
         let dir = std::env::temp_dir().join(format!("txfix_sweep_test_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        let prev = std::env::current_dir().unwrap();
-        // Serialize against other tests touching cwd (none today).
-        std::env::set_current_dir(&dir).unwrap();
-        let res = write_artifact(Path::new("DUMMY.json"), "{\"x\":1}");
-        let canonical = std::fs::read_to_string("DUMMY.json");
-        std::env::set_current_dir(prev).unwrap();
-        let per_run = res.unwrap();
-        assert!(per_run.starts_with("results"));
-        assert_eq!(canonical.unwrap(), "{\"x\":1}\n");
+        let canonical = dir.join("DUMMY.json");
+        write_artifact(&canonical, "{\"x\":1}").unwrap();
+        assert_eq!(std::fs::read_to_string(&canonical).unwrap(), "{\"x\":1}\n");
+        let files: Vec<_> =
+            std::fs::read_dir(&dir).unwrap().map(|e| e.unwrap().file_name()).collect();
+        assert_eq!(files, ["DUMMY.json"]);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -1,12 +1,11 @@
 //! Property tests over the hazard vocabulary: [`Hazard::class`] and
 //! [`Hazard::overlaps`] are the glue between the static and dynamic
 //! analyzers (agreement matrix, inference dedup), so their algebra —
-//! totality, symmetry, class discipline, JSON stability — must hold for
+//! totality, symmetry, class discipline — must hold for
 //! *any* hazard, not just the ones the corpus happens to produce.
 
 use proptest::prelude::*;
-use txfix_core::json::{Json, ToJson};
-use txfix_core::{hazard_from_json, Hazard, HazardClass};
+use txfix_core::{Hazard, HazardClass};
 
 /// A small closed name pool so generated hazards actually collide.
 fn name() -> impl Strategy<Value = String> {
@@ -71,16 +70,6 @@ proptest! {
         if a.class() != b.class() {
             prop_assert!(!a.overlaps(&b));
         }
-    }
-
-    /// The JSON encoding is faithful to the algebra: round-tripping
-    /// preserves the hazard, hence its class and overlap behavior.
-    #[test]
-    fn json_round_trip_preserves_class_and_overlap(a in hazard(), b in hazard()) {
-        let a2 = hazard_from_json(&Json::parse(&a.to_json()).unwrap()).unwrap();
-        prop_assert_eq!(&a2, &a);
-        prop_assert_eq!(a2.class(), a.class());
-        prop_assert_eq!(a2.overlaps(&b), a.overlaps(&b));
     }
 }
 

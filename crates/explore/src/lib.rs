@@ -86,25 +86,6 @@ impl Default for ExploreConfig {
     }
 }
 
-impl ExploreConfig {
-    /// Handle the flags every exploration-driven sweep takes
-    /// (`--strategy`, `--budget`).
-    ///
-    /// # Errors
-    ///
-    /// A usage message when the value is missing or malformed.
-    pub fn flag(&mut self, flag: &str, value: Option<&str>) -> Result<Flag, String> {
-        match flag {
-            "--strategy" => {
-                self.strategy = value.and_then(Strategy::parse).ok_or("--strategy takes dfs|pct")?
-            }
-            "--budget" => self.budget = sweep::positive(flag, value)?,
-            _ => return Ok(Flag::Unknown),
-        }
-        Ok(Flag::SeenWithValue)
-    }
-}
-
 /// Raw result of exploring one schedule space.
 pub struct Exploration {
     /// Schedules actually executed.
@@ -280,10 +261,18 @@ impl SweepRunner for ExploreSweep {
     }
 
     fn flag(&mut self, flag: &str, value: Option<&str>) -> Result<Flag, String> {
-        if flag != "--variant" {
-            return self.cfg.flag(flag, value);
+        match flag {
+            "--variant" => {
+                self.only =
+                    Some(value.and_then(Variant::parse).ok_or("--variant takes buggy|dev|tm")?)
+            }
+            "--strategy" => {
+                self.cfg.strategy =
+                    value.and_then(Strategy::parse).ok_or("--strategy takes dfs|pct")?
+            }
+            "--budget" => self.cfg.budget = sweep::positive(flag, value)?,
+            _ => return Ok(Flag::Unknown),
         }
-        self.only = Some(value.and_then(Variant::parse).ok_or("--variant takes buggy|dev|tm")?);
         Ok(Flag::SeenWithValue)
     }
 

@@ -13,12 +13,7 @@ use txfix_stm::hooks;
 use txfix_wal::checker::{run_crash_sweep, CrashConfig, CrashReport, Schedule};
 
 fn reduced(mode: Mode, schedule: Schedule, seed: u64) -> CrashReport {
-    run_crash_sweep::<KvStore>(&CrashConfig {
-        seed,
-        images_per_point: 1,
-        cells: vec![mode],
-        schedules: vec![schedule],
-    })
+    run_crash_sweep::<KvStore>(&CrashConfig { seed, cells: vec![mode], schedules: vec![schedule] })
 }
 
 #[test]

@@ -4,13 +4,12 @@
 
 use crate::synth::Verification;
 use std::fmt::Write as _;
-use txfix_core::json::{get, Json, ToJson};
-use txfix_core::Recipe;
+use txfix_core::json::{Json, ToJson};
 
 // The hazard vocabulary moved to `txfix_core::finding` so the dynamic
 // analyzer and the region-inference pipeline share it; re-exported here
 // so `txfix_static::report::Hazard` keeps working.
-pub use txfix_core::finding::{hazard_from_json, Hazard};
+pub use txfix_core::finding::Hazard;
 
 /// One static finding: a hazard and the account of how it was derived.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -87,27 +86,6 @@ impl LintReport {
         }
         out
     }
-
-    /// Parse a report back from [`ToJson::to_json`] output.
-    ///
-    /// # Errors
-    ///
-    /// A description of the first malformed construct.
-    pub fn from_json(input: &str) -> Result<LintReport, String> {
-        let v = Json::parse(input)?;
-        let obj = v.object("lint report")?;
-        let findings = get(obj, "findings")?
-            .array("findings")?
-            .iter()
-            .map(finding_from_json)
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(LintReport {
-            scenario: get(obj, "scenario")?.string("scenario")?,
-            variant: get(obj, "variant")?.string("variant")?,
-            paths: get(obj, "paths")?.number("paths")? as usize,
-            findings,
-        })
-    }
 }
 
 impl ToJson for LintReport {
@@ -131,20 +109,6 @@ impl ToJson for LintFinding {
     }
 }
 
-fn finding_from_json(v: &Json) -> Result<LintFinding, String> {
-    let obj = v.object("finding")?;
-    let fixes = get(obj, "fixes")?
-        .array("fixes")?
-        .iter()
-        .map(fix_from_json)
-        .collect::<Result<Vec<_>, _>>()?;
-    Ok(LintFinding {
-        hazard: hazard_from_json(get(obj, "hazard")?)?,
-        explanation: get(obj, "explanation")?.string("explanation")?,
-        fixes,
-    })
-}
-
 impl ToJson for Verification {
     fn to_json_value(&self) -> Json {
         Json::obj([
@@ -153,100 +117,5 @@ impl ToJson for Verification {
             ("residual", Json::strings(&self.residual)),
             ("introduced", Json::strings(&self.introduced)),
         ])
-    }
-}
-
-fn fix_from_json(v: &Json) -> Result<Verification, String> {
-    let obj = v.object("fix")?;
-    let strings = |key: &str| -> Result<Vec<String>, String> {
-        get(obj, key)?.array(key)?.iter().map(|s| s.string(key)).collect::<Result<Vec<_>, _>>()
-    };
-    Ok(Verification {
-        recipe: Recipe::from_slug(&get(obj, "recipe")?.string("recipe")?)?,
-        verified: get(obj, "verified")?.bool("verified")?,
-        residual: strings("residual")?,
-        introduced: strings("introduced")?,
-    })
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn sample_report() -> LintReport {
-        LintReport {
-            scenario: "av_wrong_lock".into(),
-            variant: "buggy".into(),
-            paths: 2,
-            findings: vec![
-                LintFinding {
-                    hazard: Hazard::Race { loc: "m133773.cache_count".into() },
-                    explanation: "paths reach it with disjoint locksets \"quoted\"\n".into(),
-                    fixes: vec![
-                        Verification {
-                            recipe: Recipe::WrapAll,
-                            verified: true,
-                            residual: vec![],
-                            introduced: vec![],
-                        },
-                        Verification {
-                            recipe: Recipe::WrapUnprotected,
-                            verified: false,
-                            residual: vec!["possible data race on x".into()],
-                            introduced: vec!["lock-order cycle through a -> b".into()],
-                        },
-                    ],
-                },
-                LintFinding {
-                    hazard: Hazard::LockCycle { locks: vec!["a".into(), "b".into()] },
-                    explanation: "both orders".into(),
-                    fixes: vec![],
-                },
-                LintFinding {
-                    hazard: Hazard::WaitCycle { cv: "cv".into(), lock: "l".into() },
-                    explanation: "".into(),
-                    fixes: vec![],
-                },
-                LintFinding {
-                    hazard: Hazard::LostWakeup { cv: "cv".into(), loc: "x".into() },
-                    explanation: "".into(),
-                    fixes: vec![],
-                },
-                LintFinding {
-                    hazard: Hazard::Atomicity { locs: vec!["x".into(), "y".into()] },
-                    explanation: "".into(),
-                    fixes: vec![],
-                },
-            ],
-        }
-    }
-
-    #[test]
-    fn lint_reports_round_trip_through_json() {
-        let r = sample_report();
-        let parsed = LintReport::from_json(&r.to_json()).expect("round trip");
-        assert_eq!(parsed, r);
-        assert!(parsed.has_findings());
-        assert!(parsed.findings[0].has_verified_fix());
-        assert!(!parsed.findings[1].has_verified_fix());
-    }
-
-    #[test]
-    fn empty_report_round_trips() {
-        let r =
-            LintReport { scenario: "x".into(), variant: "tm".into(), paths: 3, findings: vec![] };
-        let parsed = LintReport::from_json(&r.to_json()).expect("round trip");
-        assert_eq!(parsed, r);
-        assert!(!parsed.has_findings());
-    }
-
-    #[test]
-    fn malformed_lint_json_is_rejected() {
-        assert!(LintReport::from_json("{").is_err());
-        assert!(LintReport::from_json(r#"{"scenario":"x"}"#).is_err());
-        assert!(LintReport::from_json(
-            r#"{"scenario":"x","variant":"buggy","paths":1,"findings":[{"hazard":{"kind":"nope"},"explanation":"","fixes":[]}]}"#
-        )
-        .is_err());
     }
 }

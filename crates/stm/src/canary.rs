@@ -13,8 +13,8 @@
 //!
 //! ## Compiled out by default
 //!
-//! The whole module — and every call site, via per-crate `canary-*`
-//! cargo features — is absent from default builds: zero overhead, no
+//! The whole module — and every call site, via each crate's canary
+//! cargo feature — is absent from default builds: zero overhead, no
 //! accidental deployment. The `stm_overhead` bench and the CI guard job
 //! (which greps the default binary for canary site names) pin this.
 //!

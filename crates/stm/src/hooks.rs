@@ -33,7 +33,7 @@ pub const CRASH: u32 = 1 << 4;
 /// The live lock-order validator (`txfix_txlock::lockdep`).
 pub const LOCKDEP: u32 = 1 << 5;
 /// Canary mutation sites. Absent from a default build.
-#[cfg(feature = "canary-core")]
+#[cfg(feature = "canary")]
 pub const CANARY: u32 = 1 << 6;
 
 #[repr(align(64))]

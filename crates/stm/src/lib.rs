@@ -67,7 +67,7 @@
 
 #![warn(missing_docs)]
 
-#[cfg(feature = "canary-core")]
+#[cfg(feature = "canary")]
 pub mod canary;
 pub mod chaos;
 mod clock;

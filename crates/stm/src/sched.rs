@@ -737,13 +737,13 @@ fn schedule(inner: &mut Inner) {
             return;
         }
     };
-    #[cfg(not(feature = "canary-sched"))]
+    #[cfg(not(feature = "canary"))]
     let run_index = chosen;
     // Canary: execute a different ready candidate than the one the
     // decision record announces — one op runs out of turnstile order.
     // The record keeps the picker's choice, so the executed event stream
     // silently diverges from the announced schedule.
-    #[cfg(feature = "canary-sched")]
+    #[cfg(feature = "canary")]
     let run_index =
         if candidates.len() > 1 && crate::canary::fire(crate::canary::Canary::SchedOutOfTurn) {
             (chosen + 1) % candidates.len()

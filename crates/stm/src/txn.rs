@@ -234,7 +234,7 @@ pub struct Txn {
     /// write-back (the planted reordering), so the normal post-publish
     /// notification must be suppressed to keep the mutation a true
     /// reorder rather than a duplicate.
-    #[cfg(feature = "canary-stm")]
+    #[cfg(feature = "canary")]
     canary_notified_early: bool,
 }
 
@@ -277,7 +277,7 @@ impl Txn {
             read_capacity: opts.read_capacity.filter(|_| hardware),
             write_capacity: opts.write_capacity.filter(|_| hardware),
             finished: false,
-            #[cfg(feature = "canary-stm")]
+            #[cfg(feature = "canary")]
             canary_notified_early: false,
         }
     }
@@ -661,14 +661,14 @@ impl Txn {
         // but leave every stripe at its *pre-commit* version, so a
         // concurrent reader's validation still matches and the conflict
         // goes unseen.
-        #[cfg(feature = "canary-stm")]
+        #[cfg(feature = "canary")]
         let stale_stamp = crate::canary::fire(crate::canary::Canary::StmStaleStamp);
 
         if revocable {
             for e in &self.read_set {
                 // Canary: skip read-set validation for this orec — a stale
                 // read no longer aborts the commit.
-                #[cfg(feature = "canary-stm")]
+                #[cfg(feature = "canary")]
                 if crate::canary::fire(crate::canary::Canary::StmSkipValidation) {
                     continue;
                 }
@@ -691,7 +691,7 @@ impl Txn {
         // (and suppress the normal post-publish bump): a retrying waiter
         // can wake, revalidate against the still-unpublished state, and
         // sleep through the only wakeup for the real update.
-        #[cfg(feature = "canary-stm")]
+        #[cfg(feature = "canary")]
         if crate::canary::fire(crate::canary::Canary::StmNotifyReorder) {
             crate::runtime::notify_retriers();
             self.canary_notified_early = true;
@@ -700,15 +700,15 @@ impl Txn {
         for w in &self.write_set {
             // Canary: skip this TVar's write-back entirely — the
             // transaction still reports success (silent lost update).
-            #[cfg(feature = "canary-stm")]
+            #[cfg(feature = "canary")]
             if crate::canary::fire(crate::canary::Canary::StmSkipWriteback) {
                 continue;
             }
             w.var.set_value(w.value.clone());
         }
-        #[cfg(feature = "canary-stm")]
+        #[cfg(feature = "canary")]
         let do_stamp = !stale_stamp;
-        #[cfg(not(feature = "canary-stm"))]
+        #[cfg(not(feature = "canary"))]
         let do_stamp = true;
         if do_stamp {
             for o in &stripes {
@@ -739,7 +739,7 @@ impl Txn {
         for r in self.resources.drain(..) {
             r.commit(self.serial);
         }
-        #[cfg(feature = "canary-stm")]
+        #[cfg(feature = "canary")]
         let wrote = wrote && !std::mem::replace(&mut self.canary_notified_early, false);
         if wrote {
             crate::runtime::notify_retriers();

@@ -82,12 +82,13 @@ impl Schedule {
     }
 }
 
+/// Crash images (seeded flush subsets) drawn per `(label, hit)`.
+pub const IMAGES_PER_POINT: u64 = 2;
+
 /// What to sweep.
 pub struct CrashConfig<C> {
     /// Run seed; every trigger coin and crash image derives from it.
     pub seed: u64,
-    /// Crash images (seeded flush subsets) drawn per `(label, hit)`.
-    pub images_per_point: u64,
     /// The subject's cells to drive.
     pub cells: Vec<C>,
     /// Fault backdrops to compose with.
@@ -95,9 +96,9 @@ pub struct CrashConfig<C> {
 }
 
 impl<C> CrashConfig<C> {
-    /// `cells` under `seed` against both schedules, two images per point.
+    /// `cells` under `seed` against both schedules.
     pub fn full(seed: u64, cells: Vec<C>) -> CrashConfig<C> {
-        CrashConfig { seed, images_per_point: 2, cells, schedules: Schedule::ALL.to_vec() }
+        CrashConfig { seed, cells, schedules: Schedule::ALL.to_vec() }
     }
 }
 
@@ -155,8 +156,6 @@ pub struct CrashReport {
     pub header: Option<(&'static str, u64)>,
     /// Run seed.
     pub seed: u64,
-    /// Crash images drawn per `(label, hit)`.
-    pub images_per_point: u64,
     /// Per-cell outcomes.
     pub cells: Vec<CellOutcome>,
     /// Every cell is clean.
@@ -201,7 +200,7 @@ impl ToJson for CrashReport {
             ("schema", Json::str(self.schema)),
             ("seed", Json::int(self.seed)),
             ("block_bytes", Json::int(BLOCK_BYTES as u64)),
-            ("images_per_point", Json::int(self.images_per_point)),
+            ("images_per_point", Json::int(IMAGES_PER_POINT)),
             (self.keys.0, Json::list(self.cells.iter().map(cell))),
             ("ok", Json::Bool(self.ok)),
         ];
@@ -288,7 +287,7 @@ pub fn run_crash_sweep<S: CrashSubject>(cfg: &CrashConfig<S::Cell>) -> CrashRepo
             for (label, hits) in universe {
                 let mut failures = Vec::new();
                 for hit in 1..=hits {
-                    for image in 0..cfg.images_per_point {
+                    for image in 0..IMAGES_PER_POINT {
                         runs += 1;
                         let violations =
                             run_armed::<S>(cell, plan.as_ref(), &label, hit, cfg.seed, image);
@@ -312,7 +311,6 @@ pub fn run_crash_sweep<S: CrashSubject>(cfg: &CrashConfig<S::Cell>) -> CrashRepo
         keys: S::KEYS,
         header: S::HEADER,
         seed: cfg.seed,
-        images_per_point: cfg.images_per_point,
         ok: cells.iter().all(|c| c.ok),
         cells,
     }

@@ -10,7 +10,7 @@ use std::sync::Arc;
 use txfix_core::json::ToJson;
 use txfix_stm::chaos::Trigger;
 use txfix_stm::{atomic, hooks, Txn};
-use txfix_wal::checker::{run_crash_sweep, CrashConfig, CrashSubject, Schedule};
+use txfix_wal::checker::{run_crash_sweep, CrashConfig, CrashSubject, Schedule, IMAGES_PER_POINT};
 use txfix_wal::{Wal, WalOp, WalVariant, AFTER_COMMIT_WRITE};
 use txfix_xcall::{crashpoint, SimFs, BLOCK_BYTES};
 
@@ -63,24 +63,25 @@ impl CrashSubject for AckBeforeSync {
 #[test]
 fn engine_sweeps_a_fake_subject() {
     let _g = hooks::arm(0);
-    let cfg = |seed| CrashConfig {
-        seed,
-        images_per_point: 3,
-        cells: vec![false, true],
-        schedules: vec![Schedule::Clean],
-    };
+    let cfg =
+        |seed| CrashConfig { seed, cells: vec![false, true], schedules: vec![Schedule::Clean] };
     let report = run_crash_sweep::<AckBeforeSync>(&cfg(5));
     assert!(!report.ok, "the ack window must be flagged:\n{}", report.table());
     for cell in &report.cells {
         let s = &cell.schedules[0];
-        assert_eq!(s.runs, s.points.iter().map(|p| p.hits).sum::<u64>() * 3, "{}", cell.name);
+        let hits = s.points.iter().map(|p| p.hits).sum::<u64>();
+        assert_eq!(s.runs, hits * IMAGES_PER_POINT, "{}", cell.name);
     }
     let steady = &report.cells[0].schedules[0];
     assert_eq!(steady.flagged, [ACK_WINDOW, "simos_file_sync"]);
     let flaky = &report.cells[1].schedules[0];
     assert_eq!(flaky.flagged, [ACK_WINDOW, "fake_record_pass_only", "simos_file_sync"]);
     let skipped = &flaky.points.iter().find(|p| p.label == "fake_record_pass_only").unwrap();
-    assert_eq!(skipped.failures.len(), 3, "every armed draw of the skipped label is reported");
+    assert_eq!(
+        skipped.failures.len() as u64,
+        IMAGES_PER_POINT,
+        "every armed draw of the skipped label is reported"
+    );
     for f in &skipped.failures {
         assert_eq!(f.violations.len(), 1);
         assert!(f.violations[0].starts_with("harness: crash point fake_record_pass_only hit 1"));

@@ -340,7 +340,6 @@ fn crash_probe(c: Canary, seed: u64) -> LayerProbe {
     let _armed = canary::scoped(c, seed, Trigger::EveryNth(1));
     let report = run_crash_sweep::<KvStore>(&CrashConfig {
         seed,
-        images_per_point: 2,
         cells: vec![Mode::Tm],
         schedules: vec![Schedule::Clean],
     });

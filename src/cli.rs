@@ -17,7 +17,7 @@ use std::process::ExitCode;
 use crate::corpus::{all_bugs, bug_by_id, keys, scenario_listing, Variant};
 use crate::kvstore::{KvStore, Mode};
 use crate::recipes::json::{Json, ToJson};
-use crate::recipes::sweep::{self, Flag, SweepArgs, SweepOutput, SweepRunner, Universe};
+use crate::recipes::sweep::{self, SweepArgs, SweepOutput, SweepRunner, Universe};
 use crate::recipes::{report, CorpusSummary};
 use crate::wal::checker::{run_crash_sweep, CrashConfig, DEFAULT_SEED};
 
@@ -94,9 +94,9 @@ pub fn help() -> String {
          \n\
          USAGE: txfix <command> [args]\n\
          \n\
-         Every sweep command also accepts --json (print the report document),\n\
-         --out PATH (override the canonical artifact path), and writes a\n\
-         timestamped copy of its artifact under results/.\n\
+         Every sweep command also accepts --json (print the report document\n\
+         instead of the table). A sweep writes one file: the artifact its\n\
+         block names, in the working directory.\n\
          \n\
          COMMANDS:",
     );
@@ -133,19 +133,12 @@ pub fn run(args: &[String]) -> ExitCode {
 }
 
 /// `txfix crash`: the crash-point sweep of the KV store (`CRASH_kv.json`).
-pub struct CrashSweep {
-    images: u64,
-}
-
-impl Default for CrashSweep {
-    fn default() -> CrashSweep {
-        CrashSweep { images: 2 }
-    }
-}
+#[derive(Default)]
+pub struct CrashSweep;
 
 impl SweepRunner for CrashSweep {
     fn usage(&self) -> &'static str {
-        "\x20 crash [kvstore|--all] [--seed S] [--images N]\n\
+        "\x20 crash [kvstore|--all] [--seed S]\n\
          \x20                              sweep every crash point of the KV store workload\n\
          \x20                              in every mode: freeze the durable world at the\n\
          \x20                              point, take a seeded crash image, recover, and\n\
@@ -162,19 +155,9 @@ impl SweepRunner for CrashSweep {
         Some(Universe::new("crash subject", ["kvstore"]))
     }
 
-    fn flag(&mut self, flag: &str, value: Option<&str>) -> Result<Flag, String> {
-        match flag {
-            "--images" => self.images = sweep::positive(flag, value)?,
-            _ => return Ok(Flag::Unknown),
-        }
-        Ok(Flag::SeenWithValue)
-    }
-
     fn execute(&mut self, args: &SweepArgs) -> Result<SweepOutput, String> {
         let seed = args.seed.unwrap_or(DEFAULT_SEED);
-        let cells = Mode::ALL.to_vec();
-        let cfg = CrashConfig { images_per_point: self.images, ..CrashConfig::full(seed, cells) };
-        let report = run_crash_sweep::<KvStore>(&cfg);
+        let report = run_crash_sweep::<KvStore>(&CrashConfig::full(seed, Mode::ALL.to_vec()));
         Ok(SweepOutput {
             rendered: report.to_json(),
             table: report.table(),

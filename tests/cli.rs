@@ -8,6 +8,15 @@ fn txfix(args: &[&str]) -> (String, bool) {
     (String::from_utf8_lossy(&out.stdout).into_owned(), out.status.success())
 }
 
+/// Every entry of `dir`, by name, sorted.
+fn files_in(dir: &std::path::Path) -> Vec<String> {
+    let entries = std::fs::read_dir(dir).expect("readable dir");
+    let mut names: Vec<String> =
+        entries.map(|e| e.expect("entry").file_name().to_string_lossy().into_owned()).collect();
+    names.sort();
+    names
+}
+
 #[test]
 fn summary_reports_headline_numbers() {
     let (out, ok) = txfix(&["summary"]);
@@ -82,22 +91,42 @@ fn lint_all_covers_the_corpus_and_fails() {
 
 #[test]
 fn lint_json_parses_back_into_reports() {
-    use txfix::lint::LintReport;
     let (out, ok) = txfix(&["lint", "dl_cache_atomtable", "--json"]);
     assert!(!ok);
-    // The output is a JSON array of per-variant reports; split it with
-    // the same parser the reports use.
+    // The output is a JSON array of per-variant reports, read field by
+    // field.
     let v = txfix::recipes::json::Json::parse(out.trim()).expect("valid JSON");
-    let reports: Vec<LintReport> = v
-        .array("lint output")
-        .expect("array")
-        .iter()
-        .map(|r| LintReport::from_json(&r.to_string()))
-        .collect::<Result<_, _>>()
-        .expect("every report parses");
+    let reports = v.array("lint output").expect("array");
     assert_eq!(reports.len(), 3);
-    assert!(reports[0].has_findings(), "buggy report comes first");
-    assert!(!reports[2].has_findings(), "tm report is clean");
+    let mut findings = Vec::new();
+    for (report, variant) in reports.iter().zip(["buggy", "dev", "tm"]) {
+        let obj = report.object("lint report").unwrap();
+        assert_eq!(obj["scenario"].string("scenario").unwrap(), "dl_cache_atomtable");
+        assert_eq!(obj["variant"].string("variant").unwrap(), variant);
+        assert!(obj["paths"].number("paths").unwrap() >= 2.0);
+        findings.push(obj["findings"].array("findings").unwrap());
+    }
+    assert!(!findings[0].is_empty(), "buggy report comes first");
+    assert!(findings[2].is_empty(), "tm report is clean");
+    let recipes = ["replace-locks", "wrap-all", "deadlock-preemption", "wrap-unprotected"];
+    let mut verified = false;
+    for f in findings[0] {
+        let f = f.object("finding").unwrap();
+        assert_eq!(
+            f["hazard"].object("hazard").unwrap()["kind"].string("kind").unwrap(),
+            "lock_cycle"
+        );
+        assert!(!f["explanation"].string("explanation").unwrap().is_empty());
+        for fix in f["fixes"].array("fixes").unwrap() {
+            let fix = fix.object("fix").unwrap();
+            assert!(recipes.contains(&fix["recipe"].string("recipe").unwrap().as_str()));
+            verified |= fix["verified"].bool("verified").unwrap();
+            for key in ["residual", "introduced"] {
+                fix[key].array(key).unwrap().iter().for_each(|h| drop(h.string(key).unwrap()));
+            }
+        }
+    }
+    assert!(verified, "some synthesized fix verifies");
 }
 
 #[test]
@@ -108,17 +137,7 @@ fn chaos_sweep_is_deterministic_and_writes_the_report() {
     std::fs::create_dir_all(&dir).expect("scratch dir");
     let run = || {
         let out = Command::new(env!("CARGO_BIN_EXE_txfix"))
-            .args([
-                "chaos",
-                "av_stats_race",
-                "--seed",
-                "11",
-                "--threads",
-                "2",
-                "--ops",
-                "60",
-                "--json",
-            ])
+            .args(["chaos", "av_stats_race", "--seed", "11", "--json"])
             .current_dir(&dir)
             .output()
             .expect("run txfix chaos");
@@ -136,6 +155,7 @@ fn chaos_sweep_is_deterministic_and_writes_the_report() {
     assert_eq!(runs.len(), 2 * 5, "one scenario x 5 schedules x dev/tm");
     let on_disk = std::fs::read_to_string(dir.join("CHAOS_stm.json")).expect("report written");
     assert_eq!(on_disk.trim(), first.trim(), "stdout and CHAOS_stm.json agree");
+    assert_eq!(files_in(&dir), ["CHAOS_stm.json"], "the artifact is the only file written");
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -163,6 +183,7 @@ fn crash_sweep_is_deterministic_and_writes_the_report() {
     assert_eq!(modes.len(), 3, "every store mode swept");
     let on_disk = std::fs::read_to_string(dir.join("CRASH_kv.json")).expect("report written");
     assert_eq!(on_disk.trim(), first.trim(), "stdout and CRASH_kv.json agree");
+    assert_eq!(files_in(&dir), ["CRASH_kv.json"], "the artifact is the only file written");
     std::fs::remove_dir_all(&dir).ok();
 }
 
