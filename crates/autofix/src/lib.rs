@@ -119,13 +119,11 @@ pub fn autofix_corpus(selected: impl Fn(&str) -> bool, cfg: &ExploreConfig) -> A
 /// `txfix autofix`: infer, synthesize and verify a fix per selected
 /// scenario.
 #[derive(Default)]
-pub struct AutofixSweep {
-    cfg: ExploreConfig,
-}
+pub struct AutofixSweep;
 
 impl SweepRunner for AutofixSweep {
     fn usage(&self) -> &'static str {
-        "\x20 autofix [<key>|--all] [--seed S]\n\
+        "\x20 autofix [<key>|--all]\n\
          \x20                              infer atomic-region fixes from static findings,\n\
          \x20                              synthesize the TM patch, and verify it both\n\
          \x20                              statically and by DFS schedule exploration;\n\
@@ -141,9 +139,13 @@ impl SweepRunner for AutofixSweep {
         Some(Universe::new("scenario", keys::ALL))
     }
 
+    // Autofix explores by DFS, which no seed steers.
+    fn takes_seed(&self) -> bool {
+        false
+    }
+
     fn execute(&mut self, args: &SweepArgs) -> Result<SweepOutput, String> {
-        self.cfg.seed = args.seed.unwrap_or(self.cfg.seed);
-        let report = autofix_corpus(|key| args.selects(key), &self.cfg);
+        let report = autofix_corpus(|key| args.selects(key), &ExploreConfig::default());
         Ok(SweepOutput {
             rendered: report.to_json(),
             table: report.table(),

@@ -749,7 +749,7 @@ pub(crate) mod tests {
     fn every_schedule_maps_to_a_plan() {
         for &schedule in SCHEDULES {
             let plan = FaultPlan::named(schedule, 7).expect(schedule);
-            assert_eq!(plan.is_empty(), schedule == "baseline", "{schedule}");
+            assert_eq!(plan == FaultPlan::new(7), schedule == "baseline", "{schedule}");
         }
     }
 

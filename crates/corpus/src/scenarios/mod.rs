@@ -128,7 +128,7 @@ impl Scenario {
     /// with a `replay diverged` bug rather than running another schedule.
     pub fn replay(&self, v: Variant) -> ScheduleOutcome {
         let trace = if v == Variant::Buggy { self.bug_trace } else { &[] };
-        run_schedule((self.scheduled)(v), DEFAULT_MAX_STEPS, replay_picker(trace.to_vec()))
+        run_schedule((self.scheduled)(v), replay_picker(trace.to_vec()))
     }
 
     /// Execute variant `v` once on its pinned schedule (see

@@ -107,15 +107,16 @@ pub struct ScheduleOutcome {
 /// hundred steps, so hitting this means a livelock.
 pub const DEFAULT_MAX_STEPS: u64 = 20_000;
 
-/// Run one schedule of `run` under `picker`: the one scheduled-run path
-/// that `Scenario::run` and every explorer strategy share.
+/// Run one schedule of `run` under `picker`, for at most
+/// [`DEFAULT_MAX_STEPS`] steps: the one scheduled-run path that
+/// `Scenario::run` and every explorer strategy share.
 ///
 /// Runs are process-global: the run holds the scheduler's arming guard,
 /// and a harness that drives several holds it across them
 /// ([`sched::run_exclusively`]).
-pub fn run_schedule(run: ScheduledRun, max_steps: u64, picker: Picker) -> ScheduleOutcome {
+pub fn run_schedule(run: ScheduledRun, picker: Picker) -> ScheduleOutcome {
     let ScheduledRun { threads, check } = run;
-    let (_, log) = sched::run_workers(threads, max_steps, picker);
+    let (_, log) = sched::run_workers(threads, DEFAULT_MAX_STEPS, picker);
     let result = match &log.stop {
         Some(StopReason::Deadlock(blocked)) => {
             RunResult::Bug(format!("deadlock: {}", blocked.join("; ")))

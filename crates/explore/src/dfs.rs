@@ -80,7 +80,6 @@ pub fn explore_dfs(
     build: &dyn Fn(Variant) -> ScheduledRun,
     variant: Variant,
     budget: u64,
-    max_steps: u64,
 ) -> DfsOutcome {
     let stack: Arc<Mutex<Vec<Frame>>> = Arc::new(Mutex::new(Vec::new()));
     let mut out =
@@ -133,7 +132,7 @@ pub fn explore_dfs(
             })
         };
 
-        let outcome = run_schedule(build(variant), max_steps, picker);
+        let outcome = run_schedule(build(variant), picker);
         match outcome.result {
             RunResult::Pruned => out.pruned += 1,
             RunResult::StepLimit => {

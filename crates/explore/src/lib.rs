@@ -29,8 +29,7 @@ use report::{EntryReport, ExploreReport, FailureReport};
 use txfix_core::json::ToJson;
 use txfix_core::sweep::{self, Flag, SweepArgs, SweepOutput, SweepRunner, Universe};
 use txfix_corpus::{
-    keys, replay_picker, run_schedule, RunResult, ScheduleOutcome, ScheduledRun, Variant,
-    DEFAULT_MAX_STEPS, SCENARIOS,
+    keys, run_schedule, RunResult, ScheduleOutcome, ScheduledRun, Variant, SCENARIOS,
 };
 use txfix_stm::sched::{self, format_trace};
 
@@ -69,20 +68,13 @@ pub struct ExploreConfig {
     pub strategy: Strategy,
     /// Maximum schedules per (scenario, variant).
     pub budget: u64,
-    /// Base seed (PCT only; recorded either way).
+    /// Base seed. Only PCT reads it; DFS reports record it unread.
     pub seed: u64,
-    /// Per-schedule step bound.
-    pub max_steps: u64,
 }
 
 impl Default for ExploreConfig {
     fn default() -> Self {
-        ExploreConfig {
-            strategy: Strategy::Dfs,
-            budget: 2_000,
-            seed: 0,
-            max_steps: DEFAULT_MAX_STEPS,
-        }
+        ExploreConfig { strategy: Strategy::Dfs, budget: 2_000, seed: 0 }
     }
 }
 
@@ -122,7 +114,7 @@ fn drive(
 ) -> Exploration {
     match cfg.strategy {
         Strategy::Dfs => {
-            let out = dfs::explore_dfs(build, variant, cfg.budget, cfg.max_steps);
+            let out = dfs::explore_dfs(build, variant, cfg.budget);
             Exploration {
                 schedules: out.schedules,
                 pruned: out.pruned,
@@ -140,8 +132,7 @@ fn drive(
                 failure: None,
             };
             for index in 0..cfg.budget {
-                let outcome =
-                    run_schedule(build(variant), cfg.max_steps, pct::pct_picker(cfg.seed, index));
+                let outcome = run_schedule(build(variant), pct::pct_picker(cfg.seed, index));
                 ex.schedules += 1;
                 match outcome.result {
                     RunResult::StepLimit => ex.step_limited += 1,
@@ -175,8 +166,7 @@ pub fn explore_variant(
             let found_after = ex.schedules;
             // Greedily strip incidental context switches before reporting.
             let slots: Vec<usize> = raw.log.events.iter().map(|&(s, _)| s).collect();
-            let minimized =
-                minimize::minimize_failure(&build, variant, cfg.max_steps, slots).unwrap_or(raw);
+            let minimized = minimize::minimize_failure(&build, variant, slots).unwrap_or(raw);
             let message = match &minimized.result {
                 RunResult::Bug(m) => m.clone(),
                 _ => unreachable!("minimizer only returns failing runs"),
@@ -204,12 +194,6 @@ pub fn explore_variant(
             ok,
         }
     })
-}
-
-/// Replay a recorded decision trace against a fresh run and return the
-/// outcome — the determinism check behind "replayable bit-for-bit".
-pub fn replay(run: ScheduledRun, max_steps: u64, trace: &[usize]) -> ScheduleOutcome {
-    sched::run_exclusively(|| run_schedule(run, max_steps, replay_picker(trace.to_vec())))
 }
 
 /// Sweep the scenarios whose key `selected` admits, in corpus order,

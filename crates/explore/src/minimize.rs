@@ -38,7 +38,6 @@ fn hybrid_picker(slots: Vec<usize>, cut: usize) -> Picker {
 pub fn minimize_failure(
     build: &dyn Fn(Variant) -> ScheduledRun,
     variant: Variant,
-    max_steps: u64,
     slots: Vec<usize>,
 ) -> Option<ScheduleOutcome> {
     let mut best: Option<ScheduleOutcome> = None;
@@ -51,7 +50,7 @@ pub fn minimize_failure(
         cuts = (0..=slots.len()).step_by(stride).chain([slots.len()]).collect();
     }
     for cut in cuts {
-        let outcome = run_schedule(build(variant), max_steps, hybrid_picker(slots.clone(), cut));
+        let outcome = run_schedule(build(variant), hybrid_picker(slots.clone(), cut));
         if let RunResult::Bug(_) = outcome.result {
             best = Some(outcome);
             break;

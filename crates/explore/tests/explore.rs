@@ -5,11 +5,11 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use txfix_corpus::{
-    run_schedule, scenario_by_key, Outcome, RunResult, ScheduledRun, Variant, DEFAULT_MAX_STEPS,
-    SCENARIOS,
+    replay_picker, run_schedule, scenario_by_key, Outcome, RunResult, ScheduleOutcome,
+    ScheduledRun, Variant, SCENARIOS,
 };
 use txfix_explore::dfs::explore_dfs;
-use txfix_explore::{explore_variant, pct, replay, ExploreConfig, Strategy};
+use txfix_explore::{explore_variant, pct, ExploreConfig, Strategy};
 use txfix_stm::sched;
 use txfix_stm::trace::TracedCell;
 use txfix_stm::TVar;
@@ -57,10 +57,15 @@ fn toy_independent() -> ScheduledRun {
     }
 }
 
+/// Re-drive a recorded decision trace against a fresh run.
+fn replay(run: ScheduledRun, trace: &[usize]) -> ScheduleOutcome {
+    sched::run_exclusively(|| run_schedule(run, replay_picker(trace.to_vec())))
+}
+
 #[test]
 fn dfs_enumerates_exactly_the_dependent_interleavings() {
     sched::run_exclusively(|| {
-        let out = explore_dfs(&|_| toy_dependent(), Variant::Buggy, 1_000, DEFAULT_MAX_STEPS);
+        let out = explore_dfs(&|_| toy_dependent(), Variant::Buggy, 1_000);
         assert!(out.exhausted, "toy space must be exhausted");
         assert_eq!(out.schedules, 6, "2 threads x 2 dependent ops = C(4,2) schedules");
         assert_eq!(out.pruned, 0, "fully dependent ops leave nothing to prune");
@@ -71,7 +76,7 @@ fn dfs_enumerates_exactly_the_dependent_interleavings() {
 #[test]
 fn sleep_sets_prune_commuting_interleavings() {
     sched::run_exclusively(|| {
-        let out = explore_dfs(&|_| toy_independent(), Variant::Buggy, 1_000, DEFAULT_MAX_STEPS);
+        let out = explore_dfs(&|_| toy_independent(), Variant::Buggy, 1_000);
         assert!(out.exhausted);
         assert!(
             out.schedules < 6,
@@ -87,8 +92,7 @@ fn sleep_sets_prune_commuting_interleavings() {
 fn pct_finds_planted_refcount_bug_within_budget() {
     let key = "av_refcount_race";
     let build = scenario_by_key(key).expect("scenario exists").scheduled;
-    let cfg =
-        ExploreConfig { strategy: Strategy::Pct, budget: 200, seed: 7, ..ExploreConfig::default() };
+    let cfg = ExploreConfig { strategy: Strategy::Pct, budget: 200, seed: 7 };
     let entry = explore_variant(key, build, Variant::Buggy, &cfg);
     assert!(entry.ok, "PCT must plant the lost-update within 200 schedules: {entry:?}");
     let failure = entry.failure.expect("buggy variant fails");
@@ -107,8 +111,8 @@ fn failing_schedule_replays_bit_for_bit() {
         .split('.')
         .map(|c| c.parse().expect("trace components are indices"))
         .collect();
-    let a = replay(build(Variant::Buggy), DEFAULT_MAX_STEPS, &trace);
-    let b = replay(build(Variant::Buggy), DEFAULT_MAX_STEPS, &trace);
+    let a = replay(build(Variant::Buggy), &trace);
+    let b = replay(build(Variant::Buggy), &trace);
     assert!(matches!(a.result, RunResult::Bug(_)), "replayed schedule still fails: {a:?}");
     assert_eq!(a.result, b.result);
     assert_eq!(a.log.events, b.log.events, "same trace, same event sequence");
@@ -128,11 +132,11 @@ fn pct_schedules_replay_deterministically_across_seeds() {
     for seed in [0u64, 1, 7, 42, 0xdead_beef, u64::MAX, 0x1234_5678_9abc_def0] {
         for variant in [Variant::Buggy, Variant::TmFix] {
             let (events, trace) = sched::run_exclusively(|| {
-                let out = run_schedule(build(variant), DEFAULT_MAX_STEPS, pct::pct_picker(seed, 0));
+                let out = run_schedule(build(variant), pct::pct_picker(seed, 0));
                 let trace = out.log.trace();
                 (out.log.events, trace)
             });
-            let replayed = replay(build(variant), DEFAULT_MAX_STEPS, &trace);
+            let replayed = replay(build(variant), &trace);
             assert_eq!(replayed.log.events, events, "seed {seed:#x} {variant:?}: replay diverged");
         }
     }
@@ -182,7 +186,7 @@ fn serial_rung_is_schedule_independent() {
         }
     };
     sched::run_exclusively(|| {
-        let out = explore_dfs(&build, Variant::TmFix, 2_000, DEFAULT_MAX_STEPS);
+        let out = explore_dfs(&build, Variant::TmFix, 2_000);
         assert!(
             out.failure.is_none(),
             "a schedule aborted/duplicated a serial-mode txn: {:?}",

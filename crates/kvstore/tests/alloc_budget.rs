@@ -1,11 +1,13 @@
-//! Allocation ceilings for the KV store's reopen and op paths, counted by a
-//! global allocator that exists only in this test binary. The count is per
-//! thread, so tests running beside each other do not see each other's
-//! allocations.
+//! Allocation ceilings for the KV store's reopen and op paths, and for a
+//! condition variable's notify, counted by a global allocator that exists
+//! only in this test binary. The count is per thread, so tests running
+//! beside each other do not see each other's allocations.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use txfix_kvstore::{KvConfig, KvStore, Mode};
+use txfix_stm::hooks;
+use txfix_txlock::LockCondvar;
 use txfix_xcall::SimFs;
 
 thread_local! {
@@ -156,4 +158,14 @@ fn a_put_allocates_the_same_whatever_the_shard_holds() {
         keys.map(|k| allocations(|| kv.put(k, "w").unwrap()).1)
     };
     assert_eq!(put(64), put(2048));
+}
+
+/// A condition variable's trace events carry its name, so building one
+/// allocates: with tracing disarmed, a notify builds none.
+#[test]
+fn a_notify_with_tracing_disarmed_allocates_nothing() {
+    let _disarmed = hooks::arm(0);
+    let cv = LockCondvar::named("alloc_budget.cv");
+    let ((), n) = allocations(|| cv.notify_all());
+    assert_eq!(n, 0, "a disarmed notify made {n} allocations");
 }

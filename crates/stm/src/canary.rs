@@ -20,22 +20,16 @@
 //!
 //! ## Determinism
 //!
-//! Arming reuses the [`chaos`](crate::chaos) ordinal machinery: each site
-//! keeps a hit counter and the decision for hit `k` is
-//! [`Trigger::fires`] salted with the site's `SITE_SALT`, so a
-//! fixed `(canary, seed, trigger)` fires on a fixed set of ordinals. A
+//! An armed canary fires on every hit of its site and no other site
+//! fires, so a probe's misbehaviour is a function of the work alone. A
 //! firing site never takes a scheduler yield or emits a trace event of
 //! its own — the mutation must be exactly as silent as the bug it
 //! models, or the detectors would be tipped off.
 
-use crate::chaos::Trigger;
 use crate::hooks::{self, Armed, CANARY};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// One plantable runtime mutation.
-///
-/// The discriminant doubles as the index into the arming tables, so the
-/// list is append-only.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 #[repr(usize)]
 pub enum Canary {
@@ -95,7 +89,7 @@ pub enum Canary {
     WalCommitBeforeFsync = 11,
 }
 
-/// Number of canary sites (size of the arming tables).
+/// Number of canary sites.
 pub const SITE_COUNT: usize = 12;
 
 impl Canary {
@@ -114,12 +108,6 @@ impl Canary {
         Canary::WalSkipFsync,
         Canary::WalCommitBeforeFsync,
     ];
-
-    /// Table index.
-    #[inline]
-    pub fn index(self) -> usize {
-        self as usize
-    }
 
     /// Stable CLI / report name.
     pub fn name(self) -> &'static str {
@@ -156,90 +144,31 @@ impl Canary {
             Canary::WalCommitBeforeFsync => "wal::redo record sync before the commit marker",
         }
     }
-
-    /// Parse a CLI name.
-    pub fn parse(s: &str) -> Option<Canary> {
-        Canary::ALL.into_iter().find(|c| c.name() == s)
-    }
 }
 
-// ---- the arming tables ----------------------------------------------------
+// ---- the armed site -------------------------------------------------------
 //
 // Same discipline as `chaos`: one relaxed load (the CANARY bit) on the
-// disabled path, per-site atomics for the armed trigger so `fire` never
-// locks. At most one canary is armed at a time — a sweep probes mutations
-// one by one, and a single armed site keeps every probe attributable.
+// disabled path, and `fire` never locks. At most one canary is armed at a
+// time — a sweep probes mutations one by one, and a single armed site
+// keeps every probe attributable.
 
 static ARMED: AtomicU64 = AtomicU64::new(0); // site index + 1; 0 = none
-static SEED: AtomicU64 = AtomicU64::new(0);
-static KIND: AtomicU64 = AtomicU64::new(0); // 1/2/3 = PerMille/Nth/EveryNth
-static VALUE: AtomicU64 = AtomicU64::new(0);
-static HITS: [AtomicU64; SITE_COUNT] = {
-    #[allow(clippy::declare_interior_mutable_const)] // const used only as array initializer
-    const ZERO: AtomicU64 = AtomicU64::new(0);
-    [ZERO; SITE_COUNT]
-};
-static FIRED: [AtomicU64; SITE_COUNT] = {
-    #[allow(clippy::declare_interior_mutable_const)] // const used only as array initializer
-    const ZERO: AtomicU64 = AtomicU64::new(0);
-    [ZERO; SITE_COUNT]
-};
 
-/// Per-site salt so one seed draws independent per-mille coins at
-/// different sites (mirrors `chaos::POINT_SALT`).
-static SITE_SALT: [u64; SITE_COUNT] = [
-    0xC2B2_AE3D_27D4_EB4F,
-    0x1656_67B1_9E37_79F9,
-    0x27D4_EB2F_1656_67C5,
-    0x9E37_79B9_85EB_CA87,
-    0x85EB_CA6B_C2B2_AE35,
-    0xFF51_AFD7_ED55_8CCD,
-    0xC4CE_B9FE_1A85_EC53,
-    0x2545_F491_4F6C_DD1D,
-    0x9E6C_63D0_876A_3F6B,
-    0xD1B5_4A32_D192_ED03,
-    0x2BB6_863E_4098_BD1D,
-    0x94D0_49BB_1331_11EB,
-];
-
-/// Arm `canary` with `trigger` under `seed` for the life of the returned
-/// guard ([`hooks::arm`]), zeroing all hit/fired counters.
-pub fn scoped(canary: Canary, seed: u64, trigger: Trigger) -> Armed {
+/// Arm `canary` for the life of the returned guard ([`hooks::arm`]): its
+/// site fires on every hit, every other site stays silent.
+pub fn scoped(canary: Canary) -> Armed {
     // Select the site under the arming lock, before the bit is visible.
     let _exclusive = hooks::arm(0);
-    for i in 0..SITE_COUNT {
-        HITS[i].store(0, Ordering::SeqCst);
-        FIRED[i].store(0, Ordering::SeqCst);
-    }
-    let (kind, value) = trigger.encode();
-    SEED.store(seed, Ordering::SeqCst);
-    KIND.store(kind, Ordering::SeqCst);
-    VALUE.store(value, Ordering::SeqCst);
-    ARMED.store(canary.index() as u64 + 1, Ordering::SeqCst);
+    ARMED.store(canary as u64 + 1, Ordering::SeqCst);
     hooks::arm(CANARY)
 }
 
-/// Ask whether `canary`'s mutation should fire at this hit. Counts the
-/// hit and evaluates the armed trigger; `false` in one relaxed load when
-/// nothing is armed (and always when a different canary is armed).
+/// Ask whether `canary`'s mutation fires at this hit: whether it is the
+/// armed site. `false` in one relaxed load when nothing is armed.
 #[inline]
 pub fn fire(canary: Canary) -> bool {
-    hooks::armed(CANARY) && fire_slow(canary)
-}
-
-#[cold]
-fn fire_slow(canary: Canary) -> bool {
-    let i = canary.index();
-    if ARMED.load(Ordering::SeqCst) != i as u64 + 1 {
-        return false;
-    }
-    let hit = HITS[i].fetch_add(1, Ordering::SeqCst) + 1;
-    let fires = Trigger::decode(KIND.load(Ordering::SeqCst), VALUE.load(Ordering::SeqCst))
-        .is_some_and(|t| t.fires(SEED.load(Ordering::SeqCst), SITE_SALT[i], hit));
-    if fires {
-        FIRED[i].fetch_add(1, Ordering::SeqCst);
-    }
-    fires
+    hooks::armed(CANARY) && ARMED.load(Ordering::SeqCst) == canary as u64 + 1
 }
 
 #[cfg(test)]
@@ -254,36 +183,19 @@ mod tests {
 
     #[test]
     fn only_the_armed_canary_fires() {
-        let _armed = scoped(Canary::LockDropRelease, 0, Trigger::EveryNth(1));
-        assert!(fire(Canary::LockDropRelease));
-        assert!(!fire(Canary::StmSkipWriteback), "a different site must stay silent");
-        let i = Canary::LockDropRelease.index();
-        assert_eq!((HITS[i].load(Ordering::SeqCst), FIRED[i].load(Ordering::SeqCst)), (1, 1));
-    }
-
-    #[test]
-    fn nth_fires_exactly_once() {
-        let _armed = scoped(Canary::StmStaleStamp, 9, Trigger::Nth(3));
-        let fires: Vec<bool> = (0..6).map(|_| fire(Canary::StmStaleStamp)).collect();
-        assert_eq!(fires, vec![false, false, true, false, false, false]);
-    }
-
-    #[test]
-    fn per_mille_is_a_pure_function_of_seed_and_ordinal() {
-        let run = |seed| {
-            let _armed = scoped(Canary::SchedOutOfTurn, seed, Trigger::PerMille(500));
-            (0..64).map(|_| fire(Canary::SchedOutOfTurn)).collect::<Vec<bool>>()
-        };
-        assert_eq!(run(7), run(7), "same seed, same firing ordinals");
-        assert_ne!(run(7), run(8), "different seeds draw different coins");
-    }
-
-    #[test]
-    fn names_round_trip() {
+        let _armed = scoped(Canary::LockDropRelease);
         for c in Canary::ALL {
-            assert_eq!(Canary::parse(c.name()), Some(c));
+            let fires: Vec<bool> = (0..3).map(|_| fire(c)).collect();
+            assert_eq!(fires, [c == Canary::LockDropRelease; 3], "{}", c.name());
+        }
+    }
+
+    #[test]
+    fn names_are_distinct_and_every_site_is_described() {
+        for (i, c) in Canary::ALL.into_iter().enumerate() {
+            assert_eq!(c as usize, i);
+            assert!(Canary::ALL[..i].iter().all(|d| d.name() != c.name()), "{}", c.name());
             assert!(!c.site().is_empty());
         }
-        assert_eq!(Canary::parse("nope"), None);
     }
 }

@@ -115,11 +115,6 @@ impl InjectionPoint {
         }
     }
 
-    /// Inverse of [`name`](InjectionPoint::name).
-    pub fn parse(s: &str) -> Option<InjectionPoint> {
-        InjectionPoint::ALL.into_iter().find(|p| p.name() == s)
-    }
-
     fn index(self) -> usize {
         self as usize
     }
@@ -139,9 +134,8 @@ pub enum Trigger {
 
 impl Trigger {
     /// Whether hit ordinal `hit` (1-based) fires under seed `seed` at the
-    /// site salted by `salt` (a chaos point's, a canary site's, a crash
-    /// point's label hash). Pure: same arguments, same answer.
-    pub fn fires(self, seed: u64, salt: u64, hit: u64) -> bool {
+    /// point salted by `salt`. Pure: same arguments, same answer.
+    fn fires(self, seed: u64, salt: u64, hit: u64) -> bool {
         match self {
             Trigger::PerMille(p) => (splitmix64(seed ^ salt ^ hit) % 1000) < u64::from(p.min(1000)),
             Trigger::Nth(n) => hit == n.max(1),
@@ -151,7 +145,7 @@ impl Trigger {
 
     /// The `(kind, value)` pair the lock-free arming tables store; kind 0
     /// is "unarmed".
-    pub(crate) fn encode(self) -> (u64, u64) {
+    fn encode(self) -> (u64, u64) {
         match self {
             Trigger::PerMille(p) => (1, u64::from(p)),
             Trigger::Nth(n) => (2, n),
@@ -160,7 +154,7 @@ impl Trigger {
     }
 
     /// Inverse of [`encode`](Trigger::encode); `None` when unarmed.
-    pub(crate) fn decode(kind: u64, value: u64) -> Option<Trigger> {
+    fn decode(kind: u64, value: u64) -> Option<Trigger> {
         match kind {
             1 => Some(Trigger::PerMille(value as u32)),
             2 => Some(Trigger::Nth(value)),
@@ -178,12 +172,6 @@ pub struct FaultPlan {
     rules: [Option<Trigger>; POINT_COUNT],
 }
 
-impl Default for FaultPlan {
-    fn default() -> Self {
-        FaultPlan::new(0)
-    }
-}
-
 impl FaultPlan {
     /// An empty plan (no points armed) under `seed`.
     pub fn new(seed: u64) -> FaultPlan {
@@ -194,21 +182,6 @@ impl FaultPlan {
     pub fn with(mut self, point: InjectionPoint, trigger: Trigger) -> FaultPlan {
         self.rules[point.index()] = Some(trigger);
         self
-    }
-
-    /// The plan's seed.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
-    /// The trigger armed at `point`, if any.
-    pub fn rule(&self, point: InjectionPoint) -> Option<Trigger> {
-        self.rules[point.index()]
-    }
-
-    /// True when no point is armed.
-    pub fn is_empty(&self) -> bool {
-        self.rules.iter().all(|r| r.is_none())
     }
 
     /// The plan the [`SCHEDULES`] row called `name` arms under `seed`, or
@@ -429,12 +402,11 @@ mod tests {
     }
 
     #[test]
-    fn point_names_round_trip() {
-        for p in InjectionPoint::ALL {
-            assert_eq!(InjectionPoint::parse(p.name()), Some(p));
+    fn points_are_listed_in_discriminant_order_with_distinct_names() {
+        for (i, p) in InjectionPoint::ALL.into_iter().enumerate() {
+            assert_eq!(p.index(), i);
+            assert!(InjectionPoint::ALL[..i].iter().all(|q| q.name() != p.name()), "{}", p.name());
         }
-        assert_eq!(InjectionPoint::parse("nope"), None);
-        assert_eq!(InjectionPoint::ALL.len(), POINT_COUNT);
     }
 
     #[test]
@@ -490,24 +462,20 @@ mod tests {
         let plan = FaultPlan::new(11)
             .with(InjectionPoint::TxnBegin, Trigger::Nth(1))
             .with(InjectionPoint::XcallPipe, Trigger::PerMille(50));
-        assert_eq!(plan.seed(), 11);
-        assert!(!plan.is_empty());
-        assert_eq!(plan.rule(InjectionPoint::TxnBegin), Some(Trigger::Nth(1)));
-        assert_eq!(plan.rule(InjectionPoint::XcallPipe), Some(Trigger::PerMille(50)));
-        assert_eq!(plan.rule(InjectionPoint::TxnRead), None);
-        assert!(FaultPlan::new(0).is_empty());
+        let mut rules = [None; POINT_COUNT];
+        rules[InjectionPoint::TxnBegin.index()] = Some(Trigger::Nth(1));
+        rules[InjectionPoint::XcallPipe.index()] = Some(Trigger::PerMille(50));
+        assert_eq!(plan, FaultPlan { seed: 11, rules });
+        assert_ne!(plan, FaultPlan::new(11), "an armed plan differs from the empty one");
     }
 
     #[test]
     fn named_schedules_resolve_through_the_table() {
-        for &(name, rules) in SCHEDULES {
-            let plan = FaultPlan::named(name, 7).expect(name);
-            assert_eq!(plan.seed(), 7);
-            assert_eq!(plan.is_empty(), name == "baseline", "{name}");
-            for &(point, trigger) in rules {
-                assert_eq!(plan.rule(point), Some(trigger), "{name}");
-            }
-        }
+        let by_hand = FaultPlan::new(7)
+            .with(InjectionPoint::TxnBegin, Trigger::PerMille(50))
+            .with(InjectionPoint::TxnRead, Trigger::PerMille(15));
+        assert_eq!(FaultPlan::named("txn_faults", 7), Some(by_hand));
+        assert_eq!(FaultPlan::named("baseline", 7), Some(FaultPlan::new(7)));
         assert_eq!(FaultPlan::named("nope", 7), None);
     }
 

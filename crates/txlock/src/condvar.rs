@@ -8,6 +8,7 @@
 use crate::mutex::{TxMutex, TxMutexGuard};
 use std::fmt;
 use std::time::Duration;
+use txfix_stm::hooks::{self, TRACE};
 use txfix_stm::{sched, trace, EventCount};
 
 /// Outcome of a timed wait.
@@ -79,7 +80,12 @@ impl LockCondvar {
     ) -> Result<(TxMutexGuard<'a, T>, WaitOutcome), crate::DeadlockError> {
         let mutex: &'a TxMutex<T> = guard.mutex();
         debug_assert_eq!(crate::thread_id::current(), guard.owner());
-        trace::emit(trace::EventKind::CvWait { cv: self.trace_id, name: self.name.to_string() });
+        if hooks::armed(TRACE) {
+            trace::emit(trace::EventKind::CvWait {
+                cv: self.trace_id,
+                name: self.name.to_string(),
+            });
+        }
 
         // Sample the epoch while still holding the mutex, so a notify
         // between the unlock and the park is not lost.
@@ -97,7 +103,12 @@ impl LockCondvar {
     /// Wake all current waiters.
     pub fn notify_all(&self) {
         sched::yield_point(sched::SyncOp::CvNotify(self.trace_id));
-        trace::emit(trace::EventKind::CvNotify { cv: self.trace_id, name: self.name.to_string() });
+        if hooks::armed(TRACE) {
+            trace::emit(trace::EventKind::CvNotify {
+                cv: self.trace_id,
+                name: self.name.to_string(),
+            });
+        }
         self.events.notify();
     }
 }

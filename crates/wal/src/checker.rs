@@ -19,7 +19,7 @@
 
 use std::sync::Arc;
 use txfix_core::json::{Json, ToJson};
-use txfix_stm::chaos::{self, splitmix64, FaultPlan, Trigger};
+use txfix_stm::chaos::{self, splitmix64, FaultPlan};
 use txfix_xcall::{crashpoint, SimFs, BLOCK_BYTES};
 
 /// Default run seed (matches the other seeded sweeps).
@@ -247,7 +247,7 @@ fn run_armed<S: CrashSubject>(
     image: u64,
 ) -> Vec<String> {
     let _chaos = plan.map(chaos::scoped);
-    let session = crashpoint::arm(label, seed, Trigger::Nth(hit));
+    let session = crashpoint::arm(label, hit);
     let (fs, facts) = S::run(cell);
     let fired = crashpoint::fired();
     // Which unflushed blocks the kernel happened to write back before

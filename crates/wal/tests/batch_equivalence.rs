@@ -72,7 +72,7 @@ fn observe(ops: &[WalOp], log: LogFn) -> (Vec<(String, u64)>, u64, Vec<Image>) {
     let mut images = vec![final_image];
     for (label, hits) in &seen {
         for hit in 1..=*hits {
-            images.push(commit(crashpoint::arm(label, 0, Trigger::Nth(hit))).1);
+            images.push(commit(crashpoint::arm(label, hit)).1);
         }
     }
     (seen, counted, images)

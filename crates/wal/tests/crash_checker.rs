@@ -8,7 +8,6 @@
 
 use std::sync::Arc;
 use txfix_core::json::ToJson;
-use txfix_stm::chaos::Trigger;
 use txfix_stm::{atomic, hooks, Txn};
 use txfix_wal::checker::{run_crash_sweep, CrashConfig, CrashSubject, Schedule, IMAGES_PER_POINT};
 use txfix_wal::{Wal, WalOp, WalVariant, AFTER_COMMIT_WRITE};
@@ -114,7 +113,7 @@ fn crash_image_is_a_legal_flush_subset_at_every_crash_point() {
     );
     for (label, hits) in &universe {
         for hit in 1..=*hits {
-            let session = crashpoint::arm(label, 0, Trigger::Nth(hit));
+            let session = crashpoint::arm(label, hit);
             let fs = run_wal_workload();
             assert!(crashpoint::fired().is_some(), "{label} hit {hit} must fire");
             let file = fs.open(WAL_PATH).unwrap();

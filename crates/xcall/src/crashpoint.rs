@@ -3,9 +3,9 @@
 //! Crash-recovery testing needs two things the chaos layer does not give
 //! us: *named* instrumentation sites ("the instant after the COMMIT
 //! marker reached the log") and a way to stop the durable world at one of
-//! them. This module provides both, reusing the chaos crate's
-//! [`Trigger`] machinery and `splitmix64` coins so crash schedules are
-//! exactly as deterministic as fault schedules.
+//! them. This module provides both. A crash is named by a label and a hit
+//! ordinal, so a crash schedule is exactly as deterministic as the
+//! workload that crosses the points.
 //!
 //! ## The freeze model
 //!
@@ -35,8 +35,8 @@
 //! * **Record** ([`record`]): every [`crash_point`] label is counted in
 //!   first-seen order. A sweep runs the workload once in record mode to
 //!   learn the crash-point universe, then once per `(label, hit)` armed.
-//! * **Armed** ([`arm`]): one label carries a [`Trigger`]; on the firing
-//!   hit ordinal the world freezes.
+//! * **Armed** ([`arm`]): one label carries a hit ordinal; on exactly that
+//!   visit to the label the world freezes.
 //!
 //! Like the chaos and canary layers, the disarmed fast path is a single
 //! relaxed load of the `txfix_stm::hooks` word's [`CRASH`] bit, so
@@ -46,7 +46,7 @@
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
-use txfix_stm::chaos::{fnv64, splitmix64, Trigger};
+use txfix_stm::chaos::{fnv64, splitmix64};
 use txfix_stm::hooks::{self, Armed, CRASH};
 
 /// The world stopped here: durable mutations are no-ops while set (and
@@ -61,15 +61,15 @@ enum Mode {
     },
     Armed {
         label: String,
-        seed: u64,
-        trigger: Trigger,
+        /// The visit to `label` that freezes the world (1-based).
+        hit: u64,
+        /// Visits so far; they stop counting once the world is frozen.
         hits: u64,
-        fired: Option<u64>,
     },
 }
 
 /// Stable 64-bit label hash (FNV-1a finished with `splitmix64`), used to
-/// salt per-label trigger coins and per-file crash-image coins.
+/// salt per-file and per-crash-point crash-image coins.
 pub fn label_hash(label: &str) -> u64 {
     splitmix64(fnv64(label.as_bytes()))
 }
@@ -88,10 +88,10 @@ pub fn record() -> Armed {
     install(Mode::Record { seen: Vec::new() })
 }
 
-/// Arm `label` with `trigger` under `seed`: the firing hit freezes the
-/// world.
-pub fn arm(label: &str, seed: u64, trigger: Trigger) -> Armed {
-    install(Mode::Armed { label: label.to_owned(), seed, trigger, hits: 0, fired: None })
+/// Arm `label` at hit ordinal `hit` (1-based): exactly the `hit`-th visit
+/// to `label` freezes the world.
+pub fn arm(label: &str, hit: u64) -> Armed {
+    install(Mode::Armed { label: label.to_owned(), hit, hits: 0 })
 }
 
 /// The labels the last record session has seen, with hit counts, in
@@ -106,7 +106,9 @@ pub fn recording() -> Vec<(String, u64)> {
 /// `(label, hit ordinal)` of the crash, if the last armed session fired.
 pub fn fired() -> Option<(String, u64)> {
     match &*STATE.lock().unwrap() {
-        Some(Mode::Armed { label, fired: Some(hit), .. }) => Some((label.clone(), *hit)),
+        Some(Mode::Armed { label, hit, .. }) if FROZEN.load(Ordering::SeqCst) => {
+            Some((label.clone(), *hit))
+        }
         _ => None,
     }
 }
@@ -139,10 +141,9 @@ fn crash_point_slow(label: &str) {
             Some((_, n)) => *n += 1,
             None => seen.push((label.to_owned(), 1)),
         },
-        Some(Mode::Armed { label: armed, seed, trigger, hits, fired }) if armed == label => {
+        Some(Mode::Armed { label: armed, hit, hits }) if armed == label => {
             *hits += 1;
-            if fired.is_none() && trigger.fires(*seed, label_hash(label), *hits) {
-                *fired = Some(*hits);
+            if *hits == *hit {
                 FROZEN.store(true, Ordering::SeqCst);
             }
         }
@@ -166,7 +167,7 @@ mod tests {
     #[test]
     fn armed_nth_freezes_on_exact_hit_and_thaw_on_drop() {
         let _exclusive = hooks::arm(0);
-        let s = arm("x", 7, Trigger::Nth(2));
+        let s = arm("x", 2);
         crash_point("y"); // other labels never fire
         crash_point("x");
         assert!(!is_frozen());
@@ -182,33 +183,11 @@ mod tests {
     }
 
     #[test]
-    fn per_mille_coin_is_deterministic_per_seed() {
-        let run = |seed: u64| {
-            let _s = arm("p", seed, Trigger::PerMille(400));
-            for _ in 0..64 {
-                crash_point("p");
-            }
-            fired().map(|(_, hit)| hit)
-        };
-        assert_eq!(run(3), run(3), "same seed, same firing ordinal");
-        // Label salting: a different label under the same seed draws
-        // different coins (with overwhelming probability for this pair).
-        let other = {
-            let _s = arm("q", 3, Trigger::PerMille(400));
-            for _ in 0..64 {
-                crash_point("q");
-            }
-            fired().map(|(_, hit)| hit)
-        };
-        assert!(run(3).is_some() || other.is_some());
-    }
-
-    #[test]
     fn disarmed_crash_points_are_free_noops() {
         let _exclusive = hooks::arm(0);
-        // A session's state outlives its guard: a stale record, a trigger
-        // that would fire on its next hit, and one that fired (FROZEN set).
-        let nth1 = || arm("x", 7, Trigger::Nth(1));
+        // A session's state outlives its guard: a stale record, a label
+        // armed to fire on its next hit, and one that fired (FROZEN set).
+        let nth1 = || arm("x", 1);
         for (session, armed_hits) in [(record as fn() -> Armed, 0), (nth1, 0), (nth1, 1)] {
             let s = session();
             (0..armed_hits).for_each(|_| crash_point("x"));

@@ -9,7 +9,6 @@
 //! guard (`hooks::arm(0)`) from setup on, so no other test's crash freezes
 //! its world.
 
-use txfix_stm::chaos::Trigger;
 use txfix_stm::{hooks, Txn, TxnError};
 use txfix_xcall::{crashpoint, SimFs, SimPipe, XFile, XPipe};
 
@@ -19,7 +18,7 @@ fn pipe_unread_compensation_does_not_replay_into_the_crash_image() {
     let pipe = SimPipe::new(16);
     pipe.write(b"abcd");
     let xp = XPipe::new(pipe.clone());
-    let session = crashpoint::arm("crash_freeze_test", 0, Trigger::Nth(1));
+    let session = crashpoint::arm("crash_freeze_test", 1);
     let res = Txn::build().try_run(|txn| {
         let got = xp.x_try_read(txn, 2)?;
         assert_eq!(got.as_deref(), Some(b"ab".as_slice()));
@@ -46,7 +45,7 @@ fn commit_interrupted_by_a_crash_applies_no_op_after_the_freeze() {
     let xf = XFile::open_or_create(&fs, "f");
     // Fire at the second simos-level append: the first deferred op lands,
     // the second freezes the world at its crash point, the third is dead.
-    let session = crashpoint::arm("simos_file_append", 0, Trigger::Nth(2));
+    let session = crashpoint::arm("simos_file_append", 2);
     let xf2 = xf.clone();
     txfix_stm::atomic(move |txn| {
         xf2.x_append(txn, b"one ")?;
@@ -68,7 +67,7 @@ fn aborted_truncate_compensation_is_frozen_too() {
     let f = fs.open_or_create("t");
     f.append(b"keep-me!");
     f.sync_all();
-    let session = crashpoint::arm("crash_freeze_test", 0, Trigger::Nth(1));
+    let session = crashpoint::arm("crash_freeze_test", 1);
     crashpoint::crash_point("crash_freeze_test");
     assert!(crashpoint::is_frozen());
     // A compensating truncate issued after the crash instant is dead.
@@ -85,7 +84,7 @@ fn ranged_reads_are_still_served_while_frozen() {
     let fs = SimFs::new();
     let f = fs.open_or_create("r");
     f.append(b"before");
-    let session = crashpoint::arm("simos_file_append", 0, Trigger::Nth(1));
+    let session = crashpoint::arm("simos_file_append", 1);
     f.append(b" after"); // the crash instant: dropped, world frozen
     assert!(crashpoint::is_frozen());
     // Reads are not mutations: recovery-side code that runs before the

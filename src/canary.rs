@@ -1,6 +1,6 @@
 //! The canary mutation sweep behind `txfix canary`.
 //!
-//! A *canary* is one seeded, feature-gated bug planted at a real hazard
+//! A *canary* is one feature-gated bug planted at a real hazard
 //! site inside the runtime substrates (see [`txfix_stm::canary`] for the
 //! registry and the sites). This module arms one canary at a time and
 //! runs it through the five detection layers the repository ships —
@@ -27,19 +27,18 @@
 //! every canary is caught by at least one layer and emits the
 //! `txfix-canary-v1` capability matrix (`CANARY_stm.json`).
 //!
-//! Every probe is deterministic by construction — single-armed canaries
-//! fire on every site visit (`Trigger::EveryNth(1)`), explore probes use
-//! DFS, chaos probes are single-threaded, crash probes derive every
-//! trigger coin and crash image from the seed — so the matrix is
-//! bit-for-bit reproducible across seeded runs (CI compares two).
+//! Every probe is deterministic by construction — an armed canary fires
+//! on every visit to its site, explore probes use DFS, chaos probes are
+//! single-threaded, crash probes derive every crash image from the seed
+//! — so the matrix is bit-for-bit reproducible across seeded runs (CI
+//! compares two).
 
 use txfix_core::json::{Json, ToJson};
 use txfix_core::sweep::{SweepArgs, SweepOutput, SweepRunner, Universe};
 use txfix_core::HazardClass;
 use txfix_corpus::{scenario_by_key, Outcome, RunResult, ScheduledRun, Variant};
-use txfix_explore::{explore_build, explore_variant, ExploreConfig, Strategy};
+use txfix_explore::{explore_build, explore_variant, ExploreConfig};
 use txfix_stm::canary::{self, Canary};
-use txfix_stm::chaos::Trigger;
 use txfix_stm::{atomic, TVar, Txn, TxnError};
 use txfix_txlock::TxMutex;
 use txfix_xcall::{SimFs, SimPipe, XFile, XPipe};
@@ -88,7 +87,8 @@ impl CanaryOutcome {
 /// The full sweep: the detection-capability matrix.
 #[derive(Clone, Debug)]
 pub struct CanaryReport {
-    /// Seed the canary triggers were armed with.
+    /// Seed of the sweep. Only the crash probes read it: it derives
+    /// their crash images.
     pub seed: u64,
     /// One outcome per swept canary, in [`Canary::ALL`] order.
     pub outcomes: Vec<CanaryOutcome>,
@@ -194,19 +194,10 @@ fn crash_blind() -> LayerProbe {
     )
 }
 
-/// Exploration budget for the canary probes. The probe scenarios are
-/// tiny (two threads, a handful of yield points); DFS exhausts them far
-/// below this bound.
-const EXPLORE_BUDGET: u64 = 2_000;
-
-fn explore_cfg(seed: u64) -> ExploreConfig {
-    ExploreConfig { seed, strategy: Strategy::Dfs, budget: EXPLORE_BUDGET, ..Default::default() }
-}
-
 /// Run a corpus scenario variant under `analyze` with the canary armed.
-fn analyze_probe(c: Canary, seed: u64, key: &str, variant: Variant) -> LayerProbe {
+fn analyze_probe(c: Canary, key: &str, variant: Variant) -> LayerProbe {
     let expected = expected_class(c);
-    let _armed = canary::scoped(c, seed, Trigger::EveryNth(1));
+    let _armed = canary::scoped(c);
     let report = txfix_analyze::analyze_scenario(key, variant)
         .unwrap_or_else(|| panic!("canary probe references unknown scenario {key}"));
     let hit = report.findings.iter().find(|f| f.kind.class() == expected);
@@ -233,13 +224,13 @@ fn analyze_probe(c: Canary, seed: u64, key: &str, variant: Variant) -> LayerProb
 
 /// Run a scheduled corpus scenario variant under `explore` with the
 /// canary armed.
-fn explore_probe(c: Canary, seed: u64, key: &str, variant: Variant) -> LayerProbe {
+fn explore_probe(c: Canary, key: &str, variant: Variant) -> LayerProbe {
     let expected = expected_class(c);
     let build = scenario_by_key(key)
         .unwrap_or_else(|| panic!("canary probe references unknown scenario {key}"))
         .scheduled;
-    let _armed = canary::scoped(c, seed, Trigger::EveryNth(1));
-    let entry = explore_variant(key, build, variant, &explore_cfg(seed));
+    let _armed = canary::scoped(c);
+    let entry = explore_variant(key, build, variant, &ExploreConfig::default());
     let missed = format!(
         "{key}/{}: every explored schedule survives ({} schedules, exhausted: {}) — \
          the mutation does not perturb execution",
@@ -274,7 +265,7 @@ fn explore_verdict(expected: HazardClass, failure: Option<String>, missed: Strin
 /// detector victimizes one, and its revocation runs the buggy
 /// release/re-acquire window. If a waiter slips into the window, the
 /// victim's final release panics — which exploration reports as the bug.
-fn revoke_probe(c: Canary, seed: u64) -> LayerProbe {
+fn revoke_probe(c: Canary) -> LayerProbe {
     let expected = expected_class(c);
     let build = |_v: Variant| {
         let nested = |first: &TxMutex<u32>, second: &TxMutex<u32>| {
@@ -293,8 +284,8 @@ fn revoke_probe(c: Canary, seed: u64) -> LayerProbe {
             |_| Outcome::Correct,
         )
     };
-    let _armed = canary::scoped(c, seed, Trigger::EveryNth(1));
-    let ex = explore_build(&build, Variant::Buggy, &explore_cfg(seed));
+    let _armed = canary::scoped(c);
+    let ex = explore_build(&build, Variant::Buggy, &ExploreConfig::default());
     let failure = ex.failure.and_then(|o| match o.result {
         RunResult::Bug(m) => Some(m),
         _ => None,
@@ -309,13 +300,8 @@ fn revoke_probe(c: Canary, seed: u64) -> LayerProbe {
 /// Run a deterministic single-threaded micro-probe with the canary
 /// armed. The probe returns `Some(violation)` when its value oracle is
 /// broken.
-fn chaos_probe(
-    c: Canary,
-    seed: u64,
-    probe: fn() -> Option<String>,
-    description: &str,
-) -> LayerProbe {
-    let _armed = canary::scoped(c, seed, Trigger::EveryNth(1));
+fn chaos_probe(c: Canary, probe: fn() -> Option<String>, description: &str) -> LayerProbe {
+    let _armed = canary::scoped(c);
     match probe() {
         Some(violation) => {
             LayerProbe { layer: "chaos", probed: true, caught: true, evidence: violation }
@@ -337,7 +323,7 @@ fn chaos_probe(
 fn crash_probe(c: Canary, seed: u64) -> LayerProbe {
     use txfix_kvstore::{KvStore, Mode};
     use txfix_wal::checker::{run_crash_sweep, CrashConfig, Schedule};
-    let _armed = canary::scoped(c, seed, Trigger::EveryNth(1));
+    let _armed = canary::scoped(c);
     let report = run_crash_sweep::<KvStore>(&CrashConfig {
         seed,
         cells: vec![Mode::Tm],
@@ -445,10 +431,10 @@ pub fn run_canary(c: Canary, seed: u64) -> CanaryOutcome {
             // perfectly well-formed trace (committed transactions are
             // mutually serialized), so trace replay cannot see it. The
             // probe stays in the matrix to pin that blindness.
-            analyze_probe(c, seed, "av_stats_race", Variant::TmFix),
+            analyze_probe(c, "av_stats_race", Variant::TmFix),
             lint_blind(),
-            explore_probe(c, seed, "av_stats_race", Variant::TmFix),
-            chaos_probe(c, seed, oracle_counter, "10 increments then read back"),
+            explore_probe(c, "av_stats_race", Variant::TmFix),
+            chaos_probe(c, oracle_counter, "10 increments then read back"),
             crash_blind(),
         ],
         Canary::StmSkipValidation | Canary::StmStaleStamp => vec![
@@ -459,7 +445,7 @@ pub fn run_canary(c: Canary, seed: u64) -> CanaryOutcome {
                  never does",
             ),
             lint_blind(),
-            explore_probe(c, seed, "av_stats_race", Variant::TmFix),
+            explore_probe(c, "av_stats_race", Variant::TmFix),
             not_probed(
                 "chaos",
                 "invisible single-threaded: validation only matters under \
@@ -468,7 +454,7 @@ pub fn run_canary(c: Canary, seed: u64) -> CanaryOutcome {
             crash_blind(),
         ],
         Canary::StmNotifyReorder => vec![
-            analyze_probe(c, seed, "av_stats_race", Variant::TmFix),
+            analyze_probe(c, "av_stats_race", Variant::TmFix),
             lint_blind(),
             not_probed(
                 "explore",
@@ -489,17 +475,17 @@ pub fn run_canary(c: Canary, seed: u64) -> CanaryOutcome {
                  explore's evidence, not a trace finding",
             ),
             lint_blind(),
-            explore_probe(c, seed, "dl_local_lock_order", Variant::DevFix),
+            explore_probe(c, "dl_local_lock_order", Variant::DevFix),
             not_probed("chaos", "the leaked lock would hang the probe thread"),
             crash_blind(),
         ],
         Canary::LockSkipLockdep => vec![
-            analyze_probe(c, seed, "dl_local_lock_order", Variant::DevFix),
+            analyze_probe(c, "dl_local_lock_order", Variant::DevFix),
             lint_blind(),
             // Documented explore gap: the mutation changes only what the
             // validator records, never the execution, so no schedule can
             // fail.
-            explore_probe(c, seed, "dl_local_lock_order", Variant::DevFix),
+            explore_probe(c, "dl_local_lock_order", Variant::DevFix),
             not_probed("chaos", "execution is unchanged; there is no invariant to violate"),
             crash_blind(),
         ],
@@ -510,7 +496,7 @@ pub fn run_canary(c: Canary, seed: u64) -> CanaryOutcome {
                  steers a waiter into the window",
             ),
             lint_blind(),
-            revoke_probe(c, seed),
+            revoke_probe(c),
             not_probed("chaos", "needs a second thread waiting inside the revocation window"),
             crash_blind(),
         ],
@@ -518,7 +504,7 @@ pub fn run_canary(c: Canary, seed: u64) -> CanaryOutcome {
             not_probed("analyze", "deferred-op buffers are not traced objects"),
             lint_blind(),
             not_probed("explore", "no scheduled scenario cancels an x-call transaction"),
-            chaos_probe(c, seed, oracle_xfile_undo, "cancelled x-append then audit pending ops"),
+            chaos_probe(c, oracle_xfile_undo, "cancelled x-append then audit pending ops"),
             crash_blind(),
         ],
         Canary::XcallDoubleCompensate => vec![
@@ -527,7 +513,6 @@ pub fn run_canary(c: Canary, seed: u64) -> CanaryOutcome {
             not_probed("explore", "no scheduled scenario aborts a compensated read"),
             chaos_probe(
                 c,
-                seed,
                 oracle_pipe_unread,
                 "cancelled 1-byte read from a 2-byte pipe then audit",
             ),
@@ -536,7 +521,7 @@ pub fn run_canary(c: Canary, seed: u64) -> CanaryOutcome {
         Canary::SchedOutOfTurn => vec![
             not_probed("analyze", "the trace recorder never sees the scheduler's decision log"),
             lint_blind(),
-            explore_probe(c, seed, "av_stats_race", Variant::TmFix),
+            explore_probe(c, "av_stats_race", Variant::TmFix),
             not_probed("chaos", "only scheduled runs have a turnstile to breach"),
             crash_blind(),
         ],

@@ -54,12 +54,12 @@ fn capability_gates_reject_seed_where_it_means_nothing() {
             unseeded.push(name);
         }
     }
-    assert_eq!(unseeded, ["scenario", "analyze", "lint", "list"]);
+    assert_eq!(unseeded, ["scenario", "analyze", "lint", "autofix", "list"]);
 }
 
-/// The sizes of `kv`, `chaos`, `crash` and `autofix` are constants, and
-/// no verb takes an artifact path: each of these is an unknown option,
-/// rejected before anything runs.
+/// The sizes of `kv`, `chaos`, `crash` and `autofix` are constants, no
+/// verb takes an artifact path, and autofix's DFS takes no seed: each of
+/// these is a usage error, rejected before anything runs.
 #[test]
 fn deleted_flags_are_usage_errors() {
     let cases: &[(&str, &[&str])] = &[
@@ -75,6 +75,7 @@ fn deleted_flags_are_usage_errors() {
         ("crash", &["kvstore", "--images", "3"]),
         ("autofix", &["--all", "--strategy", "dfs"]),
         ("autofix", &["--all", "--budget", "5"]),
+        ("autofix", &["--all", "--seed", "5"]),
         ("scenario", &["av_stats_race", "--out", "X.json"]),
         ("stress", &["--all", "--out", "X.json"]),
         ("explore", &["--all", "--out", "X.json"]),
@@ -84,7 +85,11 @@ fn deleted_flags_are_usage_errors() {
         let (_, runner) = runners.iter_mut().find(|(name, _)| *name == verb).expect("a verb");
         let raw: Vec<String> = raw.iter().map(|s| s.to_string()).collect();
         let err = sweep::parse_sweep_args(runner.as_mut(), &raw).err();
-        assert_eq!(err, Some(format!("unknown option `{}`", raw[1])), "txfix {verb} {raw:?}");
+        let want = match raw[1].as_str() {
+            "--seed" => "this verb does not take --seed".to_string(),
+            flag => format!("unknown option `{flag}`"),
+        };
+        assert_eq!(err, Some(want), "txfix {verb} {raw:?}");
     }
 }
 
