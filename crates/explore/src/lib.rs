@@ -261,6 +261,12 @@ impl SweepRunner for ExploreSweep {
     }
 
     fn execute(&mut self, args: &SweepArgs) -> Result<SweepOutput, String> {
+        // `takes_seed` is answered before `--strategy` is parsed, so the
+        // one strategy that reads no seed rejects it here, before anything
+        // runs.
+        if args.seed.is_some() && self.cfg.strategy == Strategy::Dfs {
+            return Err("--seed steers --strategy pct; dfs takes no seed".into());
+        }
         self.cfg.seed = args.seed.unwrap_or(self.cfg.seed);
         let variants = self.only.map_or(Variant::ALL.to_vec(), |v| vec![v]);
         let report = explore_corpus(|key| args.selects(key), &variants, &self.cfg);

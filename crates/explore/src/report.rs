@@ -99,10 +99,16 @@ impl ExploreReport {
                 verdict
             );
             if let (Some(f), true) = (&e.failure, e.ok) {
+                // DFS takes no seed (`explore --strategy dfs --seed S` is a
+                // usage error), so only a PCT replay names one.
+                let seed = match self.strategy.as_str() {
+                    "pct" => format!(" --seed {}", self.seed),
+                    _ => String::new(),
+                };
                 let _ = write!(
                     table,
-                    "\n{:55}replay: --strategy {} --seed {} trace {}",
-                    "", self.strategy, self.seed, f.trace
+                    "\n{:55}replay: --strategy {}{seed} trace {}",
+                    "", self.strategy, f.trace
                 );
             }
         }

@@ -76,6 +76,7 @@ mod error;
 pub mod hooks;
 pub mod obs;
 mod orec;
+pub mod reclaim;
 mod runtime;
 pub mod sched;
 mod serial;

@@ -12,13 +12,13 @@ use crate::clock;
 use crate::error::{Abort, ConflictKind, StmResult};
 use crate::hooks::{self, TRACE};
 use crate::orec::{self, Orec, DIRECT_WRITER};
+use crate::reclaim;
 use crate::serial;
 use crate::trace;
-use parking_lot::{RwLock, RwLockReadGuard};
 use std::any::Any;
 use std::fmt;
 use std::marker::PhantomData;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicPtr, AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Unique identity of a [`TVar`], stable for the life of the process.
@@ -39,36 +39,56 @@ static NEXT_VAR_ID: AtomicU64 = AtomicU64::new(1);
 pub(crate) type Boxed = Arc<dyn Any + Send + Sync>;
 
 /// Shared state of one transactional variable (type-erased).
+///
+/// Every value the cell ever holds — committed or buffered in a write set
+/// — is an `Arc<T>` for the `T` of the [`TVar`] that created it, which is
+/// what makes the casts in [`TVar`]'s reads sound. Aligned to a cache line
+/// so that the fields a read loads do not share one with the `Arc`'s
+/// counts, which every write-set entry bumps.
+#[repr(align(64))]
 pub(crate) struct VarInner {
     pub(crate) id: u64,
     /// The ownership record this variable maps to — a stripe of the global
     /// padded table, shared with every id at distance `k·STRIPES`.
     pub(crate) orec: &'static Orec,
-    /// Current committed value.
-    value: RwLock<Boxed>,
+    /// The committed value: `Arc::into_raw` of its `Arc<T>`. A read
+    /// dereferences it inside a [`reclaim`] window; the writer that swaps
+    /// it out retires it.
+    value: AtomicPtr<()>,
+    /// Frees a value of this cell's type from its `into_raw` pointer.
+    drop_value: unsafe fn(*const ()),
+}
+
+/// # Safety
+///
+/// `value` is the `into_raw` of an `Arc<T>` that no one else will free.
+unsafe fn drop_arc<T>(value: *const ()) {
+    drop(Arc::from_raw(value.cast::<T>()));
 }
 
 impl VarInner {
-    fn new(value: Boxed) -> Arc<VarInner> {
+    fn new<T: Send + Sync + 'static>(value: Arc<T>) -> Arc<VarInner> {
         let id = NEXT_VAR_ID.fetch_add(1, Ordering::Relaxed);
-        Arc::new(VarInner { id, orec: orec::stripe_for(id), value: RwLock::new(value) })
+        let value = AtomicPtr::new(Arc::into_raw(value).cast_mut().cast());
+        Arc::new(VarInner { id, orec: orec::stripe_for(id), value, drop_value: drop_arc::<T> })
     }
 
-    /// Consistent read: returns the value's read guard together with the
+    /// Consistent read: the committed value's pointer together with the
     /// stripe version it was committed at, or a conflict if the orec stays
     /// busy. The seqlock pattern — writer, version, value, then writer
     /// *before* version on the re-check — guarantees the value belongs to
     /// the returned version: a committer releases in the order stamp →
     /// unlock, so seeing the stripe unlocked implies its new version is
-    /// visible to the load that follows.
-    pub(crate) fn read_consistent(&self) -> StmResult<(RwLockReadGuard<'_, Boxed>, u64)> {
+    /// visible to the load that follows. The pointer may be dereferenced
+    /// only inside the [`reclaim::pinned`] window the load was made in.
+    pub(crate) fn read_consistent(&self) -> StmResult<(*const (), u64)> {
         for _ in 0..READ_SPIN {
             if self.orec.writer() != 0 {
                 std::hint::spin_loop();
                 continue;
             }
             let v1 = self.orec.version();
-            let val = self.value.read();
+            let val = self.value.load(Ordering::Acquire);
             let w2 = self.orec.writer();
             let v2 = self.orec.version();
             if w2 == 0 && v1 == v2 {
@@ -79,10 +99,16 @@ impl VarInner {
         Err(Abort::Conflict(ConflictKind::OrecBusy))
     }
 
-    /// Replace the value without touching the version — only while the
-    /// orec is held (commit write-back).
-    pub(crate) fn set_value(&self, value: Boxed) {
-        *self.value.write() = value;
+    /// Swap in `value` and retire the old one under `wv` — only while the
+    /// orec is held (commit write-back), with `wv` taken after locking it.
+    /// Frees nothing: the writer calls [`reclaim::collect`] once it has
+    /// released its stripes.
+    pub(crate) fn publish(&self, value: Boxed, wv: u64) {
+        let new = Arc::into_raw(value).cast_mut().cast();
+        let old = self.value.swap(new, Ordering::AcqRel);
+        // SAFETY: the swap unpublished `old`, the caller holds the stripe
+        // and took `wv` after locking it, and `drop_value` is `old`'s.
+        unsafe { reclaim::retire(old, self.drop_value, wv) };
     }
 
     /// Non-transactional atomic store (a degenerate single-write commit):
@@ -93,11 +119,20 @@ impl VarInner {
             std::hint::spin_loop();
         }
         let wv = clock::commit_stamp();
-        self.set_value(value);
+        self.publish(value, wv);
         self.orec.stamp_release(wv);
         self.orec.unlock(DIRECT_WRITER);
         drop(_g);
+        reclaim::collect();
         crate::runtime::notify_retriers();
+    }
+}
+
+impl Drop for VarInner {
+    fn drop(&mut self) {
+        // SAFETY: no reader outlives its handle, and the value is the
+        // cell's own `Arc<T>`.
+        unsafe { (self.drop_value)(*self.value.get_mut()) }
     }
 }
 
@@ -157,20 +192,44 @@ impl<T: Send + Sync + 'static> TVar<T> {
         VarId(self.inner.id)
     }
 
+    /// The `T` a payload pointer of this cell points to.
+    ///
+    /// # Safety
+    ///
+    /// `value` is this cell's: committed and accepted inside a read window
+    /// that outlives `'a`, or buffered in a live write set.
+    unsafe fn payload<'a>(value: *const ()) -> &'a T {
+        &*value.cast::<T>()
+    }
+
+    /// A new owner of a payload of this cell (one count bump, no clone of
+    /// `T`).
+    ///
+    /// # Safety
+    ///
+    /// As for [`payload`](TVar::payload), for the duration of the call.
+    unsafe fn share(value: *const ()) -> Arc<T> {
+        Arc::increment_strong_count(value.cast::<T>());
+        Arc::from_raw(value.cast())
+    }
+
     /// Run `f` on the current value inside a transaction, borrowing it:
     /// no clone of `T`, nor of its `Arc`. The other reads wrap the same one.
     ///
-    /// `f` runs while the cell's read lock is held, and only on a value the
-    /// transaction has already validated. A commit that writes this
-    /// variable waits until `f` returns. `f` must not touch any `TVar`,
-    /// block, or reach a scheduler yield point: the lock prefers writers,
-    /// so re-reading this cell while a committer waits deadlocks.
+    /// `f` runs only on a value the transaction has already validated,
+    /// inside the thread's read window, which keeps that value allocated
+    /// until `f` returns. A commit never waits for `f`: it swaps in its
+    /// value and frees the old one later. `f` must not touch any `TVar`,
+    /// block, or reach a scheduler yield point, because an open window
+    /// keeps every writer's replaced values from being freed (and windows
+    /// do not nest).
     ///
     /// # Errors
     ///
     /// Returns [`Abort`] on conflict; propagate with `?`.
     pub fn read_with<R>(&self, txn: &mut crate::Txn, f: impl FnOnce(&T) -> R) -> StmResult<R> {
-        txn.read_raw(&self.inner, |b| f(b.downcast_ref().expect(CONFUSED)))
+        // SAFETY: `read_raw` hands `f` a pointer it keeps alive for the call.
+        txn.read_raw(&self.inner, |value| f(unsafe { Self::payload(value) }))
     }
 
     /// Read a shared handle to the current value inside a transaction.
@@ -182,7 +241,8 @@ impl<T: Send + Sync + 'static> TVar<T> {
     ///
     /// Returns [`Abort`] on conflict; propagate with `?`.
     pub fn read_arc(&self, txn: &mut crate::Txn) -> StmResult<Arc<T>> {
-        txn.read_raw(&self.inner, |b| b.clone().downcast().expect(CONFUSED))
+        // SAFETY: as in `read_with`.
+        txn.read_raw(&self.inner, |value| unsafe { Self::share(value) })
     }
 
     /// Replace the value inside a transaction. The write is buffered and
@@ -200,19 +260,26 @@ impl<T: Send + Sync + 'static> TVar<T> {
     /// Consistent (never observes a torn or in-flight commit) but does not
     /// participate in any transaction's conflict detection.
     pub fn load_arc(&self) -> Arc<T> {
-        self.load_with(|b| b.clone().downcast().expect(CONFUSED))
+        // SAFETY: `load_with` keeps the pointer alive for the call.
+        self.load_with(|value| unsafe { Self::share(value) })
     }
 
-    /// `f` on a consistent snapshot under the cell's read lock, spinning
-    /// instead of aborting (the contract of [`read_with`](TVar::read_with)).
-    fn load_with<R>(&self, f: impl FnOnce(&Boxed) -> R) -> R {
+    /// `f` on a consistent snapshot's payload pointer, inside a read window
+    /// whose epoch is the current clock, spinning instead of aborting (the
+    /// contract of [`read_with`](TVar::read_with)).
+    fn load_with<R>(&self, f: impl FnOnce(*const ()) -> R) -> R {
         crate::sched::yield_point(crate::sched::SyncOp::SharedRead(
             self.inner.id | crate::sched::VAR_TAG,
         ));
         self.trace_direct(trace::AccessKind::Read);
+        let mut f = Some(f);
         loop {
-            if let Ok((value, _)) = self.inner.read_consistent() {
-                return f(&value);
+            let read = reclaim::pinned(clock::now(), || {
+                let (value, _) = self.inner.read_consistent().ok()?;
+                f.take().map(|f| f(value))
+            });
+            if let Some(r) = read {
+                return r;
             }
             std::thread::yield_now();
         }
@@ -268,10 +335,11 @@ impl<T: Clone + Send + Sync + 'static> TVar<T> {
     }
 
     /// Non-transactional atomic read returning an owned copy (one clone of
-    /// `T`, made under the cell's read lock; [`load_arc`](TVar::load_arc)
-    /// clones only the `Arc`).
+    /// `T`, made inside a read window; [`load_arc`](TVar::load_arc) clones
+    /// only the `Arc`).
     pub fn load(&self) -> T {
-        self.load_with(|b| b.downcast_ref::<T>().expect(CONFUSED).clone())
+        // SAFETY: `load_with` keeps the pointer alive for the call.
+        self.load_with(|value| unsafe { Self::payload(value) }.clone())
     }
 }
 
@@ -280,8 +348,6 @@ impl<T: Default + Send + Sync + 'static> Default for TVar<T> {
         TVar::new(T::default())
     }
 }
-
-const CONFUSED: &str = "TVar type confusion: value of unexpected type";
 
 #[cfg(test)]
 mod tests {

@@ -11,10 +11,12 @@
 //! order, obtain a write stamp from the [`crate::clock`] (*after* the
 //! locks — the clock's safety contract), validate the read set
 //! (revocable only: nothing can have committed under an irrevocable
-//! transaction), publish the buffered values, stamp and release the
-//! stripes. A stripe is therefore held only between that lock loop and
-//! that unlock loop, inside a serial guard, with no yield point in
-//! between. Read-only transactions commit without touching any of that:
+//! transaction), publish the buffered values (each swaps its cell's
+//! pointer and retires the value it replaces), stamp and release the
+//! stripes, then run a [`crate::reclaim`] pass. A stripe is therefore
+//! held only between that lock loop and that unlock loop, inside a serial
+//! guard, with no yield point and no value's `Drop` in between. Read-only
+//! transactions commit without touching any of that:
 //! every read was checked against `rv` when it was made, and the read
 //! that triggers a snapshot extension is re-validated *after* the
 //! extension, because it was sampled before the new `rv` and is not yet in
@@ -33,6 +35,7 @@ use crate::contention::BackoffPolicy;
 use crate::error::{Abort, CapacityKind, ConflictKind, StmResult};
 use crate::obs;
 use crate::obs::SiteId;
+use crate::reclaim;
 use crate::sched;
 use crate::serial;
 use crate::trace;
@@ -342,16 +345,17 @@ impl Txn {
         self.write_set.iter().rposition(|w| w.var.id == id)
     }
 
-    /// The one transactional read. Its bookkeeping (write-set hit, snapshot
-    /// extension and re-validation, duplicate check, read-set push) all
-    /// runs under the cell's read lock, then `f` runs on the accepted value,
-    /// still under it: a commit that writes `var` waits for `f`, which must
-    /// not touch a `TVar`, block or yield (`parking_lot::RwLock` prefers
-    /// writers, so re-reading the cell while a committer waits deadlocks).
+    /// The one transactional read. A write-set hit hands `f` the buffered
+    /// value. Otherwise the read opens a [`reclaim`] window at epoch `rv`,
+    /// loads the committed pointer between the orec checks, does its
+    /// bookkeeping (snapshot extension and re-validation, duplicate check,
+    /// read-set push), runs `f` on the accepted pointer and closes the
+    /// window. A commit never waits for `f`; `f` must not touch a `TVar`,
+    /// block or yield, because the open window pins every writer's garbage.
     pub(crate) fn read_raw<R>(
         &mut self,
         var: &VarInner,
-        f: impl FnOnce(&Boxed) -> R,
+        f: impl FnOnce(*const ()) -> R,
     ) -> StmResult<R> {
         // Irrevocable bodies never yield: they hold the global serial lock,
         // so parking them could strand an OS-blocked peer (and serial mode
@@ -369,8 +373,19 @@ impl Txn {
         let bits = filter_bits(var.id);
         if let Some(i) = self.write_slot(var.id, bits) {
             self.trace_access(var.id, trace::AccessKind::Read);
-            return Ok(f(&self.write_set[i].value));
+            return Ok(f(Arc::as_ptr(&self.write_set[i].value).cast()));
         }
+        reclaim::pinned(self.rv, || self.read_committed(var, bits, f))
+    }
+
+    /// [`read_raw`](Txn::read_raw)'s committed-value half, inside its
+    /// window.
+    fn read_committed<R>(
+        &mut self,
+        var: &VarInner,
+        bits: u128,
+        f: impl FnOnce(*const ()) -> R,
+    ) -> StmResult<R> {
         let (value, version) = var.read_consistent()?;
         if version > self.rv {
             self.extend_rv()?;
@@ -390,7 +405,7 @@ impl Txn {
             if let Some(e) = self.read_set.iter().rev().find(|e| e.id == var.id) {
                 if e.version == version {
                     self.trace_access(var.id, trace::AccessKind::Read);
-                    return Ok(f(&value));
+                    return Ok(f(value));
                 }
                 // The stripe moved since the first read of this variable:
                 // the recorded entry can no longer validate, so the
@@ -406,7 +421,7 @@ impl Txn {
         self.read_set.push(ReadEntry { orec: var.orec, id: var.id, version });
         self.read_filter |= bits;
         self.trace_access(var.id, trace::AccessKind::Read);
-        Ok(f(&value))
+        Ok(f(value))
     }
 
     pub(crate) fn write_raw(&mut self, var: &Arc<VarInner>, value: Boxed) -> StmResult<()> {
@@ -704,7 +719,7 @@ impl Txn {
             if crate::canary::fire(crate::canary::Canary::StmSkipWriteback) {
                 continue;
             }
-            w.var.set_value(w.value.clone());
+            w.var.publish(w.value.clone(), wv);
         }
         #[cfg(feature = "canary")]
         let do_stamp = !stale_stamp;
@@ -718,6 +733,7 @@ impl Txn {
         unlock(&stripes);
         drop(shared);
         self.irrevocable = None;
+        reclaim::collect();
 
         self.finish_success(true);
         Ok(())

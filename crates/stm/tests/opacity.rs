@@ -2,11 +2,14 @@
 //! accounts must never hand a read-only transaction a torn snapshot, and
 //! concurrent read-modify-writes must add up to what a sequential oracle
 //! computes. A closure passed to `TVar::read_with` sees only values its
-//! transaction accepted, and a commit to the variable waits for it. The
+//! transaction accepted, and a commit to the variable does not wait for
+//! it, nor free the value it still reads. The
 //! deterministic scheduler cannot see this class (a read or a commit is
 //! one step there), so these run on OS threads.
 
 use proptest::prelude::*;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use txfix_stm::{atomic, EscalationPolicy, TVar, Txn, TxnBuilder};
 
 /// The transfer workload: writers move amounts between two accounts
@@ -160,49 +163,86 @@ fn optimistic_writers_never_show_read_with_a_torn_pair() {
     pinned_rung_cell(u64::MAX, true);
 }
 
-/// A commit that writes a variable waits for a reader inside
-/// `read_with`'s closure. The reader parks in `f` (the blocking the
-/// contract forbids, here on purpose) while a writer commits to the same
-/// `TVar`; the commit must not finish before `f` returns, the
-/// reader must return the old value, and the new one must be visible
-/// once both threads finish. Every wait is a `recv_timeout`, so a
-/// deadlock fails the test instead of hanging it.
+/// A payload that records its own drop.
+struct Tracked {
+    value: u64,
+    dropped: Arc<AtomicBool>,
+}
+
+impl Drop for Tracked {
+    fn drop(&mut self) {
+        self.dropped.store(true, Ordering::SeqCst);
+    }
+}
+
+/// A commit does not wait for a reader inside `read_with`'s closure, and
+/// the value it replaces outlives that closure. The reader parks in `f`
+/// (the blocking the contract forbids, here on purpose) while a writer
+/// commits to the same `TVar`: the commit must finish while the reader is
+/// still inside, the reader must return the old value, the old payload
+/// must not be dropped before `f` returns, and it must be dropped once the
+/// reader has left and the writer has committed enough times to run a
+/// reclaim pass. Every wait is a `recv_timeout`, so a deadlock fails the
+/// test instead of hanging it.
 #[test]
-fn a_commit_waits_for_a_reader_inside_read_with() {
+fn a_commit_does_not_wait_for_a_reader_inside_read_with() {
     use std::sync::mpsc::channel;
-    use std::time::Duration;
+    use std::time::{Duration, Instant};
     const DEADLOCK: Duration = Duration::from_secs(10);
-    let v = TVar::new(1u64);
+    let old_dropped = Arc::new(AtomicBool::new(false));
+    let v = TVar::new(Tracked { value: 1, dropped: old_dropped.clone() });
     let (in_f, reader_in_f) = channel();
     let (committed, writer_committed) = channel();
-    let (result, reader_result) = channel();
+    let (left, reader_left) = channel();
+    let (reader_done, reader_result) = channel();
+    let (writer_done, writer_result) = channel();
     let reader = std::thread::spawn({
-        let v = v.clone();
+        let (v, old_dropped) = (v.clone(), old_dropped.clone());
         move || {
-            let (seen, early) = atomic(|txn| {
-                v.read_with(txn, |&x| {
+            let reply = atomic(|txn| {
+                v.read_with(txn, |old| {
                     in_f.send(()).unwrap();
-                    // Long enough for the commit to reach this cell.
-                    (x, writer_committed.recv_timeout(Duration::from_millis(200)).is_ok())
+                    let committed_inside = writer_committed.recv_timeout(DEADLOCK).is_ok();
+                    // Read the payload after the commit: had the writer
+                    // freed it, this would be a use after free.
+                    (old.value, committed_inside, old_dropped.load(Ordering::SeqCst))
                 })
             });
-            let late = writer_committed.recv_timeout(DEADLOCK).is_ok();
-            result.send((seen, early, late)).unwrap();
+            left.send(()).unwrap();
+            reader_done.send(reply).unwrap();
         }
     });
     let writer = std::thread::spawn({
-        let v = v.clone();
+        let (v, old_dropped) = (v.clone(), old_dropped.clone());
         move || {
             reader_in_f.recv_timeout(DEADLOCK).expect("the reader never entered f");
-            atomic(|txn| v.write(txn, 2));
-            committed.send(()).unwrap();
+            let new = || Tracked { value: 2, dropped: Arc::new(AtomicBool::new(false)) };
+            atomic(|txn| v.write(txn, new()));
+            // The reader may have given up on the commit and left.
+            let _ = committed.send(());
+            reader_left.recv_timeout(DEADLOCK).expect("the reader never left f");
+            // The old payload waits in this thread's retire list; only a
+            // pass, which a full list runs, frees it.
+            let other = TVar::new(0u64);
+            let deadline = Instant::now() + DEADLOCK;
+            let mut commits = 0;
+            while !old_dropped.load(Ordering::SeqCst) && Instant::now() < deadline {
+                atomic(|txn| other.modify(txn, |x| x + 1));
+                commits += 1;
+            }
+            writer_done.send((commits, old_dropped.load(Ordering::SeqCst))).unwrap();
         }
     });
-    let (seen, early, late) = reader_result.recv_timeout(DEADLOCK).expect("reader deadlocked");
-    assert!(!early, "a commit finished while a reader was inside f");
-    assert!(late, "the commit deadlocked behind the reader");
+    let wait = 3 * DEADLOCK;
+    let (seen, committed_inside, dropped_inside) =
+        reader_result.recv_timeout(wait).expect("reader deadlocked");
+    assert!(committed_inside, "the commit waited for a reader inside f");
     assert_eq!(seen, 1, "the reader did not return the old value");
+    assert!(!dropped_inside, "the old payload was dropped while a reader was inside f");
+    let (commits, freed) = writer_result.recv_timeout(wait).expect("writer deadlocked");
+    assert!(freed, "the old payload was never dropped ({commits} commits after the reader left)");
+    assert!(commits > 0, "the old payload was dropped before a reclaim pass");
     reader.join().unwrap();
     writer.join().unwrap();
-    assert_eq!(v.load(), 2, "the writer's value is not visible");
+    assert_eq!(v.load_arc().value, 2, "the writer's value is not visible");
 }

@@ -93,6 +93,31 @@ fn deleted_flags_are_usage_errors() {
     }
 }
 
+/// DFS reads no seed, so `explore` rejects `--seed` under it (DFS is also
+/// the default strategy) before anything runs; under PCT the seed steers
+/// the schedules and is accepted. Driven through `execute`, which writes
+/// no artifact, on one scenario at a budget of one schedule.
+#[test]
+fn explore_takes_a_seed_only_under_pct() {
+    let explore = || runners().into_iter().find(|(name, _)| *name == "explore").expect("a verb").1;
+    let args = |runner: &mut dyn SweepRunner, raw: &[&str]| {
+        let raw: Vec<String> = raw.iter().map(|s| s.to_string()).collect();
+        sweep::parse_sweep_args(runner, &raw).expect("the flags parse")
+    };
+    for strategy in [&["--strategy", "dfs"][..], &[]] {
+        let mut runner = explore();
+        let raw = [&["av_stats_race", "--budget", "1", "--seed", "5"][..], strategy].concat();
+        let parsed = args(runner.as_mut(), &raw);
+        match runner.execute(&parsed) {
+            Err(msg) => assert_eq!(msg, "--seed steers --strategy pct; dfs takes no seed"),
+            Ok(_) => panic!("`explore {raw:?}` ran"),
+        }
+    }
+    let mut runner = explore();
+    let parsed = args(runner.as_mut(), &["--all", "--strategy", "pct", "--seed", "5"]);
+    assert_eq!(parsed.seed, Some(5));
+}
+
 #[test]
 fn help_lists_exactly_the_rows_in_order() {
     // A verb's block starts at a two-space indent; continuation lines are
