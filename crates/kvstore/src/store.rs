@@ -162,7 +162,7 @@ struct CkptState {
 }
 
 /// A shard's transactional state, the value of its one `TVar`. Cloning it
-/// bumps one refcount per leaf.
+/// bumps one refcount per chunk of leaves: O(√n) for n leaves.
 #[derive(Clone)]
 struct State {
     /// Next WAL txid — allocated *inside* the write transaction, so txid

@@ -656,9 +656,17 @@ impl Txn {
         // inside a serial guard — but it still happens: non-transactional
         // readers use the stripe seqlock, and publishing a value without
         // the lock can hand them a new value under the old version stamp.
-        let mut stripes: Vec<OrecRef> = self.write_set.iter().map(|w| w.var.orec).collect();
-        stripes.sort_by_key(|o| o.index());
-        stripes.dedup_by_key(|o| o.index());
+        // A one-entry write set (every KV write) is its own stripe list.
+        let mut many: Vec<OrecRef>;
+        let stripes: &[OrecRef] = match &self.write_set[..] {
+            [w] => std::slice::from_ref(&w.var.orec),
+            writes => {
+                many = writes.iter().map(|w| w.var.orec).collect();
+                many.sort_by_key(|o| o.index());
+                many.dedup_by_key(|o| o.index());
+                &many
+            }
+        };
         let serial = self.serial;
         let unlock = |held: &[OrecRef]| held.iter().for_each(|o| o.unlock(serial));
         for (k, o) in stripes.iter().enumerate() {
@@ -688,7 +696,7 @@ impl Txn {
                     continue;
                 }
                 if !e.orec.validate(e.version, serial) {
-                    unlock(&stripes);
+                    unlock(stripes);
                     return Err(Abort::Conflict(ConflictKind::ReadValidation));
                 }
             }
@@ -697,7 +705,7 @@ impl Txn {
             // locked, nothing published yet. The unlock must leave no
             // trace of the attempt.
             if chaos::should_inject(chaos::InjectionPoint::TxnWriteback) {
-                unlock(&stripes);
+                unlock(stripes);
                 return Err(Abort::Conflict(ConflictKind::OrecBusy));
             }
         }
@@ -726,11 +734,11 @@ impl Txn {
         #[cfg(not(feature = "canary"))]
         let do_stamp = true;
         if do_stamp {
-            for o in &stripes {
+            for o in stripes {
                 o.stamp_release(wv);
             }
         }
-        unlock(&stripes);
+        unlock(stripes);
         drop(shared);
         self.irrevocable = None;
         reclaim::collect();
