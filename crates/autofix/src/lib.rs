@@ -22,7 +22,7 @@
 //!    no explored schedule of the patch may fail.
 //!
 //! `txfix autofix [<key>] [--all]` runs the loop over the corpus and
-//! emits the deterministic `txfix-autofix-v2` report
+//! emits the deterministic `txfix-autofix-v3` report
 //! (`AUTOFIX_stm.json`, byte-compared across runs in CI).
 
 pub mod interp;
@@ -32,16 +32,16 @@ use report::{AutofixEntry, AutofixReport, VerifyStats};
 use txfix_core::json::ToJson;
 use txfix_core::sweep::{SweepArgs, SweepOutput, SweepRunner, Universe};
 use txfix_corpus::{keys, RunResult, Scenario, Variant, SCENARIOS};
-use txfix_explore::{explore_build, ExploreConfig};
+use txfix_explore::explore_build;
 use txfix_static::{check, infer, Region, ScenarioSummary};
 
 pub use interp::build_run;
 
 /// Explore every schedule of `summary` (through [`build_run`]) and
 /// summarize the outcome.
-fn verify_dynamic(summary: &ScenarioSummary, cfg: &ExploreConfig) -> VerifyStats {
+fn verify_dynamic(summary: &ScenarioSummary) -> VerifyStats {
     let build = |_: Variant| build_run(summary);
-    let ex = explore_build(&build, Variant::Buggy, cfg);
+    let ex = explore_build(&build, Variant::Buggy);
     VerifyStats {
         schedules: ex.schedules,
         pruned: ex.pruned,
@@ -72,7 +72,7 @@ fn without_thread_tokens(message: &str) -> String {
 /// Run the full infer → verify loop for one corpus row.
 /// Inference failures produce an entry with `error` set (and `ok() ==
 /// false`), so a sweep reports them instead of stopping.
-pub fn autofix_scenario(row: &Scenario, cfg: &ExploreConfig) -> AutofixEntry {
+pub fn autofix_scenario(row: &Scenario) -> AutofixEntry {
     let key = row.key;
     let buggy = row.summary(Variant::Buggy);
     let inference = match infer(&buggy) {
@@ -98,22 +98,17 @@ pub fn autofix_scenario(row: &Scenario, cfg: &ExploreConfig) -> AutofixEntry {
         rounds: inference.rounds,
         error: None,
         static_clean,
-        buggy: verify_dynamic(&buggy, cfg),
-        patched: verify_dynamic(&inference.patched, cfg),
+        buggy: verify_dynamic(&buggy),
+        patched: verify_dynamic(&inference.patched),
         regions: inference.regions,
     }
 }
 
 /// Autofix the corpus scenarios whose key `selected` admits, in corpus
 /// order.
-pub fn autofix_corpus(selected: impl Fn(&str) -> bool, cfg: &ExploreConfig) -> AutofixReport {
+pub fn autofix_corpus(selected: impl Fn(&str) -> bool) -> AutofixReport {
     let rows = SCENARIOS.iter().filter(|row| selected(row.key));
-    AutofixReport {
-        strategy: cfg.strategy.name().to_string(),
-        budget: cfg.budget,
-        seed: cfg.seed,
-        entries: rows.map(|row| autofix_scenario(row, cfg)).collect(),
-    }
+    AutofixReport { entries: rows.map(autofix_scenario).collect() }
 }
 
 /// `txfix autofix`: infer, synthesize and verify a fix per selected
@@ -145,7 +140,7 @@ impl SweepRunner for AutofixSweep {
     }
 
     fn execute(&mut self, args: &SweepArgs) -> Result<SweepOutput, String> {
-        let report = autofix_corpus(|key| args.selects(key), &ExploreConfig::default());
+        let report = autofix_corpus(|key| args.selects(key));
         Ok(SweepOutput {
             rendered: report.to_json(),
             table: report.table(),

@@ -1,16 +1,17 @@
-//! The `txfix-autofix-v2` report format.
+//! The `txfix-autofix-v3` report format.
 //!
-//! Like `txfix-explore-v1`, the report deliberately excludes wall-clock
+//! Like `txfix-explore-v2`, the report deliberately excludes wall-clock
 //! time and anything else non-deterministic: CI runs `txfix autofix
 //! --all` twice and byte-compares the JSON, so every field must be a
-//! pure function of `(corpus, strategy, seed, budget)`.
+//! pure function of `(corpus, budget)`. v3 is v2 without the `strategy`
+//! and `seed` keys: the explorer's one strategy, DFS, takes no seed.
 
 use std::fmt::Write as _;
 use txfix_core::json::{Json, ToJson};
 use txfix_static::Region;
 
 /// Format identifier.
-pub const FORMAT: &str = "txfix-autofix-v2";
+pub const FORMAT: &str = "txfix-autofix-v3";
 
 /// One exploration of a summary (buggy input or synthesized patch)
 /// through the schedule explorer.
@@ -63,12 +64,6 @@ impl AutofixEntry {
 /// The whole corpus sweep.
 #[derive(Clone, Debug)]
 pub struct AutofixReport {
-    /// Exploration strategy (`dfs` / `pct`).
-    pub strategy: String,
-    /// Per-summary schedule budget.
-    pub budget: u64,
-    /// Base seed (PCT; recorded either way).
-    pub seed: u64,
     /// Every autofixed scenario.
     pub entries: Vec<AutofixEntry>,
 }
@@ -159,9 +154,7 @@ impl ToJson for AutofixReport {
     fn to_json_value(&self) -> Json {
         Json::obj([
             ("schema", Json::str(FORMAT)),
-            ("strategy", Json::str(&self.strategy)),
-            ("budget", Json::int(self.budget)),
-            ("seed", Json::int(self.seed)),
+            ("budget", Json::int(txfix_explore::BUDGET)),
             ("ok", Json::Bool(self.ok())),
             ("entries", Json::list(self.entries.iter().map(|e| e.to_json_value()))),
         ])

@@ -188,7 +188,7 @@ pub const SCENARIOS: [Scenario; 18] = [
         key: keys::DL_THREE_LOCK_CYCLE,
         describe: "three threads each take lock i then lock (i+1)%3, forming a three-party cycle",
         scheduled: scheduled::dl_three_lock_cycle,
-        bug_trace: &[2, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+        bug_trace: &[0, 1, 0, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0],
         model: summaries::dl_three_lock_cycle,
     },
     Scenario {
@@ -251,7 +251,7 @@ pub const SCENARIOS: [Scenario; 18] = [
         describe: "a producer updates the item count outside the consumer's monitor, so the \
                    signal can fire before the state it announces exists (lost wakeup)",
         scheduled: scheduled::av_cv_partial,
-        bug_trace: &[1, 1, 0, 1, 1, 1, 0, 0],
+        bug_trace: &[0, 1, 1, 0, 0],
         model: summaries::av_cv_partial,
     },
     Scenario {
@@ -298,7 +298,7 @@ pub const SCENARIOS: [Scenario; 18] = [
                    diverges from the server's tables; Recipe 4 wraps delete+log in a serialized \
                    atomic section",
         scheduled: scheduled::mysql_i,
-        bug_trace: &[1, 0, 0, 0],
+        bug_trace: &[0, 1, 0, 0],
         model: summaries::mysql_i,
     },
     Scenario {
@@ -306,7 +306,7 @@ pub const SCENARIOS: [Scenario; 18] = [
         describe: "a do-it-yourself optimistic-concurrency scheme validates with a plain load \
                    and loses updates; a memory transaction replaces the whole machinery",
         scheduled: scheduled::av_adhoc_retry,
-        bug_trace: &[0, 0, 0, 1, 1, 1, 1, 1, 0, 0],
+        bug_trace: &[0, 0, 0, 0, 1, 0, 0, 0],
         model: summaries::av_adhoc_retry,
     },
 ];

@@ -6,7 +6,8 @@
 //! on the DFS stack for the shared prefix and extends the stack at the
 //! frontier. Scenario builds are deterministic, so the candidate sets at
 //! each depth are reproducible across re-executions — the stack's record
-//! of "what was runnable here" stays valid.
+//! of "what was runnable here" stays valid. A build that breaks this is
+//! reported as a failing schedule, never as an exhausted space.
 //!
 //! Sleep sets (Godefroid): after fully exploring candidate `t` at a node,
 //! `t` is put to sleep for the node's remaining candidates; a sleeping
@@ -98,14 +99,17 @@ pub fn explore_dfs(
                 let mut st = stack.lock().unwrap();
                 let pick = if depth < st.len() {
                     // Forced prefix. Scenario builds are deterministic, so
-                    // the candidates must match what we recorded; a
-                    // mismatch would silently corrupt the exploration, so
-                    // check it hard.
-                    debug_assert_eq!(
-                        st[depth].candidates, cands,
-                        "non-deterministic scenario: candidate set diverged on re-execution"
-                    );
-                    Pick::Choose(st[depth].chosen)
+                    // the candidates must match what we recorded. A
+                    // mismatch would silently corrupt the exploration (and
+                    // could prove a space it never saw), so it stops the
+                    // run as a failure, in every build profile.
+                    if st[depth].candidates == cands {
+                        Pick::Choose(st[depth].chosen)
+                    } else {
+                        Pick::Diverge(format!(
+                            "non-deterministic build: candidate set diverged at depth {depth}"
+                        ))
+                    }
                 } else {
                     let sleep = match st.last() {
                         Some(parent) => parent.child_sleep(),

@@ -1,10 +1,10 @@
 //! Greedy preemption minimization for failing schedules.
 //!
-//! A raw failing trace (especially from PCT) is full of incidental
-//! context switches. The minimizer re-executes the scenario with hybrid
-//! pickers that follow the failing schedule's *thread* choices for a
-//! prefix and then go non-preemptive (keep running the current thread
-//! while it is runnable), and keeps the shortest prefix that still fails.
+//! A raw failing trace can carry context switches the failure does not
+//! need. The minimizer re-executes the scenario with hybrid pickers that
+//! follow the failing schedule's *thread* choices for a prefix and then
+//! go non-preemptive (keep running the current thread while it is
+//! runnable), and keeps the shortest prefix that still fails.
 //! This is greedy and bounded — not an optimal reduction — but it
 //! reliably collapses the tail of a failure trace to the few switches
 //! that matter, which is what a human replaying the schedule wants.

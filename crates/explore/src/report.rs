@@ -1,15 +1,16 @@
-//! The `txfix-explore-v1` report format.
+//! The `txfix-explore-v2` report format.
 //!
 //! Deliberately excludes wall-clock time and anything else
 //! non-deterministic: CI runs the sweep twice and byte-compares the JSON
 //! to prove replayability, so every field must be a pure function of
-//! `(corpus, strategy, seed, budget)`.
+//! `(corpus, budget)`. v2 is v1 without the `strategy` and `seed` keys:
+//! DFS is the only strategy, and no seed steers it.
 
 use std::fmt::Write as _;
 use txfix_core::json::{Json, ToJson};
 
 /// Format identifier.
-pub const FORMAT: &str = "txfix-explore-v1";
+pub const FORMAT: &str = "txfix-explore-v2";
 
 /// Details of the first failing schedule for a buggy variant, after
 /// minimization.
@@ -53,12 +54,6 @@ pub struct EntryReport {
 /// The whole sweep.
 #[derive(Clone, Debug)]
 pub struct ExploreReport {
-    /// Strategy name (`dfs` / `pct`).
-    pub strategy: String,
-    /// Per-(scenario, variant) schedule budget.
-    pub budget: u64,
-    /// Base seed (PCT; DFS ignores it but it is recorded for replay).
-    pub seed: u64,
     /// Every explored (scenario, variant).
     pub entries: Vec<EntryReport>,
 }
@@ -99,17 +94,7 @@ impl ExploreReport {
                 verdict
             );
             if let (Some(f), true) = (&e.failure, e.ok) {
-                // DFS takes no seed (`explore --strategy dfs --seed S` is a
-                // usage error), so only a PCT replay names one.
-                let seed = match self.strategy.as_str() {
-                    "pct" => format!(" --seed {}", self.seed),
-                    _ => String::new(),
-                };
-                let _ = write!(
-                    table,
-                    "\n{:55}replay: --strategy {}{seed} trace {}",
-                    "", self.strategy, f.trace
-                );
+                let _ = write!(table, "\n{:55}replay: trace {}", "", f.trace);
             }
         }
         table
@@ -153,9 +138,7 @@ impl ToJson for ExploreReport {
     fn to_json_value(&self) -> Json {
         Json::obj([
             ("schema", Json::str(FORMAT)),
-            ("strategy", Json::str(&self.strategy)),
-            ("budget", Json::int(self.budget)),
-            ("seed", Json::int(self.seed)),
+            ("budget", Json::int(crate::BUDGET)),
             ("ok", Json::Bool(self.ok())),
             ("entries", Json::list(self.entries.iter().map(|e| e.to_json_value()))),
         ])

@@ -1,16 +1,18 @@
 //! Scheduler and explorer integration tests: DFS completeness on a toy
-//! state space, replay determinism, PCT bug-finding, serial-rung
-//! schedule-independence, and the corpus-level acceptance sweep.
+//! state space, a non-deterministic build refused, replay determinism,
+//! serial-rung schedule-independence, and the corpus-level acceptance
+//! sweep.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use txfix_corpus::{
     replay_picker, run_schedule, scenario_by_key, Outcome, RunResult, ScheduleOutcome,
     ScheduledRun, Variant, SCENARIOS,
 };
 use txfix_explore::dfs::explore_dfs;
-use txfix_explore::{explore_variant, pct, ExploreConfig, Strategy};
-use txfix_stm::sched;
+use txfix_explore::explore_variant;
+use txfix_stm::chaos::splitmix64;
+use txfix_stm::sched::{self, Pick, Picker};
 use txfix_stm::trace::TracedCell;
 use txfix_stm::TVar;
 use txfix_tmsync::serial_atomic;
@@ -88,23 +90,52 @@ fn sleep_sets_prune_commuting_interleavings() {
     });
 }
 
+/// A build that is not a pure function of the schedule: its first
+/// construction has the second thread store to another cell than every
+/// later one, so the candidate set DFS recorded at the root no longer
+/// holds when it re-executes the prefix. That must surface as a failing
+/// schedule naming the depth, in every build profile, and never as an
+/// exhausted space.
 #[test]
-fn pct_finds_planted_refcount_bug_within_budget() {
-    let key = "av_refcount_race";
-    let build = scenario_by_key(key).expect("scenario exists").scheduled;
-    let cfg = ExploreConfig { strategy: Strategy::Pct, budget: 200, seed: 7 };
-    let entry = explore_variant(key, build, Variant::Buggy, &cfg);
-    assert!(entry.ok, "PCT must plant the lost-update within 200 schedules: {entry:?}");
-    let failure = entry.failure.expect("buggy variant fails");
-    assert!(failure.found_after <= 200);
+fn a_build_whose_candidates_drift_fails_instead_of_proving() {
+    let first = AtomicBool::new(true);
+    let drifting = move |_: Variant| {
+        let shared = Arc::new(TracedCell::new("toy.shared", 0));
+        let c2 = if first.swap(false, Ordering::Relaxed) {
+            Arc::new(TracedCell::new("toy.other", 0))
+        } else {
+            shared.clone()
+        };
+        ScheduledRun {
+            threads: vec![
+                Box::new(move || {
+                    shared.store(1);
+                    shared.store(2);
+                }),
+                Box::new(move || {
+                    c2.store(3);
+                    c2.store(4);
+                }),
+            ],
+            check: Box::new(|| Outcome::Correct),
+        }
+    };
+    sched::run_exclusively(|| {
+        let out = explore_dfs(&drifting, Variant::TmFix, 1_000);
+        assert!(!out.exhausted, "a drifting build proved nothing: {out:?}");
+        let failure = out.failure.expect("the drift is reported as a failure");
+        assert_eq!(
+            failure.result,
+            RunResult::Bug("non-deterministic build: candidate set diverged at depth 0".into())
+        );
+    });
 }
 
 #[test]
 fn failing_schedule_replays_bit_for_bit() {
     let key = "av_stats_race";
     let build = scenario_by_key(key).expect("scenario exists").scheduled;
-    let cfg = ExploreConfig { strategy: Strategy::Dfs, budget: 1_000, ..ExploreConfig::default() };
-    let entry = explore_variant(key, build, Variant::Buggy, &cfg);
+    let entry = explore_variant(key, build, Variant::Buggy);
     let failure = entry.failure.expect("DFS finds the stats race");
     let trace: Vec<usize> = failure
         .trace
@@ -119,11 +150,21 @@ fn failing_schedule_replays_bit_for_bit() {
     assert_eq!(a.log.trace(), trace, "replay followed the trace exactly");
 }
 
-/// Replay determinism over arbitrary PCT seeds: whatever schedule a seed
-/// produces, re-driving its decision trace reproduces the identical
-/// event sequence.
+/// A picker that chooses uniformly at random from each candidate set,
+/// seeded: `seed` and the decision's ordinal fix every choice.
+fn seeded_picker(seed: u64) -> Picker {
+    let mut step = 0u64;
+    Box::new(move |cands| {
+        step += 1;
+        Pick::Choose((splitmix64(seed ^ splitmix64(step)) % cands.len() as u64) as usize)
+    })
+}
+
+/// Replay determinism over arbitrary seeded schedules: whatever schedule
+/// a seed produces, re-driving its decision trace reproduces the
+/// identical event sequence.
 #[test]
-fn pct_schedules_replay_deterministically_across_seeds() {
+fn seeded_schedules_replay_deterministically_across_seeds() {
     let key = "av_adhoc_retry";
     let build = scenario_by_key(key).expect("scenario exists").scheduled;
     // A spread of seeds rather than a proptest runner: each case spins up
@@ -132,7 +173,7 @@ fn pct_schedules_replay_deterministically_across_seeds() {
     for seed in [0u64, 1, 7, 42, 0xdead_beef, u64::MAX, 0x1234_5678_9abc_def0] {
         for variant in [Variant::Buggy, Variant::TmFix] {
             let (events, trace) = sched::run_exclusively(|| {
-                let out = run_schedule(build(variant), pct::pct_picker(seed, 0));
+                let out = run_schedule(build(variant), seeded_picker(seed));
                 let trace = out.log.trace();
                 (out.log.events, trace)
             });
@@ -200,10 +241,9 @@ fn serial_rung_is_schedule_independent() {
 /// fixed variant survives everything DFS explores.
 #[test]
 fn dfs_sweep_finds_every_bug_and_clears_every_fix() {
-    let cfg = ExploreConfig { strategy: Strategy::Dfs, budget: 3_000, ..ExploreConfig::default() };
     for s in SCENARIOS {
         for variant in [Variant::Buggy, Variant::DevFix, Variant::TmFix] {
-            let entry = explore_variant(s.key, s.scheduled, variant, &cfg);
+            let entry = explore_variant(s.key, s.scheduled, variant);
             assert!(
                 entry.ok,
                 "{} [{}]: expectation not met (schedules={} pruned={} failure={:?})",

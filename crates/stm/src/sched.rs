@@ -8,9 +8,8 @@
 //! and the chaos injection points — funnels through [`yield_point`] before
 //! performing its operation. Exactly one registered thread runs at a time;
 //! at each yield the scheduler consults a pluggable *picker* (installed by
-//! the `txfix-explore` strategies: exhaustive DFS with sleep sets, or
-//! PCT-style random priorities) to decide which thread's next operation
-//! executes. The full decision sequence is recorded, so any execution —
+//! `txfix-explore`'s exhaustive DFS with sleep sets, or by a replay of a
+//! recorded trace) to decide which thread's next operation executes. The full decision sequence is recorded, so any execution —
 //! in particular a failing one — replays bit-for-bit by feeding the same
 //! decisions back through a replay picker.
 //!

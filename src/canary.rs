@@ -37,7 +37,7 @@ use txfix_core::json::{Json, ToJson};
 use txfix_core::sweep::{SweepArgs, SweepOutput, SweepRunner, Universe};
 use txfix_core::HazardClass;
 use txfix_corpus::{scenario_by_key, Outcome, RunResult, ScheduledRun, Variant};
-use txfix_explore::{explore_build, explore_variant, ExploreConfig};
+use txfix_explore::{explore_build, explore_variant};
 use txfix_stm::canary::{self, Canary};
 use txfix_stm::{atomic, TVar, Txn, TxnError};
 use txfix_txlock::TxMutex;
@@ -230,7 +230,7 @@ fn explore_probe(c: Canary, key: &str, variant: Variant) -> LayerProbe {
         .unwrap_or_else(|| panic!("canary probe references unknown scenario {key}"))
         .scheduled;
     let _armed = canary::scoped(c);
-    let entry = explore_variant(key, build, variant, &ExploreConfig::default());
+    let entry = explore_variant(key, build, variant);
     let missed = format!(
         "{key}/{}: every explored schedule survives ({} schedules, exhausted: {}) — \
          the mutation does not perturb execution",
@@ -285,7 +285,7 @@ fn revoke_probe(c: Canary) -> LayerProbe {
         )
     };
     let _armed = canary::scoped(c);
-    let ex = explore_build(&build, Variant::Buggy, &ExploreConfig::default());
+    let ex = explore_build(&build, Variant::Buggy);
     let failure = ex.failure.and_then(|o| match o.result {
         RunResult::Bug(m) => Some(m),
         _ => None,

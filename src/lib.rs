@@ -74,8 +74,8 @@ pub use txfix_static as lint;
 /// the corpus load harness (`txfix chaos`, `txfix stress`).
 pub use txfix_bench as bench;
 
-/// Systematic schedule exploration: the deterministic scheduler's DFS and
-/// PCT strategies over the scheduled corpus (`txfix explore`).
+/// Systematic schedule exploration: bounded exhaustive DFS under the
+/// deterministic scheduler over the scheduled corpus (`txfix explore`).
 pub use txfix_explore as explore;
 
 /// Automatic fix inference: seed atomic regions from static findings,

@@ -5,7 +5,6 @@
 
 use txfix::autofix::autofix_scenario;
 use txfix::corpus::{scenario_by_key, Variant, SCENARIOS};
-use txfix::explore::ExploreConfig;
 use txfix::lint::{check, infer, Op, Path, Region, Summary};
 
 #[test]
@@ -88,10 +87,9 @@ fn overlapping_region_seeds_merge_into_one() {
 /// on the inferred patch.
 #[test]
 fn explorer_confirms_bug_and_fix_on_representative_scenarios() {
-    let cfg = ExploreConfig { budget: 512, ..ExploreConfig::default() };
     // data race, lock-order cycle, lost wakeup
     for key in ["av_refcount_race", "mozilla_i", "av_cv_partial"] {
-        let entry = autofix_scenario(scenario_by_key(key).expect("known key"), &cfg);
+        let entry = autofix_scenario(scenario_by_key(key).expect("known key"));
         assert!(entry.error.is_none(), "{key}: {:?}", entry.error);
         assert!(entry.static_clean, "{key}: patch not statically clean");
         assert!(

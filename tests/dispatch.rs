@@ -54,12 +54,13 @@ fn capability_gates_reject_seed_where_it_means_nothing() {
             unseeded.push(name);
         }
     }
-    assert_eq!(unseeded, ["scenario", "analyze", "lint", "autofix", "list"]);
+    assert_eq!(unseeded, ["scenario", "analyze", "lint", "explore", "autofix", "list"]);
 }
 
-/// The sizes of `kv`, `chaos`, `crash` and `autofix` are constants, no
-/// verb takes an artifact path, and autofix's DFS takes no seed: each of
-/// these is a usage error, rejected before anything runs.
+/// The sizes of `kv`, `chaos`, `crash`, `explore` and `autofix` are
+/// constants, no verb takes an artifact path, DFS is the explorer's only
+/// strategy, and DFS takes no seed: each of these is a usage error,
+/// rejected before anything runs.
 #[test]
 fn deleted_flags_are_usage_errors() {
     let cases: &[(&str, &[&str])] = &[
@@ -76,6 +77,9 @@ fn deleted_flags_are_usage_errors() {
         ("autofix", &["--all", "--strategy", "dfs"]),
         ("autofix", &["--all", "--budget", "5"]),
         ("autofix", &["--all", "--seed", "5"]),
+        ("explore", &["--all", "--strategy", "pct"]),
+        ("explore", &["--all", "--budget", "200"]),
+        ("explore", &["--all", "--seed", "7"]),
         ("scenario", &["av_stats_race", "--out", "X.json"]),
         ("stress", &["--all", "--out", "X.json"]),
         ("explore", &["--all", "--out", "X.json"]),
@@ -91,31 +95,6 @@ fn deleted_flags_are_usage_errors() {
         };
         assert_eq!(err, Some(want), "txfix {verb} {raw:?}");
     }
-}
-
-/// DFS reads no seed, so `explore` rejects `--seed` under it (DFS is also
-/// the default strategy) before anything runs; under PCT the seed steers
-/// the schedules and is accepted. Driven through `execute`, which writes
-/// no artifact, on one scenario at a budget of one schedule.
-#[test]
-fn explore_takes_a_seed_only_under_pct() {
-    let explore = || runners().into_iter().find(|(name, _)| *name == "explore").expect("a verb").1;
-    let args = |runner: &mut dyn SweepRunner, raw: &[&str]| {
-        let raw: Vec<String> = raw.iter().map(|s| s.to_string()).collect();
-        sweep::parse_sweep_args(runner, &raw).expect("the flags parse")
-    };
-    for strategy in [&["--strategy", "dfs"][..], &[]] {
-        let mut runner = explore();
-        let raw = [&["av_stats_race", "--budget", "1", "--seed", "5"][..], strategy].concat();
-        let parsed = args(runner.as_mut(), &raw);
-        match runner.execute(&parsed) {
-            Err(msg) => assert_eq!(msg, "--seed steers --strategy pct; dfs takes no seed"),
-            Ok(_) => panic!("`explore {raw:?}` ran"),
-        }
-    }
-    let mut runner = explore();
-    let parsed = args(runner.as_mut(), &["--all", "--strategy", "pct", "--seed", "5"]);
-    assert_eq!(parsed.seed, Some(5));
 }
 
 #[test]
