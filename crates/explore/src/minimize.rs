@@ -1,10 +1,11 @@
-//! Greedy preemption minimization for failing schedules.
+//! Greedy minimization of failing schedules.
 //!
 //! A raw failing trace can carry context switches the failure does not
 //! need. The minimizer re-executes the scenario with hybrid pickers that
 //! follow the failing schedule's *thread* choices for a prefix and then
 //! go non-preemptive (keep running the current thread while it is
-//! runnable), and keeps the shortest prefix that still fails.
+//! runnable), and keeps the shortest prefix that still fails; it does
+//! not search for the run with the fewest switches.
 //! This is greedy and bounded — not an optimal reduction — but it
 //! reliably collapses the tail of a failure trace to the few switches
 //! that matter, which is what a human replaying the schedule wants.
@@ -32,29 +33,22 @@ fn hybrid_picker(slots: Vec<usize>, cut: usize) -> Picker {
 }
 
 /// Minimize a failing schedule. `slots` is the per-decision thread
-/// sequence of the original failure (`RunLog::events` slots). Returns the
-/// outcome of the best (fewest-preemption) still-failing run — at worst
-/// the original failure re-executed verbatim.
+/// sequence of the original failure (`RunLog::events` slots). Tries
+/// forced prefixes in ascending length and returns the first run that
+/// still fails, so the shortest failing prefix among those tried — at
+/// worst the original failure re-executed verbatim. It does not minimise
+/// context switches: the cooperative tail still switches when a thread
+/// finishes or blocks, and `RunLog::preemptions` counts those too.
 pub fn minimize_failure(
     build: &dyn Fn(Variant) -> ScheduledRun,
     variant: Variant,
     slots: Vec<usize>,
 ) -> Option<ScheduleOutcome> {
-    let mut best: Option<ScheduleOutcome> = None;
-    // Ascending cuts: the smallest forced prefix that still fails gives
-    // the fewest incidental switches. Cut len(slots) replays verbatim.
-    let mut cuts: Vec<usize> = (0..=slots.len()).collect();
-    if cuts.len() > MAX_ATTEMPTS {
-        // Keep full replay as the final fallback, sample the rest evenly.
-        let stride = cuts.len().div_ceil(MAX_ATTEMPTS);
-        cuts = (0..=slots.len()).step_by(stride).chain([slots.len()]).collect();
-    }
-    for cut in cuts {
+    // At most about `MAX_ATTEMPTS` cuts, evenly spaced; the last one,
+    // len(slots), replays verbatim.
+    let stride = (slots.len() + 1).div_ceil(MAX_ATTEMPTS);
+    (0..slots.len()).step_by(stride).chain([slots.len()]).find_map(|cut| {
         let outcome = run_schedule(build(variant), hybrid_picker(slots.clone(), cut));
-        if let RunResult::Bug(_) = outcome.result {
-            best = Some(outcome);
-            break;
-        }
-    }
-    best
+        matches!(outcome.result, RunResult::Bug(_)).then_some(outcome)
+    })
 }

@@ -438,7 +438,14 @@ fn handle_abort(
     match abort {
         Abort::Conflict(kind) => {
             obs::note_conflict(site, kind);
-            backoff_wait(backoff, site);
+            // A lost read validation means the writer that beat this
+            // attempt has already committed, so the next snapshot holds
+            // its write: the first such loss re-runs at once. The second
+            // sleeps, which keeps two writers on one hot variable taking
+            // turns.
+            if !(kind == ConflictKind::ReadValidation && backoff.skip_first()) {
+                backoff_wait(backoff, site);
+            }
             Ok(())
         }
         Abort::Restart => {

@@ -248,7 +248,9 @@ impl RunLog {
     }
 
     /// Context switches: adjacent decisions that moved to a different
-    /// thread (the "preemptions" a minimizer drives down).
+    /// thread. Forced switches count too (the thread that ran last
+    /// finished or blocked), so this is an upper bound on the run's
+    /// preemptions, not their number.
     pub fn preemptions(&self) -> u64 {
         self.events.windows(2).filter(|w| w[0].0 != w[1].0).count() as u64
     }
