@@ -20,7 +20,7 @@ use crossbeam::channel;
 use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use txfix_core::{preemptible, PreemptOptions};
+use txfix_core::preemptible;
 use txfix_stm::TVar;
 use txfix_tmsync::guard;
 use txfix_txlock::{LockCondvar, TxMutex, WaitOutcome};
@@ -223,7 +223,7 @@ pub fn run_apache1(cfg: &Apache1Config) -> Apache1Outcome {
                     // condition wait. Finding no idle worker aborts the
                     // transaction (releasing the mutex!) and re-executes
                     // when `idle_tv` changes.
-                    let conn = preemptible(&PreemptOptions::default(), |txn| {
+                    let conn = preemptible(|txn| {
                         shared.timeout.lock_tx(txn)?;
                         let idle = shared.idle_tv.read(txn)?;
                         guard(txn, idle > 0)?;

@@ -13,7 +13,7 @@
 
 use super::store::ObjectStore;
 use std::fmt;
-use txfix_core::{preemptible, PreemptOptions};
+use txfix_core::preemptible;
 use txfix_stm::{TVar, Txn, TxnBuilder};
 use txfix_txlock::TxMutex;
 
@@ -192,7 +192,7 @@ impl ObjectStore for PreemptStore {
         // The one deadlock-prone site, wrapped per Recipe 3: locks acquired
         // revocably inside an abortable transaction; a cycle preempts us,
         // releases the locks, backs off and retries.
-        preemptible(&PreemptOptions::default(), |txn| {
+        preemptible(|txn| {
             // Acquisition phase: every lock_tx is an abort point and may
             // preempt us (releasing what we hold).
             self.set_slot_lock.lock_tx(txn)?;

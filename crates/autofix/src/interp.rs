@@ -41,7 +41,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use txfix_core::recipe::{preemptible, PreemptOptions};
+use txfix_core::recipe::preemptible;
 use txfix_corpus::{Outcome, ScheduledRun};
 use txfix_static::{Op, ScenarioSummary};
 use txfix_stm::{atomic, StmResult, TVar, Txn};
@@ -268,7 +268,7 @@ fn run_region(
     let (next, eff) = if !serialized.is_empty() {
         serial_atomic(&world.domain, body)
     } else if acquires_locks {
-        preemptible(&PreemptOptions::default(), body).expect("preemptible region failed terminally")
+        preemptible(body).expect("preemptible region failed terminally")
     } else {
         atomic(body)
     };

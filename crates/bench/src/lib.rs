@@ -5,8 +5,8 @@
 //! comparisons, and `experiments` runs everything and prints
 //! paper-reported vs. measured values. Both case-study binaries run the
 //! one case list, [`cases()`], which also holds each row's paper
-//! figures; the criterion benches under `benches/` are the three
-//! ablations (A1–A3). The
+//! figures; the criterion benches under `benches/` are the ablations A1
+//! and A3 (A2, the backoff policies, was retired with them). The
 //! corpus load harness is one table of kernels, each asserting its
 //! scenario's invariants, in [`chaos`]: `txfix chaos` sweeps seeded
 //! fault-injection schedules over it, and [`stress`] runs it with faults

@@ -46,7 +46,7 @@ pub use analysis::{
 pub use bug::{App, BugChars, BugKind, BugRecord, DevFix, Difficulty, Downcalls, MissingSync};
 pub use difficulty::{preference, tm_difficulty, Preference};
 pub use finding::Hazard;
-pub use recipe::{preemptible, preemptible_report, wrap_unprotected_atomic, PreemptOptions};
+pub use recipe::{preemptible, preemptible_report, wrap_unprotected_atomic};
 pub use report::{table1, table2, table3, CorpusSummary, FixabilityCell, TextTable};
 /// The lock-order graph the static pass shares with `lockdep` and the
 /// trace replay.

@@ -7,8 +7,7 @@
 //! re-deriving it.
 
 use std::sync::Arc;
-use std::time::Duration;
-use txfix_stm::{BackoffPolicy, StmResult, Txn, TxnBuilder, TxnError, TxnReport};
+use txfix_stm::{StmResult, Txn, TxnBuilder, TxnError, TxnReport};
 use txfix_tmsync::{serial_atomic_with, SerialDomain};
 
 /// The victim priority a [`preemptible`] region registers with. Lower
@@ -17,49 +16,24 @@ use txfix_tmsync::{serial_atomic_with, SerialDomain};
 /// *infrequent / low-priority* thread preemptible, so it goes first.
 pub const PREEMPT_PRIORITY: i32 = -1;
 
-/// Options for [`preemptible`] (Recipe 3).
-#[derive(Clone, Debug)]
-pub struct PreemptOptions {
-    /// Backoff between preemptions — exponential with jitter by default,
-    /// which is what prevents the livelock discussed in §4.4.
-    pub backoff: BackoffPolicy,
-    /// Give up after this many attempts (`None` = keep trying).
-    pub max_attempts: Option<u64>,
-}
-
-impl Default for PreemptOptions {
-    fn default() -> Self {
-        PreemptOptions {
-            backoff: BackoffPolicy::ExpJitter {
-                base: Duration::from_micros(50),
-                max: Duration::from_millis(5),
-            },
-            max_attempts: None,
-        }
-    }
-}
-
 /// **Recipe 3 — asymmetric deadlock preemption.** Run `body` as an
 /// abortable transaction registered as a *preferred deadlock victim*:
 /// locks acquired with [`TxMutex::lock_tx`] inside the body are revocable,
 /// and when a deadlock cycle forms, this transaction aborts, releases its
-/// locks, backs off exponentially and retries — letting the other
-/// (unmodified, lock-based) threads make progress.
+/// locks, backs off exponentially with jitter (the runtime's one ladder,
+/// which is what prevents the livelock discussed in §4.4) and retries —
+/// letting the other (unmodified, lock-based) threads make progress.
 ///
 /// The body may also use [`Txn::retry`] in place of a condition-variable
 /// wait, the combination used in the Apache-I case study (§5.4.2).
 ///
 /// # Errors
 ///
-/// [`TxnError::RetryLimit`] if `opts.max_attempts` is exhausted;
 /// [`TxnError::Cancelled`] if the body cancels.
 ///
 /// [`TxMutex::lock_tx`]: txfix_txlock::TxMutex::lock_tx
-pub fn preemptible<T>(
-    opts: &PreemptOptions,
-    body: impl FnMut(&mut Txn) -> StmResult<T>,
-) -> Result<T, TxnError> {
-    preemptible_report(opts, body).map(|(v, _)| v)
+pub fn preemptible<T>(body: impl FnMut(&mut Txn) -> StmResult<T>) -> Result<T, TxnError> {
+    preemptible_report(body).map(|(v, _)| v)
 }
 
 /// Like [`preemptible`], additionally returning the execution report
@@ -69,14 +43,9 @@ pub fn preemptible<T>(
 ///
 /// Same as [`preemptible`].
 pub fn preemptible_report<T>(
-    opts: &PreemptOptions,
     mut body: impl FnMut(&mut Txn) -> StmResult<T>,
 ) -> Result<(T, TxnReport), TxnError> {
-    let mut builder = Txn::build().site("recipe3_preemptible").backoff(opts.backoff);
-    if let Some(n) = opts.max_attempts {
-        builder = builder.max_attempts(n);
-    }
-    builder.try_run(move |txn| {
+    Txn::build().site("recipe3_preemptible").try_run(move |txn| {
         txfix_txlock::enlist_preemptible(txn, PREEMPT_PRIORITY);
         body(txn)
     })
@@ -119,7 +88,7 @@ mod tests {
             let (a2, b2, bar) = (a.clone(), b.clone(), barrier.clone());
             s.spawn(move || {
                 let mut synced = false;
-                let (_, report) = preemptible_report(&PreemptOptions::default(), |txn| {
+                let (_, report) = preemptible_report(|txn| {
                     b2.lock_tx(txn)?;
                     if !synced {
                         synced = true;
@@ -133,15 +102,6 @@ mod tests {
             });
         });
         assert!(!a.is_locked() && !b.is_locked());
-    }
-
-    #[test]
-    fn preemptible_respects_attempt_limit() {
-        let r: Result<(), TxnError> =
-            preemptible(&PreemptOptions { max_attempts: Some(2), ..Default::default() }, |txn| {
-                txn.restart()
-            });
-        assert_eq!(r, Err(TxnError::RetryLimit { attempts: 2 }));
     }
 
     #[test]

@@ -32,7 +32,7 @@ use txfix_apps::apache::{
 };
 use txfix_apps::mysql::{consistent_with_binlog, MiniDb, MysqlVariant};
 use txfix_apps::spidermonkey::{ObjectStore, OwnershipMode, OwnershipStore, StmStore};
-use txfix_core::{preemptible, wrap_unprotected_atomic, PreemptOptions};
+use txfix_core::{preemptible, wrap_unprotected_atomic};
 use txfix_stm::sched::{self, Pick, Picker, RunLog, StopReason};
 use txfix_stm::{atomic, trace::TracedCell, TVar};
 use txfix_tmsync::{guard, SerialDomain, SerialMutex};
@@ -432,7 +432,7 @@ pub(super) fn apache_i(variant: Variant) -> ScheduledRun {
                 // wait — no idle worker aborts the transaction, which
                 // releases the mutex.
                 Variant::TmFix => {
-                    preemptible(&PreemptOptions::default(), |txn| {
+                    preemptible(|txn| {
                         timeout.lock_tx(txn)?;
                         let n = idle_tv.read(txn)?;
                         guard(txn, n > 0)?;
@@ -481,7 +481,7 @@ pub(super) fn dl_mysql_table_pair(variant: Variant) -> ScheduledRun {
             let insert = |t: u64| {
                 move |(t1, t2): &Tables| {
                     let (first, second) = if t == 0 { (t1, t2) } else { (t2, t1) };
-                    preemptible(&PreemptOptions::default(), |txn| {
+                    preemptible(|txn| {
                         first.lock_tx(txn)?;
                         second.lock_tx(txn)?;
                         first.with_held(|rows| rows.push(t));

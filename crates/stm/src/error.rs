@@ -108,12 +108,6 @@ pub enum TxnError {
     /// The transaction body requested cancellation via
     /// [`Txn::cancel`](crate::Txn::cancel).
     Cancelled,
-    /// The transaction did not commit within
-    /// [`TxnBuilder::max_attempts`](crate::TxnBuilder::max_attempts).
-    RetryLimit {
-        /// Number of attempts performed.
-        attempts: u64,
-    },
     /// A capacity bound of the (modelled) hardware TM was exceeded by a
     /// transaction with no escalation policy to fall back on.
     Capacity {
@@ -128,9 +122,6 @@ impl fmt::Display for TxnError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             TxnError::Cancelled => write!(f, "transaction cancelled by user"),
-            TxnError::RetryLimit { attempts } => {
-                write!(f, "transaction exceeded retry limit after {attempts} attempts")
-            }
             TxnError::Capacity { kind, attempts } => {
                 write!(f, "transaction exceeded hardware {kind} capacity after {attempts} attempts")
             }
@@ -156,7 +147,6 @@ mod tests {
             Abort::Killed.to_string(),
             Abort::Capacity(CapacityKind::ReadSet).to_string(),
             TxnError::Cancelled.to_string(),
-            TxnError::RetryLimit { attempts: 3 }.to_string(),
             TxnError::Capacity { kind: CapacityKind::WriteSet, attempts: 2 }.to_string(),
         ];
         for c in cases {

@@ -85,7 +85,7 @@ mod tvar;
 mod txn;
 mod wait;
 
-pub use contention::{seed_backoff_rng, BackoffPolicy};
+pub use contention::seed_backoff_rng;
 pub use error::{Abort, CapacityKind, ConflictKind, StmResult, TxnError};
 pub use obs::SiteId;
 pub use runtime::{

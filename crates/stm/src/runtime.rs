@@ -69,12 +69,11 @@ pub enum EscalationRung {
     /// this rung enforces the bounds; with an [`EscalationPolicy`] a
     /// capacity overflow falls back to unbounded software speculation.
     Hardware,
-    /// Plain speculation under the configured backoff policy.
+    /// Plain speculation, backing off on the plain ladder.
     #[default]
     Optimistic,
-    /// Still speculating, but under
-    /// [`BackoffPolicy::escalated`](crate::BackoffPolicy::escalated) — wider
-    /// windows drain the contention that is defeating optimism.
+    /// Still speculating, but backing off within 4× wider windows, which
+    /// drain the contention that is defeating optimism.
     StrongerBackoff,
     /// Give up on concurrency: the attempt becomes irrevocable at begin,
     /// holding the global serialization lock exclusively, so it cannot
@@ -111,14 +110,13 @@ impl EscalationRung {
 /// [`capacity`](TxnBuilder::capacity), on
 /// [`Hardware`](EscalationRung::Hardware) for its first attempt only, so a
 /// capacity overflow is one failed attempt (no backoff) and the next runs
-/// unbounded. After `backoff_after` failed attempts it re-runs under the
-/// escalated backoff policy, after `serial_after` failed attempts — or as
-/// soon as `deadline` has elapsed since the `atomic` call began — it takes
-/// the serial rung, where the commit is unconditional. The ladder
-/// guarantees *eventual commit within the attempt budget* for bodies that
-/// do not themselves fail terminally (`cancel`, `max_attempts`): the
-/// serial rung cannot conflict, and injected faults never target
-/// irrevocable attempts.
+/// unbounded. After `backoff_after` failed attempts it re-runs with
+/// stronger backoff, after `serial_after` failed attempts — or as soon as
+/// `deadline` has elapsed since the `atomic` call began — it takes the
+/// serial rung, where the commit is unconditional. The ladder guarantees
+/// *eventual commit within the attempt budget* for bodies that do not
+/// themselves fail terminally (`cancel`): the serial rung cannot conflict,
+/// and injected faults never target irrevocable attempts.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct EscalationPolicy {
     /// Failed attempts before moving to stronger backoff.
@@ -176,18 +174,6 @@ impl TxnBuilder {
         self
     }
 
-    /// Give up with [`TxnError::RetryLimit`] after `n` attempts.
-    pub fn max_attempts(mut self, n: u64) -> Self {
-        self.opts.max_attempts = Some(n);
-        self
-    }
-
-    /// Set the inter-attempt contention management policy.
-    pub fn backoff(mut self, policy: crate::BackoffPolicy) -> Self {
-        self.opts.backoff = policy;
-        self
-    }
-
     /// Bound the read and write sets of the first rung, the hardware TM
     /// model ([`EscalationRung::Hardware`]). Without an
     /// [`escalation`](TxnBuilder::escalation) policy every attempt runs
@@ -217,9 +203,9 @@ impl TxnBuilder {
     ///
     /// # Panics
     ///
-    /// Panics on terminal failure — the body cancelled, the attempt bound
-    /// was exceeded, or a capacity bound was hit. Use
-    /// [`try_run`](TxnBuilder::try_run) to observe those as errors.
+    /// Panics on terminal failure — the body cancelled, or a capacity
+    /// bound was hit. Use [`try_run`](TxnBuilder::try_run) to observe
+    /// those as errors.
     pub fn run<T>(&self, body: impl FnMut(&mut Txn) -> StmResult<T>) -> (T, TxnReport) {
         self.try_run(body).expect("transaction failed terminally; use try_run to handle this")
     }
@@ -230,7 +216,6 @@ impl TxnBuilder {
     /// # Errors
     ///
     /// - [`TxnError::Cancelled`] if the body cancelled;
-    /// - [`TxnError::RetryLimit`] if `max_attempts` was exceeded;
     /// - [`TxnError::Capacity`] if a capacity bound was exceeded and no
     ///   escalation policy is set.
     pub fn try_run<T>(
@@ -291,7 +276,7 @@ pub(crate) fn atomic_report<T>(
     opts: &TxnOptions,
     mut body: impl FnMut(&mut Txn) -> StmResult<T>,
 ) -> Result<(T, TxnReport), TxnError> {
-    let mut backoff = Backoff::new(opts.backoff);
+    let mut backoff = Backoff::default();
     let mut report = TxnReport::default();
     let mut rung = if opts.read_capacity.is_some() {
         EscalationRung::Hardware
@@ -307,11 +292,6 @@ pub(crate) fn atomic_report<T>(
 
     loop {
         report.attempts += 1;
-        if let Some(max) = opts.max_attempts {
-            if report.attempts > max {
-                return Err(TxnError::RetryLimit { attempts: report.attempts - 1 });
-            }
-        }
 
         if let Some(policy) = opts.escalation {
             let failed = report.attempts - 1;
@@ -330,7 +310,7 @@ pub(crate) fn atomic_report<T>(
                 report.escalations += 1;
                 obs::note_escalation(opts.site);
                 if rung == EscalationRung::StrongerBackoff {
-                    backoff = Backoff::new(opts.backoff.escalated());
+                    backoff = Backoff::stronger();
                 }
             }
         }

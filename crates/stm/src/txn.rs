@@ -31,7 +31,6 @@
 
 use crate::chaos;
 use crate::clock;
-use crate::contention::BackoffPolicy;
 use crate::error::{Abort, CapacityKind, ConflictKind, StmResult};
 use crate::obs;
 use crate::obs::SiteId;
@@ -94,11 +93,6 @@ pub enum TxnKind {
 pub struct TxnOptions {
     /// Atomic (default) or relaxed transaction.
     pub kind: TxnKind,
-    /// Give up with [`TxnError::RetryLimit`](crate::TxnError::RetryLimit)
-    /// after this many attempts (`None` = unbounded).
-    pub max_attempts: Option<u64>,
-    /// Inter-attempt contention management.
-    pub backoff: BackoffPolicy,
     /// Hardware-rung bound on distinct variables read (`None` = unbounded,
     /// and the transaction never runs on the hardware rung).
     pub read_capacity: Option<usize>,
@@ -116,8 +110,6 @@ impl Default for TxnOptions {
     fn default() -> Self {
         TxnOptions {
             kind: TxnKind::Atomic,
-            max_attempts: None,
-            backoff: BackoffPolicy::default(),
             read_capacity: None,
             write_capacity: None,
             site: SiteId::UNATTRIBUTED,

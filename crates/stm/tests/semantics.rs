@@ -7,8 +7,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use txfix_stm::{
-    atomic, atomic_relaxed, obs, BackoffPolicy, CapacityKind, StmResult, TVar, TxResource, Txn,
-    TxnError,
+    atomic, atomic_relaxed, obs, CapacityKind, StmResult, TVar, TxResource, Txn, TxnError,
 };
 
 #[test]
@@ -184,16 +183,6 @@ fn retry_blocks_until_a_read_var_changes() {
         }
         assert!(woke.load(Ordering::SeqCst), "retry never woke up");
     });
-}
-
-#[test]
-fn retry_limit_is_enforced() {
-    let r: Result<(), TxnError> = Txn::build()
-        .max_attempts(3)
-        .backoff(BackoffPolicy::None)
-        .try_run(|txn| txn.restart())
-        .map(|(v, _)| v);
-    assert_eq!(r, Err(TxnError::RetryLimit { attempts: 3 }));
 }
 
 #[test]

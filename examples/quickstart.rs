@@ -65,7 +65,7 @@ fn main() {
                 for _ in 0..100 {
                     // Opposite acquisition orders — the classic AB-BA bug —
                     // but preemption resolves every collision.
-                    txfix::recipes::preemptible(&Default::default(), |txn| {
+                    txfix::recipes::preemptible(|txn| {
                         let (first, second) = if t == 0 { (&a, &b) } else { (&b, &a) };
                         first.lock_tx(txn)?;
                         second.lock_tx(txn)?;

@@ -3,7 +3,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
-use txfix::recipes::{preemptible, PreemptOptions};
+use txfix::recipes::{preemptible, preemptible_report};
 use txfix::stm::atomic;
 use txfix::txlock::TxMutex;
 
@@ -74,7 +74,7 @@ fn four_party_cycle_with_one_transactional_member_resolves() {
         let barrier = &barrier;
         s.spawn(move || {
             let mut synced = false;
-            preemptible(&PreemptOptions::default(), |txn| {
+            preemptible(|txn| {
                 locks2[3].lock_tx(txn)?;
                 if !synced {
                     synced = true;
@@ -99,26 +99,43 @@ fn two_transactions_colliding_repeatedly_both_finish() {
     let a = named(0, "duel");
     let b = named(1, "duel");
     const ROUNDS: u64 = 150;
-    std::thread::scope(|s| {
-        for t in 0..2usize {
-            let (a, b) = (a.clone(), b.clone());
-            s.spawn(move || {
-                for _ in 0..ROUNDS {
-                    preemptible(&PreemptOptions::default(), |txn| {
-                        let (x, y) = if t == 0 { (&a, &b) } else { (&b, &a) };
-                        x.lock_tx(txn)?;
-                        y.lock_tx(txn)?;
-                        x.with_held(|v| *v += 1);
-                        y.with_held(|v| *v += 1);
-                        Ok(())
-                    })
-                    .expect("duel transaction");
-                }
-            });
-        }
+    // Each round's first attempts meet at the barrier holding one lock
+    // each, so every round closes an AB-BA cycle that only a preemption
+    // breaks; the second barrier keeps a round's retry out of the next.
+    let barrier = Barrier::new(2);
+    let preemptions: u64 = std::thread::scope(|s| {
+        let duelists: Vec<_> = (0..2usize)
+            .map(|t| {
+                let (a, b, barrier) = (a.clone(), b.clone(), &barrier);
+                s.spawn(move || {
+                    let mut preemptions = 0;
+                    for _ in 0..ROUNDS {
+                        let mut collided = false;
+                        let (_, report) = preemptible_report(|txn| {
+                            let (x, y) = if t == 0 { (&a, &b) } else { (&b, &a) };
+                            x.lock_tx(txn)?;
+                            if !collided {
+                                collided = true;
+                                barrier.wait();
+                            }
+                            y.lock_tx(txn)?;
+                            x.with_held(|v| *v += 1);
+                            y.with_held(|v| *v += 1);
+                            Ok(())
+                        })
+                        .expect("duel transaction");
+                        preemptions += report.preemptions;
+                        barrier.wait();
+                    }
+                    preemptions
+                })
+            })
+            .collect();
+        duelists.into_iter().map(|d| d.join().expect("duelist")).sum()
     });
     assert_eq!(*a.lock().unwrap(), 2 * ROUNDS);
     assert_eq!(*b.lock().unwrap(), 2 * ROUNDS);
+    assert!(preemptions >= ROUNDS, "{preemptions} preemptions broke {ROUNDS} cycles");
 }
 
 #[test]
@@ -150,19 +167,20 @@ fn aborted_transaction_never_leaks_locks_under_stress() {
             let locks = locks.clone();
             s.spawn(move || {
                 for round in 0..100u64 {
-                    let _ = preemptible(
-                        &PreemptOptions { max_attempts: Some(20), ..Default::default() },
-                        |txn| {
-                            // Deliberately mixed orders to provoke cycles,
-                            // plus voluntary restarts.
-                            locks[t % 4].lock_tx(txn)?;
-                            locks[(t + round as usize) % 4].lock_tx(txn)?;
-                            if round % 7 == 0 {
-                                return txn.restart();
-                            }
-                            Ok(())
-                        },
-                    );
+                    let mut restarted = false;
+                    preemptible(|txn| {
+                        // Deliberately mixed orders to provoke cycles, plus
+                        // a voluntary restart on the first run of every
+                        // seventh call.
+                        locks[t % 4].lock_tx(txn)?;
+                        locks[(t + round as usize) % 4].lock_tx(txn)?;
+                        if round % 7 == 0 && !restarted {
+                            restarted = true;
+                            return txn.restart();
+                        }
+                        Ok(())
+                    })
+                    .expect("a preemptible region commits");
                 }
             });
         }

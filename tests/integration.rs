@@ -4,7 +4,7 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
-use txfix::recipes::{preemptible, wrap_unprotected_atomic, PreemptOptions};
+use txfix::recipes::{preemptible, wrap_unprotected_atomic};
 use txfix::stm::{atomic, EscalationPolicy, EscalationRung, TVar, Txn};
 use txfix::tmsync::{guard, SerialDomain, SerialMutex, TxCondvar};
 use txfix::txlock::TxMutex;
@@ -56,7 +56,7 @@ fn recipe3_preemption_with_deferred_io() {
             let (a, b, j) = (a.clone(), b.clone(), journal.clone());
             s.spawn(move || {
                 for _ in 0..PER_THREAD {
-                    preemptible(&PreemptOptions::default(), |txn| {
+                    preemptible(|txn| {
                         let (first, second) = if t == 0 { (&a, &b) } else { (&b, &a) };
                         first.lock_tx(txn)?;
                         second.lock_tx(txn)?;
