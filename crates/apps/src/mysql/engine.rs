@@ -8,9 +8,7 @@
 
 use parking_lot::Mutex;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 use txfix_core::wrap_unprotected_atomic;
 use txfix_stm::sched;
 use txfix_stm::trace::TracedCell;
@@ -244,94 +242,6 @@ pub fn replay_binlog(entries: &[BinlogEntry], tables: usize) -> Vec<Vec<Row>> {
     state
 }
 
-/// Workload parameters for the MySQL-I reproduction.
-#[derive(Clone, Copy, Debug)]
-pub struct MysqlWorkload {
-    /// Insert threads.
-    pub insert_threads: usize,
-    /// Inserts per thread.
-    pub inserts_per_thread: u64,
-    /// Delete-all threads.
-    pub delete_threads: usize,
-    /// Delete-all operations per delete thread.
-    pub deletes_per_thread: u64,
-    /// Tables.
-    pub tables: usize,
-}
-
-impl Default for MysqlWorkload {
-    fn default() -> Self {
-        MysqlWorkload {
-            insert_threads: 4,
-            inserts_per_thread: 400,
-            delete_threads: 1,
-            deletes_per_thread: 40,
-            tables: 4,
-        }
-    }
-}
-
-/// Outcome of a workload run.
-#[derive(Clone, Debug, PartialEq)]
-pub struct MysqlOutcome {
-    /// Whether the server's final tables diverge from a binlog replay —
-    /// the MySQL-I atomicity violation observed.
-    pub replay_divergence: bool,
-    /// Wall-clock time.
-    pub elapsed: Duration,
-    /// Total queries executed.
-    pub queries: u64,
-}
-
-/// Run concurrent INSERT / DELETE-all traffic against `db` and check the
-/// binlog-replay invariant.
-pub fn run_mysql_workload(db: &MiniDb, w: &MysqlWorkload) -> MysqlOutcome {
-    assert!(db.table_count() >= w.tables);
-    let next_id = AtomicU64::new(1);
-    let start = Instant::now();
-    std::thread::scope(|s| {
-        for it in 0..w.insert_threads {
-            let db = &db;
-            let next_id = &next_id;
-            s.spawn(move || {
-                for i in 0..w.inserts_per_thread {
-                    let id = next_id.fetch_add(1, Ordering::Relaxed);
-                    let t = (it as u64 + i) as usize % w.tables;
-                    db.insert(t, id, (i as i64) * 3 + it as i64);
-                }
-            });
-        }
-        for dt in 0..w.delete_threads {
-            let db = &db;
-            s.spawn(move || {
-                for i in 0..w.deletes_per_thread {
-                    let t = (dt as u64 + i) as usize % w.tables;
-                    db.delete_all(t);
-                }
-            });
-        }
-    });
-    let elapsed = start.elapsed();
-
-    let replayed = replay_binlog(&db.binlog(), w.tables);
-    let mut divergence = false;
-    for (t, replay) in replayed.iter().enumerate() {
-        let mut actual = db.rows(t);
-        let mut expect = replay.clone();
-        actual.sort_unstable();
-        expect.sort_unstable();
-        if actual != expect {
-            divergence = true;
-        }
-    }
-    MysqlOutcome {
-        replay_divergence: divergence,
-        elapsed,
-        queries: (w.insert_threads as u64 * w.inserts_per_thread)
-            + (w.delete_threads as u64 * w.deletes_per_thread),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -370,20 +280,6 @@ mod tests {
             db.delete_all_hooked(0, || db.insert(0, 99, 99));
             assert!(consistent_with_binlog(&db), "{v:?} diverged");
         }
-    }
-
-    #[test]
-    fn dev_fix_never_diverges() {
-        let db = MiniDb::new(MysqlVariant::DevFix, 2);
-        let out = run_mysql_workload(&db, &MysqlWorkload { tables: 2, ..Default::default() });
-        assert!(!out.replay_divergence);
-    }
-
-    #[test]
-    fn recipe4_fix_never_diverges() {
-        let db = MiniDb::new(MysqlVariant::TmRecipe4, 2);
-        let out = run_mysql_workload(&db, &MysqlWorkload { tables: 2, ..Default::default() });
-        assert!(!out.replay_divergence);
     }
 
     #[test]

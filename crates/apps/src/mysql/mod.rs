@@ -9,7 +9,4 @@
 
 mod engine;
 
-pub use engine::{
-    consistent_with_binlog, replay_binlog, run_mysql_workload, BinlogEntry, MiniDb, MysqlOutcome,
-    MysqlVariant, MysqlWorkload,
-};
+pub use engine::{consistent_with_binlog, replay_binlog, BinlogEntry, MiniDb, MysqlVariant};

@@ -7,9 +7,9 @@
 //! reproduction target recorded in EXPERIMENTS.md.
 //!
 //! This module is the only code that measures a Table 4 case study:
-//! [`cases()`] runs all four, and `table4` and `experiments` both print
-//! from it. Each row's fixed cells (cause, characteristics, LOC) and each
-//! variant's paper figure sit beside the runner that measures it.
+//! [`cases()`] runs all four, and `table4` prints from it. Each row's
+//! fixed cells (cause, characteristics, LOC) and each variant's paper
+//! figure sit beside the runner that measures it.
 
 use std::time::{Duration, Instant};
 use txfix_apps::apache::buffered_log::{make_record, RECORD_LEN};
@@ -21,26 +21,7 @@ use txfix_apps::spidermonkey::{
     run_script_workload, HwModelStore, ObjectStore, OwnershipMode, OwnershipStore, PreemptStore,
     ScriptParams, StmStore,
 };
-use txfix_core::json::{Json, ToJson};
 use txfix_xcall::SimFs;
-
-/// How big a run to perform.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Scale {
-    /// Fast smoke-scale run (the default of `table4` and `experiments`).
-    Quick,
-    /// Full benchmark-scale run (their `--full`).
-    Full,
-}
-
-impl Scale {
-    fn pick<T>(self, quick: T, full: T) -> T {
-        match self {
-            Scale::Quick => quick,
-            Scale::Full => full,
-        }
-    }
-}
 
 /// One measured variant.
 #[derive(Clone, Debug)]
@@ -111,46 +92,9 @@ impl CaseComparison {
     }
 }
 
-/// JSON has no NaN/Infinity; degenerate ratios become `null`.
-fn finite(v: f64) -> Json {
-    if v.is_finite() {
-        Json::Number(v)
-    } else {
-        Json::Null
-    }
-}
-
-impl ToJson for Measurement {
-    fn to_json_value(&self) -> Json {
-        Json::obj([
-            ("name", Json::str(self.name)),
-            ("ops_per_sec", finite(self.ops_per_sec)),
-            ("relative_to_dev", finite(self.relative_to_dev)),
-            ("paper_relative", self.paper_relative.map_or(Json::Null, finite)),
-        ])
-    }
-}
-
-impl ToJson for CaseComparison {
-    fn to_json_value(&self) -> Json {
-        Json::obj([
-            ("case", Json::str(self.case)),
-            ("recipe", Json::str(self.recipe)),
-            ("paper_relative", finite(self.paper_relative())),
-            ("measured_relative", finite(self.measured_relative())),
-            ("measurements", Json::list(self.measurements.iter().map(ToJson::to_json_value))),
-        ])
-    }
-}
-
 /// Run the four case studies in Table 4's row order.
-pub fn cases(scale: Scale) -> [CaseComparison; 4] {
-    [
-        mozilla_i_comparison(scale),
-        apache_i_comparison(scale),
-        apache_ii_comparison(scale),
-        mysql_i_comparison(scale),
-    ]
+pub fn cases() -> [CaseComparison; 4] {
+    [mozilla_i_comparison(), apache_i_comparison(), apache_ii_comparison(), mysql_i_comparison()]
 }
 
 /// Best-of-N throughput: repeated runs damp single-core scheduler noise
@@ -179,13 +123,13 @@ fn relative(raw: Vec<(&'static str, Option<f64>, f64)>) -> Vec<Measurement> {
 /// drop-before-block), Recipe 1 on the native STM, Recipe 1 on the
 /// hardware model, Recipe 3 preemption. The hardware row is the only
 /// modelled one: there is no HTM to run.
-fn mozilla_i_comparison(scale: Scale) -> CaseComparison {
+fn mozilla_i_comparison() -> CaseComparison {
     let params = ScriptParams {
         threads: 4,
         objects_per_thread: 8,
         slots: 8,
         shared_objects: 4,
-        iterations: scale.pick(4_000, 40_000),
+        iterations: 4_000,
         cross_object_period: 64,
         // Calibrated interpreter work per op: property accesses are a large
         // minority of a SunSpider iteration, not all of it.
@@ -223,8 +167,8 @@ fn mozilla_i_comparison(scale: Scale) -> CaseComparison {
 
 /// Apache-I (§5.4.2): saturated listener/worker handoff. Paper: TM fix at
 /// ~78–85% of the developers' fix under stress.
-fn apache_i_comparison(scale: Scale) -> CaseComparison {
-    let connections = scale.pick(300, 2_000);
+fn apache_i_comparison() -> CaseComparison {
+    let connections = 300;
     let base = Apache1Config {
         workers: 4,
         connections,
@@ -254,9 +198,9 @@ fn apache_i_comparison(scale: Scale) -> CaseComparison {
 
 /// Apache-II (§5.4.3): request loop with one buffered-log write per
 /// request, against the developers' per-log locks.
-fn apache_ii_comparison(scale: Scale) -> CaseComparison {
+fn apache_ii_comparison() -> CaseComparison {
     const THREADS: usize = 4;
-    let requests = scale.pick(1_000u64, 10_000);
+    let requests = 1_000u64;
     // Parsing, handler dispatch and response generation dwarf the log
     // append in a real request; `ab` measures whole requests (~80µs/request
     // ≈ 12.5k req/s, typical for static content on one core).
@@ -304,9 +248,9 @@ fn apache_ii_comparison(scale: Scale) -> CaseComparison {
 /// strictly serially under the domain-exclusive atomic section. Measured
 /// as wall-clock throughput of one thread per table, so the loss is only
 /// as large as the host's parallelism (none on one core).
-fn mysql_i_comparison(scale: Scale) -> CaseComparison {
+fn mysql_i_comparison() -> CaseComparison {
     const TABLES: usize = 4;
-    let deletes = scale.pick(400u64, 4_000);
+    let deletes = 400u64;
     let run = |variant| -> f64 {
         // Raise the per-row engine work so the table section dominates
         // lock overhead, as it does in a real storage engine.
@@ -359,7 +303,7 @@ mod tests {
     #[test]
     fn quick_comparisons_produce_sane_relatives() {
         let _g = hooks::arm(0);
-        let cases = cases(Scale::Quick);
+        let cases = cases();
         // Table 4's fixed cells: id, cause, LOC and every paper figure,
         // developers' fix first (it has none).
         let fixed: Vec<_> = cases
@@ -396,7 +340,7 @@ mod tests {
         // Recipe 1 fix on the native STM is markedly slower than the
         // developers' fix, and Recipe 4 costs concurrency on the delete
         // stress wherever there is concurrency to cost.
-        let m = mozilla_i_comparison(Scale::Quick);
+        let m = mozilla_i_comparison();
         let sw = &m.measurements[1];
         assert!(
             sw.relative_to_dev < 0.8,
@@ -410,7 +354,7 @@ mod tests {
             eprintln!("MySQL-I shape skipped: one core has no parallelism for recipe 4 to lose");
             return;
         }
-        let my = mysql_i_comparison(Scale::Quick);
+        let my = mysql_i_comparison();
         assert!(
             my.measured_relative() < 0.95,
             "recipe 4 serialization should cost concurrency, got {:.2}",

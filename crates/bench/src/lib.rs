@@ -2,12 +2,10 @@
 //!
 //! One runner per paper artifact (DESIGN.md §4). `txfix tables` prints
 //! Tables 1–3 from the corpus; the `table4` binary prints the case-study
-//! comparisons, and `experiments` runs everything and prints
-//! paper-reported vs. measured values. Both case-study binaries run the
-//! one case list, [`cases()`], which also holds each row's paper
-//! figures; the criterion benches under `benches/` are the ablations A1
-//! and A3 (A2, the backoff policies, was retired with them). The
-//! corpus load harness is one table of kernels, each asserting its
+//! comparisons, paper figure beside measured, from the one case list,
+//! [`cases()`], which also holds each row's paper figures; the criterion
+//! benches under `benches/` are the ablations A1 and A3 (A2, the backoff
+//! policies, was retired with them). The corpus load harness is one table of kernels, each asserting its
 //! scenario's invariants, in [`chaos`]: `txfix chaos` sweeps seeded
 //! fault-injection schedules over it, and [`stress`] runs it with faults
 //! off across thread counts, reporting throughput, abort rate and latency
@@ -26,4 +24,4 @@ pub mod pool;
 pub mod stress;
 pub mod workload;
 
-pub use cases::{cases, CaseComparison, Measurement, Scale};
+pub use cases::{cases, CaseComparison, Measurement};

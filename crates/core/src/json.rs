@@ -1,6 +1,6 @@
 //! Minimal hand-rolled JSON support shared by the machine-readable
-//! reports (`txfix analyze --json`, `txfix lint --json`, `txfix stress
-//! --json`, the bench binaries' `--json` mode).
+//! reports (`txfix analyze --json`, `txfix lint --json`, the `--json`
+//! of every sweep and the artifacts they write).
 //!
 //! The workspace has no serde (the build environment vendors only a
 //! handful of stand-in crates), so the encoding is by hand: writers

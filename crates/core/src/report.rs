@@ -4,7 +4,6 @@
 use crate::analysis::{analyze, Analysis, Recipe};
 use crate::bug::{App, BugKind, BugRecord, Difficulty, MissingSync};
 use crate::difficulty::{preference, tm_difficulty, Preference};
-use crate::json::{Json, ToJson};
 use std::fmt;
 use std::fmt::Write as _;
 
@@ -71,16 +70,6 @@ impl fmt::Display for TextTable {
             writeln!(f, "{}", cells.join("|"))?;
         }
         writeln!(f, "{line}")
-    }
-}
-
-impl ToJson for TextTable {
-    fn to_json_value(&self) -> Json {
-        Json::obj([
-            ("title", Json::str(self.title.clone())),
-            ("columns", Json::strings(&self.headers)),
-            ("rows", Json::list(self.rows.iter().map(Json::strings))),
-        ])
     }
 }
 
@@ -262,48 +251,6 @@ impl CorpusSummary {
             s.implemented_deadlock,
             s.implemented_atomicity
         )
-    }
-}
-
-impl ToJson for FixabilityCell {
-    fn to_json_value(&self) -> Json {
-        Json::obj([
-            ("total", Json::int(u64::from(self.total))),
-            ("fixable", Json::int(u64::from(self.fixable))),
-        ])
-    }
-}
-
-impl ToJson for CorpusSummary {
-    fn to_json_value(&self) -> Json {
-        let n = |v: u32| Json::int(u64::from(v));
-        Json::obj([
-            ("total", n(self.total)),
-            ("deadlocks", self.deadlocks.to_json_value()),
-            ("atomicity", self.atomicity.to_json_value()),
-            ("fixable", n(self.fixable())),
-            ("fixed_by_simple_recipes", n(self.fixed_by_simple_recipes)),
-            ("fixed_only_by_recipe3", n(self.fixed_only_by_recipe3)),
-            ("simplified_by_recipe3", n(self.simplified_by_recipe3)),
-            ("simplified_by_recipe4", n(self.simplified_by_recipe4)),
-            ("tm_preferred", n(self.tm_preferred)),
-            ("tm_preferred_deadlock", n(self.tm_preferred_deadlock)),
-            ("tm_preferred_atomicity", n(self.tm_preferred_atomicity)),
-            ("implemented", n(self.implemented)),
-            ("implemented_deadlock", n(self.implemented_deadlock)),
-            ("implemented_atomicity", n(self.implemented_atomicity)),
-            ("av_complete_missing", n(self.av_complete_missing)),
-            ("av_complete_missing_fixable", n(self.av_complete_missing_fixable)),
-            ("av_single_block", n(self.av_single_block)),
-            ("av_single_block_easy", n(self.av_single_block_easy)),
-            ("av_single_block_medium", n(self.av_single_block_medium)),
-            ("downcall_condvar", n(self.downcall_condvar)),
-            ("downcall_retry", n(self.downcall_retry)),
-            ("downcall_io", n(self.downcall_io)),
-            ("downcall_long_action", n(self.downcall_long_action)),
-            ("downcall_library", n(self.downcall_library)),
-            ("multi_module_non_preemptible", n(self.multi_module_non_preemptible)),
-        ])
     }
 }
 

@@ -1,4 +1,4 @@
-//! Deterministic fault injection: the adversarial twin of [`obs`](crate::obs).
+//! Deterministic fault injection: the adversarial twin of [`obs`].
 //!
 //! The stress harness (PR 3) measures how the runtime behaves under load; it
 //! cannot make the ugly paths *happen on demand*. A read-set validation
@@ -74,8 +74,9 @@ pub enum InjectionPoint {
     LockRevoke = 6,
     /// Fail a transactional file operation with a synthetic I/O error.
     XcallFile = 7,
-    /// Fail a transactional pipe/socket operation with a synthetic I/O
-    /// error (`OsError::TimedOut` at the call site).
+    /// Fail a transactional pipe/socket operation: a deferred write
+    /// aborts its attempt, a compensated read sees a spurious "would
+    /// block" (`None`).
     XcallPipe = 8,
     /// Fail an async-I/O submission before it is enlisted.
     XcallAsync = 9,

@@ -23,7 +23,7 @@
 //!   a store the reader made after it).
 //! - **Epochs:** a value a read accepted can only be replaced by a writer
 //!   that locked the orec after that read's re-check, and a writer takes
-//!   `wv` from the clock after its locks (see [`crate::clock`]); the
+//!   `wv` from the clock after its locks (see `crate::clock`); the
 //!   reader took its epoch from the same clock before the re-check, so
 //!   `wv` is greater than the reader's epoch. A pass therefore frees a
 //!   value retired at `wv` only when no open window has an epoch below

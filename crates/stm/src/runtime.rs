@@ -47,8 +47,6 @@ pub struct TxnReport {
     pub attempts: u64,
     /// Whether the committing attempt was irrevocable.
     pub committed_irrevocably: bool,
-    /// Times the transaction blocked in `retry`.
-    pub blocked_retries: u64,
     /// Times the transaction committed-and-waited on a wait point.
     pub waits: u64,
     /// Aborts caused by deadlock victimization or external kills.
@@ -378,7 +376,6 @@ pub(crate) fn atomic_report<T>(
             }
             Err(Abort::Retry) => {
                 obs::note_retry_blocked(opts.site);
-                report.blocked_retries += 1;
                 let snapshot = txn.take_read_snapshot();
                 txn.abort();
                 if snapshot.is_empty() {

@@ -11,7 +11,7 @@ use txfix_stm::chaos::{self, FaultPlan, InjectionPoint, Trigger};
 use txfix_stm::hooks::{self, Armed};
 use txfix_stm::{obs, StmResult, Txn};
 use txfix_wal::{Wal, WalOp, WalVariant, AFTER_COMMIT_WRITE};
-use txfix_xcall::{crashpoint, SimFs};
+use txfix_xcall::{crashpoint, SimFs, XOp};
 
 type LogFn = fn(&Wal, &mut Txn, u64, &[WalOp]) -> StmResult<()>;
 
@@ -27,7 +27,7 @@ fn stepwise(wal: &Wal, txn: &mut Txn, txid: u64, ops: &[WalOp]) -> StmResult<()>
     }
     file.x_sync(txn)?;
     file.x_append(txn, format!("C {txid} ;\n").as_bytes())?;
-    file.x_crash_point(txn, AFTER_COMMIT_WRITE)?;
+    file.x_queue(txn, [XOp::CrashPoint(AFTER_COMMIT_WRITE)])?;
     file.x_sync(txn)
 }
 

@@ -1,11 +1,10 @@
 //! Transactional file handles: deferred writes with per-transaction
 //! isolation.
 //!
-//! `x_append`/`x_write_at` buffer their effect and apply it when the
-//! transaction commits; `x_read` sees committed content plus the
-//! transaction's own pending writes. A revocable [`TxMutex`] per file
-//! provides isolation between transactions touching the same file until
-//! commit, mirroring xCalls' logical file locks.
+//! `x_append`/`x_sync` buffer their effect and apply it when the
+//! transaction commits. A revocable [`TxMutex`] per file provides
+//! isolation between transactions touching the same file until commit,
+//! mirroring xCalls' logical file locks.
 //!
 //! The file copies a deferred write's borrowed bytes into one buffer it
 //! reuses, and its pending ops are one deferred [`TxResource`], so a
@@ -27,15 +26,14 @@ use txfix_txlock::TxMutex;
 pub enum XOp<B> {
     /// What [`XFile::x_append`] defers.
     Append(B),
-    /// What [`XFile::x_write_at`] defers.
-    WriteAt(usize, B),
     /// Deferred `fsync` ([`XFile::x_sync`]): promote the cache to the
     /// durable image when the preceding deferred writes have been applied.
     Sync,
-    /// A crash point ([`XFile::x_crash_point`]) evaluated at the matching
-    /// place in the commit-time apply sequence — how the WAL plants
-    /// protocol-level labels like `wal_after_commit_write` between its
-    /// deferred writes.
+    /// A named crash point evaluated at the matching place in the
+    /// commit-time apply sequence — how the WAL plants protocol-level
+    /// labels like `wal_after_commit_write` between its deferred writes.
+    /// Instrumentation only: not counted as an x-call, never faulted by
+    /// chaos, free when no crash session is armed.
     CrashPoint(&'static str),
 }
 
@@ -44,7 +42,6 @@ impl<B> XOp<B> {
     fn map<C>(self, f: impl FnOnce(B) -> C) -> XOp<C> {
         match self {
             XOp::Append(b) => XOp::Append(f(b)),
-            XOp::WriteAt(off, b) => XOp::WriteAt(off, f(b)),
             XOp::Sync => XOp::Sync,
             XOp::CrashPoint(label) => XOp::CrashPoint(label),
         }
@@ -198,15 +195,6 @@ impl XFile {
         self.x_queue(txn, [XOp::Append(bytes)])
     }
 
-    /// Defer an absolute-offset write until the transaction commits.
-    ///
-    /// # Errors
-    ///
-    /// Propagates lock conflicts/preemption as [`Abort`](txfix_stm::Abort).
-    pub fn x_write_at(&self, txn: &mut Txn, offset: usize, bytes: &[u8]) -> StmResult<()> {
-        self.x_queue(txn, [XOp::WriteAt(offset, bytes)])
-    }
-
     /// Defer an `fsync` until the transaction commits: once the deferred
     /// writes queued before it have been applied, the page cache is
     /// promoted to the durable image. Ordering within the transaction is
@@ -219,48 +207,6 @@ impl XFile {
     /// Propagates lock conflicts/preemption as [`Abort`](txfix_stm::Abort).
     pub fn x_sync(&self, txn: &mut Txn) -> StmResult<()> {
         self.x_queue(txn, [XOp::Sync])
-    }
-
-    /// Plant a named crash point between this transaction's deferred
-    /// operations: it is evaluated at the matching position in the
-    /// commit-time apply sequence. Instrumentation only — never faulted
-    /// by chaos, free when no crash session is armed.
-    ///
-    /// # Errors
-    ///
-    /// Propagates lock conflicts/preemption as [`Abort`](txfix_stm::Abort).
-    pub fn x_crash_point(&self, txn: &mut Txn, label: &'static str) -> StmResult<()> {
-        self.x_queue(txn, [XOp::CrashPoint(label)])
-    }
-
-    /// Read the file as this transaction sees it: committed content with
-    /// the transaction's own deferred operations applied.
-    ///
-    /// # Errors
-    ///
-    /// Propagates lock conflicts/preemption as [`Abort`](txfix_stm::Abort).
-    pub fn x_read_all(&self, txn: &mut Txn) -> StmResult<Vec<u8>> {
-        txfix_stm::obs::note_xcall();
-        self.enter(txn)?;
-        self.inject_io_fault(txn)?;
-        let committed = self.inner.file.read_all();
-        self.inner.lock.with_tx(txn, move |st| {
-            let mut view = committed;
-            for op in st.ops() {
-                match op {
-                    XOp::Append(bytes) => view.extend_from_slice(bytes),
-                    XOp::WriteAt(off, bytes) => {
-                        if view.len() < off + bytes.len() {
-                            view.resize(off + bytes.len(), 0);
-                        }
-                        view[off..off + bytes.len()].copy_from_slice(bytes);
-                    }
-                    // Neither changes the bytes a reader observes.
-                    XOp::Sync | XOp::CrashPoint(_) => {}
-                }
-            }
-            view
-        })
     }
 
     /// Chaos hook shared by the file x-calls: a synthetic I/O failure that
@@ -295,7 +241,6 @@ impl TxResource for XFileInner {
                 crashpoint::crash_point("xfile_apply");
                 match op {
                     XOp::Append(bytes) => self.file.append(bytes),
-                    XOp::WriteAt(off, bytes) => self.file.write_at(off, bytes),
                     XOp::Sync => {
                         // Canary: the fsync reports success without
                         // flushing — acknowledged commits silently lose
@@ -366,29 +311,6 @@ mod tests {
         });
         // Only the committed (second) attempt's append is visible.
         assert_eq!(xf.file().read_all(), b"maybe\n");
-    }
-
-    #[test]
-    fn reads_see_own_pending_writes() {
-        let fs = SimFs::new();
-        let xf = XFile::open_or_create(&fs, "f");
-        xf.file().append(b"committed;");
-        let xf2 = xf.clone();
-        let view = atomic(move |txn| {
-            xf2.x_append(txn, b"pending")?;
-            xf2.x_read_all(txn)
-        });
-        assert_eq!(view, b"committed;pending");
-    }
-
-    #[test]
-    fn write_at_is_applied_at_commit() {
-        let fs = SimFs::new();
-        let xf = XFile::open_or_create(&fs, "f");
-        xf.file().append(b"aaaa");
-        let xf2 = xf.clone();
-        atomic(move |txn| xf2.x_write_at(txn, 1, b"XY"));
-        assert_eq!(xf.file().read_all(), b"aXYa");
     }
 
     #[test]

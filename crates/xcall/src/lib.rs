@@ -16,7 +16,7 @@
 //! | strategy | API | used for |
 //! |---|---|---|
 //! | defer to commit | [`XFile::x_append`], [`XPipe::x_write`] | log writes, responses |
-//! | compensate on abort | [`XPipe::x_read`] | consuming reads |
+//! | compensate on abort | [`XPipe::x_try_read`] | consuming reads |
 //! | inevitable | [`x_inevitable`] | irreversible calls (`ioctl`-class) |
 //!
 //! Transactions touching the same file are isolated until commit by a

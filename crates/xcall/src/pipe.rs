@@ -5,10 +5,9 @@
 //! can act on them, and pushed back into the pipe if the transaction
 //! aborts. Irreversible operations go through [`x_inevitable`].
 
-use crate::simos::{OsError, SimPipe};
+use crate::simos::SimPipe;
 use std::fmt;
 use std::sync::Arc;
-use std::time::Duration;
 use txfix_stm::chaos;
 use txfix_stm::{StmResult, Txn, TxnKind};
 
@@ -58,49 +57,9 @@ impl XPipe {
         Ok(())
     }
 
-    /// Read up to `max` bytes immediately, registering a compensation that
-    /// pushes them back if the transaction aborts.
-    ///
-    /// # Errors
-    ///
-    /// Returns `Ok(Err(OsError))` for OS-level failures (a timeout),
-    /// which do not abort the transaction.
-    pub fn x_read(
-        &self,
-        txn: &mut Txn,
-        max: usize,
-        timeout: Duration,
-    ) -> StmResult<Result<Vec<u8>, OsError>> {
-        txfix_stm::obs::note_xcall();
-        // Chaos: an OS-level timeout, exactly as the pipe itself would
-        // surface one — the transaction keeps running and the caller deals
-        // with the error.
-        if chaos::should_inject(chaos::InjectionPoint::XcallPipe) {
-            return Ok(Err(OsError::TimedOut));
-        }
-        match self.pipe.read(max, timeout) {
-            Ok(bytes) => {
-                if !bytes.is_empty() {
-                    let pipe = self.pipe.clone();
-                    let undo = bytes.clone();
-                    // Canary: the compensation is registered twice, so an
-                    // abort pushes the consumed bytes back *twice* — the
-                    // stream re-delivers data that was only read once.
-                    #[cfg(feature = "canary-xcall")]
-                    if txfix_stm::canary::fire(txfix_stm::canary::Canary::XcallDoubleCompensate) {
-                        let pipe2 = pipe.clone();
-                        let undo2 = undo.clone();
-                        txn.on_abort(move || pipe2.unread(&undo2));
-                    }
-                    txn.on_abort(move || pipe.unread(&undo));
-                }
-                Ok(Ok(bytes))
-            }
-            Err(e) => Ok(Err(e)),
-        }
-    }
-
-    /// Non-blocking compensated read.
+    /// Read up to `max` bytes immediately, without blocking, registering a
+    /// compensation that pushes them back if the transaction aborts;
+    /// `None` when the pipe holds no data.
     pub fn x_try_read(&self, txn: &mut Txn, max: usize) -> StmResult<Option<Vec<u8>>> {
         txfix_stm::obs::note_xcall();
         // Chaos: spurious "would block".
@@ -111,7 +70,9 @@ impl XPipe {
             Some(bytes) => {
                 let pipe = self.pipe.clone();
                 let undo = bytes.clone();
-                // Canary: as in `x_read` — duplicate compensation.
+                // Canary: the compensation is registered twice, so an
+                // abort pushes the consumed bytes back *twice* — the
+                // stream re-delivers data that was only read once.
                 #[cfg(feature = "canary-xcall")]
                 if txfix_stm::canary::fire(txfix_stm::canary::Canary::XcallDoubleCompensate) {
                     let pipe2 = pipe.clone();

@@ -44,7 +44,6 @@ use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::ops::Range;
 use std::sync::Arc;
-use std::time::Duration;
 use txfix_stm::chaos::splitmix64;
 
 /// Writeback granularity of the simulated page cache, in bytes. A crash
@@ -56,15 +55,12 @@ pub const BLOCK_BYTES: usize = 32;
 pub enum OsError {
     /// Path not present in the filesystem.
     NotFound(String),
-    /// A blocking read timed out.
-    TimedOut,
 }
 
 impl fmt::Display for OsError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             OsError::NotFound(p) => write!(f, "no such file: {p}"),
-            OsError::TimedOut => write!(f, "operation timed out"),
         }
     }
 }
@@ -380,22 +376,6 @@ impl SimFs {
         self.files.lock().get(path).cloned().ok_or_else(|| OsError::NotFound(path.to_owned()))
     }
 
-    /// Remove a file from the namespace.
-    ///
-    /// # Errors
-    ///
-    /// [`OsError::NotFound`] if `path` does not exist.
-    pub fn remove(&self, path: &str) -> Result<(), OsError> {
-        self.files.lock().remove(path).map(|_| ()).ok_or_else(|| OsError::NotFound(path.to_owned()))
-    }
-
-    /// Paths currently present, sorted.
-    pub fn list(&self) -> Vec<String> {
-        let mut v: Vec<String> = self.files.lock().keys().cloned().collect();
-        v.sort();
-        v
-    }
-
     /// Crash the whole filesystem: every file keeps its durable image
     /// plus a seeded subset of its unflushed blocks (see
     /// [`SimFile::crash`]). Per-file salts make the outcome independent
@@ -407,10 +387,10 @@ impl SimFs {
     }
 }
 
-/// A bounded, blocking byte pipe (kernel pipe / socket buffer stand-in).
+/// A bounded byte pipe (kernel pipe / socket buffer stand-in): writes
+/// block while it is full, reads never block.
 pub struct SimPipe {
     buf: Mutex<VecDeque<u8>>,
-    readable: Condvar,
     writable: Condvar,
     capacity: usize,
 }
@@ -429,7 +409,6 @@ impl SimPipe {
     pub fn new(capacity: usize) -> Arc<SimPipe> {
         Arc::new(SimPipe {
             buf: Mutex::new(VecDeque::new()),
-            readable: Condvar::new(),
             writable: Condvar::new(),
             capacity: capacity.max(1),
         })
@@ -454,31 +433,6 @@ impl SimPipe {
             let n = room.min(remaining.len());
             buf.extend(&remaining[..n]);
             remaining = &remaining[n..];
-            self.readable.notify_all();
-        }
-    }
-
-    /// Read up to `max` bytes, blocking until data is available or
-    /// `timeout` elapses.
-    ///
-    /// # Errors
-    ///
-    /// [`OsError::TimedOut`] if nothing arrived in time.
-    pub fn read(&self, max: usize, timeout: Duration) -> Result<Vec<u8>, OsError> {
-        if crashpoint::is_frozen() {
-            return Err(OsError::TimedOut);
-        }
-        let mut buf = self.buf.lock();
-        loop {
-            if !buf.is_empty() {
-                let n = max.min(buf.len());
-                let out: Vec<u8> = buf.drain(..n).collect();
-                self.writable.notify_all();
-                return Ok(out);
-            }
-            if self.readable.wait_for(&mut buf, timeout).timed_out() && buf.is_empty() {
-                return Err(OsError::TimedOut);
-            }
         }
     }
 
@@ -509,7 +463,6 @@ impl SimPipe {
         for &b in bytes.iter().rev() {
             buf.push_front(b);
         }
-        self.readable.notify_all();
     }
 
     /// Bytes currently buffered.
@@ -615,20 +568,9 @@ mod tests {
     }
 
     #[test]
-    fn fs_namespace_operations() {
-        let fs = SimFs::new();
-        assert!(fs.open("missing").is_err());
-        fs.open_or_create("b");
-        fs.open_or_create("a");
-        assert_eq!(fs.list(), vec!["a".to_string(), "b".to_string()]);
-        fs.remove("a").unwrap();
-        assert!(fs.open("a").is_err());
-        assert_eq!(fs.remove("a"), Err(OsError::NotFound("a".into())));
-    }
-
-    #[test]
     fn same_handle_for_same_path() {
         let fs = SimFs::new();
+        assert_eq!(fs.open("shared").unwrap_err(), OsError::NotFound("shared".into()));
         let f1 = fs.open_or_create("shared");
         let f2 = fs.open("shared").unwrap();
         f1.append(b"x");
@@ -700,13 +642,8 @@ mod tests {
     fn pipe_roundtrip() {
         let p = SimPipe::new(16);
         p.write(b"hello");
-        assert_eq!(p.read(5, Duration::from_millis(100)).unwrap(), b"hello");
-    }
-
-    #[test]
-    fn pipe_read_times_out_when_empty() {
-        let p = SimPipe::new(4);
-        assert_eq!(p.read(1, Duration::from_millis(20)), Err(OsError::TimedOut));
+        assert_eq!(p.try_read(5).unwrap(), b"hello");
+        assert_eq!(p.try_read(5), None);
     }
 
     #[test]
@@ -716,21 +653,22 @@ mod tests {
         std::thread::scope(|s| {
             let p2 = p.clone();
             s.spawn(move || p2.write(b"56"));
-            std::thread::sleep(Duration::from_millis(20));
+            std::thread::sleep(std::time::Duration::from_millis(20));
             assert_eq!(p.buffered(), 4, "writer should be blocked at capacity");
-            assert_eq!(p.read(4, Duration::from_millis(100)).unwrap(), b"1234");
-            assert_eq!(p.read(2, Duration::from_millis(500)).unwrap(), b"56");
+            assert_eq!(p.try_read(4).unwrap(), b"1234");
         });
+        // The scope joined the writer: the read made room for its bytes.
+        assert_eq!(p.try_read(4).unwrap(), b"56");
     }
 
     #[test]
     fn unread_restores_order() {
         let p = SimPipe::new(16);
         p.write(b"abcdef");
-        let first = p.read(3, Duration::from_millis(100)).unwrap();
+        let first = p.try_read(3).unwrap();
         assert_eq!(first, b"abc");
         p.unread(&first);
-        assert_eq!(p.read(6, Duration::from_millis(100)).unwrap(), b"abcdef");
+        assert_eq!(p.try_read(6).unwrap(), b"abcdef");
     }
 
     #[test]
@@ -750,7 +688,10 @@ mod tests {
             s.spawn(move || {
                 let mut got = 0;
                 while got < total {
-                    got += p.read(64, Duration::from_secs(5)).unwrap().len();
+                    match p.try_read(64) {
+                        Some(bytes) => got += bytes.len(),
+                        None => std::thread::yield_now(),
+                    }
                 }
                 assert_eq!(got, total);
             });

@@ -14,12 +14,14 @@ fn an_aborted_transactions_bytes_never_reach_the_next_commit() {
     atomic(|txn| {
         if first.swap(false, Ordering::SeqCst) {
             xf.x_append(txn, b"aborted-one ")?;
-            xf.x_write_at(txn, 0, b"aborted-two")?;
+            xf.x_sync(txn)?;
+            xf.x_append(txn, b"aborted-two")?;
             return txn.restart();
         }
         xf.x_append(txn, b"kept")
     });
     assert_eq!(xf.file().read_all(), b"kept");
+    assert_eq!(xf.file().durable_snapshot(), b"", "the aborted sync must not run");
     assert_eq!(xf.pending_snapshot(), Some((0, 0)));
     // The next transaction on the file starts from an empty buffer too.
     atomic(|txn| xf.x_append(txn, b";next"));
@@ -35,15 +37,15 @@ fn one_transaction_applies_each_files_bytes_to_its_own_file() {
         a.x_append(txn, b"a1 ")?;
         b.x_append(txn, b"b1 ")?;
         a.x_sync(txn)?;
-        b.x_write_at(txn, 0, b"B")?;
+        b.x_append(txn, b"B ")?;
         a.x_append(txn, b"a2")?;
-        assert_eq!(b.x_read_all(txn)?, b"B1 ");
-        assert_eq!(a.x_read_all(txn)?, b"a1 a2");
+        // Neither file sees its bytes before the commit.
+        assert!(a.file().is_empty() && b.file().is_empty());
         b.x_append(txn, b"b2")
     });
     assert_eq!(a.file().read_all(), b"a1 a2");
     assert_eq!(a.file().durable_snapshot(), b"a1 ");
-    assert_eq!(b.file().read_all(), b"B1 b2");
+    assert_eq!(b.file().read_all(), b"b1 B b2");
     assert_eq!(b.file().durable_snapshot(), b"");
     assert_eq!((a.pending_snapshot(), b.pending_snapshot()), (Some((0, 0)), Some((0, 0))));
 }

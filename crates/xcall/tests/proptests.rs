@@ -4,38 +4,33 @@
 
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::time::Duration;
 use txfix_stm::atomic;
 use txfix_xcall::{SimFs, SimPipe, XFile, XPipe};
 
 #[derive(Clone, Debug)]
 enum FileOp {
     Append(Vec<u8>),
-    WriteAt(usize, Vec<u8>),
+    Sync,
 }
 
 fn file_op() -> impl Strategy<Value = FileOp> {
     prop_oneof![
         proptest::collection::vec(any::<u8>(), 1..16).prop_map(FileOp::Append),
-        (0usize..32, proptest::collection::vec(any::<u8>(), 1..8))
-            .prop_map(|(o, b)| FileOp::WriteAt(o, b)),
+        Just(FileOp::Sync),
     ]
 }
 
-fn apply_direct(state: &mut Vec<u8>, op: &FileOp) {
+/// Apply `op` to the expected `(cached, durable)` images.
+fn apply_direct((cached, durable): &mut (Vec<u8>, Vec<u8>), op: &FileOp) {
     match op {
-        FileOp::Append(b) => state.extend_from_slice(b),
-        FileOp::WriteAt(off, b) => {
-            if state.len() < off + b.len() {
-                state.resize(off + b.len(), 0);
-            }
-            state[*off..off + b.len()].copy_from_slice(b);
-        }
+        FileOp::Append(b) => cached.extend_from_slice(b),
+        FileOp::Sync => durable.clone_from(cached),
     }
 }
 
 proptest! {
-    /// Committed transactions apply their ops exactly once and in order;
+    /// Committed transactions apply their ops exactly once and in order,
+    /// each sync making durable exactly the appends queued before it;
     /// aborted attempts leave no trace — for any sequence of transactions
     /// each carrying any batch of operations, with arbitrary first-attempt
     /// aborts interleaved.
@@ -48,7 +43,7 @@ proptest! {
     ) {
         let fs = SimFs::new();
         let xf = XFile::open_or_create(&fs, "prop");
-        let mut expect: Vec<u8> = Vec::new();
+        let mut expect = (Vec::new(), Vec::new());
 
         for (ops, abort_first) in &txns {
             for op in ops {
@@ -60,7 +55,7 @@ proptest! {
                 for op in ops {
                     match op {
                         FileOp::Append(b) => xf.x_append(txn, b)?,
-                        FileOp::WriteAt(o, b) => xf.x_write_at(txn, *o, b)?,
+                        FileOp::Sync => xf.x_sync(txn)?,
                     }
                 }
                 if *abort_first && n == 0 {
@@ -69,35 +64,7 @@ proptest! {
                 Ok(())
             });
         }
-        prop_assert_eq!(xf.file().read_all(), expect);
-    }
-
-    /// The transactional view (`x_read_all`) equals committed content with
-    /// the transaction's own pending ops applied.
-    #[test]
-    fn read_your_writes_view(
-        committed in proptest::collection::vec(any::<u8>(), 0..24),
-        pending in proptest::collection::vec(file_op(), 0..6),
-    ) {
-        let fs = SimFs::new();
-        let xf = XFile::open_or_create(&fs, "view");
-        xf.file().append(&committed);
-
-        let mut expect = committed.clone();
-        for op in &pending {
-            apply_direct(&mut expect, op);
-        }
-
-        let view = atomic(|txn| {
-            for op in &pending {
-                match op {
-                    FileOp::Append(b) => xf.x_append(txn, b)?,
-                    FileOp::WriteAt(o, b) => xf.x_write_at(txn, *o, b)?,
-                }
-            }
-            xf.x_read_all(txn)
-        });
-        prop_assert_eq!(view, expect);
+        prop_assert_eq!((xf.file().read_all(), xf.file().durable_snapshot()), expect);
     }
 
     /// Pipe reads are compensated exactly: aborting after consuming any
@@ -147,7 +114,8 @@ proptest! {
             Ok(())
         });
         let expect: Vec<u8> = messages.concat();
-        let got = pipe.read(expect.len(), Duration::from_millis(200)).unwrap();
+        let got = pipe.try_read(expect.len()).unwrap();
         prop_assert_eq!(got, expect);
+        prop_assert_eq!(pipe.buffered(), 0);
     }
 }

@@ -1,11 +1,13 @@
 //! The `txfix` dispatch table.
 //!
-//! Every verb is one row of [`ROWS`]: the corpus printers carry their
-//! help block and a function from arguments to text, every verb that
-//! selects scenarios is a [`SweepRunner`] behind [`sweep::run_sweep`].
-//! [`help`] is assembled from the rows, and `txfix list` computes its
-//! coverage matrix from the runners' universes, so neither can go stale
-//! when a verb or a scenario is added. The runners live beside the code
+//! Every verb is one row of [`ROWS`](crate::cli::ROWS): the corpus
+//! printers carry their help block and a function from arguments to text,
+//! every verb that selects scenarios is a
+//! [`SweepRunner`](crate::recipes::sweep::SweepRunner) behind
+//! [`run_sweep`](crate::recipes::sweep::run_sweep).
+//! [`help`](crate::cli::help) is assembled from the rows, and `txfix
+//! list` computes its coverage matrix from the runners' universes, so
+//! neither can go stale when a verb or a scenario is added. The runners live beside the code
 //! they drive (`bench::{stress, chaos, kv}`, `explore`, `autofix`,
 //! `analyze`, `corpus` for `lint` and `scenario`); the three that span
 //! crates are here: `crash`, `list`, and the stand-in for `canary` in a
